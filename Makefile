@@ -14,7 +14,7 @@ COVER_FLOOR_TRACE   ?= 90.0
 COVER_FLOOR_SERVE   ?= 96.0
 COVER_FLOOR_LOADGEN ?= 90.0
 
-.PHONY: all build test lint fuzz cover docs bench-smoke bench-baseline bench-check metrics-smoke load-smoke batch-smoke serve ci
+.PHONY: all build test lint fuzz cover docs bench-smoke bench-baseline bench-check metrics-smoke load-smoke batch-smoke benchmark-smoke serve ci
 
 # Markdown files the docs gate link-checks, and the packages whose godoc
 # must render (a missing or syntactically broken doc comment fails go doc).
@@ -79,8 +79,10 @@ lint:
 		echo "files need gofmt:"; echo "$$out"; exit 1; \
 	fi
 
+# One iteration of every Go benchmark: the end-to-end ones at the root and
+# the per-layer scan-kernel benchmark in internal/queries.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' .
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/queries
 
 # Benchmark gate: bench-baseline records the q1.x flight's simulated
 # seconds and scaling efficiency at 1/2/4/8 GPUs into BENCH_fleet.json,
@@ -120,7 +122,15 @@ batch-smoke:
 	$(GO) test ./internal/queries -run TestDifferentialBatchAgree -count=1 -v -timeout 10m
 	BATCH_GOODPUT_STRICT=1 $(GO) test ./internal/loadgen -run TestBatchingGoodputWin -count=1 -v
 
+# Serving-path benchmark gate: three seconds each of the shared-scan and
+# solo-scan workloads through the BENCHMARK.json harness, which exits
+# non-zero on a wrong row, a SimSeconds mismatch against the first reply, or
+# a failed traffic assertion (batched share, plan hit rate).
+benchmark-smoke:
+	bash benchmark/run.sh -workload queued_batch -seed 1 -seconds 3 -trace 0
+	bash benchmark/run.sh -workload scan_solo -seed 1 -seconds 3 -trace 0
+
 serve:
 	$(GO) run ./cmd/ssbserve
 
-ci: build lint test cover fuzz docs bench-smoke bench-check metrics-smoke load-smoke batch-smoke
+ci: build lint test cover fuzz docs bench-smoke bench-check metrics-smoke load-smoke batch-smoke benchmark-smoke

@@ -9,6 +9,7 @@ import (
 	"crystal/internal/cpu"
 	"crystal/internal/crystal"
 	"crystal/internal/device"
+	"crystal/internal/fleet"
 	"crystal/internal/gpu"
 	"crystal/internal/pack"
 	"crystal/internal/queries"
@@ -200,17 +201,21 @@ func BenchmarkAblation_MultiGPUScaling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	plan := queries.Compile(ds, q)
+	seconds := func(gpus int) float64 {
+		s, err := plan.ScheduleFleet(fleet.Spec{GPUs: gpus, Link: fleet.PCIe()}, queries.RunOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sr, err := plan.RunScheduled(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sr.Result.Seconds
+	}
 	ratio := 0.0
 	for i := 0; i < b.N; i++ {
-		one, err := queries.Compile(ds, q).RunMultiGPU(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		four, err := queries.Compile(ds, q).RunMultiGPU(4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = one.Seconds / four.Seconds
+		ratio = seconds(1) / seconds(4)
 	}
 	b.ReportMetric(ratio, "x4speedup")
 }

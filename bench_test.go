@@ -58,7 +58,7 @@ func BenchmarkFig3_Coprocessor(b *testing.B) {
 		simMs = 0
 		for _, q := range queries.All() {
 			for _, e := range engines {
-				simMs += queries.Run(ds, q, e).Milliseconds()
+				simMs += queries.Compile(ds, q).Run(e).Milliseconds()
 			}
 		}
 	}
@@ -233,10 +233,10 @@ func BenchmarkFig16_SSB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var sum float64
 		for _, q := range queries.All() {
-			queries.Compile(ds, q).RunHyper()
-			queries.Compile(ds, q).RunOmnisci()
-			cpuT := queries.Compile(ds, q).RunCPU().Seconds
-			gpuT := queries.Compile(ds, q).RunGPU().Seconds
+			queries.Compile(ds, q).Run(queries.EngineHyper)
+			queries.Compile(ds, q).Run(queries.EngineOmnisci)
+			cpuT := queries.Compile(ds, q).Run(queries.EngineCPU).Seconds
+			gpuT := queries.Compile(ds, q).Run(queries.EngineGPU).Seconds
 			sum += cpuT / gpuT
 		}
 		ratio = sum / 13
@@ -254,8 +254,8 @@ func BenchmarkSec53_Query21(b *testing.B) {
 	}
 	var gpuMS float64
 	for i := 0; i < b.N; i++ {
-		gpuMS = queries.Compile(ds, q).RunGPU().Milliseconds()
-		queries.Compile(ds, q).RunCPU()
+		gpuMS = queries.Compile(ds, q).Run(queries.EngineGPU).Milliseconds()
+		queries.Compile(ds, q).Run(queries.EngineCPU)
 	}
 	b.ReportMetric(gpuMS, "simMs")
 	b.ReportMetric(bench.MS(model.Query21(device.V100(), model.SF20())), "modelMsSF20")
@@ -268,7 +268,7 @@ func BenchmarkTable3_Cost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var ratios []float64
 		for _, q := range queries.All() {
-			ratios = append(ratios, queries.Compile(ds, q).RunCPU().Seconds/queries.Compile(ds, q).RunGPU().Seconds)
+			ratios = append(ratios, queries.Compile(ds, q).Run(queries.EngineCPU).Seconds/queries.Compile(ds, q).Run(queries.EngineGPU).Seconds)
 		}
 		var sum float64
 		for _, r := range ratios {

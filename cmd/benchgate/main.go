@@ -34,6 +34,7 @@ import (
 
 	"crystal/internal/fleet"
 	"crystal/internal/queries"
+	"crystal/internal/sched"
 	"crystal/internal/ssb"
 )
 
@@ -104,6 +105,31 @@ func flightPlans(ds *ssb.Dataset) ([]*queries.Plan, error) {
 	return plans, nil
 }
 
+// scheduledSeconds runs a built schedule and returns its simulated seconds.
+func scheduledSeconds(plan *queries.Plan, s sched.Schedule, err error) (float64, error) {
+	if err != nil {
+		return 0, err
+	}
+	sr, err := plan.RunScheduled(s)
+	if err != nil {
+		return 0, err
+	}
+	return sr.Result.Seconds, nil
+}
+
+// fleetSeconds is the simulated time of plan range-sharded over fl.
+func fleetSeconds(plan *queries.Plan, fl fleet.Spec, opts queries.RunOptions) (float64, error) {
+	s, err := plan.ScheduleFleet(fl, opts)
+	return scheduledSeconds(plan, s, err)
+}
+
+// hybridSeconds is the simulated time of plan co-executed on the host CPU
+// and fl's GPU arm (frac 1 = pure CPU, 0 = pure GPU, -1 = balanced).
+func hybridSeconds(plan *queries.Plan, fl fleet.Spec, frac float64, opts queries.RunOptions) (float64, error) {
+	s, _, err := plan.ScheduleHybrid(fl, frac, opts)
+	return scheduledSeconds(plan, s, err)
+}
+
 func measureFleet(ds *ssb.Dataset) (gateBaseline, error) {
 	out := gateBaseline{Rows: ds.Lineorder.Rows(), Interconnect: "nvlink", TolerancePct: tolerance * 100}
 	plans, err := flightPlans(ds)
@@ -114,11 +140,11 @@ func measureFleet(ds *ssb.Dataset) (gateBaseline, error) {
 	for _, gpus := range []int{1, 2, 4, 8} {
 		var flight float64
 		for _, plan := range plans {
-			fr, err := plan.RunFleet(fleet.Spec{GPUs: gpus, Link: fleet.NVLink()}, queries.RunOptions{})
+			sec, err := fleetSeconds(plan, fleet.Spec{GPUs: gpus, Link: fleet.NVLink()}, queries.RunOptions{})
 			if err != nil {
 				return out, err
 			}
-			flight += fr.Result.Seconds
+			flight += sec
 		}
 		if gpus == 1 {
 			base = flight
@@ -151,11 +177,11 @@ func measureHybrid(ds *ssb.Dataset) (hybridBaseline, error) {
 				frac float64
 				out  *float64
 			}{{1, &entry.CPUSeconds}, {0, &entry.GPUSeconds}, {-1, &entry.HybridSeconds}} {
-				hr, err := plan.RunHybrid(fl, m.frac, opts)
+				sec, err := hybridSeconds(plan, fl, m.frac, opts)
 				if err != nil {
 					return out, err
 				}
-				*m.out += hr.Result.Seconds
+				*m.out += sec
 			}
 		}
 		out.Links = append(out.Links, entry)
@@ -213,17 +239,13 @@ func measureSort(ds *ssb.Dataset) (sortBaseline, error) {
 			frac float64
 			out  *float64
 		}{{1, &entry.CPUSeconds}, {0, &entry.GPUSeconds}, {-1, &entry.HybridSeconds}} {
-			hr, err := plan.RunHybrid(fl, m.frac, opts)
-			if err != nil {
+			if *m.out, err = hybridSeconds(plan, fl, m.frac, opts); err != nil {
 				return out, err
 			}
-			*m.out = hr.Result.Seconds
 		}
-		fr, err := plan.RunFleet(fleet.Spec{GPUs: sortFleetGPUs, Link: fleet.NVLink()}, opts)
-		if err != nil {
+		if entry.FleetSeconds, err = fleetSeconds(plan, fleet.Spec{GPUs: sortFleetGPUs, Link: fleet.NVLink()}, opts); err != nil {
 			return out, err
 		}
-		entry.FleetSeconds = fr.Result.Seconds
 		out.Queries = append(out.Queries, entry)
 	}
 	return out, nil

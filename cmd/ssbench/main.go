@@ -246,15 +246,15 @@ func runExplain(ds *ssb.Dataset, id, linkName string, gpuArms int) error {
 		name string
 		frac float64
 	}{{"cpu", 1}, {"gpu", 0}, {"hybrid", -1}} {
-		hr, err := plan.RunHybrid(fl, pl.frac, opts)
+		hr, err := execHybrid(plan, fl, pl.frac, opts)
 		if err != nil {
 			return err
 		}
 		tr := &trace.Trace{
 			Query:        q.ID,
 			Placement:    pl.name,
-			GPUs:         hr.GPUs,
-			Interconnect: hr.Interconnect,
+			GPUs:         fl.GPUs,
+			Interconnect: ic.Name,
 			Sim:          hr.Result.Seconds,
 			Wall:         hr.Trace.Wall,
 			Root:         &trace.Span{Phase: trace.PhaseRequest, Children: []*trace.Span{hr.Trace}},
@@ -353,13 +353,13 @@ func runSQL(ds *ssb.Dataset, scale func(*queries.Result) float64, stmt string) e
 		case "gpu":
 			res = exec(plan, queries.EngineGPU)
 		case "fleet":
-			fr, err := plan.RunFleet(fl, runOpts())
+			fr, err := execFleet(plan, fl, runOpts())
 			if err != nil {
 				return err
 			}
 			res = fr.Result
 		case "hybrid":
-			hr, err := plan.RunHybrid(fl, -1, runOpts())
+			hr, err := execHybrid(plan, fl, -1, runOpts())
 			if err != nil {
 				return err
 			}
@@ -453,7 +453,7 @@ func runFleetSweep(ds *ssb.Dataset, n int, linkName string) error {
 		plan := queries.Compile(ds, q)
 		var vals []float64
 		for _, k := range counts {
-			fr, err := plan.RunFleet(fleet.Spec{GPUs: k, Link: ic}, runOpts())
+			fr, err := execFleet(plan, fleet.Spec{GPUs: k, Link: ic}, runOpts())
 			if err != nil {
 				return err
 			}
@@ -501,7 +501,7 @@ func runHybrid(ds *ssb.Dataset, gpuArms int) error {
 			plan := queries.Compile(ds, q)
 			var vals []float64
 			for _, frac := range []float64{1, 0, -1} {
-				hr, err := plan.RunHybrid(fl, frac, runOpts())
+				hr, err := execHybrid(plan, fl, frac, runOpts())
 				if err != nil {
 					return err
 				}
@@ -541,10 +541,11 @@ func runMultiGPU(ds *ssb.Dataset) {
 	plan := queries.Compile(ds, q)
 	base := 0.0
 	for _, k := range []int{1, 2, 4, 8} {
-		res, err := plan.RunMultiGPU(k)
+		fr, err := execFleet(plan, fleet.Spec{GPUs: k, Link: fleet.PCIe()}, queries.RunOptions{})
 		if err != nil {
 			panic(err)
 		}
+		res := fr.Result
 		if k == 1 {
 			base = res.Seconds
 		}
@@ -562,7 +563,35 @@ func runMultiGPU(ds *ssb.Dataset) {
 // query so the hash-table builds and the plan's zone-map cache are shared
 // across engines.
 func exec(plan *queries.Plan, e queries.Engine) *queries.Result {
-	return plan.RunPartitioned(e, runOpts())
+	return execEngine(plan, e, runOpts())
+}
+
+// execEngine runs plan on one engine with explicit options.
+func execEngine(plan *queries.Plan, e queries.Engine, opts queries.RunOptions) *queries.Result {
+	sr, err := plan.RunScheduled(plan.ScheduleEngine(e, opts))
+	if err != nil {
+		panic(err) // unreachable: ScheduleEngine covers every morsel exactly once
+	}
+	return sr.Result
+}
+
+// execFleet runs plan range-sharded across the GPU fleet fl.
+func execFleet(plan *queries.Plan, fl fleet.Spec, opts queries.RunOptions) (*queries.ScheduledResult, error) {
+	s, err := plan.ScheduleFleet(fl, opts)
+	if err != nil {
+		return nil, err
+	}
+	return plan.RunScheduled(s)
+}
+
+// execHybrid co-executes plan on the host CPU engine and fl's GPU arm (frac
+// 1 = pure CPU, 0 = pure GPU, negative = the throughput-balanced split).
+func execHybrid(plan *queries.Plan, fl fleet.Spec, frac float64, opts queries.RunOptions) (*queries.ScheduledResult, error) {
+	s, _, err := plan.ScheduleHybrid(fl, frac, opts)
+	if err != nil {
+		return nil, err
+	}
+	return plan.RunScheduled(s)
 }
 
 // runOpts carries the -partitions and -packed flags into a run.
@@ -607,7 +636,7 @@ func runPackedReport(ds *ssb.Dataset) {
 	plan := queries.Compile(ds, q)
 	coldOpts := queries.RunOptions{}
 	coldOpts.Partition.Packed = packedFact
-	cold := plan.RunPartitioned(queries.EngineCoproc, coldOpts)
+	cold := execEngine(plan, queries.EngineCoproc, coldOpts)
 	plain := plan.Run(queries.EngineCoproc)
 	// q1.1 joins no dimensions, so its whole transfer is fact columns the
 	// residency cache can elide; queries with joins keep shipping their
@@ -668,8 +697,8 @@ func runCase21(ds *ssb.Dataset, scale func(*queries.Result) float64) {
 		panic(err)
 	}
 	plan := queries.Compile(ds, q)
-	gpuT := scale(plan.RunGPU())
-	cpuT := scale(plan.RunCPU())
+	gpuT := scale(plan.Run(queries.EngineGPU))
+	cpuT := scale(plan.Run(queries.EngineCPU))
 	p := model.SF20()
 	gpuModel := bench.MS(model.Query21(device.V100(), p))
 	cpuModel := bench.MS(model.Query21(device.I76900(), p))
@@ -685,7 +714,7 @@ func runCost(ds *ssb.Dataset) {
 	var ratios []float64
 	for _, q := range queries.All() {
 		plan := queries.Compile(ds, q)
-		ratios = append(ratios, plan.RunCPU().Seconds/plan.RunGPU().Seconds)
+		ratios = append(ratios, plan.Run(queries.EngineCPU).Seconds/plan.Run(queries.EngineGPU).Seconds)
 	}
 	speedup := mean(ratios)
 	c := bench.DefaultCost()

@@ -27,7 +27,7 @@ func main() {
 	ref := queries.Reference(ds, q)
 	fmt.Printf("%-16s %12s %10s\n", "engine", "ms (SF 1)", "rows")
 	for _, e := range queries.Engines() {
-		res := queries.Run(ds, q, e)
+		res := queries.Compile(ds, q).Run(e)
 		status := "OK"
 		if !res.Equal(ref) {
 			status = "MISMATCH"

@@ -13,8 +13,9 @@
 //
 // Assign is the shard scheduler's mechanism: it produces the shard map and
 // the per-device spill accounting the cost model (planner.FleetCost) and
-// the executor (queries.RunFleet) both consume, so the scheduler's prices
-// and the engine's simulated seconds can never disagree about placement.
+// the executor (queries.Plan.ScheduleFleet) both consume, so the scheduler's
+// prices and the engine's simulated seconds can never disagree about
+// placement.
 package fleet
 
 import (

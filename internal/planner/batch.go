@@ -16,7 +16,7 @@ import (
 // probe/aggregate/sort delta. It is the batch-shaped sibling of
 // HybridEstimate — both derive splits and shard maps from the same
 // scheduler primitives the executor uses, so the model can never price a
-// shape queries.RunBatch* would not produce.
+// shape queries.RunBatchScheduled would not produce.
 type BatchEstimate struct {
 	// Members is the batch size and GPUs the fleet size of the GPU arms.
 	Members int
@@ -56,7 +56,7 @@ func unionCols(qs []queries.Query) (filterCols, refCols []string) {
 // 0 = pure GPU): per arm, the union scan is charged once and every member
 // adds its probe/aggregate cost over the arm's rows it is live on. The
 // union liveness (a morsel prunes only when every member's zone maps prune
-// it) matches the shared scan queries.runBatchShared executes.
+// it) matches the shared scan queries.RunBatchScheduled executes.
 func batchArms(fl fleet.Spec, ds *ssb.Dataset, qs []queries.Query, morsels []ssb.Morsel, packed *ssb.PackedFact, frac float64) float64 {
 	filterCols, refCols := unionCols(qs)
 	cpu := device.I76900()

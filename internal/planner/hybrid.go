@@ -25,7 +25,7 @@ const (
 
 // HybridEstimate is the cost model's price of one query's hybrid CPU+GPU
 // co-execution, alongside the pure placements it competes against. It is
-// the scheduler's side of the bargain queries.Plan.RunHybrid executes:
+// the scheduler's side of the bargain queries.Plan.ScheduleHybrid executes:
 // both derive the CPU/GPU division from sched.CPUFraction and
 // sched.SplitHybrid and the GPU shard map from fleet.Assign, so the model
 // can never price a placement the executor would not produce.

@@ -49,15 +49,15 @@ func TestHybridCrossover(t *testing.T) {
 				continue
 			}
 			fl := fleet.Spec{GPUs: 1, Link: tc.link}
-			hybrid, err := plan.RunHybrid(fl, -1, opts)
+			hybrid, err := runHybrid(plan, fl, -1, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cpuOnly, err := plan.RunHybrid(fl, 1, opts)
+			cpuOnly, err := runHybrid(plan, fl, 1, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gpuOnly, err := plan.RunHybrid(fl, 0, opts)
+			gpuOnly, err := runHybrid(plan, fl, 0, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +149,7 @@ func TestHybridCostShape(t *testing.T) {
 	// both derive the split and shard map from the same sched helpers.
 	opts := queries.RunOptions{}
 	opts.Partition.Partitions = 64
-	hr, err := queries.Compile(hybridDS, q).RunHybrid(fl, -1, opts)
+	hr, err := runHybrid(queries.Compile(hybridDS, q), fl, -1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,4 +164,22 @@ func TestHybridCostShape(t *testing.T) {
 	if _, _, err := ChoosePlacement(fleet.Spec{GPUs: -2}, hybridDS, q, morsels, nil); err == nil {
 		t.Error("negative fleet accepted")
 	}
+}
+
+// runFleet and runHybrid execute a plan on the placement the cost model
+// priced: build the schedule, call RunScheduled.
+func runFleet(p *queries.Plan, fl fleet.Spec, opts queries.RunOptions) (*queries.ScheduledResult, error) {
+	s, err := p.ScheduleFleet(fl, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.RunScheduled(s)
+}
+
+func runHybrid(p *queries.Plan, fl fleet.Spec, frac float64, opts queries.RunOptions) (*queries.ScheduledResult, error) {
+	s, _, err := p.ScheduleHybrid(fl, frac, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.RunScheduled(s)
 }

@@ -153,7 +153,7 @@ func TransferCost(totalBytes, residentBytes int64) float64 {
 // fleet: the per-device execution estimates (the makespan is their max),
 // the spilled-shard interconnect traffic, and the cross-device
 // partial-aggregate merge. It is the scheduler's side of the bargain
-// queries.RunFleet executes: both consume the same fleet.Assign shard map,
+// queries.Plan.ScheduleFleet executes: both consume the same fleet.Assign shard map,
 // so the model and the engine can never disagree about placement.
 type FleetEstimate struct {
 	// GPUs is the fleet size the estimate prices.
@@ -180,13 +180,13 @@ type FleetEstimate struct {
 // coprocessor transfer — and add the partial-aggregate merge, sized by the
 // query's group estimate. packed, when non-nil, prices the run over the
 // bit-packed encoding: shards place (and spill) by their packed storage
-// and the scan term pays ScanCostPacked, exactly as queries.RunFleet
+// and the scan term pays ScanCostPacked, exactly as the fleet schedule
 // executes it — passing the executor's encoding keeps the model and the
 // engine agreeing about placement on packed runs too. The returned
 // estimate follows the same bandwidth model the engines meter, so its
 // scaling shape (near-linear on scan-bound queries, merge-bound on
 // high-cardinality group-bys, interconnect-bound once shards spill)
-// matches queries.RunFleet's simulated seconds.
+// matches the fleet schedule's simulated seconds.
 func FleetCost(fl fleet.Spec, ds *ssb.Dataset, q queries.Query, morsels []ssb.Morsel, packed *ssb.PackedFact) (FleetEstimate, error) {
 	fl, err := fl.Normalized()
 	if err != nil {
@@ -198,7 +198,7 @@ func FleetCost(fl fleet.Spec, ds *ssb.Dataset, q queries.Query, morsels []ssb.Mo
 	for _, f := range q.FactFilters {
 		filterCols = append(filterCols, f.Col)
 	}
-	// Footprints come from the same shared helpers queries.RunFleet prices
+	// Footprints come from the same shared helpers ScheduleFleet prices
 	// placement with — agreement by shared code, not by parallel copies.
 	shardBytes := func(m ssb.Morsel) int64 { return ssb.MorselStorageBytes(packed, m) }
 	spillCost := func(m ssb.Morsel) int64 {

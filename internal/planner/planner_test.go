@@ -119,8 +119,8 @@ func TestOptimizePreservesResults(t *testing.T) {
 	if err := opt.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	a := queries.Compile(ds, q).RunGPU()
-	b := queries.Compile(ds, opt).RunGPU()
+	a := queries.Compile(ds, q).Run(queries.EngineGPU)
+	b := queries.Compile(ds, opt).Run(queries.EngineGPU)
 	if len(a.Groups) != len(b.Groups) {
 		t.Fatalf("optimized plan changed group count: %d vs %d", len(a.Groups), len(b.Groups))
 	}
@@ -142,8 +142,8 @@ func TestOptimizedPlanNotSlower(t *testing.T) {
 	for _, id := range []string{"q2.1", "q3.1", "q4.1", "q4.3"} {
 		q, _ := queries.ByID(id)
 		opt := Optimize(device.I76900(), ds, q)
-		hand := queries.Compile(ds, q).RunCPU().Seconds
-		chosen := queries.Compile(ds, opt).RunCPU().Seconds
+		hand := queries.Compile(ds, q).Run(queries.EngineCPU).Seconds
+		chosen := queries.Compile(ds, opt).Run(queries.EngineCPU).Seconds
 		if chosen > hand*1.02 {
 			t.Errorf("%s: optimizer picked a slower plan: %.6f vs %.6f", id, chosen, hand)
 		}
@@ -338,7 +338,7 @@ func TestFleetCostMergeAndSpill(t *testing.T) {
 // TestFleetCostPackedPlacement pins the scheduler/executor agreement on
 // packed runs: with device memory sized between the packed and the plain
 // shard footprint, the plain estimate spills while the packed one places
-// everything resident — matching what queries.RunFleet executes — and the
+// everything resident — matching what the fleet schedule executes — and the
 // packed scan term follows ScanCostPacked (cheaper on the GPU device).
 func TestFleetCostPackedPlacement(t *testing.T) {
 	q, err := queries.ByID("q1.1")
@@ -372,7 +372,7 @@ func TestFleetCostPackedPlacement(t *testing.T) {
 	}
 
 	// The executor must agree with the model about whether packing spills.
-	fr, err := queries.Compile(ds, q).RunFleet(fl, queries.RunOptions{Partition: queries.PartitionOptions{Partitions: 16, Packed: pf}})
+	fr, err := runFleet(queries.Compile(ds, q), fl, queries.RunOptions{Partition: queries.PartitionOptions{Partitions: 16, Packed: pf}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestFleetCostPackedPlacement(t *testing.T) {
 		t.Errorf("model and executor disagree about packed spill: estimate %d bytes, engine shipped %d",
 			packed.SpillBytes, fr.Result.TransferBytes)
 	}
-	plainRun, err := queries.Compile(ds, q).RunFleet(fl, queries.RunOptions{Partition: queries.PartitionOptions{Partitions: 16}})
+	plainRun, err := runFleet(queries.Compile(ds, q), fl, queries.RunOptions{Partition: queries.PartitionOptions{Partitions: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,8 @@ package queries
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
-	"crystal/internal/fleet"
 	"crystal/internal/sched"
-	"crystal/internal/sim"
-	"crystal/internal/ssb"
 	"crystal/internal/trace"
 )
 
@@ -83,13 +78,13 @@ func apportion(total int64, weights []int64) []int64 {
 type BatchMember struct {
 	// Query is the member's compiled query.
 	Query Query
-	// Result carries the member's rows from the shared scan — byte-identical
-	// to its solo run by construction (tile-aligned chunks make the
-	// per-member statistics and aggregates exactly additive) — and the
-	// execution telemetry (Seconds, Morsels, TransferBytes, ...) of the
-	// member's own solo schedule, so a batched response reports the same
-	// simulated seconds a solo run of the same request would.
-	Result *Result
+	// ScheduledResult is the outcome of the member's own solo schedule — the
+	// execution telemetry (Result.Seconds, Morsels, TransferBytes, ...,
+	// Executors, MergeBytes, MergeSeconds) a solo run of the same request
+	// reports — with Result's rows taken from the shared scan, which are
+	// byte-identical to the solo rows by construction (tile-aligned chunks
+	// make the per-member statistics and aggregates exactly additive).
+	*ScheduledResult
 	// ShareSeconds is the member's share of the batch's simulated time:
 	// its solo seconds discounted by the fraction of its scan lines the
 	// apportionment charged it after shared lines were split. Shares sum
@@ -101,18 +96,13 @@ type BatchMember struct {
 	// per batch, sum(ScanBytes) == SharedScanBytes exactly.
 	ScanBytes     int64
 	SoloScanBytes int64
-	// Executors, MergeBytes and MergeSeconds echo the member's solo
-	// schedule telemetry (per-arm splits, partial-aggregate merge pricing).
-	Executors    []ExecutorResult
-	MergeBytes   int64
-	MergeSeconds float64
 	// Trace is the member's span (Phase batch-member, Sim == ShareSeconds)
-	// wrapping its solo run span; nil unless opts.Trace asked for one.
+	// wrapping its solo run span (ScheduledResult.Trace); nil unless
+	// opts.Trace asked for one.
 	Trace *trace.Span
 }
 
-// BatchResult is the outcome of one shared-scan batch execution
-// (RunBatch / RunBatchFleet / RunBatchHybrid).
+// BatchResult is the outcome of one shared-scan batch execution.
 type BatchResult struct {
 	// Members holds one entry per plan, in input order.
 	Members []*BatchMember
@@ -127,335 +117,42 @@ type BatchResult struct {
 	// the traffic the batch deduplicated.
 	SharedScanBytes int64
 	SoloScanBytes   int64
-	// GPUs, Interconnect and CPUFrac echo the fleet shape of the fleet and
-	// hybrid batch placements (zero values for the engine path).
-	GPUs         int
-	Interconnect string
-	CPUFrac      float64
 	// Trace is the batch span (Phase batch, Sim == Seconds) with one
 	// batch-member child per member; nil unless opts.Trace asked for one.
 	Trace *trace.Span
 }
 
-// batchMemberCtx is one member's resolved pipeline context for the shared
-// scan: its query, join tables, column readers and per-canonical-morsel
-// liveness mask.
-type batchMemberCtx struct {
-	q        *Query
-	builds   []buildInfo
-	filters  []colReader
-	fks      []colReader
-	aggCols  []string
-	aggRead  []colReader
-	ast      *aggState
-	nPayload int
-	live     []bool
-}
-
-// runBatchShared executes every member's filter/join/aggregate pipeline
-// inside one shared pass over the union of the members' live morsels. Rows
-// ascend in the outer loop and members evaluate in order within a row, so:
+// RunBatchScheduled executes the compiled plans as one shared-scan batch:
+// every member's filter/join/aggregate pipeline evaluates per tile inside
+// one scanKernel pass over the union of the members' live morsels (opts
+// resolves the pass's morsel map and fact encoding), so shared column lines
+// stream once and the saved traffic is split across members
+// (BatchMember.ScanBytes, sum-exact). scheduleOf places each member: its own
+// solo schedule prices it, so a member's Result.Seconds is exactly its solo
+// seconds while ShareSeconds carries the discounted split, summing exactly
+// to BatchResult.Seconds. Each member's rows are byte-identical to its solo
+// RunScheduled, and a batch of one is identical to the solo run.
 //
-//   - each member's access statistics and partial aggregates are identical
-//     to its solo runPipelineMorsels (chunks are tile-aligned and never span
-//     morsels, so per-chunk distinct-line counts are exactly additive), and
-//   - the union line counters see a monotone row sequence per column, so
-//     consecutive-dedup counts exactly the distinct lines any member touched
-//     — the traffic a shared scan streams once.
-//
-// It returns the raw per-member results (unfinalized aggregates), the
-// per-member access stats, and the per-column union 64 B / 128 B line counts.
-func runBatchShared(ds *ssb.Dataset, plans []*Plan, mss []*morselRun) ([]*Result, []*pipeStats, map[string]int64, map[string]int64) {
-	n := len(plans)
-	morsels := mss[0].morsels
-	ctxs := make([]*batchMemberCtx, n)
-	results := make([]*Result, n)
-	stats := make([]*pipeStats, n)
-	for i, p := range plans {
-		q := &p.Query
-		ms := mss[i]
-		st := &pipeStats{
-			totalRows: int64(ds.Lineorder.Rows()),
-			packed:    ms.packed != nil,
-			lines64:   map[string]int64{},
-			lines128:  map[string]int64{},
-			evals:     make([]int64, len(q.FactFilters)),
-			probes:    make([]int64, len(q.Joins)),
-			alive:     make([]int64, len(q.FactFilters)+len(q.Joins)),
-		}
-		for _, m := range ms.live {
-			st.rows += int64(m.Rows())
-		}
-		ctx := &batchMemberCtx{q: q, builds: p.builds, ast: newAggState(q), nPayload: len(q.GroupPayloads())}
-		ctx.filters = make([]colReader, len(q.FactFilters))
-		for fi := range q.FactFilters {
-			ctx.filters[fi] = ms.factReader(&ds.Lineorder, q.FactFilters[fi].Col)
-			st.colOrder = append(st.colOrder, q.FactFilters[fi].Col)
-		}
-		ctx.fks = make([]colReader, len(q.Joins))
-		for ji := range q.Joins {
-			ctx.fks[ji] = ms.factReader(&ds.Lineorder, q.Joins[ji].FactFK)
-			st.colOrder = append(st.colOrder, q.Joins[ji].FactFK)
-		}
-		ctx.aggCols = q.AggColumns()
-		ctx.aggRead = make([]colReader, len(ctx.aggCols))
-		for ai, c := range ctx.aggCols {
-			ctx.aggRead[ai] = ms.factReader(&ds.Lineorder, c)
-			st.colOrder = append(st.colOrder, c)
-		}
-		ctx.live = make([]bool, len(morsels))
-		for mi := range morsels {
-			ctx.live[mi] = !ms.pruned[mi]
-		}
-		if st.packed {
-			st.scanBytes = map[string]int64{}
-			st.footBytes = map[string]int64{}
-			for _, col := range st.colOrder {
-				if _, ok := st.footBytes[col]; ok {
-					continue
-				}
-				fr := ms.packed.Col(col)
-				st.footBytes[col] = fr.Bytes()
-				var b int64
-				for _, m := range ms.live {
-					b += fr.BytesRange(m.Lo, m.Hi)
-				}
-				st.scanBytes[col] = b
-			}
-		}
-		res := &Result{QueryID: q.ID, Groups: map[int64]int64{}}
-		if ctx.ast != nil {
-			res.accs = map[int64][]int64{}
-		}
-		ctxs[i], results[i], stats[i] = ctx, res, st
-	}
-
-	// Chunks over the union of the members' live morsels, each tagged with
-	// its canonical morsel index so the row loop can gate members.
-	type batchChunk struct{ mi, lo, hi int }
-	var chunks []batchChunk
-	for mi, m := range morsels {
-		liveAny := false
-		for i := range ctxs {
-			if ctxs[i].live[mi] {
-				liveAny = true
-				break
-			}
-		}
-		if !liveAny {
-			continue
-		}
-		for lo := m.Lo; lo < m.Hi; lo += chunkRows {
-			hi := lo + chunkRows
-			if hi > m.Hi {
-				hi = m.Hi
-			}
-			chunks = append(chunks, batchChunk{mi: mi, lo: lo, hi: hi})
-		}
-	}
-
-	union64 := map[string]int64{}
-	union128 := map[string]int64{}
-	if len(chunks) == 0 {
-		return results, stats, union64, union128
-	}
-
-	var next int64
-	var mu sync.Mutex
-	worker := func() {
-		wss := make([]wstat, n)
-		last64 := make([]map[string]int64, n)
-		last128 := make([]map[string]int64, n)
-		payloads := make([][]int32, n)
-		vals := make([][]int32, n)
-		for i, ctx := range ctxs {
-			wss[i] = wstat{
-				lines64:  map[string]int64{},
-				lines128: map[string]int64{},
-				evals:    make([]int64, len(ctx.q.FactFilters)),
-				probes:   make([]int64, len(ctx.q.Joins)),
-				alive:    make([]int64, len(ctx.q.FactFilters)+len(ctx.q.Joins)),
-				groups:   map[int64]int64{},
-			}
-			if ctx.ast != nil {
-				wss[i].accs = map[int64][]int64{}
-			}
-			last64[i] = map[string]int64{}
-			last128[i] = map[string]int64{}
-			payloads[i] = make([]int32, 0, ctx.nPayload)
-			vals[i] = make([]int32, len(ctx.aggCols))
-		}
-		u64 := map[string]int64{}
-		u128 := map[string]int64{}
-		ulast64 := map[string]int64{}
-		ulast128 := map[string]int64{}
-		// touch meters one column read for member i and folds the same line
-		// into the union trackers: the shared scan streams a line once no
-		// matter how many members consume it.
-		touch := func(i int, col string, cr colReader, row int) {
-			var l64, l128 int64 = -1, -1
-			if cr.packed != nil {
-				l64 = cr.packed.LineOf(row, 64)
-				l128 = cr.packed.LineOf(row, 128)
-			} else {
-				l64 = int64(row >> 4)
-				l128 = int64(row >> 5)
-			}
-			if l64 >= 0 {
-				if last64[i][col] != l64+1 {
-					last64[i][col] = l64 + 1
-					wss[i].lines64[col]++
-				}
-				if ulast64[col] != l64+1 {
-					ulast64[col] = l64 + 1
-					u64[col]++
-				}
-			}
-			if l128 >= 0 {
-				if last128[i][col] != l128+1 {
-					last128[i][col] = l128 + 1
-					wss[i].lines128[col]++
-				}
-				if ulast128[col] != l128+1 {
-					ulast128[col] = l128 + 1
-					u128[col]++
-				}
-			}
-		}
-		for {
-			ci := int(atomic.AddInt64(&next, 1) - 1)
-			if ci >= len(chunks) {
-				break
-			}
-			c := chunks[ci]
-			for row := c.lo; row < c.hi; row++ {
-				for i, ctx := range ctxs {
-					if !ctx.live[c.mi] {
-						continue
-					}
-					q := ctx.q
-					ws := &wss[i]
-					dead := false
-					for fi := range q.FactFilters {
-						ws.evals[fi]++
-						touch(i, q.FactFilters[fi].Col, ctx.filters[fi], row)
-						if !q.FactFilters[fi].Match(ctx.filters[fi].at(row)) {
-							dead = true
-							break
-						}
-						ws.alive[fi]++
-					}
-					if dead {
-						continue
-					}
-					payloads[i] = payloads[i][:0]
-					for ji := range q.Joins {
-						ws.probes[ji]++
-						touch(i, q.Joins[ji].FactFK, ctx.fks[ji], row)
-						v, ok := ctx.builds[ji].ht.Get(ctx.fks[ji].at(row))
-						if !ok {
-							dead = true
-							break
-						}
-						ws.alive[len(q.FactFilters)+ji]++
-						if q.Joins[ji].Payload != "" {
-							payloads[i] = append(payloads[i], v)
-						}
-					}
-					if dead {
-						continue
-					}
-					for ai := range vals[i] {
-						touch(i, ctx.aggCols[ai], ctx.aggRead[ai], row)
-						vals[i][ai] = ctx.aggRead[ai].at(row)
-					}
-					ws.out++
-					key := PackGroup(payloads[i])
-					if ctx.ast != nil {
-						acc, ok := ws.accs[key]
-						if !ok {
-							acc = ctx.ast.identity()
-							ws.accs[key] = acc
-						}
-						ctx.ast.update(acc, vals[i])
-					} else {
-						ws.groups[key] += q.Agg.Eval(vals[i])
-					}
-				}
-			}
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for i := range ctxs {
-			ws, st, res := &wss[i], stats[i], results[i]
-			for c, v := range ws.lines64 {
-				st.lines64[c] += v
-			}
-			for c, v := range ws.lines128 {
-				st.lines128[c] += v
-			}
-			for fi, v := range ws.evals {
-				st.evals[fi] += v
-			}
-			for ji, v := range ws.probes {
-				st.probes[ji] += v
-			}
-			for ai, v := range ws.alive {
-				st.alive[ai] += v
-			}
-			st.out += ws.out
-			for k, v := range ws.groups {
-				res.Groups[k] += v
-			}
-			for k, acc := range ws.accs {
-				if dst, ok := res.accs[k]; ok {
-					ctxs[i].ast.merge(dst, acc)
-				} else {
-					res.accs[k] = acc
-				}
-			}
-		}
-		for c, v := range u64 {
-			union64[c] += v
-		}
-		for c, v := range u128 {
-			union128[c] += v
-		}
-	}
-	sim.RunWithHelpers(len(chunks), mss[0].lim, worker)
-	return results, stats, union64, union128
-}
-
-// runBatch is the shared core of the batch placements: one shared scan over
-// the union of the members' live morsels produces every member's rows, and
-// each member's own solo schedule (scheduleOf) prices it — the member's
-// Result.Seconds is exactly its solo seconds, while its ShareSeconds
-// discounts that by the apportioned fraction of its scan lines. Residency
-// caching is disabled for batches (residency-dependent seconds would make
-// the solo pricing depend on cache state).
-func runBatch(plans []*Plan, opts RunOptions, scheduleOf func(*Plan) (sched.Schedule, error)) (*BatchResult, error) {
+// Every member must be compiled against one dataset and scheduled over the
+// shared pass's morsel map; a schedule with a different morsel count is
+// rejected (fleet and hybrid schedules raise small partition counts, so the
+// caller passes opts with the count already raised). Residency caching is
+// not consulted for the shared pass; callers batch only shapes whose solo
+// seconds do not depend on residency state.
+func RunBatchScheduled(plans []*Plan, opts RunOptions, scheduleOf func(*Plan) (sched.Schedule, error)) (*BatchResult, error) {
 	if len(plans) == 0 {
 		return nil, errors.New("queries: empty batch")
 	}
-	ds := plans[0].ds
+	members := make([]scanMember, len(plans))
 	for i, p := range plans {
-		if p.ds != ds {
+		if p.ds != plans[0].ds {
 			return nil, fmt.Errorf("queries: batch member %d compiled against a different dataset", i)
 		}
+		members[i] = scanMember{p: p, ms: p.morselRun(opts)}
 	}
-	opts.Partition.Residency = nil
-	opts.Fleet.Residency = nil
+	morsels := len(members[0].ms.morsels)
 
-	mss := make([]*morselRun, len(plans))
-	for i, p := range plans {
-		mss[i] = p.morselRun(opts)
-		if len(mss[i].morsels) != len(mss[0].morsels) {
-			return nil, fmt.Errorf("queries: batch member %d has %d morsels, member 0 has %d",
-				i, len(mss[i].morsels), len(mss[0].morsels))
-		}
-	}
-
-	raws, sts, union64, _ := runBatchShared(ds, plans, mss)
+	raws, sts, union64, _ := scanKernel(members)
 
 	out := &BatchResult{}
 	for _, v := range union64 {
@@ -489,6 +186,10 @@ func runBatch(plans []*Plan, opts RunOptions, scheduleOf func(*Plan) (sched.Sche
 		if err != nil {
 			return nil, err
 		}
+		if s.Morsels != morsels {
+			return nil, fmt.Errorf("queries: batch member %d is scheduled over %d morsels, the shared pass has %d",
+				i, s.Morsels, morsels)
+		}
 		sr, err := p.RunScheduled(s)
 		if err != nil {
 			return nil, err
@@ -498,30 +199,21 @@ func runBatch(plans []*Plan, opts RunOptions, scheduleOf func(*Plan) (sched.Sche
 		// solo run prices it (the sort seconds are already inside sr).
 		raw := raws[i]
 		finalizeGroups(&q, newAggState(&q), raw.accs, raw)
+		sr.Result.Groups, sr.Result.Aggs = raw.Groups, raw.Aggs
 		if len(q.OrderBy) > 0 {
-			raw.Ordered = p.executeSort(s, resultRows(&q, raw)).rows
+			sr.Result.Ordered = p.executeSort(s, resultRows(&q, raw)).rows
 		}
-		raw.Seconds = sr.Result.Seconds
-		raw.KernelSeconds = sr.Result.KernelSeconds
-		raw.Morsels = sr.Result.Morsels
-		raw.Pruned = sr.Result.Pruned
-		raw.Packed = sr.Result.Packed
-		raw.TransferBytes = sr.Result.TransferBytes
-		raw.ResidentCols = sr.Result.ResidentCols
 
 		ratio := 1.0
 		if soloLineBytes[i] > 0 {
 			ratio = float64(memberLineBytes[i]) / float64(soloLineBytes[i])
 		}
 		m := &BatchMember{
-			Query:         q,
-			Result:        raw,
-			ShareSeconds:  sr.Result.Seconds * ratio,
-			ScanBytes:     memberLineBytes[i],
-			SoloScanBytes: soloLineBytes[i],
-			Executors:     sr.Executors,
-			MergeBytes:    sr.MergeBytes,
-			MergeSeconds:  sr.MergeSeconds,
+			Query:           q,
+			ScheduledResult: sr,
+			ShareSeconds:    sr.Result.Seconds * ratio,
+			ScanBytes:       memberLineBytes[i],
+			SoloScanBytes:   soloLineBytes[i],
 		}
 		out.Seconds += m.ShareSeconds
 		if opts.Trace && sr.Trace != nil {
@@ -542,96 +234,17 @@ func runBatch(plans []*Plan, opts RunOptions, scheduleOf func(*Plan) (sched.Sche
 			Phase:    trace.PhaseBatch,
 			Sim:      out.Seconds,
 			Bytes:    out.SharedScanBytes,
-			Morsels:  len(mss[0].morsels),
+			Morsels:  morsels,
 			Children: memberSpans,
 		}
 	}
 	return out, nil
 }
 
-// RunBatch executes the compiled plans as one shared-scan batch on a single
-// engine: every member's filter/join/aggregate pipeline evaluates per tile
-// inside one pass over the union of the members' live morsels, so shared
-// column lines stream once and the saved traffic is split across members
-// (BatchMember.ScanBytes, sum-exact). Each member's rows are byte-identical
-// to its solo RunScheduled and its Result.Seconds is exactly the solo
-// seconds; ShareSeconds carries the discounted split, summing exactly to
-// BatchResult.Seconds. A batch of one is identical to the solo run.
+// RunBatch is RunBatchScheduled with every member on the single engine e —
+// the batch counterpart of Plan.Run.
 func RunBatch(plans []*Plan, e Engine, opts RunOptions) (*BatchResult, error) {
-	return runBatch(plans, opts, func(p *Plan) (sched.Schedule, error) {
+	return RunBatchScheduled(plans, opts, func(p *Plan) (sched.Schedule, error) {
 		return p.ScheduleEngine(e, opts), nil
 	})
-}
-
-// RunBatchFleet executes the plans as one shared-scan batch across the GPU
-// fleet fl: scan sharing follows RunBatch, while each member is priced by
-// its own fleet schedule (ScheduleFleet — identical shard map for every
-// member, since fleet.Assign is query-independent). See RunBatch for the
-// row-identity and traffic-splitting invariants.
-func RunBatchFleet(plans []*Plan, fl fleet.Spec, opts RunOptions) (*BatchResult, error) {
-	fl, err := fl.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	if opts.Partition.Partitions < fl.GPUs {
-		opts.Partition.Partitions = fl.GPUs
-	}
-	out, err := runBatch(plans, opts, func(p *Plan) (sched.Schedule, error) {
-		return p.ScheduleFleet(fl, opts)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.GPUs = fl.GPUs
-	out.Interconnect = fl.Link.Name
-	return out, nil
-}
-
-// RunBatchHybrid executes the plans as one shared-scan batch on the hybrid
-// CPU+GPU placement (frac 1 is the pure-CPU arm, 0 pure-GPU, negative the
-// throughput-balanced default — the same fractions the placement router
-// maps cpu/gpu/hybrid onto). Scan sharing follows RunBatch; each member is
-// priced by its own hybrid schedule at the same resolved fraction.
-func RunBatchHybrid(plans []*Plan, fl fleet.Spec, frac float64, opts RunOptions) (*BatchResult, error) {
-	fl, err := fl.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	if opts.Partition.Partitions < fl.GPUs+1 {
-		opts.Partition.Partitions = fl.GPUs + 1
-	}
-	resolved := frac
-	out, err := runBatch(plans, opts, func(p *Plan) (sched.Schedule, error) {
-		s, f, err := p.ScheduleHybrid(fl, frac, opts)
-		resolved = f
-		return s, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.GPUs = fl.GPUs
-	out.Interconnect = fl.Link.Name
-	out.CPUFrac = resolved
-	return out, nil
-}
-
-// FleetDevices renders placement-agnostic executor telemetry as the
-// fleet-shaped per-device view (RunFleet's Devices); the serving layer uses
-// it to report batched fleet members with the same telemetry shape as solo
-// fleet responses.
-func FleetDevices(ers []ExecutorResult) []FleetDevice {
-	out := make([]FleetDevice, 0, len(ers))
-	for _, er := range ers {
-		out = append(out, FleetDevice{
-			Device:       er.Device,
-			Morsels:      er.Morsels,
-			Pruned:       er.Pruned,
-			Rows:         er.Rows,
-			Seconds:      er.Seconds,
-			SpillBytes:   er.ShipBytes,
-			ResidentCols: er.ResidentCols,
-			Groups:       er.Groups,
-		})
-	}
-	return out
 }

@@ -8,6 +8,7 @@ import (
 
 	"crystal/internal/fleet"
 	"crystal/internal/queries/queriestest"
+	"crystal/internal/sched"
 	"crystal/internal/trace"
 )
 
@@ -124,10 +125,19 @@ func TestDifferentialBatchAgree(t *testing.T) {
 		fl := fleet.Spec{GPUs: gpus, Link: link}
 		frac := []float64{-1, 0.25, 0.5, 0.75}[r.Intn(4)]
 
+		// Fleet and hybrid schedules raise small partition counts so every arm
+		// can own a morsel; the batch entry wants the shared pass's options to
+		// carry the raised count.
+		raised := func(floor int) RunOptions {
+			o := opts
+			o.Partition.Partitions = max(parts, floor)
+			return o
+		}
+		fleetOpts, hybridOpts := raised(gpus), raised(gpus+1)
 		type placementRun struct {
-			label string
-			batch func() (*BatchResult, error)
-			solo  func(p *Plan) (*ScheduledResult, error)
+			label    string
+			opts     RunOptions
+			schedule func(p *Plan) (sched.Schedule, error)
 		}
 		engine := Engines()[round%len(Engines())]
 		if opts.Partition.Packed != nil {
@@ -135,37 +145,26 @@ func TestDifferentialBatchAgree(t *testing.T) {
 		}
 		runs := []placementRun{
 			{
-				label: fmt.Sprintf("engine=%s parts=%d packed=%v", engine, parts, opts.Partition.Packed != nil),
-				batch: func() (*BatchResult, error) { return RunBatch(plans, engine, opts) },
-				solo: func(p *Plan) (*ScheduledResult, error) {
-					return p.RunScheduled(p.ScheduleEngine(engine, opts))
-				},
+				label:    fmt.Sprintf("engine=%s parts=%d packed=%v", engine, parts, opts.Partition.Packed != nil),
+				opts:     opts,
+				schedule: func(p *Plan) (sched.Schedule, error) { return p.ScheduleEngine(engine, opts), nil },
 			},
 			{
-				label: fmt.Sprintf("fleet %dx%s parts=%d packed=%v", gpus, link.Name, parts, opts.Partition.Packed != nil),
-				batch: func() (*BatchResult, error) { return RunBatchFleet(plans, fl, opts) },
-				solo: func(p *Plan) (*ScheduledResult, error) {
-					s, err := p.ScheduleFleet(fl, opts)
-					if err != nil {
-						return nil, err
-					}
-					return p.RunScheduled(s)
-				},
+				label:    fmt.Sprintf("fleet %dx%s parts=%d packed=%v", gpus, link.Name, parts, opts.Partition.Packed != nil),
+				opts:     fleetOpts,
+				schedule: func(p *Plan) (sched.Schedule, error) { return p.ScheduleFleet(fl, fleetOpts) },
 			},
 			{
 				label: fmt.Sprintf("hybrid frac=%v %dx%s parts=%d", frac, gpus, link.Name, parts),
-				batch: func() (*BatchResult, error) { return RunBatchHybrid(plans, fl, frac, opts) },
-				solo: func(p *Plan) (*ScheduledResult, error) {
-					s, _, err := p.ScheduleHybrid(fl, frac, opts)
-					if err != nil {
-						return nil, err
-					}
-					return p.RunScheduled(s)
+				opts:  hybridOpts,
+				schedule: func(p *Plan) (sched.Schedule, error) {
+					s, _, err := p.ScheduleHybrid(fl, frac, hybridOpts)
+					return s, err
 				},
 			},
 		}
 		for _, pr := range runs {
-			br, err := pr.batch()
+			br, err := RunBatchScheduled(plans, pr.opts, pr.schedule)
 			if err != nil {
 				t.Fatalf("round %d %s: batch failed: %v", round, pr.label, err)
 			}
@@ -176,7 +175,11 @@ func TestDifferentialBatchAgree(t *testing.T) {
 			var scanSum, soloSum int64
 			for i, m := range br.Members {
 				label := fmt.Sprintf("round %d %s member %d (%s)", round, pr.label, i, qs[i].ID)
-				sr, err := pr.solo(plans[i])
+				sc, err := pr.schedule(plans[i])
+				if err != nil {
+					t.Fatalf("%s: solo schedule failed: %v", label, err)
+				}
+				sr, err := plans[i].RunScheduled(sc)
 				if err != nil {
 					t.Fatalf("%s: solo failed: %v", label, err)
 				}
@@ -284,5 +287,40 @@ func TestBatchSharedTrafficStrictlyLess(t *testing.T) {
 	}
 	if br.Seconds >= soloSeconds {
 		t.Errorf("batch seconds %.9f not strictly less than solo sum %.9f", br.Seconds, soloSeconds)
+	}
+}
+
+// TestBatchRejects pins the batch entry's checks: no members, members
+// compiled against different datasets, a member whose schedule cannot be
+// built, and a member scheduled over a morsel map other than the shared
+// pass's — what a fleet schedule's silent partition raise produces when the
+// caller's options do not carry the raised count.
+func TestBatchRejects(t *testing.T) {
+	q, err := ByID("q1.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := Compile(diffDS, q)
+	engine := func(p *Plan) (sched.Schedule, error) { return p.ScheduleEngine(EngineCPU, RunOptions{}), nil }
+	if _, err := RunBatchScheduled(nil, RunOptions{}, engine); err == nil {
+		t.Error("empty batch accepted")
+	}
+	if _, err := RunBatchScheduled([]*Plan{plan, Compile(testDS, q)}, RunOptions{}, engine); err == nil {
+		t.Error("members compiled against different datasets accepted")
+	}
+	fl := fleet.Spec{GPUs: 4, Link: fleet.NVLink()}
+	if _, err := RunBatchScheduled([]*Plan{plan}, RunOptions{}, func(p *Plan) (sched.Schedule, error) {
+		return p.ScheduleFleet(fleet.Spec{}, RunOptions{})
+	}); err == nil {
+		t.Error("schedule error not propagated")
+	}
+	opts := RunOptions{Partition: PartitionOptions{Partitions: 2}}
+	fleetOf := func(p *Plan) (sched.Schedule, error) { return p.ScheduleFleet(fl, opts) }
+	if _, err := RunBatchScheduled([]*Plan{plan}, opts, fleetOf); err == nil {
+		t.Error("member scheduled over 4 morsels accepted into a 2-morsel shared pass")
+	}
+	opts.Partition.Partitions = fl.GPUs
+	if _, err := RunBatchScheduled([]*Plan{plan}, opts, fleetOf); err != nil {
+		t.Errorf("raised partition count rejected: %v", err)
 	}
 }

@@ -79,12 +79,12 @@ func TestFilterOrderInvariance(t *testing.T) {
 	q, _ := ByID("q1.1")
 	reordered := q
 	reordered.FactFilters = []Filter{q.FactFilters[2], q.FactFilters[0], q.FactFilters[1]}
-	a := Compile(testDS, q).RunGPU()
-	b := Compile(testDS, reordered).RunGPU()
+	a := Compile(testDS, q).Run(EngineGPU)
+	b := Compile(testDS, reordered).Run(EngineGPU)
 	if !a.Equal(b) {
 		t.Error("filter order changed the result rows")
 	}
-	c := Compile(testDS, reordered).RunCPU()
+	c := Compile(testDS, reordered).Run(EngineCPU)
 	if !a.Equal(c) {
 		t.Error("CPU disagrees under reordered filters")
 	}
@@ -92,7 +92,7 @@ func TestFilterOrderInvariance(t *testing.T) {
 
 func TestDecodeRows(t *testing.T) {
 	q, _ := ByID("q2.1")
-	res := Compile(testDS, q).RunGPU()
+	res := Compile(testDS, q).Run(EngineGPU)
 	rows := q.DecodeRows(res)
 	if len(rows) != len(res.Groups) {
 		t.Fatalf("decoded %d rows, want %d", len(rows), len(res.Groups))
@@ -110,7 +110,7 @@ func TestDecodeRows(t *testing.T) {
 	}
 	// No-group query decodes to a single unlabeled row.
 	q11, _ := ByID("q1.1")
-	res11 := Compile(testDS, q11).RunGPU()
+	res11 := Compile(testDS, q11).Run(EngineGPU)
 	rows11 := q11.DecodeRows(res11)
 	if len(rows11) != 1 || len(rows11[0].Labels) != 0 {
 		t.Errorf("q1.1 decode = %+v", rows11)

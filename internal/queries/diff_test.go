@@ -57,7 +57,7 @@ func TestDifferentialEnginesAgree(t *testing.T) {
 		// Partitioned execution must agree with the oracle too; rotate the
 		// partition count so the harness covers odd and even splits.
 		parts := []int{2, 7, 16, 64}[i%4]
-		if got := plan.RunPartitioned(EngineCPU, RunOptions{Partition: PartitionOptions{Partitions: parts}}); !got.Equal(want) {
+		if got := runEngine(plan, EngineCPU, RunOptions{Partition: PartitionOptions{Partitions: parts}}); !got.Equal(want) {
 			t.Errorf("partitioned CPU (%d morsels) disagrees with reference on %s", parts, q.ID)
 		}
 		// Fleet execution on a seeded-random shape: row-identical to the
@@ -68,7 +68,7 @@ func TestDifferentialEnginesAgree(t *testing.T) {
 		if r.Intn(2) == 1 {
 			opts.Partition.Packed = diffPacked
 		}
-		fr, err := plan.RunFleet(fleet.Spec{GPUs: gpus, Link: link}, opts)
+		fr, err := runFleet(plan, fleet.Spec{GPUs: gpus, Link: link}, opts)
 		if err != nil {
 			t.Fatalf("fleet run failed on %s: %v", q.ID, err)
 		}
@@ -79,7 +79,7 @@ func TestDifferentialEnginesAgree(t *testing.T) {
 		// default balanced split every fourth query): whatever the split,
 		// the merged rows must be identical to the oracle.
 		frac := []float64{-1, 0.25, 0.5, 0.75}[r.Intn(4)]
-		hr, err := plan.RunHybrid(fleet.Spec{GPUs: gpus, Link: link}, frac, opts)
+		hr, err := runHybrid(plan, fleet.Spec{GPUs: gpus, Link: link}, frac, opts)
 		if err != nil {
 			t.Fatalf("hybrid run failed on %s: %v", q.ID, err)
 		}
@@ -136,7 +136,7 @@ func TestDifferentialOrderedAgree(t *testing.T) {
 			}
 		}
 		parts := []int{2, 7, 16, 64}[i%4]
-		if got := plan.RunPartitioned(EngineCPU, RunOptions{Partition: PartitionOptions{Partitions: parts}}); !got.Equal(want) {
+		if got := runEngine(plan, EngineCPU, RunOptions{Partition: PartitionOptions{Partitions: parts}}); !got.Equal(want) {
 			t.Errorf("partitioned CPU (%d morsels) disagrees with reference on %s", parts, q.ID)
 		}
 		gpus := []int{1, 2, 4, 8}[r.Intn(4)]
@@ -145,7 +145,7 @@ func TestDifferentialOrderedAgree(t *testing.T) {
 		if r.Intn(2) == 1 {
 			opts.Partition.Packed = diffPacked
 		}
-		fr, err := plan.RunFleet(fleet.Spec{GPUs: gpus, Link: link}, opts)
+		fr, err := runFleet(plan, fleet.Spec{GPUs: gpus, Link: link}, opts)
 		if err != nil {
 			t.Fatalf("fleet run failed on %s: %v", q.ID, err)
 		}
@@ -155,7 +155,7 @@ func TestDifferentialOrderedAgree(t *testing.T) {
 		}
 		queriestest.SameRows(t, fmt.Sprintf("ordered fleet vs gpu on %s", q.ID), fr.Result, gpuRun)
 		frac := []float64{-1, 0.25, 0.5, 0.75}[r.Intn(4)]
-		hr, err := plan.RunHybrid(fleet.Spec{GPUs: gpus, Link: link}, frac, opts)
+		hr, err := runHybrid(plan, fleet.Spec{GPUs: gpus, Link: link}, frac, opts)
 		if err != nil {
 			t.Fatalf("hybrid run failed on %s: %v", q.ID, err)
 		}

@@ -3,7 +3,6 @@ package queries
 import (
 	"crystal/internal/device"
 	"crystal/internal/pack"
-	"crystal/internal/ssb"
 )
 
 // Engine identifies one of the evaluated systems (Figures 3 and 16).
@@ -22,17 +21,6 @@ const (
 // Engines lists all engines in report order.
 func Engines() []Engine {
 	return []Engine{EngineHyper, EngineCPU, EngineMonet, EngineOmnisci, EngineGPU, EngineCoproc}
-}
-
-// Run executes query q on the chosen engine, compiling a fresh plan.
-//
-// Deprecated: Run is the one compatibility shim kept from the pre-Plan
-// top-level API. Compile once and use the Plan methods (Plan.Run,
-// Plan.RunPartitioned, Plan.RunFleet, Plan.RunHybrid, Plan.RunMultiGPU)
-// instead: they reuse the built hash tables across executions and expose
-// the scheduled run paths.
-func Run(ds *ssb.Dataset, q Query, e Engine) *Result {
-	return Compile(ds, q).Run(e)
 }
 
 // Per-element compute costs (scalar-equivalent cycles) of the CPU engines.
@@ -70,32 +58,28 @@ func chargeBuilds(clk *device.Clock, builds []buildInfo) {
 	}
 }
 
-// RunCPU executes the compiled plan on the paper's "Standalone CPU": a
+// runCPU executes the compiled plan on the paper's "Standalone CPU": a
 // vectorized, pipelined, multi-core implementation equivalent to the
 // Crystal GPU kernels (Section 5.2). One pass over the fact table
 // evaluates filters with SIMD predicates, probes the join hash tables, and
 // aggregates into thread-local tables merged at the end.
-func (p *Plan) RunCPU() *Result { return p.runCPU(p.morselRun(RunOptions{})) }
-
 func (p *Plan) runCPU(ms *morselRun) *Result {
 	clk := device.NewClock(device.I76900())
 	chargeBuilds(clk, p.builds)
-	res, st := runPipelineMorsels(p.ds, p.Query, p.builds, ms)
+	res, st := p.scan(ms)
 	clk.Charge(cpuProbePass(st, p.builds, p.Query, cpuFilterCycles, cpuProbeCycles, cpuAggCycles))
 	res.Seconds = clk.Seconds()
 	ms.stamp(res)
 	return res
 }
 
-// RunHyper executes the compiled plan on the Hyper stand-in: the same
+// runHyper executes the compiled plan on the Hyper stand-in: the same
 // pipelined push-based execution as the Standalone CPU, but with scalar
 // predicate evaluation and tuple-at-a-time hash probes.
-func (p *Plan) RunHyper() *Result { return p.runHyper(p.morselRun(RunOptions{})) }
-
 func (p *Plan) runHyper(ms *morselRun) *Result {
 	clk := device.NewClock(device.I76900())
 	chargeBuilds(clk, p.builds)
-	res, st := runPipelineMorsels(p.ds, p.Query, p.builds, ms)
+	res, st := p.scan(ms)
 	pass := cpuProbePass(st, p.builds, p.Query, hyperFilterCycles, hyperProbeCycles, hyperAggCycles)
 	for i := range pass.Probes {
 		pass.Probes[i].Count = int64(float64(pass.Probes[i].Count) * hyperProbeFactor)
@@ -152,7 +136,7 @@ func cpuProbePass(st *pipeStats, builds []buildInfo, q Query, filterCyc, probeCy
 	return pass
 }
 
-// RunMonet executes the compiled plan on the MonetDB stand-in:
+// runMonet executes the compiled plan on the MonetDB stand-in:
 // operator-at-a-time execution with full materialization between operators
 // (Section 2.2). Each selection scans its entire column and materializes a
 // candidate list; each join reads the candidate list back, gathers the
@@ -160,13 +144,11 @@ func cpuProbePass(st *pipeStats, builds []buildInfo, q Query, filterCyc, probeCy
 // aggregate gathers its value columns through the final candidate list.
 // Zone-pruned morsels drop out of every operator's scan, but random
 // gathers still address the full column footprint.
-func (pl *Plan) RunMonet() *Result { return pl.runMonet(pl.morselRun(RunOptions{})) }
-
 func (pl *Plan) runMonet(ms *morselRun) *Result {
 	q, builds := pl.Query, pl.builds
 	clk := device.NewClock(device.I76900())
 	chargeBuilds(clk, builds)
-	res, st := runPipelineMorsels(pl.ds, q, builds, ms)
+	res, st := pl.scan(ms)
 
 	// Per column, colScanBytes is what a full-column operator scan reads
 	// (surviving morsels only; packed bytes on the compressed encoding) and
@@ -227,15 +209,13 @@ func (pl *Plan) runMonet(ms *morselRun) *Result {
 	return res
 }
 
-// RunOmnisci executes the compiled plan on the Omnisci stand-in: the
+// runOmnisci executes the compiled plan on the Omnisci stand-in: the
 // working set lives on the GPU (as in the standalone engine), but each
 // operator runs as its own independent-threads kernel in the Figure 4(a)
 // style — per-operator materialization, a second read for the offset
 // computation, uncoalesced scatter writes, and per-match atomic cursor
 // updates. Section 5.2 measures this style ~16x slower than the tile-based
 // kernels.
-func (pl *Plan) RunOmnisci() *Result { return pl.runOmnisci(pl.morselRun(RunOptions{})) }
-
 func (pl *Plan) runOmnisci(ms *morselRun) *Result {
 	q, builds := pl.Query, pl.builds
 	clk := device.NewClock(device.V100())
@@ -246,7 +226,7 @@ func (pl *Plan) runOmnisci(ms *morselRun) *Result {
 		pass.AddProbes(device.ProbeSet{Count: b.inserted, StructBytes: b.ht.Bytes(), Writes: true})
 		clk.Charge(pass)
 	}
-	res, st := runPipelineMorsels(pl.ds, q, builds, ms)
+	res, st := pl.scan(ms)
 
 	// Packed runs shrink every operator's column scan and gather footprint;
 	// the unpack arithmetic is absorbed by the GPU's compute headroom, as in
@@ -292,7 +272,7 @@ func (pl *Plan) runOmnisci(ms *morselRun) *Result {
 	return res
 }
 
-// RunCoprocessor executes the compiled plan with the tile-based GPU
+// runCoprocessor executes the compiled plan with the tile-based GPU
 // kernels, but in the coprocessor architecture of Section 3.1: the
 // referenced fact columns must first cross PCIe. With perfect overlap of
 // transfer and execution the runtime is the maximum of the two, and since
@@ -302,8 +282,6 @@ func (pl *Plan) runOmnisci(ms *morselRun) *Result {
 // plain ones, and a Residency cache lets repeated queries skip the
 // transfer of device-resident packed columns entirely — the two levers
 // that make the coprocessor competitive.
-func (pl *Plan) RunCoprocessor() *Result { return pl.runCoprocessor(pl.morselRun(RunOptions{})) }
-
 func (pl *Plan) runCoprocessor(ms *morselRun) *Result {
 	q := pl.Query
 	res := pl.runGPU(ms)

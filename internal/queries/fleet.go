@@ -1,13 +1,9 @@
 package queries
 
-import (
-	"crystal/internal/fleet"
-	"crystal/internal/trace"
-)
-
 // FleetDevice is one device's share of a fleet execution: what it was
 // assigned, what it scanned, and what its slice of the simulated time and
-// interconnect traffic looked like.
+// interconnect traffic looked like. It is the fleet-shaped wire rendering of
+// ExecutorResult (see FleetDevices).
 type FleetDevice struct {
 	// Device is the device index in [0, GPUs).
 	Device int `json:"device"`
@@ -32,74 +28,22 @@ type FleetDevice struct {
 	Groups int `json:"groups"`
 }
 
-// FleetResult is the outcome of one fleet execution: the merged result
-// (row-identical to a single-device run by construction — partial
-// aggregates are integer sums) plus the per-device telemetry and the
-// merge-phase pricing.
-type FleetResult struct {
-	// Result is the merged result. Seconds is the fleet makespan: the
-	// slowest device plus the partial-aggregate merge; TransferBytes is
-	// the total spilled-shard traffic and ResidentCols the spill transfers
-	// residency caches elided.
-	Result *Result
-	// GPUs and Interconnect echo the normalized fleet shape.
-	GPUs         int
-	Interconnect string
-	// Devices has one entry per fleet device, idle devices included.
-	Devices []FleetDevice
-	// MergeBytes is the partial-aggregate traffic that crossed the
-	// interconnect (16 bytes per group per active device) and MergeSeconds
-	// its transfer time — the term that surfaces on high-cardinality
-	// group-bys and vanishes on scan-bound flights.
-	MergeBytes   int64
-	MergeSeconds float64
-	// Trace is the run's span tree, nil unless opts.Trace asked for one.
-	Trace *trace.Span
-}
-
-// RunFleet executes the compiled plan across fl: the fact table's
-// zone-mapped morsels are range-sharded over the fleet's devices
-// (ScheduleFleet — fleet.Assign with spill accounting against each
-// device's MemoryBytes), each device runs the tile-based GPU kernel over
-// its own shard concurrently — one launch per device, every foreign tile
-// skipped, so a device charges exactly its shard's traffic — and the
-// partial aggregates merge on the host across the interconnect. It is a
-// thin wrapper over RunScheduled.
-//
-// Rows are identical to a single-device run at any shard count: partial
-// aggregates are integer sums, so the merge is exact. Simulated seconds
-// follow the bandwidth model — near-linear scaling on scan-bound queries
-// until the per-device launch and replicated dimension builds dominate,
-// with the merge term growing with group cardinality and shrinking with
-// interconnect bandwidth. Shards that exceed device memory degrade
-// gracefully: the spilled morsels stay host-resident and their referenced
-// columns cross the interconnect, priced like a coprocessor transfer
-// (overlapped with execution, packed runs shipping packed bytes, and
-// opts.Fleet.Residency able to elide them entirely).
-//
-// opts.Partition.Partitions below fl.GPUs is raised to fl.GPUs so every
-// device gets a shard where the morsel count allows one.
-func (p *Plan) RunFleet(fl fleet.Spec, opts RunOptions) (*FleetResult, error) {
-	fl, err := fl.Normalized()
-	if err != nil {
-		return nil, err
+// FleetDevices renders placement-agnostic executor telemetry as the
+// fleet-shaped per-device view the serving layer reports for fleet
+// requests.
+func FleetDevices(ers []ExecutorResult) []FleetDevice {
+	out := make([]FleetDevice, 0, len(ers))
+	for _, er := range ers {
+		out = append(out, FleetDevice{
+			Device:       er.Device,
+			Morsels:      er.Morsels,
+			Pruned:       er.Pruned,
+			Rows:         er.Rows,
+			Seconds:      er.Seconds,
+			SpillBytes:   er.ShipBytes,
+			ResidentCols: er.ResidentCols,
+			Groups:       er.Groups,
+		})
 	}
-	s, err := p.ScheduleFleet(fl, opts)
-	if err != nil {
-		return nil, err
-	}
-	sr, err := p.RunScheduled(s)
-	if err != nil {
-		return nil, err
-	}
-	out := &FleetResult{
-		Result:       sr.Result,
-		GPUs:         fl.GPUs,
-		Interconnect: fl.Link.Name,
-		MergeBytes:   sr.MergeBytes,
-		MergeSeconds: sr.MergeSeconds,
-		Trace:        sr.Trace,
-	}
-	out.Devices = FleetDevices(sr.Executors)
-	return out, nil
+	return out
 }

@@ -29,7 +29,7 @@ func TestFleetInvarianceCatalog(t *testing.T) {
 					if packed {
 						opts.Partition.Packed = testPacked
 					}
-					fr, err := plan.RunFleet(fleet.Spec{GPUs: gpus, Link: link}, opts)
+					fr, err := runFleet(plan, fleet.Spec{GPUs: gpus, Link: link}, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -41,12 +41,12 @@ func TestFleetInvarianceCatalog(t *testing.T) {
 					if fr.Result.Packed != packed {
 						t.Errorf("%s: packed flag lost", label)
 					}
-					if len(fr.Devices) != gpus {
-						t.Errorf("%s: %d device entries, want %d", label, len(fr.Devices), gpus)
+					if len(fr.Executors) != gpus {
+						t.Errorf("%s: %d device entries, want %d", label, len(fr.Executors), gpus)
 					}
 					var rows int64
 					var morsels int
-					for _, fd := range fr.Devices {
+					for _, fd := range fr.Executors {
 						rows += fd.Rows
 						morsels += fd.Morsels
 					}
@@ -90,7 +90,7 @@ func TestFleetOrderedInvariance(t *testing.T) {
 					if packed {
 						opts.Partition.Packed = testPacked
 					}
-					fr, err := plan.RunFleet(fleet.Spec{GPUs: gpus, Link: link}, opts)
+					fr, err := runFleet(plan, fleet.Spec{GPUs: gpus, Link: link}, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -124,7 +124,7 @@ func TestFleetScanScaling(t *testing.T) {
 		counts := []int{1, 2, 4}
 		secs := map[int]float64{}
 		for _, gpus := range counts {
-			fr, err := plan.RunFleet(fleet.Spec{GPUs: gpus, Link: fleet.NVLink()}, RunOptions{})
+			fr, err := runFleet(plan, fleet.Spec{GPUs: gpus, Link: fleet.NVLink()}, RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,9 +156,9 @@ func TestFleetMergeTerm(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := Compile(testDS, grouped)
-	byGPUs := map[int]*FleetResult{}
+	byGPUs := map[int]*ScheduledResult{}
 	for _, gpus := range []int{2, 8} {
-		fr, err := plan.RunFleet(fleet.Spec{GPUs: gpus, Link: fleet.NVLink()}, RunOptions{})
+		fr, err := runFleet(plan, fleet.Spec{GPUs: gpus, Link: fleet.NVLink()}, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestFleetMergeTerm(t *testing.T) {
 	}
 
 	// Same shards over the slower link: only the merge term changes.
-	pcie, err := plan.RunFleet(fleet.Spec{GPUs: 8, Link: fleet.PCIe()}, RunOptions{})
+	pcie, err := runFleet(plan, fleet.Spec{GPUs: 8, Link: fleet.PCIe()}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestFleetMergeTerm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := Compile(testDS, scan).RunFleet(fleet.Spec{GPUs: 4, Link: fleet.NVLink()}, RunOptions{})
+	fr, err := runFleet(Compile(testDS, scan), fleet.Spec{GPUs: 4, Link: fleet.NVLink()}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestFleetSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := Compile(testDS, q)
-	resident, err := plan.RunFleet(fleet.Spec{GPUs: 2, Link: fleet.PCIe()}, RunOptions{})
+	resident, err := runFleet(plan, fleet.Spec{GPUs: 2, Link: fleet.PCIe()}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestFleetSpill(t *testing.T) {
 	}
 
 	// Zero device memory: every morsel spills, all referenced columns ship.
-	spilled, err := plan.RunFleet(fleet.Spec{GPUs: 2, Device: smallV100(0), Link: fleet.PCIe()}, RunOptions{})
+	spilled, err := runFleet(plan, fleet.Spec{GPUs: 2, Device: smallV100(0), Link: fleet.PCIe()}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +245,8 @@ func TestFleetSpill(t *testing.T) {
 		t.Errorf("fully spilled fleet (%.9fs) not slower than resident (%.9fs)",
 			spilled.Result.Seconds, resident.Result.Seconds)
 	}
-	for _, fd := range spilled.Devices {
-		if fd.SpillBytes == 0 {
+	for _, fd := range spilled.Executors {
+		if fd.ShipBytes == 0 {
 			t.Errorf("device %d reports no spill", fd.Device)
 		}
 	}
@@ -255,7 +255,7 @@ func TestFleetSpill(t *testing.T) {
 	// spill boundary falls inside each shard: some morsels resident, some
 	// spilled, fewer shipped bytes than the fully spilled run.
 	shardBytes := int64(testDS.Lineorder.Rows()) / 2 * 36
-	partial, err := plan.RunFleet(fleet.Spec{GPUs: 2, Device: smallV100(shardBytes / 2), Link: fleet.PCIe()},
+	partial, err := runFleet(plan, fleet.Spec{GPUs: 2, Device: smallV100(shardBytes / 2), Link: fleet.PCIe()},
 		RunOptions{Partition: PartitionOptions{Partitions: 16}})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +267,7 @@ func TestFleetSpill(t *testing.T) {
 	}
 
 	// Packed spill ships compressed bytes: strictly fewer than plain.
-	packedSpill, err := plan.RunFleet(fleet.Spec{GPUs: 2, Device: smallV100(0), Link: fleet.PCIe()},
+	packedSpill, err := runFleet(plan, fleet.Spec{GPUs: 2, Device: smallV100(0), Link: fleet.PCIe()},
 		RunOptions{Partition: PartitionOptions{Packed: testPacked}})
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestFleetSpill(t *testing.T) {
 
 	// Per-device residency caches elide the shipment; refusing caches
 	// degrade to exactly the cold transfer.
-	warm, err := plan.RunFleet(fleet.Spec{GPUs: 2, Device: smallV100(0), Link: fleet.PCIe()},
+	warm, err := runFleet(plan, fleet.Spec{GPUs: 2, Device: smallV100(0), Link: fleet.PCIe()},
 		RunOptions{Partition: PartitionOptions{Packed: testPacked}, Fleet: FleetOptions{Residency: []Residency{residentAll{}, residentAll{}}}})
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func TestFleetSpill(t *testing.T) {
 	if warm.Result.ResidentCols == 0 {
 		t.Error("warm fleet reported no resident columns")
 	}
-	refused, err := plan.RunFleet(fleet.Spec{GPUs: 2, Device: smallV100(0), Link: fleet.PCIe()},
+	refused, err := runFleet(plan, fleet.Spec{GPUs: 2, Device: smallV100(0), Link: fleet.PCIe()},
 		RunOptions{Partition: PartitionOptions{Packed: testPacked}, Fleet: FleetOptions{Residency: []Residency{refuseAll{}, refuseAll{}}}})
 	if err != nil {
 		t.Fatal(err)
@@ -303,24 +303,24 @@ func TestFleetSpill(t *testing.T) {
 	}
 }
 
-// TestRunFleetValidation covers the error paths and the degenerate shapes.
-func TestRunFleetValidation(t *testing.T) {
+// TestFleetValidation covers the error paths and the degenerate shapes.
+func TestFleetValidation(t *testing.T) {
 	q, err := ByID("q1.1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compile(testDS, q).RunFleet(fleet.Spec{GPUs: 0}, RunOptions{}); err == nil {
+	if _, err := runFleet(Compile(testDS, q), fleet.Spec{GPUs: 0}, RunOptions{}); err == nil {
 		t.Error("0 GPUs accepted")
 	}
-	if _, err := Compile(testDS, q).RunFleet(fleet.Spec{GPUs: fleet.MaxGPUs + 1}, RunOptions{}); err == nil {
+	if _, err := runFleet(Compile(testDS, q), fleet.Spec{GPUs: fleet.MaxGPUs + 1}, RunOptions{}); err == nil {
 		t.Error("oversized fleet accepted")
 	}
 
 	// A 1-GPU fleet is the partitioned single-device run plus the merge
 	// shipment of its one partial-aggregate table — seconds exactly.
 	plan := Compile(testDS, q)
-	single := plan.RunPartitioned(EngineGPU, RunOptions{Partition: PartitionOptions{Partitions: 1}})
-	fr, err := plan.RunFleet(fleet.Spec{GPUs: 1, Link: fleet.PCIe()}, RunOptions{})
+	single := runEngine(plan, EngineGPU, RunOptions{Partition: PartitionOptions{Partitions: 1}})
+	fr, err := runFleet(plan, fleet.Spec{GPUs: 1, Link: fleet.PCIe()}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,13 +331,13 @@ func TestRunFleetValidation(t *testing.T) {
 
 	// More devices than morsels: the extras idle, rows unchanged.
 	tiny := ssb.GenerateRows(3)
-	fr, err = Compile(tiny, q).RunFleet(fleet.Spec{GPUs: 8}, RunOptions{})
+	fr, err = runFleet(Compile(tiny, q), fleet.Spec{GPUs: 8}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	queriestest.SameRows(t, "over-sharded fleet", fr.Result, Compile(tiny, q).RunGPU())
+	queriestest.SameRows(t, "over-sharded fleet", fr.Result, Compile(tiny, q).Run(EngineGPU))
 	idle := 0
-	for _, fd := range fr.Devices {
+	for _, fd := range fr.Executors {
 		if fd.Morsels == 0 {
 			idle++
 			if fd.Seconds != 0 {
@@ -360,11 +360,11 @@ func TestFleetZonePruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := Compile(clustered, q)
-	base, err := plan.RunFleet(fleet.Spec{GPUs: 4, Link: fleet.NVLink()}, RunOptions{})
+	base, err := runFleet(plan, fleet.Spec{GPUs: 4, Link: fleet.NVLink()}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := plan.RunFleet(fleet.Spec{GPUs: 4, Link: fleet.NVLink()}, RunOptions{Partition: PartitionOptions{Partitions: 64}})
+	pruned, err := runFleet(plan, fleet.Spec{GPUs: 4, Link: fleet.NVLink()}, RunOptions{Partition: PartitionOptions{Partitions: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestFleetZonePruning(t *testing.T) {
 	}
 	queriestest.Cheaper(t, "pruned fleet", pruned.Result, base.Result)
 	var devPruned int
-	for _, fd := range pruned.Devices {
+	for _, fd := range pruned.Executors {
 		devPruned += fd.Pruned
 	}
 	if devPruned != pruned.Result.Pruned {

@@ -17,15 +17,6 @@ func gpuConfig(elems int) sim.Config {
 	return sim.Config{Threads: 256, ItemsPerThread: 8, Elems: elems}
 }
 
-// RunGPU executes the compiled plan on the paper's "Standalone GPU": the
-// full query compiled into a single tile-based Crystal kernel
-// (Section 5.2). Each thread block loads a tile of the fact table,
-// evaluates the selections with BlockPred, probes the join hash tables in
-// a pipeline with BlockLookup, and updates the global aggregate — the fact
-// columns are read from global memory exactly once, selectively, and
-// nothing is materialized in between.
-func (pl *Plan) RunGPU() *Result { return pl.runGPU(pl.morselRun(RunOptions{})) }
-
 // blockSkips maps thread blocks to pruned morsels: skips[id] is true when
 // block id's tile lies inside a zone-pruned morsel. Morsel boundaries snap
 // to the tile size, so every block belongs to exactly one morsel. Returns
@@ -53,8 +44,16 @@ func blockSkips(ms *morselRun, tileSize int) []bool {
 	return skips
 }
 
-// runGPU executes the plan's kernel over the surviving morsels. The launch
-// covers the full grid; blocks whose tile sits in a pruned morsel return
+// runGPU executes the compiled plan on the paper's "Standalone GPU": the
+// full query compiled into a single tile-based Crystal kernel
+// (Section 5.2). Each thread block loads a tile of the fact table,
+// evaluates the selections with BlockPred, probes the join hash tables in
+// a pipeline with BlockLookup, and updates the global aggregate — the fact
+// columns are read from global memory exactly once, selectively, and
+// nothing is materialized in between.
+//
+// The kernel runs over the surviving morsels. The launch covers the full
+// grid; blocks whose tile sits in a pruned morsel return
 // before touching global memory, so they contribute no traffic — the
 // zone-map check itself is host-side metadata work and costs no device
 // time. With nothing pruned the launch is bit-identical to the monolithic

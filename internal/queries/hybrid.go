@@ -7,43 +7,19 @@ import (
 	"crystal/internal/fleet"
 	"crystal/internal/sched"
 	"crystal/internal/ssb"
-	"crystal/internal/trace"
 )
 
-// HybridResult is the outcome of one hybrid CPU+GPU co-execution: the
-// merged result (row-identical to a monolithic run at any split — partial
-// aggregates are integer sums) plus the per-executor telemetry and the
-// merge-phase pricing.
-type HybridResult struct {
-	// Result is the merged result. Seconds is the schedule makespan (the
-	// slowest arm plus the partial-aggregate merge); TransferBytes is the
-	// GPU arm's interconnect shipment.
-	Result *Result
-	// GPUs and Interconnect echo the normalized fleet shape of the GPU
-	// arm; CPUFrac is the live-row fraction the schedule routed to the
-	// host CPU engine.
-	GPUs         int
-	Interconnect string
-	CPUFrac      float64
-	// Executors has one entry per arm: the CPU engine first, then one per
-	// fleet device, idle arms included.
-	Executors []ExecutorResult
-	// MergeBytes is the partial-aggregate traffic the GPU arms sent across
-	// the interconnect (the CPU arm merges host-side for free) and
-	// MergeSeconds its transfer time.
-	MergeBytes   int64
-	MergeSeconds float64
-	// Trace is the run's span tree, nil unless opts.Trace asked for one.
-	Trace *trace.Span
-}
-
 // ScheduleHybrid splits the morsels between the host CPU engine and the
-// GPU fleet — the schedule behind RunHybrid. The division is zone-map
-// aware (sched.SplitHybrid): pruned morsels stay with the CPU arm, and
-// the CPU arm additionally takes frac of the live rows, with the rest
-// range-sharded over the fleet's devices. A negative frac asks for the
-// default division, balanced by resident scan throughput
-// (sched.CPUFraction). The returned fraction is the resolved one.
+// GPU fleet, which scan disjoint morsel sets concurrently and merge their
+// partial aggregates host-side exactly as fleet merges do. The division is
+// zone-map aware (sched.SplitHybrid): pruned morsels stay with the CPU arm,
+// and the CPU arm additionally takes frac of the live rows, with the rest
+// range-sharded over the fleet's devices. frac 0 is the pure-GPU
+// host-resident placement (every morsel ships over the link), 1 the
+// pure-CPU placement, and a negative frac asks for the default division,
+// balanced by resident scan throughput (sched.CPUFraction). The returned
+// fraction is the resolved one. Rows are identical to a monolithic run at
+// any frac.
 //
 // Hybrid placement models the coprocessor world: the data is
 // host-resident, so every GPU-routed morsel's referenced columns cross
@@ -113,38 +89,4 @@ func (p *Plan) ScheduleHybrid(fl fleet.Spec, frac float64, opts RunOptions) (sch
 		s.BuildWall = time.Since(t0)
 	}
 	return s, frac, nil
-}
-
-// RunHybrid executes the compiled plan as a hybrid CPU+GPU co-execution
-// over fl: the host CPU engine and the GPU fleet scan disjoint morsel
-// sets concurrently (ScheduleHybrid decides the split; frac < 0 means the
-// throughput-balanced default) and the partial aggregates merge host-side
-// exactly as fleet merges do. It is a thin wrapper over RunScheduled.
-//
-// frac pins the live-row fraction of the CPU arm: 0 is the pure-GPU
-// host-resident placement (every morsel ships over the link), 1 the
-// pure-CPU placement. Rows are identical to a monolithic run at any frac.
-func (p *Plan) RunHybrid(fl fleet.Spec, frac float64, opts RunOptions) (*HybridResult, error) {
-	fl, err := fl.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	s, frac, err := p.ScheduleHybrid(fl, frac, opts)
-	if err != nil {
-		return nil, err
-	}
-	sr, err := p.RunScheduled(s)
-	if err != nil {
-		return nil, err
-	}
-	return &HybridResult{
-		Result:       sr.Result,
-		GPUs:         fl.GPUs,
-		Interconnect: fl.Link.Name,
-		CPUFrac:      frac,
-		Executors:    sr.Executors,
-		MergeBytes:   sr.MergeBytes,
-		MergeSeconds: sr.MergeSeconds,
-		Trace:        sr.Trace,
-	}, nil
 }

@@ -27,7 +27,7 @@ func TestHybridInvarianceCatalog(t *testing.T) {
 						if packed {
 							opts.Partition.Packed = testPacked
 						}
-						hr, err := plan.RunHybrid(fleet.Spec{GPUs: gpus, Link: link}, frac, opts)
+						hr, err := runHybrid(plan, fleet.Spec{GPUs: gpus, Link: link}, frac, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -55,7 +55,11 @@ func TestHybridStatsSumToTotals(t *testing.T) {
 	plan := Compile(testDS, q)
 	opts := RunOptions{}
 	opts.Partition.Partitions = 16
-	hr, err := plan.RunHybrid(fleet.Spec{GPUs: 2, Link: fleet.NVLink()}, -1, opts)
+	s, cpuFrac, err := plan.ScheduleHybrid(fleet.Spec{GPUs: 2, Link: fleet.NVLink()}, -1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := plan.RunScheduled(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +107,8 @@ func TestHybridStatsSumToTotals(t *testing.T) {
 	if hr.MergeBytes <= 0 || hr.MergeSeconds <= 0 {
 		t.Error("grouped hybrid run priced no partial-aggregate merge")
 	}
-	if hr.CPUFrac <= 0 || hr.CPUFrac >= 0.5 {
-		t.Errorf("resolved CPU fraction %v outside the minority-share regime", hr.CPUFrac)
+	if cpuFrac <= 0 || cpuFrac >= 0.5 {
+		t.Errorf("resolved CPU fraction %v outside the minority-share regime", cpuFrac)
 	}
 }
 
@@ -119,19 +123,19 @@ func TestHybridPureFractions(t *testing.T) {
 	plan := Compile(testDS, q)
 	fl := fleet.Spec{GPUs: 1, Link: fleet.NVLink()}
 
-	cpuOnly, err := plan.RunHybrid(fl, 1, RunOptions{})
+	cpuOnly, err := runHybrid(plan, fl, 1, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	part := RunOptions{}
-	part.Partition.Partitions = 2 // RunHybrid raises to GPUs+1
+	part.Partition.Partitions = 2 // ScheduleHybrid raises to GPUs+1
 	queriestest.SameRun(t, "frac-1 hybrid vs partitioned CPU", cpuOnly.Result,
-		plan.RunPartitioned(EngineCPU, part))
+		runEngine(plan, EngineCPU, part))
 	if cpuOnly.MergeBytes != 0 {
 		t.Errorf("pure-CPU hybrid priced %d merge bytes; host merges are free", cpuOnly.MergeBytes)
 	}
 
-	gpuOnly, err := plan.RunHybrid(fl, 0, RunOptions{})
+	gpuOnly, err := runHybrid(plan, fl, 0, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +153,10 @@ func TestHybridPureFractions(t *testing.T) {
 func TestHybridValidation(t *testing.T) {
 	q, _ := ByID("q1.1")
 	plan := Compile(testDS, q)
-	if _, err := plan.RunHybrid(fleet.Spec{GPUs: -1}, -1, RunOptions{}); err == nil {
+	if _, err := runHybrid(plan, fleet.Spec{GPUs: -1}, -1, RunOptions{}); err == nil {
 		t.Error("negative fleet accepted")
 	}
-	if _, err := plan.RunHybrid(fleet.Spec{GPUs: fleet.MaxGPUs + 1}, -1, RunOptions{}); err == nil {
+	if _, err := runHybrid(plan, fleet.Spec{GPUs: fleet.MaxGPUs + 1}, -1, RunOptions{}); err == nil {
 		t.Error("oversized fleet accepted")
 	}
 	// The schedule builders validate the fleet themselves (they are public
@@ -169,11 +173,11 @@ func TestHybridValidation(t *testing.T) {
 		t.Error("RunScheduled accepted a schedule with an unassigned morsel")
 	}
 	// Fractions beyond 1 clamp to the pure-CPU split.
-	over, err := plan.RunHybrid(fleet.Spec{GPUs: 1}, 2, RunOptions{})
+	over, err := runHybrid(plan, fleet.Spec{GPUs: 1}, 2, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pure, err := plan.RunHybrid(fleet.Spec{GPUs: 1}, 1, RunOptions{})
+	pure, err := runHybrid(plan, fleet.Spec{GPUs: 1}, 1, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +197,7 @@ func TestHybridPrunedMorselsRideCPU(t *testing.T) {
 	plan := Compile(clustered, q)
 	opts := RunOptions{}
 	opts.Partition.Partitions = 64
-	hr, err := plan.RunHybrid(fleet.Spec{GPUs: 2, Link: fleet.NVLink()}, -1, opts)
+	hr, err := runHybrid(plan, fleet.Spec{GPUs: 2, Link: fleet.NVLink()}, -1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +228,7 @@ func TestHybridResidency(t *testing.T) {
 	opts.Partition.Partitions = 16
 	opts.Partition.Packed = testPacked
 	opts.Fleet.Residency = []Residency{coldAdmit{}}
-	hr, err := plan.RunHybrid(fleet.Spec{GPUs: 1, Link: fleet.PCIe()}, -1, opts)
+	hr, err := runHybrid(plan, fleet.Spec{GPUs: 1, Link: fleet.PCIe()}, -1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +242,7 @@ func TestHybridResidency(t *testing.T) {
 
 	// A fleet whose shards fit device memory spills nothing: residency
 	// caches are never consulted and no interconnect bytes move.
-	fr, err := plan.RunFleet(fleet.Spec{GPUs: 2, Link: fleet.PCIe()},
+	fr, err := runFleet(plan, fleet.Spec{GPUs: 2, Link: fleet.PCIe()},
 		RunOptions{Partition: PartitionOptions{Packed: testPacked},
 			Fleet: FleetOptions{Residency: []Residency{coldAdmit{}, coldAdmit{}}}})
 	if err != nil {

@@ -26,9 +26,9 @@ func TestEnginesOnPersistedDataset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := Compile(ds, q).RunGPU()
+		want := Compile(ds, q).Run(EngineGPU)
 		for _, e := range Engines() {
-			got := Run(loaded, q, e)
+			got := Compile(loaded, q).Run(e)
 			if !got.Equal(want) {
 				t.Errorf("%s on loaded dataset disagrees for %s", e, id)
 			}
@@ -44,7 +44,7 @@ func TestTinyDatasets(t *testing.T) {
 		for _, q := range All() {
 			want := Reference(ds, q)
 			for _, e := range Engines() {
-				got := Run(ds, q, e)
+				got := Compile(ds, q).Run(e)
 				if !got.Equal(normalizeRef(q, want)) {
 					t.Errorf("%s wrong on %d-row dataset for %s", e, rows, q.ID)
 				}
@@ -58,8 +58,8 @@ func TestTinyDatasets(t *testing.T) {
 func TestDeterministicTiming(t *testing.T) {
 	q, _ := ByID("q3.1")
 	for _, e := range Engines() {
-		a := Run(testDS, q, e).Seconds
-		b := Run(testDS, q, e).Seconds
+		a := Compile(testDS, q).Run(e).Seconds
+		b := Compile(testDS, q).Run(e).Seconds
 		if a != b {
 			t.Errorf("%s timing not deterministic: %.9f vs %.9f", e, a, b)
 		}
@@ -70,7 +70,7 @@ func TestDeterministicTiming(t *testing.T) {
 // end to end: the sum over all groups must equal the ungrouped total.
 func TestAggregateSumsMatchBruteForce(t *testing.T) {
 	q, _ := ByID("q4.1")
-	res := Compile(testDS, q).RunGPU()
+	res := Compile(testDS, q).Run(EngineGPU)
 	var total int64
 	for _, v := range res.Groups {
 		total += v

@@ -1,0 +1,105 @@
+package queries
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"crystal/internal/ssb"
+)
+
+// TestSoloIsBatchOfOne pins "a solo run is a batch of one" at the scan
+// kernel: for every catalog query, on both fact encodings, monolithic and
+// partitioned, an n-member pass hands each member exactly the rows and
+// access statistics its own one-member pass produces — no matter who else
+// rides the pass or in which order — and a one-member pass's union line
+// counts are that member's own.
+func TestSoloIsBatchOfOne(t *testing.T) {
+	qs := All()
+	plans := make([]*Plan, len(qs))
+	for i, q := range qs {
+		plans[i] = Compile(testDS, q)
+	}
+	for _, packed := range []bool{false, true} {
+		for _, parts := range []int{0, 7} {
+			opts := RunOptions{Partition: PartitionOptions{Partitions: parts}}
+			if packed {
+				opts.Partition.Packed = testPacked
+			}
+			seat := func(order []int) []scanMember {
+				members := make([]scanMember, len(order))
+				for i, pi := range order {
+					members[i] = scanMember{p: plans[pi], ms: plans[pi].morselRun(opts)}
+				}
+				return members
+			}
+			forward := make([]int, len(plans))
+			reverse := make([]int, len(plans))
+			for i := range plans {
+				forward[i] = i
+				reverse[i] = len(plans) - 1 - i
+			}
+			shared, sharedStats, union64, _ := scanKernel(seat(forward))
+			flipped, flippedStats, flippedUnion64, _ := scanKernel(seat(reverse))
+			if !reflect.DeepEqual(union64, flippedUnion64) {
+				t.Errorf("packed=%v parts=%d: member order changed the union line counts", packed, parts)
+			}
+			for i, q := range qs {
+				label := fmt.Sprintf("%s packed=%v parts=%d", q.ID, packed, parts)
+				solo, soloStats, solo64, solo128 := scanKernel(seat([]int{i}))
+				if !reflect.DeepEqual(solo64, soloStats[0].lines64) || !reflect.DeepEqual(solo128, soloStats[0].lines128) {
+					t.Errorf("%s: one-member union counts differ from the member's own line counts", label)
+				}
+				for name, got := range map[string]struct {
+					res *Result
+					st  *pipeStats
+				}{
+					"13-member pass":          {shared[i], sharedStats[i]},
+					"reversed 13-member pass": {flipped[len(qs)-1-i], flippedStats[len(qs)-1-i]},
+				} {
+					if !reflect.DeepEqual(got.res, solo[0]) {
+						t.Errorf("%s: %s rows differ from the one-member pass", label, name)
+					}
+					if !reflect.DeepEqual(got.st, soloStats[0]) {
+						t.Errorf("%s: %s stats differ from the one-member pass:\n got %+v\nwant %+v", label, name, got.st, soloStats[0])
+					}
+				}
+				for c, v := range soloStats[0].lines64 {
+					if union64[c] < v {
+						t.Errorf("%s: union streams %d lines of %s, fewer than this member's %d", label, union64[c], c, v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkScanKernel is the per-layer benchmark of the one row loop: a
+// monolithic pass over 2^20 fact rows with one member (the solo engines'
+// path) and with eight (a full shared-scan batch), on a filter-only query
+// and a three-join one. ns/row is per member-row, so a kernel that shares a
+// pass at no extra cost reports the same figure at both sizes.
+func BenchmarkScanKernel(b *testing.B) {
+	const rows = 1 << 20
+	ds := ssb.GenerateRows(rows)
+	for _, id := range []string{"q1.1", "q3.1"} {
+		q, err := ByID(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan := Compile(ds, q)
+		for _, n := range []int{1, 8} {
+			members := make([]scanMember, n)
+			for i := range members {
+				members[i] = scanMember{p: plan, ms: plan.morselRun(RunOptions{})}
+			}
+			b.Run(fmt.Sprintf("%s/members=%d", id, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					scanKernel(members)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*n), "ns/row")
+			})
+		}
+	}
+}

@@ -3,14 +3,25 @@ package queries
 import (
 	"testing"
 
+	"crystal/internal/fleet"
 	"crystal/internal/ssb"
 )
 
+// runPCIe runs p on numGPUs V100s hanging off the host's PCIe fabric with
+// default options — the Section 5.5 "Distributed+Hybrid" extension.
+func runPCIe(p *Plan, numGPUs int) (*Result, error) {
+	sr, err := runFleet(p, fleet.Spec{GPUs: numGPUs, Link: fleet.PCIe()}, RunOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return sr.Result, nil
+}
+
 func TestMultiGPUMatchesSingleGPU(t *testing.T) {
 	for _, q := range All() {
-		single := Compile(testDS, q).RunGPU()
+		single := Compile(testDS, q).Run(EngineGPU)
 		for _, k := range []int{1, 2, 4, 7} {
-			multi, err := Compile(testDS, q).RunMultiGPU(k)
+			multi, err := runPCIe(Compile(testDS, q), k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -28,7 +39,7 @@ func TestMultiGPUScalesDown(t *testing.T) {
 	q, _ := ByID("q2.1")
 	prev := 0.0
 	for _, k := range []int{1, 2, 4, 8} {
-		res, err := Compile(testDS, q).RunMultiGPU(k)
+		res, err := runPCIe(Compile(testDS, q), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,8 +49,8 @@ func TestMultiGPUScalesDown(t *testing.T) {
 		prev = res.Seconds
 	}
 	// 4 GPUs should beat 1 clearly on a fact-bound query.
-	one, _ := Compile(testDS, q).RunMultiGPU(1)
-	four, _ := Compile(testDS, q).RunMultiGPU(4)
+	one, _ := runPCIe(Compile(testDS, q), 1)
+	four, _ := runPCIe(Compile(testDS, q), 4)
 	if four.Seconds >= one.Seconds {
 		t.Errorf("4 GPUs (%.6f) should beat 1 (%.6f)", four.Seconds, one.Seconds)
 	}
@@ -47,16 +58,16 @@ func TestMultiGPUScalesDown(t *testing.T) {
 
 func TestMultiGPUValidation(t *testing.T) {
 	q, _ := ByID("q1.1")
-	if _, err := Compile(testDS, q).RunMultiGPU(0); err == nil {
+	if _, err := runPCIe(Compile(testDS, q), 0); err == nil {
 		t.Error("0 GPUs accepted")
 	}
 	// More GPUs than rows still works (extra shards are empty).
 	tiny := ssb.GenerateRows(3)
-	res, err := Compile(tiny, q).RunMultiGPU(8)
+	res, err := runPCIe(Compile(tiny, q), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Equal(Compile(tiny, q).RunGPU()) {
+	if !res.Equal(Compile(tiny, q).Run(EngineGPU)) {
 		t.Error("over-sharded result differs")
 	}
 }

@@ -21,7 +21,7 @@ func TestPackedRowIdentityCatalog(t *testing.T) {
 		plan := Compile(testDS, q)
 		for _, e := range Engines() {
 			plain := plan.Run(e)
-			packed := plan.RunPartitioned(e, RunOptions{Partition: PartitionOptions{Packed: testPacked}})
+			packed := runEngine(plan, e, RunOptions{Partition: PartitionOptions{Packed: testPacked}})
 			queriestest.SameRows(t, fmt.Sprintf("%s/%s packed", e, q.ID), packed, plain)
 			if !packed.Packed {
 				t.Errorf("%s/%s: result not marked packed", e, q.ID)
@@ -42,9 +42,9 @@ func TestPartitionInvariancePacked(t *testing.T) {
 	for _, q := range All() {
 		plan := Compile(testDS, q)
 		for _, e := range Engines() {
-			base := plan.RunPartitioned(e, RunOptions{Partition: PartitionOptions{Packed: testPacked}})
+			base := runEngine(plan, e, RunOptions{Partition: PartitionOptions{Packed: testPacked}})
 			for _, n := range partitionCounts {
-				res := plan.RunPartitioned(e, RunOptions{Partition: PartitionOptions{Partitions: n, Packed: testPacked}})
+				res := runEngine(plan, e, RunOptions{Partition: PartitionOptions{Partitions: n, Packed: testPacked}})
 				queriestest.SameRun(t, fmt.Sprintf("%s/%s packed at %d partitions", e, q.ID, n), res, base)
 				if res.Pruned != 0 {
 					t.Errorf("%s/%s: pruned %d morsels on uniform data", e, q.ID, res.Pruned)
@@ -62,10 +62,10 @@ func TestPartitionInvariancePacked(t *testing.T) {
 func TestPackedAsymmetry(t *testing.T) {
 	q, _ := ByID("q1.1") // scan-dominated: the compression effect is purest
 	plan := Compile(testDS, q)
-	gpuPlain := plan.RunGPU().Seconds
-	gpuPacked := plan.RunPartitioned(EngineGPU, RunOptions{Partition: PartitionOptions{Packed: testPacked}}).Seconds
-	cpuPlain := plan.RunCPU().Seconds
-	cpuPacked := plan.RunPartitioned(EngineCPU, RunOptions{Partition: PartitionOptions{Packed: testPacked}}).Seconds
+	gpuPlain := plan.Run(EngineGPU).Seconds
+	gpuPacked := runEngine(plan, EngineGPU, RunOptions{Partition: PartitionOptions{Packed: testPacked}}).Seconds
+	cpuPlain := plan.Run(EngineCPU).Seconds
+	cpuPacked := runEngine(plan, EngineCPU, RunOptions{Partition: PartitionOptions{Packed: testPacked}}).Seconds
 
 	if gpuPacked >= gpuPlain {
 		t.Errorf("GPU packed scan not faster: %.9f >= %.9f", gpuPacked, gpuPlain)
@@ -85,8 +85,8 @@ func TestPackedAsymmetry(t *testing.T) {
 func TestPackedCoprocessorTransfer(t *testing.T) {
 	q, _ := ByID("q1.1") // no joins: transfer is pure fact-column traffic
 	plan := Compile(testDS, q)
-	plain := plan.RunPartitioned(EngineCoproc, RunOptions{})
-	packed := plan.RunPartitioned(EngineCoproc, RunOptions{Partition: PartitionOptions{Packed: testPacked}})
+	plain := runEngine(plan, EngineCoproc, RunOptions{})
+	packed := runEngine(plan, EngineCoproc, RunOptions{Partition: PartitionOptions{Packed: testPacked}})
 	if packed.TransferBytes >= plain.TransferBytes {
 		t.Fatalf("packed transfer not smaller: %d >= %d bytes", packed.TransferBytes, plain.TransferBytes)
 	}
@@ -96,13 +96,13 @@ func TestPackedCoprocessorTransfer(t *testing.T) {
 
 	// A residency cache that refuses admission degrades to exactly the
 	// cold packed transfer — never worse than running without the cache.
-	refused := plan.RunPartitioned(EngineCoproc, RunOptions{Partition: PartitionOptions{Packed: testPacked, Residency: refuseAll{}}})
+	refused := runEngine(plan, EngineCoproc, RunOptions{Partition: PartitionOptions{Packed: testPacked, Residency: refuseAll{}}})
 	if refused.TransferBytes != packed.TransferBytes || refused.Seconds != packed.Seconds {
 		t.Errorf("refused admission shipped %d bytes (%.9fs), cacheless packed ships %d (%.9fs)",
 			refused.TransferBytes, refused.Seconds, packed.TransferBytes, packed.Seconds)
 	}
 
-	warm := plan.RunPartitioned(EngineCoproc, RunOptions{Partition: PartitionOptions{Packed: testPacked, Residency: residentAll{}}})
+	warm := runEngine(plan, EngineCoproc, RunOptions{Partition: PartitionOptions{Packed: testPacked, Residency: residentAll{}}})
 	if warm.ResidentCols == 0 {
 		t.Fatal("warm run reported no resident columns")
 	}
@@ -138,8 +138,8 @@ func TestPackedZonePruning(t *testing.T) {
 	q, _ := ByID("q1.1")
 	plan := Compile(clustered, q)
 	for _, e := range []Engine{EngineGPU, EngineCPU, EngineCoproc} {
-		base := plan.RunPartitioned(e, RunOptions{Partition: PartitionOptions{Packed: pf}})
-		res := plan.RunPartitioned(e, RunOptions{Partition: PartitionOptions{Partitions: 64, Packed: pf}})
+		base := runEngine(plan, e, RunOptions{Partition: PartitionOptions{Packed: pf}})
+		res := runEngine(plan, e, RunOptions{Partition: PartitionOptions{Partitions: 64, Packed: pf}})
 		if res.Pruned == 0 {
 			t.Fatalf("%s: no morsels pruned on clustered packed layout", e)
 		}
@@ -170,5 +170,5 @@ func TestPackedMismatchedEncodingPanics(t *testing.T) {
 			t.Error("mismatched packed encoding did not panic")
 		}
 	}()
-	plan.RunPartitioned(EngineCPU, RunOptions{Partition: PartitionOptions{Packed: testPacked}})
+	runEngine(plan, EngineCPU, RunOptions{Partition: PartitionOptions{Packed: testPacked}})
 }

@@ -215,19 +215,3 @@ func (p *Plan) morselRun(opts RunOptions) *morselRun {
 	}
 	return ms
 }
-
-// RunPartitioned executes the compiled plan on the chosen engine with the
-// fact table split into opts.Partition.Partitions zone-mapped morsels — a
-// thin wrapper over RunScheduled with a single-executor schedule
-// (ScheduleEngine). Rows are always identical to Run; simulated seconds
-// are identical too whenever no morsel is pruned (morsel boundaries are
-// tile-aligned, so the per-morsel traffic statistics sum exactly to the
-// monolithic pass's), and strictly cheaper when zone maps skip morsels.
-func (p *Plan) RunPartitioned(e Engine, opts RunOptions) *Result {
-	sr, err := p.RunScheduled(p.ScheduleEngine(e, opts))
-	if err != nil {
-		// Unreachable: ScheduleEngine covers every morsel exactly once.
-		panic("queries: invalid engine schedule: " + err.Error())
-	}
-	return sr.Result
-}

@@ -26,7 +26,7 @@ func TestPartitionInvarianceCatalog(t *testing.T) {
 		for _, e := range Engines() {
 			base := plan.Run(e)
 			for _, n := range partitionCounts {
-				res := plan.RunPartitioned(e, RunOptions{Partition: PartitionOptions{Partitions: n}})
+				res := runEngine(plan, e, RunOptions{Partition: PartitionOptions{Partitions: n}})
 				queriestest.SameRun(t, fmt.Sprintf("%s/%s at %d partitions", e, q.ID, n), res, base)
 				if res.Pruned != 0 {
 					t.Errorf("%s/%s: pruned %d morsels on uniform data", e, q.ID, res.Pruned)
@@ -53,7 +53,7 @@ func TestPartitionInvarianceGenerated(t *testing.T) {
 		for _, e := range []Engine{EngineCPU, EngineGPU, EngineMonet} {
 			base := plan.Run(e)
 			for _, n := range partitionCounts {
-				res := plan.RunPartitioned(e, RunOptions{Partition: PartitionOptions{Partitions: n}})
+				res := runEngine(plan, e, RunOptions{Partition: PartitionOptions{Partitions: n}})
 				if res.Pruned != 0 {
 					t.Fatalf("%s/%s: wide filters should never prune, got %d", e, q.ID, res.Pruned)
 				}
@@ -73,7 +73,7 @@ func TestZonePruningSkipsMorsels(t *testing.T) {
 	plan := Compile(clustered, q)
 	for _, e := range Engines() {
 		base := plan.Run(e)
-		res := plan.RunPartitioned(e, RunOptions{Partition: PartitionOptions{Partitions: 64}})
+		res := runEngine(plan, e, RunOptions{Partition: PartitionOptions{Partitions: 64}})
 		if res.Pruned == 0 {
 			t.Fatalf("%s: no morsels pruned on clustered layout", e)
 		}
@@ -82,7 +82,7 @@ func TestZonePruningSkipsMorsels(t *testing.T) {
 	// The zone-mapped rows that do get scanned cost the same as in the
 	// monolithic run, so pruning most of the table must save most of the
 	// scan: the 1993 flight keeps ~1/7 of a clustered table.
-	res := plan.RunPartitioned(EngineGPU, RunOptions{Partition: PartitionOptions{Partitions: 64}})
+	res := runEngine(plan, EngineGPU, RunOptions{Partition: PartitionOptions{Partitions: 64}})
 	if frac := float64(res.Pruned) / float64(res.Morsels); frac < 0.5 {
 		t.Errorf("expected most morsels pruned, got %d/%d", res.Pruned, res.Morsels)
 	}
@@ -134,15 +134,16 @@ func TestPruneMorselsConservative(t *testing.T) {
 	}
 }
 
-// TestRunPartitionedMatchesShim checks the Plan dispatch against the one
-// compatibility shim (Run) and that the morsel cache on a plan returns a
-// consistent partitioning.
-func TestRunPartitionedMatchesShim(t *testing.T) {
+// TestPartitionedMatchesRun checks a partitioned engine schedule against
+// the monolithic Plan.Run shorthand and pins the plan's morsel cache: one
+// entry per effective partition count, so oversize requests share the
+// tile-count entry instead of each paying (and pinning) a zone-map pass.
+func TestPartitionedMatchesRun(t *testing.T) {
 	q, _ := ByID("q2.1")
-	a := Compile(testDS, q).RunPartitioned(EngineCPU, RunOptions{Partition: PartitionOptions{Partitions: 7}})
-	b := Run(testDS, q, EngineCPU)
+	a := runEngine(Compile(testDS, q), EngineCPU, RunOptions{Partition: PartitionOptions{Partitions: 7}})
+	b := Compile(testDS, q).Run(EngineCPU)
 	if !a.Equal(b) || a.Seconds != b.Seconds {
-		t.Error("partitioned Plan dispatch disagrees with the Run shim")
+		t.Error("partitioned engine schedule disagrees with Plan.Run")
 	}
 	plan := Compile(testDS, q)
 	m1 := plan.Morsels(7)
@@ -152,6 +153,18 @@ func TestRunPartitionedMatchesShim(t *testing.T) {
 	}
 	if len(plan.Morsels(0)) != 1 {
 		t.Error("Morsels(0) should clamp to one morsel")
+	}
+	tiles := (testDS.Lineorder.Rows() + ssb.MorselAlign - 1) / ssb.MorselAlign
+	big1, big2 := plan.Morsels(tiles+1), plan.Morsels(1<<30)
+	if len(big1) != tiles || &big1[0] != &big2[0] {
+		t.Errorf("oversize counts returned %d and %d morsels in distinct slices, want one shared %d-morsel entry",
+			len(big1), len(big2), tiles)
+	}
+	for n := -2; n <= 3*tiles; n++ {
+		plan.Morsels(n)
+	}
+	if len(plan.parts) > tiles {
+		t.Errorf("morsel cache holds %d entries, want at most the tile count %d", len(plan.parts), tiles)
 	}
 }
 
@@ -183,27 +196,16 @@ func BenchmarkBtoi(b *testing.B) {
 	_ = s
 }
 
-// TestEngineWrappersMatchDispatch pins the exported one-shot wrappers to
-// the Plan dispatch path (rows and seconds identical), and exercises
+// TestEngineWrappersMatchDispatch exercises the Dataset accessor and
 // Result.Clone isolation including the partitioning fields.
 func TestEngineWrappersMatchDispatch(t *testing.T) {
 	small := ssb.GenerateRows(4096)
 	q, _ := ByID("q2.1")
-	for e, res := range map[Engine]*Result{
-		EngineHyper:   Compile(small, q).RunHyper(),
-		EngineMonet:   Compile(small, q).RunMonet(),
-		EngineOmnisci: Compile(small, q).RunOmnisci(),
-	} {
-		want := Run(small, q, e)
-		if !res.Equal(want) || res.Seconds != want.Seconds {
-			t.Errorf("%s wrapper disagrees with Plan dispatch", e)
-		}
-	}
 	plan := Compile(small, q)
 	if plan.Dataset() != small {
 		t.Error("Dataset accessor lost the dataset")
 	}
-	res := plan.RunPartitioned(EngineCPU, RunOptions{Partition: PartitionOptions{Partitions: 2}})
+	res := runEngine(plan, EngineCPU, RunOptions{Partition: PartitionOptions{Partitions: 2}})
 	cl := res.Clone()
 	if cl.Morsels != res.Morsels || cl.Pruned != res.Pruned || cl.Seconds != res.Seconds {
 		t.Error("Clone dropped execution metadata")

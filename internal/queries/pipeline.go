@@ -198,242 +198,343 @@ func aggEstimate(q Query) int {
 // pipeStats), so the chunk size is purely a scheduling knob.
 const chunkRows = 16 * ssb.MorselAlign
 
-// scanChunk is one contiguous, tile-aligned unit of scan work.
-type scanChunk struct{ lo, hi int }
+// scanChunk is one contiguous, tile-aligned unit of scan work inside morsel
+// mi. Morsel boundaries are themselves tile-aligned, so every chunk starts
+// on a tile boundary and never spans two morsels.
+type scanChunk struct{ mi, lo, hi int }
 
-// chunkMorsels splits the surviving morsels into tile-aligned chunks.
-// Morsel boundaries are themselves tile-aligned, so every chunk starts on a
-// tile boundary and never spans two morsels.
-func chunkMorsels(live []ssb.Morsel) []scanChunk {
-	var chunks []scanChunk
-	for _, m := range live {
+// scanMember is one query's seat in a scan pass: its compiled plan and the
+// morsel extent (pruning verdicts, fact encoding) its run resolved.
+type scanMember struct {
+	p  *Plan
+	ms *morselRun
+}
+
+// lines returns the 64 B and 128 B line of the column's storage that holds
+// row. Packed lines hold 32/width times more rows than plain ones; a width-0
+// frame occupies no storage and reports -1 (reading it touches no line).
+func (c colReader) lines(row int) (l64, l128 int64) {
+	if c.packed != nil {
+		return c.packed.LineOf(row, 64), c.packed.LineOf(row, 128)
+	}
+	return int64(row >> 4), int64(row >> 5)
+}
+
+// lineTrack counts the distinct 64 B and 128 B lines of one column that a
+// monotone row sequence touches: rows only ascend, so a line is new exactly
+// when it differs from the last one seen.
+type lineTrack struct{ last64, last128, n64, n128 int64 }
+
+func (t *lineTrack) touch(l64, l128 int64) {
+	if l64 >= 0 && t.last64 != l64+1 {
+		t.last64 = l64 + 1
+		t.n64++
+	}
+	if l128 >= 0 && t.last128 != l128+1 {
+		t.last128 = l128 + 1
+		t.n128++
+	}
+}
+
+// scanCol is one column-read slot of a member's pipeline (a filter input, a
+// probed foreign key or an aggregate input): the resolved reader plus the
+// column's index into the member's line trackers and into the pass-wide
+// union trackers. Resolving both at setup keeps the row loop on slices.
+type scanCol struct {
+	colReader
+	col, ucol int
+}
+
+// colIndex returns name's position in *cols, appending it when absent. The
+// fact table has nine columns, so a linear scan needs no map.
+func colIndex(cols *[]string, name string) int {
+	for i, c := range *cols {
+		if c == name {
+			return i
+		}
+	}
+	*cols = append(*cols, name)
+	return len(*cols) - 1
+}
+
+// scanPipe is one member's resolved pipeline, shared read-only by the scan
+// workers.
+type scanPipe struct {
+	q                 *Query
+	builds            []buildInfo
+	ast               *aggState
+	filters, fks, agg []scanCol
+	cols              []string // the member's distinct fact columns; index = scanCol.col
+	pruned            []bool   // per canonical morsel
+}
+
+// scanAcc is one worker's private accumulator for one member.
+type scanAcc struct {
+	*scanPipe
+	lines         []lineTrack // per scanPipe.cols
+	evals, probes []int64
+	alive         []int64
+	out           int64
+	groups        map[int64]int64
+	accs          map[int64][]int64
+	payloads      []int32
+	vals          []int32
+}
+
+// touch meters the read of column c at row for the member and, when the pass
+// has several members, folds the same line into the union trackers: a shared
+// scan streams a line once no matter how many members consume it.
+func (a *scanAcc) touch(c *scanCol, row int, union []lineTrack) {
+	l64, l128 := c.lines(row)
+	a.lines[c.col].touch(l64, l128)
+	if union != nil {
+		union[c.ucol].touch(l64, l128)
+	}
+}
+
+// scanKernel is the one CPU-style row loop: it executes every member's probe
+// pipeline — fact filters in order, then the join probes, then the grouped
+// aggregate, short-circuiting per row exactly like the generated kernels —
+// inside one pass over the union of the members' surviving morsels. A solo
+// run is the pass with one member. Chunks are scanned in parallel (the
+// calling goroutine always works, helpers are bounded by the first member's
+// limiter); rows ascend in the outer loop and members evaluate in order
+// within a row, so:
+//
+//   - each member's access statistics and partial aggregates depend only on
+//     its own pipeline and liveness mask, never on who else rides the pass
+//     (chunks are tile-aligned, so per-chunk distinct-line counts are exactly
+//     additive), and
+//   - the union line trackers see a monotone row sequence per column, so
+//     consecutive-dedup counts exactly the distinct lines any member touched
+//     — the traffic a shared scan streams once.
+//
+// It returns, per member, the raw result (unfinalized multi-aggregates in
+// Result.accs) and the access statistics, plus the per-column union 64 B and
+// 128 B line counts. With one member the union is that member's own counts,
+// so no union tracker runs and the solo scan pays nothing for sharing.
+func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64, map[string]int64) {
+	n := len(members)
+	ds, morsels, lim := members[0].p.ds, members[0].ms.morsels, members[0].ms.lim
+	pipes := make([]scanPipe, n)
+	results := make([]*Result, n)
+	stats := make([]*pipeStats, n)
+	// ucols are the distinct fact columns across a shared pass (index =
+	// scanCol.ucol); a solo pass tracks no union and leaves them empty.
+	var ucols []string
+	for i, m := range members {
+		q, ms := &m.p.Query, m.ms
+		aggCols := q.AggColumns()
+		nf, nj := len(q.FactFilters), len(q.Joins)
+		st := &pipeStats{
+			totalRows: int64(ds.Lineorder.Rows()),
+			rows:      ms.scanned,
+			colOrder:  make([]string, 0, nf+nj+len(aggCols)),
+			packed:    ms.packed != nil,
+			lines64:   map[string]int64{},
+			lines128:  map[string]int64{},
+			evals:     make([]int64, nf),
+			probes:    make([]int64, nj),
+			alive:     make([]int64, nf+nj),
+		}
+		for fi := range q.FactFilters {
+			st.colOrder = append(st.colOrder, q.FactFilters[fi].Col)
+		}
+		for ji := range q.Joins {
+			st.colOrder = append(st.colOrder, q.Joins[ji].FactFK)
+		}
+		st.colOrder = append(st.colOrder, aggCols...)
+		pipe := &pipes[i]
+		*pipe = scanPipe{q: q, builds: m.p.builds, ast: newAggState(q), pruned: ms.pruned}
+		pipe.cols = make([]string, 0, len(st.colOrder))
+		slots := make([]scanCol, len(st.colOrder))
+		for si, name := range st.colOrder {
+			slots[si] = scanCol{colReader: ms.factReader(&ds.Lineorder, name), col: colIndex(&pipe.cols, name)}
+			if n > 1 {
+				slots[si].ucol = colIndex(&ucols, name)
+			}
+		}
+		pipe.filters, pipe.fks, pipe.agg = slots[:nf], slots[nf:nf+nj], slots[nf+nj:]
+		if st.packed {
+			// Per-column packed extents: scan bytes over the surviving morsels
+			// (exactly additive — morsels cover whole frames) and the full
+			// column footprint gathers address. Host-side metadata, no device
+			// time.
+			st.scanBytes = map[string]int64{}
+			st.footBytes = map[string]int64{}
+			for _, col := range pipe.cols {
+				fr := ms.packed.Col(col)
+				st.footBytes[col] = fr.Bytes()
+				var b int64
+				for _, lm := range ms.live {
+					b += fr.BytesRange(lm.Lo, lm.Hi)
+				}
+				st.scanBytes[col] = b
+			}
+		}
+		res := &Result{QueryID: q.ID, Groups: map[int64]int64{}}
+		if pipe.ast != nil {
+			res.accs = map[int64][]int64{}
+		}
+		results[i], stats[i] = res, st
+	}
+
+	// Chunks cover the union of the members' surviving morsels; the morsel
+	// index lets the row loop seat only the members live on the chunk.
+	chunks := make([]scanChunk, 0, ds.Lineorder.Rows()/chunkRows+len(morsels))
+	for mi, m := range morsels {
+		live := false
+		for i := range pipes {
+			if !pipes[i].pruned[mi] {
+				live = true
+				break
+			}
+		}
+		if !live {
+			continue
+		}
 		for lo := m.Lo; lo < m.Hi; lo += chunkRows {
-			hi := lo + chunkRows
-			if hi > m.Hi {
-				hi = m.Hi
-			}
-			chunks = append(chunks, scanChunk{lo: lo, hi: hi})
-		}
-	}
-	return chunks
-}
-
-// wstat is one worker's private accumulator for a morsel scan.
-type wstat struct {
-	lines64, lines128 map[string]int64
-	evals, probes     []int64
-	alive             []int64
-	out               int64
-	groups            map[int64]int64
-	accs              map[int64][]int64
-}
-
-// runPipeline executes the query's probe pipeline over the full fact table
-// as a single unmapped morsel — the monolithic path every engine's plain
-// Run* method uses.
-func runPipeline(ds *ssb.Dataset, q Query, builds []buildInfo) (*Result, *pipeStats) {
-	all := []ssb.Morsel{{Lo: 0, Hi: ds.Lineorder.Rows()}}
-	ms := &morselRun{morsels: all, pruned: []bool{false}, live: all, scanned: int64(ds.Lineorder.Rows())}
-	return runPipelineMorsels(ds, q, builds, ms)
-}
-
-// runPipelineMorsels executes the query's probe pipeline functionally over
-// the surviving morsels: fact filters in order, then the join probes, then
-// the grouped aggregate, short-circuiting per row exactly like the
-// generated kernels. Chunks of morsels are scanned in parallel — the
-// calling goroutine always works, helpers are bounded by lim — and the
-// per-chunk statistics merge exactly (tile alignment) into the returned
-// access statistics.
-func runPipelineMorsels(ds *ssb.Dataset, q Query, builds []buildInfo, ms *morselRun) (*Result, *pipeStats) {
-	live, lim := ms.live, ms.lim
-	st := &pipeStats{
-		totalRows: int64(ds.Lineorder.Rows()),
-		packed:    ms.packed != nil,
-		lines64:   map[string]int64{},
-		lines128:  map[string]int64{},
-		evals:     make([]int64, len(q.FactFilters)),
-		probes:    make([]int64, len(q.Joins)),
-		alive:     make([]int64, len(q.FactFilters)+len(q.Joins)),
-	}
-	for _, m := range live {
-		st.rows += int64(m.Rows())
-	}
-
-	filterCols := make([]colReader, len(q.FactFilters))
-	for i := range q.FactFilters {
-		filterCols[i] = ms.factReader(&ds.Lineorder, q.FactFilters[i].Col)
-		st.colOrder = append(st.colOrder, q.FactFilters[i].Col)
-	}
-	fkCols := make([]colReader, len(q.Joins))
-	for i := range q.Joins {
-		fkCols[i] = ms.factReader(&ds.Lineorder, q.Joins[i].FactFK)
-		st.colOrder = append(st.colOrder, q.Joins[i].FactFK)
-	}
-	ast := newAggState(&q)
-	aggCols := q.AggColumns()
-	aggSlices := make([]colReader, len(aggCols))
-	for i, c := range aggCols {
-		aggSlices[i] = ms.factReader(&ds.Lineorder, c)
-		st.colOrder = append(st.colOrder, c)
-	}
-	numPayloads := len(q.GroupPayloads())
-
-	if st.packed {
-		// Per-column packed extents: scan bytes over the surviving morsels
-		// (exactly additive — morsels cover whole frames) and the full
-		// column footprint gathers address. Host-side metadata, no device
-		// time.
-		st.scanBytes = map[string]int64{}
-		st.footBytes = map[string]int64{}
-		for _, col := range st.colOrder {
-			if _, ok := st.footBytes[col]; ok {
-				continue
-			}
-			fr := ms.packed.Col(col)
-			st.footBytes[col] = fr.Bytes()
-			var b int64
-			for _, m := range live {
-				b += fr.BytesRange(m.Lo, m.Hi)
-			}
-			st.scanBytes[col] = b
+			chunks = append(chunks, scanChunk{mi: mi, lo: lo, hi: min(lo+chunkRows, m.Hi)})
 		}
 	}
 
-	res := &Result{QueryID: q.ID, Groups: map[int64]int64{}}
-	if ast != nil {
-		res.accs = map[int64][]int64{}
+	union64, union128 := stats[0].lines64, stats[0].lines128
+	if n > 1 {
+		union64, union128 = map[string]int64{}, map[string]int64{}
 	}
-	chunks := chunkMorsels(live)
-	if len(chunks) > 0 {
-		var next int64
-		var mu sync.Mutex
-		worker := func() {
-			ws := wstat{
-				lines64:  map[string]int64{},
-				lines128: map[string]int64{},
-				evals:    make([]int64, len(q.FactFilters)),
-				probes:   make([]int64, len(q.Joins)),
-				alive:    make([]int64, len(st.alive)),
+
+	var next int64
+	var mu sync.Mutex
+	worker := func() {
+		accs := make([]scanAcc, n)
+		for i := range pipes {
+			pipe := &pipes[i]
+			accs[i] = scanAcc{
+				scanPipe: pipe,
+				lines:    make([]lineTrack, len(pipe.cols)),
+				evals:    make([]int64, len(pipe.filters)),
+				probes:   make([]int64, len(pipe.fks)),
+				alive:    make([]int64, len(pipe.filters)+len(pipe.fks)),
 				groups:   map[int64]int64{},
+				payloads: make([]int32, 0, len(pipe.fks)),
+				vals:     make([]int32, len(pipe.agg)),
 			}
-			if ast != nil {
-				ws.accs = map[int64][]int64{}
+			if pipe.ast != nil {
+				accs[i].accs = map[int64][]int64{}
 			}
-			last64 := map[string]int64{}
-			last128 := map[string]int64{}
-			// touch takes the column's resolved reader alongside its name so
-			// the packed branch never re-resolves frames inside the row loop.
-			touch := func(col string, cr colReader, row int) {
-				if cr.packed != nil {
-					// Packed lines hold 32/width times more rows than plain
-					// ones; width-0 frames occupy no storage and touch none.
-					fr := cr.packed
-					if l := fr.LineOf(row, 64); l >= 0 && last64[col] != l+1 {
-						last64[col] = l + 1
-						ws.lines64[col]++
-					}
-					if l := fr.LineOf(row, 128); l >= 0 && last128[col] != l+1 {
-						last128[col] = l + 1
-						ws.lines128[col]++
-					}
-					return
-				}
-				if l := int64(row >> 4); last64[col] != l+1 {
-					last64[col] = l + 1
-					ws.lines64[col]++
-				}
-				if l := int64(row >> 5); last128[col] != l+1 {
-					last128[col] = l + 1
-					ws.lines128[col]++
+		}
+		var union []lineTrack
+		if n > 1 {
+			union = make([]lineTrack, len(ucols))
+		}
+		seated := make([]*scanAcc, 0, n)
+		for {
+			ci := int(atomic.AddInt64(&next, 1) - 1)
+			if ci >= len(chunks) {
+				break
+			}
+			c := chunks[ci]
+			seated = seated[:0]
+			for i := range accs {
+				if !accs[i].pruned[c.mi] {
+					seated = append(seated, &accs[i])
 				}
 			}
-			payloads := make([]int32, 0, numPayloads)
-			vals := make([]int32, len(aggCols))
-			for {
-				ci := int(atomic.AddInt64(&next, 1) - 1)
-				if ci >= len(chunks) {
-					break
-				}
-			rows:
-				for row := chunks[ci].lo; row < chunks[ci].hi; row++ {
-					for i := range q.FactFilters {
-						ws.evals[i]++
-						touch(q.FactFilters[i].Col, filterCols[i], row)
-						if !q.FactFilters[i].Match(filterCols[i].at(row)) {
-							continue rows
+			for row := c.lo; row < c.hi; row++ {
+			members:
+				for _, a := range seated {
+					q := a.q
+					for fi := range a.filters {
+						a.evals[fi]++
+						a.touch(&a.filters[fi], row, union)
+						if !q.FactFilters[fi].Match(a.filters[fi].at(row)) {
+							continue members
 						}
-						ws.alive[i]++
+						a.alive[fi]++
 					}
-					payloads = payloads[:0]
-					for ji := range q.Joins {
-						ws.probes[ji]++
-						touch(q.Joins[ji].FactFK, fkCols[ji], row)
-						v, ok := builds[ji].ht.Get(fkCols[ji].at(row))
+					a.payloads = a.payloads[:0]
+					for ji := range a.fks {
+						a.probes[ji]++
+						a.touch(&a.fks[ji], row, union)
+						v, ok := a.builds[ji].ht.Get(a.fks[ji].at(row))
 						if !ok {
-							continue rows
+							continue members
 						}
-						ws.alive[len(q.FactFilters)+ji]++
+						a.alive[len(a.filters)+ji]++
 						if q.Joins[ji].Payload != "" {
-							payloads = append(payloads, v)
+							a.payloads = append(a.payloads, v)
 						}
 					}
-					for i := range vals {
-						touch(aggCols[i], aggSlices[i], row)
-						vals[i] = aggSlices[i].at(row)
+					for ai := range a.agg {
+						a.touch(&a.agg[ai], row, union)
+						a.vals[ai] = a.agg[ai].at(row)
 					}
-					ws.out++
-					key := PackGroup(payloads)
-					if ast != nil {
-						acc, ok := ws.accs[key]
+					a.out++
+					key := PackGroup(a.payloads)
+					if a.ast != nil {
+						acc, ok := a.accs[key]
 						if !ok {
-							acc = ast.identity()
-							ws.accs[key] = acc
+							acc = a.ast.identity()
+							a.accs[key] = acc
 						}
-						ast.update(acc, vals)
+						a.ast.update(acc, a.vals)
 					} else {
-						ws.groups[key] += q.Agg.Eval(vals)
+						a.groups[key] += q.Agg.Eval(a.vals)
 					}
 				}
 			}
-			mu.Lock()
-			defer mu.Unlock()
-			for c, v := range ws.lines64 {
-				st.lines64[c] += v
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for i := range accs {
+			a, st, res := &accs[i], stats[i], results[i]
+			for ci, t := range a.lines {
+				st.lines64[a.cols[ci]] += t.n64
+				st.lines128[a.cols[ci]] += t.n128
 			}
-			for c, v := range ws.lines128 {
-				st.lines128[c] += v
+			for fi, v := range a.evals {
+				st.evals[fi] += v
 			}
-			for i, v := range ws.evals {
-				st.evals[i] += v
+			for ji, v := range a.probes {
+				st.probes[ji] += v
 			}
-			for i, v := range ws.probes {
-				st.probes[i] += v
+			for k, v := range a.alive {
+				st.alive[k] += v
 			}
-			for i, v := range ws.alive {
-				st.alive[i] += v
-			}
-			st.out += ws.out
-			for k, v := range ws.groups {
+			st.out += a.out
+			for k, v := range a.groups {
 				res.Groups[k] += v
 			}
-			for k, acc := range ws.accs {
-				dst, ok := res.accs[k]
-				if !ok {
+			for k, acc := range a.accs {
+				if dst, ok := res.accs[k]; ok {
+					a.ast.merge(dst, acc)
+				} else {
 					res.accs[k] = acc
-					continue
 				}
-				ast.merge(dst, acc)
 			}
 		}
-
+		for ui, t := range union {
+			union64[ucols[ui]] += t.n64
+			union128[ucols[ui]] += t.n128
+		}
+	}
+	if len(chunks) > 0 {
 		sim.RunWithHelpers(len(chunks), lim, worker)
 	}
 
-	// Multi-aggregate partials stay raw (res.accs); the scheduler's merge
-	// finalizes and backfills. Legacy global aggregates backfill here so the
-	// monolithic path keeps returning one row.
-	if ast == nil && len(q.GroupPayloads()) == 0 && len(res.Groups) == 0 {
-		res.Groups[0] = 0 // a global aggregate always yields one row
+	for i := range pipes {
+		pipe := &pipes[i]
+		// Multi-aggregate partials stay raw (Result.accs) for the caller's
+		// merge to finalize; a legacy global aggregate always yields one row.
+		if pipe.ast == nil && len(pipe.q.GroupPayloads()) == 0 && len(results[i].Groups) == 0 {
+			results[i].Groups[0] = 0
+		}
 	}
-	return res, st
+	return results, stats, union64, union128
+}
+
+// scan runs the plan alone through the scan kernel — a batch of one.
+func (p *Plan) scan(ms *morselRun) (*Result, *pipeStats) {
+	results, stats, _, _ := scanKernel([]scanMember{{p: p, ms: ms}})
+	return results[0], stats[0]
 }

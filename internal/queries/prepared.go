@@ -14,10 +14,10 @@ import (
 //
 // A Plan is safe for concurrent use: the hash tables are only probed after
 // compilation (probes are atomic loads), the morsel cache is mutex-guarded,
-// and every Run* method keeps its mutable state per call. Simulated times
-// are unaffected by reuse — each run re-charges the build traffic exactly
-// as a cold execution would, so a cached plan returns the same Result
-// (rows and Seconds) as queries.Run while skipping the functional build
+// and every run keeps its mutable state per call. Simulated times are
+// unaffected by reuse — each run re-charges the build traffic exactly as a
+// cold execution would, so a cached plan returns the same Result (rows and
+// Seconds) as a freshly compiled one while skipping the functional build
 // work.
 type Plan struct {
 	// Query is the compiled query in plan order.
@@ -44,15 +44,15 @@ func Compile(ds *ssb.Dataset, q Query) *Plan {
 func (p *Plan) Dataset() *ssb.Dataset { return p.ds }
 
 // Morsels returns the dataset's zone-mapped morsels for the given partition
-// count, memoized on the plan. The cache lives here rather than on the
-// Dataset deliberately: Dataset values are copied by SliceFact/ClusterBy
-// (a mutex or cache field would be copied along and could serve another
-// layout's morsels), so each distinct cached plan pays one zone-map scan
-// per partition count instead.
+// count, memoized on the plan by the effective count — Dataset.Partition
+// clamps n to the tile count, so every oversize request shares one entry and
+// the cache never holds more entries than the table has tiles. The cache
+// lives here rather than on the Dataset deliberately: Dataset values are
+// copied by SliceFact/ClusterBy (a mutex or cache field would be copied along
+// and could serve another layout's morsels), so each distinct cached plan
+// pays one zone-map scan per effective count instead.
 func (p *Plan) Morsels(n int) []ssb.Morsel {
-	if n < 1 {
-		n = 1
-	}
+	n = ssb.EffectivePartitions(p.ds.Lineorder.Rows(), n)
 	p.partsMu.Lock()
 	defer p.partsMu.Unlock()
 	if p.parts == nil {
@@ -67,8 +67,14 @@ func (p *Plan) Morsels(n int) []ssb.Morsel {
 }
 
 // Run executes the compiled plan on the chosen engine as one monolithic
-// scan (a single unmapped morsel — identical to RunPartitioned with any
-// partition count as long as zone maps prune nothing).
+// scan: RunScheduled over ScheduleEngine with default options (a single
+// unmapped morsel — identical to any partition count as long as zone maps
+// prune nothing).
 func (p *Plan) Run(e Engine) *Result {
-	return p.RunPartitioned(e, RunOptions{})
+	sr, err := p.RunScheduled(p.ScheduleEngine(e, RunOptions{}))
+	if err != nil {
+		// Unreachable: ScheduleEngine covers every morsel exactly once.
+		panic("queries: invalid engine schedule: " + err.Error())
+	}
+	return sr.Result
 }

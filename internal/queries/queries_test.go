@@ -91,7 +91,7 @@ func TestEnginesMatchReference(t *testing.T) {
 	for _, q := range All() {
 		want := Reference(testDS, q)
 		for _, e := range Engines() {
-			res := Run(testDS, q, e)
+			res := Compile(testDS, q).Run(e)
 			if res.QueryID != q.ID {
 				t.Errorf("%s/%s: wrong query id %s", e, q.ID, res.QueryID)
 			}
@@ -139,8 +139,8 @@ func TestResultRowsSortedAndEqual(t *testing.T) {
 
 func TestGPUFasterThanCPUOnEveryQuery(t *testing.T) {
 	for _, q := range All() {
-		gpu := Compile(testDS, q).RunGPU()
-		cpu := Compile(testDS, q).RunCPU()
+		gpu := Compile(testDS, q).Run(EngineGPU)
+		cpu := Compile(testDS, q).Run(EngineCPU)
 		if gpu.Seconds >= cpu.Seconds {
 			t.Errorf("%s: GPU (%.6f) not faster than CPU (%.6f)", q.ID, gpu.Seconds, cpu.Seconds)
 		}
@@ -162,7 +162,7 @@ func TestEngineRelativeOrder(t *testing.T) {
 	q, _ := ByID("q2.1")
 	times := map[Engine]float64{}
 	for _, e := range Engines() {
-		times[e] = Run(big, q, e).Seconds
+		times[e] = Compile(big, q).Run(e).Seconds
 	}
 	if times[EngineCPU] >= times[EngineHyper] {
 		t.Errorf("CPU (%.6f) should beat Hyper stand-in (%.6f)", times[EngineCPU], times[EngineHyper])
@@ -182,7 +182,7 @@ func TestCoprocessorBoundByPCIe(t *testing.T) {
 	// Section 3.1: the coprocessor runtime is lower bounded by shipping the
 	// referenced columns over PCIe.
 	q, _ := ByID("q1.1")
-	res := Compile(testDS, q).RunCoprocessor()
+	res := Compile(testDS, q).Run(EngineCoproc)
 	// q1.1 references 4 fact columns.
 	minTransfer := float64(4*4*testDS.Lineorder.Rows()) / 12.8e9
 	if res.Seconds < minTransfer {
@@ -214,7 +214,8 @@ func TestPipelineStatsSanity(t *testing.T) {
 		t.Errorf("part filter selectivity = %.3f", frac)
 	}
 
-	_, st := runPipeline(testDS, q, builds)
+	plan := Compile(testDS, q)
+	_, st := plan.scan(plan.morselRun(RunOptions{}))
 	if st.rows != int64(testDS.Lineorder.Rows()) {
 		t.Error("stats rows wrong")
 	}
@@ -248,8 +249,8 @@ func TestPipelineStatsSanity(t *testing.T) {
 func TestQ1FlightSelectivities(t *testing.T) {
 	// SSB q1.1 keeps roughly 1/7 * 3/11 * 0.48 ~ 1.9% of the fact table.
 	q, _ := ByID("q1.1")
-	builds := buildTables(testDS, q)
-	_, st := runPipeline(testDS, q, builds)
+	plan := Compile(testDS, q)
+	_, st := plan.scan(plan.morselRun(RunOptions{}))
 	sel := float64(st.out) / float64(st.rows)
 	if sel < 0.012 || sel > 0.028 {
 		t.Errorf("q1.1 selectivity = %.4f, want ~0.019", sel)
@@ -263,7 +264,7 @@ func TestRunPanicsOnUnknownEngine(t *testing.T) {
 		}
 	}()
 	q, _ := ByID("q1.1")
-	Run(testDS, q, Engine("nope"))
+	Compile(testDS, q).Run(Engine("nope"))
 }
 
 func TestFactColAndDimTablePanics(t *testing.T) {

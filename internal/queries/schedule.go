@@ -37,9 +37,8 @@ type ExecutorResult struct {
 }
 
 // ScheduledResult is the outcome of one scheduled execution: the merged
-// result plus the per-executor telemetry and the merge-phase pricing. It
-// is the single merge/stats surface behind RunPartitioned, RunFleet and
-// RunHybrid.
+// result plus the per-executor telemetry and the merge-phase pricing —
+// the one result shape of every placement (single engine, fleet, hybrid).
 type ScheduledResult struct {
 	// Result is the merged result: Seconds is the schedule makespan (the
 	// slowest executor plus the partial-aggregate merge), TransferBytes
@@ -264,8 +263,13 @@ func (x *gpuDeviceExecutor) Execute(a sched.Assignment) sched.Partial {
 	return part
 }
 
-// ScheduleEngine places every morsel on a single engine executor — the
-// schedule behind Run and RunPartitioned (the coprocessor path included).
+// ScheduleEngine places every morsel on a single engine executor (the
+// coprocessor path included), with the fact table split into
+// opts.Partition.Partitions zone-mapped morsels. Rows are identical at any
+// partition count; simulated seconds are identical too whenever no morsel
+// is pruned (morsel boundaries are tile-aligned, so the per-morsel traffic
+// statistics sum exactly to the monolithic pass's), and strictly cheaper
+// when zone maps skip morsels.
 func (p *Plan) ScheduleEngine(e Engine, opts RunOptions) sched.Schedule {
 	var t0 time.Time
 	if opts.Trace {
@@ -292,9 +296,22 @@ func (p *Plan) ScheduleEngine(e Engine, opts RunOptions) sched.Schedule {
 }
 
 // ScheduleFleet range-shards the morsels over the fleet's devices
-// (fleet.Assign, spill accounting against each device's MemoryBytes) —
-// the schedule behind RunFleet. Partitions below fl.GPUs are raised to
+// (fleet.Assign, spill accounting against each device's MemoryBytes): each
+// device runs the tile-based GPU kernel over its own shard concurrently —
+// one launch per device, every foreign tile skipped, so a device charges
+// exactly its shard's traffic — and the partial aggregates merge on the
+// host across the interconnect. Partitions below fl.GPUs are raised to
 // fl.GPUs so every device gets a shard where the morsel count allows one.
+//
+// Rows are identical to a single-device run at any shard count. Simulated
+// seconds follow the bandwidth model — near-linear scaling on scan-bound
+// queries until the per-device launch and replicated dimension builds
+// dominate, with the merge term growing with group cardinality and
+// shrinking with interconnect bandwidth. Shards that exceed device memory
+// degrade gracefully: the spilled morsels stay host-resident and their
+// referenced columns cross the interconnect, priced like a coprocessor
+// transfer (overlapped with execution, packed runs shipping packed bytes,
+// and opts.Fleet.Residency able to elide them entirely).
 func (p *Plan) ScheduleFleet(fl fleet.Spec, opts RunOptions) (sched.Schedule, error) {
 	fl, err := fl.Normalized()
 	if err != nil {
@@ -339,17 +356,15 @@ func (p *Plan) ScheduleFleet(fl fleet.Spec, opts RunOptions) (sched.Schedule, er
 	return s, nil
 }
 
-// RunScheduled is the single execution entry point every run path wraps:
-// it runs each assignment on its executor, merges the partial aggregates
+// RunScheduled is the single execution entry point: it runs each assignment on its executor, merges the partial aggregates
 // key-wise on the host (integer sums — or slot-wise accumulator merges for
 // multi-aggregate statements, every operator associative and commutative —
 // so rows are identical to a monolithic run at any split), takes the
 // makespan over the concurrent executors, and prices the partial-aggregate
 // merge of the link-crossing assignments. A query with ORDER BY then runs
 // the sort phase on the placement's own hardware (executeSort) and appends
-// its priced seconds. RunPartitioned, RunFleet, RunMultiGPU and RunHybrid
-// are thin wrappers over this method, so merge, sort, stats and telemetry
-// behave identically across every placement.
+// its priced seconds. Every placement goes through this method, so merge,
+// sort, stats and telemetry behave identically across them.
 func (p *Plan) RunScheduled(s sched.Schedule) (*ScheduledResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

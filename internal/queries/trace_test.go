@@ -150,14 +150,14 @@ func TestTraceOffReturnsNoSpans(t *testing.T) {
 	if sr.Trace != nil {
 		t.Error("untraced engine run returned a span tree")
 	}
-	fr, err := plan.RunFleet(fleet.Spec{GPUs: 2, Link: fleet.Interconnects()[0]}, opts)
+	fr, err := runFleet(plan, fleet.Spec{GPUs: 2, Link: fleet.Interconnects()[0]}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fr.Trace != nil {
 		t.Error("untraced fleet run returned a span tree")
 	}
-	hr, err := plan.RunHybrid(fleet.Spec{GPUs: 2, Link: fleet.Interconnects()[0]}, -1, opts)
+	hr, err := runHybrid(plan, fleet.Spec{GPUs: 2, Link: fleet.Interconnects()[0]}, -1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +178,11 @@ func TestTracedRunsMatchUntraced(t *testing.T) {
 	traced.Trace = true
 
 	spec := fleet.Spec{GPUs: 4, Link: fleet.Interconnects()[1]}
-	fr0, err := plan.RunFleet(spec, base)
+	fr0, err := runFleet(plan, spec, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr1, err := plan.RunFleet(spec, traced)
+	fr1, err := runFleet(plan, spec, traced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +193,11 @@ func TestTracedRunsMatchUntraced(t *testing.T) {
 		t.Error("tracing changed the fleet result")
 	}
 
-	hr0, err := plan.RunHybrid(spec, 0.5, base)
+	hr0, err := runHybrid(plan, spec, 0.5, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hr1, err := plan.RunHybrid(spec, 0.5, traced)
+	hr1, err := runHybrid(plan, spec, 0.5, traced)
 	if err != nil {
 		t.Fatal(err)
 	}

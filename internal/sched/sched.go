@@ -26,8 +26,8 @@
 //     devices (and engine workers) running concurrently.
 //
 // The split helpers (CPUFraction, SplitHybrid) are the mechanism shared by
-// the hybrid executor (queries.Plan.RunHybrid) and the hybrid cost model
-// (planner.HybridCost): both sides derive the CPU/GPU division from the
+// the hybrid executor (queries.Plan.ScheduleHybrid) and the hybrid cost
+// model (planner.HybridCost): both sides derive the CPU/GPU division from the
 // same code, so the model can never price a placement the executor would
 // not produce.
 package sched

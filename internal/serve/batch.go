@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"errors"
-	"strconv"
 	"time"
 
-	"crystal/internal/device"
 	"crystal/internal/fleet"
 	"crystal/internal/planner"
 	"crystal/internal/queries"
@@ -26,111 +23,41 @@ type batchShape struct {
 	packed       bool
 }
 
-// canonBatchReq mirrors execute()'s request canonicalization for the batch
-// former and reports whether the request is batchable at all. Requests that
-// fail to parse are left for the solo path to report; NoCache requests
-// (explicitly standalone) and residency-dependent shapes (coprocessor or
-// constrained-fleet packed runs, whose solo seconds depend on device-cache
-// state the batch path never consults) are never batched.
-func (s *Service) canonBatchReq(req Request) (Request, fleet.Interconnect, bool) {
-	var link fleet.Interconnect
-	if req.NoCache {
-		return req, link, false
+// batchKey reduces a request to its batchShape, or reports it unbatchable.
+// Requests that fail to normalize are left for the solo path to report;
+// NoCache requests (explicitly standalone) and residency-dependent shapes
+// (coprocessor or constrained-fleet packed runs, whose solo seconds depend
+// on device-cache state the batch path never consults) are never batched.
+func (s *Service) batchKey(req Request) (batchShape, bool) {
+	norm, _, err := normalize(req)
+	if err != nil || norm.NoCache || s.coprocResidency(norm) || s.fleetResidency(norm) {
+		return batchShape{}, false
 	}
-	engine := queries.EngineGPU
-	if req.Engine != "" || req.Placement == "" {
-		var err error
-		if engine, err = ParseEngine(string(req.Engine)); err != nil {
-			return req, link, false
-		}
-	}
-	if req.Partitions < 0 {
-		req.Partitions = 0
-	}
-	if req.GPUs < 0 {
-		req.GPUs = 0
-	}
-	req.Engine = engine
-	switch {
-	case req.Placement != "":
-		placement, err := ParsePlacement(req.Placement)
-		if err != nil || engine != queries.EngineGPU {
-			return req, link, false
-		}
-		req.Placement = placement
-		if req.GPUs == 0 {
-			req.GPUs = 1
-		}
-		if link, err = fleet.ParseInterconnect(req.Interconnect); err != nil {
-			return req, link, false
-		}
-		req.Interconnect = link.Name
-		if req.Partitions < req.GPUs+1 {
-			req.Partitions = req.GPUs + 1
-		}
-	case req.GPUs > 0:
-		if engine != queries.EngineGPU {
-			return req, link, false
-		}
-		var err error
-		if link, err = fleet.ParseInterconnect(req.Interconnect); err != nil {
-			return req, link, false
-		}
-		req.Interconnect = link.Name
-		if req.Partitions < req.GPUs {
-			req.Partitions = req.GPUs
-		}
-		if req.Packed && s.devCache != nil && s.opts.FleetDeviceMemoryBytes > 0 {
-			return req, link, false // per-device residency shape
-		}
-	default:
-		req.Interconnect = ""
-		if req.Packed && engine == queries.EngineCoproc && s.devCache != nil {
-			return req, link, false // coprocessor residency shape
-		}
-	}
-	return req, link, true
+	return batchShape{
+		engine:       norm.Engine,
+		placement:    norm.Placement,
+		interconnect: norm.Interconnect,
+		partitions:   norm.Partitions,
+		gpus:         norm.GPUs,
+		packed:       norm.Packed,
+	}, true
 }
 
-// resultCached reports whether the canonical result-cache entry for req at
-// generation gen is already present. Cache-resident work gains nothing from a
-// shared scan — a solo pickup replays the stored rows without executing — so
-// the batch former leaves it on the solo path: a cached leader executes (and
-// replays) alone, a cached drained peer goes back to its queue position. The
-// key mirrors execute()'s resultKey exactly, including the partition raise
-// and effective-partition clamp applied before that key is built.
+// resultCached reports whether the result-cache entry for req at generation
+// gen is already present. Cache-resident work gains nothing from a shared
+// scan — a solo pickup replays the stored rows without executing — so the
+// batch former leaves it on the solo path: a cached leader executes (and
+// replays) alone, a cached drained peer goes back to its queue position.
 func (s *Service) resultCached(ds *ssb.Dataset, gen uint64, canon string, req Request) bool {
-	creq, _, ok := s.canonBatchReq(req)
-	if !ok {
+	norm, _, err := normalize(req)
+	if err != nil {
 		return false
 	}
-	if creq.Placement != "" || creq.GPUs > 0 {
-		if eff := ssb.EffectivePartitions(ds.Lineorder.Rows(), creq.Partitions); eff > 0 {
-			creq.Partitions = eff
-		}
-	}
-	key := cacheKey(strconv.FormatUint(gen, 10), canon, string(creq.Engine), strconv.Itoa(creq.Partitions),
-		packedKey(creq.Packed), strconv.Itoa(creq.GPUs), creq.Interconnect, creq.Placement)
+	key := resultKey(gen, canon, effective(norm, ds.Lineorder.Rows()))
 	s.cacheMu.Lock()
 	_, hit := s.results.get(key)
 	s.cacheMu.Unlock()
 	return hit
-}
-
-// batchKey reduces a request to its batchShape, or reports it unbatchable.
-func (s *Service) batchKey(req Request) (batchShape, bool) {
-	creq, _, ok := s.canonBatchReq(req)
-	if !ok {
-		return batchShape{}, false
-	}
-	return batchShape{
-		engine:       creq.Engine,
-		placement:    creq.Placement,
-		interconnect: creq.Interconnect,
-		partitions:   creq.Partitions,
-		gpus:         creq.GPUs,
-		packed:       creq.Packed,
-	}, true
 }
 
 // formBatch drains up to MaxBatch-1 pending requests that can share the
@@ -207,9 +134,10 @@ func (s *Service) formBatch(leader *job) []*job {
 // machinery cannot represent, and formBatch already diverted cache-resident
 // work to the solo replay path — but shares the bind and plan caches, pays
 // Options.ExecDelay once for the whole batch, publishes each member's result
-// under its solo resultKey for later replays, and reports each member with
+// under its solo result key for later replays, and reports each member with
 // the same rows and simulated seconds its solo run would have produced
-// (queries.RunBatch's row-identity invariant), plus the Batched telemetry.
+// (queries.RunBatchScheduled's row-identity invariant), plus the Batched
+// telemetry.
 func (s *Service) executeBatch(leader *job, leaderWait time.Duration, peers []*job) {
 	start := time.Now()
 	jobs := append([]*job{leader}, peers...)
@@ -228,91 +156,63 @@ func (s *Service) executeBatch(leader *job, leaderWait time.Duration, peers []*j
 		jobs[i].done <- Response{Request: jobs[i].req, Version: version, QueueWait: waits[i], Err: err}
 	}
 
-	// Canonicalize every member against the snapshot. All members matched
-	// one batchShape, so the canonical fields agree; the effective partition
-	// count depends only on the snapshot and the shared partition count.
-	var link fleet.Interconnect
-	reqs := make([]Request, len(jobs))
-	for i, j := range jobs {
-		creq, lk, ok := s.canonBatchReq(j.req)
-		if !ok {
-			// Unreachable: formBatch only batches canonicalizable shapes.
-			for k := range jobs {
-				fail(k, errors.New("serve: batch member lost its shape"))
-			}
-			return
-		}
-		link = lk
-		reqs[i] = creq
-	}
-	req0 := reqs[0]
-	if req0.Placement != "" || req0.GPUs > 0 {
-		if eff := ssb.EffectivePartitions(ds.Lineorder.Rows(), req0.Partitions); eff > 0 {
-			for i := range reqs {
-				reqs[i].Partitions = eff
-			}
-			req0 = reqs[0]
-		}
-	}
-
-	// Bind and compile each member through the shared bind/plan caches.
-	// A member that fails to bind (possible if a SetDataset raced in since
-	// the batch formed) fails alone; the rest still batch.
+	// Normalize, bind and compile each member against the snapshot through
+	// the shared bind/plan caches. All members matched one batchShape, so
+	// their normalized fields — and the effective partition count, which
+	// depends only on the snapshot and the shared count — agree. A member
+	// that fails to bind (possible if a SetDataset raced in since the batch
+	// formed) fails alone; the rest still batch.
 	type liveMember struct {
 		idx        int
+		req        Request
 		q          queries.Query
 		canon      string
-		plan       *queries.Plan
 		bindWall   time.Duration
 		planWall   time.Duration
 		planCached bool
 	}
-	genKey := strconv.FormatUint(gen, 10)
-	var live []liveMember
-	for i := range jobs {
-		bindStart := time.Now()
-		q, canon, err := s.resolve(ds, gen, reqs[i])
-		bindWall := time.Since(bindStart)
+	var (
+		live  []liveMember
+		plans []*queries.Plan
+		qs    []queries.Query
+		link  fleet.Interconnect
+	)
+	for i, j := range jobs {
+		norm, lk, err := normalize(j.req)
 		if err != nil {
 			fail(i, err)
 			continue
 		}
-		planKey := cacheKey(genKey, canon)
-		s.cacheMu.Lock()
-		var entry *planEntry
-		cached := false
-		if v, ok := s.plans.get(planKey); ok {
-			entry = v.(*planEntry)
-			cached = true
-		} else {
-			entry = &planEntry{}
-			if s.generation() == gen {
-				s.plans.put(planKey, entry)
-			}
+		m := liveMember{idx: i, req: effective(norm, ds.Lineorder.Rows())}
+		bindStart := time.Now()
+		m.q, m.canon, err = s.resolve(ds, gen, m.req)
+		m.bindWall = time.Since(bindStart)
+		if err != nil {
+			fail(i, err)
+			continue
 		}
-		s.cacheMu.Unlock()
-		planStart := time.Now()
-		entry.once.Do(func() { entry.plan = queries.Compile(ds, q) })
-		live = append(live, liveMember{
-			idx:        i,
-			q:          q,
-			canon:      canon,
-			plan:       entry.plan,
-			bindWall:   bindWall,
-			planWall:   time.Since(planStart),
-			planCached: cached,
-		})
+		var plan *queries.Plan
+		plan, m.planCached, m.planWall = s.plan(ds, gen, m.q, m.canon)
+		link = lk
+		live, plans, qs = append(live, m), append(plans, plan), append(qs, m.q)
 	}
 	if len(live) == 0 {
 		return
 	}
+	failLive := func(err error) {
+		for _, m := range live {
+			fail(m.idx, err)
+		}
+	}
 
-	opts := queries.RunOptions{}
-	opts.Partition.Partitions = req0.Partitions
-	opts.Partition.Limiter = s.morsels
-	opts.Trace = s.recorder != nil
-	if req0.Packed {
-		opts.Partition.Packed = s.packedFact(gen, ds)
+	req0 := live[0].req
+	rt, err := s.route(ds, gen, req0, link, func(fl fleet.Spec, packed *ssb.PackedFact) (planner.Placement, error) {
+		choice, _, err := planner.ChooseBatchPlacement(fl, ds, qs, plans[0].Morsels(req0.Partitions), packed)
+		return choice, err
+	})
+	if err != nil {
+		failLive(err)
+		return
 	}
 	if s.opts.ExecDelay > 0 {
 		// Once per batch, not per member: the wall-clock counterpart of the
@@ -320,53 +220,7 @@ func (s *Service) executeBatch(leader *job, leaderWait time.Duration, peers []*j
 		// simulated slow backend.
 		time.Sleep(s.opts.ExecDelay)
 	}
-
-	plans := make([]*queries.Plan, len(live))
-	qs := make([]queries.Query, len(live))
-	for li, m := range live {
-		plans[li] = m.plan
-		qs[li] = m.q
-	}
-
-	failLive := func(err error) {
-		for _, m := range live {
-			fail(m.idx, err)
-		}
-	}
-	var br *queries.BatchResult
-	var err error
-	placement := req0.Placement
-	switch {
-	case req0.Placement != "":
-		fl := fleet.Spec{GPUs: req0.GPUs, Link: link}
-		if placement == PlacementAuto {
-			choice, _, cerr := planner.ChooseBatchPlacement(fl, ds, qs,
-				plans[0].Morsels(req0.Partitions), opts.Partition.Packed)
-			if cerr != nil {
-				failLive(cerr)
-				return
-			}
-			placement = string(choice)
-		}
-		frac := -1.0 // hybrid: the throughput-balanced default split
-		switch placement {
-		case PlacementCPU:
-			frac = 1
-		case PlacementGPU:
-			frac = 0
-		}
-		br, err = queries.RunBatchHybrid(plans, fl, frac, opts)
-	case req0.GPUs > 0:
-		dev := device.V100()
-		if s.opts.FleetDeviceMemoryBytes > 0 {
-			d := *dev
-			d.MemoryBytes = s.opts.FleetDeviceMemoryBytes
-			dev = &d
-		}
-		br, err = queries.RunBatchFleet(plans, fleet.Spec{GPUs: req0.GPUs, Device: dev, Link: link}, opts)
-	default:
-		br, err = queries.RunBatch(plans, req0.Engine, opts)
-	}
+	br, err := queries.RunBatchScheduled(plans, rt.opts, rt.schedule)
 	if err != nil {
 		failLive(err)
 		return
@@ -374,41 +228,20 @@ func (s *Service) executeBatch(leader *job, leaderWait time.Duration, peers []*j
 
 	s.recordBatch(br.SharedScanBytes, br.SoloScanBytes)
 	for li, lm := range live {
-		i := li
-		m := br.Members[i]
+		m := br.Members[li]
 		resp := Response{
-			Request:   reqs[lm.idx],
-			Adhoc:     reqs[lm.idx].SQL != "",
-			Packed:    reqs[lm.idx].Packed,
-			QueueWait: waits[lm.idx],
-			Version:   version,
-			Query:     lm.q,
+			Request:           lm.req,
+			Adhoc:             lm.req.SQL != "",
+			Packed:            lm.req.Packed,
+			QueueWait:         waits[lm.idx],
+			Version:           version,
+			Query:             lm.q,
+			PlanCached:        lm.planCached,
+			Batched:           true,
+			BatchSize:         len(live),
+			BatchShareSeconds: m.ShareSeconds,
 		}
-		resp.Result = m.Result
-		resp.Result.QueryID = lm.q.ID
-		resp.SimSeconds = m.Result.Seconds
-		resp.Morsels = m.Result.Morsels
-		resp.Pruned = m.Result.Pruned
-		resp.TransferBytes = m.Result.TransferBytes
-		resp.ResidentCols = m.Result.ResidentCols
-		resp.PlanCached = lm.planCached
-		resp.Batched = true
-		resp.BatchSize = len(live)
-		resp.BatchShareSeconds = m.ShareSeconds
-		switch {
-		case req0.Placement != "":
-			resp.Placement = placement
-			resp.CPUFrac = br.CPUFrac
-			resp.GPUs = br.GPUs
-			resp.Interconnect = br.Interconnect
-			resp.Executors = m.Executors
-			resp.MergeBytes = m.MergeBytes
-		case req0.GPUs > 0:
-			resp.GPUs = br.GPUs
-			resp.Interconnect = br.Interconnect
-			resp.Devices = queries.FleetDevices(m.Executors)
-			resp.MergeBytes = m.MergeBytes
-		}
+		rt.report(&resp, m.ScheduledResult)
 		resp.Wall = time.Since(start)
 		if s.recorder != nil {
 			// The run span is the batch span: every member's trace shows the
@@ -416,26 +249,12 @@ func (s *Service) executeBatch(leader *job, leaderWait time.Duration, peers []*j
 			s.finishTrace(&resp, start, waits[lm.idx], lm.bindWall, lm.planWall, br.Trace)
 		}
 
-		// Publish the member's result under its solo resultKey, exactly as
-		// execute() would have: rows and simulated seconds are identical to
-		// the solo run (RunBatch's row-identity invariant) and batch members
-		// are never residency-dependent shapes, so the entry replays
-		// deterministically. Batch provenance is per-request telemetry, not
-		// part of the replayed identity, so the stored copy drops it.
-		cached := resp
-		cached.Result = resp.Result.Clone()
-		cached.Devices = append([]queries.FleetDevice(nil), resp.Devices...)
-		cached.Executors = append([]queries.ExecutorResult(nil), resp.Executors...)
-		cached.Trace = nil
-		cached.TraceID = ""
-		cached.QueueWait = 0
-		cached.Batched = false
-		cached.BatchSize = 0
-		cached.BatchShareSeconds = 0
-		resultKey := cacheKey(genKey, lm.canon, string(reqs[lm.idx].Engine), strconv.Itoa(reqs[lm.idx].Partitions),
-			packedKey(reqs[lm.idx].Packed), strconv.Itoa(reqs[lm.idx].GPUs), reqs[lm.idx].Interconnect, reqs[lm.idx].Placement)
+		// Publish the member's result under its solo result key, exactly as
+		// execute would have: rows and simulated seconds are identical to
+		// the solo run and batch members are never residency-dependent
+		// shapes, so the entry replays deterministically.
 		s.cacheMu.Lock()
-		s.results.put(resultKey, &cached)
+		s.results.put(resultKey(gen, lm.canon, lm.req), stored(&resp))
 		s.cacheMu.Unlock()
 
 		s.recordStats(resp)

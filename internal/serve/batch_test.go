@@ -724,7 +724,7 @@ func TestQueueSmallHelpers(t *testing.T) {
 // skips formation entirely, and batch members publish their results so
 // later identical requests replay from cache.
 func TestBatchSkipsCachedWork(t *testing.T) {
-	s := New(testData(), "v1", Options{Workers: 1, QueueDepth: 16, MaxBatch: 8, ResultCacheSize: 8})
+	s := New(testData(), "v1", Options{Workers: 1, QueueDepth: 16, MaxBatch: 8, ResultCacheSize: 16})
 	defer s.Close()
 	ctx := context.Background()
 	mk := func(id string) Request { return Request{QueryID: id, Engine: queries.EngineCPU} }
@@ -813,5 +813,62 @@ func TestBatchSkipsCachedWork(t *testing.T) {
 	}
 	if st := s.Stats(); st.Batches != 1 {
 		t.Errorf("cached pair formed a batch: batches=%d, want still 1", st.Batches)
+	}
+
+	// Members are published under the one result key every spelling of a
+	// request normalizes to: a request first answered inside a batch replays
+	// from cache when it comes back solo spelled differently — engine alias,
+	// GPUs left to the placement default, negative or oversize partition
+	// counts (a placement raises them to GPUs+1 and the shard map clamps
+	// them to the tile count, two at this scale).
+	for _, tc := range []struct {
+		name               string
+		batched, respelled func(id string) Request
+	}{
+		{"classic dispatch",
+			func(id string) Request { return Request{QueryID: id, Engine: queries.EngineCPU} },
+			func(id string) Request { return Request{QueryID: id, Engine: "cpu", Partitions: -3, GPUs: -1} }},
+		{"placement",
+			func(id string) Request {
+				return Request{QueryID: id, Placement: "hybrid", GPUs: 1, Interconnect: "pcie", Partitions: 1 << 10}
+			},
+			func(id string) Request {
+				return Request{QueryID: id, Engine: "gpu", Placement: " Hybrid ", Partitions: -7}
+			}},
+	} {
+		started, release := blockExecutions(s)
+		blocker, err := s.Submit(ctx, Request{QueryID: "q3.1", Engine: queries.EngineCPU, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-started
+		flight := []string{"q2.1", "q2.2", "q2.3"}
+		chans := make([]<-chan Response, len(flight))
+		for i, id := range flight {
+			if chans[i], err = s.Submit(ctx, tc.batched(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(release)
+		if resp := <-blocker; resp.Err != nil {
+			t.Fatalf("%s: blocker failed: %v", tc.name, resp.Err)
+		}
+		for i, id := range flight {
+			first := <-chans[i]
+			if first.Err != nil || !first.Batched {
+				t.Fatalf("%s %s: err=%v batched=%v, want a batch member", tc.name, id, first.Err, first.Batched)
+			}
+			rep, err := s.Do(ctx, tc.respelled(id))
+			if err != nil {
+				t.Fatalf("%s %s respelled: %v", tc.name, id, err)
+			}
+			if !rep.ResultCached || rep.Batched {
+				t.Errorf("%s %s respelled: resultCached=%v batched=%v, want a cache replay", tc.name, id, rep.ResultCached, rep.Batched)
+			}
+			if !rep.Result.Equal(first.Result) || rep.SimSeconds != first.SimSeconds || rep.Request != first.Request {
+				t.Errorf("%s %s respelled: replay differs from the batch member's answer (request %+v vs %+v)",
+					tc.name, id, rep.Request, first.Request)
+			}
+		}
 	}
 }

@@ -22,13 +22,14 @@
 //
 // The simulated engine times are unaffected by serving: a cache-hit plan
 // re-charges its build traffic exactly as a cold run would, so a served
-// Result is row-for-row and second-for-second identical to sequential
-// queries.Run. What serving changes is the wall clock — the host executes
-// the functional work once and fans requests out across cores — which is
-// the Stats split of simulated vs. wall-clock latency per engine. The one
-// deliberate exception is the packed coprocessor path with residency
-// caching: its seconds legitimately depend on device-cache state, so those
-// responses bypass the result cache instead of replaying a stale transfer.
+// Result is row-for-row and second-for-second identical to a sequential
+// queries.Plan.RunScheduled. What serving changes is the wall clock — the
+// host executes the functional work once and fans requests out across cores
+// — which is the Stats split of simulated vs. wall-clock latency per engine.
+// The one deliberate exception is the packed coprocessor path with
+// residency caching: its seconds legitimately depend on device-cache state,
+// so those responses bypass the result cache instead of replaying a stale
+// transfer.
 package serve
 
 import (
@@ -45,6 +46,7 @@ import (
 	"crystal/internal/fleet"
 	"crystal/internal/planner"
 	"crystal/internal/queries"
+	"crystal/internal/sched"
 	sqlfe "crystal/internal/sql"
 	"crystal/internal/ssb"
 	"crystal/internal/trace"
@@ -237,9 +239,9 @@ type Options struct {
 	// scan-compatible with the picked job (same engine/partitions/packed
 	// mode/fleet shape, overlapping fact-column footprint —
 	// queries.Compatible) and executes the whole batch through one shared
-	// morsel scan (queries.RunBatch), charging shared column traffic once.
-	// Each member's rows and simulated seconds are identical to its solo
-	// run. 0 or 1 disables batching (the default). Batched executions
+	// morsel scan (queries.RunBatchScheduled), charging shared column traffic
+	// once. Each member's rows and simulated seconds are identical to its
+	// solo run. 0 or 1 disables batching (the default). Batched executions
 	// bypass the result cache and single-flight coalescing — they are
 	// multi-query units the per-key machinery cannot represent — and never
 	// consult residency caches; NoCache requests and residency-dependent
@@ -550,9 +552,6 @@ func (s *Service) SetDataset(version string, ds *ssb.Dataset) {
 // (gpus × effective partitions): different shard maps spill different
 // byte ranges of a column, which must never satisfy each other's lookups.
 func (s *Service) fleetResidencies(gen uint64, gpus, partitions int) []queries.Residency {
-	if partitions < gpus {
-		partitions = gpus // RunFleet raises the morsel count the same way
-	}
 	shape := strconv.Itoa(gpus) + "x" + strconv.Itoa(partitions)
 	s.fleetMu.Lock()
 	for len(s.fleetCaches) < gpus {
@@ -779,71 +778,264 @@ func (s *Service) resolve(ds *ssb.Dataset, gen uint64, req Request) (queries.Que
 	}
 }
 
-// execute runs one request on the calling worker goroutine. queueWait is
-// how long the request sat in the queue before this worker picked it up.
-func (s *Service) execute(req Request, queueWait time.Duration) Response {
-	start := time.Now()
-
-	// Canonicalize the engine so aliases ("gpu") hit the same cache entries
-	// and dispatch as their full names. Placement requests may leave the
-	// engine empty — the placement router owns engine choice and runs the
-	// tile-based kernels on its GPU arms.
+// normalize canonicalizes the request fields that do not depend on the
+// dataset — engine aliases, the placement and interconnect spellings, the
+// GPU arm's default size, negative counts, and the morsel-count floor a
+// fleet (GPUs) or placement (GPUs+1, every arm can own a morsel) schedule
+// raises small partition counts to — so every spelling of one request
+// dispatches, batches and caches alike. It returns the error a request with
+// an unparseable field is answered with; the batch former treats that as
+// "not batchable" and leaves the request for the solo path to report.
+func normalize(req Request) (Request, fleet.Interconnect, error) {
+	var link fleet.Interconnect
+	// Placement requests may leave the engine empty — the placement router
+	// owns engine choice and runs the tile-based kernels on its GPU arms.
 	engine := queries.EngineGPU
 	if req.Engine != "" || req.Placement == "" {
 		var err error
-		engine, err = ParseEngine(string(req.Engine))
-		if err != nil {
-			s.recordError()
-			return Response{Request: req, Err: err}
+		if engine, err = ParseEngine(string(req.Engine)); err != nil {
+			return req, link, err
 		}
 	}
-	if req.Partitions < 0 {
-		req.Partitions = 0
-	}
-	if req.GPUs < 0 {
-		req.GPUs = 0
-	}
 	req.Engine = engine
-	var link fleet.Interconnect
+	req.Partitions = max(req.Partitions, 0)
+	req.GPUs = max(req.GPUs, 0)
+	floor := req.GPUs // morsels a fleet schedule needs: one per device
 	switch {
 	case req.Placement != "":
 		placement, err := ParsePlacement(req.Placement)
 		if err != nil {
-			s.recordError()
-			return Response{Request: req, Err: err}
+			return req, link, err
 		}
-		req.Placement = placement // canonicalize for cache keys and stats
+		req.Placement = placement
 		if engine != queries.EngineGPU {
-			s.recordError()
-			return Response{Request: req, Err: fmt.Errorf(
+			return req, link, fmt.Errorf(
 				"serve: placement routing owns engine choice; leave Engine empty or name %q, got %q",
-				queries.EngineGPU, engine)}
+				queries.EngineGPU, engine)
 		}
-		if req.GPUs == 0 {
-			req.GPUs = 1 // the GPU arm's default fleet size
-		}
-		if link, err = fleet.ParseInterconnect(req.Interconnect); err != nil {
-			s.recordError()
-			return Response{Request: req, Err: err}
-		}
-		req.Interconnect = link.Name
+		req.GPUs = max(req.GPUs, 1) // the GPU arm's default fleet size
+		floor = req.GPUs + 1
 	case req.GPUs > 0:
 		if engine != queries.EngineGPU {
-			s.recordError()
-			return Response{Request: req, Err: fmt.Errorf(
+			return req, link, fmt.Errorf(
 				"serve: fleet execution runs the tile-based kernels; engine must be %q, got %q",
-				queries.EngineGPU, engine)}
+				queries.EngineGPU, engine)
 		}
-		var err error
-		if link, err = fleet.ParseInterconnect(req.Interconnect); err != nil {
-			s.recordError()
-			return Response{Request: req, Err: err}
-		}
-		req.Interconnect = link.Name // canonicalize for cache keys and stats
 	default:
 		req.Interconnect = ""
+		return req, link, nil
 	}
-	resp := Response{Request: req, Adhoc: req.SQL != "", Packed: req.Packed, QueueWait: queueWait}
+	link, err := fleet.ParseInterconnect(req.Interconnect)
+	if err != nil {
+		return req, link, err
+	}
+	req.Interconnect = link.Name
+	req.Partitions = max(req.Partitions, floor)
+	return req, link, nil
+}
+
+// effective clamps a normalized fleet or placement request's morsel count
+// to the one the dataset's shard map actually has (ssb.Partition caps it at
+// the tile count), so requests that execute the same split share result
+// keys and residency pins.
+func effective(req Request, rows int) Request {
+	if req.Placement != "" || req.GPUs > 0 {
+		if eff := ssb.EffectivePartitions(rows, req.Partitions); eff > 0 {
+			req.Partitions = eff
+		}
+	}
+	return req
+}
+
+// resultKey is the result-cache and single-flight key of a normalized,
+// effective request at dataset generation gen. The partition count and
+// encoding are part of the result identity: rows always agree, but a pruned
+// partitioned run or a packed run reports different
+// Seconds/Morsels/Pruned/TransferBytes than a plain monolithic one, and
+// those must replay deterministically. The requested placement joins the key
+// too ("auto" stays "auto": the planner's choice is deterministic per
+// generation, so the cached response replays it exactly).
+func resultKey(gen uint64, canon string, req Request) string {
+	return cacheKey(strconv.FormatUint(gen, 10), canon, string(req.Engine), strconv.Itoa(req.Partitions),
+		packedKey(req.Packed), strconv.Itoa(req.GPUs), req.Interconnect, req.Placement)
+}
+
+// coprocResidency and fleetResidency report whether a normalized request's
+// simulated seconds depend on device-cache state (cold vs warm transfer).
+// Such responses are not replayable: coprocessor residency requests bypass
+// the result cache and single-flight entirely, and packed fleet requests
+// with per-device caches enabled may still look up — only responses that
+// touched no residency state (nothing spilled, nothing resident) are ever
+// stored, and those are deterministic. Neither shape is ever batched.
+// Placement runs never consult residency caches.
+func (s *Service) coprocResidency(req Request) bool {
+	return req.Packed && req.Engine == queries.EngineCoproc && s.devCache != nil
+}
+
+func (s *Service) fleetResidency(req Request) bool {
+	return req.Placement == "" && req.GPUs > 0 && req.Packed && s.devCache != nil && s.opts.FleetDeviceMemoryBytes > 0
+}
+
+// plan returns the compiled plan for q through the plan cache: a
+// once-guarded entry is installed on a miss so concurrent misses for the
+// same (generation, canonical query) compile a single plan. The install is
+// skipped if the dataset moved on since the snapshot — the entry would be
+// keyed by a dead generation and only waste an LRU slot.
+func (s *Service) plan(ds *ssb.Dataset, gen uint64, q queries.Query, canon string) (plan *queries.Plan, cached bool, wall time.Duration) {
+	key := cacheKey(strconv.FormatUint(gen, 10), canon)
+	s.cacheMu.Lock()
+	var entry *planEntry
+	if v, ok := s.plans.get(key); ok {
+		entry, cached = v.(*planEntry), true
+	} else {
+		entry = &planEntry{}
+		if s.generation() == gen {
+			s.plans.put(key, entry)
+		}
+	}
+	s.cacheMu.Unlock()
+	start := time.Now()
+	entry.once.Do(func() { entry.plan = queries.Compile(ds, q) })
+	return entry.plan, cached, time.Since(start)
+}
+
+// route is the execution shape of one normalized, effective request: its
+// run options and placement resolved, ready to schedule any plan compiled
+// for it. It is the one place a request becomes a sched.Schedule — a solo
+// execution schedules its plan through it, a shared-scan batch every
+// member's.
+type route struct {
+	req  Request
+	fl   fleet.Spec // the fleet, or a placement's GPU arm
+	opts queries.RunOptions
+	// placement is the resolved placement ("auto" replaced by the planner's
+	// choice; empty for classic dispatch) and cpuFrac the live-row share a
+	// hybrid schedule routed to the CPU arm, known once schedule has run.
+	placement string
+	cpuFrac   float64
+}
+
+// route resolves req's run options, fleet shape and placement. auto is
+// consulted for "auto" placements only: the planner's choice among the
+// host-resident placements, deterministic per generation (same dataset,
+// same morsel map, same choice — which is what lets "auto" responses
+// cache).
+func (s *Service) route(ds *ssb.Dataset, gen uint64, req Request, link fleet.Interconnect,
+	auto func(fleet.Spec, *ssb.PackedFact) (planner.Placement, error)) (*route, error) {
+	r := &route{req: req, placement: req.Placement}
+	r.opts.Partition.Partitions = req.Partitions
+	r.opts.Partition.Limiter = s.morsels
+	r.opts.Trace = s.recorder != nil
+	if req.Packed {
+		r.opts.Partition.Packed = s.packedFact(gen, ds)
+		switch {
+		case s.fleetResidency(req):
+			r.opts.Fleet.Residency = s.fleetResidencies(gen, req.GPUs, req.Partitions)
+		case s.coprocResidency(req):
+			r.opts.Partition.Residency = boundResidency{cache: s.devCache, gen: gen}
+		}
+	}
+	switch {
+	case req.Placement != "":
+		r.fl = fleet.Spec{GPUs: req.GPUs, Link: link}
+		if req.Placement == PlacementAuto {
+			choice, err := auto(r.fl, r.opts.Partition.Packed)
+			if err != nil {
+				return nil, err
+			}
+			r.placement = string(choice)
+		}
+	case req.GPUs > 0:
+		dev := device.V100()
+		if s.opts.FleetDeviceMemoryBytes > 0 {
+			d := *dev
+			d.MemoryBytes = s.opts.FleetDeviceMemoryBytes
+			dev = &d
+		}
+		r.fl = fleet.Spec{GPUs: req.GPUs, Device: dev, Link: link}
+	}
+	return r, nil
+}
+
+// schedule places plan p the way the request asked: a placement co-executes
+// the CPU and GPU arms over a split of the morsels (pure CPU and pure GPU
+// are its end points), a fleet request range-shards them over the devices,
+// and classic dispatch runs them all on the named engine.
+func (r *route) schedule(p *queries.Plan) (sched.Schedule, error) {
+	switch {
+	case r.placement != "":
+		frac := -1.0 // hybrid: the throughput-balanced default split
+		switch r.placement {
+		case PlacementCPU:
+			frac = 1
+		case PlacementGPU:
+			frac = 0
+		}
+		sc, resolved, err := p.ScheduleHybrid(r.fl, frac, r.opts)
+		r.cpuFrac = resolved
+		return sc, err
+	case r.req.GPUs > 0:
+		return p.ScheduleFleet(r.fl, r.opts)
+	default:
+		return p.ScheduleEngine(r.req.Engine, r.opts), nil
+	}
+}
+
+// report copies a scheduled run's outcome into the response in the wire
+// shape of the request's dispatch: placement requests report their
+// executors, fleet requests the fleet-shaped per-device view.
+func (r *route) report(resp *Response, sr *queries.ScheduledResult) {
+	resp.Result = sr.Result
+	resp.Result.QueryID = resp.Query.ID
+	resp.SimSeconds = sr.Result.Seconds
+	resp.Morsels = sr.Result.Morsels
+	resp.Pruned = sr.Result.Pruned
+	resp.TransferBytes = sr.Result.TransferBytes
+	resp.ResidentCols = sr.Result.ResidentCols
+	switch {
+	case r.placement != "":
+		resp.Placement = r.placement
+		resp.CPUFrac = r.cpuFrac
+		resp.Executors = sr.Executors
+	case r.req.GPUs > 0:
+		resp.Devices = queries.FleetDevices(sr.Executors)
+	default:
+		return
+	}
+	resp.GPUs = r.req.GPUs
+	resp.Interconnect = r.req.Interconnect
+	resp.MergeBytes = sr.MergeBytes
+}
+
+// stored returns the copy of an executed response that caches and flights
+// keep: its own Result and telemetry slices (the caller owns the ones it was
+// handed and may mutate them), and none of the per-request observations —
+// traces, queue wait and batch provenance are never replayed.
+func stored(resp *Response) *Response {
+	c := *resp
+	c.Result = resp.Result.Clone()
+	c.Devices = append([]queries.FleetDevice(nil), resp.Devices...)
+	c.Executors = append([]queries.ExecutorResult(nil), resp.Executors...)
+	c.Trace = nil
+	c.TraceID = ""
+	c.QueueWait = 0
+	c.Batched = false
+	c.BatchSize = 0
+	c.BatchShareSeconds = 0
+	return &c
+}
+
+// execute runs one request on the calling worker goroutine. queueWait is
+// how long the request sat in the queue before this worker picked it up.
+func (s *Service) execute(req Request, queueWait time.Duration) Response {
+	start := time.Now()
+	norm, link, err := normalize(req)
+	if err != nil {
+		s.recordError()
+		return Response{Request: req, Err: err}
+	}
+	resp := Response{Request: norm, Adhoc: norm.SQL != "", Packed: norm.Packed, QueueWait: queueWait}
+	coalesceable := !norm.NoCache && !s.coprocResidency(norm)
 
 	// Snapshot → resolve → lookup-or-lead runs in a retry loop. SetDataset
 	// bumps the generation and then purges the caches, so a request that
@@ -854,95 +1046,37 @@ func (s *Service) execute(req Request, queueWait time.Duration) Response {
 	// current and starts over when it is not, which makes lookup-or-lead
 	// atomic with respect to the swap's bump-then-purge and keeps
 	// exactly-one-execution per (key, generation) strict.
-	origReq := req
 	var (
-		ds              *ssb.Dataset
-		version         string
-		gen             uint64
-		q               queries.Query
-		canon           string
-		bindWall        time.Duration
-		coprocResidency bool
-		fleetResidency  bool
-		genKey          string
-		resultKey       string
+		ds       *ssb.Dataset
+		gen      uint64
+		q        queries.Query
+		canon    string
+		bindWall time.Duration
+		key      string
 	)
 	for {
-		req = origReq
 		s.mu.RLock()
-		ds, version, gen = s.ds, s.version, s.gen
+		ds, resp.Version, gen = s.ds, s.version, s.gen
 		s.mu.RUnlock()
-		resp.Version = version
-
-		if req.Placement != "" {
-			// Key the effective morsel shape: RunHybrid raises the morsel count
-			// to GPUs+1 (every arm can own a morsel) and ssb.Partition clamps it
-			// to the tile count, so requests that execute the same split share
-			// result-cache entries.
-			if req.Partitions < req.GPUs+1 {
-				req.Partitions = req.GPUs + 1
-			}
-			if eff := ssb.EffectivePartitions(ds.Lineorder.Rows(), req.Partitions); eff > 0 {
-				req.Partitions = eff
-			}
-			resp.Request = req
-		} else if req.GPUs > 0 {
-			// Key the effective shard shape, not the requested one: RunFleet
-			// raises the morsel count to the fleet size and ssb.Partition
-			// clamps it to the tile count, so requests that execute the same
-			// shard map share result-cache entries and residency pins.
-			if req.Partitions < req.GPUs {
-				req.Partitions = req.GPUs
-			}
-			if eff := ssb.EffectivePartitions(ds.Lineorder.Rows(), req.Partitions); eff > 0 {
-				req.Partitions = eff
-			}
-			resp.Request = req
-		}
+		req = effective(norm, ds.Lineorder.Rows())
+		resp.Request = req
 
 		// bindWall times query resolution for the trace's bind span; stamped
 		// unconditionally (two clock reads), consumed only when tracing.
 		bindStart := time.Now()
-		var err error
 		q, canon, err = s.resolve(ds, gen, req)
 		bindWall = time.Since(bindStart)
 		if err != nil {
-			resp.Err = err
-			s.recordError()
-			return resp
+			return s.failed(&resp, err)
 		}
 		resp.Query = q
-
-		// The partition count and encoding are part of the result identity:
-		// rows always agree, but a pruned partitioned run or a packed run
-		// reports different Seconds/Morsels/Pruned/TransferBytes than a plain
-		// monolithic one, and those must replay deterministically. Packed
-		// coprocessor requests with residency caching are the one exception:
-		// their seconds depend on device-cache state (cold vs warm transfer),
-		// so they bypass the result cache entirely rather than replay a stale
-		// transfer time.
-		// Residency-dependent paths and the result cache: coprocessor
-		// residency responses always bypass it (their seconds differ cold vs
-		// warm). Packed fleet requests with per-device caches enabled may
-		// still *look up* — only responses that touched no residency state
-		// (nothing spilled, nothing resident) are ever stored, and those are
-		// deterministic — but a response with spill traffic or elisions is
-		// never cached.
-		coprocResidency = req.Packed && req.Engine == queries.EngineCoproc && s.devCache != nil
-		fleetResidency = req.Placement == "" && req.GPUs > 0 && req.Packed && s.devCache != nil && s.opts.FleetDeviceMemoryBytes > 0
-		genKey = strconv.FormatUint(gen, 10)
-		// The requested placement joins the key ("auto" stays "auto": the
-		// planner's choice is deterministic per generation, so the cached
-		// response replays it exactly). Placement runs never consult residency
-		// caches — their seconds are deterministic, so they always cache.
-		resultKey = cacheKey(genKey, canon, string(req.Engine), strconv.Itoa(req.Partitions), packedKey(req.Packed),
-			strconv.Itoa(req.GPUs), req.Interconnect, req.Placement)
+		key = resultKey(gen, canon, req)
 		// Cache lookup and single-flight formation are one critical section
 		// under cacheMu: a coalesceable request either hits the cache, joins
 		// the in-progress flight for its key, or registers itself as the
 		// leader — so for any (key, generation) at most one execution ever
 		// runs, no matter how the misses interleave with the leader's fill.
-		if coalesceable := !req.NoCache && !coprocResidency; !coalesceable {
+		if !coalesceable {
 			break
 		}
 		s.cacheMu.Lock()
@@ -954,7 +1088,7 @@ func (s *Service) execute(req Request, queueWait time.Duration) Response {
 			s.cacheMu.Unlock()
 			continue
 		}
-		if v, ok := s.results.get(resultKey); ok {
+		if v, ok := s.results.get(key); ok {
 			s.cacheMu.Unlock()
 			// Hand out a copy: callers may mutate Groups in place, and the
 			// cached rows must stay identical to sequential execution. The
@@ -963,7 +1097,7 @@ func (s *Service) execute(req Request, queueWait time.Duration) Response {
 			s.replay(&resp, v.(*Response), q, start, queueWait, bindWall, false)
 			return resp
 		}
-		if f, ok := s.flights[resultKey]; ok {
+		if f, ok := s.flights[key]; ok {
 			s.cacheMu.Unlock()
 			// Follower: an identical request is already executing against
 			// this generation. Wait for the leader and replay its outcome —
@@ -977,138 +1111,46 @@ func (s *Service) execute(req Request, queueWait time.Duration) Response {
 				if err == nil {
 					err = errors.New("serve: coalesced execution did not complete")
 				}
-				resp.Err = err
-				s.recordError()
-				return resp
+				return s.failed(&resp, err)
 			}
 			s.replay(&resp, f.resp, q, start, queueWait, bindWall, true)
 			return resp
 		}
 		f := &flight{done: make(chan struct{})}
-		s.flights[resultKey] = f
+		s.flights[key] = f
 		// Deferred so even a panicking leader releases its followers.
-		defer s.completeFlight(f, resultKey, &resp)
+		defer s.completeFlight(f, key, &resp)
 		s.cacheMu.Unlock()
 		break
 	}
 	if s.execHook != nil {
-		s.execHook(resultKey)
+		s.execHook(key)
 	}
 	if s.opts.ExecDelay > 0 {
 		time.Sleep(s.opts.ExecDelay)
 	}
 
-	// Plan lookup: install a once-guarded entry so concurrent misses for
-	// the same (generation, canonical query) compile a single plan. The
-	// install is skipped if the dataset moved on since the snapshot — the
-	// entry would be keyed by a dead generation and only waste an LRU slot.
-	planKey := cacheKey(genKey, canon)
-	s.cacheMu.Lock()
-	var entry *planEntry
-	if v, ok := s.plans.get(planKey); ok {
-		entry = v.(*planEntry)
-		resp.PlanCached = true
-	} else {
-		entry = &planEntry{}
-		if s.generation() == gen {
-			s.plans.put(planKey, entry)
-		}
+	plan, planCached, planWall := s.plan(ds, gen, q, canon)
+	resp.PlanCached = planCached
+	rt, err := s.route(ds, gen, req, link, func(fl fleet.Spec, packed *ssb.PackedFact) (planner.Placement, error) {
+		choice, _, err := planner.ChoosePlacement(fl, ds, q, plan.Morsels(req.Partitions), packed)
+		return choice, err
+	})
+	if err != nil {
+		return s.failed(&resp, err)
 	}
-	s.cacheMu.Unlock()
-
-	planStart := time.Now()
-	entry.once.Do(func() { entry.plan = queries.Compile(ds, q) })
-	planWall := time.Since(planStart)
-	opts := queries.RunOptions{}
-	opts.Partition.Partitions = req.Partitions
-	opts.Partition.Limiter = s.morsels
-	opts.Trace = s.recorder != nil
-	if req.Packed {
-		opts.Partition.Packed = s.packedFact(gen, ds)
-		if fleetResidency {
-			opts.Fleet.Residency = s.fleetResidencies(gen, req.GPUs, req.Partitions)
-		} else if coprocResidency {
-			opts.Partition.Residency = boundResidency{cache: s.devCache, gen: gen}
-		}
+	sc, err := rt.schedule(plan)
+	if err != nil {
+		return s.failed(&resp, err)
 	}
-	var runSpan *trace.Span
-	switch {
-	case req.Placement != "":
-		fl := fleet.Spec{GPUs: req.GPUs, Link: link}
-		placement := req.Placement
-		if placement == PlacementAuto {
-			// Deterministic per generation: same dataset, same morsel map,
-			// same choice — which is what lets "auto" responses cache.
-			choice, _, err := planner.ChoosePlacement(fl, ds, q,
-				entry.plan.Morsels(req.Partitions), opts.Partition.Packed)
-			if err != nil {
-				resp.Err = err
-				s.recordError()
-				return resp
-			}
-			placement = string(choice)
-		}
-		frac := -1.0 // hybrid: the throughput-balanced default split
-		switch placement {
-		case PlacementCPU:
-			frac = 1
-		case PlacementGPU:
-			frac = 0
-		}
-		hr, err := entry.plan.RunHybrid(fl, frac, opts)
-		if err != nil {
-			resp.Err = err
-			s.recordError()
-			return resp
-		}
-		resp.Result = hr.Result
-		resp.Placement = placement
-		resp.CPUFrac = hr.CPUFrac
-		resp.GPUs = hr.GPUs
-		resp.Interconnect = hr.Interconnect
-		resp.Executors = hr.Executors
-		resp.MergeBytes = hr.MergeBytes
-		runSpan = hr.Trace
-	case req.GPUs > 0:
-		dev := device.V100()
-		if s.opts.FleetDeviceMemoryBytes > 0 {
-			d := *dev
-			d.MemoryBytes = s.opts.FleetDeviceMemoryBytes
-			dev = &d
-		}
-		fr, err := entry.plan.RunFleet(fleet.Spec{GPUs: req.GPUs, Device: dev, Link: link}, opts)
-		if err != nil {
-			resp.Err = err
-			s.recordError()
-			return resp
-		}
-		resp.Result = fr.Result
-		resp.GPUs = fr.GPUs
-		resp.Interconnect = fr.Interconnect
-		resp.Devices = fr.Devices
-		resp.MergeBytes = fr.MergeBytes
-		runSpan = fr.Trace
-	default:
-		// Classic engine dispatch runs through the same scheduled path
-		// RunPartitioned wraps, unwrapped here so the run's span tree is
-		// available when tracing.
-		sr, err := entry.plan.RunScheduled(entry.plan.ScheduleEngine(req.Engine, opts))
-		if err != nil {
-			// Unreachable: ScheduleEngine covers every morsel exactly once.
-			panic("serve: invalid engine schedule: " + err.Error())
-		}
-		resp.Result = sr.Result
-		runSpan = sr.Trace
+	sr, err := plan.RunScheduled(sc)
+	if err != nil {
+		return s.failed(&resp, err)
 	}
-	resp.Result.QueryID = q.ID
-	resp.SimSeconds = resp.Result.Seconds
-	resp.Morsels = resp.Result.Morsels
-	resp.Pruned = resp.Result.Pruned
-	resp.TransferBytes = resp.Result.TransferBytes
-	resp.ResidentCols = resp.Result.ResidentCols
+	rt.report(&resp, sr)
 	resp.Wall = time.Since(start)
 	if s.recorder != nil {
-		s.finishTrace(&resp, start, queueWait, bindWall, planWall, runSpan)
+		s.finishTrace(&resp, start, queueWait, bindWall, planWall, sr.Trace)
 	}
 
 	// Store unconditionally, even when the dataset was swapped while this
@@ -1119,22 +1161,12 @@ func (s *Service) execute(req Request, queueWait time.Duration) Response {
 	// the key a second time. That store-after-swap is what keeps
 	// exactly-one-execution per (key, generation) strict; dead-generation
 	// entries merely age out of the LRU. Residency-dependent responses
-	// are never cached; see the result-cache comment above.
-	cacheable := !coprocResidency &&
-		(!fleetResidency || (resp.TransferBytes == 0 && resp.ResidentCols == 0))
+	// are never cached; see coprocResidency.
+	cacheable := !s.coprocResidency(req) &&
+		(!s.fleetResidency(req) || (resp.TransferBytes == 0 && resp.ResidentCols == 0))
 	if cacheable {
-		// The cache keeps its own copy for the same reason the hit path
-		// clones: the caller owns the returned Result (and Devices).
-		cached := resp
-		cached.Result = resp.Result.Clone()
-		cached.Devices = append([]queries.FleetDevice(nil), resp.Devices...)
-		cached.Executors = append([]queries.ExecutorResult(nil), resp.Executors...)
-		// Traces are per-request observations, never replayed from cache.
-		cached.Trace = nil
-		cached.TraceID = ""
-		cached.QueueWait = 0
 		s.cacheMu.Lock()
-		s.results.put(resultKey, &cached)
+		s.results.put(key, stored(&resp))
 		s.cacheMu.Unlock()
 	}
 	s.recordStats(resp)
@@ -1179,17 +1211,9 @@ func (s *Service) replay(resp *Response, stored *Response, q queries.Query, star
 // flight with neither resp nor err and synthesize an error).
 func (s *Service) completeFlight(f *flight, key string, resp *Response) {
 	if resp.Err == nil && resp.Result != nil {
-		// Publish a cache-entry-shaped copy: followers clone from it the
-		// same way cache hits clone, and never share mutable state with
-		// the leader's caller.
-		lead := *resp
-		lead.Result = resp.Result.Clone()
-		lead.Devices = append([]queries.FleetDevice(nil), resp.Devices...)
-		lead.Executors = append([]queries.ExecutorResult(nil), resp.Executors...)
-		lead.Trace = nil
-		lead.TraceID = ""
-		lead.QueueWait = 0
-		f.resp = &lead
+		// Followers clone from the stored copy the same way cache hits
+		// clone, and never share mutable state with the leader's caller.
+		f.resp = stored(resp)
 	} else {
 		f.err = resp.Err
 	}
@@ -1253,6 +1277,13 @@ func (s *Service) recordStats(resp Response) {
 	s.statsMu.Lock()
 	s.stats.record(resp)
 	s.statsMu.Unlock()
+}
+
+// failed completes resp with err and counts the error.
+func (s *Service) failed(resp *Response, err error) Response {
+	resp.Err = err
+	s.recordError()
+	return *resp
 }
 
 func (s *Service) recordError() {

@@ -62,7 +62,7 @@ func TestEquivalenceWithSequentialRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := queries.Run(ds, q, reqs[i].Engine)
+		want := queries.Compile(ds, q).Run(reqs[i].Engine)
 		queriestest.SameRun(t, fmt.Sprintf("%s on %s served", q.ID, reqs[i].Engine), resp.Result, want)
 	}
 	st := s.Stats()
@@ -225,7 +225,7 @@ func TestSetDatasetInvalidation(t *testing.T) {
 	if fresh.PlanCached || fresh.ResultCached {
 		t.Error("request after swap must recompile and recompute")
 	}
-	want := queries.Compile(next, mustQuery(t, "q1.1")).RunCPU()
+	want := queries.Compile(next, mustQuery(t, "q1.1")).Run(queries.EngineCPU)
 	if !fresh.Result.Equal(want) {
 		t.Error("post-swap result does not match the new dataset")
 	}
@@ -702,7 +702,7 @@ func TestPartitionedConcurrency(t *testing.T) {
 	want := map[string]*queries.Result{}
 	for _, id := range []string{"q1.1", "q2.1", "q3.2"} {
 		q, _ := queries.ByID(id)
-		want[id] = queries.Run(ds, q, queries.EngineCPU)
+		want[id] = queries.Compile(ds, q).Run(queries.EngineCPU)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)

@@ -32,8 +32,8 @@ func TestThirteenQueriesRoundTripThroughSQL(t *testing.T) {
 		}
 		physEqual := bound.Canonical() == hand.Canonical()
 		for _, e := range queries.Engines() {
-			want := queries.Run(goldenDS, hand, e)
-			got := queries.Run(goldenDS, bound, e)
+			want := queries.Compile(goldenDS, hand).Run(e)
+			got := queries.Compile(goldenDS, bound).Run(e)
 			if !got.Equal(want) {
 				t.Errorf("%s on %s: SQL-bound rows differ from hand-built", hand.ID, e)
 			}
@@ -77,13 +77,13 @@ func TestAdhocQueryRunsEverywhere(t *testing.T) {
 		t.Fatal("ad-hoc query selected no rows; pick a wider predicate")
 	}
 	for _, e := range queries.Engines() {
-		got := queries.Run(goldenDS, q, e)
+		got := queries.Compile(goldenDS, q).Run(e)
 		if !got.Equal(want) {
 			t.Errorf("%s disagrees with reference on ad-hoc query", e)
 		}
 	}
 	// Payloads decode through the bound query like any catalog query.
-	rows := q.DecodeRows(queries.Run(goldenDS, q, queries.EngineGPU))
+	rows := q.DecodeRows(queries.Compile(goldenDS, q).Run(queries.EngineGPU))
 	for _, r := range rows {
 		if len(r.Labels) != 2 {
 			t.Fatalf("decoded row labels = %v", r.Labels)
@@ -102,7 +102,7 @@ func TestOptimizeGroupedPreservesRows(t *testing.T) {
 	want := queries.Reference(goldenDS, q)
 	for _, dev := range []*device.Spec{device.V100(), device.I76900()} {
 		opt := planner.OptimizeGrouped(dev, goldenDS, q)
-		got := queries.Run(goldenDS, opt, queries.EngineGPU)
+		got := queries.Compile(goldenDS, opt).Run(queries.EngineGPU)
 		if !got.Equal(want) {
 			t.Errorf("%s: optimized join order changed the result rows", dev.Name)
 		}

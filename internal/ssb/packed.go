@@ -91,9 +91,9 @@ func MorselColumnBytes(pf *PackedFact, m Morsel, col string) int64 {
 
 // MorselStorageBytes returns the morsel's storage footprint across every
 // fact column in the encoding the run scans. It is the byte function fleet
-// shard placement uses; the executor (queries.RunFleet) and the cost model
-// (planner.FleetCost) both price placement through it, which is what keeps
-// them agreeing about which morsels fit a device and which spill.
+// shard placement uses; the executor (queries.Plan.ScheduleFleet) and the
+// cost model (planner.FleetCost) both price placement through it, which is
+// what keeps them agreeing about which morsels fit a device and which spill.
 func MorselStorageBytes(pf *PackedFact, m Morsel) int64 {
 	var b int64
 	for _, col := range FactColumns() {
