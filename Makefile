@@ -80,7 +80,7 @@ lint:
 	fi
 
 # One iteration of every Go benchmark: the end-to-end ones at the root and
-# the per-layer scan-kernel benchmark in internal/queries.
+# the per-layer scan-kernel and batch-entry benchmarks in internal/queries.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/queries
 

@@ -3,6 +3,7 @@ package queries
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"crystal/internal/sched"
 	"crystal/internal/trace"
@@ -78,12 +79,13 @@ func apportion(total int64, weights []int64) []int64 {
 type BatchMember struct {
 	// Query is the member's compiled query.
 	Query Query
-	// ScheduledResult is the outcome of the member's own solo schedule — the
-	// execution telemetry (Result.Seconds, Morsels, TransferBytes, ...,
-	// Executors, MergeBytes, MergeSeconds) a solo run of the same request
-	// reports — with Result's rows taken from the shared scan, which are
-	// byte-identical to the solo rows by construction (tile-aligned chunks
-	// make the per-member statistics and aggregates exactly additive).
+	// ScheduledResult is what a solo RunScheduled of the member's schedule
+	// reports — rows, Result.Seconds, Morsels, TransferBytes, ..., Executors,
+	// MergeBytes, MergeSeconds — deep-equal to it. A CPU-family member is
+	// priced from its seat in the shared pass (see RunBatchScheduled); a
+	// member that still executes carries its own run's telemetry with the
+	// rows of the shared scan, byte-identical by construction (tile-aligned
+	// chunks make the per-member statistics and aggregates exactly additive).
 	*ScheduledResult
 	// ShareSeconds is the member's share of the batch's simulated time:
 	// its solo seconds discounted by the fraction of its scan lines the
@@ -127,15 +129,27 @@ type BatchResult struct {
 // one scanKernel pass over the union of the members' live morsels (opts
 // resolves the pass's morsel map and fact encoding), so shared column lines
 // stream once and the saved traffic is split across members
-// (BatchMember.ScanBytes, sum-exact). scheduleOf places each member: its own
-// solo schedule prices it, so a member's Result.Seconds is exactly its solo
-// seconds while ShareSeconds carries the discounted split, summing exactly
-// to BatchResult.Seconds. Each member's rows are byte-identical to its solo
-// RunScheduled, and a batch of one is identical to the solo run.
+// (BatchMember.ScanBytes, sum-exact). scheduleOf places each member, and the
+// placement decides what the pass is to it:
+//
+//   - A single-engine schedule on a CPU-family engine (CPU, Hyper, MonetDB,
+//     Omnisci — engines that are the scan plus arithmetic over its
+//     statistics) is seated: its executor is handed the member's slice of
+//     the shared pass and RunScheduled prices, merges, finalizes and sorts
+//     it exactly as it does a solo scan. The batch scans once.
+//   - GPU, coprocessor, fleet and hybrid schedules execute on their own
+//     executors, which restrict the morsel set or meter per tile; their rows
+//     are then taken from the shared scan.
+//
+// Either way a member's ScheduledResult deep-equals its solo RunScheduled —
+// Result.Seconds is exactly its solo seconds — while ShareSeconds carries
+// the discounted split, summing exactly to BatchResult.Seconds; a batch of
+// one is identical to the solo run.
 //
 // Every member must be compiled against one dataset and scheduled over the
-// shared pass's morsel map; a schedule with a different morsel count is
-// rejected (fleet and hybrid schedules raise small partition counts, so the
+// shared pass's extent: a schedule with a different morsel count, fact
+// encoding, pruning mask or plan is rejected with an error naming the
+// member (fleet and hybrid schedules raise small partition counts, so the
 // caller passes opts with the count already raised). Residency caching is
 // not consulted for the shared pass; callers batch only shapes whose solo
 // seconds do not depend on residency state.
@@ -143,16 +157,27 @@ func RunBatchScheduled(plans []*Plan, opts RunOptions, scheduleOf func(*Plan) (s
 	if len(plans) == 0 {
 		return nil, errors.New("queries: empty batch")
 	}
+	// Place and check every member before anything scans: a seat is only
+	// valid for the extent it was scanned over.
 	members := make([]scanMember, len(plans))
+	scheds := make([]sched.Schedule, len(plans))
 	for i, p := range plans {
 		if p.ds != plans[0].ds {
 			return nil, fmt.Errorf("queries: batch member %d compiled against a different dataset", i)
 		}
 		members[i] = scanMember{p: p, ms: p.morselRun(opts)}
+		s, err := scheduleOf(p)
+		if err != nil {
+			return nil, err
+		}
+		if err := sameExtent(s, members[i]); err != nil {
+			return nil, fmt.Errorf("queries: batch member %d (%s) %w", i, p.Query.ID, err)
+		}
+		scheds[i] = s
 	}
 	morsels := len(members[0].ms.morsels)
 
-	raws, sts, union64, _ := scanKernel(members)
+	raws, sts, union64 := scanKernel(members)
 
 	out := &BatchResult{}
 	for _, v := range union64 {
@@ -181,27 +206,22 @@ func RunBatchScheduled(plans []*Plan, opts RunOptions, scheduleOf func(*Plan) (s
 
 	var memberSpans []*trace.Span
 	for i, p := range plans {
-		q := p.Query
-		s, err := scheduleOf(p)
-		if err != nil {
-			return nil, err
-		}
-		if s.Morsels != morsels {
-			return nil, fmt.Errorf("queries: batch member %d is scheduled over %d morsels, the shared pass has %d",
-				i, s.Morsels, morsels)
-		}
+		q, s := p.Query, scheds[i]
+		seated := seatMember(&s, &scanSeat{res: raws[i], st: sts[i]})
 		sr, err := p.RunScheduled(s)
 		if err != nil {
 			return nil, err
 		}
-		// Finalize the shared scan's raw aggregates into the member's rows;
-		// ORDER BY runs on the member's own schedule hardware, exactly as the
-		// solo run prices it (the sort seconds are already inside sr).
-		raw := raws[i]
-		finalizeGroups(&q, newAggState(&q), raw.accs, raw)
-		sr.Result.Groups, sr.Result.Aggs = raw.Groups, raw.Aggs
-		if len(q.OrderBy) > 0 {
-			sr.Result.Ordered = p.executeSort(s, resultRows(&q, raw)).rows
+		if !seated {
+			// The member executed on its own schedule: take its rows from the
+			// shared scan. ORDER BY re-runs on the schedule's hardware exactly
+			// as the solo run priced it (the sort seconds are already in sr).
+			raw := raws[i]
+			finalizeGroups(&q, newAggState(&q), raw.accs, raw)
+			sr.Result.Groups, sr.Result.Aggs = raw.Groups, raw.Aggs
+			if len(q.OrderBy) > 0 {
+				sr.Result.Ordered = p.executeSort(s, resultRows(&q, raw)).rows
+			}
 		}
 
 		ratio := 1.0
@@ -239,6 +259,65 @@ func RunBatchScheduled(plans []*Plan, opts RunOptions, scheduleOf func(*Plan) (s
 		}
 	}
 	return out, nil
+}
+
+// sameExtent checks that schedule s was built for member m over the run
+// extent the shared pass scanned it on — the morsel count, the fact encoding,
+// the per-morsel pruning mask and the plan itself. Solo seconds for one
+// extent must never be paired with scan traffic apportioned from another, and
+// a seat is only valid for the extent it was scanned over. Executors of other
+// packages (hand-built schedules) expose no extent; the schedule-level fields
+// are all that can be checked for them, and they are never seated.
+func sameExtent(s sched.Schedule, m scanMember) error {
+	if s.Morsels != len(m.ms.morsels) {
+		return fmt.Errorf("is scheduled over %d morsels, the shared pass has %d", s.Morsels, len(m.ms.morsels))
+	}
+	if s.Packed != (m.ms.packed != nil) {
+		return fmt.Errorf("is scheduled with packed=%v, the shared pass scans packed=%v", s.Packed, m.ms.packed != nil)
+	}
+	for ai := range s.Assignments {
+		var p *Plan
+		var ms *morselRun
+		switch x := s.Assignments[ai].Executor.(type) {
+		case engineExecutor:
+			p, ms = x.p, x.ms
+		case *gpuDeviceExecutor:
+			p, ms = x.p, x.ms
+		default:
+			continue
+		}
+		switch {
+		case ms.packed != m.ms.packed:
+			return errors.New("is scheduled over a different packed encoding than the shared pass scans")
+		case !slices.Equal(ms.pruned, m.ms.pruned):
+			return errors.New("is scheduled over a different pruning mask than the shared pass")
+		case p != m.p:
+			return errors.New("is scheduled for a different plan than the one seated in the shared pass")
+		}
+	}
+	return nil
+}
+
+// seatMember hands a member's slice of the shared pass to its schedule when
+// the schedule is one the pass can stand in for: a single engineExecutor
+// assignment covering every morsel on a CPU-family engine, whose Execute is
+// scan + price(stats). The caller has verified the extent (sameExtent) and
+// gives the seat up: RunScheduled adopts its accumulator vectors. Every other
+// shape — GPU and coprocessor engines, fleets, hybrid splits — is left to
+// execute and reports false.
+func seatMember(s *sched.Schedule, seat *scanSeat) bool {
+	if len(s.Assignments) != 1 || len(s.Assignments[0].Morsels) != s.Morsels {
+		return false
+	}
+	x, ok := s.Assignments[0].Executor.(engineExecutor)
+	if !ok || !cpuFamily(x.e) {
+		return false
+	}
+	x.seat = seat
+	a := s.Assignments[0]
+	a.Executor = x
+	s.Assignments = []sched.Assignment{a} // the builder's slice is not ours to edit
+	return true
 }
 
 // RunBatch is RunBatchScheduled with every member on the single engine e —

@@ -4,11 +4,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"crystal/internal/fleet"
 	"crystal/internal/queries/queriestest"
 	"crystal/internal/sched"
+	"crystal/internal/ssb"
 	"crystal/internal/trace"
 )
 
@@ -98,8 +103,13 @@ func TestScanFootprintCompatible(t *testing.T) {
 // the same schedule — across engines, partition counts, packed/plain
 // encodings, fleet shapes and hybrid splits, ORDER BY/LIMIT included — while
 // the batch's shared traffic never exceeds the sum of the solo scans and the
-// per-member shares sum exactly back to the batch totals.
+// per-member shares sum exactly back to the batch totals. Its two subtests
+// pin what pricing CPU-family members from their seat rests on: the priced
+// member deep-equals the executed solo run over a fixed matrix, and the batch
+// really scans once.
 func TestDifferentialBatchAgree(t *testing.T) {
+	t.Run("priced", pricedEqualsExecuted)
+	t.Run("scans once", batchScansOnce)
 	const rounds = 24
 	r := rand.New(rand.NewSource(20260808))
 	subadditive := 0
@@ -226,8 +236,151 @@ func TestDifferentialBatchAgree(t *testing.T) {
 	}
 }
 
+// pricedStatements are the statements of the priced-equals-executed matrix:
+// the catalog, a multi-aggregate statement (raw accumulator vectors cross the
+// seat) and an ORDER BY ... LIMIT one (the sort runs once, after the seat).
+func pricedStatements(t *testing.T) []Query {
+	t.Helper()
+	qs := All()
+	multi, err := ByID("q2.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi.ID = "multi"
+	multi.Aggs = []AggSpec{{Func: FuncSum, Expr: AggSumRevenue}, {Func: FuncAvg, Expr: AggSumRevenue}, {Func: FuncCount}}
+	top, err := ByID("q3.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	top.ID = "top"
+	top.OrderBy = []OrderKey{{Item: 0, Desc: true}, {Item: -1, Group: 0}}
+	top.Limit = 5
+	for _, q := range []Query{multi, top} {
+		if err := q.Validate(); err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+	}
+	return append(qs, multi, top)
+}
+
+// pricedEqualsExecuted is the matrix behind "a CPU-family batch member is
+// priced from its seat": statements x the four CPU-family engines x {plain,
+// packed} x {monolithic, 7 morsels, a clustered copy on which zone maps
+// prune}. The member's whole ScheduledResult — rows, Seconds bit for bit,
+// Morsels, Pruned, Packed, Ordered, Executors, merge pricing — deep-equals
+// the solo RunScheduled that scanned for itself, and its trace verifies and
+// holds one sort span exactly when the statement orders.
+func pricedEqualsExecuted(t *testing.T) {
+	stmts := pricedStatements(t)
+	clustered := diffDS.ClusterBy("orderdate")
+	layouts := []struct {
+		name   string
+		ds     *ssb.Dataset
+		packed *ssb.PackedFact
+		parts  int
+		prunes bool
+	}{
+		{"monolithic", diffDS, diffPacked, 0, false},
+		{"7 morsels", diffDS, diffPacked, 7, false},
+		{"clustered", clustered, clustered.Pack(), 16, true},
+	}
+	for _, lay := range layouts {
+		plans := make([]*Plan, len(stmts))
+		for i, q := range stmts {
+			plans[i] = Compile(lay.ds, q)
+		}
+		for _, packed := range []bool{false, true} {
+			opts := RunOptions{Partition: PartitionOptions{Partitions: lay.parts}, Trace: true}
+			if packed {
+				opts.Partition.Packed = lay.packed
+			}
+			for _, e := range []Engine{EngineCPU, EngineHyper, EngineMonet, EngineOmnisci} {
+				run := fmt.Sprintf("%s packed=%v %s", lay.name, packed, e)
+				br, err := RunBatch(plans, e, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", run, err)
+				}
+				if err := trace.VerifyBatch(br.Trace); err != nil {
+					t.Errorf("%s: batch trace invariant: %v", run, err)
+				}
+				pruned := 0
+				for i, m := range br.Members {
+					label := run + " " + stmts[i].ID
+					solo, err := plans[i].RunScheduled(plans[i].ScheduleEngine(e, opts))
+					if err != nil {
+						t.Fatalf("%s: solo failed: %v", label, err)
+					}
+					if math.Float64bits(m.Result.Seconds) != math.Float64bits(solo.Result.Seconds) {
+						t.Errorf("%s: priced seconds %x, executed %x", label,
+							math.Float64bits(m.Result.Seconds), math.Float64bits(solo.Result.Seconds))
+					}
+					if err := trace.Verify(m.ScheduledResult.Trace); err != nil {
+						t.Errorf("%s: member run trace invariant: %v", label, err)
+					}
+					sorts := 0
+					m.Trace.Walk(func(sp *trace.Span) {
+						if sp.Phase == trace.PhaseSort {
+							sorts++
+						}
+					})
+					if want := btoi(len(stmts[i].OrderBy) > 0); sorts != want {
+						t.Errorf("%s: %d sort spans in the member's tree, want %d", label, sorts, want)
+					}
+					// Span trees carry wall clocks; everything else must match.
+					got, want := *m.ScheduledResult, *solo
+					got.Trace, want.Trace = nil, nil
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: priced member differs from the executed solo run:\n got %+v %+v\nwant %+v %+v",
+							label, got, *got.Result, want, *want.Result)
+					}
+					pruned += m.Result.Pruned
+				}
+				if lay.prunes && pruned == 0 {
+					t.Errorf("%s: no morsel pruned; the clustered leg pins nothing", run)
+				}
+			}
+		}
+	}
+}
+
+// refusingGate counts helper requests and grants none: sim.RunWithHelpers
+// stops asking at the first refusal, so it sees exactly one TryAcquire per
+// scanKernel pass and per GPU launch that has work for a helper.
+type refusingGate struct{ asked atomic.Int64 }
+
+func (g *refusingGate) TryAcquire() bool { g.asked.Add(1); return false }
+func (g *refusingGate) Release()         {}
+
+// batchScansOnce pins the point of seating: an eight-member CPU batch makes
+// one scanKernel pass and nothing else (it made nine before members were
+// priced from their seat), while an eight-member GPU batch still makes the
+// shared pass plus one launch per member.
+func batchScansOnce(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 || testDS.Lineorder.Rows() < 2*chunkRows {
+		t.Skip("needs a helper slot and a table of at least two chunks to observe passes")
+	}
+	plans := make([]*Plan, 8)
+	for i, q := range All()[:8] {
+		plans[i] = Compile(testDS, q)
+	}
+	for _, c := range []struct {
+		e    Engine
+		want int64
+	}{{EngineCPU, 1}, {EngineMonet, 1}, {EngineGPU, 9}} {
+		gate := &refusingGate{}
+		opts := RunOptions{Partition: PartitionOptions{Partitions: 7, Limiter: gate}}
+		if _, err := RunBatch(plans, c.e, opts); err != nil {
+			t.Fatal(err)
+		}
+		if got := gate.asked.Load(); got != c.want {
+			t.Errorf("%s batch of %d: %d scan passes and launches, want %d", c.e, len(plans), got, c.want)
+		}
+	}
+}
+
 // TestBatchSingletonIdentity pins the degenerate batch: one member, whose
-// share is its entire solo run — bytes and seconds exactly, no discount.
+// share is its entire solo run — bytes and seconds exactly, no discount —
+// whether the member executes (GPU) or is priced from its seat (CPU).
 func TestBatchSingletonIdentity(t *testing.T) {
 	q, err := ByID("q2.1")
 	if err != nil {
@@ -235,25 +388,27 @@ func TestBatchSingletonIdentity(t *testing.T) {
 	}
 	p := Compile(diffDS, q)
 	opts := RunOptions{Partition: PartitionOptions{Partitions: 7}}
-	br, err := RunBatch([]*Plan{p}, EngineGPU, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := p.RunScheduled(p.ScheduleEngine(EngineGPU, opts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := br.Members[0]
-	queriestest.SameRun(t, "singleton batch", m.Result, sr.Result)
-	if m.ShareSeconds != sr.Result.Seconds {
-		t.Errorf("singleton share %.12f != solo %.12f", m.ShareSeconds, sr.Result.Seconds)
-	}
-	if br.Seconds != m.ShareSeconds {
-		t.Errorf("batch seconds %.12f != single share %.12f", br.Seconds, m.ShareSeconds)
-	}
-	if m.ScanBytes != m.SoloScanBytes || br.SharedScanBytes != br.SoloScanBytes {
-		t.Errorf("singleton scan bytes split: member %d/%d, batch %d/%d",
-			m.ScanBytes, m.SoloScanBytes, br.SharedScanBytes, br.SoloScanBytes)
+	for _, e := range []Engine{EngineGPU, EngineCPU} {
+		br, err := RunBatch([]*Plan{p}, e, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := p.RunScheduled(p.ScheduleEngine(e, opts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := br.Members[0]
+		queriestest.SameRun(t, "singleton batch on "+string(e), m.Result, sr.Result)
+		if m.ShareSeconds != sr.Result.Seconds {
+			t.Errorf("%s: singleton share %.12f != solo %.12f", e, m.ShareSeconds, sr.Result.Seconds)
+		}
+		if br.Seconds != m.ShareSeconds {
+			t.Errorf("%s: batch seconds %.12f != single share %.12f", e, br.Seconds, m.ShareSeconds)
+		}
+		if m.ScanBytes != m.SoloScanBytes || br.SharedScanBytes != br.SoloScanBytes {
+			t.Errorf("%s: singleton scan bytes split: member %d/%d, batch %d/%d",
+				e, m.ScanBytes, m.SoloScanBytes, br.SharedScanBytes, br.SoloScanBytes)
+		}
 	}
 }
 
@@ -292,9 +447,13 @@ func TestBatchSharedTrafficStrictlyLess(t *testing.T) {
 
 // TestBatchRejects pins the batch entry's checks: no members, members
 // compiled against different datasets, a member whose schedule cannot be
-// built, and a member scheduled over a morsel map other than the shared
-// pass's — what a fleet schedule's silent partition raise produces when the
-// caller's options do not carry the raised count.
+// built, and a member scheduled over another extent than the shared pass's —
+// a different morsel map (what a fleet schedule's silent partition raise
+// produces when the caller's options do not carry the raised count), the
+// other fact encoding, a different pruning mask or another plan. Each would
+// pair solo seconds for one extent with traffic apportioned from another, or
+// price a seat that was not scanned for the schedule; the error names the
+// member.
 func TestBatchRejects(t *testing.T) {
 	q, err := ByID("q1.1")
 	if err != nil {
@@ -322,5 +481,50 @@ func TestBatchRejects(t *testing.T) {
 	opts.Partition.Partitions = fl.GPUs
 	if _, err := RunBatchScheduled([]*Plan{plan}, opts, fleetOf); err != nil {
 		t.Errorf("raised partition count rejected: %v", err)
+	}
+
+	plain := RunOptions{Partition: PartitionOptions{Partitions: 16}}
+	packed := plain
+	packed.Partition.Packed = diffPacked
+	repacked := plain
+	repacked.Partition.Packed = diffDS.Pack()
+	clustered := Compile(diffDS.ClusterBy("orderdate"), q) // zone maps prune q1.1 here, never on diffDS
+	twin := Compile(diffDS, q)
+	for _, c := range []struct {
+		name     string
+		pass     RunOptions
+		schedule func(p *Plan) sched.Schedule
+		want     string
+	}{
+		{"packed schedule into a plain pass", plain,
+			func(p *Plan) sched.Schedule { return p.ScheduleEngine(EngineCPU, packed) }, "packed=true"},
+		{"plain schedule into a packed pass", packed,
+			func(p *Plan) sched.Schedule { return p.ScheduleEngine(EngineGPU, plain) }, "packed=false"},
+		{"schedule over another packed encoding", packed,
+			func(p *Plan) sched.Schedule { return p.ScheduleEngine(EngineCPU, repacked) }, "different packed encoding"},
+		{"schedule with a different pruning mask", plain,
+			func(*Plan) sched.Schedule { return clustered.ScheduleEngine(EngineCPU, plain) }, "pruning mask"},
+		{"fleet schedule with a different pruning mask", plain,
+			func(*Plan) sched.Schedule {
+				s, err := clustered.ScheduleFleet(fl, plain)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}, "pruning mask"},
+		{"schedule of another plan", plain,
+			func(*Plan) sched.Schedule { return twin.ScheduleEngine(EngineCPU, plain) }, "different plan"},
+	} {
+		_, err := RunBatchScheduled([]*Plan{twin, plan}, c.pass, func(p *Plan) (sched.Schedule, error) {
+			if p == twin {
+				return p.ScheduleEngine(EngineCPU, c.pass), nil
+			}
+			return c.schedule(p), nil
+		})
+		if err == nil {
+			t.Errorf("%s accepted", c.name)
+		} else if !strings.Contains(err.Error(), "member 1 (q1.1)") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name member 1 and %q", c.name, err, c.want)
+		}
 	}
 }

@@ -58,35 +58,59 @@ func chargeBuilds(clk *device.Clock, builds []buildInfo) {
 	}
 }
 
-// runCPU executes the compiled plan on the paper's "Standalone CPU": a
+// cpuFamily reports whether e is one of the four engines whose execution is
+// the scanKernel pass followed by pure arithmetic over its pipeStats: their
+// simulated seconds are price(e, stats), whoever ran the pass.
+func cpuFamily(e Engine) bool {
+	switch e {
+	case EngineCPU, EngineHyper, EngineMonet, EngineOmnisci:
+		return true
+	}
+	return false
+}
+
+// price returns the simulated seconds CPU-family engine e charges for the
+// compiled plan given the access statistics of its scan pass — the
+// paper's method: count what a pass touches, then price it on the device's
+// bandwidth. It is the one cost path of these engines: a solo run prices its
+// own scan, a shared-scan batch member its seat in the shared pass.
+func (p *Plan) price(e Engine, st *pipeStats) float64 {
+	switch e {
+	case EngineCPU:
+		return p.priceCPU(st)
+	case EngineHyper:
+		return p.priceHyper(st)
+	case EngineMonet:
+		return p.priceMonet(st)
+	case EngineOmnisci:
+		return p.priceOmnisci(st)
+	}
+	panic("queries: no scan pricing for engine " + string(e))
+}
+
+// priceCPU prices the compiled plan on the paper's "Standalone CPU": a
 // vectorized, pipelined, multi-core implementation equivalent to the
 // Crystal GPU kernels (Section 5.2). One pass over the fact table
 // evaluates filters with SIMD predicates, probes the join hash tables, and
 // aggregates into thread-local tables merged at the end.
-func (p *Plan) runCPU(ms *morselRun) *Result {
+func (p *Plan) priceCPU(st *pipeStats) float64 {
 	clk := device.NewClock(device.I76900())
 	chargeBuilds(clk, p.builds)
-	res, st := p.scan(ms)
 	clk.Charge(cpuProbePass(st, p.builds, p.Query, cpuFilterCycles, cpuProbeCycles, cpuAggCycles))
-	res.Seconds = clk.Seconds()
-	ms.stamp(res)
-	return res
+	return clk.Seconds()
 }
 
-// runHyper executes the compiled plan on the Hyper stand-in: the same
+// priceHyper prices the compiled plan on the Hyper stand-in: the same
 // pipelined push-based execution as the Standalone CPU, but with scalar
 // predicate evaluation and tuple-at-a-time hash probes.
-func (p *Plan) runHyper(ms *morselRun) *Result {
+func (p *Plan) priceHyper(st *pipeStats) float64 {
 	clk := device.NewClock(device.I76900())
 	chargeBuilds(clk, p.builds)
-	res, st := p.scan(ms)
 	pass := cpuProbePass(st, p.builds, p.Query, hyperFilterCycles, hyperProbeCycles, hyperAggCycles)
 	for i := range pass.Probes {
 		pass.Probes[i].Count = int64(float64(pass.Probes[i].Count) * hyperProbeFactor)
 	}
-	res.Seconds = clk.Seconds() + clk.Spec().PassTime(pass)
-	ms.stamp(res)
-	return res
+	return clk.Seconds() + clk.Spec().PassTime(pass)
 }
 
 // cpuProbePass derives the CPU probe-phase traffic from the pipeline
@@ -136,7 +160,7 @@ func cpuProbePass(st *pipeStats, builds []buildInfo, q Query, filterCyc, probeCy
 	return pass
 }
 
-// runMonet executes the compiled plan on the MonetDB stand-in:
+// priceMonet prices the compiled plan on the MonetDB stand-in:
 // operator-at-a-time execution with full materialization between operators
 // (Section 2.2). Each selection scans its entire column and materializes a
 // candidate list; each join reads the candidate list back, gathers the
@@ -144,11 +168,10 @@ func cpuProbePass(st *pipeStats, builds []buildInfo, q Query, filterCyc, probeCy
 // aggregate gathers its value columns through the final candidate list.
 // Zone-pruned morsels drop out of every operator's scan, but random
 // gathers still address the full column footprint.
-func (pl *Plan) runMonet(ms *morselRun) *Result {
+func (pl *Plan) priceMonet(st *pipeStats) float64 {
 	q, builds := pl.Query, pl.builds
 	clk := device.NewClock(device.I76900())
 	chargeBuilds(clk, builds)
-	res, st := pl.scan(ms)
 
 	// Per column, colScanBytes is what a full-column operator scan reads
 	// (surviving morsels only; packed bytes on the compressed encoding) and
@@ -203,20 +226,17 @@ func (pl *Plan) runMonet(ms *morselRun) *Result {
 	agg.ComputeCycles = (monetOpCycles + unpack*float64(len(q.AggColumns()))) * float64(in)
 	agg.BytesWritten = int64(aggEstimate(q)) * aggRowBytes(&q)
 	clk.Charge(agg)
-
-	res.Seconds = clk.Seconds()
-	ms.stamp(res)
-	return res
+	return clk.Seconds()
 }
 
-// runOmnisci executes the compiled plan on the Omnisci stand-in: the
+// priceOmnisci prices the compiled plan on the Omnisci stand-in: the
 // working set lives on the GPU (as in the standalone engine), but each
 // operator runs as its own independent-threads kernel in the Figure 4(a)
 // style — per-operator materialization, a second read for the offset
 // computation, uncoalesced scatter writes, and per-match atomic cursor
 // updates. Section 5.2 measures this style ~16x slower than the tile-based
 // kernels.
-func (pl *Plan) runOmnisci(ms *morselRun) *Result {
+func (pl *Plan) priceOmnisci(st *pipeStats) float64 {
 	q, builds := pl.Query, pl.builds
 	clk := device.NewClock(device.V100())
 	// Build phases are identical to the standalone GPU engine.
@@ -226,7 +246,6 @@ func (pl *Plan) runOmnisci(ms *morselRun) *Result {
 		pass.AddProbes(device.ProbeSet{Count: b.inserted, StructBytes: b.ht.Bytes(), Writes: true})
 		clk.Charge(pass)
 	}
-	res, st := pl.scan(ms)
 
 	// Packed runs shrink every operator's column scan and gather footprint;
 	// the unpack arithmetic is absorbed by the GPU's compute headroom, as in
@@ -266,10 +285,7 @@ func (pl *Plan) runOmnisci(ms *morselRun) *Result {
 	agg.AddProbes(device.ProbeSet{Count: in, StructBytes: int64(aggEstimate(q)) * aggRowBytes(&q)})
 	agg.AtomicOps = in // one global atomic per aggregated row
 	clk.Charge(agg)
-
-	res.Seconds = clk.Seconds()
-	ms.stamp(res)
-	return res
+	return clk.Seconds()
 }
 
 // runCoprocessor executes the compiled plan with the tile-based GPU

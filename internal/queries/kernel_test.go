@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"crystal/internal/ssb"
 )
@@ -39,15 +40,15 @@ func TestSoloIsBatchOfOne(t *testing.T) {
 				forward[i] = i
 				reverse[i] = len(plans) - 1 - i
 			}
-			shared, sharedStats, union64, _ := scanKernel(seat(forward))
-			flipped, flippedStats, flippedUnion64, _ := scanKernel(seat(reverse))
+			shared, sharedStats, union64 := scanKernel(seat(forward))
+			flipped, flippedStats, flippedUnion64 := scanKernel(seat(reverse))
 			if !reflect.DeepEqual(union64, flippedUnion64) {
 				t.Errorf("packed=%v parts=%d: member order changed the union line counts", packed, parts)
 			}
 			for i, q := range qs {
 				label := fmt.Sprintf("%s packed=%v parts=%d", q.ID, packed, parts)
-				solo, soloStats, solo64, solo128 := scanKernel(seat([]int{i}))
-				if !reflect.DeepEqual(solo64, soloStats[0].lines64) || !reflect.DeepEqual(solo128, soloStats[0].lines128) {
+				solo, soloStats, solo64 := scanKernel(seat([]int{i}))
+				if !reflect.DeepEqual(solo64, soloStats[0].lines64) {
 					t.Errorf("%s: one-member union counts differ from the member's own line counts", label)
 				}
 				for name, got := range map[string]struct {
@@ -101,5 +102,48 @@ func BenchmarkScanKernel(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*n), "ns/row")
 			})
 		}
+	}
+}
+
+// BenchmarkRunBatch is the per-layer benchmark of the batch entry: eight
+// scan-compatible range statements over 2^18 fact rows as one
+// RunBatchScheduled, on an engine whose members are priced from their seat
+// (CPU) and one whose members still execute (GPU). ns/op and allocs are the
+// batch's; batch/solo is its wall clock over that of the same eight members'
+// solo RunScheduled calls (base = solo), so a batch that scans once reads
+// below 1 and one that re-executes every member reads near 2.
+func BenchmarkRunBatch(b *testing.B) {
+	const rows, members = 1 << 18, 8
+	ds := ssb.GenerateRows(rows)
+	plans := make([]*Plan, members)
+	for i := range plans {
+		lo := int32(i)
+		plans[i] = Compile(ds, Query{ID: fmt.Sprintf("range%d", i), Agg: AggSumExtDisc, FactFilters: []Filter{
+			{Col: "discount", Lo: lo, Hi: lo + 2},
+			{Col: "quantity", Lo: 1, Hi: 10 + 5*lo},
+		}})
+	}
+	for _, e := range []Engine{EngineCPU, EngineGPU} {
+		b.Run(string(e), func(b *testing.B) {
+			b.ReportAllocs()
+			var batch, solo time.Duration
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				if _, err := RunBatch(plans, e, RunOptions{}); err != nil {
+					b.Fatal(err)
+				}
+				batch += time.Since(t0)
+				b.StopTimer()
+				t0 = time.Now()
+				for _, p := range plans {
+					if _, err := p.RunScheduled(p.ScheduleEngine(e, RunOptions{})); err != nil {
+						b.Fatal(err)
+					}
+				}
+				solo += time.Since(t0)
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(batch)/float64(solo), "batch/solo")
+		})
 	}
 }

@@ -105,18 +105,16 @@ type pipeStats struct {
 	totalRows int64
 	// colOrder is the sequence of fact columns the pass touches.
 	colOrder []string
-	// lines64 and lines128 count, per fact column, the distinct 64 B and
-	// 128 B lines containing at least one row alive when the column was
-	// read — the exact form of the min(4|L|/C, |L|sigma) term in the
-	// Section 5.3 model. Morsel and chunk boundaries are line-aligned
-	// (ssb.MorselAlign is a multiple of both line sizes), so per-chunk
-	// counts sum to the exact distinct-line total no matter how the scan is
-	// partitioned — which is what keeps simulated seconds identical across
-	// partition counts.
-	lines64  map[string]int64
-	lines128 map[string]int64
+	// lines64 counts, per fact column, the distinct 64 B lines containing at
+	// least one row alive when the column was read — the exact form of the
+	// min(4|L|/C, |L|sigma) term in the Section 5.3 model. Morsel and chunk
+	// boundaries are line-aligned (ssb.MorselAlign is a multiple of the line
+	// size), so per-chunk counts sum to the exact distinct-line total no
+	// matter how the scan is partitioned — which is what keeps simulated
+	// seconds identical across partition counts.
+	lines64 map[string]int64
 	// packed reports whether the scan read the bit-packed fact encoding.
-	// lines64/lines128 then count lines of the packed layout (frames are
+	// lines64 then counts lines of the packed layout (frames are
 	// line-aligned, so the counts stay exactly additive across partitions),
 	// and scanBytes/footBytes hold per fact column the packed bytes of the
 	// surviving morsels' frames and the full column's packed footprint.
@@ -210,29 +208,25 @@ type scanMember struct {
 	ms *morselRun
 }
 
-// lines returns the 64 B and 128 B line of the column's storage that holds
-// row. Packed lines hold 32/width times more rows than plain ones; a width-0
-// frame occupies no storage and reports -1 (reading it touches no line).
-func (c colReader) lines(row int) (l64, l128 int64) {
+// line returns the 64 B line of the column's storage that holds row. Packed
+// lines hold 32/width times more rows than plain ones; a width-0 frame
+// occupies no storage and reports -1 (reading it touches no line).
+func (c colReader) line(row int) int64 {
 	if c.packed != nil {
-		return c.packed.LineOf(row, 64), c.packed.LineOf(row, 128)
+		return c.packed.LineOf(row, 64)
 	}
-	return int64(row >> 4), int64(row >> 5)
+	return int64(row >> 4)
 }
 
-// lineTrack counts the distinct 64 B and 128 B lines of one column that a
-// monotone row sequence touches: rows only ascend, so a line is new exactly
-// when it differs from the last one seen.
-type lineTrack struct{ last64, last128, n64, n128 int64 }
+// lineTrack counts the distinct 64 B lines of one column that a monotone row
+// sequence touches: rows only ascend, so a line is new exactly when it
+// differs from the last one seen.
+type lineTrack struct{ last, n int64 }
 
-func (t *lineTrack) touch(l64, l128 int64) {
-	if l64 >= 0 && t.last64 != l64+1 {
-		t.last64 = l64 + 1
-		t.n64++
-	}
-	if l128 >= 0 && t.last128 != l128+1 {
-		t.last128 = l128 + 1
-		t.n128++
+func (t *lineTrack) touch(l int64) {
+	if l >= 0 && t.last != l+1 {
+		t.last = l + 1
+		t.n++
 	}
 }
 
@@ -285,10 +279,10 @@ type scanAcc struct {
 // has several members, folds the same line into the union trackers: a shared
 // scan streams a line once no matter how many members consume it.
 func (a *scanAcc) touch(c *scanCol, row int, union []lineTrack) {
-	l64, l128 := c.lines(row)
-	a.lines[c.col].touch(l64, l128)
+	l := c.line(row)
+	a.lines[c.col].touch(l)
 	if union != nil {
-		union[c.ucol].touch(l64, l128)
+		union[c.ucol].touch(l)
 	}
 }
 
@@ -310,10 +304,10 @@ func (a *scanAcc) touch(c *scanCol, row int, union []lineTrack) {
 //     — the traffic a shared scan streams once.
 //
 // It returns, per member, the raw result (unfinalized multi-aggregates in
-// Result.accs) and the access statistics, plus the per-column union 64 B and
-// 128 B line counts. With one member the union is that member's own counts,
-// so no union tracker runs and the solo scan pays nothing for sharing.
-func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64, map[string]int64) {
+// Result.accs) and the access statistics, plus the per-column union 64 B line
+// counts. With one member the union is that member's own counts, so no union
+// tracker runs and the solo scan pays nothing for sharing.
+func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64) {
 	n := len(members)
 	ds, morsels, lim := members[0].p.ds, members[0].ms.morsels, members[0].ms.lim
 	pipes := make([]scanPipe, n)
@@ -332,7 +326,6 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 			colOrder:  make([]string, 0, nf+nj+len(aggCols)),
 			packed:    ms.packed != nil,
 			lines64:   map[string]int64{},
-			lines128:  map[string]int64{},
 			evals:     make([]int64, nf),
 			probes:    make([]int64, nj),
 			alive:     make([]int64, nf+nj),
@@ -398,9 +391,9 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 		}
 	}
 
-	union64, union128 := stats[0].lines64, stats[0].lines128
+	union64 := stats[0].lines64
 	if n > 1 {
-		union64, union128 = map[string]int64{}, map[string]int64{}
+		union64 = map[string]int64{}
 	}
 
 	var next int64
@@ -489,8 +482,7 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 		for i := range accs {
 			a, st, res := &accs[i], stats[i], results[i]
 			for ci, t := range a.lines {
-				st.lines64[a.cols[ci]] += t.n64
-				st.lines128[a.cols[ci]] += t.n128
+				st.lines64[a.cols[ci]] += t.n
 			}
 			for fi, v := range a.evals {
 				st.evals[fi] += v
@@ -514,8 +506,7 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 			}
 		}
 		for ui, t := range union {
-			union64[ucols[ui]] += t.n64
-			union128[ucols[ui]] += t.n128
+			union64[ucols[ui]] += t.n
 		}
 	}
 	if len(chunks) > 0 {
@@ -530,11 +521,11 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 			results[i].Groups[0] = 0
 		}
 	}
-	return results, stats, union64, union128
+	return results, stats, union64
 }
 
 // scan runs the plan alone through the scan kernel — a batch of one.
 func (p *Plan) scan(ms *morselRun) (*Result, *pipeStats) {
-	results, stats, _, _ := scanKernel([]scanMember{{p: p, ms: ms}})
+	results, stats, _ := scanKernel([]scanMember{{p: p, ms: ms}})
 	return results[0], stats[0]
 }

@@ -98,6 +98,18 @@ type engineExecutor struct {
 	p  *Plan
 	ms *morselRun
 	e  Engine
+	// seat, when set, is the plan's slice of a scan pass somebody else ran
+	// over exactly ms (RunBatchScheduled's shared pass): a CPU-family engine
+	// prices it instead of scanning again. Only seatMember sets it, after
+	// verifying the extent.
+	seat *scanSeat
+}
+
+// scanSeat is one member's outcome of a scanKernel pass: its raw rows and
+// the access statistics its engine prices.
+type scanSeat struct {
+	res *Result
+	st  *pipeStats
 }
 
 func (x engineExecutor) Kind() sched.Kind {
@@ -115,19 +127,19 @@ func (x engineExecutor) Device() int { return -1 }
 func (x engineExecutor) Execute(a sched.Assignment) sched.Partial {
 	ms := x.ms.restrict(a.Morsels)
 	var res *Result
-	switch x.e {
-	case EngineGPU:
+	switch {
+	case x.e == EngineGPU:
 		res = x.p.runGPU(ms)
-	case EngineCPU:
-		res = x.p.runCPU(ms)
-	case EngineHyper:
-		res = x.p.runHyper(ms)
-	case EngineMonet:
-		res = x.p.runMonet(ms)
-	case EngineOmnisci:
-		res = x.p.runOmnisci(ms)
-	case EngineCoproc:
+	case x.e == EngineCoproc:
 		res = x.p.runCoprocessor(ms)
+	case cpuFamily(x.e):
+		var st *pipeStats
+		if x.seat != nil {
+			res, st = x.seat.res, x.seat.st
+		} else {
+			res, st = x.p.scan(ms)
+		}
+		res.Seconds = x.p.price(x.e, st)
 	default:
 		panic("queries: unknown engine " + string(x.e))
 	}

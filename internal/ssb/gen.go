@@ -161,11 +161,14 @@ func GenPart(sf int) Dim {
 	return d
 }
 
-// GenLineorder builds the fact table with uniform foreign keys and the SSB
-// value distributions (quantity 1..50, discount 0..10, revenue derived from
-// price and discount).
-func GenLineorder(sf int, dates *Dim, nCust, nSupp, nPart int) Lineorder {
-	n := LineorderPerSF * sf
+// GenLineorder builds the first rows rows (all of them when rows exceeds the
+// table) of the scale-factor-sf fact table, with uniform foreign keys and the
+// SSB value distributions (quantity 1..50, discount 0..10, revenue derived
+// from price and discount). Rows are drawn row-major from one sequential
+// generator, so a prefix costs only its own rows and is bit-identical to the
+// same rows of the full table.
+func GenLineorder(sf, rows int, dates *Dim, nCust, nSupp, nPart int) Lineorder {
+	n := min(rows, LineorderPerSF*sf)
 	r := newRNG(0x10EA7 + uint64(sf))
 	l := Lineorder{
 		OrderDate:  make([]int32, n),
@@ -206,12 +209,15 @@ func Generate(sf int) *Dataset {
 	ds.Customer = GenCustomer(sf)
 	ds.Supplier = GenSupplier(sf)
 	ds.Part = GenPart(sf)
-	ds.Lineorder = GenLineorder(sf, &ds.Date, ds.Customer.Rows(), ds.Supplier.Rows(), ds.Part.Rows())
+	ds.Lineorder = GenLineorder(sf, LineorderPerSF*sf, &ds.Date, ds.Customer.Rows(), ds.Supplier.Rows(), ds.Part.Rows())
 	return ds
 }
 
-// GenerateRows builds a reduced dataset with the given fact-table row count
-// but SF-1 dimensions; useful for fast tests. factRows is capped below at 1.
+// GenerateRows builds a reduced dataset: the first factRows rows of the SF-1
+// fact table (only those are generated) with full SF-1 dimensions — the
+// dimension footprints drive the Section 4.3 cache-fit behaviour of the join
+// probes, so they deliberately do not shrink with the fact table. factRows is
+// capped below at 1 and above at the SF-1 cardinality.
 func GenerateRows(factRows int) *Dataset {
 	if factRows < 1 {
 		factRows = 1
@@ -221,21 +227,7 @@ func GenerateRows(factRows int) *Dataset {
 	ds.Customer = GenCustomer(1)
 	ds.Supplier = GenSupplier(1)
 	ds.Part = GenPart(1)
-	full := GenLineorder(1, &ds.Date, ds.Customer.Rows(), ds.Supplier.Rows(), ds.Part.Rows())
-	if factRows < full.Rows() {
-		full = Lineorder{
-			OrderDate:  full.OrderDate[:factRows],
-			CustKey:    full.CustKey[:factRows],
-			PartKey:    full.PartKey[:factRows],
-			SuppKey:    full.SuppKey[:factRows],
-			Quantity:   full.Quantity[:factRows],
-			Discount:   full.Discount[:factRows],
-			ExtPrice:   full.ExtPrice[:factRows],
-			Revenue:    full.Revenue[:factRows],
-			SupplyCost: full.SupplyCost[:factRows],
-		}
-	}
-	ds.Lineorder = full
+	ds.Lineorder = GenLineorder(1, factRows, &ds.Date, ds.Customer.Rows(), ds.Supplier.Rows(), ds.Part.Rows())
 	return ds
 }
 

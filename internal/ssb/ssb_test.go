@@ -1,6 +1,8 @@
 package ssb
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
@@ -153,6 +155,47 @@ func TestGenerateDeterministic(t *testing.T) {
 		if a.Lineorder.OrderDate[i] != b.Lineorder.OrderDate[i] ||
 			a.Lineorder.Revenue[i] != b.Lineorder.Revenue[i] {
 			t.Fatal("generator not deterministic")
+		}
+	}
+}
+
+// TestGenerateRowsIsPrefix pins the contract GenerateRows rests on now that it
+// generates only the rows asked for: every fact column of GenerateRows(n) is
+// the first n rows of the SF-1 table, compared by hash so the full table is
+// dropped before the reduced ones are built.
+func TestGenerateRowsIsPrefix(t *testing.T) {
+	hashes := func(l *Lineorder, n int) map[string]uint64 {
+		out := map[string]uint64{}
+		for _, name := range FactColumns() {
+			h := fnv.New64a()
+			var b [4]byte
+			for _, v := range l.Col(name)[:n] {
+				binary.LittleEndian.PutUint32(b[:], uint32(v))
+				h.Write(b[:])
+			}
+			out[name] = h.Sum64()
+		}
+		return out
+	}
+	sizes := []int{1, 3, 2048, 200_000}
+	want := make([]map[string]uint64, len(sizes))
+	full := Generate(1)
+	for i, n := range sizes {
+		want[i] = hashes(&full.Lineorder, n)
+	}
+	full = nil
+	for i, n := range sizes {
+		ds := GenerateRows(n)
+		if ds.Lineorder.Rows() != n {
+			t.Fatalf("GenerateRows(%d) has %d fact rows", n, ds.Lineorder.Rows())
+		}
+		if c := cap(ds.Lineorder.OrderDate); c != n {
+			t.Errorf("GenerateRows(%d) pins %d rows of backing storage", n, c)
+		}
+		for name, h := range hashes(&ds.Lineorder, n) {
+			if h != want[i][name] {
+				t.Errorf("GenerateRows(%d): column %s differs from the first %d rows of Generate(1)", n, name, n)
+			}
 		}
 	}
 }
