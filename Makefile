@@ -14,6 +14,15 @@ COVER_FLOOR_TRACE   ?= 90.0
 COVER_FLOOR_SERVE   ?= 96.0
 COVER_FLOOR_LOADGEN ?= 90.0
 
+# Allocation ceilings for benchmark-smoke, in KB per request at 3 s, seed 1:
+# about 1.25x what the commit that set them measures (scan_solo 55, queued_batch
+# 14). Allocation per request does not move with the box, so a reading above
+# the ceiling is a code change — per-tile or per-estimate allocation creeping
+# back into the GPU-family path, or into the shared scan. Lower them when the
+# figures improve, never raise them to make a run pass.
+ALLOC_KB_MAX_SCAN_SOLO    ?= 70
+ALLOC_KB_MAX_QUEUED_BATCH ?= 17.5
+
 .PHONY: all build test lint fuzz cover docs bench-smoke bench-baseline bench-check metrics-smoke load-smoke batch-smoke benchmark-smoke serve ci
 
 # Markdown files the docs gate link-checks, and the packages whose godoc
@@ -125,10 +134,19 @@ batch-smoke:
 # Serving-path benchmark gate: three seconds each of the shared-scan and
 # solo-scan workloads through the BENCHMARK.json harness, which exits
 # non-zero on a wrong row, a SimSeconds mismatch against the first reply, or
-# a failed traffic assertion (batched share, plan hit rate).
+# a failed traffic assertion (batched share, plan hit rate) — and, read off
+# the JSON result line it prints, alloc_kb_per_req within its ceiling above.
 benchmark-smoke:
-	bash benchmark/run.sh -workload queued_batch -seed 1 -seconds 3 -trace 0
-	bash benchmark/run.sh -workload scan_solo -seed 1 -seconds 3 -trace 0
+	@set -e; \
+	check() { \
+		out=$$(bash benchmark/run.sh -workload "$$1" -seed 1 -seconds 3 -trace 0) || { printf '%s\n' "$$out"; exit 1; }; \
+		printf '%s\n' "$$out"; \
+		kb=$$(printf '%s\n' "$$out" | sed -n 's/^{.*"alloc_kb_per_req":{"value":\([0-9.eE+-]*\).*/\1/p'); \
+		echo "$$1 alloc_kb_per_req: $$kb KB (ceiling $$2 KB)"; \
+		awk "BEGIN { exit !($$kb <= $$2) }" || { echo "alloc_kb_per_req of $$1 is above $$2 KB"; exit 1; }; \
+	}; \
+	check queued_batch $(ALLOC_KB_MAX_QUEUED_BATCH); \
+	check scan_solo $(ALLOC_KB_MAX_SCAN_SOLO)
 
 serve:
 	$(GO) run ./cmd/ssbserve

@@ -2,6 +2,7 @@ package crystal
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -442,6 +443,143 @@ func TestAggTable(t *testing.T) {
 	}
 	if at.Bytes() <= 0 {
 		t.Error("agg table bytes")
+	}
+}
+
+// parentAggSlots is the capacity rule both tables had before the physical
+// arrays were separated from it: the smallest power of two, at least 2, that
+// holds n groups at 50% fill.
+func parentAggSlots(n int) int64 {
+	c := int64(2)
+	for c < 2*int64(n) {
+		c <<= 1
+	}
+	return c
+}
+
+// TestAggTableBytesAreModelled pins the modelled footprint: Bytes() is what
+// prices every aggregation probe, so for every estimate it must be exactly
+// what the table reported when its arrays were that large — whatever the
+// arrays hold now.
+func TestAggTableBytesAreModelled(t *testing.T) {
+	for n := 1; n <= 1<<21; n++ {
+		if got, want := int64(modelledSlots(n)), parentAggSlots(n); got != want {
+			t.Fatalf("modelledSlots(%d) = %d, want %d", n, got, want)
+		}
+	}
+	// The tables themselves: every small estimate, then each power of two
+	// and its neighbours.
+	ops := []SlotOp{SlotAdd, SlotMin, SlotAdd}
+	estimates := []int{}
+	for n := 1; n <= 1024; n++ {
+		estimates = append(estimates, n)
+	}
+	for p := 2048; p <= 1<<21; p <<= 1 {
+		estimates = append(estimates, p-1, p, p+1)
+	}
+	for _, n := range estimates {
+		want := parentAggSlots(n)
+		if got := NewAggTable(n).Bytes(); got != want*16 {
+			t.Fatalf("NewAggTable(%d).Bytes() = %d, want %d", n, got, want*16)
+		}
+		if got := NewMultiAggTable(n, ops).Bytes(); got != want*(8+8*3) {
+			t.Fatalf("NewMultiAggTable(%d).Bytes() = %d, want %d", n, got, want*(8+8*3))
+		}
+	}
+	big := NewAggTable(1 << 20)
+	if len(big.t.keys) != aggInitialSlots {
+		t.Errorf("a table modelled at %d slots starts with %d physical ones, want %d", big.t.modelled, len(big.t.keys), aggInitialSlots)
+	}
+	if small := NewAggTable(3); len(small.t.keys) != 8 {
+		t.Errorf("a table modelled at 8 slots starts with %d physical ones", len(small.t.keys))
+	}
+}
+
+// TestAggTablesGrowUnderContention drives both tables far past their
+// physical (and, in the first case, modelled) capacity from several
+// goroutines at once, half of them through the block-wide updaters that hold
+// the read lock across a tile: the table grows instead of spinning on a full
+// array, every accumulator is exact, Groups is exact, Each visits each key
+// once, and Bytes still reports the estimate.
+func TestAggTablesGrowUnderContention(t *testing.T) {
+	ops := []SlotOp{SlotAdd, SlotMin, SlotMax}
+	for _, tc := range []struct{ estimate, keys, workers int }{
+		{estimate: 1, keys: 10_000, workers: 8},
+		{estimate: aggInitialSlots / 2, keys: 1 << 14, workers: max(runtime.GOMAXPROCS(0), 2)},
+	} {
+		sum, multi := NewAggTable(tc.estimate), NewMultiAggTable(tc.estimate, ops)
+		sumBytes, multiBytes := sum.Bytes(), multi.Bytes()
+		var wg sync.WaitGroup
+		for w := 0; w < tc.workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				const tile = 512
+				b := testBlockQuick(tile)
+				keys, deltas, rows := make([]int64, tile), make([]int64, tile), make([][]int64, tile)
+				for lo := 0; lo < tc.keys; lo += tile {
+					n := min(tile, tc.keys-lo)
+					for i := 0; i < n; i++ {
+						// Every worker walks the key space from its own offset.
+						k := int64((lo + i + w*tc.keys/tc.workers) % tc.keys)
+						keys[i], deltas[i] = k, int64(w+1)
+						rows[i] = []int64{int64(w + 1), k*100 + int64(w), k*100 + int64(w)}
+						if w%2 == 1 {
+							sum.Add(k, deltas[i])
+							multi.Update(k, rows[i])
+						}
+					}
+					if w%2 == 0 {
+						BlockAggUpdate(b, sum, keys, deltas, nil, n)
+						BlockMultiAggUpdate(b, multi, keys, rows, nil, n)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+
+		wantSum := int64(tc.workers * (tc.workers + 1) / 2)
+		seen := make([]int, tc.keys)
+		sum.Each(func(k, s int64) {
+			seen[k]++
+			if s != wantSum {
+				t.Errorf("estimate %d: sum[%d] = %d, want %d", tc.estimate, k, s, wantSum)
+			}
+		})
+		multi.Each(func(k int64, acc []int64) {
+			seen[k]++
+			if acc[0] != wantSum || acc[1] != k*100 || acc[2] != k*100+int64(tc.workers-1) {
+				t.Errorf("estimate %d: acc[%d] = %v", tc.estimate, k, acc)
+			}
+		})
+		for k, c := range seen {
+			if c != 2 {
+				t.Fatalf("estimate %d: key %d visited %d times across the two tables, want once each", tc.estimate, k, c)
+			}
+		}
+		if sum.Groups() != tc.keys || multi.Groups() != tc.keys {
+			t.Errorf("estimate %d: groups = %d / %d, want %d", tc.estimate, sum.Groups(), multi.Groups(), tc.keys)
+		}
+		if sum.Bytes() != sumBytes || multi.Bytes() != multiBytes {
+			t.Errorf("estimate %d: Bytes moved with occupancy: %d -> %d, %d -> %d",
+				tc.estimate, sumBytes, sum.Bytes(), multiBytes, multi.Bytes())
+		}
+	}
+}
+
+func TestAggTableReservedKeyPanics(t *testing.T) {
+	for name, update := range map[string]func(){
+		"AggTable.Add":         func() { NewAggTable(4).Add(aggEmpty, 1) },
+		"MultiAggTable.Update": func() { NewMultiAggTable(4, []SlotOp{SlotAdd}).Update(aggEmpty, []int64{1}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted the reserved key", name)
+				}
+			}()
+			update()
+		}()
 	}
 }
 

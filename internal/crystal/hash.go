@@ -150,88 +150,60 @@ func BuildKernel(b *sim.Block, ht *HashTable, keys, vals []int32) {
 	b.Pass().AddProbes(device.ProbeSet{Count: int64(nk), StructBytes: ht.Bytes(), Writes: true})
 }
 
-// AggTable is the global aggregation hash table GPU kernels update at the
-// end of a pipelined query (Section 5.3): group key -> running sum, updated
-// with atomic adds. Group counts in SSB are small (hundreds), so the table
-// stays cache resident; the atomic traffic is what matters.
+// AggTable is the one-slot face of MultiAggTable: group key -> running sum,
+// the table the single-SUM SSB kernels update with atomic adds. A single SUM
+// is an aggregate list of one SlotAdd, and 8 + 8*1 = 16 bytes a slot is the
+// footprint this table always modelled, so it shares the growable core — and
+// its split between the modelled footprint Bytes() reports and the physical
+// arrays that follow occupancy — rather than keeping a second one.
 type AggTable struct {
-	keys []int64
-	sums []int64
-	mask uint64
-	n    int64
+	t *MultiAggTable
 }
 
-// NewAggTable creates an aggregation table for up to n distinct groups.
+// NewAggTable creates an aggregation table modelled for up to n distinct
+// groups.
 func NewAggTable(n int) *AggTable {
-	capacity := 2
-	for float64(capacity)*0.5 < float64(n) {
-		capacity <<= 1
-	}
-	t := &AggTable{keys: make([]int64, capacity), sums: make([]int64, capacity), mask: uint64(capacity - 1)}
-	for i := range t.keys {
-		t.keys[i] = aggEmpty
-	}
-	return t
+	return &AggTable{t: NewMultiAggTable(n, []SlotOp{SlotAdd})}
 }
 
 const aggEmpty = math.MinInt64
 
-// Bytes returns the table footprint.
-func (t *AggTable) Bytes() int64 { return int64(len(t.keys)) * 16 }
+// Bytes returns the modelled table footprint (16 bytes per modelled slot).
+func (t *AggTable) Bytes() int64 { return t.t.Bytes() }
 
 // Add atomically accumulates delta into the sum for group key.
 func (t *AggTable) Add(key, delta int64) {
-	if key == aggEmpty {
-		panic("crystal: reserved aggregation key")
-	}
-	h := (uint64(key) * 0x9E3779B97F4A7C15) & t.mask
-	for {
-		k := atomic.LoadInt64(&t.keys[h])
-		if k == key {
-			atomic.AddInt64(&t.sums[h], delta)
-			return
-		}
-		if k == aggEmpty {
-			if atomic.CompareAndSwapInt64(&t.keys[h], aggEmpty, key) {
-				atomic.AddInt64(&t.sums[h], delta)
-				atomic.AddInt64(&t.n, 1)
-				return
-			}
-			continue
-		}
-		h = (h + 1) & t.mask
-	}
+	t.t.mu.RLock()
+	defer t.t.mu.RUnlock()
+	t.t.update(key, []int64{delta})
 }
 
 // Groups returns the number of distinct groups accumulated.
-func (t *AggTable) Groups() int { return int(atomic.LoadInt64(&t.n)) }
+func (t *AggTable) Groups() int { return t.t.Groups() }
 
-// Each calls fn for every (key, sum) pair in unspecified order.
+// Each calls fn for every (key, sum) pair in unspecified order; like
+// MultiAggTable.Each it reads a finished table.
 func (t *AggTable) Each(fn func(key, sum int64)) {
-	for i, k := range t.keys {
-		if k != aggEmpty {
-			fn(k, t.sums[i])
-		}
-	}
+	t.t.Each(func(key int64, acc []int64) { fn(key, acc[0]) })
 }
 
 // BlockAggUpdate accumulates the selected (key, delta) pairs of a tile into
-// the global aggregation table and meters the random probes and atomics.
+// the global aggregation table and meters the random probes. Atomic adds to
+// distinct cache-resident groups do not serialize on one address the way the
+// global output cursor does; they are priced as the probe traffic.
 func BlockAggUpdate(b *sim.Block, t *AggTable, groupKeys []int64, deltas []int64, bitmap []uint8, n int) {
-	var probes, updates int64
+	var probes int64
+	m := t.t
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	for i := 0; i < n; i++ {
 		if bitmap != nil && bitmap[i] == 0 {
 			continue
 		}
-		t.Add(groupKeys[i], deltas[i])
+		m.update(groupKeys[i], deltas[i:i+1])
 		probes++
-		updates++
 	}
 	b.Pass().AddProbes(device.ProbeSet{Count: probes, StructBytes: t.Bytes()})
-	// Atomic adds to distinct cache-resident groups do not serialize on one
-	// address the way the global output cursor does; they are priced as the
-	// probe traffic above.
-	_ = updates
 }
 
 func (h *HashTable) String() string {

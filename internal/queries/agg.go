@@ -145,10 +145,15 @@ func (st *aggState) slots() int { return len(st.ops) }
 // identity returns a fresh accumulator vector of merge identities.
 func (st *aggState) identity() []int64 {
 	acc := make([]int64, len(st.ops))
+	st.reset(acc)
+	return acc
+}
+
+// reset overwrites an accumulator vector with the merge identities.
+func (st *aggState) reset(acc []int64) {
 	for i, op := range st.ops {
 		acc[i] = op.Identity()
 	}
-	return acc
 }
 
 // eval computes spec i's input expression over one row's AggColumns values.

@@ -44,6 +44,88 @@ func blockSkips(ms *morselRun, tileSize int) []bool {
 	return skips
 }
 
+// tileScratch is one thread block's tiles — the registers and shared memory
+// of Section 3.3, which a GPU reuses for every tile and never allocates. A
+// block takes one from scratchFree on entry and puts it back on return, so a
+// launch allocates no tile however many blocks it runs.
+//
+// A reused scratch holds another tile's values, possibly another query's.
+// The kernel may therefore read a slot only if it wrote that slot earlier in
+// the same block under the same bitmap: BlockPred writes all m bitmap
+// entries (the no-filter branch all nn); a selective load leaves unselected
+// slots untouched and nothing reads them; deltas[i] is assigned at the first
+// aggregate column before it is multiplied or subtracted; keys[i] and
+// rowDeltas[i] are written exactly where bitmap[i] != 0; acc is reset to the
+// merge identities before it is merged into. Nothing that outlives the block
+// may alias a scratch buffer.
+type tileScratch struct {
+	items  []int32
+	bitmap []uint8
+	keys   []int64
+	deltas []int64   // single-SUM path: one delta per row
+	cols   [][]int32 // payload tiles, then the multi-aggregate column tiles
+	vals   []int32   // one row's payloads, then its aggregate column values
+	// Multi-aggregate path: rowDeltas[i] re-slices flat, the tile's
+	// ts x slots delta vectors; acc is the block-local accumulator and one
+	// row's deltas of the global (no group-by) reduction.
+	flat      []int64
+	rowDeltas [][]int64
+	acc       []int64
+}
+
+// reserve sizes the scratch for a tile of ts rows with the given number of
+// column tiles and accumulator slots; a buffer that is already large enough
+// is kept, contents and all.
+func (s *tileScratch) reserve(ts, cols, slots int) {
+	if len(s.items) < ts {
+		s.items = make([]int32, ts)
+		s.bitmap = make([]uint8, ts)
+		s.keys = make([]int64, ts)
+		s.deltas = make([]int64, ts)
+		s.rowDeltas = make([][]int64, ts)
+		s.cols = nil // its tiles are the old size
+	}
+	for len(s.cols) < cols {
+		s.cols = append(s.cols, make([]int32, len(s.items)))
+	}
+	if len(s.vals) < cols {
+		s.vals = make([]int32, cols)
+	}
+	if len(s.flat) < ts*slots {
+		s.flat = make([]int64, ts*slots)
+	}
+	if len(s.acc) < 2*slots {
+		s.acc = make([]int64, 2*slots)
+	}
+}
+
+// scratchFree is the free list blocks draw tile scratch from: a buffered
+// channel with non-blocking get and put, so it never holds more than its
+// capacity (64 scratches of 0.1-0.3 MB: more blocks than that in flight at
+// once means more goroutines than any host here runs, and the overflow is
+// simply allocated and dropped). It is deliberately not a sync.Pool: every
+// collection empties a pool, which makes a run's allocation a function of GC
+// timing — and the benchmark holds alloc_kb_per_req to a few percent.
+var scratchFree = make(chan *tileScratch, 64)
+
+func getScratch(ts, cols, slots int) *tileScratch {
+	var s *tileScratch
+	select {
+	case s = <-scratchFree:
+	default:
+		s = new(tileScratch)
+	}
+	s.reserve(ts, cols, slots)
+	return s
+}
+
+func putScratch(s *tileScratch) {
+	select {
+	case scratchFree <- s:
+	default:
+	}
+}
+
 // runGPU executes the compiled plan on the paper's "Standalone GPU": the
 // full query compiled into a single tile-based Crystal kernel
 // (Section 5.2). Each thread block loads a tile of the fact table,
@@ -121,17 +203,20 @@ func (pl *Plan) runGPUOn(dev *device.Spec, ms *morselRun) *Result {
 		globalAcc = ast.identity()
 	}
 
+	ts := cfg.TileSize()
+	aggTiles, slots := 0, 0
+	if ast != nil {
+		aggTiles, slots = len(aggCols), ast.slots()
+	}
 	pass := sim.RunBounded(clk.Spec(), cfg, func(b *sim.Block) {
 		if b.ID < len(skips) && skips[b.ID] {
 			return // tile inside a zone-pruned morsel: no loads, no probes
 		}
-		ts := cfg.TileSize()
-		items := make([]int32, ts)
-		bitmap := make([]uint8, ts)
-		payloads := make([][]int32, numPayloads)
-		for i := range payloads {
-			payloads[i] = make([]int32, ts)
-		}
+		sc := getScratch(ts, numPayloads+aggTiles, slots)
+		defer putScratch(sc)
+		items, bitmap := sc.items, sc.bitmap
+		payloads, colVals := sc.cols[:numPayloads], sc.cols[numPayloads:numPayloads+aggTiles]
+		pvals, rowVals := sc.vals[:numPayloads], sc.vals[numPayloads:numPayloads+aggTiles]
 
 		nn := b.TileElems
 		first := true
@@ -140,24 +225,24 @@ func (pl *Plan) runGPUOn(dev *device.Spec, ms *morselRun) *Result {
 		// pair of primitives reads the tile's frames instead — a tile is
 		// exactly one frame (MorselAlign = tile size), so per-block packed
 		// traffic merges exactly for any partitioning.
-		loadCol := func(cr colReader) int {
+		loadCol := func(cr colReader, dst []int32) int {
 			if first {
 				first = false
 				if cr.packed != nil {
-					return crystal.BlockLoadPacked(b, cr.packed, items)
+					return crystal.BlockLoadPacked(b, cr.packed, dst)
 				}
-				return crystal.BlockLoad(b, cr.plain, items)
+				return crystal.BlockLoad(b, cr.plain, dst)
 			}
 			if cr.packed != nil {
-				return crystal.BlockLoadSelPacked(b, cr.packed, bitmap, items)
+				return crystal.BlockLoadSelPacked(b, cr.packed, bitmap, dst)
 			}
-			return crystal.BlockLoadSel(b, cr.plain, bitmap, items)
+			return crystal.BlockLoadSel(b, cr.plain, bitmap, dst)
 		}
 
 		// Selections on the fact table.
 		for i := range q.FactFilters {
 			f := &q.FactFilters[i]
-			m := loadCol(filterCols[i])
+			m := loadCol(filterCols[i], items)
 			if i == 0 {
 				crystal.BlockPred(b, items, m, f.Match, bitmap)
 			} else {
@@ -172,7 +257,7 @@ func (pl *Plan) runGPUOn(dev *device.Spec, ms *morselRun) *Result {
 
 		// Pipelined join probes.
 		for ji := range q.Joins {
-			m := loadCol(fkCols[ji])
+			m := loadCol(fkCols[ji], items)
 			var vals []int32
 			if pi := payloadIdx[ji]; pi >= 0 {
 				vals = payloads[pi]
@@ -185,18 +270,14 @@ func (pl *Plan) runGPUOn(dev *device.Spec, ms *morselRun) *Result {
 		// multi-accumulator table; the legacy single-SUM path below is
 		// untouched so its traffic stays bit-identical.
 		if ast != nil {
-			colVals := make([][]int32, len(aggCols))
 			for ci := range aggCols {
-				colVals[ci] = make([]int32, ts)
-				m := loadCol(aggSlices[ci])
-				copy(colVals[ci][:m], items[:m])
+				loadCol(aggSlices[ci], colVals[ci])
 			}
-			rowVals := make([]int32, len(aggCols))
 			if numPayloads == 0 {
 				// Hierarchical block reduction: merge rows into block-local
 				// slots, then one global atomic per slot per block.
-				local := ast.identity()
-				row := make([]int64, ast.slots())
+				local, row := sc.acc[:slots], sc.acc[slots:2*slots]
+				ast.reset(local)
 				updated := false
 				for i := 0; i < nn; i++ {
 					if bitmap[i] == 0 {
@@ -210,37 +291,34 @@ func (pl *Plan) runGPUOn(dev *device.Spec, ms *morselRun) *Result {
 					updated = true
 				}
 				if updated {
-					b.Pass().AtomicOps += int64(ast.slots())
+					b.Pass().AtomicOps += int64(slots)
 					accMu.Lock()
 					ast.merge(globalAcc, local)
 					accMu.Unlock()
 				}
 				return
 			}
-			keys := make([]int64, ts)
-			rowDeltas := make([][]int64, ts)
-			pvals := make([]int32, numPayloads)
 			for i := 0; i < nn; i++ {
 				if bitmap[i] == 0 {
 					continue
 				}
-				for pi := 0; pi < numPayloads; pi++ {
+				for pi := range pvals {
 					pvals[pi] = payloads[pi][i]
 				}
-				keys[i] = PackGroup(pvals)
+				sc.keys[i] = PackGroup(pvals)
 				for ci := range aggCols {
 					rowVals[ci] = colVals[ci][i]
 				}
-				d := make([]int64, ast.slots())
+				d := sc.flat[i*slots : (i+1)*slots]
 				ast.rowDeltas(rowVals, d)
-				rowDeltas[i] = d
+				sc.rowDeltas[i] = d
 			}
-			crystal.BlockMultiAggUpdate(b, multiTable, keys, rowDeltas, bitmap, nn)
+			crystal.BlockMultiAggUpdate(b, multiTable, sc.keys, sc.rowDeltas, bitmap, nn)
 			return
 		}
-		deltas := make([]int64, ts)
+		deltas := sc.deltas
 		for ci := range aggCols {
-			m := loadCol(aggSlices[ci])
+			m := loadCol(aggSlices[ci], items)
 			for i := 0; i < m; i++ {
 				if bitmap[i] == 0 {
 					continue
@@ -271,18 +349,16 @@ func (pl *Plan) runGPUOn(dev *device.Spec, ms *morselRun) *Result {
 			}
 			return
 		}
-		keys := make([]int64, ts)
-		vals := make([]int32, numPayloads)
 		for i := 0; i < nn; i++ {
 			if bitmap[i] == 0 {
 				continue
 			}
-			for pi := 0; pi < numPayloads; pi++ {
-				vals[pi] = payloads[pi][i]
+			for pi := range pvals {
+				pvals[pi] = payloads[pi][i]
 			}
-			keys[i] = PackGroup(vals)
+			sc.keys[i] = PackGroup(pvals)
 		}
-		crystal.BlockAggUpdate(b, aggTable, keys, deltas, bitmap, nn)
+		crystal.BlockAggUpdate(b, aggTable, sc.keys, deltas, bitmap, nn)
 	}, ms.lim)
 	pass.Label = "gpu probe pipeline " + q.ID
 	clk.Charge(pass)

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"crystal/internal/fleet"
+	"crystal/internal/sched"
 	"crystal/internal/ssb"
 )
 
@@ -100,6 +102,44 @@ func BenchmarkScanKernel(b *testing.B) {
 					scanKernel(members)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*n), "ns/row")
+			})
+		}
+	}
+}
+
+// BenchmarkRunGPU is the per-layer benchmark of the GPU-family path: the
+// tile kernel over 2^20 fact rows on one GPU and on a 4-GPU fleet (one launch
+// per device over its shard, then the host merge), for a filter-only query
+// and one-, three- and four-join grouped ones whose group estimates run from
+// 7,000 to the 2^20 cap. Allocations are the path's own — tile scratch comes
+// from the free list, aggregation tables are sized by occupancy — so B/op and
+// allocs/op should not move with the row count.
+func BenchmarkRunGPU(b *testing.B) {
+	const rows = 1 << 20
+	ds := ssb.GenerateRows(rows)
+	fl := fleet.Spec{GPUs: 4, Link: fleet.Interconnects()[0]}
+	for _, id := range []string{"q1.1", "q2.1", "q3.2", "q4.3"} {
+		q, err := ByID(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan := Compile(ds, q)
+		fleetSched, err := plan.ScheduleFleet(fl, RunOptions{Partition: PartitionOptions{Partitions: fl.GPUs}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, place := range []struct {
+			name string
+			s    sched.Schedule
+		}{{"gpu", plan.ScheduleEngine(EngineGPU, RunOptions{})}, {"fleet4", fleetSched}} {
+			b.Run(id+"/"+place.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := plan.RunScheduled(place.s); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
 			})
 		}
 	}

@@ -1,10 +1,6 @@
 package queries
 
-import (
-	"sync"
-
-	"crystal/internal/ssb"
-)
+import "crystal/internal/ssb"
 
 // Plan is a compiled physical plan: one query bound to one dataset, with
 // the dimension join hash tables already built. Compiling is the expensive,
@@ -13,12 +9,11 @@ import (
 // layer caches and shares between requests.
 //
 // A Plan is safe for concurrent use: the hash tables are only probed after
-// compilation (probes are atomic loads), the morsel cache is mutex-guarded,
-// and every run keeps its mutable state per call. Simulated times are
-// unaffected by reuse — each run re-charges the build traffic exactly as a
-// cold execution would, so a cached plan returns the same Result (rows and
-// Seconds) as a freshly compiled one while skipping the functional build
-// work.
+// compilation (probes are atomic loads), and every run keeps its mutable
+// state per call. Simulated times are unaffected by reuse — each run
+// re-charges the build traffic exactly as a cold execution would, so a cached
+// plan returns the same Result (rows and Seconds) as a freshly compiled one
+// while skipping the functional build work.
 type Plan struct {
 	// Query is the compiled query in plan order.
 	Query Query
@@ -26,12 +21,6 @@ type Plan struct {
 	// builds are the constructed join hash tables plus the build-phase
 	// traffic each engine charges on its own device clock.
 	builds []buildInfo
-
-	// partsMu guards parts, the per-partition-count morsel cache: zone maps
-	// cost one pass over the fact columns, so repeated partitioned runs of
-	// a cached plan compute them once per count.
-	partsMu sync.Mutex
-	parts   map[int][]ssb.Morsel
 }
 
 // Compile builds the join hash tables for q over ds and returns the
@@ -44,27 +33,9 @@ func Compile(ds *ssb.Dataset, q Query) *Plan {
 func (p *Plan) Dataset() *ssb.Dataset { return p.ds }
 
 // Morsels returns the dataset's zone-mapped morsels for the given partition
-// count, memoized on the plan by the effective count — Dataset.Partition
-// clamps n to the tile count, so every oversize request shares one entry and
-// the cache never holds more entries than the table has tiles. The cache
-// lives here rather than on the Dataset deliberately: Dataset values are
-// copied by SliceFact/ClusterBy (a mutex or cache field would be copied along
-// and could serve another layout's morsels), so each distinct cached plan
-// pays one zone-map scan per effective count instead.
-func (p *Plan) Morsels(n int) []ssb.Morsel {
-	n = ssb.EffectivePartitions(p.ds.Lineorder.Rows(), n)
-	p.partsMu.Lock()
-	defer p.partsMu.Unlock()
-	if p.parts == nil {
-		p.parts = map[int][]ssb.Morsel{}
-	}
-	ms, ok := p.parts[n]
-	if !ok {
-		ms = p.ds.Partition(n)
-		p.parts[n] = ms
-	}
-	return ms
-}
+// count. The dataset memoises them by effective count and every plan over it
+// shares the one slice: it is read-only.
+func (p *Plan) Morsels(n int) []ssb.Morsel { return p.ds.Partition(n) }
 
 // Run executes the compiled plan on the chosen engine as one monolithic
 // scan: RunScheduled over ScheduleEngine with default options (a single

@@ -153,6 +153,13 @@ func Run(dev *device.Spec, cfg Config, kernel Kernel) *device.Pass {
 // only while gate.TryAcquire grants slots. The traffic record — and
 // therefore the simulated time — is identical for every gate; only host
 // wall-clock parallelism changes.
+//
+// Each worker owns one Block and resets it per tile, keeping the backing
+// array of its meter's probe list, so a launch allocates per worker rather
+// than per tile; a kernel must not retain the *Block past its return. Every
+// block is still merged into the launch on its own, as it finishes:
+// Pass.ComputeCycles is a float, and summing per worker first would change
+// the rounding of the total.
 func RunBounded(dev *device.Spec, cfg Config, kernel Kernel, gate Gate) *device.Pass {
 	l := &Launch{Cfg: cfg, dev: dev}
 	l.pass.Kernels = 1
@@ -165,17 +172,19 @@ func RunBounded(dev *device.Spec, cfg Config, kernel Kernel, gate Gate) *device.
 	}
 	var next int64
 	worker := func() {
+		var b Block
 		for {
 			id := int(atomic.AddInt64(&next, 1) - 1)
 			if id >= numBlocks {
 				return
 			}
-			b := Block{
+			b = Block{
 				ID:             id,
 				Threads:        cfg.Threads,
 				ItemsPerThread: cfg.ItemsPerThread,
 				Offset:         id * cfg.TileSize(),
 				launch:         l,
+				pass:           device.Pass{Probes: b.pass.Probes[:0]},
 			}
 			b.TileElems = cfg.Elems - b.Offset
 			if ts := cfg.TileSize(); b.TileElems > ts {

@@ -119,6 +119,48 @@ func TestTrafficMergedAcrossBlocks(t *testing.T) {
 	}
 }
 
+// noHelpers is a Gate that refuses every helper, so the calling goroutine is
+// the launch's only worker.
+type noHelpers struct{}
+
+func (noHelpers) TryAcquire() bool { return false }
+func (noHelpers) Release()         {}
+
+// TestRunBoundedOneBlockPerWorker pins the launch's host cost: a worker
+// reuses one Block (and its probe list) for every tile, each tile still
+// starts from an empty meter, and the merged record is what per-tile Blocks
+// produced.
+func TestRunBoundedOneBlockPerWorker(t *testing.T) {
+	cfg := Config{Threads: 128, ItemsPerThread: 4, Elems: 1 << 16}
+	var first *Block
+	var pass *device.Pass
+	launch := func() {
+		pass = RunBounded(device.V100(), cfg, func(b *Block) {
+			if first == nil {
+				first = b
+			}
+			if b != first {
+				t.Errorf("block %d runs on a second Block though one worker executes", b.ID)
+			}
+			if m := b.Pass(); m.BytesRead != 0 || m.AtomicOps != 0 || len(m.Probes) != 0 {
+				t.Errorf("block %d starts from a used meter: %v", b.ID, m)
+			}
+			b.Pass().BytesRead += int64(b.TileElems) * 4
+			b.Pass().AddProbes(device.ProbeSet{Count: 3, StructBytes: 1 << 10})
+			b.Pass().AddProbes(device.ProbeSet{Count: 1, StructBytes: int64(1+b.ID%2) << 20})
+		}, noHelpers{})
+		first = nil
+	}
+	launch()
+	blocks := int64(cfg.NumBlocks())
+	if pass.BytesRead != 4<<16 || len(pass.Probes) != 3 || pass.Probes[0].Count != 3*blocks {
+		t.Errorf("merged record = %v with probes %+v", pass, pass.Probes)
+	}
+	if allocs := testing.AllocsPerRun(5, launch); allocs > 16 {
+		t.Errorf("a %d-block launch allocates %.0f times, want a handful per worker", blocks, allocs)
+	}
+}
+
 func TestVectorEfficiency(t *testing.T) {
 	if e := vectorEff(4); e != 1.0 {
 		t.Errorf("IPT=4 eff = %f", e)

@@ -49,6 +49,10 @@ type Dataset struct {
 	Customer  Dim
 	Supplier  Dim
 	Part      Dim
+
+	// zones caches the fact table's zone maps (see factZones); nil on a
+	// zero-value Dataset, which Partition then serves without a cache.
+	zones *factZones
 }
 
 // Bytes returns the total dataset footprint (all columns, 4 bytes each).
@@ -204,7 +208,7 @@ func Generate(sf int) *Dataset {
 	if sf < 1 {
 		sf = 1
 	}
-	ds := &Dataset{SF: sf}
+	ds := &Dataset{SF: sf, zones: new(factZones)}
 	ds.Date = GenDate()
 	ds.Customer = GenCustomer(sf)
 	ds.Supplier = GenSupplier(sf)
@@ -222,7 +226,7 @@ func GenerateRows(factRows int) *Dataset {
 	if factRows < 1 {
 		factRows = 1
 	}
-	ds := &Dataset{SF: 1}
+	ds := &Dataset{SF: 1, zones: new(factZones)}
 	ds.Date = GenDate()
 	ds.Customer = GenCustomer(1)
 	ds.Supplier = GenSupplier(1)
@@ -237,6 +241,7 @@ func GenerateRows(factRows int) *Dataset {
 func (ds *Dataset) SliceFact(lo, hi int) *Dataset {
 	l := &ds.Lineorder
 	out := *ds
+	out.zones = new(factZones) // a new extent: the parent's zones do not describe it
 	out.Lineorder = Lineorder{
 		OrderDate:  l.OrderDate[lo:hi],
 		CustKey:    l.CustKey[lo:hi],

@@ -166,7 +166,7 @@ func Read(r io.Reader, maxBytes int64) (*Dataset, error) {
 	if err := binary.Read(r, binary.LittleEndian, &sf); err != nil {
 		return nil, err
 	}
-	ds := &Dataset{SF: int(sf)}
+	ds := &Dataset{SF: int(sf), zones: new(factZones)}
 	var nFact int32
 	if err := binary.Read(r, binary.LittleEndian, &nFact); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package ssb
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // MorselAlign is the row quantum morsel boundaries snap to. It equals the
@@ -91,50 +92,110 @@ func EffectivePartitions(rows, n int) int {
 	return n
 }
 
+// factZones is the zone-map state of one fact-table layout: the per-tile
+// (MorselAlign) zones, computed by the first Partition call, and the morsel
+// maps derived from them, memoised by effective count. Morsel boundaries are
+// tile-aligned, so any morsel's zone is the envelope of its tiles' and the
+// nine fact columns are scanned once per fact table — not once per plan and
+// partition count.
+//
+// A Dataset holds it by pointer so that the by-value copies SliceFact and
+// ClusterBy take can be given a fresh one: zones describe a layout, and a
+// copied pointer would serve another layout's.
+type factZones struct {
+	mu    sync.Mutex
+	tiles []Zone // tile-major: tile t, column c of FactColumns at t*len(FactColumns())+c
+	parts map[int][]Morsel
+}
+
 // Partition splits the fact table into at most n morsels with zone maps.
 // Boundaries snap to MorselAlign, so morsels are balanced to within one
 // quantum, cover every row exactly once, and requesting more morsels than
 // aligned chunks simply yields fewer (never empty) morsels. n < 1 is
 // treated as 1.
+//
+// On a dataset from Generate, GenerateRows, Read, SliceFact or ClusterBy the
+// result is memoised by effective count and shared between callers: treat the
+// slice, its morsels and their Zones maps as read-only, and do not write to a
+// fact column once the table has been partitioned. A zero-value Dataset has
+// no cache and computes its zones directly.
 func (ds *Dataset) Partition(n int) []Morsel {
 	rows := ds.Lineorder.Rows()
 	n = EffectivePartitions(rows, n)
 	if n == 0 {
 		return nil
 	}
+	fz := ds.zones
+	if fz == nil {
+		return partition(rows, n, tileZones(&ds.Lineorder))
+	}
+	fz.mu.Lock()
+	defer fz.mu.Unlock()
+	ms, ok := fz.parts[n]
+	if !ok {
+		if fz.tiles == nil {
+			fz.tiles = tileZones(&ds.Lineorder)
+			fz.parts = map[int][]Morsel{}
+		}
+		ms = partition(rows, n, fz.tiles)
+		fz.parts[n] = ms
+	}
+	return ms
+}
+
+// partition lays n morsels over rows and gives each the envelope of its
+// tiles' zones (tz, laid out as factZones.tiles).
+func partition(rows, n int, tz []Zone) []Morsel {
+	names := FactColumns()
 	tiles := (rows + MorselAlign - 1) / MorselAlign
 	out := make([]Morsel, 0, n)
 	for i := 0; i < n; i++ {
-		lo := (i * tiles / n) * MorselAlign
-		hi := ((i + 1) * tiles / n) * MorselAlign
-		if hi > rows || i == n-1 {
-			hi = rows
-		}
+		lo, hi := i*tiles/n, (i+1)*tiles/n
 		if lo >= hi {
 			continue
 		}
-		out = append(out, Morsel{Lo: lo, Hi: hi, Zones: ds.zoneMap(lo, hi)})
+		zones := make(map[string]Zone, len(names))
+		for c, name := range names {
+			z := tz[lo*len(names)+c]
+			for t := lo + 1; t < hi; t++ {
+				z.Min = min(z.Min, tz[t*len(names)+c].Min)
+				z.Max = max(z.Max, tz[t*len(names)+c].Max)
+			}
+			zones[name] = z
+		}
+		out = append(out, Morsel{Lo: lo * MorselAlign, Hi: min(hi*MorselAlign, rows), Zones: zones})
 	}
 	return out
 }
 
-// zoneMap computes min/max for every fact column over rows [lo, hi).
-func (ds *Dataset) zoneMap(lo, hi int) map[string]Zone {
-	zones := make(map[string]Zone, 9)
-	for _, name := range FactColumns() {
-		col := ds.Lineorder.Col(name)[lo:hi]
-		z := Zone{Min: col[0], Max: col[0]}
-		for _, v := range col[1:] {
-			if v < z.Min {
-				z.Min = v
-			}
-			if v > z.Max {
-				z.Max = v
-			}
+// tileZones scans every fact column once and returns the zone of each
+// MorselAlign tile (the last may be partial), laid out as factZones.tiles.
+func tileZones(l *Lineorder) []Zone {
+	names := FactColumns()
+	rows := l.Rows()
+	tiles := (rows + MorselAlign - 1) / MorselAlign
+	out := make([]Zone, tiles*len(names))
+	for c, name := range names {
+		col := l.Col(name)
+		for t := 0; t < tiles; t++ {
+			out[t*len(names)+c] = zoneMap(col[t*MorselAlign : min((t+1)*MorselAlign, rows)])
 		}
-		zones[name] = z
 	}
-	return zones
+	return out
+}
+
+// zoneMap computes the min/max of a non-empty run of column values.
+func zoneMap(col []int32) Zone {
+	z := Zone{Min: col[0], Max: col[0]}
+	for _, v := range col[1:] {
+		if v < z.Min {
+			z.Min = v
+		}
+		if v > z.Max {
+			z.Max = v
+		}
+	}
+	return z
 }
 
 // ClusterBy returns a copy of the dataset whose fact table is stably sorted
@@ -153,6 +214,7 @@ func (ds *Dataset) ClusterBy(col string) *Dataset {
 	sort.SliceStable(perm, func(a, b int) bool { return key[perm[a]] < key[perm[b]] })
 
 	out := *ds
+	out.zones = new(factZones) // a new layout: the parent's zones do not describe it
 	out.Lineorder = Lineorder{}
 	for _, name := range FactColumns() {
 		src := l.Col(name)

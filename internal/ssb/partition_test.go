@@ -1,6 +1,10 @@
 package ssb
 
-import "testing"
+import (
+	"reflect"
+	"sync"
+	"testing"
+)
 
 func TestPartitionCoversAllRowsAligned(t *testing.T) {
 	ds := GenerateRows(100_000) // not a multiple of MorselAlign
@@ -72,6 +76,73 @@ func TestZoneMapsMatchBruteForce(t *testing.T) {
 				t.Errorf("zone %s [%d,%d) = [%d,%d], want [%d,%d]", name, m.Lo, m.Hi, z.Min, z.Max, min, max)
 			}
 		}
+	}
+}
+
+// directPartition is Partition as it was before zones were kept per tile:
+// the boundaries from the count, then one min/max scan per morsel and column.
+func directPartition(ds *Dataset, n int) []Morsel {
+	rows := ds.Lineorder.Rows()
+	tiles := (rows + MorselAlign - 1) / MorselAlign
+	n = EffectivePartitions(rows, n)
+	var out []Morsel
+	for i := 0; i < n; i++ {
+		lo, hi := (i*tiles/n)*MorselAlign, ((i+1)*tiles/n)*MorselAlign
+		if hi > rows || i == n-1 {
+			hi = rows
+		}
+		zones := map[string]Zone{}
+		for _, name := range FactColumns() {
+			z := Zone{Min: ds.Lineorder.Col(name)[lo], Max: ds.Lineorder.Col(name)[lo]}
+			for _, v := range ds.Lineorder.Col(name)[lo:hi] {
+				z.Min, z.Max = min(z.Min, v), max(z.Max, v)
+			}
+			zones[name] = z
+		}
+		out = append(out, Morsel{Lo: lo, Hi: hi, Zones: zones})
+	}
+	return out
+}
+
+// TestPartitionFromTiles pins that morsel zones assembled from the per-tile
+// zones a fact table computes once equal a direct scan of each morsel, on
+// every layout that carries its own zones — and that a layout derived from a
+// table whose zones are already built starts from fresh ones.
+func TestPartitionFromTiles(t *testing.T) {
+	gen := GenerateRows(5*MorselAlign + 777)
+	gen.Partition(3) // the parent's zones exist before the copies are taken
+	tiles := 6
+	layouts := map[string]*Dataset{
+		"generated": gen,
+		"clustered": gen.ClusterBy("orderdate"),
+		"sliced":    gen.SliceFact(MorselAlign, 4*MorselAlign+5),
+		"uncached":  {Lineorder: gen.Lineorder},
+	}
+	for name, ds := range layouts {
+		var wg sync.WaitGroup
+		for n := 1; n <= 4; n++ { // the first requests race for the tile scan
+			wg.Add(1)
+			go func(n int) {
+				defer wg.Done()
+				ds.Partition(n)
+			}(n)
+		}
+		wg.Wait()
+		for _, n := range []int{1, 2, 7, 16, 64, tiles, tiles + 5} {
+			got, want := ds.Partition(n), directPartition(ds, n)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: Partition(%d) = %+v, want %+v", name, n, got, want)
+			}
+			if again := ds.Partition(n); ds.zones != nil && &again[0] != &got[0] {
+				t.Errorf("%s: Partition(%d) is not memoised", name, n)
+			}
+		}
+		if ds.zones != nil && len(ds.zones.parts) > tiles {
+			t.Errorf("%s: %d morsel maps cached, want at most one per tile (%d)", name, len(ds.zones.parts), tiles)
+		}
+	}
+	if z := layouts["clustered"].Partition(6)[0].Zones["orderdate"]; z == gen.Partition(6)[0].Zones["orderdate"] {
+		t.Errorf("the clustered copy serves its parent's zones: first morsel orderdate %+v", z)
 	}
 }
 
