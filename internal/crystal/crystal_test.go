@@ -412,6 +412,8 @@ func TestBuildKernel(t *testing.T) {
 	}
 }
 
+// TestAggTable accumulates a single SUM — a MultiAggTable of one SlotAdd —
+// from eight goroutines and reads it back through the one-slot face.
 func TestAggTable(t *testing.T) {
 	at := NewAggTable(16)
 	var wg sync.WaitGroup
@@ -420,13 +422,13 @@ func TestAggTable(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				at.Add(int64(i%10), 1)
+				at.t.Update(int64(i%10), []int64{1})
 			}
 		}()
 	}
 	wg.Wait()
-	if at.Groups() != 10 {
-		t.Fatalf("groups = %d, want 10", at.Groups())
+	if at.t.Groups() != 10 {
+		t.Fatalf("groups = %d, want 10", at.t.Groups())
 	}
 	var keys []int64
 	at.Each(func(k, sum int64) {
@@ -495,9 +497,9 @@ func TestAggTableBytesAreModelled(t *testing.T) {
 	}
 }
 
-// TestAggTablesGrowUnderContention drives both tables far past their
-// physical (and, in the first case, modelled) capacity from several
-// goroutines at once, half of them through the block-wide updaters that hold
+// TestAggTablesGrowUnderContention drives a one-slot and a three-slot table
+// far past their physical (and, in the first case, modelled) capacity from several
+// goroutines at once, half of them through the block-wide updater that holds
 // the read lock across a tile: the table grows instead of spinning on a full
 // array, every accumulator is exact, Groups is exact, Each visits each key
 // once, and Bytes still reports the estimate.
@@ -507,7 +509,7 @@ func TestAggTablesGrowUnderContention(t *testing.T) {
 		{estimate: 1, keys: 10_000, workers: 8},
 		{estimate: aggInitialSlots / 2, keys: 1 << 14, workers: max(runtime.GOMAXPROCS(0), 2)},
 	} {
-		sum, multi := NewAggTable(tc.estimate), NewMultiAggTable(tc.estimate, ops)
+		sum, multi := NewMultiAggTable(tc.estimate, ops[:1]), NewMultiAggTable(tc.estimate, ops)
 		sumBytes, multiBytes := sum.Bytes(), multi.Bytes()
 		var wg sync.WaitGroup
 		for w := 0; w < tc.workers; w++ {
@@ -516,21 +518,21 @@ func TestAggTablesGrowUnderContention(t *testing.T) {
 				defer wg.Done()
 				const tile = 512
 				b := testBlockQuick(tile)
-				keys, deltas, rows := make([]int64, tile), make([]int64, tile), make([][]int64, tile)
+				keys, deltas, rows := make([]int64, tile), make([][]int64, tile), make([][]int64, tile)
 				for lo := 0; lo < tc.keys; lo += tile {
 					n := min(tile, tc.keys-lo)
 					for i := 0; i < n; i++ {
 						// Every worker walks the key space from its own offset.
 						k := int64((lo + i + w*tc.keys/tc.workers) % tc.keys)
-						keys[i], deltas[i] = k, int64(w+1)
+						keys[i], deltas[i] = k, []int64{int64(w + 1)}
 						rows[i] = []int64{int64(w + 1), k*100 + int64(w), k*100 + int64(w)}
 						if w%2 == 1 {
-							sum.Add(k, deltas[i])
+							sum.Update(k, deltas[i])
 							multi.Update(k, rows[i])
 						}
 					}
 					if w%2 == 0 {
-						BlockAggUpdate(b, sum, keys, deltas, nil, n)
+						BlockMultiAggUpdate(b, sum, keys, deltas, nil, n)
 						BlockMultiAggUpdate(b, multi, keys, rows, nil, n)
 					}
 				}
@@ -540,10 +542,10 @@ func TestAggTablesGrowUnderContention(t *testing.T) {
 
 		wantSum := int64(tc.workers * (tc.workers + 1) / 2)
 		seen := make([]int, tc.keys)
-		sum.Each(func(k, s int64) {
+		sum.Each(func(k int64, acc []int64) {
 			seen[k]++
-			if s != wantSum {
-				t.Errorf("estimate %d: sum[%d] = %d, want %d", tc.estimate, k, s, wantSum)
+			if len(acc) != 1 || acc[0] != wantSum {
+				t.Errorf("estimate %d: sum[%d] = %v, want [%d]", tc.estimate, k, acc, wantSum)
 			}
 		})
 		multi.Each(func(k int64, acc []int64) {
@@ -568,9 +570,12 @@ func TestAggTablesGrowUnderContention(t *testing.T) {
 }
 
 func TestAggTableReservedKeyPanics(t *testing.T) {
+	ops := []SlotOp{SlotAdd}
 	for name, update := range map[string]func(){
-		"AggTable.Add":         func() { NewAggTable(4).Add(aggEmpty, 1) },
-		"MultiAggTable.Update": func() { NewMultiAggTable(4, []SlotOp{SlotAdd}).Update(aggEmpty, []int64{1}) },
+		"MultiAggTable.Update": func() { NewMultiAggTable(4, ops).Update(aggEmpty, []int64{1}) },
+		"BlockMultiAggUpdate": func() {
+			BlockMultiAggUpdate(testBlockQuick(1), NewMultiAggTable(4, ops), []int64{aggEmpty}, [][]int64{{1}}, nil, 1)
+		},
 	} {
 		func() {
 			defer func() {
@@ -586,20 +591,20 @@ func TestAggTableReservedKeyPanics(t *testing.T) {
 func TestBlockAggUpdate(t *testing.T) {
 	const n = 256
 	gk := make([]int64, n)
-	dl := make([]int64, n)
+	dl := make([][]int64, n)
 	bm := make([]uint8, n)
 	for i := range gk {
 		gk[i] = int64(i % 4)
-		dl[i] = 1
+		dl[i] = []int64{1}
 		if i%2 == 0 {
 			bm[i] = 1
 		}
 	}
-	at := NewAggTable(8)
+	at := NewMultiAggTable(8, []SlotOp{SlotAdd})
 	b := testBlock(t, n)
-	BlockAggUpdate(b, at, gk, dl, bm, n)
+	BlockMultiAggUpdate(b, at, gk, dl, bm, n)
 	total := int64(0)
-	at.Each(func(_, s int64) { total += s })
+	at.Each(func(_ int64, acc []int64) { total += acc[0] })
 	if total != n/2 {
 		t.Errorf("agg total = %d, want %d", total, n/2)
 	}

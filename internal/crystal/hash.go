@@ -150,12 +150,11 @@ func BuildKernel(b *sim.Block, ht *HashTable, keys, vals []int32) {
 	b.Pass().AddProbes(device.ProbeSet{Count: int64(nk), StructBytes: ht.Bytes(), Writes: true})
 }
 
-// AggTable is the one-slot face of MultiAggTable: group key -> running sum,
-// the table the single-SUM SSB kernels update with atomic adds. A single SUM
-// is an aggregate list of one SlotAdd, and 8 + 8*1 = 16 bytes a slot is the
-// footprint this table always modelled, so it shares the growable core — and
-// its split between the modelled footprint Bytes() reports and the physical
-// arrays that follow occupancy — rather than keeping a second one.
+// AggTable is the one-slot face of MultiAggTable: group key -> running sum.
+// The query kernels hold a MultiAggTable directly (a single SUM is a list of
+// one SlotAdd); this face is what the benchmark harness constructs and walks
+// to time a table of the footprint — 8 + 8*1 = 16 bytes a modelled slot —
+// that a single-SUM statement prices.
 type AggTable struct {
 	t *MultiAggTable
 }
@@ -171,39 +170,10 @@ const aggEmpty = math.MinInt64
 // Bytes returns the modelled table footprint (16 bytes per modelled slot).
 func (t *AggTable) Bytes() int64 { return t.t.Bytes() }
 
-// Add atomically accumulates delta into the sum for group key.
-func (t *AggTable) Add(key, delta int64) {
-	t.t.mu.RLock()
-	defer t.t.mu.RUnlock()
-	t.t.update(key, []int64{delta})
-}
-
-// Groups returns the number of distinct groups accumulated.
-func (t *AggTable) Groups() int { return t.t.Groups() }
-
 // Each calls fn for every (key, sum) pair in unspecified order; like
 // MultiAggTable.Each it reads a finished table.
 func (t *AggTable) Each(fn func(key, sum int64)) {
 	t.t.Each(func(key int64, acc []int64) { fn(key, acc[0]) })
-}
-
-// BlockAggUpdate accumulates the selected (key, delta) pairs of a tile into
-// the global aggregation table and meters the random probes. Atomic adds to
-// distinct cache-resident groups do not serialize on one address the way the
-// global output cursor does; they are priced as the probe traffic.
-func BlockAggUpdate(b *sim.Block, t *AggTable, groupKeys []int64, deltas []int64, bitmap []uint8, n int) {
-	var probes int64
-	m := t.t
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for i := 0; i < n; i++ {
-		if bitmap != nil && bitmap[i] == 0 {
-			continue
-		}
-		m.update(groupKeys[i], deltas[i:i+1])
-		probes++
-	}
-	b.Pass().AddProbes(device.ProbeSet{Count: probes, StructBytes: t.Bytes()})
 }
 
 func (h *HashTable) String() string {

@@ -59,8 +59,8 @@ func (op SlotOp) Merge(acc, v int64) int64 {
 //
 // The table has two sizes and they must not be confused. The modelled
 // footprint is a number: the open-addressing capacity the group estimate asks
-// for at 50% fill, fixed at construction. Bytes() reports it, BlockAggUpdate
-// and BlockMultiAggUpdate hand it to device.ProbeSet.StructBytes, and it
+// for at 50% fill, fixed at construction. Bytes() reports it,
+// BlockMultiAggUpdate hands it to device.ProbeSet.StructBytes, and it
 // decides which cache level prices every probe — so it must not follow the
 // slices, or simulated seconds would move with the data. The physical
 // footprint follows occupancy: keys/vals start at min(modelled, 256) slots
@@ -70,8 +70,8 @@ func (op SlotOp) Merge(acc, v int64) int64 {
 // its estimate grows the table instead of spinning on a full one.
 //
 // Updates run under the read half of mu (atomics order them against each
-// other); a rehash takes the write half. The block-wide updaters take the
-// read half once per tile, the standalone Add/Update once per call.
+// other); a rehash takes the write half. The block-wide updater takes the
+// read half once per tile, the standalone Update once per call.
 type MultiAggTable struct {
 	ops      []SlotOp
 	slots    int
@@ -242,9 +242,11 @@ func (t *MultiAggTable) Each(fn func(key int64, acc []int64)) {
 	}
 }
 
-// BlockMultiAggUpdate accumulates the selected rows' slot-delta vectors into
-// the global table and meters the random probes exactly like BlockAggUpdate;
-// the per-row struct is wider (8 + 8*slots bytes), which Bytes() reflects.
+// BlockMultiAggUpdate accumulates the selected rows' slot-delta vectors of a
+// tile into the global table and meters the random probes. Atomic updates to
+// distinct cache-resident groups do not serialize on one address the way the
+// global output cursor does; they are priced as the probe traffic, against
+// the modelled footprint (8 + 8*slots bytes a slot) Bytes() reports.
 func BlockMultiAggUpdate(b *sim.Block, t *MultiAggTable, groupKeys []int64, deltas [][]int64, bitmap []uint8, n int) {
 	var probes int64
 	t.mu.RLock()

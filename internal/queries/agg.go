@@ -4,11 +4,11 @@ import (
 	"sort"
 
 	"crystal/internal/crystal"
+	"crystal/internal/sched"
 )
 
-// AggFunc is an aggregate function. FuncSum over one of the three AggKind
-// expressions is the legacy shape every engine has run since the seed; the
-// others arrived with the ORDER BY / multi-aggregate surface.
+// AggFunc is an aggregate function over one of the three AggKind input
+// expressions (COUNT ignores its expression).
 type AggFunc int
 
 const (
@@ -64,7 +64,7 @@ type OrderKey struct {
 }
 
 // AggList returns the statement's aggregates: Aggs when set, otherwise the
-// legacy single SUM over Agg.
+// list of one that the Agg spelling stands for, SUM over Agg.
 func (q *Query) AggList() []AggSpec {
 	if q.Aggs != nil {
 		return q.Aggs
@@ -73,33 +73,25 @@ func (q *Query) AggList() []AggSpec {
 }
 
 // AggColumns returns the distinct fact columns the statement's aggregate
-// expressions read, in first-appearance order (exactly Agg.Columns() for
-// legacy queries, so their scan footprint is unchanged).
+// expressions read, in first-appearance order (Agg.Columns() for a
+// statement spelled with Agg).
 func (q *Query) AggColumns() []string {
-	if q.Aggs == nil {
-		return q.Agg.Columns()
-	}
-	seen := map[string]bool{}
 	var cols []string
-	for _, s := range q.Aggs {
+	for _, s := range q.AggList() {
 		if s.Func == FuncCount {
 			continue
 		}
 		for _, c := range s.Expr.Columns() {
-			if !seen[c] {
-				seen[c] = true
-				cols = append(cols, c)
-			}
+			colIndex(&cols, c)
 		}
 	}
 	return cols
 }
 
-// aggState precomputes the accumulator layout of a multi-aggregate query:
-// the slots each aggregate owns, each slot's merge operator, and where each
-// aggregate's input columns sit in AggColumns order. It is nil for legacy
-// single-SUM queries, which keep their original map[int64]int64 path —
-// that is what keeps the pre-existing benchmarks byte-identical.
+// aggState is the accumulator layout of a statement's aggregate list: the
+// slots each aggregate owns, each slot's merge operator, and where each
+// aggregate's input columns sit in AggColumns order. Compile builds it once
+// onto the Plan; every kernel, the merge and finalizeGroups read that one.
 type aggState struct {
 	specs  []AggSpec
 	cols   []string
@@ -109,20 +101,13 @@ type aggState struct {
 }
 
 func newAggState(q *Query) *aggState {
-	if q.Aggs == nil {
-		return nil
-	}
-	st := &aggState{specs: q.Aggs, cols: q.AggColumns()}
-	pos := map[string]int{}
-	for i, c := range st.cols {
-		pos[c] = i
-	}
+	st := &aggState{specs: q.AggList(), cols: q.AggColumns()}
 	for _, s := range st.specs {
 		st.slotOf = append(st.slotOf, len(st.ops))
 		var idx []int
 		if s.Func != FuncCount {
 			for _, c := range s.Expr.Columns() {
-				idx = append(idx, pos[c])
+				idx = append(idx, colIndex(&st.cols, c))
 			}
 		}
 		st.colIdx = append(st.colIdx, idx)
@@ -142,18 +127,56 @@ func newAggState(q *Query) *aggState {
 
 func (st *aggState) slots() int { return len(st.ops) }
 
-// identity returns a fresh accumulator vector of merge identities.
-func (st *aggState) identity() []int64 {
-	acc := make([]int64, len(st.ops))
-	st.reset(acc)
-	return acc
-}
-
 // reset overwrites an accumulator vector with the merge identities.
 func (st *aggState) reset(acc []int64) {
 	for i, op := range st.ops {
 		acc[i] = op.Identity()
 	}
+}
+
+// untouched reports whether acc is still the identity vector: no row, or
+// only rows whose every contribution left its slot where it started.
+func (st *aggState) untouched(acc []int64) bool {
+	for i, op := range st.ops {
+		if acc[i] != op.Identity() {
+			return false
+		}
+	}
+	return true
+}
+
+// at returns key's accumulator vector in t, at the merge identities when the
+// key is new; like AccTable.At's, the slice dies at the next call.
+func (st *aggState) at(t *sched.AccTable, key int64) []int64 {
+	acc, fresh := t.At(key)
+	if fresh {
+		st.reset(acc)
+	}
+	return acc
+}
+
+// mergeTable merges from into the table to slot-wise, group by group, and
+// returns the merged table. A nil to adopts from whole — its producer is done
+// with it — so the first table of a merge is never copied.
+func (st *aggState) mergeTable(to, from *sched.AccTable) *sched.AccTable {
+	if to == nil {
+		return from
+	}
+	from.Each(func(k int64, acc []int64) { st.merge(st.at(to, k), acc) })
+	return to
+}
+
+// backfill gives a statement with no group-by the one row it always yields:
+// an empty (or nil) table gains key 0 at the merge identities.
+func (st *aggState) backfill(q *Query, t *sched.AccTable) *sched.AccTable {
+	if len(q.GroupPayloads()) > 0 || t.Len() > 0 {
+		return t
+	}
+	if t == nil {
+		t = sched.NewAccTable(st.slots(), 1)
+	}
+	st.at(t, 0)
+	return t
 }
 
 // eval computes spec i's input expression over one row's AggColumns values.
@@ -219,13 +242,13 @@ func (st *aggState) merge(dst, src []int64) {
 	}
 }
 
-// finalize converts a raw accumulator vector into the per-aggregate values:
-// AVG divides (integer division, matching the dictionary-coded int columns),
-// and untouched MIN/MAX sentinels — only possible for the backfilled global
-// aggregate row — collapse to 0.
-func (st *aggState) finalize(acc []int64) []int64 {
-	out := make([]int64, len(st.specs))
+// finalize converts a raw accumulator vector into the per-aggregate values,
+// one per spec, in out: AVG divides (integer division, matching the
+// dictionary-coded int columns), and untouched MIN/MAX sentinels — only
+// possible for the backfilled global aggregate row — collapse to 0.
+func (st *aggState) finalize(acc, out []int64) {
 	for i, s := range st.specs {
+		out[i] = 0
 		slot := st.slotOf[i]
 		switch s.Func {
 		case FuncAvg:
@@ -240,43 +263,45 @@ func (st *aggState) finalize(acc []int64) []int64 {
 			out[i] = acc[slot]
 		}
 	}
-	return out
 }
 
 // aggRowBytes is the per-group footprint of the aggregation table the
 // engines price: the 8-byte packed key plus 8 bytes per accumulator slot
-// (exactly the historical 16 for legacy single-SUM queries).
+// (16 for a single SUM).
 func aggRowBytes(q *Query) int64 {
-	if st := newAggState(q); st != nil {
-		return int64(8 + 8*st.slots())
+	slots := 0
+	for _, s := range q.AggList() {
+		slots += s.Slots()
 	}
-	return 16
+	return int64(8 + 8*slots)
 }
 
 // AggRowBytes exposes the per-group accumulator footprint to the planner,
 // which prices merge traffic with the same number the executor charges.
 func (q *Query) AggRowBytes() int64 { return aggRowBytes(q) }
 
-// finalizeGroups converts raw accumulators into the Result's public maps:
-// Aggs (every aggregate) and Groups (the first aggregate, so legacy
-// consumers keep working). Legacy queries keep their Groups map untouched
-// apart from the global-aggregate backfill.
-func finalizeGroups(q *Query, st *aggState, accs map[int64][]int64, res *Result) {
-	if st == nil {
-		if len(q.GroupPayloads()) == 0 && len(res.Groups) == 0 {
-			res.Groups[0] = 0 // a global aggregate always yields one row
-		}
+// finalizeGroups converts a merged accumulator table into the Result's public
+// maps: Groups (the first aggregate of every group) and, for a statement
+// spelled as a list, Aggs (every aggregate; its rows are windows of one
+// slab). This boundary is the only place the two spellings differ: a
+// statement spelled with Agg reports Aggs == nil.
+func finalizeGroups(q *Query, st *aggState, accs *sched.AccTable, res *Result) {
+	accs = st.backfill(q, accs)
+	res.Groups = make(map[int64]int64, accs.Len())
+	if q.Aggs == nil {
+		// One SUM slot: the accumulator is the value.
+		accs.Each(func(k int64, acc []int64) { res.Groups[k] = acc[0] })
 		return
 	}
-	if len(q.GroupPayloads()) == 0 && len(accs) == 0 {
-		accs[0] = st.identity()
-	}
-	res.Aggs = make(map[int64][]int64, len(accs))
-	for k, acc := range accs {
-		fin := st.finalize(acc)
-		res.Aggs[k] = fin
-		res.Groups[k] = fin[0]
-	}
+	n := len(st.specs)
+	res.Aggs = make(map[int64][]int64, accs.Len())
+	slab := make([]int64, n*accs.Len())
+	accs.Each(func(k int64, acc []int64) {
+		fin := slab[:n:n]
+		slab = slab[n:]
+		st.finalize(acc, fin)
+		res.Aggs[k], res.Groups[k] = fin, fin[0]
+	})
 }
 
 // resultRows materializes the finalized groups as rows sorted by packed key

@@ -217,7 +217,7 @@ func RunBatchScheduled(plans []*Plan, opts RunOptions, scheduleOf func(*Plan) (s
 			// shared scan. ORDER BY re-runs on the schedule's hardware exactly
 			// as the solo run priced it (the sort seconds are already in sr).
 			raw := raws[i]
-			finalizeGroups(&q, newAggState(&q), raw.accs, raw)
+			finalizeGroups(&q, p.agg, raw.accs, raw)
 			sr.Result.Groups, sr.Result.Aggs = raw.Groups, raw.Aggs
 			if len(q.OrderBy) > 0 {
 				sr.Result.Ordered = p.executeSort(s, resultRows(&q, raw)).rows

@@ -326,6 +326,12 @@ func pricedEqualsExecuted(t *testing.T) {
 					if want := btoi(len(stmts[i].OrderBy) > 0); sorts != want {
 						t.Errorf("%s: %d sort spans in the member's tree, want %d", label, sorts, want)
 					}
+					// The raw accumulator table is the merge's, for a single SUM
+					// and for a list alike: a reply that carried it would pin it
+					// for as long as a cache or a flight leader holds the reply.
+					if m.Result.accs != nil || solo.Result.accs != nil {
+						t.Errorf("%s: RunScheduled handed out its raw accumulator table", label)
+					}
 					// Span trees carry wall clocks; everything else must match.
 					got, want := *m.ScheduledResult, *solo
 					got.Trace, want.Trace = nil, nil

@@ -2,10 +2,10 @@ package queries
 
 import (
 	"fmt"
-	"sync"
 
 	"crystal/internal/crystal"
 	"crystal/internal/device"
+	"crystal/internal/sched"
 	"crystal/internal/sim"
 )
 
@@ -53,21 +53,19 @@ func blockSkips(ms *morselRun, tileSize int) []bool {
 // The kernel may therefore read a slot only if it wrote that slot earlier in
 // the same block under the same bitmap: BlockPred writes all m bitmap
 // entries (the no-filter branch all nn); a selective load leaves unselected
-// slots untouched and nothing reads them; deltas[i] is assigned at the first
-// aggregate column before it is multiplied or subtracted; keys[i] and
-// rowDeltas[i] are written exactly where bitmap[i] != 0; acc is reset to the
-// merge identities before it is merged into. Nothing that outlives the block
-// may alias a scratch buffer.
+// slots untouched and nothing reads them; keys[i] and rowDeltas[i] are
+// written exactly where bitmap[i] != 0; acc is reset to the merge identities
+// before it is merged into. Nothing that outlives the block may alias a
+// scratch buffer.
 type tileScratch struct {
 	items  []int32
 	bitmap []uint8
 	keys   []int64
-	deltas []int64   // single-SUM path: one delta per row
-	cols   [][]int32 // payload tiles, then the multi-aggregate column tiles
+	cols   [][]int32 // payload tiles, then the aggregate column tiles
 	vals   []int32   // one row's payloads, then its aggregate column values
-	// Multi-aggregate path: rowDeltas[i] re-slices flat, the tile's
-	// ts x slots delta vectors; acc is the block-local accumulator and one
-	// row's deltas of the global (no group-by) reduction.
+	// rowDeltas[i] re-slices flat, the tile's ts x slots delta vectors; acc
+	// is the block-local accumulator and one row's deltas of the global (no
+	// group-by) reduction.
 	flat      []int64
 	rowDeltas [][]int64
 	acc       []int64
@@ -81,7 +79,6 @@ func (s *tileScratch) reserve(ts, cols, slots int) {
 		s.items = make([]int32, ts)
 		s.bitmap = make([]uint8, ts)
 		s.keys = make([]int64, ts)
-		s.deltas = make([]int64, ts)
 		s.rowDeltas = make([][]int64, ts)
 		s.cols = nil // its tiles are the old size
 	}
@@ -184,30 +181,16 @@ func (pl *Plan) runGPUOn(dev *device.Spec, ms *morselRun) *Result {
 			payloadIdx[i] = -1
 		}
 	}
-	ast := newAggState(&q)
-	aggCols := q.AggColumns()
+	ast := pl.agg
+	aggCols := ast.cols
 	aggSlices := make([]colReader, len(aggCols))
 	for i, c := range aggCols {
 		aggSlices[i] = ms.factReader(&ds.Lineorder, c)
 	}
-
-	var aggTable *crystal.AggTable
-	var scalarSum sim.Counter // used when the query has no group-by (q1.x)
-	var multiTable *crystal.MultiAggTable
-	var globalAcc []int64 // multi-aggregate global (no group-by) accumulator
-	var accMu sync.Mutex
-	if ast == nil {
-		aggTable = crystal.NewAggTable(aggEstimate(q))
-	} else {
-		multiTable = crystal.NewMultiAggTable(aggEstimate(q), ast.ops)
-		globalAcc = ast.identity()
-	}
+	table := crystal.NewMultiAggTable(aggEstimate(q), ast.ops)
 
 	ts := cfg.TileSize()
-	aggTiles, slots := 0, 0
-	if ast != nil {
-		aggTiles, slots = len(aggCols), ast.slots()
-	}
+	aggTiles, slots := len(aggCols), ast.slots()
 	pass := sim.RunBounded(clk.Spec(), cfg, func(b *sim.Block) {
 		if b.ID < len(skips) && skips[b.ID] {
 			return // tile inside a zone-pruned morsel: no loads, no probes
@@ -265,87 +248,35 @@ func (pl *Plan) runGPUOn(dev *device.Spec, ms *morselRun) *Result {
 			crystal.BlockLookup(b, builds[ji].ht, items, m, bitmap, vals, false)
 		}
 
-		// Aggregate inputs. Multi-aggregate statements load every referenced
-		// column's tile, then build per-row slot-delta vectors for the
-		// multi-accumulator table; the legacy single-SUM path below is
-		// untouched so its traffic stays bit-identical.
-		if ast != nil {
-			for ci := range aggCols {
-				loadCol(aggSlices[ci], colVals[ci])
-			}
-			if numPayloads == 0 {
-				// Hierarchical block reduction: merge rows into block-local
-				// slots, then one global atomic per slot per block.
-				local, row := sc.acc[:slots], sc.acc[slots:2*slots]
-				ast.reset(local)
-				updated := false
-				for i := 0; i < nn; i++ {
-					if bitmap[i] == 0 {
-						continue
-					}
-					for ci := range aggCols {
-						rowVals[ci] = colVals[ci][i]
-					}
-					ast.rowDeltas(rowVals, row)
-					ast.merge(local, row)
-					updated = true
-				}
-				if updated {
-					b.Pass().AtomicOps += int64(slots)
-					accMu.Lock()
-					ast.merge(globalAcc, local)
-					accMu.Unlock()
-				}
-				return
-			}
-			for i := 0; i < nn; i++ {
-				if bitmap[i] == 0 {
-					continue
-				}
-				for pi := range pvals {
-					pvals[pi] = payloads[pi][i]
-				}
-				sc.keys[i] = PackGroup(pvals)
-				for ci := range aggCols {
-					rowVals[ci] = colVals[ci][i]
-				}
-				d := sc.flat[i*slots : (i+1)*slots]
-				ast.rowDeltas(rowVals, d)
-				sc.rowDeltas[i] = d
-			}
-			crystal.BlockMultiAggUpdate(b, multiTable, sc.keys, sc.rowDeltas, bitmap, nn)
-			return
-		}
-		deltas := sc.deltas
+		// Aggregate inputs: every referenced column's tile, then one
+		// slot-delta vector per surviving row.
 		for ci := range aggCols {
-			m := loadCol(aggSlices[ci], items)
-			for i := 0; i < m; i++ {
+			loadCol(aggSlices[ci], colVals[ci])
+		}
+		rowDeltas := func(i int, out []int64) {
+			for ci := range colVals {
+				rowVals[ci] = colVals[ci][i]
+			}
+			ast.rowDeltas(rowVals, out)
+		}
+		if numPayloads == 0 {
+			// Hierarchical block reduction: merge rows into block-local slots,
+			// then one global atomic per slot — issued iff the block-local
+			// accumulator differs from the identity vector. A block whose SUMs
+			// all came to zero has nothing to add and issues none; a COUNT,
+			// AVG, MIN or MAX slot moves with the first surviving row.
+			local, row := sc.acc[:slots], sc.acc[slots:2*slots]
+			ast.reset(local)
+			for i := 0; i < nn; i++ {
 				if bitmap[i] == 0 {
 					continue
 				}
-				switch {
-				case ci == 0 && q.Agg == AggSumRevenue:
-					deltas[i] = int64(items[i])
-				case ci == 0:
-					deltas[i] = int64(items[i])
-				case q.Agg == AggSumExtDisc:
-					deltas[i] *= int64(items[i])
-				case q.Agg == AggSumProfit:
-					deltas[i] -= int64(items[i])
-				}
+				rowDeltas(i, row)
+				ast.merge(local, row)
 			}
-		}
-
-		if numPayloads == 0 {
-			// q1.x: hierarchical block reduction, one atomic per block.
-			var local int64
-			for i := 0; i < nn; i++ {
-				if bitmap[i] != 0 {
-					local += deltas[i]
-				}
-			}
-			if local != 0 {
-				b.AtomicAdd(&scalarSum, local)
+			if !ast.untouched(local) {
+				b.Pass().AtomicOps += int64(slots)
+				table.Update(0, local)
 			}
 			return
 		}
@@ -357,27 +288,22 @@ func (pl *Plan) runGPUOn(dev *device.Spec, ms *morselRun) *Result {
 				pvals[pi] = payloads[pi][i]
 			}
 			sc.keys[i] = PackGroup(pvals)
+			sc.rowDeltas[i] = sc.flat[i*slots : (i+1)*slots]
+			rowDeltas(i, sc.rowDeltas[i])
 		}
-		crystal.BlockAggUpdate(b, aggTable, sc.keys, deltas, bitmap, nn)
+		crystal.BlockMultiAggUpdate(b, table, sc.keys, sc.rowDeltas, bitmap, nn)
 	}, ms.lim)
 	pass.Label = "gpu probe pipeline " + q.ID
 	clk.Charge(pass)
 
-	res := &Result{QueryID: q.ID, Groups: map[int64]int64{}}
-	switch {
-	case ast != nil && numPayloads == 0:
-		res.accs = map[int64][]int64{0: globalAcc}
-	case ast != nil:
-		res.accs = map[int64][]int64{}
-		multiTable.Each(func(k int64, acc []int64) {
-			res.accs[k] = append([]int64(nil), acc...)
-		})
-	case numPayloads == 0:
-		res.Groups[0] = scalarSum.Value()
-		// An empty result still has the single global aggregate row.
-	default:
-		aggTable.Each(func(k, sum int64) { res.Groups[k] = sum })
-	}
+	// Collect the device table; the block-local reduction of a statement with
+	// no group-by lives under key 0, and is backfilled when no block reached it.
+	accs := sched.NewAccTable(slots, table.Groups())
+	table.Each(func(k int64, acc []int64) {
+		dst, _ := accs.At(k)
+		copy(dst, acc)
+	})
+	res := &Result{QueryID: q.ID, accs: ast.backfill(&q, accs)}
 	res.Seconds = clk.Seconds()
 	ms.stamp(res)
 	return res

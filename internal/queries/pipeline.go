@@ -6,6 +6,7 @@ import (
 
 	"crystal/internal/crystal"
 	"crystal/internal/pack"
+	"crystal/internal/sched"
 	"crystal/internal/sim"
 	"crystal/internal/ssb"
 )
@@ -269,8 +270,7 @@ type scanAcc struct {
 	evals, probes []int64
 	alive         []int64
 	out           int64
-	groups        map[int64]int64
-	accs          map[int64][]int64
+	accs          *sched.AccTable
 	payloads      []int32
 	vals          []int32
 }
@@ -303,10 +303,10 @@ func (a *scanAcc) touch(c *scanCol, row int, union []lineTrack) {
 //     consecutive-dedup counts exactly the distinct lines any member touched
 //     — the traffic a shared scan streams once.
 //
-// It returns, per member, the raw result (unfinalized multi-aggregates in
-// Result.accs) and the access statistics, plus the per-column union 64 B line
-// counts. With one member the union is that member's own counts, so no union
-// tracker runs and the solo scan pays nothing for sharing.
+// It returns, per member, the raw result (the unfinalized accumulator table
+// in Result.accs) and the access statistics, plus the per-column union 64 B
+// line counts. With one member the union is that member's own counts, so no
+// union tracker runs and the solo scan pays nothing for sharing.
 func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64) {
 	n := len(members)
 	ds, morsels, lim := members[0].p.ds, members[0].ms.morsels, members[0].ms.lim
@@ -318,7 +318,7 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 	var ucols []string
 	for i, m := range members {
 		q, ms := &m.p.Query, m.ms
-		aggCols := q.AggColumns()
+		aggCols := m.p.agg.cols
 		nf, nj := len(q.FactFilters), len(q.Joins)
 		st := &pipeStats{
 			totalRows: int64(ds.Lineorder.Rows()),
@@ -338,7 +338,7 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 		}
 		st.colOrder = append(st.colOrder, aggCols...)
 		pipe := &pipes[i]
-		*pipe = scanPipe{q: q, builds: m.p.builds, ast: newAggState(q), pruned: ms.pruned}
+		*pipe = scanPipe{q: q, builds: m.p.builds, ast: m.p.agg, pruned: ms.pruned}
 		pipe.cols = make([]string, 0, len(st.colOrder))
 		slots := make([]scanCol, len(st.colOrder))
 		for si, name := range st.colOrder {
@@ -365,11 +365,7 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 				st.scanBytes[col] = b
 			}
 		}
-		res := &Result{QueryID: q.ID, Groups: map[int64]int64{}}
-		if pipe.ast != nil {
-			res.accs = map[int64][]int64{}
-		}
-		results[i], stats[i] = res, st
+		results[i], stats[i] = &Result{QueryID: q.ID}, st
 	}
 
 	// Chunks cover the union of the members' surviving morsels; the morsel
@@ -408,12 +404,9 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 				evals:    make([]int64, len(pipe.filters)),
 				probes:   make([]int64, len(pipe.fks)),
 				alive:    make([]int64, len(pipe.filters)+len(pipe.fks)),
-				groups:   map[int64]int64{},
+				accs:     sched.NewAccTable(pipe.ast.slots(), 0),
 				payloads: make([]int32, 0, len(pipe.fks)),
 				vals:     make([]int32, len(pipe.agg)),
-			}
-			if pipe.ast != nil {
-				accs[i].accs = map[int64][]int64{}
 			}
 		}
 		var union []lineTrack
@@ -463,17 +456,7 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 						a.vals[ai] = a.agg[ai].at(row)
 					}
 					a.out++
-					key := PackGroup(a.payloads)
-					if a.ast != nil {
-						acc, ok := a.accs[key]
-						if !ok {
-							acc = a.ast.identity()
-							a.accs[key] = acc
-						}
-						a.ast.update(acc, a.vals)
-					} else {
-						a.groups[key] += q.Agg.Eval(a.vals)
-					}
+					a.ast.update(a.ast.at(a.accs, PackGroup(a.payloads)), a.vals)
 				}
 			}
 		}
@@ -494,16 +477,7 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 				st.alive[k] += v
 			}
 			st.out += a.out
-			for k, v := range a.groups {
-				res.Groups[k] += v
-			}
-			for k, acc := range a.accs {
-				if dst, ok := res.accs[k]; ok {
-					a.ast.merge(dst, acc)
-				} else {
-					res.accs[k] = acc
-				}
-			}
+			res.accs = a.ast.mergeTable(res.accs, a.accs)
 		}
 		for ui, t := range union {
 			union64[ucols[ui]] += t.n
@@ -513,13 +487,10 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 		sim.RunWithHelpers(len(chunks), lim, worker)
 	}
 
+	// Partials stay raw for the caller's merge to finalize; a global aggregate
+	// always yields one row, whether or not any row (or worker) reached it.
 	for i := range pipes {
-		pipe := &pipes[i]
-		// Multi-aggregate partials stay raw (Result.accs) for the caller's
-		// merge to finalize; a legacy global aggregate always yields one row.
-		if pipe.ast == nil && len(pipe.q.GroupPayloads()) == 0 && len(results[i].Groups) == 0 {
-			results[i].Groups[0] = 0
-		}
+		results[i].accs = pipes[i].ast.backfill(pipes[i].q, results[i].accs)
 	}
 	return results, stats, union64
 }

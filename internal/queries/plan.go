@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 
+	"crystal/internal/sched"
 	"crystal/internal/ssb"
 )
 
@@ -92,9 +93,10 @@ func (a AggKind) Eval(v []int32) int64 {
 // dimension joins (in plan order), and a grouped aggregate. Group keys are
 // the Payload attributes of the joins that declare one, in join order.
 //
-// Agg is the single-SUM aggregate every engine has executed since the seed;
-// Aggs, when non-nil, replaces it with an ordered list of aggregate
-// functions (COUNT/AVG/MIN/MAX alongside SUM) evaluated in one pass.
+// Agg spells a single SUM; Aggs, when non-nil, replaces it with an ordered
+// list of aggregate functions (COUNT/AVG/MIN/MAX alongside SUM) evaluated in
+// one pass. The engines execute Agg as the list of one it stands for
+// (AggList); only the reply shape differs (Result.Aggs).
 // OrderBy/Limit request an ordered (optionally truncated) result; see
 // OrderKey.
 type Query struct {
@@ -185,9 +187,9 @@ type Result struct {
 	QueryID string
 	Groups  map[int64]int64
 	// Aggs holds the finalized value of every aggregate per group for
-	// multi-aggregate statements (nil for single-SUM queries, whose only
-	// aggregate is Groups). Groups always carries the first aggregate, so
-	// legacy consumers keep working.
+	// statements spelled as an aggregate list (nil for the Agg spelling,
+	// whose only aggregate is Groups). Groups always carries the first
+	// aggregate.
 	Aggs map[int64][]int64
 	// Ordered is the ORDER BY output: finalized rows in statement order,
 	// truncated to LIMIT. Nil when the query has no ORDER BY.
@@ -214,10 +216,10 @@ type Result struct {
 	TransferBytes int64
 	ResidentCols  int
 
-	// accs carries raw (unfinalized) accumulator vectors from a partial
-	// multi-aggregate execution to the scheduler's merge; RunScheduled
-	// consumes it and never sets it on results handed to callers.
-	accs map[int64][]int64
+	// accs carries a partial execution's raw (unfinalized) accumulator table
+	// from the kernel to the scheduler's merge; RunScheduled consumes it and
+	// never sets it on results handed to callers.
+	accs *sched.AccTable
 }
 
 // Rows returns the result rows for comparison and display: in statement
@@ -508,10 +510,7 @@ func Reference(ds *ssb.Dataset, q Query) *Result {
 	}
 
 	groups := map[int64]int64{}
-	var accs map[int64][]int64
-	if st != nil {
-		accs = map[int64][]int64{}
-	}
+	accs := sched.NewAccTable(st.slots(), 0)
 	vals := make([]int32, len(aggCols))
 	var payloads []int32
 rows:
@@ -542,19 +541,21 @@ rows:
 			vals[i] = aggSlices[i][row]
 		}
 		key := PackGroup(payloads)
-		if st != nil {
-			acc, ok := accs[key]
-			if !ok {
-				acc = st.identity()
-				accs[key] = acc
-			}
-			st.update(acc, vals)
+		if q.Aggs != nil {
+			st.update(st.at(accs, key), vals)
 		} else {
+			// The oracle's own evaluator: the engines' single SUMs go through
+			// aggState.eval, and the differential suites check one against
+			// the other.
 			groups[key] += q.Agg.Eval(vals)
 		}
 	}
 	res := &Result{QueryID: q.ID, Groups: groups}
-	finalizeGroups(&q, st, accs, res)
+	if q.Aggs != nil {
+		finalizeGroups(&q, st, accs, res)
+	} else if len(q.GroupPayloads()) == 0 && len(groups) == 0 {
+		groups[0] = 0 // a global aggregate always yields one row
+	}
 	// The oracle orders with the plain sort.Slice comparator; engines order
 	// with the real heap/merge/radix implementations, so the differential
 	// harness compares independent orderings.

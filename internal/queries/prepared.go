@@ -21,12 +21,15 @@ type Plan struct {
 	// builds are the constructed join hash tables plus the build-phase
 	// traffic each engine charges on its own device clock.
 	builds []buildInfo
+	// agg is the accumulator layout of the query's aggregate list, read-only
+	// after Compile: the kernels, the merge and the finalizer share it.
+	agg *aggState
 }
 
 // Compile builds the join hash tables for q over ds and returns the
 // reusable plan.
 func Compile(ds *ssb.Dataset, q Query) *Plan {
-	return &Plan{Query: q, ds: ds, builds: buildTables(ds, q)}
+	return &Plan{Query: q, ds: ds, builds: buildTables(ds, q), agg: newAggState(&q)}
 }
 
 // Dataset returns the dataset the plan was compiled against.

@@ -159,7 +159,6 @@ func (x engineExecutor) Execute(a sched.Assignment) sched.Partial {
 		ship = device.TransferTime(res.TransferBytes)
 	}
 	return sched.Partial{
-		Groups:        res.Groups,
 		Accs:          res.accs,
 		Seconds:       res.Seconds,
 		KernelSeconds: kernel,
@@ -264,7 +263,6 @@ func (x *gpuDeviceExecutor) Execute(a sched.Assignment) sched.Partial {
 
 	// Spill shipment overlaps with execution, coprocessor style: the
 	// slower of the two bounds the device.
-	part.Groups = resD.Groups
 	part.Accs = resD.accs
 	part.KernelSeconds = resD.Seconds
 	part.ShipSeconds = x.link.TransferTime(part.ShipBytes)
@@ -369,9 +367,9 @@ func (p *Plan) ScheduleFleet(fl fleet.Spec, opts RunOptions) (sched.Schedule, er
 }
 
 // RunScheduled is the single execution entry point: it runs each assignment on its executor, merges the partial aggregates
-// key-wise on the host (integer sums — or slot-wise accumulator merges for
-// multi-aggregate statements, every operator associative and commutative —
-// so rows are identical to a monolithic run at any split), takes the
+// key-wise on the host (slot-wise accumulator merges, every operator
+// associative and commutative, so rows are identical to a monolithic run at
+// any split; the first partial's table is adopted, not copied), takes the
 // makespan over the concurrent executors, and prices the partial-aggregate
 // merge of the link-crossing assignments. A query with ORDER BY then runs
 // the sort phase on the placement's own hardware (executeSort) and appends
@@ -382,13 +380,9 @@ func (p *Plan) RunScheduled(s sched.Schedule) (*ScheduledResult, error) {
 		return nil, err
 	}
 	q := p.Query
-	ast := newAggState(&q)
 	out := &ScheduledResult{}
-	merged := &Result{QueryID: q.ID, Groups: map[int64]int64{}}
-	var accs map[int64][]int64
-	if ast != nil {
-		accs = map[int64][]int64{}
-	}
+	merged := &Result{QueryID: q.ID}
+	var accs *sched.AccTable
 	// Tracing is opt-in per schedule; the untraced path must not allocate a
 	// single span, so every trace touch below is nil-guarded.
 	var runSpan *trace.Span
@@ -425,22 +419,7 @@ func (p *Plan) RunScheduled(s sched.Schedule) (*ScheduledResult, error) {
 			er.ShipBytes = part.ShipBytes
 			er.ResidentCols = part.ResidentCols
 			er.Groups = part.GroupCount()
-			if part.Accs != nil {
-				// Multi-aggregate partial: merge raw accumulator vectors
-				// slot-wise. A first-seen key adopts the partial's vector (the
-				// executor is done with it); later partials merge in place.
-				for k, acc := range part.Accs {
-					if dst, ok := accs[k]; ok {
-						ast.merge(dst, acc)
-					} else {
-						accs[k] = acc
-					}
-				}
-			} else {
-				for k, v := range part.Groups {
-					merged.Groups[k] += v
-				}
-			}
+			accs = p.agg.mergeTable(accs, part.Accs)
 			if a.Merge {
 				out.MergeBytes += int64(part.GroupCount()) * aggRowBytes(&q)
 			}
@@ -468,10 +447,7 @@ func (p *Plan) RunScheduled(s sched.Schedule) (*ScheduledResult, error) {
 		}
 		out.Executors = append(out.Executors, er)
 	}
-	finalizeGroups(&q, ast, accs, merged)
-	if ast != nil {
-		merged.accs = accs
-	}
+	finalizeGroups(&q, p.agg, accs, merged)
 	if out.MergeBytes > 0 {
 		out.MergeSeconds = s.Link.TransferTime(out.MergeBytes)
 	}

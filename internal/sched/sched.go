@@ -34,6 +34,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"crystal/internal/device"
@@ -63,19 +64,69 @@ func Label(k Kind, device int) string {
 	return fmt.Sprintf("%s%d", k, device)
 }
 
+// AccTable is a flat accumulator table: group key -> a vector of 8-byte
+// accumulator slots, every vector a window of one backing slice. It is the
+// one carrier of raw aggregates between a kernel and the runner's merge —
+// a scan worker's private table, the collection of a device's global table,
+// a Partial's Accs. A table has one owner at a time: a producer hands it over
+// and the runner adopts the first one whole instead of copying it. A nil
+// table is an empty one to Len and Each.
+type AccTable struct {
+	idx   map[int64]int32 // group key -> vector number
+	vals  []int64         // vectors back to back, slots each
+	slots int
+}
+
+// NewAccTable returns an empty table of slots-wide vectors with room for
+// the given number of groups.
+func NewAccTable(slots, groups int) *AccTable {
+	return &AccTable{idx: make(map[int64]int32, groups), vals: make([]int64, 0, groups*slots), slots: slots}
+}
+
+// At returns key's accumulator vector, appending one when the key is new
+// (fresh): its contents are then unspecified and the caller sets them to the
+// merge identities. The slice is valid only until the next At, which may
+// move the backing slice.
+func (t *AccTable) At(key int64) (acc []int64, fresh bool) {
+	i, ok := t.idx[key]
+	if !ok {
+		i = int32(len(t.idx))
+		t.idx[key] = i
+		t.vals = slices.Grow(t.vals, t.slots)[:len(t.vals)+t.slots]
+	}
+	lo := int(i) * t.slots
+	return t.vals[lo : lo+t.slots : lo+t.slots], !ok
+}
+
+// Each calls fn for every (key, accumulator vector) pair in unspecified
+// order. The slice aliases the table; fn must not call At.
+func (t *AccTable) Each(fn func(key int64, acc []int64)) {
+	if t == nil {
+		return
+	}
+	for k, i := range t.idx {
+		lo := int(i) * t.slots
+		fn(k, t.vals[lo:lo+t.slots:lo+t.slots])
+	}
+}
+
+// Len returns the number of groups held.
+func (t *AccTable) Len() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.idx)
+}
+
 // Partial is one executor's contribution to a scheduled run: its partial
 // aggregate table plus the telemetry the runner folds into the merged
 // result and the per-executor stats.
 type Partial struct {
-	// Groups is the executor's partial aggregate table. Values are integer
-	// sums, so merging partials by key-wise addition is exact.
-	Groups map[int64]int64
-	// Accs is the raw accumulator table of a multi-aggregate execution
-	// (group key -> one 8-byte slot per aggregate slot); nil for legacy
-	// single-SUM queries. Every slot's merge operator (add, min, max) is
-	// associative and commutative, so partials merge exactly in any order,
-	// like Groups.
-	Accs map[int64][]int64
+	// Accs is the executor's partial aggregate table, raw: one slot per
+	// aggregate slot of the statement (a single SUM is a list of one). Every
+	// slot's merge operator (add, min, max) is associative and commutative,
+	// so partials merge exactly in any order. The runner takes ownership.
+	Accs *AccTable
 	// Seconds is the executor's simulated time, spill shipment overlap
 	// included: max(KernelSeconds, ShipSeconds).
 	Seconds float64
@@ -97,14 +148,8 @@ type Partial struct {
 	ResidentCols int
 }
 
-// GroupCount returns the number of groups in the partial's aggregate table
-// (whichever representation the execution produced).
-func (p *Partial) GroupCount() int {
-	if p.Accs != nil {
-		return len(p.Accs)
-	}
-	return len(p.Groups)
-}
+// GroupCount returns the number of groups in the partial's aggregate table.
+func (p *Partial) GroupCount() int { return p.Accs.Len() }
 
 // Executor runs one assignment of morsel indices and reports its partial
 // aggregate. Implementations live with their engines (package queries);

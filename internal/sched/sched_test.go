@@ -180,23 +180,63 @@ func TestLabel(t *testing.T) {
 	}
 }
 
-// TestGroupCount covers both partial representations: the legacy
-// single-SUM Groups table and the multi-aggregate Accs table, which wins
-// when both are present.
+// TestAccTable pins the accumulator table's contract: At appends a vector for
+// a new key and reports it fresh, returns the same storage for a known key
+// through any amount of growth, a returned slice cannot be appended into its
+// neighbour, Each visits every group once, and a nil table is an empty one.
+func TestAccTable(t *testing.T) {
+	const slots, groups = 3, 1000
+	tab := NewAccTable(slots, 0) // no room reserved: every group grows the table
+	for k := int64(0); k < groups; k++ {
+		acc, fresh := tab.At(k * 7)
+		if !fresh || len(acc) != slots || cap(acc) != slots {
+			t.Fatalf("At(new %d) = len %d cap %d fresh %v, want a fresh vector of exactly %d slots", k*7, len(acc), cap(acc), fresh, slots)
+		}
+		for s := range acc {
+			acc[s] = k*10 + int64(s)
+		}
+	}
+	if acc, fresh := tab.At(7); fresh || acc[1] != 11 {
+		t.Errorf("At(known key) = %v fresh %v, want the stored vector", acc, fresh)
+	} else {
+		acc[1]++ // writes through to the table
+	}
+	if tab.Len() != groups {
+		t.Errorf("Len() = %d, want %d", tab.Len(), groups)
+	}
+	seen := map[int64]bool{}
+	tab.Each(func(k int64, acc []int64) {
+		want := k/7*10 + 1
+		if k == 7 {
+			want++
+		}
+		if seen[k] || len(acc) != slots || acc[1] != want {
+			t.Errorf("Each(%d) = %v (seen before: %v), want slot 1 = %d", k, acc, seen[k], want)
+		}
+		seen[k] = true
+	})
+	if len(seen) != groups {
+		t.Errorf("Each visited %d groups, want %d", len(seen), groups)
+	}
+
+	var none *AccTable
+	none.Each(func(int64, []int64) { t.Error("Each on a nil table called fn") })
+	if none.Len() != 0 {
+		t.Errorf("nil table Len() = %d, want 0", none.Len())
+	}
+}
+
+// TestGroupCount: a partial counts the groups of its one aggregate table,
+// and a partial that never executed (no table) holds none.
 func TestGroupCount(t *testing.T) {
-	legacy := &Partial{Groups: map[int64]int64{1: 1, 2: 2}}
-	if got := legacy.GroupCount(); got != 2 {
-		t.Errorf("legacy GroupCount() = %d, want 2", got)
+	tab := NewAccTable(2, 3)
+	for k := int64(1); k <= 3; k++ {
+		tab.At(k)
 	}
-	multi := &Partial{
-		Groups: map[int64]int64{1: 1},
-		Accs:   map[int64][]int64{1: {1, 2}, 2: {3, 4}, 3: {5, 6}},
+	if got := (&Partial{Accs: tab}).GroupCount(); got != 3 {
+		t.Errorf("GroupCount() = %d, want 3", got)
 	}
-	if got := multi.GroupCount(); got != 3 {
-		t.Errorf("multi-aggregate GroupCount() = %d, want 3", got)
-	}
-	empty := &Partial{}
-	if got := empty.GroupCount(); got != 0 {
+	if got := (&Partial{}).GroupCount(); got != 0 {
 		t.Errorf("empty GroupCount() = %d, want 0", got)
 	}
 }

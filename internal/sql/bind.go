@@ -427,9 +427,10 @@ func (b *binder) checkItems(sel *Select, payload map[string]string, groupDims []
 }
 
 // bindAggs lowers the select list's aggregates. A single plain SUM
-// normalizes to the legacy Agg field (Aggs stays nil), so such statements
-// share canonical keys — and with them plan and result caches — with every
-// pre-existing query; anything else becomes the AggSpec list.
+// normalizes to the Agg spelling (Aggs stays nil), so such statements share
+// canonical keys — and with them plan and result caches — with the catalog
+// queries; anything else becomes the AggSpec list. The engines execute both
+// spellings alike: Agg stands for a list of one SUM.
 func (b *binder) bindAggs(sel *Select, q *queries.Query) error {
 	var specs []queries.AggSpec
 	for _, it := range sel.Items {
