@@ -108,8 +108,8 @@ bench-check:
 	$(GO) run ./cmd/benchgate -check
 
 # Observability gate: boot the real ssbserve handler set, drive traffic,
-# scrape /metrics, and validate the Prometheus exposition plus the /trace
-# surface end to end.
+# scrape /metrics, and validate the Prometheus exposition, its agreement
+# with /stats (JSON and text), and the /trace surface end to end.
 metrics-smoke:
 	$(GO) test ./cmd/ssbserve -run TestMetricsSmoke -count=1 -v
 

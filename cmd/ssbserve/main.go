@@ -478,7 +478,7 @@ func handleStats(svc *serve.Service) http.HandlerFunc {
 
 // handleMetrics serves the Prometheus text exposition: every service
 // counter plus the per-(engine, placement) latency histograms, rendered
-// from one consistent snapshot of the stats accumulator.
+// from the same consistent snapshot /stats returns.
 func handleMetrics(svc *serve.Service) http.HandlerFunc {
 	return func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

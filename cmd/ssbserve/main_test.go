@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -17,8 +19,9 @@ import (
 
 // TestMetricsSmoke is the end-to-end observability smoke test (make
 // metrics-smoke): boot the real handler set, drive mixed traffic through
-// /query, then scrape /metrics and validate the exposition, follow a
-// trace_id through /trace in both formats, and check the no-id listing.
+// /query, then scrape /metrics and validate the exposition, check /stats
+// in both formats agrees with it, follow a trace_id through /trace in both
+// formats, and check the no-id listing.
 func TestMetricsSmoke(t *testing.T) {
 	svc := serve.New(ssb.GenerateRows(1<<12), "smoke", serve.Options{Workers: 2, Trace: true})
 	defer svc.Close()
@@ -73,6 +76,43 @@ func TestMetricsSmoke(t *testing.T) {
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+
+	// /stats renders the same snapshot: its request count is the sum of the
+	// scraped per-(engine, placement) request counters (the traffic above
+	// has no errors), and the text view names every row the JSON lists.
+	var st serve.Stats
+	if err := json.Unmarshal([]byte(get("/stats", http.StatusOK)), &st); err != nil {
+		t.Fatal(err)
+	}
+	var scraped float64
+	for _, line := range strings.Split(metrics, "\n") {
+		if !strings.HasPrefix(line, "ssb_requests_total{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		scraped += v
+	}
+	if st.Requests == 0 || float64(st.Requests) != scraped {
+		t.Errorf("/stats requests = %d, /metrics ssb_requests_total sums to %g", st.Requests, scraped)
+	}
+	statsText := get("/stats?format=text", http.StatusOK)
+	if len(st.FleetDevices) == 0 || len(st.HybridExecutors) == 0 {
+		t.Fatalf("/stats lists %d fleet devices and %d hybrid executors, want both nonzero",
+			len(st.FleetDevices), len(st.HybridExecutors))
+	}
+	for _, d := range st.FleetDevices {
+		if row := fmt.Sprintf("  gpu %-2d ", d.Device); !strings.Contains(statsText, row) {
+			t.Errorf("/stats?format=text has no row %q for fleet device %d", row, d.Device)
+		}
+	}
+	for _, ex := range st.HybridExecutors {
+		if row := fmt.Sprintf("  %-11s ", ex.Label); !strings.Contains(statsText, row) {
+			t.Errorf("/stats?format=text has no row %q for executor %s", row, ex.Label)
 		}
 	}
 

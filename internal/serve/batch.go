@@ -257,7 +257,7 @@ func (s *Service) executeBatch(leader *job, leaderWait time.Duration, peers []*j
 		s.results.put(resultKey(gen, lm.canon, lm.req), stored(&resp))
 		s.cacheMu.Unlock()
 
-		s.recordStats(resp)
+		s.recordStats(&resp)
 		jobs[lm.idx].done <- resp
 	}
 }

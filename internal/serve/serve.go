@@ -389,8 +389,9 @@ type Service struct {
 	execHook   func(resultKey string)
 	flightHook func()
 
+	// stats is the running tally; Stats() copies it under statsMu.
 	statsMu sync.Mutex
-	stats   statsAccum
+	stats   Stats
 
 	// packedMu guards the lazily built packed fact encoding: one per
 	// dataset generation, shared by every packed request and plan. The
@@ -452,7 +453,6 @@ func New(ds *ssb.Dataset, version string, opts Options) *Service {
 		s.recorder = trace.NewRecorder(s.opts.TraceRecent, s.opts.TraceSlowest)
 	}
 	s.morsels = make(gate, s.opts.MorselHelpers)
-	s.stats.engines = map[queries.Engine]*engineAccum{}
 	s.flights = map[string]*flight{}
 	s.queue = newJobQueue()
 	if !s.opts.Shed {
@@ -1169,7 +1169,7 @@ func (s *Service) execute(req Request, queueWait time.Duration) Response {
 		s.results.put(key, stored(&resp))
 		s.cacheMu.Unlock()
 	}
-	s.recordStats(resp)
+	s.recordStats(&resp)
 	return resp
 }
 
@@ -1199,7 +1199,7 @@ func (s *Service) replay(resp *Response, stored *Response, q queries.Query, star
 	if s.recorder != nil {
 		s.finishTrace(resp, start, queueWait, bindWall, 0, nil)
 	}
-	s.recordStats(*resp)
+	s.recordStats(resp)
 }
 
 // completeFlight publishes the leader's outcome on its flight and
@@ -1273,7 +1273,7 @@ func (s *Service) generation() uint64 {
 	return s.gen
 }
 
-func (s *Service) recordStats(resp Response) {
+func (s *Service) recordStats(resp *Response) {
 	s.statsMu.Lock()
 	s.stats.record(resp)
 	s.statsMu.Unlock()
@@ -1288,20 +1288,20 @@ func (s *Service) failed(resp *Response, err error) Response {
 
 func (s *Service) recordError() {
 	s.statsMu.Lock()
-	s.stats.errors++
-	s.stats.requests++
+	s.stats.Errors++
+	s.stats.Requests++
 	s.statsMu.Unlock()
 }
 
 func (s *Service) recordShed() {
 	s.statsMu.Lock()
-	s.stats.shed++
+	s.stats.Shed++
 	s.statsMu.Unlock()
 }
 
 func (s *Service) recordExpired() {
 	s.statsMu.Lock()
-	s.stats.expired++
+	s.stats.Expired++
 	s.statsMu.Unlock()
 }
 
@@ -1310,9 +1310,9 @@ func (s *Service) recordExpired() {
 // carries the shared-vs-solo scan traffic the batch deduplicated.
 func (s *Service) recordBatch(sharedBytes, soloBytes int64) {
 	s.statsMu.Lock()
-	s.stats.batches++
-	s.stats.batchSharedBytes += sharedBytes
-	s.stats.batchSoloBytes += soloBytes
+	s.stats.Batches++
+	s.stats.BatchSharedScanBytes += sharedBytes
+	s.stats.BatchSoloScanBytes += soloBytes
 	s.statsMu.Unlock()
 }
 

@@ -1,32 +1,17 @@
 package serve
 
 import (
-	"fmt"
+	"cmp"
+	"maps"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"crystal/internal/bench"
 	"crystal/internal/queries"
 	"crystal/internal/trace"
 )
-
-// engineAccum accumulates per-engine latency under the service mutex.
-type engineAccum struct {
-	requests    int64
-	simSeconds  float64
-	wallSeconds float64
-}
-
-// latencyAccum accumulates one (engine, placement) cell's latency
-// distributions: execution wall clock, queue wait, and simulated seconds,
-// each in a fixed-bucket log histogram (trace.Histogram), so percentiles
-// and the Prometheus exposition come from the same counters. The
-// histograms are updated under statsMu like every other tally.
-type latencyAccum struct {
-	requests int64
-	wall     trace.Histogram
-	queue    trace.Histogram
-	sim      trace.Histogram
-}
 
 // placementLabel buckets a response for the latency histograms: the
 // resolved placement for scheduler-routed requests, "fleet" for classic
@@ -41,273 +26,6 @@ func placementLabel(resp *Response) string {
 	default:
 		return "classic"
 	}
-}
-
-// hybridExecAccum accumulates one scheduler executor's served traffic
-// across placement-routed requests (keyed by kind and device index).
-type hybridExecAccum struct {
-	kind         string
-	device       int
-	requests     int64
-	morsels      int64
-	pruned       int64
-	rows         int64
-	shipBytes    int64
-	residentCols int64
-	simSeconds   float64
-}
-
-// fleetDeviceAccum accumulates one fleet device's served traffic.
-type fleetDeviceAccum struct {
-	requests     int64
-	morsels      int64
-	pruned       int64
-	rows         int64
-	spillBytes   int64
-	residentCols int64
-	simSeconds   float64
-}
-
-// statsAccum is the service-internal running tally.
-type statsAccum struct {
-	requests      int64
-	named         int64
-	adhoc         int64
-	partitioned   int64
-	morsels       int64
-	pruned        int64
-	packed        int64
-	transferBytes int64
-	residentCols  int64
-	errors        int64
-	planHits      int64
-	planMisses    int64
-	resultHits    int64
-	resultMisses  int64
-	engines       map[queries.Engine]*engineAccum
-
-	// Overload discipline: shed counts submissions refused or evicted
-	// with ErrOverloaded (never executed, so not in requests), expired
-	// counts jobs dropped at worker pickup past their deadline, and
-	// coalesced counts responses that shared a concurrent identical
-	// request's execution (a subset of requests).
-	shed      int64
-	expired   int64
-	coalesced int64
-
-	// Shared-scan batching: batches counts batch executions, batchedRequests
-	// the responses that rode one (a subset of requests), and the byte pair
-	// the scan traffic the batches actually streamed versus what the members'
-	// solo scans would have — shared < solo is the batching win.
-	batches          int64
-	batchedRequests  int64
-	batchSharedBytes int64
-	batchSoloBytes   int64
-
-	// Fleet tallies: request-level totals plus the per-device breakdown.
-	// The per-device entries always sum to the totals — the invariant the
-	// regression test pins.
-	fleetRequests     int64
-	fleetMorsels      int64
-	fleetPruned       int64
-	fleetRows         int64
-	fleetSpillBytes   int64
-	fleetResidentCols int64
-	fleetMergeBytes   int64
-	fleetDevices      []fleetDeviceAccum
-
-	// Placement tallies: request-level totals plus the per-executor
-	// breakdown, mirroring the fleet pair. The per-executor entries always
-	// sum to the totals — the invariant TestHybridStatsSumToTotals pins.
-	placements        map[string]int64
-	hybridRequests    int64
-	hybridMorsels     int64
-	hybridPruned      int64
-	hybridRows        int64
-	hybridShipBytes   int64
-	hybridResidentCol int64
-	hybridMergeBytes  int64
-	hybridExecutors   map[string]*hybridExecAccum
-
-	// latency is the per-(engine alias, placement label) histogram grid.
-	// Two map levels instead of a joined key so the steady-state record
-	// path performs no string concatenation (and therefore no allocation).
-	latency map[string]map[string]*latencyAccum
-}
-
-// executorLabel names one scheduler executor for the stats breakdown:
-// the kind alone for host executors ("cpu"), kind plus device index for
-// fleet devices ("gpu0", "gpu1", ...).
-func executorLabel(er queries.ExecutorResult) string {
-	if er.Device < 0 {
-		return string(er.Kind)
-	}
-	return fmt.Sprintf("%s%d", er.Kind, er.Device)
-}
-
-func (a *statsAccum) record(resp Response) {
-	a.requests++
-	if resp.Adhoc {
-		a.adhoc++
-	} else {
-		a.named++
-	}
-	// Fleet requests carry a normalized Partitions >= GPUs; their morsel
-	// and pruning tallies live under the fleet counters below, not here.
-	if resp.Request.Partitions > 0 && resp.GPUs == 0 {
-		a.partitioned++
-		a.morsels += int64(resp.Morsels)
-		a.pruned += int64(resp.Pruned)
-	}
-	if resp.Packed {
-		a.packed++
-		// Fleet spill traffic and elisions are tallied under the fleet
-		// counters below; adding them here too would double-report the
-		// bytes and mislabel interconnect traffic as coprocessor PCIe.
-		if resp.GPUs == 0 {
-			a.transferBytes += resp.TransferBytes
-			a.residentCols += int64(resp.ResidentCols)
-		}
-	}
-	if resp.Placement != "" {
-		// Placement-routed traffic: the GPUs echo names the GPU arm's
-		// fleet size, not classic fleet dispatch, so it is tallied here
-		// and never under the fleet counters below.
-		if a.placements == nil {
-			a.placements = map[string]int64{}
-		}
-		a.placements[resp.Placement]++
-		a.hybridRequests++
-		a.hybridMergeBytes += resp.MergeBytes
-		if a.hybridExecutors == nil {
-			a.hybridExecutors = map[string]*hybridExecAccum{}
-		}
-		for _, er := range resp.Executors {
-			label := executorLabel(er)
-			h := a.hybridExecutors[label]
-			if h == nil {
-				h = &hybridExecAccum{kind: string(er.Kind), device: er.Device}
-				a.hybridExecutors[label] = h
-			}
-			h.requests++
-			h.morsels += int64(er.Morsels)
-			h.pruned += int64(er.Pruned)
-			h.rows += er.Rows
-			h.shipBytes += er.ShipBytes
-			h.residentCols += int64(er.ResidentCols)
-			h.simSeconds += er.Seconds
-			a.hybridMorsels += int64(er.Morsels)
-			a.hybridPruned += int64(er.Pruned)
-			a.hybridRows += er.Rows
-			a.hybridShipBytes += er.ShipBytes
-			a.hybridResidentCol += int64(er.ResidentCols)
-		}
-	} else if resp.GPUs > 0 {
-		a.fleetRequests++
-		a.fleetMergeBytes += resp.MergeBytes
-		for len(a.fleetDevices) < len(resp.Devices) {
-			a.fleetDevices = append(a.fleetDevices, fleetDeviceAccum{})
-		}
-		for _, fd := range resp.Devices {
-			d := &a.fleetDevices[fd.Device]
-			d.requests++
-			d.morsels += int64(fd.Morsels)
-			d.pruned += int64(fd.Pruned)
-			d.rows += fd.Rows
-			d.spillBytes += fd.SpillBytes
-			d.residentCols += int64(fd.ResidentCols)
-			d.simSeconds += fd.Seconds
-			a.fleetMorsels += int64(fd.Morsels)
-			a.fleetPruned += int64(fd.Pruned)
-			a.fleetRows += fd.Rows
-			a.fleetSpillBytes += fd.SpillBytes
-			a.fleetResidentCols += int64(fd.ResidentCols)
-		}
-	}
-	if resp.PlanCached {
-		a.planHits++
-	} else {
-		a.planMisses++
-	}
-	if resp.Coalesced {
-		a.coalesced++
-	}
-	if resp.Batched {
-		a.batchedRequests++
-	}
-	if resp.ResultCached {
-		a.resultHits++
-	} else {
-		a.resultMisses++
-	}
-	e := a.engines[resp.Request.Engine]
-	if e == nil {
-		e = &engineAccum{}
-		a.engines[resp.Request.Engine] = e
-	}
-	e.requests++
-	e.simSeconds += resp.SimSeconds
-	e.wallSeconds += resp.Wall.Seconds()
-
-	alias := EngineAlias(resp.Request.Engine)
-	place := placementLabel(&resp)
-	if a.latency == nil {
-		a.latency = map[string]map[string]*latencyAccum{}
-	}
-	byPlace := a.latency[alias]
-	if byPlace == nil {
-		byPlace = map[string]*latencyAccum{}
-		a.latency[alias] = byPlace
-	}
-	l := byPlace[place]
-	if l == nil {
-		l = &latencyAccum{}
-		byPlace[place] = l
-	}
-	l.requests++
-	l.wall.Observe(resp.Wall.Seconds())
-	l.queue.Observe(resp.QueueWait.Seconds())
-	l.sim.Observe(resp.SimSeconds)
-}
-
-// snapshot deep-copies the accumulator so Stats and the metrics
-// exposition can render without holding statsMu: every map, slice and
-// histogram is cloned in this one critical section — the single-lock
-// snapshot that makes multi-field aggregates (counts vs. their sums,
-// per-executor rows vs. totals) mutually consistent in the copy.
-func (a *statsAccum) snapshot() statsAccum {
-	out := *a
-	out.engines = make(map[queries.Engine]*engineAccum, len(a.engines))
-	for k, v := range a.engines {
-		c := *v
-		out.engines[k] = &c
-	}
-	out.fleetDevices = append([]fleetDeviceAccum(nil), a.fleetDevices...)
-	if a.placements != nil {
-		out.placements = make(map[string]int64, len(a.placements))
-		for k, v := range a.placements {
-			out.placements[k] = v
-		}
-	}
-	if a.hybridExecutors != nil {
-		out.hybridExecutors = make(map[string]*hybridExecAccum, len(a.hybridExecutors))
-		for k, v := range a.hybridExecutors {
-			c := *v
-			out.hybridExecutors[k] = &c
-		}
-	}
-	if a.latency != nil {
-		out.latency = make(map[string]map[string]*latencyAccum, len(a.latency))
-		for alias, byPlace := range a.latency {
-			cp := make(map[string]*latencyAccum, len(byPlace))
-			for place, l := range byPlace {
-				c := *l // trace.Histogram is a value: copying clones the counts
-				cp[place] = &c
-			}
-			out.latency[alias] = cp
-		}
-	}
-	return out
 }
 
 // FleetDeviceStats reports one fleet device's served traffic: every fleet
@@ -350,9 +68,12 @@ type EngineStats struct {
 	Engine   queries.Engine `json:"engine"`
 	Alias    string         `json:"alias"`
 	Requests int64          `json:"requests"`
-	// SimMS and WallMS are the mean per-request latencies in milliseconds.
+	// SimMS and WallMS are the mean per-request latencies in milliseconds,
+	// derived by Stats from the running sums below.
 	SimMS  float64 `json:"sim_ms"`
 	WallMS float64 `json:"wall_ms"`
+
+	simSeconds, wallSeconds float64
 }
 
 // LatencyStats reports one (engine, placement) cell's latency
@@ -373,9 +94,18 @@ type LatencyStats struct {
 	SimP50MS   float64 `json:"sim_p50_ms"`
 	SimP95MS   float64 `json:"sim_p95_ms"`
 	SimP99MS   float64 `json:"sim_p99_ms"`
+
+	// wall, queue and sim are the cell's fixed-bucket log histograms
+	// (trace.Histogram is a value, so copying the row clones them): Stats
+	// derives the percentiles above from them and WriteMetrics exposes them.
+	wall, queue, sim trace.Histogram
 }
 
-// Stats is a point-in-time snapshot of the service counters.
+// Stats is the service's stats tally and its point-in-time snapshot in
+// one type. The service records into its own Stats under statsMu; the
+// Stats method copies it and fills the derived fields (rates, means,
+// percentiles and gauges), and both GET /stats and the /metrics
+// exposition render that copy.
 type Stats struct {
 	Version  string `json:"version"`
 	Workers  int    `json:"workers"`
@@ -450,7 +180,8 @@ type Stats struct {
 	// request-level totals, and the per-executor breakdown. The
 	// HybridExecutors entries sum exactly to the Hybrid* totals (pinned by
 	// a regression test), so a starved or overloaded arm is visible here
-	// before it shows up as a latency regression.
+	// before it shows up as a latency regression. Executors are ordered by
+	// device, then kind: host executors first, then GPU arms.
 	PlacementRequests  map[string]int64      `json:"placement_requests,omitempty"`
 	HybridRequests     int64                 `json:"hybrid_requests"`
 	HybridMorsels      int64                 `json:"hybrid_morsels"`
@@ -481,6 +212,8 @@ type Stats struct {
 	ResultHitRate float64 `json:"result_hit_rate"`
 	CachedResults int     `json:"cached_results"`
 
+	// Engines are reported in the fixed evaluation order of
+	// queries.Engines so output is stable.
 	Engines []EngineStats `json:"engines"`
 
 	// Latency is the per-(engine, placement) latency percentile grid,
@@ -488,21 +221,172 @@ type Stats struct {
 	Latency []LatencyStats `json:"latency,omitempty"`
 }
 
-// snapshotStats deep-copies the running tally under a single statsMu
-// acquisition. Stats and the metrics exposition render from the copy, so
-// concurrent recordStats calls can never tear a multi-field aggregate in
-// flight.
-func (s *Service) snapshotStats() statsAccum {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.stats.snapshot()
+// record adds one served response to the tally; the caller holds statsMu.
+// Rows are kept in output order as they are inserted, so Stats sorts
+// nothing, and a response whose rows already exist allocates nothing.
+func (st *Stats) record(resp *Response) {
+	st.Requests++
+	if resp.Adhoc {
+		st.AdhocRequests++
+	} else {
+		st.NamedRequests++
+	}
+	// Fleet requests carry a normalized Partitions >= GPUs; their morsel
+	// and pruning tallies live under the fleet counters below, not here.
+	if resp.Request.Partitions > 0 && resp.GPUs == 0 {
+		st.PartitionedRequests++
+		st.Morsels += int64(resp.Morsels)
+		st.PrunedMorsels += int64(resp.Pruned)
+	}
+	if resp.Packed {
+		st.PackedRequests++
+		// Fleet spill traffic and elisions are tallied under the fleet
+		// counters below; adding them here too would double-report the
+		// bytes and mislabel interconnect traffic as coprocessor PCIe.
+		if resp.GPUs == 0 {
+			st.TransferBytes += resp.TransferBytes
+			st.ResidentCols += int64(resp.ResidentCols)
+		}
+	}
+	if resp.Placement != "" {
+		// Placement-routed traffic: the GPUs echo names the GPU arm's
+		// fleet size, not classic fleet dispatch, so it is tallied here
+		// and never under the fleet counters below.
+		if st.PlacementRequests == nil {
+			st.PlacementRequests = map[string]int64{}
+		}
+		st.PlacementRequests[resp.Placement]++
+		st.HybridRequests++
+		st.HybridMergeBytes += resp.MergeBytes
+		for _, er := range resp.Executors {
+			h := st.hybridExecutor(er)
+			h.Requests++
+			h.Morsels += int64(er.Morsels)
+			h.Pruned += int64(er.Pruned)
+			h.Rows += er.Rows
+			h.ShipBytes += er.ShipBytes
+			h.ResidentCols += int64(er.ResidentCols)
+			h.SimSeconds += er.Seconds
+			st.HybridMorsels += int64(er.Morsels)
+			st.HybridPruned += int64(er.Pruned)
+			st.HybridRows += er.Rows
+			st.HybridShipBytes += er.ShipBytes
+			st.HybridResidentCols += int64(er.ResidentCols)
+		}
+	} else if resp.GPUs > 0 {
+		st.FleetRequests++
+		st.FleetMergeBytes += resp.MergeBytes
+		for len(st.FleetDevices) < len(resp.Devices) {
+			st.FleetDevices = append(st.FleetDevices, FleetDeviceStats{Device: len(st.FleetDevices)})
+		}
+		for _, fd := range resp.Devices {
+			d := &st.FleetDevices[fd.Device]
+			d.Requests++
+			d.Morsels += int64(fd.Morsels)
+			d.Pruned += int64(fd.Pruned)
+			d.Rows += fd.Rows
+			d.SpillBytes += fd.SpillBytes
+			d.ResidentCols += int64(fd.ResidentCols)
+			d.SimSeconds += fd.Seconds
+			st.FleetMorsels += int64(fd.Morsels)
+			st.FleetPruned += int64(fd.Pruned)
+			st.FleetRows += fd.Rows
+			st.FleetSpillBytes += fd.SpillBytes
+			st.FleetResidentCols += int64(fd.ResidentCols)
+		}
+	}
+	if resp.PlanCached {
+		st.PlanHits++
+	} else {
+		st.PlanMisses++
+	}
+	if resp.Coalesced {
+		st.Coalesced++
+	}
+	if resp.Batched {
+		st.BatchedRequests++
+	}
+	if resp.ResultCached {
+		st.ResultHits++
+	} else {
+		st.ResultMisses++
+	}
+	e := st.engine(resp.Request.Engine)
+	e.Requests++
+	e.simSeconds += resp.SimSeconds
+	e.wallSeconds += resp.Wall.Seconds()
+
+	l := st.latency(EngineAlias(resp.Request.Engine), placementLabel(resp))
+	l.Requests++
+	l.wall.Observe(resp.Wall.Seconds())
+	l.queue.Observe(resp.QueueWait.Seconds())
+	l.sim.Observe(resp.SimSeconds)
 }
 
-// Stats snapshots the current counters. All tallies come from one
-// single-lock snapshot of the accumulator; the dataset version and cache
-// occupancies are single fields read under their own locks.
+// hybridExecutor returns er's row, inserting it by device, then kind, when
+// first seen. Only then is its label ("cpu", "gpu0", ...) built.
+func (st *Stats) hybridExecutor(er queries.ExecutorResult) *HybridExecutorStats {
+	return row(&st.HybridExecutors, func(h *HybridExecutorStats) int {
+		return cmp.Or(cmp.Compare(h.Device, er.Device), strings.Compare(h.Kind, string(er.Kind)))
+	}, func() HybridExecutorStats {
+		label := string(er.Kind)
+		if er.Device >= 0 {
+			label += strconv.Itoa(er.Device)
+		}
+		return HybridExecutorStats{Label: label, Kind: string(er.Kind), Device: er.Device}
+	})
+}
+
+// engine returns e's row, inserting it in queries.Engines order when
+// first seen.
+func (st *Stats) engine(e queries.Engine) *EngineStats {
+	rank := slices.Index(queries.Engines(), e)
+	return row(&st.Engines, func(r *EngineStats) int {
+		if r.Engine == e {
+			return 0
+		}
+		return cmp.Compare(slices.Index(queries.Engines(), r.Engine), rank)
+	}, func() EngineStats { return EngineStats{Engine: e, Alias: EngineAlias(e)} })
+}
+
+// latency returns the (engine, placement) cell, inserting it by engine,
+// then placement, when first seen.
+func (st *Stats) latency(engine, placement string) *LatencyStats {
+	return row(&st.Latency, func(l *LatencyStats) int {
+		return cmp.Or(strings.Compare(l.Engine, engine), strings.Compare(l.Placement, placement))
+	}, func() LatencyStats { return LatencyStats{Engine: engine, Placement: placement} })
+}
+
+// row returns the row of rows, kept sorted by order, that order reports
+// equal (0), first inserting newRow() where order places it if there is
+// none. order compares a row against the sought key. The binary search
+// reads rows in place: a LatencyStats row carries three histograms, too
+// large to copy per probe.
+func row[E any](rows *[]E, order func(*E) int, newRow func() E) *E {
+	i := sort.Search(len(*rows), func(i int) bool { return order(&(*rows)[i]) >= 0 })
+	if i == len(*rows) || order(&(*rows)[i]) != 0 {
+		*rows = slices.Insert(*rows, i, newRow())
+	}
+	return &(*rows)[i]
+}
+
+// Stats returns a snapshot of the service counters. The tally is copied
+// under one statsMu acquisition, so multi-field aggregates (counts and
+// their sums, rows and their totals) agree in the copy; only the derived
+// fields — rates, means, percentiles, and the dataset version, cache
+// occupancies and queue depth read under their own locks — are filled
+// afterwards.
 func (s *Service) Stats() Stats {
-	out := Stats{Workers: s.opts.Workers}
+	s.statsMu.Lock()
+	out := s.stats
+	out.FleetDevices = slices.Clone(s.stats.FleetDevices)
+	out.PlacementRequests = maps.Clone(s.stats.PlacementRequests)
+	out.HybridExecutors = slices.Clone(s.stats.HybridExecutors)
+	out.Engines = slices.Clone(s.stats.Engines)
+	out.Latency = slices.Clone(s.stats.Latency)
+	s.statsMu.Unlock()
+
+	out.Workers = s.opts.Workers
 	s.mu.RLock()
 	out.Version = s.version
 	s.mu.RUnlock()
@@ -510,82 +394,7 @@ func (s *Service) Stats() Stats {
 	out.CachedPlans = s.plans.len()
 	out.CachedResults = s.results.len()
 	s.cacheMu.Unlock()
-	st := s.snapshotStats()
-	out.Requests = st.requests
-	out.NamedRequests = st.named
-	out.AdhocRequests = st.adhoc
-	out.Shed = st.shed
-	out.Expired = st.expired
-	out.Coalesced = st.coalesced
-	if st.requests > 0 {
-		out.CoalesceRate = float64(st.coalesced) / float64(st.requests)
-	}
 	out.Pending = s.queue.len()
-	out.Batches = st.batches
-	out.BatchedRequests = st.batchedRequests
-	if st.requests > 0 {
-		out.BatchRate = float64(st.batchedRequests) / float64(st.requests)
-	}
-	out.BatchSharedScanBytes = st.batchSharedBytes
-	out.BatchSoloScanBytes = st.batchSoloBytes
-	out.PartitionedRequests = st.partitioned
-	out.Morsels = st.morsels
-	out.PrunedMorsels = st.pruned
-	out.PruneRate = rate(st.pruned, st.morsels-st.pruned)
-	out.PackedRequests = st.packed
-	out.TransferBytes = st.transferBytes
-	out.ResidentCols = st.residentCols
-	out.FleetRequests = st.fleetRequests
-	out.FleetMorsels = st.fleetMorsels
-	out.FleetPruned = st.fleetPruned
-	out.FleetRows = st.fleetRows
-	out.FleetSpillBytes = st.fleetSpillBytes
-	out.FleetResidentCols = st.fleetResidentCols
-	out.FleetMergeBytes = st.fleetMergeBytes
-	for d, a := range st.fleetDevices {
-		out.FleetDevices = append(out.FleetDevices, FleetDeviceStats{
-			Device:       d,
-			Requests:     a.requests,
-			Morsels:      a.morsels,
-			Pruned:       a.pruned,
-			Rows:         a.rows,
-			SpillBytes:   a.spillBytes,
-			ResidentCols: a.residentCols,
-			SimSeconds:   a.simSeconds,
-		})
-	}
-	if len(st.placements) > 0 {
-		out.PlacementRequests = st.placements // snapshot's own copy
-	}
-	out.HybridRequests = st.hybridRequests
-	out.HybridMorsels = st.hybridMorsels
-	out.HybridPruned = st.hybridPruned
-	out.HybridRows = st.hybridRows
-	out.HybridShipBytes = st.hybridShipBytes
-	out.HybridResidentCols = st.hybridResidentCol
-	out.HybridMergeBytes = st.hybridMergeBytes
-	for label, h := range st.hybridExecutors {
-		out.HybridExecutors = append(out.HybridExecutors, HybridExecutorStats{
-			Label:        label,
-			Kind:         h.kind,
-			Device:       h.device,
-			Requests:     h.requests,
-			Morsels:      h.morsels,
-			Pruned:       h.pruned,
-			Rows:         h.rows,
-			ShipBytes:    h.shipBytes,
-			ResidentCols: h.residentCols,
-			SimSeconds:   h.simSeconds,
-		})
-	}
-	// Host executors first, then GPU arms by device index: stable output.
-	sort.Slice(out.HybridExecutors, func(i, j int) bool {
-		a, b := out.HybridExecutors[i], out.HybridExecutors[j]
-		if a.Device != b.Device {
-			return a.Device < b.Device
-		}
-		return a.Label < b.Label
-	})
 	if s.devCache != nil {
 		dc := s.devCache.snapshot()
 		out.DeviceCacheCapBytes = dc.capacity
@@ -596,68 +405,31 @@ func (s *Service) Stats() Stats {
 		out.ResidentEvictions = dc.evictions
 		out.ResidencyHitRate = rate(dc.hits, dc.misses)
 	}
-	out.Errors = st.errors
-	out.PlanHits = st.planHits
-	out.PlanMisses = st.planMisses
-	out.ResultHits = st.resultHits
-	out.ResultMisses = st.resultMisses
+
+	if out.Requests > 0 {
+		out.CoalesceRate = float64(out.Coalesced) / float64(out.Requests)
+		out.BatchRate = float64(out.BatchedRequests) / float64(out.Requests)
+	}
+	out.PruneRate = rate(out.PrunedMorsels, out.Morsels-out.PrunedMorsels)
 	out.PlanHitRate = rate(out.PlanHits, out.PlanMisses)
 	out.ResultHitRate = rate(out.ResultHits, out.ResultMisses)
-	// Report engines in the fixed evaluation order so output is stable.
-	for _, e := range queries.Engines() {
-		a := st.engines[e]
-		if a == nil {
-			continue
-		}
-		out.Engines = append(out.Engines, EngineStats{
-			Engine:   e,
-			Alias:    EngineAlias(e),
-			Requests: a.requests,
-			SimMS:    a.simSeconds / float64(a.requests) * 1e3,
-			WallMS:   a.wallSeconds / float64(a.requests) * 1e3,
-		})
+	for i := range out.Engines {
+		e := &out.Engines[i]
+		e.SimMS = e.simSeconds / float64(e.Requests) * 1e3
+		e.WallMS = e.wallSeconds / float64(e.Requests) * 1e3
 	}
-	for _, cell := range sortedLatency(st.latency) {
-		l := cell.acc
-		out.Latency = append(out.Latency, LatencyStats{
-			Engine:     cell.engine,
-			Placement:  cell.placement,
-			Requests:   l.requests,
-			WallP50MS:  l.wall.Quantile(0.50) * 1e3,
-			WallP95MS:  l.wall.Quantile(0.95) * 1e3,
-			WallP99MS:  l.wall.Quantile(0.99) * 1e3,
-			QueueP50MS: l.queue.Quantile(0.50) * 1e3,
-			QueueP95MS: l.queue.Quantile(0.95) * 1e3,
-			QueueP99MS: l.queue.Quantile(0.99) * 1e3,
-			SimP50MS:   l.sim.Quantile(0.50) * 1e3,
-			SimP95MS:   l.sim.Quantile(0.95) * 1e3,
-			SimP99MS:   l.sim.Quantile(0.99) * 1e3,
-		})
+	for i := range out.Latency {
+		l := &out.Latency[i]
+		l.WallP50MS = l.wall.Quantile(0.50) * 1e3
+		l.WallP95MS = l.wall.Quantile(0.95) * 1e3
+		l.WallP99MS = l.wall.Quantile(0.99) * 1e3
+		l.QueueP50MS = l.queue.Quantile(0.50) * 1e3
+		l.QueueP95MS = l.queue.Quantile(0.95) * 1e3
+		l.QueueP99MS = l.queue.Quantile(0.99) * 1e3
+		l.SimP50MS = l.sim.Quantile(0.50) * 1e3
+		l.SimP95MS = l.sim.Quantile(0.95) * 1e3
+		l.SimP99MS = l.sim.Quantile(0.99) * 1e3
 	}
-	return out
-}
-
-// latencyCell is one (engine, placement) histogram cell in sorted order.
-type latencyCell struct {
-	engine, placement string
-	acc               *latencyAccum
-}
-
-// sortedLatency flattens the latency grid sorted by engine then placement
-// so every rendering (Stats JSON, Prometheus exposition) is stable.
-func sortedLatency(grid map[string]map[string]*latencyAccum) []latencyCell {
-	var out []latencyCell
-	for engine, byPlace := range grid {
-		for place, acc := range byPlace {
-			out = append(out, latencyCell{engine: engine, placement: place, acc: acc})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].engine != out[j].engine {
-			return out[i].engine < out[j].engine
-		}
-		return out[i].placement < out[j].placement
-	})
 	return out
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -195,18 +196,96 @@ func TestStatsAndMetricsUnderLoad(t *testing.T) {
 	}
 }
 
-// TestMetricsExposition: the /metrics payload is valid Prometheus text
-// exposition carrying the per-(engine, placement) latency histograms, and
-// its request counter agrees with Stats.
-func TestMetricsExposition(t *testing.T) {
-	s := New(testData(), "v1", Options{Workers: 2, Trace: true})
-	defer s.Close()
-	for _, req := range mixedRequests() {
-		if resp, err := s.Do(context.Background(), req); err != nil || resp.Err != nil {
+// mixedTrafficWorkers is the worker count servedMixedTraffic's service
+// runs with.
+const mixedTrafficWorkers = 1
+
+// servedMixedTraffic returns a service, with the device residency cache
+// and batching on, after it has served every response shape the stats
+// tally records: a batch of two compatible requests queued behind a parked
+// worker, the mixedRequests dispatch shapes (the first one a result-cache
+// hit on a batch member), a second packed coprocessor request (residency
+// hits) and a failing request. It also returns the successful responses.
+// traced turns Options.Trace on.
+func servedMixedTraffic(t *testing.T, traced bool) (*Service, []Response) {
+	t.Helper()
+	s := New(testData(), "v1", Options{
+		Workers: mixedTrafficWorkers, QueueDepth: 16, MaxBatch: 8, DeviceCacheBytes: 1 << 30, Trace: traced,
+	})
+	t.Cleanup(s.Close)
+	ctx := context.Background()
+	started, release := blockExecutions(s)
+	blocker, err := s.Submit(ctx, Request{QueryID: "q3.1", Engine: queries.EngineCPU, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	chans := []<-chan Response{blocker}
+	for _, id := range []string{"q1.1", "q1.2"} {
+		ch, err := s.Submit(ctx, Request{QueryID: id, Engine: queries.EngineCPU})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans = append(chans, ch)
+	}
+	close(release)
+	var resps []Response
+	for _, ch := range chans {
+		resp := <-ch
+		if resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+		resps = append(resps, resp)
+	}
+	// started buffers more keys than the executions below announce.
+	for _, req := range append(mixedRequests(), Request{QueryID: "q2.1", Engine: queries.EngineCoproc, Packed: true}) {
+		resp, err := s.Do(ctx, req)
+		if err != nil || resp.Err != nil {
 			t.Fatalf("%+v: %v / %v", req, err, resp.Err)
 		}
+		resps = append(resps, resp)
 	}
+	if _, err := s.Do(ctx, Request{QueryID: "q9.9", Engine: queries.EngineCPU}); err == nil {
+		t.Fatal("unknown query id: want error")
+	}
+	return s, resps
+}
 
+// metricSamples indexes an exposition's sample lines by name and label
+// set ("name{labels}") to their values.
+func metricSamples(t *testing.T, exposition string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(exposition, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// TestMetricsExposition: the /metrics payload is valid Prometheus text
+// exposition carrying the per-(engine, placement) latency histograms, with
+// tracing off and on. Each per-cell request count equals the count of
+// served responses in that cell, worked out from the responses themselves,
+// and after traffic of every shape each counter and gauge sample equals
+// its Stats field — both surfaces render one snapshot.
+func TestMetricsExposition(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		t.Run(map[bool]string{false: "untraced", true: "traced"}[traced], func(t *testing.T) {
+			testMetricsExposition(t, traced)
+		})
+	}
+}
+
+func testMetricsExposition(t *testing.T, traced bool) {
+	s, resps := servedMixedTraffic(t, traced)
 	var b strings.Builder
 	if err := s.WriteMetrics(&b); err != nil {
 		t.Fatal(err)
@@ -216,28 +295,114 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatalf("invalid exposition: %v\n%s", err, out)
 	}
 	for _, want := range []string{
-		`ssb_requests_total{engine="cpu",placement="classic"} 1`,
+		// Four CPU requests are served classic (the batch blocker, two
+		// batch members, the result-cache hit) and one GPU query on the
+		// 2-GPU fleet.
+		`ssb_requests_total{engine="cpu",placement="classic"} 4`,
 		`ssb_requests_total{engine="gpu",placement="fleet"} 1`,
-		`ssb_request_wall_seconds_bucket{engine="cpu",placement="classic",le="+Inf"} 1`,
-		`ssb_request_wall_seconds_count{engine="cpu",placement="classic"} 1`,
+		`ssb_request_wall_seconds_bucket{engine="cpu",placement="classic",le="+Inf"} 4`,
+		`ssb_request_wall_seconds_count{engine="gpu",placement="fleet"} 1`,
 		"# TYPE ssb_queue_wait_seconds histogram",
 		"# TYPE ssb_sim_seconds histogram",
 		`placement="hybrid"`,
-		"ssb_workers 2",
 		"# TYPE ssb_transfer_bytes_total counter",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	// The exposition's request counter must agree with Stats — both render
-	// from the same accumulator.
-	st := s.Stats()
-	var totalLat int64
-	for _, l := range st.Latency {
-		totalLat += l.Requests
+
+	samples := metricSamples(t, out)
+	if got := samples["ssb_workers"]; got != mixedTrafficWorkers {
+		t.Errorf("ssb_workers = %g, want Options.Workers = %d", got, mixedTrafficWorkers)
 	}
-	if totalLat != st.Requests {
-		t.Errorf("latency grid %d != requests %d", totalLat, st.Requests)
+	// The per-cell request counts, from the served responses alone.
+	cells := map[string]int{}
+	for i := range resps {
+		cells[`engine="`+EngineAlias(resps[i].Request.Engine)+`",placement="`+placementLabel(&resps[i])+`"`]++
+	}
+	for _, placement := range []string{"classic", "fleet", PlacementHybrid, PlacementCPU, PlacementGPU} {
+		var n int
+		for cell, c := range cells {
+			if strings.HasSuffix(cell, `,placement="`+placement+`"`) {
+				n += c
+			}
+		}
+		if n == 0 {
+			t.Errorf("mixed traffic served no placement=%q response", placement)
+		}
+	}
+	for cell, n := range cells {
+		for _, name := range []string{
+			"ssb_requests_total{" + cell + "}",
+			"ssb_request_wall_seconds_count{" + cell + "}",
+			"ssb_request_wall_seconds_bucket{" + cell + `,le="+Inf"}`,
+		} {
+			if got, ok := samples[name]; !ok || got != float64(n) {
+				t.Errorf("%s = %g (present %v), %d responses served", name, got, ok, n)
+			}
+		}
+	}
+	if n := strings.Count(out, "\nssb_requests_total{"); n != len(cells) {
+		t.Errorf("%d ssb_requests_total samples for %d served cells", n, len(cells))
+	}
+
+	st := s.Stats()
+	for name, want := range map[string]float64{
+		"ssb_errors_total":                                float64(st.Errors),
+		"ssb_coalesced_total":                             float64(st.Coalesced),
+		"ssb_batches_total":                               float64(st.Batches),
+		"ssb_batched_requests_total":                      float64(st.BatchedRequests),
+		`ssb_batch_scan_bytes_total{accounting="shared"}`: float64(st.BatchSharedScanBytes),
+		`ssb_batch_scan_bytes_total{accounting="solo"}`:   float64(st.BatchSoloScanBytes),
+		"ssb_plan_cache_hits_total":                       float64(st.PlanHits),
+		"ssb_plan_cache_misses_total":                     float64(st.PlanMisses),
+		"ssb_result_cache_hits_total":                     float64(st.ResultHits),
+		"ssb_result_cache_misses_total":                   float64(st.ResultMisses),
+		`ssb_transfer_bytes_total{path="coproc"}`:         float64(st.TransferBytes),
+		`ssb_transfer_bytes_total{path="fleet"}`:          float64(st.FleetSpillBytes),
+		`ssb_transfer_bytes_total{path="hybrid"}`:         float64(st.HybridShipBytes),
+		`ssb_merge_bytes_total{path="fleet"}`:             float64(st.FleetMergeBytes),
+		`ssb_merge_bytes_total{path="hybrid"}`:            float64(st.HybridMergeBytes),
+		"ssb_workers":                                     float64(st.Workers),
+		"ssb_queue_pending":                               float64(st.Pending),
+		"ssb_cached_plans":                                float64(st.CachedPlans),
+		"ssb_cached_results":                              float64(st.CachedResults),
+		"ssb_device_cache_capacity_bytes":                 float64(st.DeviceCacheCapBytes),
+		"ssb_device_cache_used_bytes":                     float64(st.DeviceCacheUsedBytes),
+		"ssb_device_cache_columns":                        float64(st.DeviceCacheCols),
+		"ssb_residency_hits_total":                        float64(st.ResidentHits),
+		"ssb_residency_misses_total":                      float64(st.ResidentMisses),
+		"ssb_residency_evictions_total":                   float64(st.ResidentEvictions),
+	} {
+		if got, ok := samples[name]; !ok || got != want {
+			t.Errorf("%s = %g (present %v), Stats says %g", name, got, ok, want)
+		}
+	}
+	// The traffic must reach every path, or the equalities above are 0 == 0.
+	for name, v := range map[string]int64{
+		"errors": st.Errors, "batches": st.Batches, "result hits": st.ResultHits,
+		"coproc transfer bytes": st.TransferBytes, "hybrid ship bytes": st.HybridShipBytes,
+		"fleet merge bytes": st.FleetMergeBytes, "hybrid merge bytes": st.HybridMergeBytes,
+		"residency hits": st.ResidentHits,
+	} {
+		if v == 0 {
+			t.Errorf("mixed traffic left %s at 0", name)
+		}
+	}
+
+	var served float64
+	for _, l := range st.Latency {
+		labels := `{engine="` + l.Engine + `",placement="` + l.Placement + `"}`
+		if got := samples["ssb_request_wall_seconds_count"+labels]; got != float64(l.Requests) {
+			t.Errorf("ssb_request_wall_seconds_count%s = %g, Stats cell says %d", labels, got, l.Requests)
+		}
+		served += samples["ssb_requests_total"+labels]
+	}
+	if want := float64(st.Requests - st.Errors); served != want {
+		t.Errorf("ssb_requests_total samples sum to %g, want Requests - Errors = %g", served, want)
+	}
+	if n := strings.Count(out, "\nssb_requests_total{"); n != len(st.Latency) {
+		t.Errorf("%d ssb_requests_total samples for %d latency cells", n, len(st.Latency))
 	}
 }
