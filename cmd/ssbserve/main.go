@@ -370,7 +370,7 @@ func serveRequest(svc *serve.Service, w http.ResponseWriter, r *http.Request, re
 		Query:         resp.Query.ID,
 		Engine:        string(resp.Request.Engine),
 		Version:       resp.Version,
-		Adhoc:         resp.Adhoc,
+		Adhoc:         resp.Request.SQL != "",
 		Rows:          decodeRows(resp.Query, resp.Result),
 		SimMS:         resp.SimSeconds * 1e3,
 		WallMS:        float64(resp.Wall) / float64(time.Millisecond),
@@ -383,7 +383,7 @@ func serveRequest(svc *serve.Service, w http.ResponseWriter, r *http.Request, re
 		Partitions:    resp.Request.Partitions,
 		Morsels:       resp.Morsels,
 		PrunedMorsels: resp.Pruned,
-		Packed:        resp.Packed,
+		Packed:        resp.Request.Packed,
 		TransferBytes: resp.TransferBytes,
 		ResidentCols:  resp.ResidentCols,
 		GPUs:          resp.GPUs,

@@ -303,7 +303,7 @@ func (pl *Plan) runGPUOn(dev *device.Spec, ms *morselRun) *Result {
 		dst, _ := accs.At(k)
 		copy(dst, acc)
 	})
-	res := &Result{QueryID: q.ID, accs: ast.backfill(&q, accs)}
+	res := &Result{accs: ast.backfill(&q, accs)}
 	res.Seconds = clk.Seconds()
 	ms.stamp(res)
 	return res

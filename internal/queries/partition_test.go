@@ -195,8 +195,8 @@ func BenchmarkBtoi(b *testing.B) {
 	_ = s
 }
 
-// TestEngineWrappersMatchDispatch exercises the Dataset accessor and
-// Result.Clone isolation including the partitioning fields.
+// TestEngineWrappersMatchDispatch exercises the Dataset accessor and checks
+// a partitioned engine run returns the monolithic rows.
 func TestEngineWrappersMatchDispatch(t *testing.T) {
 	small := ssb.GenerateRows(4096)
 	q, _ := ByID("q2.1")
@@ -205,14 +205,7 @@ func TestEngineWrappersMatchDispatch(t *testing.T) {
 		t.Error("Dataset accessor lost the dataset")
 	}
 	res := runEngine(plan, EngineCPU, RunOptions{Partition: PartitionOptions{Partitions: 2}})
-	cl := res.Clone()
-	if cl.Morsels != res.Morsels || cl.Pruned != res.Pruned || cl.Seconds != res.Seconds {
-		t.Error("Clone dropped execution metadata")
-	}
-	for k := range cl.Groups {
-		cl.Groups[k]++
-	}
-	if res.Equal(cl) {
-		t.Error("Clone shares group storage with the original")
+	if res.Morsels != 2 || !res.Equal(plan.Run(EngineCPU)) {
+		t.Errorf("partitioned run: %d morsels, rows equal to monolithic %v", res.Morsels, res.Equal(plan.Run(EngineCPU)))
 	}
 }

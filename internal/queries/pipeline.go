@@ -365,7 +365,7 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 				st.scanBytes[col] = b
 			}
 		}
-		results[i], stats[i] = &Result{QueryID: q.ID}, st
+		results[i], stats[i] = &Result{}, st
 	}
 
 	// Chunks cover the union of the members' surviving morsels; the morsel

@@ -182,10 +182,11 @@ type Row struct {
 }
 
 // Result is a query result: packed group key -> aggregate sum. Queries with
-// no group-by use the single key 0.
+// no group-by use the single key 0. A result carries no query identity:
+// queries with one canonical form may share one result, so the caller's own
+// Query names it.
 type Result struct {
-	QueryID string
-	Groups  map[int64]int64
+	Groups map[int64]int64
 	// Aggs holds the finalized value of every aggregate per group for
 	// statements spelled as an aggregate list (nil for the Agg spelling,
 	// whose only aggregate is Groups). Groups always carries the first
@@ -285,38 +286,6 @@ func (r *Result) Equal(o *Result) bool {
 
 // Milliseconds returns the simulated runtime in ms.
 func (r *Result) Milliseconds() float64 { return r.Seconds * 1e3 }
-
-// Clone returns a deep copy; mutating the copy's Groups cannot affect the
-// original (used by caches that hand results to untrusted callers).
-func (r *Result) Clone() *Result {
-	out := &Result{
-		QueryID:       r.QueryID,
-		Seconds:       r.Seconds,
-		KernelSeconds: r.KernelSeconds,
-		Morsels:       r.Morsels,
-		Pruned:        r.Pruned,
-		Packed:        r.Packed,
-		TransferBytes: r.TransferBytes,
-		ResidentCols:  r.ResidentCols,
-		Groups:        make(map[int64]int64, len(r.Groups)),
-	}
-	for k, v := range r.Groups {
-		out.Groups[k] = v
-	}
-	if r.Aggs != nil {
-		out.Aggs = make(map[int64][]int64, len(r.Aggs))
-		for k, v := range r.Aggs {
-			out.Aggs[k] = append([]int64(nil), v...)
-		}
-	}
-	if r.Ordered != nil {
-		out.Ordered = make([]Row, len(r.Ordered))
-		for i, row := range r.Ordered {
-			out.Ordered[i] = Row{Key: row.Key, Vals: append([]int64(nil), row.Vals...)}
-		}
-	}
-	return out
-}
 
 // FactCol resolves a fact column by name (ssb.Lineorder.Col re-exported at
 // the query layer; unknown names panic there).
@@ -550,7 +519,7 @@ rows:
 			groups[key] += q.Agg.Eval(vals)
 		}
 	}
-	res := &Result{QueryID: q.ID, Groups: groups}
+	res := &Result{Groups: groups}
 	if q.Aggs != nil {
 		finalizeGroups(&q, st, accs, res)
 	} else if len(q.GroupPayloads()) == 0 && len(groups) == 0 {

@@ -381,7 +381,7 @@ func (p *Plan) RunScheduled(s sched.Schedule) (*ScheduledResult, error) {
 	}
 	q := p.Query
 	out := &ScheduledResult{}
-	merged := &Result{QueryID: q.ID}
+	merged := &Result{}
 	var accs *sched.AccTable
 	// Tracing is opt-in per schedule; the untraced path must not allocate a
 	// single span, so every trace touch below is nil-guarded.

@@ -230,9 +230,8 @@ func (s *Service) executeBatch(leader *job, leaderWait time.Duration, peers []*j
 	for li, lm := range live {
 		m := br.Members[li]
 		resp := Response{
+			Answer:            rt.report(m.ScheduledResult),
 			Request:           lm.req,
-			Adhoc:             lm.req.SQL != "",
-			Packed:            lm.req.Packed,
 			QueueWait:         waits[lm.idx],
 			Version:           version,
 			Query:             lm.q,
@@ -240,21 +239,20 @@ func (s *Service) executeBatch(leader *job, leaderWait time.Duration, peers []*j
 			Batched:           true,
 			BatchSize:         len(live),
 			BatchShareSeconds: m.ShareSeconds,
+			Wall:              time.Since(start),
 		}
-		rt.report(&resp, m.ScheduledResult)
-		resp.Wall = time.Since(start)
 		if s.recorder != nil {
 			// The run span is the batch span: every member's trace shows the
 			// shared scan it rode, with its own batch-member child inside.
 			s.finishTrace(&resp, start, waits[lm.idx], lm.bindWall, lm.planWall, br.Trace)
 		}
 
-		// Publish the member's result under its solo result key, exactly as
+		// Publish the member's answer under its solo result key, exactly as
 		// execute would have: rows and simulated seconds are identical to
 		// the solo run and batch members are never residency-dependent
 		// shapes, so the entry replays deterministically.
 		s.cacheMu.Lock()
-		s.results.put(resultKey(gen, lm.canon, lm.req), stored(&resp))
+		s.results.put(resultKey(gen, lm.canon, lm.req), resp.Answer)
 		s.cacheMu.Unlock()
 
 		s.recordStats(&resp)

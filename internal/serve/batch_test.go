@@ -49,8 +49,8 @@ func TestOfferDropsExpiredBeforeShed(t *testing.T) {
 		if !errors.Is(resp.Err, ErrExpired) {
 			t.Fatalf("dropped job got %v, want ErrExpired", resp.Err)
 		}
-		if resp.Result != nil {
-			t.Error("dropped job carries a result; it must never execute")
+		if resp.Answer != nil {
+			t.Error("dropped job carries an answer; it must never execute")
 		}
 		if resp.QueueWait < 5*time.Millisecond {
 			t.Errorf("dropped job reports queue wait %v, want >= its 5ms deadline", resp.QueueWait)
@@ -539,8 +539,8 @@ func TestServeBatchPackedAndWarmPlans(t *testing.T) {
 		if resp.Err != nil {
 			t.Fatalf("batched packed %s failed: %v", ids[i], resp.Err)
 		}
-		if !resp.Batched || !resp.Packed {
-			t.Errorf("%s: batched=%v packed=%v, want both", ids[i], resp.Batched, resp.Packed)
+		if !resp.Batched || !resp.Result.Packed {
+			t.Errorf("%s: batched=%v packed=%v, want both", ids[i], resp.Batched, resp.Result.Packed)
 		}
 		if !resp.PlanCached {
 			t.Errorf("%s: plan not reused from the warm cache", ids[i])

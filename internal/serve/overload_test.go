@@ -222,8 +222,8 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	if !errors.Is(resp.Err, ErrExpired) {
 		t.Fatalf("expired request got %v, want ErrExpired", resp.Err)
 	}
-	if resp.Result != nil {
-		t.Error("expired request carries a result; it must never execute")
+	if resp.Answer != nil {
+		t.Error("expired request carries an answer; it must never execute")
 	}
 	if resp.QueueWait < 10*time.Millisecond {
 		t.Errorf("expired response reports queue wait %v, want >= its 10ms deadline", resp.QueueWait)

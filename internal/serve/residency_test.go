@@ -29,8 +29,8 @@ func TestPackedRequestsRowIdentical(t *testing.T) {
 		if !packed.Result.Equal(plain.Result) {
 			t.Errorf("%s: packed rows differ from plain", e)
 		}
-		if !packed.Packed || plain.Packed {
-			t.Errorf("%s: packed marker wrong: packed=%v plain=%v", e, packed.Packed, plain.Packed)
+		if !packed.Result.Packed || plain.Result.Packed {
+			t.Errorf("%s: packed marker wrong: packed=%v plain=%v", e, packed.Result.Packed, plain.Result.Packed)
 		}
 	}
 }

@@ -128,31 +128,71 @@ type Request struct {
 	Priority int
 }
 
-// Response is the outcome of one request.
+// Answer is what one execution computed: the rows and the telemetry of the
+// run that produced them. It is built once, when the execution finishes,
+// and from then on shared by pointer — with the executing request, the
+// result cache, every coalesced follower and every later cache hit. Served
+// answers are therefore read-only: nothing in an Answer, its Result or its
+// telemetry slices may be mutated by a caller.
+type Answer struct {
+	Result *queries.Result
+	// SimSeconds is the engine's simulated device time (Result.Seconds).
+	SimSeconds float64
+	// Morsels and Pruned report the partitioned-execution outcome: how many
+	// morsels the fact scan was split into (1 for monolithic runs) and how
+	// many of them zone maps skipped.
+	Morsels int
+	Pruned  int
+	// TransferBytes is the PCIe traffic a coprocessor request actually
+	// shipped, and ResidentCols the referenced fact columns the device
+	// residency cache served without any transfer.
+	TransferBytes int64
+	ResidentCols  int
+	// GPUs and Interconnect echo the normalized fleet shape a fleet or
+	// placement request ran on (0/"" for single-device requests); Devices
+	// carries a fleet request's per-device execution telemetry and
+	// MergeBytes the partial-aggregate traffic that crossed the
+	// interconnect.
+	GPUs         int
+	Interconnect string
+	Devices      []queries.FleetDevice
+	MergeBytes   int64
+	// Placement is the resolved placement a placement-routed request ran
+	// ("cpu", "gpu" or "hybrid" — an "auto" request reports what the
+	// planner chose; empty for classic dispatch). CPUFrac is the live-row
+	// fraction the schedule routed to the CPU arm, and Executors carries
+	// the per-executor telemetry, whose counters sum to the answer totals.
+	Placement string
+	CPUFrac   float64
+	Executors []queries.ExecutorResult
+}
+
+// Response is the outcome of one request: a per-request envelope around the
+// shared, read-only Answer. The embedded Answer's fields read as the
+// response's own (resp.Result, resp.SimSeconds, ...). A failed request —
+// Err set, including shed and expired ones — carries a nil Answer, so
+// callers check Err before reading any answer field.
 type Response struct {
+	*Answer
 	Request Request
 	// Version is the dataset version the request executed against.
 	Version string
 	// Query is the resolved (and, for SQL requests, planner-ordered) query
-	// the service executed; callers use it to decode result group keys.
+	// the service executed; it names the answer (equivalent queries share
+	// one) and decodes its group keys.
 	Query queries.Query
-	// Adhoc reports whether the request came through the SQL frontend.
-	Adhoc  bool
-	Result *queries.Result
-	// SimSeconds is the engine's simulated device time (Result.Seconds).
-	SimSeconds float64
 	// Wall is the host wall-clock time the service spent producing the
 	// result (near zero on a result-cache hit).
 	Wall time.Duration
 	// PlanCached and ResultCached report whether the compiled plan and the
-	// result were served from cache.
+	// answer were served from cache.
 	PlanCached   bool
 	ResultCached bool
 	// Coalesced reports single-flight sharing: this request missed the
 	// result cache but found an identical request (same result-cache key,
 	// same dataset generation) already executing, waited for it, and
-	// replayed its rows and telemetry — charged only its own queue and
-	// wait time, never a second execution.
+	// shares its answer — charged only its own queue and wait time, never
+	// a second execution.
 	Coalesced bool
 	// Batched reports shared-scan batching (Options.MaxBatch): the worker
 	// that picked this request up drained BatchSize-1 scan-compatible
@@ -164,35 +204,6 @@ type Response struct {
 	Batched           bool
 	BatchSize         int
 	BatchShareSeconds float64
-	// Morsels and Pruned report the partitioned-execution outcome: how many
-	// morsels the fact scan was split into (1 for monolithic runs) and how
-	// many of them zone maps skipped.
-	Morsels int
-	Pruned  int
-	// Packed reports whether the request scanned the bit-packed fact
-	// encoding. TransferBytes is the PCIe traffic a coprocessor request
-	// actually shipped, and ResidentCols the referenced fact columns the
-	// device residency cache served without any transfer.
-	Packed        bool
-	TransferBytes int64
-	ResidentCols  int
-	// GPUs and Interconnect echo the normalized fleet shape a fleet
-	// request ran on (0/"" for single-device requests); Devices carries
-	// the per-device execution telemetry and MergeBytes the
-	// partial-aggregate traffic that crossed the interconnect.
-	GPUs         int
-	Interconnect string
-	Devices      []queries.FleetDevice
-	MergeBytes   int64
-	// Placement is the resolved placement a placement-routed request ran
-	// ("cpu", "gpu" or "hybrid" — an "auto" request reports what the
-	// planner chose; empty for classic dispatch). CPUFrac is the live-row
-	// fraction the schedule routed to the CPU arm, and Executors carries
-	// the per-executor telemetry, whose counters sum to the response
-	// totals.
-	Placement string
-	CPUFrac   float64
-	Executors []queries.ExecutorResult
 	// QueueWait is the time the request sat in the queue before a worker
 	// picked it up (not included in Wall, which clocks execution only).
 	QueueWait time.Duration
@@ -340,15 +351,15 @@ type planEntry struct {
 }
 
 // flight is one in-progress execution that identical concurrent misses
-// wait on. The leader closes done after publishing either resp (a
-// cache-entry-shaped Response followers clone from, like a cache hit) or
-// err. Registration and completion both happen under cacheMu together
-// with the result-cache lookup, so for any (key, generation) exactly one
-// of three states is ever observable: cached, in flight, or absent.
+// wait on. The leader closes done after publishing either its answer
+// (which followers share, like a cache hit) or err. Registration and
+// completion both happen under cacheMu together with the result-cache
+// lookup, so for any (key, generation) exactly one of three states is ever
+// observable: cached, in flight, or absent.
 type flight struct {
-	done chan struct{}
-	resp *Response
-	err  error
+	done   chan struct{}
+	answer *Answer
+	err    error
 }
 
 // Service executes SSB query requests concurrently over one dataset.
@@ -374,7 +385,7 @@ type Service struct {
 	// keeps served simulated seconds deterministic.
 	cacheMu sync.Mutex
 	plans   *lru // "gen\x00canonical" -> *planEntry
-	results *lru // "gen\x00canonical\x00engine" -> *Response
+	results *lru // "gen\x00canonical\x00engine" -> *Answer
 	binds   *lru // "gen\x00sql text" -> *boundSQL
 	// flights are the in-progress executions coalesceable misses join,
 	// keyed like the result cache. Guarded by cacheMu — the same lock as
@@ -981,48 +992,33 @@ func (r *route) schedule(p *queries.Plan) (sched.Schedule, error) {
 	}
 }
 
-// report copies a scheduled run's outcome into the response in the wire
-// shape of the request's dispatch: placement requests report their
-// executors, fleet requests the fleet-shaped per-device view.
-func (r *route) report(resp *Response, sr *queries.ScheduledResult) {
-	resp.Result = sr.Result
-	resp.Result.QueryID = resp.Query.ID
-	resp.SimSeconds = sr.Result.Seconds
-	resp.Morsels = sr.Result.Morsels
-	resp.Pruned = sr.Result.Pruned
-	resp.TransferBytes = sr.Result.TransferBytes
-	resp.ResidentCols = sr.Result.ResidentCols
+// report builds a scheduled run's Answer in the wire shape of the request's
+// dispatch: placement requests report their executors, fleet requests the
+// fleet-shaped per-device view. This is the one place an Answer is made;
+// the executing request, the result cache and the flight all share it.
+func (r *route) report(sr *queries.ScheduledResult) *Answer {
+	a := &Answer{
+		Result:        sr.Result,
+		SimSeconds:    sr.Result.Seconds,
+		Morsels:       sr.Result.Morsels,
+		Pruned:        sr.Result.Pruned,
+		TransferBytes: sr.Result.TransferBytes,
+		ResidentCols:  sr.Result.ResidentCols,
+	}
 	switch {
 	case r.placement != "":
-		resp.Placement = r.placement
-		resp.CPUFrac = r.cpuFrac
-		resp.Executors = sr.Executors
+		a.Placement = r.placement
+		a.CPUFrac = r.cpuFrac
+		a.Executors = sr.Executors
 	case r.req.GPUs > 0:
-		resp.Devices = queries.FleetDevices(sr.Executors)
+		a.Devices = queries.FleetDevices(sr.Executors)
 	default:
-		return
+		return a
 	}
-	resp.GPUs = r.req.GPUs
-	resp.Interconnect = r.req.Interconnect
-	resp.MergeBytes = sr.MergeBytes
-}
-
-// stored returns the copy of an executed response that caches and flights
-// keep: its own Result and telemetry slices (the caller owns the ones it was
-// handed and may mutate them), and none of the per-request observations —
-// traces, queue wait and batch provenance are never replayed.
-func stored(resp *Response) *Response {
-	c := *resp
-	c.Result = resp.Result.Clone()
-	c.Devices = append([]queries.FleetDevice(nil), resp.Devices...)
-	c.Executors = append([]queries.ExecutorResult(nil), resp.Executors...)
-	c.Trace = nil
-	c.TraceID = ""
-	c.QueueWait = 0
-	c.Batched = false
-	c.BatchSize = 0
-	c.BatchShareSeconds = 0
-	return &c
+	a.GPUs = r.req.GPUs
+	a.Interconnect = r.req.Interconnect
+	a.MergeBytes = sr.MergeBytes
+	return a
 }
 
 // execute runs one request on the calling worker goroutine. queueWait is
@@ -1034,7 +1030,7 @@ func (s *Service) execute(req Request, queueWait time.Duration) Response {
 		s.recordError()
 		return Response{Request: req, Err: err}
 	}
-	resp := Response{Request: norm, Adhoc: norm.SQL != "", Packed: norm.Packed, QueueWait: queueWait}
+	resp := Response{Request: norm, QueueWait: queueWait}
 	coalesceable := !norm.NoCache && !s.coprocResidency(norm)
 
 	// Snapshot → resolve → lookup-or-lead runs in a retry loop. SetDataset
@@ -1053,6 +1049,7 @@ func (s *Service) execute(req Request, queueWait time.Duration) Response {
 		canon    string
 		bindWall time.Duration
 		key      string
+		lead     *flight
 	)
 	for {
 		s.mu.RLock()
@@ -1090,11 +1087,10 @@ func (s *Service) execute(req Request, queueWait time.Duration) Response {
 		}
 		if v, ok := s.results.get(key); ok {
 			s.cacheMu.Unlock()
-			// Hand out a copy: callers may mutate Groups in place, and the
-			// cached rows must stay identical to sequential execution. The
-			// id is rewritten because equivalent queries (named vs SQL, or
-			// two SQL spellings) share the entry under their canonical form.
-			s.replay(&resp, v.(*Response), q, start, queueWait, bindWall, false)
+			// Equivalent queries (named vs SQL, or two SQL spellings) share
+			// the entry under their canonical form; resp.Query names this
+			// request's own.
+			s.replay(&resp, v.(*Answer), start, queueWait, bindWall, false)
 			return resp
 		}
 		if f, ok := s.flights[key]; ok {
@@ -1106,22 +1102,26 @@ func (s *Service) execute(req Request, queueWait time.Duration) Response {
 				s.flightHook()
 			}
 			<-f.done
-			if f.err != nil || f.resp == nil {
+			if f.answer == nil {
 				err := f.err
 				if err == nil {
 					err = errors.New("serve: coalesced execution did not complete")
 				}
 				return s.failed(&resp, err)
 			}
-			s.replay(&resp, f.resp, q, start, queueWait, bindWall, true)
+			s.replay(&resp, f.answer, start, queueWait, bindWall, true)
 			return resp
 		}
-		f := &flight{done: make(chan struct{})}
-		s.flights[key] = f
-		// Deferred so even a panicking leader releases its followers.
-		defer s.completeFlight(f, key, &resp)
+		lead = &flight{done: make(chan struct{})}
+		s.flights[key] = lead
 		s.cacheMu.Unlock()
 		break
+	}
+	if lead != nil {
+		// Deferred so even a panicking leader releases its followers; after
+		// the loop rather than inside it, because a defer in a loop moves
+		// resp to the heap on every request.
+		defer s.completeFlight(lead, key, &resp)
 	}
 	if s.execHook != nil {
 		s.execHook(key)
@@ -1147,7 +1147,7 @@ func (s *Service) execute(req Request, queueWait time.Duration) Response {
 	if err != nil {
 		return s.failed(&resp, err)
 	}
-	rt.report(&resp, sr)
+	resp.Answer = rt.report(sr)
 	resp.Wall = time.Since(start)
 	if s.recorder != nil {
 		s.finishTrace(&resp, start, queueWait, bindWall, planWall, sr.Trace)
@@ -1166,32 +1166,19 @@ func (s *Service) execute(req Request, queueWait time.Duration) Response {
 		(!s.fleetResidency(req) || (resp.TransferBytes == 0 && resp.ResidentCols == 0))
 	if cacheable {
 		s.cacheMu.Lock()
-		s.results.put(key, stored(&resp))
+		s.results.put(key, resp.Answer)
 		s.cacheMu.Unlock()
 	}
 	s.recordStats(&resp)
 	return resp
 }
 
-// replay fills resp from a stored execution — a result-cache entry or a
-// completed flight's published response — cloning the result and
-// telemetry slices so the caller owns what it receives, then stamps the
+// replay answers resp with an earlier execution's Answer — a result-cache
+// entry or a completed flight's — by sharing the pointer: nothing is
+// copied, since a served answer is read-only. It then stamps the
 // cache/coalesce flags, finishes the trace and records stats.
-func (s *Service) replay(resp *Response, stored *Response, q queries.Query, start time.Time, queueWait, bindWall time.Duration, coalesced bool) {
-	resp.Result = stored.Result.Clone()
-	resp.Result.QueryID = q.ID
-	resp.SimSeconds = stored.SimSeconds
-	resp.Morsels = stored.Morsels
-	resp.Pruned = stored.Pruned
-	resp.TransferBytes = stored.TransferBytes
-	resp.ResidentCols = stored.ResidentCols
-	resp.GPUs = stored.GPUs
-	resp.Interconnect = stored.Interconnect
-	resp.Devices = append([]queries.FleetDevice(nil), stored.Devices...)
-	resp.MergeBytes = stored.MergeBytes
-	resp.Placement = stored.Placement
-	resp.CPUFrac = stored.CPUFrac
-	resp.Executors = append([]queries.ExecutorResult(nil), stored.Executors...)
+func (s *Service) replay(resp *Response, a *Answer, start time.Time, queueWait, bindWall time.Duration, coalesced bool) {
+	resp.Answer = a
 	resp.PlanCached = true
 	resp.ResultCached = !coalesced
 	resp.Coalesced = coalesced
@@ -1202,21 +1189,16 @@ func (s *Service) replay(resp *Response, stored *Response, q queries.Query, star
 	s.recordStats(resp)
 }
 
-// completeFlight publishes the leader's outcome on its flight and
-// releases the followers. The flight is deleted under cacheMu strictly
+// completeFlight publishes the leader's outcome on its flight — the same
+// Answer the leader returns and the cache holds, or the leader's error —
+// and releases the followers. The flight is deleted under cacheMu strictly
 // after the leader's cache store in the execute body, so no identical
 // request can ever miss both the cache and the flight table while an
 // execution it should have shared is still running. Deferred from the
-// leader's execute, so even a panic releases followers (they observe a
-// flight with neither resp nor err and synthesize an error).
+// leader's execute, so even a panic releases followers: they observe a
+// flight with neither answer nor err and fail with an error of their own.
 func (s *Service) completeFlight(f *flight, key string, resp *Response) {
-	if resp.Err == nil && resp.Result != nil {
-		// Followers clone from the stored copy the same way cache hits
-		// clone, and never share mutable state with the leader's caller.
-		f.resp = stored(resp)
-	} else {
-		f.err = resp.Err
-	}
+	f.answer, f.err = resp.Answer, resp.Err
 	s.cacheMu.Lock()
 	delete(s.flights, key)
 	s.cacheMu.Unlock()

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +13,7 @@ import (
 
 	"crystal/internal/queries"
 	"crystal/internal/queries/queriestest"
+	sqlfe "crystal/internal/sql"
 	"crystal/internal/ssb"
 )
 
@@ -340,40 +344,155 @@ func TestDoHonorsContextWhileQueueFull(t *testing.T) {
 	}
 }
 
-// TestCachedResultIsolation mutates a served result and checks the cache
-// still returns the original rows.
-func TestCachedResultIsolation(t *testing.T) {
-	s := New(testData(), "v1", Options{Workers: 1})
+// TestServedAnswerIsSharedReadOnly pins the served-answer contract: an
+// execution's Answer is built once and shared by pointer, never copied. A
+// coalesced follower receives its leader's Answer; 8 goroutines hitting the
+// cached key in a named and a respelled SQL spelling all receive that same
+// Answer, and so the same Result (under -race, which flags any write to the
+// shared answer); and failed, expired and shed replies carry no Answer.
+func TestServedAnswerIsSharedReadOnly(t *testing.T) {
+	ds := testData()
+	s := New(ds, "v1", Options{Workers: 2})
+	defer s.Close()
+	first := make(chan struct{}, 1)
+	release := make(chan struct{})
+	s.execHook = func(string) {
+		select {
+		case first <- struct{}{}:
+			<-release // park only the first execution: the leader
+		default:
+		}
+	}
+	joined := make(chan struct{}, 1)
+	s.flightHook = func() {
+		select {
+		case joined <- struct{}{}:
+		default:
+		}
+	}
+
+	q21 := mustQuery(t, "q2.1")
+	spellings := []Request{
+		{QueryID: "q2.1", Engine: queries.EngineCPU},
+		{SQL: "-- respelled\n" + q21.Describe(), Engine: queries.EngineCPU},
+	}
+	ctx := context.Background()
+	leaderCh, err := s.Submit(ctx, spellings[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-first
+	first <- struct{}{}
+	followerCh, err := s.Submit(ctx, spellings[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-joined:
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower never reached the flight wait")
+	}
+	close(release)
+	leader, follower := <-leaderCh, <-followerCh
+	if leader.Err != nil || follower.Err != nil {
+		t.Fatalf("leader / follower failed: %v / %v", leader.Err, follower.Err)
+	}
+	if !follower.Coalesced || follower.Answer != leader.Answer {
+		t.Fatalf("follower: coalesced=%v answer %p, want the leader's %p", follower.Coalesced, follower.Answer, leader.Answer)
+	}
+	want := queries.Reference(ds, q21)
+	if !leader.Result.Equal(want) {
+		t.Fatal("leader rows differ from the reference")
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				resp, err := s.Do(ctx, spellings[(g+i)%2])
+				if err != nil || !resp.ResultCached || resp.Answer != leader.Answer {
+					t.Errorf("goroutine %d call %d: err=%v cached=%v answer %p, want the leader's %p",
+						g, i, err, resp.ResultCached, resp.Answer, leader.Answer)
+					return
+				}
+				if !resp.Result.Equal(want) {
+					t.Errorf("goroutine %d call %d: rows differ from the reference", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	if resp, err := s.Do(ctx, Request{QueryID: "q9.9", Engine: queries.EngineCPU}); err == nil || resp.Answer != nil {
+		t.Errorf("failed request: err=%v answer %p, want an error and no answer", err, resp.Answer)
+	}
+	shed := New(ds, "v1", Options{Workers: 1, QueueDepth: 1, Shed: true})
+	defer shed.Close()
+	started, unblock := blockExecutions(shed)
+	defer close(unblock)
+	if _, err := shed.Submit(ctx, Request{QueryID: "q1.1", Engine: queries.EngineCPU, NoCache: true}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	// A nanosecond deadline has lapsed by the next submission's offer.
+	doomed, err := shed.Submit(ctx, Request{QueryID: "q1.2", Engine: queries.EngineCPU, Priority: 2, Deadline: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, err := shed.Submit(ctx, Request{QueryID: "q1.3", Engine: queries.EngineCPU}) // drops the expired job
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := shed.Submit(ctx, Request{QueryID: "q2.2", Engine: queries.EngineCPU, Priority: 1}); err != nil { // evicts the victim
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		ch   <-chan Response
+		want error
+	}{{doomed, ErrExpired}, {victim, ErrOverloaded}} {
+		if resp := <-c.ch; !errors.Is(resp.Err, c.want) || resp.Answer != nil {
+			t.Errorf("err=%v answer %p, want %v and no answer", resp.Err, resp.Answer, c.want)
+		}
+	}
+}
+
+// TestCacheHitAllocationIndependentOfRows pins what a result-cache hit
+// costs the host: sharing the stored Answer copies no rows, so a hit on
+// q2.1 (hundreds of groups) allocates what a hit on the one-group q1.1
+// does, within one size class.
+func TestCacheHitAllocationIndependentOfRows(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := New(ssb.GenerateRows(1<<16), "v1", Options{Workers: 2})
 	defer s.Close()
 	ctx := context.Background()
-	req := Request{QueryID: "q2.1", Engine: queries.EngineCPU}
-	first, err := s.Do(ctx, req)
-	if err != nil {
-		t.Fatal(err)
+	bytesPerHit := func(id string) float64 {
+		req := Request{QueryID: id, Placement: PlacementAuto}
+		warm, err := s.Do(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id == "q2.1" && len(warm.Result.Groups) < 100 {
+			t.Fatalf("q2.1 has %d groups; the comparison needs many", len(warm.Result.Groups))
+		}
+		const n = 2000
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if resp, err := s.Do(ctx, req); err != nil || !resp.ResultCached {
+				t.Fatalf("%s: err=%v cached=%v, want a hit", id, err, resp.ResultCached)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / n
 	}
-	want := first.Result.Clone()
-	for k := range first.Result.Groups {
-		first.Result.Groups[k] = -1 // caller trashes its copy
-	}
-	second, err := s.Do(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.ResultCached {
-		t.Fatal("expected a cache hit")
-	}
-	if !second.Result.Equal(want) {
-		t.Error("cache served rows corrupted by an earlier caller's mutation")
-	}
-	for k := range second.Result.Groups {
-		second.Result.Groups[k] = -2 // mutating a hit must not touch the cache
-	}
-	third, err := s.Do(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !third.Result.Equal(want) {
-		t.Error("cache corrupted by mutating a cache-hit response")
+	one, many := bytesPerHit("q1.1"), bytesPerHit("q2.1")
+	t.Logf("bytes per cache hit: q1.1 %.0f, q2.1 %.0f", one, many)
+	if math.Abs(many-one) > 64 {
+		t.Errorf("a cache hit allocates %.0f B on q2.1 and %.0f B on q1.1; a hit must not scale with the rows", many, one)
 	}
 }
 
@@ -476,9 +595,6 @@ func TestSQLRequestMatchesNamedQuery(t *testing.T) {
 		if !adhoc.Result.Equal(named.Result) {
 			t.Errorf("%s: SQL rows differ from named rows", e)
 		}
-		if !adhoc.Adhoc || named.Adhoc {
-			t.Errorf("%s: Adhoc flags wrong: sql=%v named=%v", e, adhoc.Adhoc, named.Adhoc)
-		}
 		if len(adhoc.Query.GroupPayloads()) != 2 {
 			t.Errorf("%s: resolved query lost its group shape", e)
 		}
@@ -529,8 +645,8 @@ func TestSQLCanonicalCacheKey(t *testing.T) {
 	if !third.Result.Equal(first.Result) || third.SimSeconds != first.SimSeconds {
 		t.Error("respelled request served different rows or simulated time")
 	}
-	if third.Result.QueryID != third.Query.ID {
-		t.Errorf("cache hit kept the other spelling's id: %s vs %s", third.Result.QueryID, third.Query.ID)
+	if own, err := sqlfe.Compile(respelled); err != nil || third.Query.ID != own.ID {
+		t.Errorf("cache hit is named %q, want its own statement's id (%v)", third.Query.ID, err)
 	}
 }
 
@@ -563,8 +679,8 @@ func TestSQLNamedShareCanonicalEntries(t *testing.T) {
 	if adhoc.SimSeconds != named.SimSeconds {
 		t.Error("shared entry served different simulated seconds")
 	}
-	if adhoc.Result.QueryID != adhoc.Query.ID {
-		t.Errorf("hit kept the named id: %s", adhoc.Result.QueryID)
+	if adhoc.Query.ID == named.Query.ID {
+		t.Errorf("hit kept the named id: %s", adhoc.Query.ID)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -107,6 +108,72 @@ func TestSingleFlightCoalesces(t *testing.T) {
 	if st.CoalesceRate <= 0 {
 		t.Error("coalesce rate not reported")
 	}
+}
+
+// TestSingleFlightSurvivesLeaderPanic pins completeFlight's promise: a
+// leader that panics mid-execution still releases its parked follower with
+// an error reply instead of a hang, leaves no flight behind, and the next
+// identical request executes afresh and succeeds. The worker loop has no
+// recover, so the leader runs execute on a goroutine of the test's own.
+func TestSingleFlightSurvivesLeaderPanic(t *testing.T) {
+	ds := testData()
+	// Closed at the end, not deferred: after a failure the follower's worker
+	// may still be stuck on the flight, and Close would wait for it forever.
+	s := New(ds, "v1", Options{Workers: 1})
+	var execs atomic.Int32
+	parked, release := make(chan struct{}), make(chan struct{})
+	s.execHook = func(string) {
+		if execs.Add(1) == 1 {
+			close(parked)
+			<-release
+			panic("leader fails mid-execution")
+		}
+	}
+	joined := make(chan struct{}, 1)
+	s.flightHook = func() { joined <- struct{}{} }
+
+	req := Request{QueryID: "q2.1", Engine: queries.EngineCPU}
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		s.execute(req, 0)
+	}()
+	<-parked
+	follower, err := s.Submit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-joined:
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower never reached the flight wait")
+	}
+	close(release)
+	if r := <-recovered; r == nil {
+		t.Fatal("the leader did not panic")
+	}
+	select {
+	case resp := <-follower:
+		if resp.Err == nil || resp.Answer != nil {
+			t.Fatalf("follower of a panicked leader: err=%v answer %p, want an error and no answer", resp.Err, resp.Answer)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower hung after its leader panicked")
+	}
+	s.cacheMu.Lock()
+	left := len(s.flights)
+	s.cacheMu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d flights left after the leader panicked", left)
+	}
+	resp, err := s.Do(context.Background(), req)
+	if err != nil || resp.ResultCached || resp.Coalesced || !resp.Result.Equal(queries.Reference(ds, mustQuery(t, "q2.1"))) {
+		t.Fatalf("next identical request: err=%v cached=%v coalesced=%v, want a fresh, correct execution", err, resp.ResultCached, resp.Coalesced)
+	}
+	if n := execs.Load(); n != 2 {
+		t.Errorf("%d executions, want 2 (the panicked leader and the retry)", n)
+	}
+	s.Close()
 }
 
 // TestSingleFlightSurvivesDatasetSwap swaps the dataset while a flight

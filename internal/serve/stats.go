@@ -226,7 +226,7 @@ type Stats struct {
 // nothing, and a response whose rows already exist allocates nothing.
 func (st *Stats) record(resp *Response) {
 	st.Requests++
-	if resp.Adhoc {
+	if resp.Request.SQL != "" {
 		st.AdhocRequests++
 	} else {
 		st.NamedRequests++
@@ -238,7 +238,7 @@ func (st *Stats) record(resp *Response) {
 		st.Morsels += int64(resp.Morsels)
 		st.PrunedMorsels += int64(resp.Pruned)
 	}
-	if resp.Packed {
+	if resp.Request.Packed {
 		st.PackedRequests++
 		// Fleet spill traffic and elisions are tallied under the fleet
 		// counters below; adding them here too would double-report the
