@@ -33,7 +33,7 @@ func RadixJoin(clk *device.Clock, buildKeys, buildVals, probeKeys, probeVals []i
 		if bn > 0 && pn > 0 {
 			ht := crystal.NewHashTable(int(bn), 0.5, true)
 			for i := bOff; i < bOff+bn; i++ {
-				ht.Insert(bk[i], bv[i])
+				ht.Put(bk[i], bv[i])
 			}
 			for i := pOff; i < pOff+pn; i++ {
 				if v, ok := ht.Get(pk[i]); ok {

@@ -15,20 +15,35 @@ const EmptyKey = math.MinInt32
 
 // HashTable is the open-addressing, linear-probing hash table the paper's
 // join operators use on both devices (Section 4.3): an array of slots, each
-// a 4-byte key and a 4-byte payload, no pointers. The build phase inserts
-// concurrently with compare-and-swap, mirroring the GPU build kernel.
+// a 4-byte key and a 4-byte payload, no pointers. The modelled build phase
+// inserts concurrently with compare-and-swap, mirroring the GPU build
+// kernel; a host build with one writer uses Put.
 type HashTable struct {
 	keys []int32
 	vals []int32
 	mask uint32
+	// base and mul are the constants of the one slot formula,
+	// (uint32(key-base) * mul) & mask, chosen once at construction: a key
+	// range that fits the capacity gets base = lo, mul = 1, so a dense key
+	// is its own slot (the paper's perfect hashing, Section 5.3); any other
+	// table gets base = 0 and the multiplicative constant.
+	base int32
+	mul  uint32
 	// hasPayload records whether the table stores payloads; key-only tables
 	// (existence filters) occupy half the bytes.
 	hasPayload bool
 }
 
-// NewHashTable creates a table with capacity for n keys at the given fill
-// rate (the paper uses 50%). Capacity is rounded up to a power of two.
-func NewHashTable(n int, fill float64, hasPayload bool) *HashTable {
+// multiplicative is the slot multiplier of a table whose keys are not known
+// to be dense (Knuth's 2^32 / golden ratio).
+const multiplicative = 2654435761
+
+// HashCapacity returns the slot count of a table for n keys at the given
+// fill rate (the paper uses 50%; an out-of-range fill means 50%): the
+// smallest power of two, at least 2, whose fill-fraction holds n. Every
+// table constructor, and every model that prices a table before it is
+// built, sizes through it.
+func HashCapacity(n int, fill float64) int {
 	if fill <= 0 || fill > 1 {
 		fill = 0.5
 	}
@@ -36,19 +51,36 @@ func NewHashTable(n int, fill float64, hasPayload bool) *HashTable {
 	for float64(capacity)*fill < float64(n) || capacity < 2 {
 		capacity <<= 1
 	}
-	ht := &HashTable{
-		keys:       make([]int32, capacity),
-		vals:       nil,
-		mask:       uint32(capacity - 1),
-		hasPayload: hasPayload,
-	}
+	return capacity
+}
+
+// HashTableBytes returns the footprint of a table of the given capacity:
+// 8 bytes a slot with payloads, 4 without.
+func HashTableBytes(capacity int, hasPayload bool) int64 {
 	if hasPayload {
-		ht.vals = make([]int32, capacity)
+		return int64(capacity) * 8
 	}
-	for i := range ht.keys {
-		ht.keys[i] = EmptyKey
+	return int64(capacity) * 4
+}
+
+// NewHashTable creates a table with capacity for n keys at the given fill
+// rate, hashing keys multiplicatively.
+func NewHashTable(n int, fill float64, hasPayload bool) *HashTable {
+	return newHashTable(HashCapacity(n, fill), hasPayload, 0, multiplicative)
+}
+
+// NewHashTableRange creates the same table as NewHashTable for keys the
+// caller knows lie in [lo, hi]. When that range fits the capacity the slot
+// is key - lo, so distinct keys never collide and every probe resolves in
+// one step; otherwise it falls back to the multiplicative slot. Capacity and
+// Bytes are NewHashTable's either way, so nothing modelled changes. A key
+// outside the range still hashes correctly; it only costs probe steps.
+func NewHashTableRange(n int, fill float64, hasPayload bool, lo, hi int32) *HashTable {
+	capacity := HashCapacity(n, fill)
+	if lo <= hi && int64(hi)-int64(lo) < int64(capacity) {
+		return newHashTable(capacity, hasPayload, lo, 1)
 	}
-	return ht
+	return newHashTable(capacity, hasPayload, 0, multiplicative)
 }
 
 // NewHashTableBytes creates a key+payload table whose footprint is exactly
@@ -59,11 +91,19 @@ func NewHashTableBytes(bytes int64) *HashTable {
 	for int64(capacity)*8 < bytes {
 		capacity <<= 1
 	}
+	return newHashTable(capacity, true, 0, multiplicative)
+}
+
+func newHashTable(capacity int, hasPayload bool, base int32, mul uint32) *HashTable {
 	ht := &HashTable{
 		keys:       make([]int32, capacity),
-		vals:       make([]int32, capacity),
 		mask:       uint32(capacity - 1),
-		hasPayload: true,
+		base:       base,
+		mul:        mul,
+		hasPayload: hasPayload,
+	}
+	if hasPayload {
+		ht.vals = make([]int32, capacity)
 	}
 	for i := range ht.keys {
 		ht.keys[i] = EmptyKey
@@ -76,17 +116,10 @@ func (h *HashTable) Capacity() int { return len(h.keys) }
 
 // Bytes returns the table's memory footprint, which determines the cache
 // level it lives in and therefore the probe cost (Section 4.3 model).
-func (h *HashTable) Bytes() int64 {
-	per := int64(4)
-	if h.hasPayload {
-		per = 8
-	}
-	return int64(len(h.keys)) * per
-}
+func (h *HashTable) Bytes() int64 { return HashTableBytes(len(h.keys), h.hasPayload) }
 
 func (h *HashTable) slot(key int32) uint32 {
-	// Multiplicative hashing; the paper's tables hash 4-byte integer keys.
-	return (uint32(key) * 2654435761) & h.mask
+	return (uint32(key-h.base) * h.mul) & h.mask
 }
 
 // Insert adds key with payload val. It is safe for concurrent use (the GPU
@@ -106,6 +139,24 @@ func (h *HashTable) Insert(key, val int32) {
 			return
 		}
 		i = (i + 1) & h.mask
+	}
+}
+
+// Put is Insert for a table with one writer that nothing reads yet: plain
+// loads and stores, the same slot sequence, so a table built by Put answers
+// every Get exactly as one built by sequential Inserts. Whoever publishes
+// the finished table to readers provides the synchronisation.
+func (h *HashTable) Put(key, val int32) {
+	if key == EmptyKey {
+		panic("crystal: cannot insert the empty-key sentinel")
+	}
+	i := h.slot(key)
+	for h.keys[i] != EmptyKey {
+		i = (i + 1) & h.mask
+	}
+	h.keys[i] = key
+	if h.hasPayload {
+		h.vals[i] = val
 	}
 }
 

@@ -56,8 +56,9 @@ func unionCols(qs []queries.Query) (filterCols, refCols []string) {
 // 0 = pure GPU): per arm, the union scan is charged once and every member
 // adds its probe/aggregate cost over the arm's rows it is live on. The
 // union liveness (a morsel prunes only when every member's zone maps prune
-// it) matches the shared scan queries.RunBatchScheduled executes.
-func batchArms(fl fleet.Spec, ds *ssb.Dataset, qs []queries.Query, morsels []ssb.Morsel, packed *ssb.PackedFact, frac float64) float64 {
+// it) matches the shared scan queries.RunBatchScheduled executes. stats[i]
+// are member i's join statistics, computed once by the caller for every arm.
+func batchArms(fl fleet.Spec, qs []queries.Query, stats [][]JoinStats, morsels []ssb.Morsel, packed *ssb.PackedFact, frac float64) float64 {
 	filterCols, refCols := unionCols(qs)
 	cpu := device.I76900()
 
@@ -100,7 +101,7 @@ func batchArms(fl fleet.Spec, ds *ssb.Dataset, qs []queries.Query, morsels []ssb
 	if len(split.CPU) > 0 {
 		sec := scanCostFor(cpu, packed, unionRows(split.CPU), filterCols)
 		for i := range qs {
-			sec += Cost(cpu, memberRows(split.CPU, i), Stats(ds, qs[i]))
+			sec += Cost(cpu, memberRows(split.CPU, i), stats[i])
 		}
 		makespan = sec
 	}
@@ -134,7 +135,7 @@ func batchArms(fl fleet.Spec, ds *ssb.Dataset, qs []queries.Query, morsels []ssb
 		}
 		sec := scanCostFor(fl.Device, packed, unionRows(owned), filterCols)
 		for i := range qs {
-			sec += Cost(fl.Device, memberRows(owned, i), Stats(ds, qs[i]))
+			sec += Cost(fl.Device, memberRows(owned, i), stats[i])
 			mergeBytes += int64(qs[i].GroupEstimate()) * qs[i].AggRowBytes()
 		}
 		if t := fl.Link.TransferTime(ship); t > sec {
@@ -173,13 +174,17 @@ func BatchCost(fl fleet.Spec, ds *ssb.Dataset, qs []queries.Query, morsels []ssb
 	}
 	cpu := device.I76900()
 	frac := sched.CPUFraction(cpu, fl.Device, fl.GPUs)
+	stats := make([][]JoinStats, len(qs))
+	for i := range qs {
+		stats[i] = Stats(ds, qs[i])
+	}
 	est := BatchEstimate{
 		Members:       len(qs),
 		GPUs:          fl.GPUs,
 		CPUFrac:       frac,
-		CPUSeconds:    batchArms(fl, ds, qs, morsels, packed, 1),
-		GPUSeconds:    batchArms(fl, ds, qs, morsels, packed, 0),
-		HybridSeconds: batchArms(fl, ds, qs, morsels, packed, frac),
+		CPUSeconds:    batchArms(fl, qs, stats, morsels, packed, 1),
+		GPUSeconds:    batchArms(fl, qs, stats, morsels, packed, 0),
+		HybridSeconds: batchArms(fl, qs, stats, morsels, packed, frac),
 	}
 	return est, nil
 }

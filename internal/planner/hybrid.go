@@ -78,9 +78,9 @@ func scanCostFor(dev *device.Spec, packed *ssb.PackedFact, rows int64, filterCol
 // comes from sched.SplitHybrid, the GPU shard map from fleet.Assign with
 // zero capacity (host-resident data — everything spills), the CPU arm
 // runs on the host device and each GPU arm overlaps its shipment with
-// execution, exactly the shape queries.Plan.ScheduleHybrid builds.
-func hybridArms(fl fleet.Spec, ds *ssb.Dataset, q queries.Query, morsels []ssb.Morsel, packed *ssb.PackedFact, frac float64) HybridEstimate {
-	stats := Stats(ds, q)
+// execution, exactly the shape queries.Plan.ScheduleHybrid builds. stats
+// are the query's join statistics, computed once by the caller.
+func hybridArms(fl fleet.Spec, q queries.Query, stats []JoinStats, morsels []ssb.Morsel, packed *ssb.PackedFact, frac float64) HybridEstimate {
 	refCols := q.ReferencedFactColumns()
 	var filterCols []string
 	for _, f := range q.FactFilters {
@@ -162,16 +162,16 @@ func HybridCost(fl fleet.Spec, ds *ssb.Dataset, q queries.Query, morsels []ssb.M
 	}
 	cpu := device.I76900()
 	frac := sched.CPUFraction(cpu, fl.Device, fl.GPUs)
-	est := hybridArms(fl, ds, q, morsels, packed, frac)
-
 	stats := Stats(ds, q)
+	est := hybridArms(fl, q, stats, morsels, packed, frac)
+
 	var filterCols []string
 	for _, f := range q.FactFilters {
 		filterCols = append(filterCols, f.Col)
 	}
 	liveRows := PruneEstimate(morsels, q).ScannedRows
 	est.PureCPUSeconds = scanCostFor(cpu, packed, liveRows, filterCols) + Cost(cpu, liveRows, stats)
-	est.PureGPUSeconds = hybridArms(fl, ds, q, morsels, packed, 0).Seconds
+	est.PureGPUSeconds = hybridArms(fl, q, stats, morsels, packed, 0).Seconds
 	// The ORDER BY phase runs where each placement's merged groups live:
 	// host-side for the CPU and mixed-kind hybrid placements (heap-vs-sort,
 	// TopNCost), on the devices for the pure-GPU arm — the same routing
@@ -179,11 +179,7 @@ func HybridCost(fl fleet.Spec, ds *ssb.Dataset, q queries.Query, morsels []ssb.M
 	est.Seconds += OrderCost(cpu, q)
 	est.PureCPUSeconds += OrderCost(cpu, q)
 	est.PureGPUSeconds += OrderCost(fl.Device, q)
-	fe, err := FleetCost(fl, ds, q, morsels, packed)
-	if err != nil {
-		return HybridEstimate{}, err
-	}
-	est.FleetSeconds = fe.Seconds
+	est.FleetSeconds = fleetCost(fl, q, stats, morsels, packed).Seconds
 	return est, nil
 }
 

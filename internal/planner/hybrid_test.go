@@ -166,6 +166,35 @@ func TestHybridCostShape(t *testing.T) {
 	}
 }
 
+// BenchmarkChoosePlacement is the per-layer benchmark of placement=auto:
+// one ChoosePlacement per statement over 16 morsels of the package dataset,
+// for the catalog and for the 64 generated statements of the golden set
+// (about half of whose joins carry no filter), on both interconnects.
+// us/stmt is the wall clock of one choice.
+func BenchmarkChoosePlacement(b *testing.B) {
+	all := goldenStatements()
+	morsels := ds.Partition(16)
+	for _, set := range []struct {
+		name string
+		qs   []queries.Query
+	}{{"catalog", all[:13]}, {"generated", all[13:]}} {
+		for _, link := range fleet.Interconnects() {
+			fl := fleet.Spec{GPUs: 2, Link: link}
+			b.Run(set.name+"/"+link.Name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, q := range set.qs {
+						if _, _, err := ChoosePlacement(fl, ds, q, morsels, nil); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*len(set.qs)), "us/stmt")
+			})
+		}
+	}
+}
+
 // runFleet and runHybrid execute a plan on the placement the cost model
 // priced: build the schedule, call RunScheduled.
 func runFleet(p *queries.Plan, fl fleet.Spec, opts queries.RunOptions) (*queries.ScheduledResult, error) {

@@ -34,41 +34,39 @@ type JoinStats struct {
 	Selectivity float64
 }
 
-// Stats computes per-join statistics from the dataset (an exact pass over
-// the dimension tables; dimensions are tiny).
+// Stats computes per-join statistics from the dataset: an exact pass over
+// each filtered dimension (dimensions are tiny), none for a join without
+// filters, which keeps every row. Each exported entry point computes them
+// once and hands them to every arm it prices.
 func Stats(ds *ssb.Dataset, q queries.Query) []JoinStats {
 	out := make([]JoinStats, len(q.Joins))
 	for i, j := range q.Joins {
 		d := queries.DimTable(ds, j.Dim)
-		match := 0
-		filterCols := make([][]int32, len(j.Filters))
-		for fi := range j.Filters {
-			filterCols[fi] = d.Col(j.Filters[fi].Col)
-		}
-	rows:
-		for r := 0; r < d.Rows(); r++ {
+		n := d.Rows()
+		match := n
+		if len(j.Filters) > 0 {
+			filterCols := make([][]int32, len(j.Filters))
 			for fi := range j.Filters {
-				if !j.Filters[fi].Match(filterCols[fi][r]) {
-					continue rows
-				}
+				filterCols[fi] = d.Col(j.Filters[fi].Col)
 			}
-			match++
+			match = 0
+		rows:
+			for r := 0; r < n; r++ {
+				for fi := range j.Filters {
+					if !j.Filters[fi].Match(filterCols[fi][r]) {
+						continue rows
+					}
+				}
+				match++
+			}
 		}
 		sel := 1.0
-		if d.Rows() > 0 {
-			sel = float64(match) / float64(d.Rows())
+		if n > 0 {
+			sel = float64(match) / float64(n)
 		}
 		// Hash tables are sized to the full dimension (Section 5.3 "perfect
-		// hashing" footprint), payload or not.
-		slots := int64(1)
-		for float64(slots)*0.99 < float64(d.Rows()) {
-			slots <<= 1
-		}
-		per := int64(4)
-		if j.Payload != "" {
-			per = 8
-		}
-		out[i] = JoinStats{Spec: j, DimRows: int64(d.Rows()), HTBytes: slots * per, Selectivity: sel}
+		// hashing" footprint), payload or not, by the executor's own rule.
+		out[i] = JoinStats{Spec: j, DimRows: int64(n), HTBytes: queries.JoinTableBytes(d, j), Selectivity: sel}
 	}
 	return out
 }
@@ -192,7 +190,12 @@ func FleetCost(fl fleet.Spec, ds *ssb.Dataset, q queries.Query, morsels []ssb.Mo
 	if err != nil {
 		return FleetEstimate{}, err
 	}
-	stats := Stats(ds, q)
+	return fleetCost(fl, q, Stats(ds, q), morsels, packed), nil
+}
+
+// fleetCost is FleetCost on a normalized fleet, with the query's join
+// statistics already computed.
+func fleetCost(fl fleet.Spec, q queries.Query, stats []JoinStats, morsels []ssb.Morsel, packed *ssb.PackedFact) FleetEstimate {
 	refCols := q.ReferencedFactColumns()
 	var filterCols []string
 	for _, f := range q.FactFilters {
@@ -254,7 +257,7 @@ func FleetCost(fl fleet.Spec, ds *ssb.Dataset, q queries.Query, morsels []ssb.Mo
 	// (per-device runs plus a host merge in the executor; the estimate
 	// prices the dominant radix term).
 	est.Seconds = makespan + est.MergeSeconds + OrderCost(fl.Device, q)
-	return est, nil
+	return est
 }
 
 // Plan is one costed join order.

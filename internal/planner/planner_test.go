@@ -3,6 +3,7 @@ package planner
 import (
 	"testing"
 
+	"crystal/internal/crystal"
 	"crystal/internal/device"
 	"crystal/internal/fleet"
 	"crystal/internal/queries"
@@ -80,6 +81,34 @@ func TestStatsSelectivities(t *testing.T) {
 	}
 	if stats[1].HTBytes <= stats[2].HTBytes {
 		t.Error("part table should dwarf date table")
+	}
+}
+
+// TestStatsFootprintIsTheBuiltTable: Stats prices each join's table by the
+// executor's own capacity rule (queries.JoinTableBytes, which the queries
+// tests pin to every built table's Bytes). On a dataset whose supplier
+// dimension is empty that is the two-slot table Compile builds, not one
+// slot, and a join without filters keeps every row.
+func TestStatsFootprintIsTheBuiltTable(t *testing.T) {
+	empty := ssb.GenerateRows(4096)
+	empty.Supplier = ssb.Dim{Name: "supplier", Attrs: map[string][]int32{"region": {}, "nation": {}, "city": {}}}
+	q := queries.Query{ID: "empty", Agg: queries.AggSumRevenue, Joins: []queries.JoinSpec{
+		{Dim: "supplier", FactFK: "suppkey", Filters: []queries.Filter{{Col: "region", Lo: 1, Hi: 1}}, Payload: "nation"},
+		{Dim: "part", FactFK: "partkey"},
+	}}
+	stats := Stats(empty, q)
+	for _, js := range stats {
+		if want := queries.JoinTableBytes(queries.DimTable(empty, js.Spec.Dim), js.Spec); js.HTBytes != want {
+			t.Errorf("%s: Stats prices %d B, the executor builds %d B", js.Spec.Dim, js.HTBytes, want)
+		}
+	}
+	// An empty table has two slots at any fill.
+	if want := crystal.NewHashTable(0, 0.5, true).Bytes(); stats[0].HTBytes != want {
+		t.Errorf("empty supplier priced at %d B, NewHashTable builds %d B", stats[0].HTBytes, want)
+	}
+	if stats[0].Selectivity != 1 || stats[1].Selectivity != 1 || stats[1].DimRows != int64(empty.Part.Rows()) {
+		t.Errorf("selectivities %v / %v over %d part rows, want 1 / 1 over %d",
+			stats[0].Selectivity, stats[1].Selectivity, stats[1].DimRows, empty.Part.Rows())
 	}
 }
 

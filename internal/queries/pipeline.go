@@ -49,11 +49,14 @@ type buildInfo struct {
 // the dimension key to the group-by payload (or is key-only for pure
 // semijoin filters), and only rows passing the dimension filters are
 // inserted — probing misses are how filtered dimensions drop fact rows.
+// Compile is the tables' one writer, so the build uses Put; the key range
+// the dataset recorded lays a dense key out at its own slot.
 func buildTables(ds *ssb.Dataset, q Query) []buildInfo {
 	builds := make([]buildInfo, len(q.Joins))
 	for ji, j := range q.Joins {
 		d := DimTable(ds, j.Dim)
-		ht := crystal.NewHashTable(d.Rows(), dimFill, j.Payload != "")
+		n := d.Rows()
+		ht := crystal.NewHashTableRange(n, dimFill, j.Payload != "", d.KeyLo, d.KeyHi)
 		filterCols := make([][]int32, len(j.Filters))
 		for fi := range j.Filters {
 			filterCols[fi] = d.Col(j.Filters[fi].Col)
@@ -64,7 +67,7 @@ func buildTables(ds *ssb.Dataset, q Query) []buildInfo {
 		}
 		inserted := int64(0)
 	rows:
-		for i := 0; i < d.Rows(); i++ {
+		for i := 0; i < n; i++ {
 			for fi := range j.Filters {
 				if !j.Filters[fi].Match(filterCols[fi][i]) {
 					continue rows
@@ -74,18 +77,25 @@ func buildTables(ds *ssb.Dataset, q Query) []buildInfo {
 			if payload != nil {
 				v = payload[i]
 			}
-			ht.Insert(d.Key[i], v)
+			ht.Put(d.Key[i], v)
 			inserted++
 		}
 		builds[ji] = buildInfo{
 			spec:      j,
 			ht:        ht,
-			dimRows:   int64(d.Rows()),
+			dimRows:   int64(n),
 			inserted:  inserted,
-			bytesRead: int64(d.Rows()) * int64(1+len(j.Filters)+btoi(j.Payload != "")) * 4,
+			bytesRead: int64(n) * int64(1+len(j.Filters)+btoi(j.Payload != "")) * 4,
 		}
 	}
 	return builds
+}
+
+// JoinTableBytes is the footprint of the hash table Compile builds for join
+// j over dimension d, payload or not: what a cost model prices the join's
+// probes against before any table exists.
+func JoinTableBytes(d *ssb.Dim, j JoinSpec) int64 {
+	return crystal.HashTableBytes(crystal.HashCapacity(d.Rows(), dimFill), j.Payload != "")
 }
 
 // btoi converts a bool to 0/1.

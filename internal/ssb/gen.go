@@ -1,6 +1,9 @@
 package ssb
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Lineorder is the fact table, stored columnar with 4-byte entries
 // (Section 5.2: "we store the data in columnar format with each column
@@ -26,10 +29,23 @@ type Dim struct {
 	Name  string
 	Key   []int32
 	Attrs map[string][]int32
+	// KeyLo and KeyHi are the least and greatest key (both 0 when the table
+	// is empty), recorded once where the table is generated or read, so that
+	// every join build can lay its hash table out for the key domain without
+	// scanning Key again.
+	KeyLo, KeyHi int32
 }
 
 // Rows returns the dimension cardinality.
 func (d *Dim) Rows() int { return len(d.Key) }
+
+// recordKeyRange sets KeyLo and KeyHi from Key.
+func (d *Dim) recordKeyRange() {
+	d.KeyLo, d.KeyHi = 0, 0
+	if len(d.Key) > 0 {
+		d.KeyLo, d.KeyHi = slices.Min(d.Key), slices.Max(d.Key)
+	}
+}
 
 // Col returns the named attribute column, panicking on unknown names so
 // query-plan typos fail loudly.
@@ -111,6 +127,7 @@ func GenDate() Dim {
 			}
 		}
 	}
+	d.recordKeyRange()
 	return d
 }
 
@@ -128,6 +145,7 @@ func GenCustomer(sf int) Dim {
 		d.Attrs["nation"][i] = CityNation(city)
 		d.Attrs["region"][i] = NationRegion(CityNation(city))
 	}
+	d.recordKeyRange()
 	return d
 }
 
@@ -145,6 +163,7 @@ func GenSupplier(sf int) Dim {
 		d.Attrs["nation"][i] = CityNation(city)
 		d.Attrs["region"][i] = NationRegion(CityNation(city))
 	}
+	d.recordKeyRange()
 	return d
 }
 
@@ -162,6 +181,7 @@ func GenPart(sf int) Dim {
 		d.Attrs["category"][i] = brand / BrandsPerCat
 		d.Attrs["mfgr"][i] = brand / BrandsPerCat / 5
 	}
+	d.recordKeyRange()
 	return d
 }
 

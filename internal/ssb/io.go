@@ -224,6 +224,7 @@ func Read(r io.Reader, maxBytes int64) (*Dataset, error) {
 				return nil, fmt.Errorf("dimension %q column %q has %d rows, want %d", name, cname, len(col), len(d.Key))
 			}
 		}
+		d.recordKeyRange()
 		*target = d
 	}
 	return ds, nil
