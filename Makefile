@@ -96,9 +96,10 @@ lint:
 
 # One iteration of every Go benchmark: the end-to-end ones at the root, the
 # per-layer scan-kernel, batch-entry and dimension-build benchmarks in
-# internal/queries, and the placement-choice benchmark in internal/planner.
+# internal/queries, the placement-choice benchmark in internal/planner, and
+# the radix sort and partition benchmarks in internal/gpu and internal/cpu.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/queries ./internal/planner
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/queries ./internal/planner ./internal/gpu ./internal/cpu
 
 # Benchmark gate: bench-baseline records the q1.x flight's simulated
 # seconds and scaling efficiency at 1/2/4/8 GPUs into BENCH_fleet.json,

@@ -51,7 +51,13 @@ const prefetchStall = 1.08
 // parallelFor splits [0, n) into contiguous per-thread ranges and runs fn
 // on each concurrently, mirroring the paper's partition-per-core execution.
 func parallelFor(n int, fn func(worker, lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
+	parallelForN(runtime.GOMAXPROCS(0), n, fn)
+}
+
+// parallelForN is parallelFor on at most `workers` threads: worker w runs
+// the w-th range of ceil(n/workers) elements, and a worker whose range is
+// empty does not run.
+func parallelForN(workers, n int, fn func(worker, lo, hi int)) {
 	if workers > n {
 		workers = n
 	}

@@ -3,6 +3,7 @@ package cpu
 import (
 	"fmt"
 
+	"crystal/internal/crystal"
 	"crystal/internal/device"
 )
 
@@ -16,123 +17,56 @@ const l1Bytes = 32 << 10
 // partition: one cache line of keys plus one of payloads.
 const bufBytesPerPartition = 128
 
-// RadixHistogram runs the histogram phase of a radix-partitioning pass:
-// each thread scans its chunk once, counting entries per partition in an
-// L1-resident histogram (Section 4.4). It returns the per-thread histogram
-// matrix and the per-partition totals.
-func RadixHistogram(clk *device.Clock, keys []uint32, r, shift int, workers int) ([][]int64, []int64) {
-	numPart := 1 << r
-	mask := uint32(numPart - 1)
-	n := len(keys)
-	if workers <= 0 {
-		workers = 8
-	}
-	hists := make([][]int64, workers)
-	chunk := (n + workers - 1) / workers
-	parallelForN(workers, n, func(w, lo, hi int) {
-		h := make([]int64, numPart)
-		for i := lo; i < hi; i++ {
-			h[(keys[i]>>shift)&mask]++
-		}
-		hists[w] = h
-	}, chunk)
-	counts := make([]int64, numPart)
-	for _, h := range hists {
-		if h == nil {
-			continue
-		}
-		for p, c := range h {
-			counts[p] += c
-		}
-	}
-	clk.Charge(&device.Pass{
-		Label:         "cpu radix histogram",
-		BytesRead:     int64(n) * 4,
-		BytesWritten:  int64(workers) * int64(numPart) * 4,
-		ComputeCycles: cyclesRadixHist * float64(n),
-	})
-	return hists, counts
-}
-
-// parallelForN runs fn over exactly `workers` fixed chunks (so per-worker
-// histograms line up with per-worker scatter offsets, which is what makes
-// the partition stable).
-func parallelForN(workers, n int, fn func(w, lo, hi int), chunk int) {
-	done := make(chan struct{}, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo > hi {
-			lo = hi
-		}
-		go func(w, lo, hi int) {
-			if lo < hi {
-				fn(w, lo, hi)
-			}
-			done <- struct{}{}
-		}(w, lo, hi)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-}
+// radixWorkers is the number of threads a CPU radix pass runs on. Each
+// scans one fixed chunk, so its histogram row lines up with its scatter
+// offsets, which is what makes the partition stable; the histogram matrix
+// the model charges has one row per thread.
+const radixWorkers = 8
 
 // RadixPartition performs one stable radix-partitioning pass over
-// (keys, vals) on bits [shift, shift+r), following Polychroniou & Ross:
-// histogram phase, a 2D prefix sum over (partition, thread), then each
-// thread scatters its chunk through L1-resident write-combining buffers.
-// Output is stable. Returns the partitioned arrays and partition counts.
+// (keys, vals) on bits [shift, shift+r), following Polychroniou & Ross on
+// the radix core: a histogram phase (each thread counts its chunk in an
+// L1-resident histogram), a 2D prefix sum over (partition, thread), then
+// each thread scatters its chunk through L1-resident write-combining
+// buffers (Section 4.4). vals is empty or holds one payload value per key.
+// Returns the partitioned arrays and partition counts.
 func RadixPartition(clk *device.Clock, keys []uint32, vals []int32, r, shift int) ([]uint32, []int32, []int64, error) {
 	if r <= 0 || r > 16 {
 		return nil, nil, nil, fmt.Errorf("cpu: radix bits %d out of range (1..16)", r)
 	}
-	n := len(keys)
-	workers := 8
-	hists, counts := RadixHistogram(clk, keys, r, shift, workers)
-	numPart := 1 << r
-	mask := uint32(numPart - 1)
-
-	// 2D prefix sum in (partition, thread) order => stable partitioning.
-	offsets := make([][]int64, workers)
-	running := int64(0)
-	for p := 0; p < numPart; p++ {
-		for w := 0; w < workers; w++ {
-			if offsets[w] == nil {
-				offsets[w] = make([]int64, numPart)
-			}
-			offsets[w][p] = running
-			if hists[w] != nil {
-				running += hists[w][p]
-			}
-		}
+	if err := crystal.CheckRadixPayload(len(keys), len(vals)); err != nil {
+		return nil, nil, nil, err
 	}
+	n := len(keys)
+	parts := 1 << r
+	m := make([]int64, radixWorkers*parts)
+	parallelForN(radixWorkers, n, func(w, lo, hi int) {
+		crystal.RadixCount(keys[lo:hi], shift, m[w*parts:(w+1)*parts])
+	})
+	clk.Charge(&device.Pass{
+		Label:         "cpu radix histogram",
+		BytesRead:     int64(n) * 4,
+		BytesWritten:  int64(len(m)) * 4,
+		ComputeCycles: cyclesRadixHist * float64(n),
+	})
 
+	counts := make([]int64, parts)
+	crystal.RadixPrefix(m, counts)
 	outK := make([]uint32, n)
 	var outV []int32
-	if vals != nil {
-		outV = make([]int32, n)
-	}
-	chunk := (n + workers - 1) / workers
-	parallelForN(workers, n, func(w, lo, hi int) {
-		off := offsets[w]
-		for i := lo; i < hi; i++ {
-			p := (keys[i] >> shift) & mask
-			pos := off[p]
-			off[p]++
-			outK[pos] = keys[i]
-			if vals != nil {
-				outV[pos] = vals[i]
-			}
-		}
-	}, chunk)
-
 	elemBytes := int64(4)
-	if vals != nil {
+	if len(vals) > 0 {
+		outV = make([]int32, n)
 		elemBytes = 8
 	}
+	parallelForN(radixWorkers, n, func(w, lo, hi int) {
+		var v []int32
+		if len(vals) > 0 {
+			v = vals[lo:hi]
+		}
+		crystal.RadixScatter(keys[lo:hi], v, shift, m[w*parts:(w+1)*parts], outK, outV)
+	})
+
 	pass := &device.Pass{
 		Label:         "cpu radix shuffle",
 		BytesRead:     int64(n) * elemBytes,
@@ -142,7 +76,7 @@ func RadixPartition(clk *device.Clock, keys []uint32, vals []int32, r, shift int
 	// Write-combining buffer spill: with 2^r partitions the buffers exceed
 	// L1 and a growing fraction of output lines lose write combining,
 	// costing a read-for-ownership on the way out.
-	if buf := int64(numPart) * bufBytesPerPartition; buf > l1Bytes {
+	if buf := int64(parts) * bufBytesPerPartition; buf > l1Bytes {
 		spill := 1 - float64(l1Bytes)/float64(buf)
 		pass.BytesRead += int64(spill * float64(int64(n)*elemBytes))
 	}
@@ -155,14 +89,16 @@ func RadixPartition(clk *device.Clock, keys []uint32, vals []int32, r, shift int
 // (Section 4.4: "On the CPU, we use stable partitioning to implement LSB
 // radix sort. It ends up running 4 radix partitioning passes each looking
 // at 8-bits at [a] time").
+//
+// A pass never writes its input, so the caller's slices are only read. It
+// panics with RadixPartition's error when vals is neither empty nor one
+// value per key.
 func LSBRadixSort(clk *device.Clock, keys []uint32, vals []int32) ([]uint32, []int32) {
-	k := append([]uint32(nil), keys...)
-	v := append([]int32(nil), vals...)
+	k, v := keys, vals
 	for pass := 0; pass < 4; pass++ {
 		var err error
-		k, v, _, err = RadixPartition(clk, k, v, 8, 8*pass)
-		if err != nil {
-			panic(err) // unreachable: 8 bits is always valid
+		if k, v, _, err = RadixPartition(clk, k, v, 8, 8*pass); err != nil {
+			panic(err)
 		}
 	}
 	return k, v

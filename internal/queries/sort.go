@@ -181,50 +181,45 @@ func encodeOrderKey(v int64, desc bool) uint64 {
 	return u
 }
 
-// radixSortRows sorts rows on the GPU clock: starting from the base packed-
-// key order, one stable LSD radix sort per ORDER BY key from least to most
-// significant. Keys are rebased to (key - min), so each sort runs only the
-// passes the surviving bit width needs — the bits-moved win of sort keys
-// with small ranges (Section 5.5 logic applied to the sort pipeline).
-func radixSortRows(q *Query, clk *device.Clock, rows []Row) []Row {
+// radixSortRows stable-sorts rows by one ORDER BY key with an LSD radix
+// sort on the GPU clock. The key is rebased to (key - min), so the sort
+// runs only the passes the surviving bit width needs — the bits-moved win
+// of sort keys with small ranges (Section 5.5 logic applied to the sort
+// pipeline). Rows that all tie on the key come back as they are, with no
+// passes and no traffic.
+func radixSortRows(q *Query, k OrderKey, clk *device.Clock, rows []Row) []Row {
 	n := len(rows)
-	cur := append([]Row(nil), rows...)
 	if n <= 1 {
-		return cur
+		return rows
 	}
-	cfg := gpuConfig(n)
 	keys := make([]uint64, n)
 	idx := make([]int32, n)
-	for ki := len(q.OrderBy) - 1; ki >= 0; ki-- {
-		k := q.OrderBy[ki]
-		min := ^uint64(0)
-		var max uint64
-		for i, r := range cur {
-			u := encodeOrderKey(orderVal(q, k, r), k.Desc)
-			keys[i] = u
-			if u < min {
-				min = u
-			}
-			if u > max {
-				max = u
-			}
-			idx[i] = int32(i)
+	min := ^uint64(0)
+	var max uint64
+	for i, r := range rows {
+		u := encodeOrderKey(orderVal(q, k, r), k.Desc)
+		keys[i] = u
+		if u < min {
+			min = u
 		}
-		width := bits.Len64(max - min)
-		if width == 0 {
-			continue // all rows equal on this key: no passes, no traffic
+		if u > max {
+			max = u
 		}
-		for i := range keys {
-			keys[i] -= min
-		}
-		_, perm := gpu.LSBRadixSort64(clk, cfg, keys, idx, width)
-		next := make([]Row, n)
-		for i, p := range perm {
-			next[i] = cur[p]
-		}
-		cur = next
+		idx[i] = int32(i)
 	}
-	return cur
+	width := bits.Len64(max - min)
+	if width == 0 {
+		return rows
+	}
+	for i := range keys {
+		keys[i] -= min
+	}
+	_, perm := gpu.LSBRadixSort64(clk, gpuConfig(n), keys, idx, width)
+	sorted := make([]Row, n)
+	for i, p := range perm {
+		sorted[i] = rows[p]
+	}
+	return sorted
 }
 
 // cpuSortPass and heapPass are the priced passes of the CPU sort paths;
@@ -273,9 +268,10 @@ func TopNHeapCost(dev *device.Spec, n, rowBytes int64, k int) float64 {
 
 // RadixSortCost prices the GPU LSD radix sort of n rows with `keys` ORDER BY
 // keys, each estimated at keyBits significant bits after rebasing. It
-// constructs the same histogram/prefix/shuffle passes RadixPartition64
-// charges, so the planner's GPU sort estimate and the executed kernel share
-// one pricing model.
+// constructs the same histogram/prefix/shuffle passes gpu.RadixPartition
+// charges for 64-bit keys with a row-index payload, so the planner's GPU
+// sort estimate and the executed kernel share one pricing model
+// (TestRadixSortCostIsTheExecutedSort pins the two bit for bit).
 func RadixSortCost(dev *device.Spec, n int64, keys, keyBits int) float64 {
 	if n <= 1 || keys <= 0 {
 		return 0
@@ -313,20 +309,19 @@ func hostSort(q *Query, rows []Row, o *sortOutcome) {
 	}
 }
 
-// deviceSort runs the GPU radix path on one device clock and records one
-// stage per ORDER BY key (each a stable multi-pass LSD sort).
+// deviceSort runs the GPU radix path on one device clock, starting from
+// the base packed-key order: one stable LSD sort per ORDER BY key from least
+// to most significant, each recorded as one stage.
 func deviceSort(q *Query, dev *device.Spec, rows []Row, o *sortOutcome) []Row {
 	clk := device.NewClock(dev)
 	var last float64
-	sorted := rows
 	for ki := len(q.OrderBy) - 1; ki >= 0; ki-- {
-		sub := Query{ID: q.ID, Aggs: q.Aggs, Agg: q.Agg, Joins: q.Joins, OrderBy: q.OrderBy[ki : ki+1]}
-		sorted = radixSortRows(&sub, clk, sorted)
+		rows = radixSortRows(q, q.OrderBy[ki], clk, rows)
 		now := clk.Seconds()
 		o.add(fmt.Sprintf("radix key %d", ki), now-last, 0)
 		last = now
 	}
-	return sorted
+	return rows
 }
 
 // sortDevice resolves the device spec a GPU-side sort runs on.

@@ -1,10 +1,12 @@
 package queries
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"crystal/internal/device"
+	"crystal/internal/gpu"
 )
 
 // sortTestQuery builds a query shape for the sort-algorithm property tests:
@@ -117,8 +119,8 @@ func TestRadixSortRowsMatchesOracle(t *testing.T) {
 			// executeSort receives it from resultRows.
 			base, _ := mergeSortRows(&Query{}, rows) // no keys: packed-key ascending
 			want := orderRowsOracle(&q, rows)
-			clk := device.NewClock(device.V100())
-			got := radixSortRows(&q, clk, base)
+			var o sortOutcome
+			got := deviceSort(&q, device.V100(), base, &o)
 			for i := range want {
 				if got[i].Key != want[i].Key {
 					t.Fatalf("n=%d trial=%d keys=%v: row %d is %d, want %d", n, trial, q.OrderBy, i, got[i].Key, want[i].Key)
@@ -126,13 +128,37 @@ func TestRadixSortRowsMatchesOracle(t *testing.T) {
 			}
 			// All rows can tie on every drawn key (width 0: no passes, no
 			// traffic), so time is only required across the whole run.
-			if clk.Seconds() > 0 {
+			if o.seconds > 0 {
 				charged = true
 			}
 		}
 	}
 	if !charged {
 		t.Error("no radix sort trial charged any simulated time")
+	}
+}
+
+// TestRadixSortCostIsTheExecutedSort: the planner's GPU sort price is the
+// simulated seconds the executed LSD sort charges for one ORDER BY key, bit
+// for bit, across grid sizes (one block to 35) and pass counts (1 to 6).
+func TestRadixSortCostIsTheExecutedSort(t *testing.T) {
+	dev := device.V100()
+	r := rand.New(rand.NewSource(11))
+	for _, n := range []int{2, 100, 513, 4096, 70000} {
+		for _, w := range []int{1, 7, 8, 20, 40} {
+			keys := make([]uint64, n)
+			idx := make([]int32, n)
+			for i := range keys {
+				keys[i] = r.Uint64() & (1<<w - 1)
+				idx[i] = int32(i)
+			}
+			clk := device.NewClock(dev)
+			gpu.LSBRadixSort64(clk, gpuConfig(n), keys, idx, w)
+			got, want := RadixSortCost(dev, int64(n), 1, w), clk.Seconds()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("n=%d width=%d: RadixSortCost %v, executed sort charged %v", n, w, got, want)
+			}
+		}
 	}
 }
 

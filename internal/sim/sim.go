@@ -78,6 +78,11 @@ type Block struct {
 	// TileElems is the number of valid elements in this block's tile (the
 	// last tile of the grid may be partial).
 	TileElems int
+	// Scratch is the kernel's per-worker state, handed on to the next
+	// block the same worker runs so a kernel can keep its tiles here
+	// instead of allocating them per block. It is nil in a launch's first
+	// block on each worker.
+	Scratch any
 
 	launch *Launch
 	pass   device.Pass // per-block meter, merged into the launch at the end
@@ -155,11 +160,11 @@ func Run(dev *device.Spec, cfg Config, kernel Kernel) *device.Pass {
 // wall-clock parallelism changes.
 //
 // Each worker owns one Block and resets it per tile, keeping the backing
-// array of its meter's probe list, so a launch allocates per worker rather
-// than per tile; a kernel must not retain the *Block past its return. Every
-// block is still merged into the launch on its own, as it finishes:
-// Pass.ComputeCycles is a float, and summing per worker first would change
-// the rounding of the total.
+// array of its meter's probe list and the kernel's Scratch, so a launch
+// allocates per worker rather than per tile; a kernel must not retain the
+// *Block past its return. Every block is still merged into the launch on
+// its own, as it finishes: Pass.ComputeCycles is a float, and summing per
+// worker first would change the rounding of the total.
 func RunBounded(dev *device.Spec, cfg Config, kernel Kernel, gate Gate) *device.Pass {
 	l := &Launch{Cfg: cfg, dev: dev}
 	l.pass.Kernels = 1
@@ -183,6 +188,7 @@ func RunBounded(dev *device.Spec, cfg Config, kernel Kernel, gate Gate) *device.
 				Threads:        cfg.Threads,
 				ItemsPerThread: cfg.ItemsPerThread,
 				Offset:         id * cfg.TileSize(),
+				Scratch:        b.Scratch,
 				launch:         l,
 				pass:           device.Pass{Probes: b.pass.Probes[:0]},
 			}

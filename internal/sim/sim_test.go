@@ -128,19 +128,28 @@ func (noHelpers) Release()         {}
 
 // TestRunBoundedOneBlockPerWorker pins the launch's host cost: a worker
 // reuses one Block (and its probe list) for every tile, each tile still
-// starts from an empty meter, and the merged record is what per-tile Blocks
-// produced.
+// starts from an empty meter, the kernel's Scratch is handed on from tile
+// to tile but not from launch to launch, and the merged record is what
+// per-tile Blocks produced.
 func TestRunBoundedOneBlockPerWorker(t *testing.T) {
 	cfg := Config{Threads: 128, ItemsPerThread: 4, Elems: 1 << 16}
 	var first *Block
 	var pass *device.Pass
+	tile := new([512]int32)
 	launch := func() {
 		pass = RunBounded(device.V100(), cfg, func(b *Block) {
 			if first == nil {
 				first = b
+				if b.Scratch != nil {
+					t.Errorf("a launch's first block starts with scratch %T", b.Scratch)
+				}
+				b.Scratch = tile
 			}
 			if b != first {
 				t.Errorf("block %d runs on a second Block though one worker executes", b.ID)
+			}
+			if b.Scratch != tile {
+				t.Errorf("block %d lost the worker's scratch", b.ID)
 			}
 			if m := b.Pass(); m.BytesRead != 0 || m.AtomicOps != 0 || len(m.Probes) != 0 {
 				t.Errorf("block %d starts from a used meter: %v", b.ID, m)
