@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -301,10 +302,10 @@ func TestServeBatchDropsExpiredPeers(t *testing.T) {
 	}
 }
 
-// TestDrainMatchingRequeue is the white-box queue test: drainMatching visits
-// best-first, takes at most max, removes drops, and requeue restores a
-// returned job's FIFO position among its priority class.
-func TestDrainMatchingRequeue(t *testing.T) {
+// TestDrainMatching is the white-box queue test: drainMatching visits
+// best-first, takes at most max, removes drops, and leaves the kept jobs in
+// their FIFO order.
+func TestDrainMatching(t *testing.T) {
 	q := newJobQueue()
 	mk := func(id string, pri int) *job {
 		return &job{req: Request{QueryID: id, Priority: pri}, enqueued: time.Now(), done: make(chan Response, 1)}
@@ -330,9 +331,7 @@ func TestDrainMatchingRequeue(t *testing.T) {
 	if len(dropped) != 1 || dropped[0].req.QueryID != "c" {
 		t.Fatalf("dropped = %v, want [c]", ids(dropped))
 	}
-	// Put "b" back: it outranks every remaining job and pops first again.
-	q.requeue([]*job{taken[0]})
-	want := []string{"b", "a", "e"}
+	want := []string{"a", "e"}
 	for _, w := range want {
 		j, ok := q.pop()
 		if !ok || j.req.QueryID != w {
@@ -349,6 +348,34 @@ func TestDrainMatchingRequeue(t *testing.T) {
 	taken, _ = q.drainMatching(2, func(*job) int { return drainTake })
 	if len(taken) != 2 {
 		t.Fatalf("drainMatching(2) took %d jobs", len(taken))
+	}
+
+	// Over random heaps, it takes exactly the jobs the classifier took and
+	// leaves every other job queued (removing by heap index once removed a
+	// job that a sift had moved into a pending index instead).
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		q := newJobQueue()
+		n := 3 + rng.Intn(12)
+		for i := 0; i < n; i++ {
+			q.push(&job{req: Request{Priority: rng.Intn(4)}, done: make(chan Response, 1)})
+		}
+		want := map[*job]bool{}
+		taken, _ := q.drainMatching(n, func(j *job) int {
+			if rng.Intn(2) == 0 {
+				want[j] = true
+				return drainTake
+			}
+			return drainKeep
+		})
+		for _, j := range taken {
+			if !want[j] {
+				t.Fatalf("trial %d: drainMatching took a job the classifier kept", trial)
+			}
+		}
+		if len(taken) != len(want) || q.len() != n-len(want) {
+			t.Fatalf("trial %d: took %d of %d classified, %d left of %d", trial, len(taken), len(want), q.len(), n-len(want))
+		}
 	}
 }
 
@@ -470,16 +497,25 @@ func TestBatchKeyRejects(t *testing.T) {
 		{"packed coproc without residency", plain, Request{QueryID: "q1.1", Engine: queries.EngineCoproc, Packed: true}, true},
 		{"packed coproc with residency", resident, Request{QueryID: "q1.1", Engine: queries.EngineCoproc, Packed: true}, false},
 	}
+	// batchKey takes a normalized request: one that fails to normalize is
+	// answered with its error on its caller and never queues.
+	batchKey := func(s *Service, req Request) (batchShape, bool) {
+		norm, _, err := normalize(req)
+		if err != nil {
+			return batchShape{}, false
+		}
+		return s.batchKey(norm, s.snap.Load())
+	}
 	for _, tc := range cases {
-		if _, got := tc.s.batchKey(tc.req); got != tc.ok {
+		if _, got := batchKey(tc.s, tc.req); got != tc.ok {
 			t.Errorf("%s: batchable=%v, want %v", tc.name, got, tc.ok)
 		}
 	}
 
 	// Shape equality is what groups members: partitions and links separate.
-	k1, _ := plain.batchKey(Request{QueryID: "q1.1", Engine: queries.EngineGPU, GPUs: 2, Partitions: 8})
-	k2, _ := plain.batchKey(Request{QueryID: "q1.2", Engine: queries.EngineGPU, GPUs: 2, Partitions: 8})
-	k3, _ := plain.batchKey(Request{QueryID: "q1.1", Engine: queries.EngineGPU, GPUs: 2, Partitions: 9})
+	k1, _ := batchKey(plain, Request{QueryID: "q1.1", Engine: queries.EngineGPU, GPUs: 2, Partitions: 8})
+	k2, _ := batchKey(plain, Request{QueryID: "q1.2", Engine: queries.EngineGPU, GPUs: 2, Partitions: 8})
+	k3, _ := batchKey(plain, Request{QueryID: "q1.1", Engine: queries.EngineGPU, GPUs: 2, Partitions: 9})
 	if k1 != k2 {
 		t.Error("same shape with different queries must share a batch key")
 	}
@@ -615,10 +651,10 @@ func TestServeBatchGPUPlacementFleetMemory(t *testing.T) {
 }
 
 // TestFormBatchFallsBackToSolo pins the paths where batch formation bows
-// out and the solo path proceeds: an unbatchable leader (NoCache), a leader
-// that fails to bind, and a shape-matched peer whose SQL fails to bind (it
-// is drained, returned to its queue position, and reports its own error
-// solo).
+// out and the solo path proceeds: an unbatchable leader (NoCache), a
+// request whose SQL fails to bind (answered with its error on its caller,
+// so it never queues to lead or join a batch), and a peer of another shape
+// (left in its queue position and executed solo).
 func TestFormBatchFallsBackToSolo(t *testing.T) {
 	s := New(testData(), "v1", Options{Workers: 1, QueueDepth: 16, MaxBatch: 8})
 	defer s.Close()
@@ -654,8 +690,8 @@ func TestFormBatchFallsBackToSolo(t *testing.T) {
 		}
 	}
 
-	// A leader whose SQL does not bind falls through to the solo path's
-	// error report; the live peer behind it still completes.
+	// A statement that does not bind is answered with its error before it
+	// queues; the live request behind it still completes.
 	blocker, release = park()
 	bad, err := s.Submit(ctx, Request{SQL: "select sum(revenue) from nowhere", Engine: queries.EngineCPU})
 	if err != nil {
@@ -676,14 +712,19 @@ func TestFormBatchFallsBackToSolo(t *testing.T) {
 		t.Errorf("peer behind bad leader: err=%v batched=%v, want solo success", resp.Err, resp.Batched)
 	}
 
-	// A bindable leader with a shape-matched but unbindable peer: the peer
-	// is drained, requeued, and reports its own bind error.
+	// A bindable leader with an unbindable peer and a peer of another shape
+	// (engine): the first reports its own bind error, the second is kept in
+	// the queue and runs solo.
 	blocker, release = park()
 	lead2, err := s.Submit(ctx, Request{QueryID: "q1.1", Engine: queries.EngineCPU})
 	if err != nil {
 		t.Fatal(err)
 	}
 	badPeer, err := s.Submit(ctx, Request{SQL: "select sum(revenue) from nowhere", Engine: queries.EngineCPU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherShape, err := s.Submit(ctx, Request{QueryID: "q1.2", Engine: queries.EngineHyper})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -696,6 +737,51 @@ func TestFormBatchFallsBackToSolo(t *testing.T) {
 	}
 	if resp := <-badPeer; resp.Err == nil {
 		t.Error("unbindable peer reported no error")
+	}
+	if resp := <-otherShape; resp.Err != nil || resp.Batched {
+		t.Errorf("peer of another shape: err=%v batched=%v, want solo success", resp.Err, resp.Batched)
+	}
+}
+
+// TestOfferDropsEveryExpiredJob pins the full-queue expiry scan over random
+// heaps: an offer into a full queue hands back every deadline-dead job,
+// keeps every live one, and then pops the survivors best-first.
+func TestOfferDropsEveryExpiredJob(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	dead := time.Now().Add(-time.Hour)
+	for trial := 0; trial < 500; trial++ {
+		q := newJobQueue()
+		n := 3 + rng.Intn(12)
+		var expired int
+		for i := 0; i < n; i++ {
+			j := &job{req: Request{Priority: rng.Intn(4)}, enqueued: time.Now(), done: make(chan Response, 1)}
+			if rng.Intn(2) == 0 {
+				j.req.Deadline, j.enqueued = time.Millisecond, dead
+				expired++
+			}
+			q.push(j)
+		}
+		pushed, _, got := q.offer(&job{req: Request{Priority: 9}, done: make(chan Response, 1)}, n)
+		if len(got) != expired {
+			t.Fatalf("trial %d: offer dropped %d of %d expired jobs", trial, len(got), expired)
+		}
+		want := n - expired + 1
+		if expired == 0 {
+			want = n // no room freed: the newcomer evicted the worst job
+		}
+		if !pushed || q.len() != want {
+			t.Fatalf("trial %d: pushed=%v, %d queued, want the newcomer admitted and %d queued", trial, pushed, q.len(), want)
+		}
+		for prev := (*job)(nil); q.len() > 0; {
+			j, _ := q.pop()
+			if j.expired(time.Now()) {
+				t.Fatalf("trial %d: an expired job survived the offer", trial)
+			}
+			if prev != nil && worseJob(prev, j) {
+				t.Fatalf("trial %d: pop order broken after the offer", trial)
+			}
+			prev = j
+		}
 	}
 }
 
@@ -719,17 +805,17 @@ func TestQueueSmallHelpers(t *testing.T) {
 }
 
 // TestBatchSkipsCachedWork pins the cache/batching interaction: work the
-// result cache can answer never batches. A cache-resident peer drained by
-// the batch former is requeued and replays solo, a cache-resident leader
-// skips formation entirely, and batch members publish their results so
-// later identical requests replay from cache.
+// result cache can answer never batches. A cache-resident request is
+// answered on its caller and never queues — so it can neither join nor lead
+// a batch — and batch members publish their results so later identical
+// requests replay from cache.
 func TestBatchSkipsCachedWork(t *testing.T) {
 	s := New(testData(), "v1", Options{Workers: 1, QueueDepth: 16, MaxBatch: 8, ResultCacheSize: 16})
 	defer s.Close()
 	ctx := context.Background()
 	mk := func(id string) Request { return Request{QueryID: id, Engine: queries.EngineCPU} }
 
-	// Prime q1.2: the batch former must divert it back to the solo path.
+	// Prime q1.2: it must be answered from the cache, never batched.
 	primed, err := s.Do(ctx, mk("q1.2"))
 	if err != nil {
 		t.Fatal(err)
@@ -757,8 +843,9 @@ func TestBatchSkipsCachedWork(t *testing.T) {
 			t.Fatalf("%s failed: %v", ids[i], resp.Err)
 		}
 		if ids[i] == "q1.2" {
-			if resp.Batched || !resp.ResultCached {
-				t.Errorf("cached q1.2: batched=%v resultCached=%v, want a solo cache replay", resp.Batched, resp.ResultCached)
+			if resp.Batched || !resp.ResultCached || resp.QueueWait != 0 {
+				t.Errorf("cached q1.2: batched=%v resultCached=%v queueWait=%v, want a cache replay that never queued",
+					resp.Batched, resp.ResultCached, resp.QueueWait)
 			}
 			if !resp.Result.Equal(primed.Result) {
 				t.Error("cached q1.2 replayed different rows")
@@ -782,8 +869,9 @@ func TestBatchSkipsCachedWork(t *testing.T) {
 		t.Errorf("stats: batches=%d batchedRequests=%d, want 1/2", st.Batches, st.BatchedRequests)
 	}
 
-	// Both flight members are now cache-resident: a parked pair never forms
-	// a batch — the leader-side check skips formation and each replays solo.
+	// Both flight members are now cache-resident: submitted behind a parked
+	// worker, neither queues, so they never form a batch — each replays
+	// from the cache on its caller.
 	started2, release2 := blockExecutions(s)
 	blocker2, err := s.Submit(ctx, Request{QueryID: "q3.1", Engine: queries.EngineCPU, NoCache: true})
 	if err != nil {

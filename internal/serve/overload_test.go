@@ -310,7 +310,7 @@ func TestSubmitHonorsContextWhileQueueFull(t *testing.T) {
 	ctx, cancel2 := context.WithCancel(bg)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := s.Submit(ctx, Request{QueryID: "q1.4", Engine: queries.EngineCPU})
+		_, err := s.Submit(ctx, Request{QueryID: "q2.1", Engine: queries.EngineCPU})
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // land the goroutine in the enqueue wait
@@ -407,4 +407,190 @@ func TestOverloadMetricsExposition(t *testing.T) {
 	}
 	close(release)
 	<-blocker
+}
+
+// TestShedNeverRefusesAHit pins that a result-cache hit never queues, so a
+// full shedding queue cannot refuse it: it is answered on its caller with
+// ResultCached, no queue wait, and no shed counted.
+func TestShedNeverRefusesAHit(t *testing.T) {
+	s := New(testData(), "v1", Options{Workers: 1, QueueDepth: 1, Shed: true})
+	defer s.Close()
+	ctx := context.Background()
+	cachedReq := Request{QueryID: "q2.1", Engine: queries.EngineCPU}
+	warm, err := s.Do(ctx, cachedReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release := blockExecutions(s)
+	defer close(release)
+	if _, err := s.Submit(ctx, Request{QueryID: "q1.1", Engine: queries.EngineCPU, NoCache: true}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if _, err := s.Submit(ctx, Request{QueryID: "q1.2", Engine: queries.EngineCPU}); err != nil {
+		t.Fatal(err) // fills the queue
+	}
+	if _, err := s.Submit(ctx, Request{QueryID: "q1.3", Engine: queries.EngineCPU}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("miss into a full shedding queue: err = %v, want ErrOverloaded", err)
+	}
+	for _, via := range []string{"Do", "Submit"} {
+		var resp Response
+		if via == "Do" {
+			resp, err = s.Do(ctx, cachedReq)
+		} else {
+			var ch <-chan Response
+			if ch, err = s.Submit(ctx, cachedReq); err == nil {
+				resp = <-ch
+			}
+		}
+		if err != nil || resp.Err != nil {
+			t.Fatalf("%s: hit under a full queue failed: %v / %v", via, err, resp.Err)
+		}
+		if !resp.ResultCached || resp.QueueWait != 0 || resp.Answer != warm.Answer {
+			t.Errorf("%s: cached=%v queueWait=%v, want the cached answer with no queue wait", via, resp.ResultCached, resp.QueueWait)
+		}
+	}
+	if st := s.Stats(); st.Shed != 1 {
+		t.Errorf("stats recorded %d shed, want 1 (only the refused miss)", st.Shed)
+	}
+}
+
+// awaitJoin waits for a follower to reach its flight wait (flightHook).
+func awaitJoin(t *testing.T, joined <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-joined:
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower never reached the flight wait")
+	}
+}
+
+// TestShedLeaderFollowerGetsOwnOutcome pins that a follower never inherits
+// an admission outcome that was not its own: when its leader is evicted
+// (shed) or expires in the queue, the follower runs its own lookup-or-lead
+// — here it is admitted on its own priority, or has no deadline — and
+// executes successfully.
+func TestShedLeaderFollowerGetsOwnOutcome(t *testing.T) {
+	ctx := context.Background()
+	t.Run("evicted leader", func(t *testing.T) {
+		s := New(testData(), "v1", Options{Workers: 1, QueueDepth: 1, Shed: true})
+		defer s.Close()
+		started, release := blockExecutions(s)
+		unpark := sync.OnceFunc(func() { close(release) })
+		defer unpark() // before Close, so a failed assertion never hangs it
+		joined := make(chan struct{}, 1)
+		s.flightHook = func() { joined <- struct{}{} }
+		blocker, err := s.Submit(ctx, Request{QueryID: "q1.1", Engine: queries.EngineCPU, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-started
+		leader, err := s.Submit(ctx, Request{QueryID: "q1.2", Engine: queries.EngineCPU})
+		if err != nil {
+			t.Fatal(err)
+		}
+		follower, err := s.Submit(ctx, Request{QueryID: "q1.2", Engine: queries.EngineCPU, Priority: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitJoin(t, joined)
+		// Evicts the leader; the follower then leads on its own priority and
+		// evicts the evictor in turn.
+		evictor, err := s.Submit(ctx, Request{QueryID: "q2.1", Engine: queries.EngineCPU, Priority: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp := <-leader; !errors.Is(resp.Err, ErrOverloaded) {
+			t.Fatalf("evicted leader got %v, want ErrOverloaded", resp.Err)
+		}
+		if resp := <-evictor; !errors.Is(resp.Err, ErrOverloaded) {
+			t.Fatalf("evictor got %v, want ErrOverloaded: the higher-priority follower leads now", resp.Err)
+		}
+		unpark()
+		if resp := <-blocker; resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+		resp := <-follower
+		if resp.Err != nil || resp.Coalesced || resp.Result == nil {
+			t.Fatalf("follower of an evicted leader: err=%v coalesced=%v, want its own execution", resp.Err, resp.Coalesced)
+		}
+		if st := s.Stats(); st.Shed != 2 || st.Errors != 0 {
+			t.Errorf("stats: shed=%d errors=%d, want 2/0", st.Shed, st.Errors)
+		}
+	})
+	t.Run("evicted leader, refused follower", func(t *testing.T) {
+		s := New(testData(), "v1", Options{Workers: 1, QueueDepth: 1, Shed: true})
+		defer s.Close()
+		started, release := blockExecutions(s)
+		unpark := sync.OnceFunc(func() { close(release) })
+		defer unpark() // before Close, so a failed assertion never hangs it
+		joined := make(chan struct{}, 1)
+		s.flightHook = func() { joined <- struct{}{} }
+		if _, err := s.Submit(ctx, Request{QueryID: "q1.1", Engine: queries.EngineCPU, NoCache: true}); err != nil {
+			t.Fatal(err)
+		}
+		<-started
+		leader, err := s.Submit(ctx, Request{QueryID: "q1.2", Engine: queries.EngineCPU})
+		if err != nil {
+			t.Fatal(err)
+		}
+		follower, err := s.Submit(ctx, Request{QueryID: "q1.2", Engine: queries.EngineCPU})
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitJoin(t, joined)
+		// Evicts the leader; the follower then offers itself at priority 0
+		// into the evictor's full queue and is refused on its own account.
+		if _, err := s.Submit(ctx, Request{QueryID: "q2.1", Engine: queries.EngineCPU, Priority: 5}); err != nil {
+			t.Fatal(err)
+		}
+		for name, ch := range map[string]<-chan Response{"leader": leader, "follower": follower} {
+			if resp := <-ch; !errors.Is(resp.Err, ErrOverloaded) || resp.Answer != nil {
+				t.Errorf("%s: err=%v, want ErrOverloaded and no answer", name, resp.Err)
+			}
+		}
+		if st := s.Stats(); st.Shed != 2 {
+			t.Errorf("stats recorded %d shed, want 2 (the evicted leader and the refused follower)", st.Shed)
+		}
+	})
+	t.Run("expired leader", func(t *testing.T) {
+		s := New(testData(), "v1", Options{Workers: 1, QueueDepth: 4})
+		defer s.Close()
+		started, release := blockExecutions(s)
+		unpark := sync.OnceFunc(func() { close(release) })
+		defer unpark() // before Close, so a failed assertion never hangs it
+		joined := make(chan struct{}, 1)
+		s.flightHook = func() { joined <- struct{}{} }
+		blocker, err := s.Submit(ctx, Request{QueryID: "q1.1", Engine: queries.EngineCPU, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-started
+		leader, err := s.Submit(ctx, Request{QueryID: "q1.3", Engine: queries.EngineCPU, Deadline: 5 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Do, so the follower's wait runs on this goroutine's own context.
+		follower := make(chan Response, 1)
+		go func() {
+			resp, _ := s.Do(ctx, Request{QueryID: "q1.3", Engine: queries.EngineCPU})
+			follower <- resp
+		}()
+		awaitJoin(t, joined)
+		time.Sleep(20 * time.Millisecond) // the leader's deadline lapses in the queue
+		unpark()
+		if resp := <-blocker; resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+		if resp := <-leader; !errors.Is(resp.Err, ErrExpired) {
+			t.Fatalf("leader got %v, want ErrExpired", resp.Err)
+		}
+		resp := <-follower
+		if resp.Err != nil || resp.Coalesced || resp.Result == nil {
+			t.Fatalf("follower of an expired leader: err=%v coalesced=%v, want its own execution", resp.Err, resp.Coalesced)
+		}
+		if st := s.Stats(); st.Expired != 1 || st.Errors != 0 {
+			t.Errorf("stats: expired=%d errors=%d, want 1/0", st.Expired, st.Errors)
+		}
+	})
 }

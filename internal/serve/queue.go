@@ -2,20 +2,50 @@ package serve
 
 import (
 	"container/heap"
-	"sort"
 	"sync"
 	"time"
+
+	"crystal/internal/fleet"
+	"crystal/internal/queries"
 )
 
-// job is one queued request. seq orders jobs of equal priority FIFO.
+// job is one request its caller could not answer at once, carrying what
+// the caller's front half (Service.prepare) computed, so that neither the
+// solo nor the batch path computes it again. A follower's job only waits on
+// the flight it follows; every other job queues for a worker. seq orders
+// jobs of equal priority FIFO.
 type job struct {
-	req Request
-	// enqueued is when submit put the job on the queue; the worker's
+	// req is the normalized request with its effective partition count,
+	// link its parsed interconnect, and snap the dataset snapshot it
+	// resolved against and executes against.
+	req  Request
+	link fleet.Interconnect
+	snap *snapshot
+	// q and canon are the bound query and its canonical form, key the
+	// result-cache and single-flight key, and bindWall how long resolving
+	// them took.
+	q        queries.Query
+	canon    string
+	key      string
+	bindWall time.Duration
+	// shape is the batch-compatibility key; batchable is false for shapes
+	// that never batch.
+	shape     batchShape
+	batchable bool
+	// lead is the flight this job leads (nil when it may not coalesce);
+	// follow is the flight a follower waits on.
+	lead, follow *flight
+	// enqueued is when the caller put the job on the queue; the worker's
 	// pickup delta is the request's queue wait (and what the deadline
 	// check at pickup compares against Request.Deadline).
 	enqueued time.Time
 	seq      uint64
 	done     chan Response
+}
+
+// expired reports whether the job's Deadline elapsed in the queue by now.
+func (j *job) expired(now time.Time) bool {
+	return j.req.Deadline > 0 && now.Sub(j.enqueued) >= j.req.Deadline
 }
 
 // jobQueue is the pending-request queue: a priority heap (higher
@@ -69,15 +99,21 @@ func (q *jobQueue) offer(j *job, depth int) (pushed bool, victim *job, expired [
 	defer q.mu.Unlock()
 	if len(q.jobs) >= depth {
 		// Full-queue scan: collect expired slots before applying the
-		// shed/evict policy. Indices are removed in descending order so
-		// each heap.Remove leaves the earlier candidates' indices valid.
+		// shed/evict policy, then restore the heap over the live jobs.
+		// (Removing by index as the scan goes would let a sift move an
+		// unvisited job into a visited index, and miss it.)
 		now := time.Now()
-		for i := len(q.jobs) - 1; i >= 0; i-- {
-			p := q.jobs[i]
-			if p.req.Deadline > 0 && now.Sub(p.enqueued) >= p.req.Deadline {
-				expired = append(expired, heap.Remove(&q.jobs, i).(*job))
+		live := q.jobs[:0]
+		for _, p := range q.jobs {
+			if p.expired(now) {
+				expired = append(expired, p)
+			} else {
+				live = append(live, p)
 			}
 		}
+		clear(q.jobs[len(live):])
+		q.jobs = live
+		heap.Init(&q.jobs)
 	}
 	if len(q.jobs) < depth {
 		q.pushLocked(j)
@@ -109,71 +145,30 @@ const (
 
 // drainMatching removes up to max pending jobs the classifier takes
 // (drainTake) and every job it drops (drainDrop, deadline-expired peers
-// found during the scan), returning both sets. The scan walks the heap's
-// backing slice in seq order so FIFO fairness within a priority is
-// preserved; removals happen by descending index, keeping earlier indices
-// valid. The classifier runs under the queue lock and must not call back
-// into the queue.
+// found during the scan), returning both sets. It visits jobs best-first —
+// the order workers would pop them — by popping the heap, and pushes the
+// kept jobs back with their sequence numbers intact, so FIFO fairness
+// within a priority is preserved. The classifier runs under the queue lock
+// and must not call back into the queue.
 func (q *jobQueue) drainMatching(max int, classify func(*job) int) (taken, dropped []*job) {
-	if max <= 0 {
-		return nil, nil
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	// Visit jobs best-first (the order workers would pop them) by sorting
-	// candidate indices; the heap slice itself is only partially ordered.
-	idx := make([]int, len(q.jobs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ja, jb := q.jobs[idx[a]], q.jobs[idx[b]]
-		if ja.req.Priority != jb.req.Priority {
-			return ja.req.Priority > jb.req.Priority
-		}
-		return ja.seq < jb.seq
-	})
-	var takeIdx, dropIdx []int
-	for _, i := range idx {
-		if len(takeIdx) >= max {
-			break
-		}
-		switch classify(q.jobs[i]) {
+	var kept []*job
+	for len(taken) < max && len(q.jobs) > 0 {
+		j := heap.Pop(&q.jobs).(*job)
+		switch classify(j) {
 		case drainTake:
-			takeIdx = append(takeIdx, i)
+			taken = append(taken, j)
 		case drainDrop:
-			dropIdx = append(dropIdx, i)
+			dropped = append(dropped, j)
+		default:
+			kept = append(kept, j)
 		}
 	}
-	remove := append(append([]int(nil), takeIdx...), dropIdx...)
-	sort.Sort(sort.Reverse(sort.IntSlice(remove)))
-	byIndex := map[int]*job{}
-	for _, i := range remove {
-		byIndex[i] = heap.Remove(&q.jobs, i).(*job)
-	}
-	for _, i := range takeIdx {
-		taken = append(taken, byIndex[i])
-	}
-	for _, i := range dropIdx {
-		dropped = append(dropped, byIndex[i])
+	for _, j := range kept {
+		heap.Push(&q.jobs, j)
 	}
 	return taken, dropped
-}
-
-// requeue pushes drained jobs back with their original sequence numbers
-// intact, restoring their FIFO position within their priority — used by the
-// batch former for shape-matched candidates whose footprints turned out
-// disjoint.
-func (q *jobQueue) requeue(jobs []*job) {
-	if len(jobs) == 0 {
-		return
-	}
-	q.mu.Lock()
-	for _, j := range jobs {
-		heap.Push(&q.jobs, j)
-		q.notEmpty.Signal()
-	}
-	q.mu.Unlock()
 }
 
 // pop blocks until a job is available or the queue is closed and

@@ -40,6 +40,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crystal/internal/device"
@@ -120,6 +121,8 @@ type Request struct {
 	// instead of executed dead. 0 means no deadline. Do derives one from
 	// its context's deadline when the field is unset. The bound covers
 	// queue wait only — a request picked up in time runs to completion.
+	// Hits and followers never queue, so it never applies to them; a
+	// follower's wait is bounded by its caller's context instead.
 	Deadline time.Duration
 	// Priority orders the pending queue: higher priorities are picked up
 	// first, equal priorities FIFO. Under Options.Shed, a full queue
@@ -190,9 +193,9 @@ type Response struct {
 	ResultCached bool
 	// Coalesced reports single-flight sharing: this request missed the
 	// result cache but found an identical request (same result-cache key,
-	// same dataset generation) already executing, waited for it, and
-	// shares its answer — charged only its own queue and wait time, never
-	// a second execution.
+	// same dataset generation) already executing, waited for it on its own
+	// caller — never in the queue — and shares its answer, charged only
+	// its wait (in Wall), never a second execution.
 	Coalesced bool
 	// Batched reports shared-scan batching (Options.MaxBatch): the worker
 	// that picked this request up drained BatchSize-1 scan-compatible
@@ -205,7 +208,8 @@ type Response struct {
 	BatchSize         int
 	BatchShareSeconds float64
 	// QueueWait is the time the request sat in the queue before a worker
-	// picked it up (not included in Wall, which clocks execution only).
+	// picked it up (not included in Wall). It is 0 for a result-cache hit
+	// and for a coalesced follower: neither ever queues.
 	QueueWait time.Duration
 	// TraceID and Trace are set when the service traces (Options.Trace):
 	// the flight-recorder handle (GET /trace?id=...) and the request's
@@ -234,10 +238,15 @@ type Options struct {
 	// shedding: a submission past QueueDepth fails fast with
 	// ErrOverloaded — unless a strictly lower-priority request is
 	// pending, in which case that victim is evicted (its Response.Err is
-	// ErrOverloaded) and the newcomer admitted.
+	// ErrOverloaded) and the newcomer admitted. Only work that has to
+	// execute is ever admitted or shed: a result-cache hit or a follower of
+	// an in-flight identical request is answered on its caller, so a full
+	// queue never refuses it. A follower whose leader is shed, evicted or
+	// expires gets its own admission outcome, never the leader's.
 	Shed bool
 	// ExecDelay adds a fixed wall-clock delay to every real engine
-	// execution (cache hits and coalesced followers are unaffected). The
+	// execution, on the worker (cache hits and coalesced followers never
+	// reach a worker, so they are unaffected). The
 	// simulated engines finish in microseconds of wall time, so overload
 	// tests and load experiments use this to emulate a slow backend
 	// deterministically: N slow executions against a bounded queue must
@@ -252,11 +261,12 @@ type Options struct {
 	// queries.Compatible) and executes the whole batch through one shared
 	// morsel scan (queries.RunBatchScheduled), charging shared column traffic
 	// once. Each member's rows and simulated seconds are identical to its
-	// solo run. 0 or 1 disables batching (the default). Batched executions
-	// bypass the result cache and single-flight coalescing — they are
-	// multi-query units the per-key machinery cannot represent — and never
-	// consult residency caches; NoCache requests and residency-dependent
-	// shapes are never batched.
+	// solo run. 0 or 1 disables batching (the default). Only misses queue,
+	// so a batch never holds cached work, and each member leads its own
+	// flight: an identical request arriving meanwhile follows it instead of
+	// joining the batch, and every member's answer is stored under its solo
+	// result key. Batches never consult residency caches; NoCache requests
+	// and residency-dependent shapes are never batched.
 	MaxBatch int
 	// MorselHelpers caps the extra goroutines all in-flight requests
 	// together may spawn for intra-query parallelism (morsel scans, GPU
@@ -351,38 +361,63 @@ type planEntry struct {
 }
 
 // flight is one in-progress execution that identical concurrent misses
-// wait on. The leader closes done after publishing either its answer
-// (which followers share, like a cache hit) or err. Registration and
-// completion both happen under cacheMu together with the result-cache
-// lookup, so for any (key, generation) exactly one of three states is ever
-// observable: cached, in flight, or absent.
+// wait on. Its leader closes done after publishing either its answer (which
+// followers share, like a cache hit) or err. Registration and completion
+// both happen under cacheMu together with the result-cache lookup, so for
+// any (key, generation) exactly one of three states is ever observable:
+// cached, in flight, or absent.
 type flight struct {
 	done   chan struct{}
 	answer *Answer
 	err    error
+	// abandoned marks a leader that never executed — shed, evicted, expired
+	// or cancelled before a worker ran it. err is its own admission outcome,
+	// not its followers': they run their own lookup-or-lead instead.
+	abandoned bool
+}
+
+// snapshot is one dataset generation: the dataset, its version label, a
+// monotonic generation number and the packed fact encoding, built at most
+// once, on first use. It is immutable once published — SetDataset replaces
+// it whole — so a request that resolved against a snapshot executes against
+// that snapshot, packed encoding included, however many swaps land in
+// between. Cache keys embed gen, not the version label, so reusing a label
+// (rollback, redeploy) can never resurrect entries compiled against
+// different data.
+type snapshot struct {
+	ds       *ssb.Dataset
+	version  string
+	gen      uint64
+	packOnce sync.Once
+	packed   *ssb.PackedFact
+}
+
+// packedFact returns the generation's bit-packed fact encoding. The first
+// packed request of a generation pays the one-pass packing cost; concurrent
+// firsts wait on the Once.
+func (sn *snapshot) packedFact() *ssb.PackedFact {
+	sn.packOnce.Do(func() { sn.packed = sn.ds.Pack() })
+	return sn.packed
 }
 
 // Service executes SSB query requests concurrently over one dataset.
 type Service struct {
 	opts Options
 
-	mu      sync.RWMutex // guards ds, version, gen, closed
-	ds      *ssb.Dataset
-	version string
-	// gen is a monotonic dataset generation. Cache keys embed gen, not the
-	// version label, so reusing a label (rollback, redeploy) can never
-	// resurrect entries compiled against different data.
-	gen    uint64
+	mu     sync.RWMutex // guards closed
 	closed bool
 
+	// snap is the current dataset generation. SetDataset replaces it under
+	// cacheMu; readers load it without a lock.
+	snap atomic.Pointer[snapshot]
+
 	// cacheMu guards the LRUs (lookups reorder the recency list, so even
-	// reads are writes); it is separate from mu so the cache-hit fast path
-	// never contends with dataset snapshots. Plan and result keys use the
-	// query's canonical form (queries.Query.Canonical), not its ID, so two
-	// SQL spellings of one statement — whitespace, comments, filter order —
-	// share entries, as does a named query whose catalog plan coincides
-	// with the bound form. Distinct canonical forms never collide, which
-	// keeps served simulated seconds deterministic.
+	// reads are writes). Plan and result keys use the query's canonical
+	// form (queries.Query.Canonical), not its ID, so two SQL spellings of
+	// one statement — whitespace, comments, filter order — share entries,
+	// as does a named query whose catalog plan coincides with the bound
+	// form. Distinct canonical forms never collide, which keeps served
+	// simulated seconds deterministic.
 	cacheMu sync.Mutex
 	plans   *lru // "gen\x00canonical" -> *planEntry
 	results *lru // "gen\x00canonical\x00engine" -> *Answer
@@ -394,23 +429,15 @@ type Service struct {
 	flights map[string]*flight
 
 	// execHook, when set (tests only, before any traffic), observes every
-	// real engine execution with its result-cache key; coalesced and
-	// cache-hit responses never fire it. flightHook observes a follower
-	// just before it waits on an in-progress flight.
+	// real engine execution — solo or batch member — with its result-cache
+	// key; coalesced and cache-hit responses never fire it. flightHook
+	// observes a follower just before it waits on an in-progress flight.
 	execHook   func(resultKey string)
 	flightHook func()
 
 	// stats is the running tally; Stats() copies it under statsMu.
 	statsMu sync.Mutex
 	stats   Stats
-
-	// packedMu guards the lazily built packed fact encoding: one per
-	// dataset generation, shared by every packed request and plan. The
-	// first packed request of a generation pays the one-pass packing cost;
-	// concurrent firsts serialize on the mutex.
-	packedMu  sync.Mutex
-	packed    *ssb.PackedFact
-	packedGen uint64
 
 	// devCache is the simulated GPU's device-memory residency cache of
 	// packed columns (nil when disabled); the coprocessor engine consults
@@ -433,32 +460,31 @@ type Service struct {
 	// request (see Options.MorselHelpers).
 	morsels gate
 
-	// queue is the pending-request priority queue workers pop from. In
-	// the default blocking mode, slots is a QueueDepth-sized semaphore:
-	// submit acquires a slot (waiting under its context) before pushing
-	// and the popping worker releases it. Under Options.Shed, slots is
-	// nil and the depth check lives in queue.offer.
+	// queue holds the jobs that have to execute: flight leaders, NoCache
+	// requests and residency-dependent requests — never a hit or a
+	// follower, which their callers answer. In the default blocking mode,
+	// slots is a QueueDepth-sized semaphore: the caller acquires a slot
+	// (waiting under its context) before pushing and the popping worker
+	// releases it. Under Options.Shed, slots is nil and the depth check
+	// lives in queue.offer.
 	queue *jobQueue
 	slots chan struct{}
 	wg    sync.WaitGroup
-	// pending counts Submit calls that have passed the closed check but not
-	// yet enqueued; Close waits for them before closing the queue.
+	// pending counts callers that have passed the closed check but not yet
+	// enqueued; Close waits for them before closing the queue.
 	pending sync.WaitGroup
 }
 
 // New starts a service over ds, identified by version, with opts.Workers
 // executor goroutines. Close releases them.
 func New(ds *ssb.Dataset, version string, opts Options) *Service {
-	s := &Service{
-		opts:    opts.withDefaults(),
-		ds:      ds,
-		version: version,
-	}
+	s := &Service{opts: opts.withDefaults()}
+	s.snap.Store(&snapshot{ds: ds, version: version})
 	s.plans = newLRU(s.opts.PlanCacheSize)
 	s.results = newLRU(s.opts.ResultCacheSize)
 	s.binds = newLRU(s.opts.BindCacheSize)
 	if s.opts.DeviceCacheBytes > 0 {
-		s.devCache = newDeviceCache(s.opts.DeviceCacheBytes, s.gen)
+		s.devCache = newDeviceCache(s.opts.DeviceCacheBytes, 0)
 	}
 	if s.opts.Trace {
 		s.recorder = trace.NewRecorder(s.opts.TraceRecent, s.opts.TraceSlowest)
@@ -481,19 +507,19 @@ func New(ds *ssb.Dataset, version string, opts Options) *Service {
 				if s.slots != nil {
 					<-s.slots
 				}
-				wait := time.Since(j.enqueued)
-				if j.req.Deadline > 0 && wait >= j.req.Deadline {
+				now := time.Now()
+				if j.expired(now) {
 					// Expired in the queue: executing it would waste a
 					// worker on an answer nobody is waiting for.
-					s.recordExpired()
-					j.done <- Response{Request: j.req, QueueWait: wait, Err: ErrExpired}
+					s.drop(j, ErrExpired)
 					continue
 				}
+				wait := now.Sub(j.enqueued)
 				if peers := s.formBatch(j); len(peers) > 0 {
 					s.executeBatch(j, wait, peers)
 					continue
 				}
-				j.done <- s.execute(j.req, wait)
+				s.execute(j, wait)
 			}
 		}()
 	}
@@ -508,43 +534,30 @@ func (s *Service) Workers() int { return s.opts.Workers }
 func (s *Service) TraceRecorder() *trace.Recorder { return s.recorder }
 
 // Version returns the current dataset version.
-func (s *Service) Version() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.version
-}
+func (s *Service) Version() string { return s.snap.Load().version }
 
 // SetDataset atomically swaps in a new dataset under a new version and
-// drops every cached plan and result: entries are keyed by version, so
+// drops every cached plan and result: entries are keyed by generation, so
 // nothing compiled against the old data can ever be served again.
 //
-// The generation bump and the purge happen under one cacheMu critical
-// section — the same lock the execute path's lookup-or-lead section
-// holds while it re-checks the generation. That makes the swap atomic
-// from the lookup's point of view: a request either runs entirely
-// before it (and finds the old generation's entries intact) or entirely
-// after (and retries against the new generation). Bumping and purging
-// in two separate sections allowed a full lead→store→complete cycle to
-// slip between them, after which the swap's own late purge deleted the
+// The snapshot swap and the purge happen under one cacheMu critical
+// section — the same lock the lookup-or-lead section holds while it checks
+// that the snapshot it resolved against is still current. That makes the
+// swap atomic from the lookup's point of view: a request either runs
+// entirely before it (and finds the old generation's entries intact) or
+// entirely after (and retries against the new snapshot). Swapping and
+// purging in two separate sections would let a full lead→store→complete
+// cycle slip between them, after which the swap's late purge deleted the
 // stored entry while its generation was still current — and the next
-// identical request re-executed it. Lock order is cacheMu → s.mu,
-// matching generation() calls made under cacheMu; nothing acquires
-// cacheMu while holding s.mu.
+// identical request re-executed it.
 func (s *Service) SetDataset(version string, ds *ssb.Dataset) {
 	s.cacheMu.Lock()
-	s.mu.Lock()
-	s.ds = ds
-	s.version = version
-	s.gen++
-	gen := s.gen
-	s.mu.Unlock()
+	gen := s.snap.Load().gen + 1
+	s.snap.Store(&snapshot{ds: ds, version: version, gen: gen})
 	s.plans.purge()
 	s.results.purge()
 	s.binds.purge()
 	s.cacheMu.Unlock()
-	s.packedMu.Lock()
-	s.packed = nil
-	s.packedMu.Unlock()
 	if s.devCache != nil {
 		s.devCache.purge(gen)
 	}
@@ -566,7 +579,7 @@ func (s *Service) fleetResidencies(gen uint64, gpus, partitions int) []queries.R
 	shape := strconv.Itoa(gpus) + "x" + strconv.Itoa(partitions)
 	s.fleetMu.Lock()
 	for len(s.fleetCaches) < gpus {
-		s.fleetCaches = append(s.fleetCaches, newDeviceCache(s.opts.DeviceCacheBytes, s.generation()))
+		s.fleetCaches = append(s.fleetCaches, newDeviceCache(s.opts.DeviceCacheBytes, s.snap.Load().gen))
 	}
 	out := make([]queries.Residency, gpus)
 	for i := range out {
@@ -574,25 +587,6 @@ func (s *Service) fleetResidencies(gen uint64, gpus, partitions int) []queries.R
 	}
 	s.fleetMu.Unlock()
 	return out
-}
-
-// packedFact returns the packed fact encoding for the generation's dataset,
-// building it on first use and rebuilding after a dataset swap. A stale
-// in-flight request (its generation raced past by SetDataset) gets a
-// transient packing instead of evicting the live one — otherwise
-// interleaved old/new requests would re-pack the fact table per request.
-func (s *Service) packedFact(gen uint64, ds *ssb.Dataset) *ssb.PackedFact {
-	s.packedMu.Lock()
-	defer s.packedMu.Unlock()
-	if s.packed != nil && s.packedGen == gen {
-		return s.packed
-	}
-	pf := ds.Pack()
-	if s.generation() == gen {
-		s.packed = pf
-		s.packedGen = gen
-	}
-	return pf
 }
 
 // Close drains the worker pool. In-flight requests finish; subsequent
@@ -610,71 +604,47 @@ func (s *Service) Close() {
 	s.wg.Wait()
 }
 
-// Submit enqueues a request on the worker pool and returns a channel that
-// receives the single response. In the default blocking mode a full
-// queue applies backpressure: Submit waits for space, and ctx bounds the
-// wait — the context is checked before and during the enqueue, so a
-// cancelled context never blocks on a full queue. Under Options.Shed a
-// full queue instead fails fast with ErrOverloaded (see Options.Shed for
-// the priority-eviction carve-out).
+// Submit resolves a request on the calling goroutine and returns a channel
+// that receives its single response. A result-cache hit (or a bind error)
+// comes back on a channel already filled. A follower of an identical
+// request already executing gets a channel filled when that execution
+// completes. Only work that has to execute queues for a worker: in the
+// default blocking mode a full queue applies backpressure — Submit waits
+// for space, and ctx bounds the wait; the context is checked before and
+// during the enqueue, so a cancelled context never blocks on a full queue.
+// Under Options.Shed a full queue instead fails fast with ErrOverloaded
+// (see Options.Shed for the priority-eviction carve-out).
 func (s *Service) Submit(ctx context.Context, req Request) (<-chan Response, error) {
-	return s.submit(ctx, req)
-}
-
-func (s *Service) submit(ctx context.Context, req Request) (<-chan Response, error) {
-	done := make(chan Response, 1)
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return nil, ErrClosed
-	}
-	// Registering under the read lock orders this submission before any
-	// Close: the worker pool stays up until the enqueue below lands.
-	s.pending.Add(1)
-	s.mu.RUnlock()
-	defer s.pending.Done()
-	if err := ctx.Err(); err != nil {
+	start := time.Now()
+	resp, j, err := s.admit(ctx, req, start)
+	switch {
+	case err != nil:
 		return nil, err
+	case j != nil && j.follow == nil:
+		return j.done, nil // queued
 	}
-	j := &job{req: req, done: done}
-	if s.slots == nil {
-		// Shed mode: admission is decided now, under the queue lock.
-		j.enqueued = time.Now()
-		pushed, victim, expired := s.queue.offer(j, s.opts.QueueDepth)
-		for _, e := range expired {
-			// Deadline-dead jobs dropped by the full-queue scan complete here
-			// with the same response shape worker pickup would have produced;
-			// the slots they held now admit live work instead of forcing a
-			// shed or an eviction.
-			s.recordExpired()
-			e.done <- Response{Request: e.req, QueueWait: time.Since(e.enqueued), Err: ErrExpired}
-		}
-		if victim != nil {
-			s.recordShed()
-			victim.done <- Response{Request: victim.req, QueueWait: time.Since(victim.enqueued), Err: ErrOverloaded}
-		}
-		if !pushed {
-			s.recordShed()
-			return nil, ErrOverloaded
-		}
+	done := make(chan Response, 1)
+	if j == nil {
+		done <- resp
 		return done, nil
 	}
-	select {
-	case s.slots <- struct{}{}:
-		j.enqueued = time.Now()
-		s.queue.push(j)
-		return done, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	// The goroutine ends when the flight does: every leader completes its
+	// flight, executed (deferred, so a panic too) or abandoned.
+	go func() {
+		resp, _ := s.await(ctx, context.Background(), req, start, resp, j)
+		done <- resp
+	}()
+	return done, nil
 }
 
-// Do executes one request synchronously, honoring ctx cancellation both
-// while the request waits for queue space and while it waits for a worker.
-// A request cancelled after enqueueing still completes in the background;
-// its response is discarded. When the request sets no Deadline of its
-// own, Do derives one from ctx's deadline, so a deadline-bounded call
-// also sheds dead at worker pickup instead of executing unobserved.
+// Do executes one request synchronously. A hit or a follower is answered
+// on the calling goroutine and never queues; a follower's wait is bounded
+// by ctx. Work that has to execute queues for a worker, and ctx bounds both
+// the wait for queue space and the wait for the worker. A request cancelled
+// after enqueueing still completes in the background; its response is
+// discarded. When the request sets no Deadline of its own, Do derives one
+// from ctx's deadline, so a deadline-bounded call also sheds dead at worker
+// pickup instead of executing unobserved.
 func (s *Service) Do(ctx context.Context, req Request) (Response, error) {
 	if req.Deadline == 0 {
 		if dl, ok := ctx.Deadline(); ok {
@@ -683,16 +653,12 @@ func (s *Service) Do(ctx context.Context, req Request) (Response, error) {
 			}
 		}
 	}
-	done, err := s.submit(ctx, req)
+	start := time.Now()
+	resp, j, err := s.admit(ctx, req, start)
 	if err != nil {
 		return Response{}, err
 	}
-	select {
-	case resp := <-done:
-		return resp, resp.Err
-	case <-ctx.Done():
-		return Response{}, ctx.Err()
-	}
+	return s.await(ctx, ctx, req, start, resp, j)
 }
 
 // RunAll dispatches the batch across the worker pool and returns the
@@ -701,7 +667,7 @@ func (s *Service) Do(ctx context.Context, req Request) (Response, error) {
 func (s *Service) RunAll(ctx context.Context, reqs []Request) ([]Response, error) {
 	chans := make([]<-chan Response, len(reqs))
 	for i, req := range reqs {
-		done, err := s.submit(ctx, req)
+		done, err := s.Submit(ctx, req)
 		if err != nil {
 			return nil, fmt.Errorf("serve: submitting request %d: %w", i, err)
 		}
@@ -716,6 +682,103 @@ func (s *Service) RunAll(ctx context.Context, reqs []Request) ([]Response, error
 		}
 	}
 	return out, nil
+}
+
+// admit runs req's front half on the caller (prepare) and queues its job
+// when the job has to execute. It returns resp settled and a nil job for a
+// hit or a bind error, a follower's job (not queued), or a queued job whose
+// done channel receives the reply. err is the submission's own failure:
+// ErrClosed, a cancelled context, or ErrOverloaded.
+func (s *Service) admit(ctx context.Context, req Request, start time.Time) (Response, *job, error) {
+	s.mu.RLock()
+	if s.closed {
+		s.mu.RUnlock()
+		return Response{}, nil, ErrClosed
+	}
+	// Registering under the read lock orders this submission before any
+	// Close: the worker pool stays up until the enqueue below lands.
+	s.pending.Add(1)
+	s.mu.RUnlock()
+	defer s.pending.Done()
+	if err := ctx.Err(); err != nil {
+		return Response{}, nil, err
+	}
+	resp, j := s.prepare(req, start)
+	if j == nil || j.follow != nil {
+		return resp, j, nil
+	}
+	if s.slots == nil {
+		// Shed mode: admission is decided now, under the queue lock.
+		j.enqueued = time.Now()
+		pushed, victim, expired := s.queue.offer(j, s.opts.QueueDepth)
+		for _, e := range expired {
+			// Deadline-dead jobs dropped by the full-queue scan complete here
+			// with the same response shape worker pickup would have produced;
+			// the slots they held now admit live work instead of forcing a
+			// shed or an eviction.
+			s.drop(e, ErrExpired)
+		}
+		if victim != nil {
+			s.drop(victim, ErrOverloaded)
+		}
+		if !pushed {
+			s.recordShed()
+			s.unlead(j, ErrOverloaded)
+			return Response{}, nil, ErrOverloaded
+		}
+		return resp, j, nil
+	}
+	select {
+	case s.slots <- struct{}{}:
+		j.enqueued = time.Now()
+		s.queue.push(j)
+		return resp, j, nil
+	case <-ctx.Done():
+		s.unlead(j, ctx.Err())
+		return Response{}, nil, ctx.Err()
+	}
+}
+
+// await finishes a request its caller could not answer at once. A queued
+// job's reply arrives on its done channel. A follower waits for its flight
+// and shares the leader's answer — or its error, when the leader executed
+// and failed; when the leader never executed, the follower runs its own
+// lookup-or-lead (admit) and goes round again. wait bounds every wait: Do
+// passes its own context, Submit's goroutine waits unbounded. A wait or a
+// re-admission that fails is answered with its error.
+func (s *Service) await(ctx, wait context.Context, req Request, start time.Time, resp Response, j *job) (Response, error) {
+	var err error
+	for j != nil {
+		if j.follow == nil {
+			select {
+			case resp = <-j.done:
+				return resp, resp.Err
+			case <-wait.Done():
+				return Response{Request: req, Err: wait.Err()}, wait.Err()
+			}
+		}
+		f := j.follow
+		if s.flightHook != nil {
+			s.flightHook()
+		}
+		select {
+		case <-f.done:
+		case <-wait.Done():
+			return Response{Request: req, Err: wait.Err()}, wait.Err()
+		}
+		switch {
+		case f.abandoned:
+			if resp, j, err = s.admit(ctx, req, start); err != nil {
+				return Response{Request: req, Err: err}, err
+			}
+		case f.answer == nil:
+			return s.failed(&resp, f.err), f.err
+		default:
+			s.replay(&resp, f.answer, start, j.bindWall, true)
+			return resp, nil
+		}
+	}
+	return resp, resp.Err
 }
 
 // boundSQL is a bind-cache entry: the statement compiled, validated and
@@ -753,7 +816,7 @@ func namedQuery(id string) (*boundSQL, error) {
 // through the frontend and the cost-based planner (payload-order
 // preserving, priced on the GPU device the paper centers on), memoized in
 // the bind cache so repeated texts skip both.
-func (s *Service) resolve(ds *ssb.Dataset, gen uint64, req Request) (queries.Query, string, error) {
+func (s *Service) resolve(sn *snapshot, req Request) (queries.Query, string, error) {
 	switch {
 	case req.QueryID != "" && req.SQL != "":
 		return queries.Query{}, "", fmt.Errorf("serve: request sets both QueryID %q and SQL; pick one", req.QueryID)
@@ -764,7 +827,7 @@ func (s *Service) resolve(ds *ssb.Dataset, gen uint64, req Request) (queries.Que
 		}
 		return b.q, b.canon, nil
 	case req.SQL != "":
-		bindKey := cacheKey(strconv.FormatUint(gen, 10), "sql", req.SQL)
+		bindKey := cacheKey(strconv.FormatUint(sn.gen, 10), "sql", req.SQL)
 		s.cacheMu.Lock()
 		v, ok := s.binds.get(bindKey)
 		s.cacheMu.Unlock()
@@ -776,13 +839,13 @@ func (s *Service) resolve(ds *ssb.Dataset, gen uint64, req Request) (queries.Que
 		if err != nil {
 			return queries.Query{}, "", err
 		}
-		q = planner.OptimizeGrouped(device.V100(), ds, q)
+		q = planner.OptimizeGrouped(device.V100(), sn.ds, q)
 		b := &boundSQL{q: q, canon: q.Canonical()}
-		if s.generation() == gen {
-			s.cacheMu.Lock()
+		s.cacheMu.Lock()
+		if s.snap.Load() == sn {
 			s.binds.put(bindKey, b)
-			s.cacheMu.Unlock()
 		}
+		s.cacheMu.Unlock()
 		return b.q, b.canon, nil
 	default:
 		return queries.Query{}, "", errors.New("serve: request names no query (set QueryID or SQL)")
@@ -795,8 +858,8 @@ func (s *Service) resolve(ds *ssb.Dataset, gen uint64, req Request) (queries.Que
 // fleet (GPUs) or placement (GPUs+1, every arm can own a morsel) schedule
 // raises small partition counts to — so every spelling of one request
 // dispatches, batches and caches alike. It returns the error a request with
-// an unparseable field is answered with; the batch former treats that as
-// "not batchable" and leaves the request for the solo path to report.
+// an unparseable field is answered with, on its caller, before anything
+// queues.
 func normalize(req Request) (Request, fleet.Interconnect, error) {
 	var link fleet.Interconnect
 	// Placement requests may leave the engine empty — the placement router
@@ -892,21 +955,21 @@ func (s *Service) fleetResidency(req Request) bool {
 // same (generation, canonical query) compile a single plan. The install is
 // skipped if the dataset moved on since the snapshot — the entry would be
 // keyed by a dead generation and only waste an LRU slot.
-func (s *Service) plan(ds *ssb.Dataset, gen uint64, q queries.Query, canon string) (plan *queries.Plan, cached bool, wall time.Duration) {
-	key := cacheKey(strconv.FormatUint(gen, 10), canon)
+func (s *Service) plan(sn *snapshot, q queries.Query, canon string) (plan *queries.Plan, cached bool, wall time.Duration) {
+	key := cacheKey(strconv.FormatUint(sn.gen, 10), canon)
 	s.cacheMu.Lock()
 	var entry *planEntry
 	if v, ok := s.plans.get(key); ok {
 		entry, cached = v.(*planEntry), true
 	} else {
 		entry = &planEntry{}
-		if s.generation() == gen {
+		if s.snap.Load() == sn {
 			s.plans.put(key, entry)
 		}
 	}
 	s.cacheMu.Unlock()
 	start := time.Now()
-	entry.once.Do(func() { entry.plan = queries.Compile(ds, q) })
+	entry.once.Do(func() { entry.plan = queries.Compile(sn.ds, q) })
 	return entry.plan, cached, time.Since(start)
 }
 
@@ -931,19 +994,19 @@ type route struct {
 // host-resident placements, deterministic per generation (same dataset,
 // same morsel map, same choice — which is what lets "auto" responses
 // cache).
-func (s *Service) route(ds *ssb.Dataset, gen uint64, req Request, link fleet.Interconnect,
+func (s *Service) route(sn *snapshot, req Request, link fleet.Interconnect,
 	auto func(fleet.Spec, *ssb.PackedFact) (planner.Placement, error)) (*route, error) {
 	r := &route{req: req, placement: req.Placement}
 	r.opts.Partition.Partitions = req.Partitions
 	r.opts.Partition.Limiter = s.morsels
 	r.opts.Trace = s.recorder != nil
 	if req.Packed {
-		r.opts.Partition.Packed = s.packedFact(gen, ds)
+		r.opts.Partition.Packed = sn.packedFact()
 		switch {
 		case s.fleetResidency(req):
-			r.opts.Fleet.Residency = s.fleetResidencies(gen, req.GPUs, req.Partitions)
+			r.opts.Fleet.Residency = s.fleetResidencies(sn.gen, req.GPUs, req.Partitions)
 		case s.coprocResidency(req):
-			r.opts.Partition.Residency = boundResidency{cache: s.devCache, gen: gen}
+			r.opts.Partition.Residency = boundResidency{cache: s.devCache, gen: sn.gen}
 		}
 	}
 	switch {
@@ -1021,201 +1084,227 @@ func (r *route) report(sr *queries.ScheduledResult) *Answer {
 	return a
 }
 
-// execute runs one request on the calling worker goroutine. queueWait is
-// how long the request sat in the queue before this worker picked it up.
-func (s *Service) execute(req Request, queueWait time.Duration) Response {
-	start := time.Now()
+// errIncomplete is what an execution that ended without an answer or an
+// error — a panic mid-run — completes its job, and so its flight, with.
+var errIncomplete = errors.New("serve: execution did not complete")
+
+// prepare is a request's front half, run on its caller: snapshot →
+// normalize → resolve → result key → lookup-or-follow-or-lead. A request
+// the caller can answer — a normalize or bind error, or a result-cache hit —
+// comes back settled in resp with a nil job. Any other request comes back
+// as its job, carrying everything computed here so that nothing downstream
+// computes it again: a follower (follow set), which waits on an identical
+// request's flight and never queues, or a job that has to execute — the
+// leader of a new flight (lead set), or a request that may not coalesce.
+func (s *Service) prepare(req Request, start time.Time) (resp Response, j *job) {
 	norm, link, err := normalize(req)
 	if err != nil {
-		s.recordError()
-		return Response{Request: req, Err: err}
+		resp.Request = req
+		return s.failed(&resp, err), nil
 	}
-	resp := Response{Request: norm, QueueWait: queueWait}
 	coalesceable := !norm.NoCache && !s.coprocResidency(norm)
 
-	// Snapshot → resolve → lookup-or-lead runs in a retry loop. SetDataset
-	// bumps the generation and then purges the caches, so a request that
-	// snapshotted the old generation and stalled could arrive at the
-	// lookup after its key's leader already ran and was purged away — and
-	// would then execute that (key, generation) a second time. The lookup
-	// critical section re-checks that the snapshotted generation is still
-	// current and starts over when it is not, which makes lookup-or-lead
-	// atomic with respect to the swap's bump-then-purge and keeps
-	// exactly-one-execution per (key, generation) strict.
-	var (
-		ds       *ssb.Dataset
-		gen      uint64
-		q        queries.Query
-		canon    string
-		bindWall time.Duration
-		key      string
-		lead     *flight
-	)
+	// Snapshot → resolve → lookup-or-lead runs in a retry loop. A request
+	// that loaded a snapshot and stalled could reach the lookup after a
+	// swap purged its key's stored answer — and would then execute that
+	// (key, generation) a second time. The lookup critical section checks
+	// that the snapshot is still current and starts over when it is not,
+	// which makes lookup-or-lead atomic with respect to SetDataset's
+	// swap-and-purge and keeps exactly-one-execution per (key, generation)
+	// strict.
 	for {
-		s.mu.RLock()
-		ds, resp.Version, gen = s.ds, s.version, s.gen
-		s.mu.RUnlock()
-		req = effective(norm, ds.Lineorder.Rows())
-		resp.Request = req
-
+		sn := s.snap.Load()
+		req := effective(norm, sn.ds.Lineorder.Rows())
+		resp = Response{Request: req, Version: sn.version}
 		// bindWall times query resolution for the trace's bind span; stamped
 		// unconditionally (two clock reads), consumed only when tracing.
 		bindStart := time.Now()
-		q, canon, err = s.resolve(ds, gen, req)
-		bindWall = time.Since(bindStart)
+		q, canon, err := s.resolve(sn, req)
+		bindWall := time.Since(bindStart)
 		if err != nil {
-			return s.failed(&resp, err)
+			return s.failed(&resp, err), nil
 		}
 		resp.Query = q
-		key = resultKey(gen, canon, req)
-		// Cache lookup and single-flight formation are one critical section
-		// under cacheMu: a coalesceable request either hits the cache, joins
-		// the in-progress flight for its key, or registers itself as the
-		// leader — so for any (key, generation) at most one execution ever
-		// runs, no matter how the misses interleave with the leader's fill.
-		if !coalesceable {
-			break
-		}
-		s.cacheMu.Lock()
-		if s.generation() != gen {
-			// The dataset moved between the snapshot and this critical
-			// section: the swap's purge may have dropped this generation's
-			// entries, so executing now could repeat a key that already
-			// ran. Start over against the new generation.
-			s.cacheMu.Unlock()
-			continue
-		}
-		if v, ok := s.results.get(key); ok {
-			s.cacheMu.Unlock()
-			// Equivalent queries (named vs SQL, or two SQL spellings) share
-			// the entry under their canonical form; resp.Query names this
-			// request's own.
-			s.replay(&resp, v.(*Answer), start, queueWait, bindWall, false)
-			return resp
-		}
-		if f, ok := s.flights[key]; ok {
-			s.cacheMu.Unlock()
-			// Follower: an identical request is already executing against
-			// this generation. Wait for the leader and replay its outcome —
-			// this request is charged only the time it spent waiting.
-			if s.flightHook != nil {
-				s.flightHook()
+		key := resultKey(sn.gen, canon, req)
+		var f *flight
+		following := false
+		if coalesceable {
+			// Cache lookup and single-flight formation are one critical
+			// section under cacheMu: a coalesceable request either hits the
+			// cache, joins the in-progress flight for its key, or registers
+			// itself as the leader — so for any (key, generation) at most one
+			// execution ever runs, no matter how the misses interleave with
+			// the leader's fill.
+			s.cacheMu.Lock()
+			if s.snap.Load() != sn {
+				s.cacheMu.Unlock()
+				continue
 			}
-			<-f.done
-			if f.answer == nil {
-				err := f.err
-				if err == nil {
-					err = errors.New("serve: coalesced execution did not complete")
-				}
-				return s.failed(&resp, err)
+			if v, ok := s.results.get(key); ok {
+				s.cacheMu.Unlock()
+				// Equivalent queries (named vs SQL, or two SQL spellings)
+				// share the entry under their canonical form; resp.Query
+				// names this request's own.
+				s.replay(&resp, v.(*Answer), start, bindWall, false)
+				return resp, nil
 			}
-			s.replay(&resp, f.answer, start, queueWait, bindWall, true)
-			return resp
+			if f, following = s.flights[key]; !following {
+				f = &flight{done: make(chan struct{})}
+				s.flights[key] = f
+			}
+			s.cacheMu.Unlock()
 		}
-		lead = &flight{done: make(chan struct{})}
-		s.flights[key] = lead
-		s.cacheMu.Unlock()
-		break
+		j = &job{req: req, link: link, snap: sn, q: q, canon: canon, key: key, bindWall: bindWall}
+		if following {
+			j.follow = f
+			return resp, j
+		}
+		j.lead = f
+		j.shape, j.batchable = s.batchKey(req, sn)
+		j.done = make(chan Response, 1)
+		return resp, j
 	}
-	if lead != nil {
-		// Deferred so even a panicking leader releases its followers; after
-		// the loop rather than inside it, because a defer in a loop moves
-		// resp to the heap on every request.
-		defer s.completeFlight(lead, key, &resp)
-	}
+}
+
+// execute runs a queued job alone on the calling worker goroutine.
+// queueWait is how long the job sat in the queue before this worker picked
+// it up.
+func (s *Service) execute(j *job, queueWait time.Duration) {
+	start := time.Now()
+	resp := Response{Request: j.req, Version: j.snap.version, Query: j.q, QueueWait: queueWait}
+	defer s.complete(j, &resp)
 	if s.execHook != nil {
-		s.execHook(key)
+		s.execHook(j.key)
 	}
 	if s.opts.ExecDelay > 0 {
 		time.Sleep(s.opts.ExecDelay)
 	}
 
-	plan, planCached, planWall := s.plan(ds, gen, q, canon)
+	sn, req := j.snap, j.req
+	plan, planCached, planWall := s.plan(sn, j.q, j.canon)
 	resp.PlanCached = planCached
-	rt, err := s.route(ds, gen, req, link, func(fl fleet.Spec, packed *ssb.PackedFact) (planner.Placement, error) {
-		choice, _, err := planner.ChoosePlacement(fl, ds, q, plan.Morsels(req.Partitions), packed)
+	rt, err := s.route(sn, req, j.link, func(fl fleet.Spec, packed *ssb.PackedFact) (planner.Placement, error) {
+		choice, _, err := planner.ChoosePlacement(fl, sn.ds, j.q, plan.Morsels(req.Partitions), packed)
 		return choice, err
 	})
 	if err != nil {
-		return s.failed(&resp, err)
+		resp.Err = err
+		return
 	}
 	sc, err := rt.schedule(plan)
 	if err != nil {
-		return s.failed(&resp, err)
+		resp.Err = err
+		return
 	}
 	sr, err := plan.RunScheduled(sc)
 	if err != nil {
-		return s.failed(&resp, err)
+		resp.Err = err
+		return
 	}
 	resp.Answer = rt.report(sr)
-	resp.Wall = time.Since(start)
+	resp.Wall = j.bindWall + time.Since(start)
 	if s.recorder != nil {
-		s.finishTrace(&resp, start, queueWait, bindWall, planWall, sr.Trace)
+		s.finishTrace(&resp, j.bindWall, planWall, sr.Trace)
 	}
+}
 
-	// Store unconditionally, even when the dataset was swapped while this
-	// request executed: the entry is keyed by the generation it ran
-	// against, so no new request (which snapshots the current generation)
-	// can ever look it up — but an in-flight straggler that snapshotted
-	// the same old generation can, and must find it rather than execute
-	// the key a second time. That store-after-swap is what keeps
-	// exactly-one-execution per (key, generation) strict; dead-generation
-	// entries merely age out of the LRU. Residency-dependent responses
-	// are never cached; see coprocResidency.
-	cacheable := !s.coprocResidency(req) &&
-		(!s.fleetResidency(req) || (resp.TransferBytes == 0 && resp.ResidentCols == 0))
-	if cacheable {
-		s.cacheMu.Lock()
-		s.results.put(key, resp.Answer)
-		s.cacheMu.Unlock()
+// complete is the one completion of an executed job, run alone or as a
+// batch member: it stores the answer if it is replayable, completes the
+// flight the job leads, records stats and replies. Executors defer it, so
+// even a panic mid-execution releases the followers: the flight completes
+// with errIncomplete.
+func (s *Service) complete(j *job, resp *Response) {
+	if resp.Answer == nil && resp.Err == nil {
+		resp.Err = errIncomplete
 	}
-	s.recordStats(&resp)
-	return resp
+	// Store unconditionally, even when the dataset was swapped while this
+	// job executed: the entry is keyed by the generation it ran against, so
+	// no new request (which loads the current snapshot) can ever look it up
+	// — but an in-flight straggler that resolved against the same old
+	// snapshot can, and must find it rather than execute the key a second
+	// time. Dead-generation entries merely age out of the LRU. The store
+	// and the flight's removal share one critical section, so no identical
+	// request can miss both the cache and the flight table while the answer
+	// it should share exists. Residency-dependent answers are never cached;
+	// see coprocResidency.
+	cacheable := resp.Err == nil && !s.coprocResidency(j.req) &&
+		(!s.fleetResidency(j.req) || (resp.TransferBytes == 0 && resp.ResidentCols == 0))
+	s.cacheMu.Lock()
+	if cacheable {
+		s.results.put(j.key, resp.Answer)
+	}
+	if j.lead != nil {
+		delete(s.flights, j.key)
+	}
+	s.cacheMu.Unlock()
+	if f := j.lead; f != nil {
+		f.answer, f.err = resp.Answer, resp.Err
+		close(f.done)
+	}
+	if resp.Err != nil {
+		s.recordError()
+	} else {
+		s.recordStats(resp)
+	}
+	j.done <- *resp
+}
+
+// unlead completes the flight j leads, if any, for a job that never
+// executes, with that job's own admission outcome err; the followers see
+// the flight abandoned and run their own lookup-or-lead.
+func (s *Service) unlead(j *job, err error) {
+	f := j.lead
+	if f == nil {
+		return
+	}
+	s.cacheMu.Lock()
+	delete(s.flights, j.key)
+	s.cacheMu.Unlock()
+	f.err, f.abandoned = err, true
+	close(f.done)
+}
+
+// drop settles a queued job that will never execute — expired in the queue
+// (err is ErrExpired) or evicted by a higher-priority newcomer
+// (ErrOverloaded): it counts the outcome, abandons the job's flight and
+// replies.
+func (s *Service) drop(j *job, err error) {
+	if err == ErrExpired {
+		s.recordExpired()
+	} else {
+		s.recordShed()
+	}
+	s.unlead(j, err)
+	j.done <- Response{Request: j.req, Version: j.snap.version, QueueWait: time.Since(j.enqueued), Err: err}
 }
 
 // replay answers resp with an earlier execution's Answer — a result-cache
 // entry or a completed flight's — by sharing the pointer: nothing is
 // copied, since a served answer is read-only. It then stamps the
 // cache/coalesce flags, finishes the trace and records stats.
-func (s *Service) replay(resp *Response, a *Answer, start time.Time, queueWait, bindWall time.Duration, coalesced bool) {
+func (s *Service) replay(resp *Response, a *Answer, start time.Time, bindWall time.Duration, coalesced bool) {
 	resp.Answer = a
 	resp.PlanCached = true
 	resp.ResultCached = !coalesced
 	resp.Coalesced = coalesced
 	resp.Wall = time.Since(start)
 	if s.recorder != nil {
-		s.finishTrace(resp, start, queueWait, bindWall, 0, nil)
+		s.finishTrace(resp, bindWall, 0, nil)
 	}
 	s.recordStats(resp)
 }
 
-// completeFlight publishes the leader's outcome on its flight — the same
-// Answer the leader returns and the cache holds, or the leader's error —
-// and releases the followers. The flight is deleted under cacheMu strictly
-// after the leader's cache store in the execute body, so no identical
-// request can ever miss both the cache and the flight table while an
-// execution it should have shared is still running. Deferred from the
-// leader's execute, so even a panic releases followers: they observe a
-// flight with neither answer nor err and fail with an error of their own.
-func (s *Service) completeFlight(f *flight, key string, resp *Response) {
-	f.answer, f.err = resp.Answer, resp.Err
-	s.cacheMu.Lock()
-	delete(s.flights, key)
-	s.cacheMu.Unlock()
-	close(f.done)
-}
-
-// finishTrace assembles the request's span tree — admit, bind, plan and
-// the run span the scheduled execution built (nil for a result-cache hit,
-// which gets a cache-hit marker instead) — and hands it to the flight
-// recorder, stamping the Response with the recorded ID. Called only when
-// tracing is enabled.
-func (s *Service) finishTrace(resp *Response, start time.Time, queueWait, bindWall, planWall time.Duration, runSpan *trace.Span) {
+// finishTrace assembles the request's span tree — bind, admit (the queue
+// wait), plan and the run span the scheduled execution built (nil for a
+// result-cache hit, which gets a cache-hit marker instead) — and hands it
+// to the flight recorder, stamping the Response with the recorded ID.
+// Called only when tracing is enabled, once resp.Wall is final.
+func (s *Service) finishTrace(resp *Response, bindWall, planWall time.Duration, runSpan *trace.Span) {
 	root := &trace.Span{
 		Phase: trace.PhaseRequest,
 		Children: []*trace.Span{
-			{Phase: trace.PhaseAdmit, Wall: queueWait},
 			{Phase: trace.PhaseBind, Wall: bindWall},
+			{Phase: trace.PhaseAdmit, Wall: resp.QueueWait},
 		},
 	}
 	if runSpan != nil {
@@ -1232,7 +1321,7 @@ func (s *Service) finishTrace(resp *Response, start time.Time, queueWait, bindWa
 		// simulated execution happened in this request.
 		root.Children = append(root.Children, &trace.Span{Phase: trace.PhaseCacheHit, Cached: true})
 	}
-	root.Wall = queueWait + time.Since(start)
+	root.Wall = resp.QueueWait + resp.Wall
 	tr := &trace.Trace{
 		Query:        resp.Query.ID,
 		Engine:       EngineAlias(resp.Request.Engine),
@@ -1240,19 +1329,13 @@ func (s *Service) finishTrace(resp *Response, start time.Time, queueWait, bindWa
 		GPUs:         resp.GPUs,
 		Interconnect: resp.Interconnect,
 		Cached:       resp.ResultCached,
-		Start:        start.Add(-queueWait),
+		Start:        time.Now().Add(-root.Wall),
 		Wall:         root.Wall,
 		Sim:          root.Sim,
 		Root:         root,
 	}
 	resp.TraceID = s.recorder.Add(tr)
 	resp.Trace = tr
-}
-
-func (s *Service) generation() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.gen
 }
 
 func (s *Service) recordStats(resp *Response) {

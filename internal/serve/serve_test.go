@@ -121,10 +121,12 @@ func TestConcurrentSubmission(t *testing.T) {
 	if want := int64(clients * len(reqs)); st.Requests != want {
 		t.Errorf("stats recorded %d requests, want %d", st.Requests, want)
 	}
-	// 78 distinct requests served 16x each: the vast majority must have hit
-	// the result cache, and plans are shared across engines.
-	if st.ResultHits < st.ResultMisses {
-		t.Errorf("expected mostly result hits, got %d hits / %d misses", st.ResultHits, st.ResultMisses)
+	// 78 distinct requests served 16x each: each executes exactly once, and
+	// every other request is answered without executing — from the result
+	// cache, or by coalescing onto the identical request in flight.
+	if executed := st.ResultMisses - st.Coalesced; executed != int64(len(reqs)) {
+		t.Errorf("%d executions (%d hits, %d misses, %d of them coalesced), want exactly %d",
+			executed, st.ResultHits, st.ResultMisses, st.Coalesced, len(reqs))
 	}
 }
 
@@ -493,6 +495,40 @@ func TestCacheHitAllocationIndependentOfRows(t *testing.T) {
 	t.Logf("bytes per cache hit: q1.1 %.0f, q2.1 %.0f", one, many)
 	if math.Abs(many-one) > 64 {
 		t.Errorf("a cache hit allocates %.0f B on q2.1 and %.0f B on q1.1; a hit must not scale with the rows", many, one)
+	}
+}
+
+// BenchmarkServeHit is the per-layer benchmark of a result-cache hit: a
+// warm key through Do, answered on the calling goroutine — normalize,
+// resolve (the catalog for a named query, the bind cache for a SQL
+// statement), result key, lookup and stats — without touching the queue.
+// ns/op is the hit's host cost and allocs/op what it allocates.
+func BenchmarkServeHit(b *testing.B) {
+	s := New(testData(), "v1", Options{Workers: 1})
+	defer s.Close()
+	ctx := context.Background()
+	q21, err := queries.ByID("q2.1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		req  Request
+	}{
+		{"named", Request{QueryID: "q2.1", Engine: queries.EngineCPU}},
+		{"sql", Request{SQL: q21.Describe(), Engine: queries.EngineCPU}},
+	} {
+		if _, err := s.Do(ctx, tc.req); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if resp, err := s.Do(ctx, tc.req); err != nil || !resp.ResultCached {
+					b.Fatalf("err=%v cached=%v, want a hit", err, resp.ResultCached)
+				}
+			}
+		})
 	}
 }
 

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,7 +116,8 @@ func TestSingleFlightCoalesces(t *testing.T) {
 // leader that panics mid-execution still releases its parked follower with
 // an error reply instead of a hang, leaves no flight behind, and the next
 // identical request executes afresh and succeeds. The worker loop has no
-// recover, so the leader runs execute on a goroutine of the test's own.
+// recover, so the leader resolves (prepare) and executes on a goroutine of
+// the test's own.
 func TestSingleFlightSurvivesLeaderPanic(t *testing.T) {
 	ds := testData()
 	// Closed at the end, not deferred: after a failure the follower's worker
@@ -136,7 +139,8 @@ func TestSingleFlightSurvivesLeaderPanic(t *testing.T) {
 	recovered := make(chan any, 1)
 	go func() {
 		defer func() { recovered <- recover() }()
-		s.execute(req, 0)
+		_, j := s.prepare(req, time.Now()) // registers the flight it leads
+		s.execute(j, 0)
 	}()
 	<-parked
 	follower, err := s.Submit(context.Background(), req)
@@ -357,5 +361,186 @@ func TestSingleFlightExactlyOnceUnderRace(t *testing.T) {
 	}
 	if st := s.Stats(); st.Errors != 0 {
 		t.Errorf("race run recorded %d errors", st.Errors)
+	}
+}
+
+// TestSingleFlightIdenticalRequestsNeverCoBatch pins that two identical
+// requests queued behind a parked worker execute once: the second follows
+// the first's flight on its caller instead of queueing, so the batch former
+// never sees it. With compatible peers queued too, the batch fires the
+// execution hook once per member and every key runs exactly once.
+func TestSingleFlightIdenticalRequestsNeverCoBatch(t *testing.T) {
+	s := New(testData(), "v1", Options{Workers: 1, QueueDepth: 16, MaxBatch: 8})
+	defer s.Close()
+	var mu sync.Mutex
+	execs := map[string]int{}
+	release := make(chan struct{})
+	unpark := sync.OnceFunc(func() { close(release) })
+	defer unpark() // before Close, so a failed assertion never hangs it
+	first := make(chan struct{}, 1)
+	s.execHook = func(key string) {
+		mu.Lock()
+		execs[key]++
+		mu.Unlock()
+		select {
+		case first <- struct{}{}:
+			<-release // park only the blocker
+		default:
+		}
+	}
+	ctx := context.Background()
+	blocker, err := s.Submit(ctx, Request{QueryID: "q3.1", Engine: queries.EngineCPU, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-first
+	first <- struct{}{}
+
+	mk := func(id string) Request { return Request{QueryID: id, Engine: queries.EngineCPU} }
+	reqs := []Request{mk("q1.1"), mk("q1.1"), mk("q1.2"), mk("q1.3")}
+	chans := make([]<-chan Response, len(reqs))
+	for i, req := range reqs {
+		if chans[i], err = s.Submit(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.queue.len(); n != 3 {
+		t.Fatalf("%d jobs queued, want 3: the identical q1.1 must follow, not queue", n)
+	}
+	unpark()
+	if resp := <-blocker; resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	resps := make([]Response, len(chans))
+	for i, ch := range chans {
+		if resps[i] = <-ch; resps[i].Err != nil {
+			t.Fatalf("%s: %v", reqs[i].QueryID, resps[i].Err)
+		}
+	}
+	leader, follower := resps[0], resps[1]
+	if !leader.Batched || leader.Coalesced || leader.ResultCached {
+		t.Errorf("q1.1 leader: batched=%v coalesced=%v cached=%v, want a batch member", leader.Batched, leader.Coalesced, leader.ResultCached)
+	}
+	if !follower.Coalesced || follower.Batched || follower.QueueWait != 0 || follower.Answer != leader.Answer {
+		t.Errorf("q1.1 follower: coalesced=%v batched=%v queueWait=%v answer %p, want coalesced onto the leader's %p without queueing",
+			follower.Coalesced, follower.Batched, follower.QueueWait, follower.Answer, leader.Answer)
+	}
+	for _, resp := range resps[2:] {
+		if !resp.Batched || resp.BatchSize != 3 {
+			t.Errorf("%s: batched=%v size=%d, want a 3-member batch", resp.Query.ID, resp.Batched, resp.BatchSize)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(execs) != 4 {
+		t.Errorf("%d distinct keys executed, want 4 (the blocker and three batch members)", len(execs))
+	}
+	for key, n := range execs {
+		if n != 1 {
+			t.Errorf("key %q executed %d times, want exactly once", key, n)
+		}
+	}
+	if st := s.Stats(); st.Batches != 1 || st.BatchedRequests != 3 || st.Coalesced != 1 {
+		t.Errorf("stats: batches=%d batched=%d coalesced=%d, want 1/3/1", st.Batches, st.BatchedRequests, st.Coalesced)
+	}
+}
+
+// TestSingleFlightFollowersLeaveThePoolFree pins that followers never take
+// a worker: with the leader parked on one of two workers and eight of its
+// followers waiting, an unrelated request still starts on the other worker
+// while the leader is parked, and every follower then shares the leader's
+// answer.
+func TestSingleFlightFollowersLeaveThePoolFree(t *testing.T) {
+	s := New(testData(), "v1", Options{Workers: 2})
+	defer s.Close()
+	leaderReq := Request{QueryID: "q2.1", Engine: queries.EngineCPU}
+	other := Request{QueryID: "q4.1", Engine: queries.EngineGPU}
+	q21 := mustQuery(t, "q2.1")
+	leaderFrag := q21.Canonical()
+	started := make(chan string, 8)
+	release := make(chan struct{})
+	unpark := sync.OnceFunc(func() { close(release) })
+	defer unpark() // before Close, so a failed assertion never hangs it
+	var execs atomic.Int32
+	s.execHook = func(key string) {
+		execs.Add(1)
+		started <- key
+		if strings.Contains(key, leaderFrag) {
+			<-release // park the leader only
+		}
+	}
+	joined := make(chan struct{}, 8)
+	s.flightHook = func() { joined <- struct{}{} }
+
+	ctx := context.Background()
+	leader, err := s.Submit(ctx, leaderReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	followers := make([]<-chan Response, 8)
+	for i := range followers {
+		if followers[i], err = s.Submit(ctx, leaderReq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range followers {
+		select {
+		case <-joined:
+		case <-time.After(10 * time.Second):
+			t.Fatal("follower never reached the flight wait")
+		}
+	}
+	unrelated, err := s.Submit(ctx, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the unrelated request never started while the leader was parked: followers hold the pool")
+	}
+	if resp := <-unrelated; resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	unpark()
+	lead := <-leader
+	if lead.Err != nil || lead.Coalesced {
+		t.Fatalf("leader: err=%v coalesced=%v", lead.Err, lead.Coalesced)
+	}
+	for i, ch := range followers {
+		resp := <-ch
+		if resp.Err != nil || !resp.Coalesced || resp.Answer != lead.Answer {
+			t.Errorf("follower %d: err=%v coalesced=%v, want the leader's answer", i, resp.Err, resp.Coalesced)
+		}
+	}
+	if n := execs.Load(); n != 2 {
+		t.Errorf("%d executions, want 2 (the leader and the unrelated request)", n)
+	}
+}
+
+// TestSingleFlightFollowerBoundedByContext pins that a follower's wait is
+// bounded by its own context: Do returns the context's error while the
+// leader is still executing, and the leader is unaffected.
+func TestSingleFlightFollowerBoundedByContext(t *testing.T) {
+	s := New(testData(), "v1", Options{Workers: 1})
+	defer s.Close()
+	started, release := blockExecutions(s)
+	unpark := sync.OnceFunc(func() { close(release) })
+	defer unpark() // before Close, so a failed assertion never hangs it
+	req := Request{QueryID: "q3.2", Engine: queries.EngineCPU}
+	leader, err := s.Submit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := s.Do(ctx, req); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("follower past its context deadline: err = %v, want DeadlineExceeded", err)
+	}
+	unpark()
+	if resp := <-leader; resp.Err != nil || resp.Coalesced {
+		t.Fatalf("leader: err=%v coalesced=%v, want its own execution", resp.Err, resp.Coalesced)
 	}
 }

@@ -374,8 +374,7 @@ func row[E any](rows *[]E, order func(*E) int, newRow func() E) *E {
 // under one statsMu acquisition, so multi-field aggregates (counts and
 // their sums, rows and their totals) agree in the copy; only the derived
 // fields — rates, means, percentiles, and the dataset version, cache
-// occupancies and queue depth read under their own locks — are filled
-// afterwards.
+// occupancies and queue depth read on their own — are filled afterwards.
 func (s *Service) Stats() Stats {
 	s.statsMu.Lock()
 	out := s.stats
@@ -387,9 +386,7 @@ func (s *Service) Stats() Stats {
 	s.statsMu.Unlock()
 
 	out.Workers = s.opts.Workers
-	s.mu.RLock()
-	out.Version = s.version
-	s.mu.RUnlock()
+	out.Version = s.Version()
 	s.cacheMu.Lock()
 	out.CachedPlans = s.plans.len()
 	out.CachedResults = s.results.len()
