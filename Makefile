@@ -54,12 +54,15 @@ test:
 # zone-map pruning (a pruned morsel never contains a matching row), bit
 # packing (pack -> unpack equals the plain column), fleet shard assignment
 # (no morsel lost, duplicated, or resident beyond device capacity after
-# spill accounting), and the 64-bit GPU radix sort (output is a stable
-# sorted permutation of the input on the masked key bits).
+# spill accounting), the 64-bit GPU radix sort (output is a stable
+# sorted permutation of the input on the masked key bits), and execution
+# shapes (Normalize never panics, is idempotent and refuses every unknown
+# or out-of-range input; a normalized shape's key decodes back to it).
 fuzz:
 	$(GO) test ./internal/ssb -run='^$$' -fuzz=FuzzRead -fuzztime=20s
 	$(GO) test ./internal/sql -run='^$$' -fuzz=FuzzParse -fuzztime=20s
 	$(GO) test ./internal/queries -run='^$$' -fuzz=FuzzZoneMap -fuzztime=20s
+	$(GO) test ./internal/queries -run='^$$' -fuzz=FuzzShape -fuzztime=20s
 	$(GO) test ./internal/pack -run='^$$' -fuzz=FuzzPackRoundTrip -fuzztime=20s
 	$(GO) test ./internal/fleet -run='^$$' -fuzz=FuzzShardAssignment -fuzztime=20s
 	$(GO) test ./internal/gpu -run='^$$' -fuzz=FuzzRadixSort -fuzztime=20s
@@ -105,10 +108,10 @@ bench-smoke:
 
 # Serving concurrency under the race detector, ten rounds: single-flight
 # (leaders, followers, abandoned flights), batch formation, shedding,
-# overload and deadlines — the paths where a caller, a worker and a flight
-# hand a request between goroutines.
+# overload, deadlines and a panicking execution — the paths where a caller,
+# a worker and a flight hand a request between goroutines.
 serve-stress:
-	$(GO) test -race -count=10 -run 'SingleFlight|Batch|Shed|Overload|Deadline' ./internal/serve
+	$(GO) test -race -count=10 -run 'SingleFlight|Batch|Shed|Overload|Deadline|Panic' ./internal/serve
 
 # Benchmark gate: bench-baseline records the q1.x flight's simulated
 # seconds and scaling efficiency at 1/2/4/8 GPUs into BENCH_fleet.json,

@@ -33,8 +33,9 @@
 // spill (the graceful-degradation experiment).
 //
 // Both accept &placement=cpu|gpu|hybrid|auto to route through the unified
-// scheduler over host-resident data: "cpu" runs the standalone CPU engine,
-// "gpu" ships every referenced column to the fleet per query, "hybrid"
+// scheduler over host-resident data: "cpu" runs the standalone CPU engine
+// (it is that engine: no GPU arm, no link, so gpus and interconnect do not
+// apply), "gpu" ships every referenced column to the fleet per query, "hybrid"
 // co-executes CPU and GPU arms over a planner-split morsel set, and "auto"
 // lets the planner's bytes-moved model choose (the response reports what
 // it picked). &gpus=N sizes the GPU arm (default 1); leave engine unset.
@@ -72,6 +73,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/url"
 	"os"
@@ -81,7 +83,6 @@ import (
 	"syscall"
 	"time"
 
-	"crystal/internal/fleet"
 	"crystal/internal/queries"
 	"crystal/internal/serve"
 	"crystal/internal/ssb"
@@ -213,9 +214,10 @@ type queryResponse struct {
 	Packed        bool  `json:"packed,omitempty"`
 	TransferBytes int64 `json:"transfer_bytes,omitempty"`
 	ResidentCols  int   `json:"resident_cols,omitempty"`
-	// GPUs/Interconnect echo the fleet shape of a &gpus=N request; Devices
-	// carries its per-device telemetry and MergeBytes the partial-aggregate
-	// traffic that crossed the interconnect.
+	// GPUs/Interconnect echo the fleet of a &gpus=N request or a placement's
+	// GPU arm (none for placement=cpu); Devices carries a fleet's
+	// per-device telemetry and MergeBytes the partial-aggregate traffic that
+	// crossed the interconnect.
 	GPUs         int                   `json:"gpus,omitempty"`
 	Interconnect string                `json:"interconnect,omitempty"`
 	Devices      []queries.FleetDevice `json:"devices,omitempty"`
@@ -238,10 +240,7 @@ func handleQuery(svc *serve.Service) http.HandlerFunc {
 			httpError(w, http.StatusBadRequest, errors.New("missing ?id= (try q2.1)"))
 			return
 		}
-		serveRequest(svc, w, r, serve.Request{
-			QueryID: id,
-			Engine:  queries.Engine(r.URL.Query().Get("engine")),
-		})
+		serveRequest(svc, w, r, serve.Request{QueryID: id})
 	}
 }
 
@@ -267,101 +266,59 @@ func handleSQL(svc *serve.Service) http.HandlerFunc {
 			httpError(w, http.StatusBadRequest, errors.New("missing SQL statement: POST it as the body or pass ?q="))
 			return
 		}
-		serveRequest(svc, w, r, serve.Request{
-			SQL:    stmt,
-			Engine: queries.Engine(r.URL.Query().Get("engine")),
-		})
+		serveRequest(svc, w, r, serve.Request{SQL: stmt})
 	}
 }
 
 // serveRequest runs one request through the service and writes the shared
 // JSON response shape.
 func serveRequest(svc *serve.Service, w http.ResponseWriter, r *http.Request, req serve.Request) {
-	if v := r.URL.Query().Get("nocache"); v != "" {
-		noCache, err := strconv.ParseBool(v)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad nocache value %q: want a boolean", v))
-			return
+	// Each parameter is checked for its wire form only (a count, a flag, a
+	// duration). The shape parameters (engine, partitions, packed, gpus,
+	// placement, interconnect) are validated once, by the service: a bad
+	// value comes back as the response's error, a 400.
+	params := r.URL.Query()
+	var bad error
+	param := func(name, want string, parse func(v string) bool) {
+		if v := params.Get(name); v != "" && bad == nil && !parse(v) {
+			bad = fmt.Errorf("bad %s value %q: want %s", name, v, want)
 		}
-		req.NoCache = noCache
 	}
-	if v := r.URL.Query().Get("partitions"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad partitions value %q: want a non-negative integer", v))
-			return
-		}
-		req.Partitions = n
+	boolean := func(dst *bool) func(string) bool {
+		return func(v string) bool { b, err := strconv.ParseBool(v); *dst = b; return err == nil }
 	}
-	if v := r.URL.Query().Get("packed"); v != "" {
-		packed, err := strconv.ParseBool(v)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad packed value %q: want a boolean", v))
-			return
-		}
-		req.Packed = packed
+	count := func(dst *int, min int) func(string) bool {
+		return func(v string) bool { n, err := strconv.Atoi(v); *dst = n; return err == nil && n >= min }
 	}
-	if v := r.URL.Query().Get("gpus"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad gpus value %q: want a non-negative integer", v))
-			return
-		}
-		req.GPUs = n
-	}
-	if v := r.URL.Query().Get("placement"); v != "" {
-		p, err := serve.ParsePlacement(v)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		req.Placement = p
-	}
-	if v := r.URL.Query().Get("deadline"); v != "" {
+	param("nocache", "a boolean", boolean(&req.NoCache))
+	param("partitions", "a non-negative integer", count(&req.Partitions, 0))
+	param("packed", "a boolean", boolean(&req.Packed))
+	param("gpus", "a non-negative integer", count(&req.GPUs, 0))
+	param("deadline", "a positive duration like 500ms", func(v string) bool {
 		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad deadline value %q: want a positive duration like 500ms", v))
-			return
-		}
 		req.Deadline = d
+		return err == nil && d > 0
+	})
+	param("priority", "an integer (higher preempts lower when shedding)", count(&req.Priority, math.MinInt))
+	if bad != nil {
+		httpError(w, http.StatusBadRequest, bad)
+		return
 	}
-	if v := r.URL.Query().Get("priority"); v != "" {
-		p, err := strconv.Atoi(v)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad priority value %q: want an integer (higher preempts lower when shedding)", v))
-			return
-		}
-		req.Priority = p
-	}
-	if v := r.URL.Query().Get("interconnect"); v != "" {
-		// Validate eagerly, like every other parameter — and refuse the
-		// combination that would otherwise silently run on one device.
-		if _, err := fleet.ParseInterconnect(v); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		if req.GPUs == 0 && req.Placement == "" {
-			httpError(w, http.StatusBadRequest, errors.New("interconnect requires a fleet or a placement: pass gpus=N or placement= as well"))
-			return
-		}
-		req.Interconnect = v
+	req.Engine = queries.Engine(params.Get("engine"))
+	req.Placement = params.Get("placement")
+	if req.Interconnect = params.Get("interconnect"); req.Interconnect != "" && req.GPUs == 0 && req.Placement == "" {
+		// Refuse the combination that would otherwise silently run on one
+		// device.
+		httpError(w, http.StatusBadRequest, errors.New("interconnect requires a fleet or a placement: pass gpus=N or placement= as well"))
+		return
 	}
 	resp, err := svc.Do(r.Context(), req)
 	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, serve.ErrOverloaded):
+		status := errorStatus(r.Context(), resp, err)
+		if status == http.StatusTooManyRequests {
 			// Shed by admission control: the client should back off and
 			// retry; Retry-After carries the hint.
 			w.Header().Set("Retry-After", retryAfterSeconds)
-			status = http.StatusTooManyRequests
-		case errors.Is(err, serve.ErrExpired):
-			// Admitted but its deadline lapsed in the queue; never executed.
-			status = http.StatusGatewayTimeout
-		case errors.Is(err, r.Context().Err()):
-			status = http.StatusRequestTimeout
-		case resp.Err != nil:
-			status = http.StatusBadRequest
 		}
 		httpError(w, status, err)
 		return
@@ -396,6 +353,26 @@ func serveRequest(svc *serve.Service, w http.ResponseWriter, r *http.Request, re
 		TraceID:       resp.TraceID,
 	}
 	writeJSON(w, out)
+}
+
+// errorStatus maps a failed request to its HTTP status: 429 when shed, 504
+// when its deadline lapsed in the queue, 500 when its execution panicked or
+// the service failed it otherwise, 408 when the client's context ended, and
+// 400 when the request itself was refused (a bad query, engine or shape).
+func errorStatus(ctx context.Context, resp serve.Response, err error) int {
+	switch {
+	case errors.Is(err, serve.ErrOverloaded):
+		return http.StatusTooManyRequests
+	case errors.Is(err, serve.ErrExpired):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, serve.ErrIncomplete):
+		return http.StatusInternalServerError
+	case errors.Is(err, ctx.Err()):
+		return http.StatusRequestTimeout
+	case resp.Err != nil:
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
 }
 
 // decodeRows unpacks the result's packed group keys into per-payload

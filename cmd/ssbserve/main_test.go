@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -304,5 +306,69 @@ func TestEvictionHTTP(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Shed != 1 {
 		t.Errorf("stats recorded %d shed, want exactly the evicted victim", st.Shed)
+	}
+}
+
+// TestShapeErrorsHTTP pins that every shape parameter is validated once, by
+// the service: a bad placement, an unknown interconnect and a fleet past
+// fleet.MaxGPUs are 400s whose body is the service's error, each counted as
+// an error and none executed; malformed wire values and an interconnect
+// without a fleet or a placement are refused at the edge.
+func TestShapeErrorsHTTP(t *testing.T) {
+	svc := serve.New(ssb.GenerateRows(1<<12), "shape", serve.Options{Workers: 1})
+	defer svc.Close()
+	srv := httptest.NewServer(newMux(svc))
+	defer srv.Close()
+
+	cases := []struct{ path, body string }{
+		{"/query?id=q1.1&placement=moon", `unknown placement \"moon\"`},
+		{"/query?id=q1.1&engine=gpu&gpus=2&interconnect=carrier-pigeon", `unknown interconnect \"carrier-pigeon\"`},
+		{"/query?id=q1.1&engine=gpu&gpus=65", "65 GPUs exceeds the 64-device fleet bound"},
+		{"/query?id=q1.1&placement=cpu&gpus=65", "65 GPUs exceeds the 64-device fleet bound"},
+		{"/query?id=q1.1&engine=cpu&interconnect=nvlink", "interconnect requires a fleet or a placement"},
+		{"/query?id=q1.1&engine=cpu&nocache=maybe", `bad nocache value \"maybe\": want a boolean`},
+		{"/query?id=q1.1&engine=cpu&partitions=-1", `bad partitions value \"-1\": want a non-negative integer`},
+		{"/query?id=q1.1&engine=cpu&packed=2", `bad packed value \"2\": want a boolean`},
+		{"/query?id=q1.1&engine=gpu&gpus=two", `bad gpus value \"two\": want a non-negative integer`},
+	}
+	for _, tc := range cases {
+		resp, err := http.Get(srv.URL + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.body) {
+			t.Errorf("GET %s: status %d body %s, want 400 naming %q", tc.path, resp.StatusCode, body, tc.body)
+		}
+	}
+	// Edge refusals never reach the service; the first four are its errors.
+	if st := svc.Stats(); st.Errors != 4 || st.PlanMisses != 0 {
+		t.Errorf("stats: %d errors, %d plan misses; want 4 errors and nothing compiled", st.Errors, st.PlanMisses)
+	}
+}
+
+// TestErrorStatus pins the status of each failure class, the panicked
+// execution (serve.ErrIncomplete) included: that one is the server's fault,
+// a 500, never a 400.
+func TestErrorStatus(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	refused := serve.Response{Err: errors.New("serve: unknown engine \"tpu\"")}
+	for _, tc := range []struct {
+		resp serve.Response
+		err  error
+		want int
+	}{
+		{serve.Response{}, serve.ErrOverloaded, http.StatusTooManyRequests},
+		{serve.Response{Err: serve.ErrExpired}, serve.ErrExpired, http.StatusGatewayTimeout},
+		{serve.Response{Err: serve.ErrIncomplete}, serve.ErrIncomplete, http.StatusInternalServerError},
+		{serve.Response{}, ctx.Err(), http.StatusRequestTimeout},
+		{refused, refused.Err, http.StatusBadRequest},
+		{serve.Response{}, serve.ErrClosed, http.StatusInternalServerError},
+	} {
+		if got := errorStatus(ctx, tc.resp, tc.err); got != tc.want {
+			t.Errorf("errorStatus(%v) = %d, want %d", tc.err, got, tc.want)
+		}
 	}
 }

@@ -78,6 +78,18 @@ func (ic Interconnect) String() string {
 // absurd device count.
 const MaxGPUs = 64
 
+// CheckGPUs reports whether n devices make a fleet a Spec accepts:
+// 1..MaxGPUs.
+func CheckGPUs(n int) error {
+	if n < 1 {
+		return fmt.Errorf("fleet: need at least 1 GPU, got %d", n)
+	}
+	if n > MaxGPUs {
+		return fmt.Errorf("fleet: %d GPUs exceeds the %d-device fleet bound", n, MaxGPUs)
+	}
+	return nil
+}
+
 // Spec describes one fleet deployment: how many GPUs, which device model
 // each is, and the interconnect between them and the host.
 type Spec struct {
@@ -94,11 +106,8 @@ type Spec struct {
 // Normalized validates the spec and fills in the defaults (V100 devices,
 // PCIe link).
 func (s Spec) Normalized() (Spec, error) {
-	if s.GPUs < 1 {
-		return Spec{}, fmt.Errorf("fleet: need at least 1 GPU, got %d", s.GPUs)
-	}
-	if s.GPUs > MaxGPUs {
-		return Spec{}, fmt.Errorf("fleet: %d GPUs exceeds the %d-device fleet bound", s.GPUs, MaxGPUs)
+	if err := CheckGPUs(s.GPUs); err != nil {
+		return Spec{}, err
 	}
 	if s.Device == nil {
 		s.Device = device.V100()

@@ -35,10 +35,7 @@ func (p *Plan) ScheduleHybrid(fl fleet.Spec, frac float64, opts RunOptions) (sch
 	if err != nil {
 		return sched.Schedule{}, 0, err
 	}
-	var t0 time.Time
-	if opts.Trace {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	if frac < 0 {
 		frac = sched.CPUFraction(device.I76900(), fl.Device, fl.GPUs)
 	}
@@ -84,9 +81,6 @@ func (p *Plan) ScheduleHybrid(fl fleet.Spec, frac float64, opts RunOptions) (sch
 			Merge:    true,
 		})
 	}
-	if opts.Trace {
-		s.Trace = true
-		s.BuildWall = time.Since(t0)
-	}
+	opts.stamp(&s, t0)
 	return s, frac, nil
 }

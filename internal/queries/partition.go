@@ -73,6 +73,9 @@ type FleetOptions struct {
 	// (or a short slice) disable caching for the remaining devices.
 	// Ignored by single-device runs.
 	Residency []Residency
+	// MemoryBytes, when positive, replaces a fleet device's memory
+	// capacity in ScheduleFleet's shard placement (spill experiments).
+	MemoryBytes int64
 }
 
 // RunOptions configures one execution of a compiled plan. The options are

@@ -273,6 +273,14 @@ func (x *gpuDeviceExecutor) Execute(a sched.Assignment) sched.Partial {
 	return part
 }
 
+// stamp marks a schedule for tracing when the run asked for a trace, with
+// the wall time its builder took since t0.
+func (o RunOptions) stamp(s *sched.Schedule, t0 time.Time) {
+	if o.Trace {
+		s.Trace, s.BuildWall = true, time.Since(t0)
+	}
+}
+
 // ScheduleEngine places every morsel on a single engine executor (the
 // coprocessor path included), with the fact table split into
 // opts.Partition.Partitions zone-mapped morsels. Rows are identical at any
@@ -281,10 +289,7 @@ func (x *gpuDeviceExecutor) Execute(a sched.Assignment) sched.Partial {
 // statistics sum exactly to the monolithic pass's), and strictly cheaper
 // when zone maps skip morsels.
 func (p *Plan) ScheduleEngine(e Engine, opts RunOptions) sched.Schedule {
-	var t0 time.Time
-	if opts.Trace {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	ms := p.morselRun(opts)
 	all := make([]int, len(ms.morsels))
 	for i := range all {
@@ -298,10 +303,7 @@ func (p *Plan) ScheduleEngine(e Engine, opts RunOptions) sched.Schedule {
 		Morsels: len(ms.morsels),
 		Packed:  ms.packed != nil,
 	}
-	if opts.Trace {
-		s.Trace = true
-		s.BuildWall = time.Since(t0)
-	}
+	opts.stamp(&s, t0)
 	return s
 }
 
@@ -321,16 +323,19 @@ func (p *Plan) ScheduleEngine(e Engine, opts RunOptions) sched.Schedule {
 // degrade gracefully: the spilled morsels stay host-resident and their
 // referenced columns cross the interconnect, priced like a coprocessor
 // transfer (overlapped with execution, packed runs shipping packed bytes,
-// and opts.Fleet.Residency able to elide them entirely).
+// and opts.Fleet.Residency able to elide them entirely). A positive
+// opts.Fleet.MemoryBytes replaces each device's memory capacity.
 func (p *Plan) ScheduleFleet(fl fleet.Spec, opts RunOptions) (sched.Schedule, error) {
 	fl, err := fl.Normalized()
 	if err != nil {
 		return sched.Schedule{}, err
 	}
-	var t0 time.Time
-	if opts.Trace {
-		t0 = time.Now()
+	if opts.Fleet.MemoryBytes > 0 {
+		d := *fl.Device
+		d.MemoryBytes = opts.Fleet.MemoryBytes
+		fl.Device = &d
 	}
+	t0 := time.Now()
 	if opts.Partition.Partitions < fl.GPUs {
 		opts.Partition.Partitions = fl.GPUs
 	}
@@ -359,10 +364,7 @@ func (p *Plan) ScheduleFleet(fl fleet.Spec, opts RunOptions) (sched.Schedule, er
 			Merge:    true,
 		})
 	}
-	if opts.Trace {
-		s.Trace = true
-		s.BuildWall = time.Since(t0)
-	}
+	opts.stamp(&s, t0)
 	return s, nil
 }
 

@@ -6,48 +6,16 @@ import (
 	"crystal/internal/fleet"
 	"crystal/internal/planner"
 	"crystal/internal/queries"
+	"crystal/internal/sched"
 	"crystal/internal/ssb"
 )
 
-// batchShape is the request-level compatibility key for shared-scan
-// batching: two queued jobs may share a scan only when they resolved
-// against one dataset snapshot and every field that changes the morsel
-// map, the fact encoding or the execution placement agrees. Query identity
-// is deliberately absent — that is the footprint check (queries.Compatible)
-// the batch former applies to the bound queries.
-type batchShape struct {
-	snap         *snapshot
-	engine       queries.Engine
-	placement    string
-	interconnect string
-	partitions   int
-	gpus         int
-	packed       bool
-}
-
-// batchKey reduces a normalized, effective request resolved against sn to
-// its batchShape, or reports it unbatchable: NoCache requests (explicitly
-// standalone) and residency-dependent shapes (coprocessor or
-// constrained-fleet packed runs, whose solo seconds depend on device-cache
-// state the batch path never consults) never batch.
-func (s *Service) batchKey(req Request, sn *snapshot) (batchShape, bool) {
-	if req.NoCache || s.coprocResidency(req) || s.fleetResidency(req) {
-		return batchShape{}, false
-	}
-	return batchShape{
-		snap:         sn,
-		engine:       req.Engine,
-		placement:    req.Placement,
-		interconnect: req.Interconnect,
-		partitions:   req.Partitions,
-		gpus:         req.GPUs,
-		packed:       req.Packed,
-	}, true
-}
-
 // formBatch drains up to MaxBatch-1 pending jobs that can share the
-// leader's scan: same batchShape and a fact-column footprint overlapping the
-// leader's bound query. Deadline-expired jobs found during the scan are
+// leader's scan: resolved against the same dataset snapshot, with the same
+// normalized shape (engine, placement, fleet, morsel count and encoding —
+// everything that changes the morsel map or where it runs), and a
+// fact-column footprint overlapping the leader's bound query
+// (queries.Compatible). Deadline-expired jobs found during the scan are
 // dropped with ErrExpired. Returns nil when batching is disabled, the
 // leader is unbatchable, or no peer qualifies — the caller then executes
 // solo. Every queued job is a miss its caller already resolved, and two
@@ -62,7 +30,7 @@ func (s *Service) formBatch(leader *job) []*job {
 		switch {
 		case p.expired(now):
 			return drainDrop
-		case p.batchable && p.shape == leader.shape && queries.Compatible(&leader.q, &p.q):
+		case p.batchable && p.snap == leader.snap && p.shape == leader.shape && queries.Compatible(&leader.q, &p.q):
 			return drainTake
 		}
 		return drainKeep
@@ -115,10 +83,9 @@ func (s *Service) executeBatch(leader *job, leaderWait time.Duration, peers []*j
 		}
 	}
 
-	// Every member resolved against the leader's snapshot (it is part of
-	// the batchShape), so the leader's snapshot, request and link serve the
-	// whole batch.
-	sn, req := leader.snap, leader.req
+	// Every member resolved against the leader's snapshot and shares its
+	// shape (formBatch's rule), so the leader's route serves the whole batch.
+	sn, sh := leader.snap, leader.shape
 	for i, j := range jobs {
 		if s.execHook != nil {
 			s.execHook(j.key)
@@ -126,8 +93,8 @@ func (s *Service) executeBatch(leader *job, leaderWait time.Duration, peers []*j
 		plans[i], resps[i].PlanCached, planWalls[i] = s.plan(sn, j.q, j.canon)
 		qs[i] = j.q
 	}
-	rt, err := s.route(sn, req, leader.link, func(fl fleet.Spec, packed *ssb.PackedFact) (planner.Placement, error) {
-		choice, _, err := planner.ChooseBatchPlacement(fl, sn.ds, qs, plans[0].Morsels(req.Partitions), packed)
+	rt, err := s.route(sn, sh, func(fl fleet.Spec, packed *ssb.PackedFact) (planner.Placement, error) {
+		choice, _, err := planner.ChooseBatchPlacement(fl, sn.ds, qs, plans[0].Morsels(sh.Partitions), packed)
 		return choice, err
 	})
 	if err != nil {
@@ -140,7 +107,12 @@ func (s *Service) executeBatch(leader *job, leaderWait time.Duration, peers []*j
 		// simulated slow backend.
 		time.Sleep(s.opts.ExecDelay)
 	}
-	br, err := queries.RunBatchScheduled(plans, rt.opts, rt.schedule)
+	var cpuFrac float64 // the same for every member: they share the shape
+	br, err := queries.RunBatchScheduled(plans, rt.opts, func(p *queries.Plan) (sched.Schedule, error) {
+		sc, frac, err := p.Schedule(rt.shape, rt.opts)
+		cpuFrac = frac
+		return sc, err
+	})
 	if err != nil {
 		fail(err)
 		return
@@ -149,7 +121,7 @@ func (s *Service) executeBatch(leader *job, leaderWait time.Duration, peers []*j
 	s.recordBatch(br.SharedScanBytes, br.SoloScanBytes)
 	for i, j := range jobs {
 		m, resp := br.Members[i], &resps[i]
-		resp.Answer = rt.report(m.ScheduledResult)
+		resp.Answer = rt.report(m.ScheduledResult, cpuFrac)
 		resp.Batched = true
 		resp.BatchSize = len(jobs)
 		resp.BatchShareSeconds = m.ShareSeconds

@@ -497,14 +497,16 @@ func TestBatchKeyRejects(t *testing.T) {
 		{"packed coproc without residency", plain, Request{QueryID: "q1.1", Engine: queries.EngineCoproc, Packed: true}, true},
 		{"packed coproc with residency", resident, Request{QueryID: "q1.1", Engine: queries.EngineCoproc, Packed: true}, false},
 	}
-	// batchKey takes a normalized request: one that fails to normalize is
-	// answered with its error on its caller and never queues.
-	batchKey := func(s *Service, req Request) (batchShape, bool) {
-		norm, _, err := normalize(req)
-		if err != nil {
-			return batchShape{}, false
+	// A job's batch key is its normalized shape (and snapshot). A request
+	// whose shape fails to normalize is answered with its error on its
+	// caller and never queues.
+	batchKey := func(s *Service, req Request) (queries.Shape, bool) {
+		_, j := s.prepare(req, time.Now())
+		if j == nil {
+			return queries.Shape{}, false
 		}
-		return s.batchKey(norm, s.snap.Load())
+		s.unlead(j, ErrClosed) // nothing follows: release the flight prepare opened
+		return j.shape, j.batchable
 	}
 	for _, tc := range cases {
 		if _, got := batchKey(tc.s, tc.req); got != tc.ok {
@@ -513,14 +515,21 @@ func TestBatchKeyRejects(t *testing.T) {
 	}
 
 	// Shape equality is what groups members: partitions and links separate.
-	k1, _ := batchKey(plain, Request{QueryID: "q1.1", Engine: queries.EngineGPU, GPUs: 2, Partitions: 8})
-	k2, _ := batchKey(plain, Request{QueryID: "q1.2", Engine: queries.EngineGPU, GPUs: 2, Partitions: 8})
-	k3, _ := batchKey(plain, Request{QueryID: "q1.1", Engine: queries.EngineGPU, GPUs: 2, Partitions: 9})
+	// The test table has two tiles, so a fleet's count clamps to 2: counts
+	// that clamp alike are one shape.
+	k1, _ := batchKey(plain, Request{QueryID: "q1.1", Engine: queries.EngineGPU, GPUs: 1, Partitions: 1})
+	k2, _ := batchKey(plain, Request{QueryID: "q1.2", Engine: queries.EngineGPU, GPUs: 1, Partitions: 1})
+	k3, _ := batchKey(plain, Request{QueryID: "q1.1", Engine: queries.EngineGPU, GPUs: 1, Partitions: 2})
+	k4, _ := batchKey(plain, Request{QueryID: "q1.1", Engine: queries.EngineGPU, GPUs: 1, Partitions: 1, Interconnect: "nvlink"})
+	k5, _ := batchKey(plain, Request{QueryID: "q1.1", Engine: queries.EngineGPU, GPUs: 1, Partitions: 9})
 	if k1 != k2 {
 		t.Error("same shape with different queries must share a batch key")
 	}
-	if k1 == k3 {
-		t.Error("different partition counts must not share a batch key")
+	if k1 == k3 || k1 == k4 {
+		t.Error("different partition counts or links must not share a batch key")
+	}
+	if k3 != k5 {
+		t.Error("partition counts that clamp to the same morsel map must share a batch key")
 	}
 }
 

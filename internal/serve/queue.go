@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"crystal/internal/fleet"
 	"crystal/internal/queries"
 )
 
@@ -15,12 +14,12 @@ import (
 // the flight it follows; every other job queues for a worker. seq orders
 // jobs of equal priority FIFO.
 type job struct {
-	// req is the normalized request with its effective partition count,
-	// link its parsed interconnect, and snap the dataset snapshot it
-	// resolved against and executes against.
-	req  Request
-	link fleet.Interconnect
-	snap *snapshot
+	// shape is where the job runs, normalized against snap, the dataset
+	// snapshot it resolved against and executes against; req is the
+	// request as its response echoes it, shape included.
+	req   Request
+	shape queries.Shape
+	snap  *snapshot
 	// q and canon are the bound query and its canonical form, key the
 	// result-cache and single-flight key, and bindWall how long resolving
 	// them took.
@@ -28,9 +27,7 @@ type job struct {
 	canon    string
 	key      string
 	bindWall time.Duration
-	// shape is the batch-compatibility key; batchable is false for shapes
-	// that never batch.
-	shape     batchShape
+	// batchable is false for jobs that never share a scan.
 	batchable bool
 	// lead is the flight this job leads (nil when it may not coalesce);
 	// follow is the flight a follower waits on.

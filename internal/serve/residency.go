@@ -124,30 +124,22 @@ func (c *deviceCache) snapshot() deviceCacheStats {
 	}
 }
 
-// boundResidency binds the device cache to one dataset generation; it is
-// the queries.Residency the coprocessor engine consults.
-type boundResidency struct {
+// residency binds a device cache to one dataset generation: the
+// queries.Residency the coprocessor engine and the fleet devices consult. A
+// fleet device's is also scoped to one shard map (scope, "GPUsxPartitions"):
+// the spilled byte range of a column depends on it, so a column pinned for
+// one shape must never satisfy another shape's lookup — a hit would elide
+// shipping bytes that were never resident.
+type residency struct {
 	cache *deviceCache
 	gen   uint64
+	scope string
 }
 
 // Acquire implements queries.Residency.
-func (r boundResidency) Acquire(col string, bytes int64) (hit, admitted bool) {
+func (r residency) Acquire(col string, bytes int64) (hit, admitted bool) {
+	if r.scope != "" {
+		col = cacheKey(r.scope, col)
+	}
 	return r.cache.acquire(r.gen, col, bytes)
-}
-
-// shapedResidency additionally scopes lookups to one fleet shape: the
-// spilled byte range of a column depends on the shard map (device count
-// and partition count), so a column pinned for one shape must never
-// satisfy another shape's lookup — a hit would elide shipping bytes that
-// were never resident.
-type shapedResidency struct {
-	cache *deviceCache
-	gen   uint64
-	shape string
-}
-
-// Acquire implements queries.Residency.
-func (r shapedResidency) Acquire(col string, bytes int64) (hit, admitted bool) {
-	return r.cache.acquire(r.gen, cacheKey(r.shape, col), bytes)
 }

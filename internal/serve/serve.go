@@ -47,7 +47,6 @@ import (
 	"crystal/internal/fleet"
 	"crystal/internal/planner"
 	"crystal/internal/queries"
-	"crystal/internal/sched"
 	sqlfe "crystal/internal/sql"
 	"crystal/internal/ssb"
 	"crystal/internal/trace"
@@ -67,6 +66,10 @@ var ErrOverloaded = errors.New("serve: overloaded: pending queue is full")
 // Deadline elapsed while it was still queued: the worker drops the job
 // at pickup instead of executing it dead.
 var ErrExpired = errors.New("serve: deadline expired before execution")
+
+// ErrIncomplete is the Response.Err of an execution that panicked: its
+// job, followers and batch-mates complete with it, and the worker lives on.
+var ErrIncomplete = errors.New("serve: execution did not complete")
 
 // Request names one unit of work: a query executed on one engine. The
 // query is either named (QueryID, one of the 13 SSB definitions) or ad hoc
@@ -94,7 +97,8 @@ type Request struct {
 	// devices, each runs the tile-based kernel over its own shard, and the
 	// partial aggregates merge over the Interconnect. Rows are identical to
 	// single-device execution at any fleet size. 0 (the default) runs on
-	// one device; fleet requests must name the Standalone GPU engine.
+	// one device; fleet requests must name the Standalone GPU engine. More
+	// than fleet.MaxGPUs (64) is refused before anything queues.
 	GPUs int
 	// Interconnect names the fleet link ("pcie" or "nvlink"; empty means
 	// pcie). Meaningful when GPUs > 0 or Placement is set.
@@ -110,6 +114,8 @@ type Request struct {
 	// Standalone GPU engine — the kernels the GPU arms run); GPUs sizes
 	// the GPU arm (default 1). Rows are identical across placements;
 	// simulated seconds follow each placement's bandwidth model.
+	// "cpu" is the Standalone CPU engine (queries.Shape): no GPU arm, no
+	// link; its answer reports Placement "cpu", CPUFrac 1, one executor.
 	Placement string
 	// NoCache bypasses the result cache for this request (the plan cache
 	// still applies); used to force fresh execution for benchmarking. A
@@ -457,8 +463,8 @@ type Service struct {
 	recorder *trace.Recorder
 
 	// morsels bounds intra-query helper parallelism across every in-flight
-	// request (see Options.MorselHelpers).
-	morsels gate
+	// request (Options.MorselHelpers); tests may swap in a counting one.
+	morsels queries.Limiter
 
 	// queue holds the jobs that have to execute: flight leaders, NoCache
 	// requests and residency-dependent requests — never a hit or a
@@ -507,23 +513,31 @@ func New(ds *ssb.Dataset, version string, opts Options) *Service {
 				if s.slots != nil {
 					<-s.slots
 				}
-				now := time.Now()
-				if j.expired(now) {
-					// Expired in the queue: executing it would waste a
-					// worker on an answer nobody is waiting for.
-					s.drop(j, ErrExpired)
-					continue
-				}
-				wait := now.Sub(j.enqueued)
-				if peers := s.formBatch(j); len(peers) > 0 {
-					s.executeBatch(j, wait, peers)
-					continue
-				}
-				s.execute(j, wait)
+				s.run(j)
 			}
 		}()
 	}
 	return s
+}
+
+// run executes one job a worker picked up, alone or leading a shared-scan
+// batch. A panic in either path ends here, not the process: the path's
+// deferred completion has answered every job it held with ErrIncomplete.
+func (s *Service) run(j *job) {
+	defer func() { _ = recover() }()
+	now := time.Now()
+	if j.expired(now) {
+		// Expired in the queue: executing it would waste a worker on an
+		// answer nobody is waiting for.
+		s.drop(j, ErrExpired)
+		return
+	}
+	wait := now.Sub(j.enqueued)
+	if peers := s.formBatch(j); len(peers) > 0 {
+		s.executeBatch(j, wait, peers)
+		return
+	}
+	s.execute(j, wait)
 }
 
 // Workers returns the execution pool size.
@@ -576,14 +590,14 @@ func (s *Service) SetDataset(version string, ds *ssb.Dataset) {
 // (gpus × effective partitions): different shard maps spill different
 // byte ranges of a column, which must never satisfy each other's lookups.
 func (s *Service) fleetResidencies(gen uint64, gpus, partitions int) []queries.Residency {
-	shape := strconv.Itoa(gpus) + "x" + strconv.Itoa(partitions)
+	scope := strconv.Itoa(gpus) + "x" + strconv.Itoa(partitions)
 	s.fleetMu.Lock()
 	for len(s.fleetCaches) < gpus {
 		s.fleetCaches = append(s.fleetCaches, newDeviceCache(s.opts.DeviceCacheBytes, s.snap.Load().gen))
 	}
 	out := make([]queries.Residency, gpus)
 	for i := range out {
-		out[i] = shapedResidency{cache: s.fleetCaches[i], gen: gen, shape: shape}
+		out[i] = residency{cache: s.fleetCaches[i], gen: gen, scope: scope}
 	}
 	s.fleetMu.Unlock()
 	return out
@@ -852,89 +866,22 @@ func (s *Service) resolve(sn *snapshot, req Request) (queries.Query, string, err
 	}
 }
 
-// normalize canonicalizes the request fields that do not depend on the
-// dataset — engine aliases, the placement and interconnect spellings, the
-// GPU arm's default size, negative counts, and the morsel-count floor a
-// fleet (GPUs) or placement (GPUs+1, every arm can own a morsel) schedule
-// raises small partition counts to — so every spelling of one request
-// dispatches, batches and caches alike. It returns the error a request with
-// an unparseable field is answered with, on its caller, before anything
-// queues.
-func normalize(req Request) (Request, fleet.Interconnect, error) {
-	var link fleet.Interconnect
-	// Placement requests may leave the engine empty — the placement router
-	// owns engine choice and runs the tile-based kernels on its GPU arms.
-	engine := queries.EngineGPU
-	if req.Engine != "" || req.Placement == "" {
-		var err error
-		if engine, err = ParseEngine(string(req.Engine)); err != nil {
-			return req, link, err
-		}
-	}
-	req.Engine = engine
-	req.Partitions = max(req.Partitions, 0)
-	req.GPUs = max(req.GPUs, 0)
-	floor := req.GPUs // morsels a fleet schedule needs: one per device
-	switch {
-	case req.Placement != "":
-		placement, err := ParsePlacement(req.Placement)
-		if err != nil {
-			return req, link, err
-		}
-		req.Placement = placement
-		if engine != queries.EngineGPU {
-			return req, link, fmt.Errorf(
-				"serve: placement routing owns engine choice; leave Engine empty or name %q, got %q",
-				queries.EngineGPU, engine)
-		}
-		req.GPUs = max(req.GPUs, 1) // the GPU arm's default fleet size
-		floor = req.GPUs + 1
-	case req.GPUs > 0:
-		if engine != queries.EngineGPU {
-			return req, link, fmt.Errorf(
-				"serve: fleet execution runs the tile-based kernels; engine must be %q, got %q",
-				queries.EngineGPU, engine)
-		}
-	default:
-		req.Interconnect = ""
-		return req, link, nil
-	}
-	link, err := fleet.ParseInterconnect(req.Interconnect)
-	if err != nil {
-		return req, link, err
-	}
-	req.Interconnect = link.Name
-	req.Partitions = max(req.Partitions, floor)
-	return req, link, nil
+// shape is the request's execution shape as submitted, before
+// queries.Shape.Normalize.
+func (r Request) shape() queries.Shape {
+	return queries.Shape{Engine: r.Engine, Placement: r.Placement, GPUs: r.GPUs,
+		Link: r.Interconnect, Partitions: r.Partitions, Packed: r.Packed}
 }
 
-// effective clamps a normalized fleet or placement request's morsel count
-// to the one the dataset's shard map actually has (ssb.Partition caps it at
-// the tile count), so requests that execute the same split share result
-// keys and residency pins.
-func effective(req Request, rows int) Request {
-	if req.Placement != "" || req.GPUs > 0 {
-		if eff := ssb.EffectivePartitions(rows, req.Partitions); eff > 0 {
-			req.Partitions = eff
-		}
-	}
-	return req
+// echo is r as its response reports it: the shape fields replaced by the
+// normalized shape it was keyed and run on.
+func (r Request) echo(sh queries.Shape) Request {
+	r.Engine, r.Placement, r.GPUs = sh.Engine, sh.Placement, sh.GPUs
+	r.Interconnect, r.Partitions, r.Packed = sh.Link, sh.Partitions, sh.Packed
+	return r
 }
 
-// resultKey is the result-cache and single-flight key of a normalized,
-// effective request at dataset generation gen. The partition count and
-// encoding are part of the result identity: rows always agree, but a pruned
-// partitioned run or a packed run reports different
-// Seconds/Morsels/Pruned/TransferBytes than a plain monolithic one, and
-// those must replay deterministically. The requested placement joins the key
-// too ("auto" stays "auto": the planner's choice is deterministic per
-// generation, so the cached response replays it exactly).
-func resultKey(gen uint64, canon string, req Request) string {
-	return cacheKey(strconv.FormatUint(gen, 10), canon, string(req.Engine), strconv.Itoa(req.Partitions),
-		packedKey(req.Packed), strconv.Itoa(req.GPUs), req.Interconnect, req.Placement)
-}
-
-// coprocResidency and fleetResidency report whether a normalized request's
+// coprocResidency and fleetResidency report whether a normalized shape's
 // simulated seconds depend on device-cache state (cold vs warm transfer).
 // Such responses are not replayable: coprocessor residency requests bypass
 // the result cache and single-flight entirely, and packed fleet requests
@@ -942,12 +889,12 @@ func resultKey(gen uint64, canon string, req Request) string {
 // touched no residency state (nothing spilled, nothing resident) are ever
 // stored, and those are deterministic. Neither shape is ever batched.
 // Placement runs never consult residency caches.
-func (s *Service) coprocResidency(req Request) bool {
-	return req.Packed && req.Engine == queries.EngineCoproc && s.devCache != nil
+func (s *Service) coprocResidency(sh queries.Shape) bool {
+	return sh.Packed && sh.Engine == queries.EngineCoproc && s.devCache != nil
 }
 
-func (s *Service) fleetResidency(req Request) bool {
-	return req.Placement == "" && req.GPUs > 0 && req.Packed && s.devCache != nil && s.opts.FleetDeviceMemoryBytes > 0
+func (s *Service) fleetResidency(sh queries.Shape) bool {
+	return sh.Placement == "" && sh.GPUs > 0 && sh.Packed && s.devCache != nil && s.opts.FleetDeviceMemoryBytes > 0
 }
 
 // plan returns the compiled plan for q through the plan cache: a
@@ -973,93 +920,52 @@ func (s *Service) plan(sn *snapshot, q queries.Query, canon string) (plan *queri
 	return entry.plan, cached, time.Since(start)
 }
 
-// route is the execution shape of one normalized, effective request: its
-// run options and placement resolved, ready to schedule any plan compiled
-// for it. It is the one place a request becomes a sched.Schedule — a solo
-// execution schedules its plan through it, a shared-scan batch every
-// member's.
+// route is how a job runs: its shape with "auto" resolved, and the run
+// options the service supplies — the packed fact, the residency hooks, the
+// morsel pool and the fleet-memory override. A solo execution schedules its
+// plan on it, a shared-scan batch every member's (queries.Plan.Schedule).
 type route struct {
-	req  Request
-	fl   fleet.Spec // the fleet, or a placement's GPU arm
-	opts queries.RunOptions
-	// placement is the resolved placement ("auto" replaced by the planner's
-	// choice; empty for classic dispatch) and cpuFrac the live-row share a
-	// hybrid schedule routed to the CPU arm, known once schedule has run.
-	placement string
-	cpuFrac   float64
+	shape queries.Shape
+	opts  queries.RunOptions
 }
 
-// route resolves req's run options, fleet shape and placement. auto is
-// consulted for "auto" placements only: the planner's choice among the
+// route assembles sh's run options and resolves its placement. auto is
+// consulted for "auto" shapes only: the planner's choice among the
 // host-resident placements, deterministic per generation (same dataset,
 // same morsel map, same choice — which is what lets "auto" responses
 // cache).
-func (s *Service) route(sn *snapshot, req Request, link fleet.Interconnect,
+func (s *Service) route(sn *snapshot, sh queries.Shape,
 	auto func(fleet.Spec, *ssb.PackedFact) (planner.Placement, error)) (*route, error) {
-	r := &route{req: req, placement: req.Placement}
-	r.opts.Partition.Partitions = req.Partitions
+	r := &route{shape: sh}
+	r.opts.Partition.Partitions = sh.Partitions
 	r.opts.Partition.Limiter = s.morsels
+	r.opts.Fleet.MemoryBytes = s.opts.FleetDeviceMemoryBytes
 	r.opts.Trace = s.recorder != nil
-	if req.Packed {
+	if sh.Packed {
 		r.opts.Partition.Packed = sn.packedFact()
 		switch {
-		case s.fleetResidency(req):
-			r.opts.Fleet.Residency = s.fleetResidencies(sn.gen, req.GPUs, req.Partitions)
-		case s.coprocResidency(req):
-			r.opts.Partition.Residency = boundResidency{cache: s.devCache, gen: sn.gen}
+		case s.fleetResidency(sh):
+			r.opts.Fleet.Residency = s.fleetResidencies(sn.gen, sh.GPUs, sh.Partitions)
+		case s.coprocResidency(sh):
+			r.opts.Partition.Residency = residency{cache: s.devCache, gen: sn.gen}
 		}
 	}
-	switch {
-	case req.Placement != "":
-		r.fl = fleet.Spec{GPUs: req.GPUs, Link: link}
-		if req.Placement == PlacementAuto {
-			choice, err := auto(r.fl, r.opts.Partition.Packed)
-			if err != nil {
-				return nil, err
-			}
-			r.placement = string(choice)
+	if sh.Placement == PlacementAuto {
+		choice, err := auto(sh.Fleet(), r.opts.Partition.Packed)
+		if err != nil {
+			return nil, err
 		}
-	case req.GPUs > 0:
-		dev := device.V100()
-		if s.opts.FleetDeviceMemoryBytes > 0 {
-			d := *dev
-			d.MemoryBytes = s.opts.FleetDeviceMemoryBytes
-			dev = &d
-		}
-		r.fl = fleet.Spec{GPUs: req.GPUs, Device: dev, Link: link}
+		r.shape = sh.Place(string(choice))
 	}
 	return r, nil
 }
 
-// schedule places plan p the way the request asked: a placement co-executes
-// the CPU and GPU arms over a split of the morsels (pure CPU and pure GPU
-// are its end points), a fleet request range-shards them over the devices,
-// and classic dispatch runs them all on the named engine.
-func (r *route) schedule(p *queries.Plan) (sched.Schedule, error) {
-	switch {
-	case r.placement != "":
-		frac := -1.0 // hybrid: the throughput-balanced default split
-		switch r.placement {
-		case PlacementCPU:
-			frac = 1
-		case PlacementGPU:
-			frac = 0
-		}
-		sc, resolved, err := p.ScheduleHybrid(r.fl, frac, r.opts)
-		r.cpuFrac = resolved
-		return sc, err
-	case r.req.GPUs > 0:
-		return p.ScheduleFleet(r.fl, r.opts)
-	default:
-		return p.ScheduleEngine(r.req.Engine, r.opts), nil
-	}
-}
-
-// report builds a scheduled run's Answer in the wire shape of the request's
-// dispatch: placement requests report their executors, fleet requests the
-// fleet-shaped per-device view. This is the one place an Answer is made;
-// the executing request, the result cache and the flight all share it.
-func (r *route) report(sr *queries.ScheduledResult) *Answer {
+// report builds a scheduled run's Answer in the wire shape of the route:
+// placement requests report their executors and the cpuFrac Plan.Schedule
+// returned, fleet requests the fleet-shaped per-device view. This is the
+// one place an Answer is made; the executing request, the result cache and
+// the flight all share it.
+func (r *route) report(sr *queries.ScheduledResult, cpuFrac float64) *Answer {
 	a := &Answer{
 		Result:        sr.Result,
 		SimSeconds:    sr.Result.Seconds,
@@ -1068,42 +974,33 @@ func (r *route) report(sr *queries.ScheduledResult) *Answer {
 		TransferBytes: sr.Result.TransferBytes,
 		ResidentCols:  sr.Result.ResidentCols,
 	}
+	sh := r.shape
 	switch {
-	case r.placement != "":
-		a.Placement = r.placement
-		a.CPUFrac = r.cpuFrac
+	case sh.Placement != "":
+		a.Placement = sh.Placement
+		a.CPUFrac = cpuFrac
 		a.Executors = sr.Executors
-	case r.req.GPUs > 0:
+	case sh.GPUs > 0:
 		a.Devices = queries.FleetDevices(sr.Executors)
 	default:
 		return a
 	}
-	a.GPUs = r.req.GPUs
-	a.Interconnect = r.req.Interconnect
+	a.GPUs = sh.GPUs
+	a.Interconnect = sh.Link
 	a.MergeBytes = sr.MergeBytes
 	return a
 }
 
-// errIncomplete is what an execution that ended without an answer or an
-// error — a panic mid-run — completes its job, and so its flight, with.
-var errIncomplete = errors.New("serve: execution did not complete")
-
 // prepare is a request's front half, run on its caller: snapshot →
-// normalize → resolve → result key → lookup-or-follow-or-lead. A request
-// the caller can answer — a normalize or bind error, or a result-cache hit —
-// comes back settled in resp with a nil job. Any other request comes back
-// as its job, carrying everything computed here so that nothing downstream
-// computes it again: a follower (follow set), which waits on an identical
-// request's flight and never queues, or a job that has to execute — the
-// leader of a new flight (lead set), or a request that may not coalesce.
+// normalize its shape → resolve → result key → lookup-or-follow-or-lead. A
+// request the caller can answer — a shape or bind error, or a result-cache
+// hit — comes back settled in resp with a nil job. Any other request comes
+// back as its job, carrying everything computed here so that nothing
+// downstream computes it again: a follower (follow set), which waits on an
+// identical request's flight and never queues, or a job that has to execute
+// — the leader of a new flight (lead set), or a request that may not
+// coalesce.
 func (s *Service) prepare(req Request, start time.Time) (resp Response, j *job) {
-	norm, link, err := normalize(req)
-	if err != nil {
-		resp.Request = req
-		return s.failed(&resp, err), nil
-	}
-	coalesceable := !norm.NoCache && !s.coprocResidency(norm)
-
 	// Snapshot → resolve → lookup-or-lead runs in a retry loop. A request
 	// that loaded a snapshot and stalled could reach the lookup after a
 	// swap purged its key's stored answer — and would then execute that
@@ -1114,8 +1011,13 @@ func (s *Service) prepare(req Request, start time.Time) (resp Response, j *job) 
 	// strict.
 	for {
 		sn := s.snap.Load()
-		req := effective(norm, sn.ds.Lineorder.Rows())
-		resp = Response{Request: req, Version: sn.version}
+		sh, err := req.shape().Normalize(sn.ds.Lineorder.Rows())
+		if err != nil {
+			resp = Response{Request: req}
+			return s.failed(&resp, err), nil
+		}
+		coalesceable := !req.NoCache && !s.coprocResidency(sh)
+		resp = Response{Request: req.echo(sh), Version: sn.version}
 		// bindWall times query resolution for the trace's bind span; stamped
 		// unconditionally (two clock reads), consumed only when tracing.
 		bindStart := time.Now()
@@ -1125,7 +1027,12 @@ func (s *Service) prepare(req Request, start time.Time) (resp Response, j *job) 
 			return s.failed(&resp, err), nil
 		}
 		resp.Query = q
-		key := resultKey(sn.gen, canon, req)
+		// The result-cache and single-flight key: generation, canonical
+		// query and shape, built in one allocation when it fits the buffer
+		// (every catalog query and generated statement does).
+		var kb [384]byte
+		b := append(strconv.AppendUint(kb[:0], sn.gen, 10), 0)
+		key := string(sh.AppendKey(append(append(b, canon...), 0)))
 		var f *flight
 		following := false
 		if coalesceable {
@@ -1154,13 +1061,15 @@ func (s *Service) prepare(req Request, start time.Time) (resp Response, j *job) 
 			}
 			s.cacheMu.Unlock()
 		}
-		j = &job{req: req, link: link, snap: sn, q: q, canon: canon, key: key, bindWall: bindWall}
+		j = &job{req: resp.Request, shape: sh, snap: sn, q: q, canon: canon, key: key, bindWall: bindWall}
 		if following {
 			j.follow = f
 			return resp, j
 		}
 		j.lead = f
-		j.shape, j.batchable = s.batchKey(req, sn)
+		// NoCache requests and residency-dependent shapes (whose seconds
+		// depend on device-cache state a batch never consults) never batch.
+		j.batchable = !req.NoCache && !s.coprocResidency(sh) && !s.fleetResidency(sh)
 		j.done = make(chan Response, 1)
 		return resp, j
 	}
@@ -1180,18 +1089,18 @@ func (s *Service) execute(j *job, queueWait time.Duration) {
 		time.Sleep(s.opts.ExecDelay)
 	}
 
-	sn, req := j.snap, j.req
+	sn := j.snap
 	plan, planCached, planWall := s.plan(sn, j.q, j.canon)
 	resp.PlanCached = planCached
-	rt, err := s.route(sn, req, j.link, func(fl fleet.Spec, packed *ssb.PackedFact) (planner.Placement, error) {
-		choice, _, err := planner.ChoosePlacement(fl, sn.ds, j.q, plan.Morsels(req.Partitions), packed)
+	rt, err := s.route(sn, j.shape, func(fl fleet.Spec, packed *ssb.PackedFact) (planner.Placement, error) {
+		choice, _, err := planner.ChoosePlacement(fl, sn.ds, j.q, plan.Morsels(j.shape.Partitions), packed)
 		return choice, err
 	})
 	if err != nil {
 		resp.Err = err
 		return
 	}
-	sc, err := rt.schedule(plan)
+	sc, cpuFrac, err := plan.Schedule(rt.shape, rt.opts)
 	if err != nil {
 		resp.Err = err
 		return
@@ -1201,7 +1110,7 @@ func (s *Service) execute(j *job, queueWait time.Duration) {
 		resp.Err = err
 		return
 	}
-	resp.Answer = rt.report(sr)
+	resp.Answer = rt.report(sr, cpuFrac)
 	resp.Wall = j.bindWall + time.Since(start)
 	if s.recorder != nil {
 		s.finishTrace(&resp, j.bindWall, planWall, sr.Trace)
@@ -1212,10 +1121,10 @@ func (s *Service) execute(j *job, queueWait time.Duration) {
 // batch member: it stores the answer if it is replayable, completes the
 // flight the job leads, records stats and replies. Executors defer it, so
 // even a panic mid-execution releases the followers: the flight completes
-// with errIncomplete.
+// with ErrIncomplete.
 func (s *Service) complete(j *job, resp *Response) {
 	if resp.Answer == nil && resp.Err == nil {
-		resp.Err = errIncomplete
+		resp.Err = ErrIncomplete
 	}
 	// Store unconditionally, even when the dataset was swapped while this
 	// job executed: the entry is keyed by the generation it ran against, so
@@ -1227,8 +1136,8 @@ func (s *Service) complete(j *job, resp *Response) {
 	// request can miss both the cache and the flight table while the answer
 	// it should share exists. Residency-dependent answers are never cached;
 	// see coprocResidency.
-	cacheable := resp.Err == nil && !s.coprocResidency(j.req) &&
-		(!s.fleetResidency(j.req) || (resp.TransferBytes == 0 && resp.ResidentCols == 0))
+	cacheable := resp.Err == nil && !s.coprocResidency(j.shape) &&
+		(!s.fleetResidency(j.shape) || (resp.TransferBytes == 0 && resp.ResidentCols == 0))
 	s.cacheMu.Lock()
 	if cacheable {
 		s.results.put(j.key, resp.Answer)
@@ -1385,59 +1294,23 @@ func (s *Service) recordBatch(sharedBytes, soloBytes int64) {
 // engine names or versions.
 func cacheKey(parts ...string) string { return strings.Join(parts, "\x00") }
 
-// packedKey renders the encoding choice for cache keys.
-func packedKey(packed bool) string {
-	if packed {
-		return "packed"
-	}
-	return "plain"
-}
-
 // The placements a request may name. PlacementAuto defers to
 // planner.ChoosePlacement; the other three force one of the host-resident
 // placements the unified scheduler executes.
 const (
-	PlacementAuto   = "auto"
-	PlacementCPU    = string(planner.PlaceCPU)
-	PlacementGPU    = string(planner.PlaceGPU)
-	PlacementHybrid = string(planner.PlaceHybrid)
+	PlacementAuto   = queries.PlacementAuto
+	PlacementCPU    = queries.PlacementCPU
+	PlacementGPU    = queries.PlacementGPU
+	PlacementHybrid = queries.PlacementHybrid
 )
 
 // ParsePlacement canonicalizes a requested placement ("auto", "cpu",
 // "gpu" or "hybrid", case-insensitive).
-func ParsePlacement(name string) (string, error) {
-	switch p := strings.ToLower(strings.TrimSpace(name)); p {
-	case PlacementAuto, PlacementCPU, PlacementGPU, PlacementHybrid:
-		return p, nil
-	default:
-		return "", fmt.Errorf("serve: unknown placement %q (want auto, cpu, gpu or hybrid)", name)
-	}
-}
-
-// engineAliases maps short names (CLI/HTTP friendly) to engines.
-var engineAliases = map[string]queries.Engine{
-	"gpu":     queries.EngineGPU,
-	"cpu":     queries.EngineCPU,
-	"hyper":   queries.EngineHyper,
-	"monet":   queries.EngineMonet,
-	"monetdb": queries.EngineMonet,
-	"omnisci": queries.EngineOmnisci,
-	"coproc":  queries.EngineCoproc,
-}
+func ParsePlacement(name string) (string, error) { return queries.ParsePlacement(name) }
 
 // ParseEngine resolves an engine from its full name ("Standalone GPU") or
 // a short alias ("gpu", "cpu", "hyper", "monet", "omnisci", "coproc").
-func ParseEngine(name string) (queries.Engine, error) {
-	for _, e := range queries.Engines() {
-		if string(e) == name {
-			return e, nil
-		}
-	}
-	if e, ok := engineAliases[strings.ToLower(strings.TrimSpace(name))]; ok {
-		return e, nil
-	}
-	return "", fmt.Errorf("serve: unknown engine %q", name)
-}
+func ParseEngine(name string) (queries.Engine, error) { return queries.ParseEngine(name) }
 
 // EngineAlias returns the canonical short alias for an engine.
 func EngineAlias(e queries.Engine) string {

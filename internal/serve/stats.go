@@ -231,9 +231,9 @@ func (st *Stats) record(resp *Response) {
 	} else {
 		st.NamedRequests++
 	}
-	// Fleet requests carry a normalized Partitions >= GPUs; their morsel
-	// and pruning tallies live under the fleet counters below, not here.
-	if resp.Request.Partitions > 0 && resp.GPUs == 0 {
+	// Fleet and placement requests tally their morsels and pruning under
+	// the fleet and placement counters below, not here.
+	if resp.Request.Partitions > 0 && resp.GPUs == 0 && resp.Placement == "" {
 		st.PartitionedRequests++
 		st.Morsels += int64(resp.Morsels)
 		st.PrunedMorsels += int64(resp.Pruned)
