@@ -35,7 +35,10 @@ func (p *Plan) ScheduleHybrid(fl fleet.Spec, frac float64, opts RunOptions) (sch
 	if err != nil {
 		return sched.Schedule{}, 0, err
 	}
-	t0 := time.Now()
+	var t0 time.Time
+	if opts.Trace {
+		t0 = time.Now()
+	}
 	if frac < 0 {
 		frac = sched.CPUFraction(device.I76900(), fl.Device, fl.GPUs)
 	}
@@ -81,6 +84,9 @@ func (p *Plan) ScheduleHybrid(fl fleet.Spec, frac float64, opts RunOptions) (sch
 			Merge:    true,
 		})
 	}
-	opts.stamp(&s, t0)
+	if opts.Trace {
+		s.Trace = true
+		s.BuildWall = time.Since(t0)
+	}
 	return s, frac, nil
 }

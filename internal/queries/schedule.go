@@ -273,14 +273,6 @@ func (x *gpuDeviceExecutor) Execute(a sched.Assignment) sched.Partial {
 	return part
 }
 
-// stamp marks a schedule for tracing when the run asked for a trace, with
-// the wall time its builder took since t0.
-func (o RunOptions) stamp(s *sched.Schedule, t0 time.Time) {
-	if o.Trace {
-		s.Trace, s.BuildWall = true, time.Since(t0)
-	}
-}
-
 // ScheduleEngine places every morsel on a single engine executor (the
 // coprocessor path included), with the fact table split into
 // opts.Partition.Partitions zone-mapped morsels. Rows are identical at any
@@ -289,7 +281,10 @@ func (o RunOptions) stamp(s *sched.Schedule, t0 time.Time) {
 // statistics sum exactly to the monolithic pass's), and strictly cheaper
 // when zone maps skip morsels.
 func (p *Plan) ScheduleEngine(e Engine, opts RunOptions) sched.Schedule {
-	t0 := time.Now()
+	var t0 time.Time
+	if opts.Trace {
+		t0 = time.Now()
+	}
 	ms := p.morselRun(opts)
 	all := make([]int, len(ms.morsels))
 	for i := range all {
@@ -303,7 +298,10 @@ func (p *Plan) ScheduleEngine(e Engine, opts RunOptions) sched.Schedule {
 		Morsels: len(ms.morsels),
 		Packed:  ms.packed != nil,
 	}
-	opts.stamp(&s, t0)
+	if opts.Trace {
+		s.Trace = true
+		s.BuildWall = time.Since(t0)
+	}
 	return s
 }
 
@@ -335,7 +333,10 @@ func (p *Plan) ScheduleFleet(fl fleet.Spec, opts RunOptions) (sched.Schedule, er
 		d.MemoryBytes = opts.Fleet.MemoryBytes
 		fl.Device = &d
 	}
-	t0 := time.Now()
+	var t0 time.Time
+	if opts.Trace {
+		t0 = time.Now()
+	}
 	if opts.Partition.Partitions < fl.GPUs {
 		opts.Partition.Partitions = fl.GPUs
 	}
@@ -364,7 +365,10 @@ func (p *Plan) ScheduleFleet(fl fleet.Spec, opts RunOptions) (sched.Schedule, er
 			Merge:    true,
 		})
 	}
-	opts.stamp(&s, t0)
+	if opts.Trace {
+		s.Trace = true
+		s.BuildWall = time.Since(t0)
+	}
 	return s, nil
 }
 

@@ -163,25 +163,33 @@ func ParsePlacement(name string) (string, error) {
 	}
 }
 
-// engineAliases maps short names (CLI/HTTP friendly) to engines.
-var engineAliases = map[string]Engine{
-	"gpu":     EngineGPU,
-	"cpu":     EngineCPU,
-	"hyper":   EngineHyper,
-	"monet":   EngineMonet,
-	"monetdb": EngineMonet,
-	"omnisci": EngineOmnisci,
-	"coproc":  EngineCoproc,
+// engineAliases names each engine's short, CLI/HTTP friendly aliases; the
+// first is its canonical one.
+var engineAliases = map[Engine][]string{
+	EngineGPU:     {"gpu"},
+	EngineCPU:     {"cpu"},
+	EngineHyper:   {"hyper"},
+	EngineMonet:   {"monet", "monetdb"},
+	EngineOmnisci: {"omnisci"},
+	EngineCoproc:  {"coproc"},
 }
 
 // ParseEngine resolves an engine from its full name ("Standalone GPU") or
 // a short alias ("gpu", "cpu", "hyper", "monet", "omnisci", "coproc").
 func ParseEngine(name string) (Engine, error) {
-	if slices.Contains(Engines(), Engine(name)) {
-		return Engine(name), nil
-	}
-	if e, ok := engineAliases[strings.ToLower(strings.TrimSpace(name))]; ok {
-		return e, nil
+	alias := strings.ToLower(strings.TrimSpace(name))
+	for e, aliases := range engineAliases {
+		if string(e) == name || slices.Contains(aliases, alias) {
+			return e, nil
+		}
 	}
 	return "", fmt.Errorf("serve: unknown engine %q", name)
+}
+
+// EngineAlias returns the canonical short alias for an engine.
+func EngineAlias(e Engine) string {
+	if aliases, ok := engineAliases[e]; ok {
+		return aliases[0]
+	}
+	return string(e)
 }

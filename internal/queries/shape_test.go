@@ -114,11 +114,11 @@ func TestScheduleShapes(t *testing.T) {
 	}
 }
 
-// TestCPUPlacementIsCPUEngine pins the fact that lets placement "cpu"
+// TestPureCPUSplitIsCPUEngine pins the fact that lets placement "cpu"
 // normalize to the CPU engine shape: a hybrid schedule with every morsel on
 // the CPU arm prices bit-equal to the CPU engine, with equal rows, on every
 // catalog query, plain and packed, at any morsel count, GPU arm and link.
-func TestCPUPlacementIsCPUEngine(t *testing.T) {
+func TestPureCPUSplitIsCPUEngine(t *testing.T) {
 	packed := shapeDS.Pack()
 	for _, q := range All() {
 		p := Compile(shapeDS, q)

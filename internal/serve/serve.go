@@ -262,8 +262,8 @@ type Options struct {
 	ExecDelay time.Duration
 	// MaxBatch enables shared-scan batching of compatible queries: at
 	// pickup a worker drains up to MaxBatch-1 pending requests that are
-	// scan-compatible with the picked job (same engine/partitions/packed
-	// mode/fleet shape, overlapping fact-column footprint —
+	// scan-compatible with the picked job (same snapshot and queries.Shape,
+	// overlapping fact-column footprint —
 	// queries.Compatible) and executes the whole batch through one shared
 	// morsel scan (queries.RunBatchScheduled), charging shared column traffic
 	// once. Each member's rows and simulated seconds are identical to its
@@ -1313,20 +1313,4 @@ func ParsePlacement(name string) (string, error) { return queries.ParsePlacement
 func ParseEngine(name string) (queries.Engine, error) { return queries.ParseEngine(name) }
 
 // EngineAlias returns the canonical short alias for an engine.
-func EngineAlias(e queries.Engine) string {
-	switch e {
-	case queries.EngineGPU:
-		return "gpu"
-	case queries.EngineCPU:
-		return "cpu"
-	case queries.EngineHyper:
-		return "hyper"
-	case queries.EngineMonet:
-		return "monet"
-	case queries.EngineOmnisci:
-		return "omnisci"
-	case queries.EngineCoproc:
-		return "coproc"
-	}
-	return string(e)
-}
+func EngineAlias(e queries.Engine) string { return queries.EngineAlias(e) }
