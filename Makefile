@@ -13,6 +13,7 @@ COVER_FLOOR_SCHED   ?= 90.0
 COVER_FLOOR_TRACE   ?= 90.0
 COVER_FLOOR_SERVE   ?= 97.0
 COVER_FLOOR_LOADGEN ?= 90.0
+COVER_FLOOR_PLANNER ?= 98.5
 
 # Allocation ceilings for benchmark-smoke, in KB per request at 3 s, seed 1:
 # about 1.25x what the commit that set them measures (scan_solo 51, queued_batch
@@ -90,7 +91,8 @@ cover:
 	check ./internal/sched $(COVER_FLOOR_SCHED); \
 	check ./internal/trace $(COVER_FLOOR_TRACE); \
 	check ./internal/serve $(COVER_FLOOR_SERVE); \
-	check ./internal/loadgen $(COVER_FLOOR_LOADGEN)
+	check ./internal/loadgen $(COVER_FLOOR_LOADGEN); \
+	check ./internal/planner $(COVER_FLOOR_PLANNER)
 
 lint:
 	$(GO) vet ./...

@@ -496,7 +496,7 @@ func runHybrid(ds *ssb.Dataset, gpuArms int) error {
 		tb := &bench.Table{Title: "placement times (ms)"}
 		tb.Columns = []string{"cpu", "gpu", "hybrid"}
 		fl := fleet.Spec{GPUs: gpuArms, Link: ic}
-		verdicts := map[planner.Placement]int{}
+		verdicts := map[string]int{}
 		for _, q := range queries.All() {
 			plan := queries.Compile(ds, q)
 			var vals []float64
@@ -520,7 +520,7 @@ func runHybrid(ds *ssb.Dataset, gpuArms int) error {
 		}
 		tb.Fprint(os.Stdout)
 		fmt.Printf("planner verdicts: %d cpu, %d gpu, %d hybrid of %d queries\n\n",
-			verdicts[planner.PlaceCPU], verdicts[planner.PlaceGPU], verdicts[planner.PlaceHybrid],
+			verdicts[queries.PlacementCPU], verdicts[queries.PlacementGPU], verdicts[queries.PlacementHybrid],
 			len(queries.All()))
 	}
 	fmt.Println("hybrid wins only where the interconnect can feed the GPU arms: the PCIe")

@@ -83,18 +83,18 @@ func TestChooseBatchPlacementRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := PlaceCPU
+		want := queries.PlacementCPU
 		if est.GPUSeconds < est.CPUSeconds {
-			want = PlaceGPU
+			want = queries.PlacementGPU
 		}
 		if est.HybridSeconds < est.CPUSeconds && est.HybridSeconds < est.GPUSeconds {
-			want = PlaceHybrid
+			want = queries.PlacementHybrid
 		}
 		if place != want {
 			t.Errorf("%s: routed to %s, estimates say %s (cpu=%.9f gpu=%.9f hybrid=%.9f)",
 				link.Name, place, want, est.CPUSeconds, est.GPUSeconds, est.HybridSeconds)
 		}
-		if link.Name == fleet.PCIe().Name && place != PlaceCPU {
+		if link.Name == fleet.PCIe().Name && place != queries.PlacementCPU {
 			t.Errorf("PCIe batch routed to %s, want cpu (shipment drowns the GPU arm)", place)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"crystal/internal/device"
 	"crystal/internal/fleet"
 	"crystal/internal/queries"
 	"crystal/internal/ssb"
@@ -79,7 +80,7 @@ func TestHybridCrossover(t *testing.T) {
 					t.Errorf("%s: model prices hybrid %.9gs against cpu %.9gs / gpu %.9gs — should win both",
 						label, est.Seconds, est.PureCPUSeconds, est.PureGPUSeconds)
 				}
-				if choice != PlaceHybrid {
+				if choice != queries.PlacementHybrid {
 					t.Errorf("%s: planner chose %q, want hybrid", label, choice)
 				}
 			} else {
@@ -91,7 +92,7 @@ func TestHybridCrossover(t *testing.T) {
 					t.Errorf("%s: model prices hybrid %.9gs under pure CPU %.9gs on PCIe",
 						label, est.Seconds, est.PureCPUSeconds)
 				}
-				if choice != PlaceCPU {
+				if choice != queries.PlacementCPU {
 					t.Errorf("%s: planner chose %q, want cpu", label, choice)
 				}
 			}
@@ -145,18 +146,23 @@ func TestHybridCostShape(t *testing.T) {
 	if got, want := est.Seconds, slowest+est.MergeSeconds; got != want {
 		t.Errorf("estimate %.15g != slowest arm + merge %.15g", got, want)
 	}
-	// The executor and the model must agree on the hybrid ship volume:
-	// both derive the split and shard map from the same sched helpers.
-	opts := queries.RunOptions{}
-	opts.Partition.Partitions = 64
-	hr, err := runHybrid(queries.Compile(hybridDS, q), fl, -1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hr.Result.TransferBytes != est.ShipBytes {
-		t.Errorf("executor shipped %d bytes, model prices %d — split or shard map diverged",
-			hr.Result.TransferBytes, est.ShipBytes)
-	}
+	// The executor and the model must agree on the hybrid ship volume byte
+	// for byte: both derive the split and shard map from the same sched
+	// helpers.
+	eachShipRun(nil, func(label string, plan *queries.Plan, fl fleet.Spec, opts queries.RunOptions, morsels []ssb.Morsel) {
+		est, err := HybridCost(fl, ds, plan.Query, morsels, opts.Partition.Packed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := runHybrid(plan, fl, -1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hr.Result.TransferBytes != est.ShipBytes {
+			t.Errorf("%s: executor shipped %d bytes, model prices %d — split or shard map diverged",
+				label, hr.Result.TransferBytes, est.ShipBytes)
+		}
+	})
 
 	if _, err := HybridCost(fleet.Spec{GPUs: fleet.MaxGPUs + 1}, hybridDS, q, morsels, nil); err == nil {
 		t.Error("oversized fleet accepted")
@@ -191,6 +197,26 @@ func BenchmarkChoosePlacement(b *testing.B) {
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*len(set.qs)), "us/stmt")
 			})
+		}
+	}
+}
+
+// eachShipRun calls check for every catalog query on ds × {3, 7, 16}
+// morsels × plain/packed × both links, on a 2-GPU fleet of dev (nil: the
+// default device): the runs whose shipped bytes the model must price
+// exactly as the executor meters them.
+func eachShipRun(dev *device.Spec, check func(label string, plan *queries.Plan, fl fleet.Spec, opts queries.RunOptions, morsels []ssb.Morsel)) {
+	pf := ds.Pack()
+	for _, q := range queries.All() {
+		plan := queries.Compile(ds, q)
+		for _, parts := range []int{3, 7, 16} {
+			for _, packed := range []*ssb.PackedFact{nil, pf} {
+				for _, link := range fleet.Interconnects() {
+					opts := queries.RunOptions{Partition: queries.PartitionOptions{Partitions: parts, Packed: packed}}
+					label := fmt.Sprintf("%s %d morsels packed=%t %s", q.ID, parts, packed != nil, link.Name)
+					check(label, plan, fleet.Spec{GPUs: 2, Device: dev, Link: link}, opts, ds.Partition(parts))
+				}
+			}
 		}
 	}
 }

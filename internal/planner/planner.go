@@ -77,6 +77,9 @@ func Stats(ds *ssb.Dataset, q queries.Query) []JoinStats {
 // the pipeline.
 func Cost(dev *device.Spec, factRows int64, order []JoinStats) float64 {
 	pass := &device.Pass{Label: "plan cost"}
+	if factRows == 0 {
+		return dev.PassTime(pass) // nothing to read or probe: the launch alone
+	}
 	alive := float64(factRows)
 	lineElems := float64(dev.LineSize / 4)
 	colLines := float64(factRows) / lineElems
@@ -156,7 +159,8 @@ func TransferCost(totalBytes, residentBytes int64) float64 {
 type FleetEstimate struct {
 	// GPUs is the fleet size the estimate prices.
 	GPUs int
-	// Seconds is the fleet estimate: max per-device seconds plus the merge.
+	// Seconds is the fleet estimate: max per-device seconds plus the merge
+	// and the on-device ORDER BY.
 	Seconds float64
 	// DeviceSeconds is each device's estimated time (shard scan and probe
 	// pipeline, overlapped with its spill shipment).
@@ -190,74 +194,9 @@ func FleetCost(fl fleet.Spec, ds *ssb.Dataset, q queries.Query, morsels []ssb.Mo
 	if err != nil {
 		return FleetEstimate{}, err
 	}
-	return fleetCost(fl, q, Stats(ds, q), morsels, packed), nil
-}
-
-// fleetCost is FleetCost on a normalized fleet, with the query's join
-// statistics already computed.
-func fleetCost(fl fleet.Spec, q queries.Query, stats []JoinStats, morsels []ssb.Morsel, packed *ssb.PackedFact) FleetEstimate {
-	refCols := q.ReferencedFactColumns()
-	var filterCols []string
-	for _, f := range q.FactFilters {
-		filterCols = append(filterCols, f.Col)
-	}
-	// Footprints come from the same shared helpers ScheduleFleet prices
-	// placement with — agreement by shared code, not by parallel copies.
-	shardBytes := func(m ssb.Morsel) int64 { return ssb.MorselStorageBytes(packed, m) }
-	spillCost := func(m ssb.Morsel) int64 {
-		var b int64
-		for _, c := range refCols {
-			b += ssb.MorselColumnBytes(packed, m, c)
-		}
-		return b
-	}
-	shards := fleet.Assign(morsels, fl.GPUs, fl.Device.MemoryBytes, shardBytes)
-
-	est := FleetEstimate{GPUs: fl.GPUs}
-	pruned := queries.PruneMorsels(morsels, q.FactFilters)
-	var makespan float64
-	for _, sh := range shards {
-		if len(sh.Morsels) == 0 {
-			est.DeviceSeconds = append(est.DeviceSeconds, 0)
-			continue
-		}
-		spilled := make(map[int]bool, len(sh.Spilled))
-		for _, mi := range sh.Spilled {
-			spilled[mi] = true
-		}
-		var rows, spillBytes int64
-		for _, mi := range sh.Morsels {
-			if pruned[mi] {
-				continue // host-side zone check: neither scanned nor shipped
-			}
-			rows += int64(morsels[mi].Rows())
-			if spilled[mi] {
-				spillBytes += spillCost(morsels[mi])
-			}
-		}
-		var scan float64
-		if packed != nil {
-			scan = ScanCostPacked(fl.Device, packed, rows, filterCols)
-		} else {
-			scan = ScanCost(fl.Device, rows, len(filterCols))
-		}
-		sec := scan + Cost(fl.Device, rows, stats)
-		est.SpillBytes += spillBytes
-		if t := fl.Link.TransferTime(spillBytes); t > sec {
-			sec = t // spill overlaps execution, coprocessor style
-		}
-		est.DeviceSeconds = append(est.DeviceSeconds, sec)
-		if sec > makespan {
-			makespan = sec
-		}
-		est.MergeBytes += int64(q.GroupEstimate()) * q.AggRowBytes()
-	}
-	est.MergeSeconds = fl.Link.TransferTime(est.MergeBytes)
-	// ORDER BY queries sort on the fleet's devices after the merge
-	// (per-device runs plus a host merge in the executor; the estimate
-	// prices the dominant radix term).
-	est.Seconds = makespan + est.MergeSeconds + OrderCost(fl.Device, q)
-	return est
+	est := newMembers(fl, ds, []queries.Query{q}, morsels, packed).price(0, fl.Device.MemoryBytes)
+	return FleetEstimate{GPUs: fl.GPUs, Seconds: est.Seconds, DeviceSeconds: est.DeviceSeconds,
+		SpillBytes: est.ShipBytes, MergeBytes: est.MergeBytes, MergeSeconds: est.MergeSeconds}, nil
 }
 
 // Plan is one costed join order.

@@ -236,7 +236,7 @@ func TestOptimizeGroupedPreservesPayloadOrder(t *testing.T) {
 // TestPruneEstimateAndPartitionedCost: on the uniform layout zone maps
 // prune nothing and partitioned plans cost exactly the monolithic ones; on
 // a clustered layout the selective q1.1 date flight prunes most morsels and
-// every plan gets strictly cheaper.
+// every plan gets strictly cheaper; a plan over no rows costs its launch.
 func TestPruneEstimateAndPartitionedCost(t *testing.T) {
 	q21, _ := queries.ByID("q2.1")
 	uniform := ds.Partition(32)
@@ -264,6 +264,13 @@ func TestPruneEstimateAndPartitionedCost(t *testing.T) {
 	}
 	if pr.ScannedRows >= int64(clustered.Lineorder.Rows()) {
 		t.Fatal("pruning did not shrink the scan")
+	}
+	// With every morsel pruned no row reaches the joins, and the plan
+	// prices the launch alone.
+	for _, dev := range []*device.Spec{device.V100(), device.I76900()} {
+		if got, want := Cost(dev, 0, Stats(ds, q21)), Cost(dev, 0, nil); got != want {
+			t.Errorf("%s: zero-row plan costs %v, the launch alone %v", dev.Name, got, want)
+		}
 	}
 	mono := Choose(device.V100(), clustered, q11)[0].Seconds
 	part := ChoosePartitioned(device.V100(), clustered, q11, morsels)[0].Seconds
@@ -366,9 +373,8 @@ func TestFleetCostMergeAndSpill(t *testing.T) {
 
 // TestFleetCostPackedPlacement pins the scheduler/executor agreement on
 // packed runs: with device memory sized between the packed and the plain
-// shard footprint, the plain estimate spills while the packed one places
-// everything resident — matching what the fleet schedule executes — and the
-// packed scan term follows ScanCostPacked (cheaper on the GPU device).
+// shard footprint, the plain estimate spills more than the packed one, and
+// every run's estimated spill is the bytes the fleet schedule ships.
 func TestFleetCostPackedPlacement(t *testing.T) {
 	q, err := queries.ByID("q1.1")
 	if err != nil {
@@ -400,21 +406,26 @@ func TestFleetCostPackedPlacement(t *testing.T) {
 			packed.SpillBytes, plain.SpillBytes)
 	}
 
-	// The executor must agree with the model about whether packing spills.
-	fr, err := runFleet(queries.Compile(ds, q), fl, queries.RunOptions{Partition: queries.PartitionOptions{Partitions: 16, Packed: pf}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if (packed.SpillBytes > 0) != (fr.Result.TransferBytes > 0) {
-		t.Errorf("model and executor disagree about packed spill: estimate %d bytes, engine shipped %d",
-			packed.SpillBytes, fr.Result.TransferBytes)
-	}
-	plainRun, err := runFleet(queries.Compile(ds, q), fl, queries.RunOptions{Partition: queries.PartitionOptions{Partitions: 16}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if (plain.SpillBytes > 0) != (plainRun.Result.TransferBytes > 0) {
-		t.Errorf("model and executor disagree about plain spill: estimate %d bytes, engine shipped %d",
-			plain.SpillBytes, plainRun.Result.TransferBytes)
+	// The executor must spill exactly the bytes the model prices, on this
+	// device, across the catalog, morsel counts, encodings and links.
+	spills := 0
+	eachShipRun(dev, func(label string, plan *queries.Plan, fl fleet.Spec, opts queries.RunOptions, morsels []ssb.Morsel) {
+		est, err := FleetCost(fl, ds, plan.Query, morsels, opts.Partition.Packed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := runFleet(plan, fl, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.Result.TransferBytes != est.SpillBytes {
+			t.Errorf("%s: engine spilled %d bytes, model prices %d", label, fr.Result.TransferBytes, est.SpillBytes)
+		}
+		if est.SpillBytes > 0 {
+			spills++
+		}
+	})
+	if spills == 0 {
+		t.Error("no run spills at half-shard capacity")
 	}
 }

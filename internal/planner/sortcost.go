@@ -11,12 +11,15 @@ import (
 // range, so three stable 7-bit passes per key is the planning assumption.
 const sortKeyBits = 20
 
-// SortCost prices the full ORDER BY sort of the query's estimated result
-// rows on dev: the LSD radix sort on GPUs, the merge sort on the host —
-// both through the same exported pricing helpers the executor's sort phase
-// charges, so the planner and the sort it routes to can never drift. The
-// cost is zero for queries without ORDER BY.
-func SortCost(dev *device.Spec, q queries.Query) float64 {
+// OrderCost is the ORDER BY term a placement estimate adds for the query's
+// estimated result rows on dev, zero without ORDER BY: the LSD radix sort
+// on GPUs (the device sorts fully and truncates to any LIMIT; there is no
+// priced GPU heap), the full merge sort on the host — or, under a LIMIT,
+// the bounded heap when it prices no higher, the heap-vs-sort decision the
+// executor makes. Every term comes from the exported pricing helpers the
+// executor's sort phase charges, so the planner and the sort it routes to
+// can never drift.
+func OrderCost(dev *device.Spec, q queries.Query) float64 {
 	if len(q.OrderBy) == 0 {
 		return 0
 	}
@@ -24,33 +27,11 @@ func SortCost(dev *device.Spec, q queries.Query) float64 {
 	if dev.IsGPU() {
 		return queries.RadixSortCost(dev, n, len(q.OrderBy), sortKeyBits)
 	}
-	return queries.MergeSortCost(dev, n, q.SortRowBytes())
-}
-
-// TopNCost prices the query's ORDER BY ... LIMIT k on dev: on the host the
-// cheaper of the bounded heap and the full merge sort (the same
-// heap-vs-sort decision the executor makes), on GPUs the radix sort (the
-// device sorts fully and truncates; there is no priced GPU heap).
-func TopNCost(dev *device.Spec, q queries.Query) float64 {
-	if len(q.OrderBy) == 0 {
-		return 0
-	}
-	if dev.IsGPU() || q.Limit <= 0 {
-		return SortCost(dev, q)
-	}
-	n := int64(q.GroupEstimate())
-	heap := queries.TopNHeapCost(dev, n, q.SortRowBytes(), q.Limit)
-	if full := queries.MergeSortCost(dev, n, q.SortRowBytes()); full < heap {
-		return full
-	}
-	return heap
-}
-
-// OrderCost is the ORDER BY term a placement estimate adds: TopNCost when
-// the query carries a LIMIT, SortCost otherwise, zero without ORDER BY.
-func OrderCost(dev *device.Spec, q queries.Query) float64 {
+	full := queries.MergeSortCost(dev, n, q.SortRowBytes())
 	if q.Limit > 0 {
-		return TopNCost(dev, q)
+		if heap := queries.TopNHeapCost(dev, n, q.SortRowBytes(), q.Limit); heap <= full {
+			return heap
+		}
 	}
-	return SortCost(dev, q)
+	return full
 }

@@ -12,7 +12,7 @@ import (
 // Sort-phase compute costs (scalar-equivalent cycles) on the CPU engines:
 // one comparator evaluation per row per merge pass, and one heap sift level
 // per row for the bounded top-N heap. Exported through the cost helpers
-// below so planner.SortCost/TopNCost price exactly what the executor runs.
+// below so planner.OrderCost prices exactly what the executor runs.
 const (
 	SortCmpCycles = 8.0
 	HeapCycles    = 12.0
@@ -23,7 +23,7 @@ const (
 func sortRowBytes(q *Query) int64 { return int64(8 + 8*len(q.AggList())) }
 
 // SortRowBytes exposes the sort-phase row width to the planner, which
-// prices SortCost/TopNCost with the same width the executor moves.
+// prices OrderCost with the same width the executor moves.
 func (q *Query) SortRowBytes() int64 { return sortRowBytes(q) }
 
 // sortStage is one sequential stage of the ORDER BY phase: the stages of a
@@ -291,7 +291,7 @@ func RadixSortCost(dev *device.Spec, n int64, keys, keyBits int) float64 {
 
 // hostSort runs the CPU ORDER BY path on rows: the bounded heap when the
 // query has a LIMIT and the heap prices cheaper, the full merge sort
-// otherwise — the heap-vs-sort decision the planner's TopNCost mirrors.
+// otherwise — the heap-vs-sort decision the planner's OrderCost mirrors.
 func hostSort(q *Query, rows []Row, o *sortOutcome) {
 	host := device.I76900()
 	n, rowBytes := int64(len(rows)), sortRowBytes(q)

@@ -93,7 +93,7 @@ func (s *Service) executeBatch(leader *job, leaderWait time.Duration, peers []*j
 		plans[i], resps[i].PlanCached, planWalls[i] = s.plan(sn, j.q, j.canon)
 		qs[i] = j.q
 	}
-	rt, err := s.route(sn, sh, func(fl fleet.Spec, packed *ssb.PackedFact) (planner.Placement, error) {
+	rt, err := s.route(sn, sh, func(fl fleet.Spec, packed *ssb.PackedFact) (string, error) {
 		choice, _, err := planner.ChooseBatchPlacement(fl, sn.ds, qs, plans[0].Morsels(sh.Partitions), packed)
 		return choice, err
 	})

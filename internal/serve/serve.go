@@ -935,7 +935,7 @@ type route struct {
 // same morsel map, same choice — which is what lets "auto" responses
 // cache).
 func (s *Service) route(sn *snapshot, sh queries.Shape,
-	auto func(fleet.Spec, *ssb.PackedFact) (planner.Placement, error)) (*route, error) {
+	auto func(fleet.Spec, *ssb.PackedFact) (string, error)) (*route, error) {
 	r := &route{shape: sh}
 	r.opts.Partition.Partitions = sh.Partitions
 	r.opts.Partition.Limiter = s.morsels
@@ -955,7 +955,7 @@ func (s *Service) route(sn *snapshot, sh queries.Shape,
 		if err != nil {
 			return nil, err
 		}
-		r.shape = sh.Place(string(choice))
+		r.shape = sh.Place(choice)
 	}
 	return r, nil
 }
@@ -1092,7 +1092,7 @@ func (s *Service) execute(j *job, queueWait time.Duration) {
 	sn := j.snap
 	plan, planCached, planWall := s.plan(sn, j.q, j.canon)
 	resp.PlanCached = planCached
-	rt, err := s.route(sn, j.shape, func(fl fleet.Spec, packed *ssb.PackedFact) (planner.Placement, error) {
+	rt, err := s.route(sn, j.shape, func(fl fleet.Spec, packed *ssb.PackedFact) (string, error) {
 		choice, _, err := planner.ChoosePlacement(fl, sn.ds, j.q, plan.Morsels(j.shape.Partitions), packed)
 		return choice, err
 	})
