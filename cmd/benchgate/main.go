@@ -34,7 +34,6 @@ import (
 
 	"crystal/internal/fleet"
 	"crystal/internal/queries"
-	"crystal/internal/sched"
 	"crystal/internal/ssb"
 )
 
@@ -105,8 +104,10 @@ func flightPlans(ds *ssb.Dataset) ([]*queries.Plan, error) {
 	return plans, nil
 }
 
-// scheduledSeconds runs a built schedule and returns its simulated seconds.
-func scheduledSeconds(plan *queries.Plan, s sched.Schedule, err error) (float64, error) {
+// shapeSeconds is the simulated time of plan on the execution shape sh,
+// scheduled through Plan.Schedule like every served request.
+func shapeSeconds(plan *queries.Plan, sh queries.Shape) (float64, error) {
+	s, _, err := plan.Schedule(sh, queries.RunOptions{})
 	if err != nil {
 		return 0, err
 	}
@@ -117,17 +118,10 @@ func scheduledSeconds(plan *queries.Plan, s sched.Schedule, err error) (float64,
 	return sr.Result.Seconds, nil
 }
 
-// fleetSeconds is the simulated time of plan range-sharded over fl.
-func fleetSeconds(plan *queries.Plan, fl fleet.Spec, opts queries.RunOptions) (float64, error) {
-	s, err := plan.ScheduleFleet(fl, opts)
-	return scheduledSeconds(plan, s, err)
-}
-
-// hybridSeconds is the simulated time of plan co-executed on the host CPU
-// and fl's GPU arm (frac 1 = pure CPU, 0 = pure GPU, -1 = balanced).
-func hybridSeconds(plan *queries.Plan, fl fleet.Spec, frac float64, opts queries.RunOptions) (float64, error) {
-	s, _, err := plan.ScheduleHybrid(fl, frac, opts)
-	return scheduledSeconds(plan, s, err)
+// placementShape is placement on a 1-GPU arm behind link over
+// hybridPartitions morsels; "cpu" is the CPU engine shape.
+func placementShape(placement string, link fleet.Interconnect) queries.Shape {
+	return queries.Shape{GPUs: 1, Link: link.Name, Partitions: hybridPartitions}.Place(placement)
 }
 
 func measureFleet(ds *ssb.Dataset) (gateBaseline, error) {
@@ -140,7 +134,7 @@ func measureFleet(ds *ssb.Dataset) (gateBaseline, error) {
 	for _, gpus := range []int{1, 2, 4, 8} {
 		var flight float64
 		for _, plan := range plans {
-			sec, err := fleetSeconds(plan, fleet.Spec{GPUs: gpus, Link: fleet.NVLink()}, queries.RunOptions{})
+			sec, err := shapeSeconds(plan, queries.Shape{Engine: queries.EngineGPU, GPUs: gpus, Link: fleet.NVLink().Name})
 			if err != nil {
 				return out, err
 			}
@@ -166,18 +160,14 @@ func measureHybrid(ds *ssb.Dataset) (hybridBaseline, error) {
 	if err != nil {
 		return out, err
 	}
-	opts := queries.RunOptions{}
-	opts.Partition.Partitions = hybridPartitions
 	for _, link := range fleet.Interconnects() {
 		entry := hybridEntry{Interconnect: link.Name}
-		fl := fleet.Spec{GPUs: 1, Link: link}
 		for _, plan := range plans {
-			// frac 1 = pure CPU, 0 = pure GPU, -1 = the balanced hybrid split.
 			for _, m := range []struct {
-				frac float64
-				out  *float64
-			}{{1, &entry.CPUSeconds}, {0, &entry.GPUSeconds}, {-1, &entry.HybridSeconds}} {
-				sec, err := hybridSeconds(plan, fl, m.frac, opts)
+				placement string
+				out       *float64
+			}{{queries.PlacementCPU, &entry.CPUSeconds}, {queries.PlacementGPU, &entry.GPUSeconds}, {queries.PlacementHybrid, &entry.HybridSeconds}} {
+				sec, err := shapeSeconds(plan, placementShape(m.placement, link))
 				if err != nil {
 					return out, err
 				}
@@ -223,8 +213,6 @@ func measureSort(ds *ssb.Dataset) (sortBaseline, error) {
 		Rows: ds.Lineorder.Rows(), FleetGPUs: sortFleetGPUs, Limit: 5,
 		Partitions: hybridPartitions, TolerancePct: tolerance * 100,
 	}
-	opts := queries.RunOptions{}
-	opts.Partition.Partitions = hybridPartitions
 	for _, id := range []string{"q2.1", "q3.1", "q4.1"} {
 		q, err := queries.ByID(id)
 		if err != nil {
@@ -234,16 +222,16 @@ func measureSort(ds *ssb.Dataset) (sortBaseline, error) {
 		q.Limit = out.Limit
 		plan := queries.Compile(ds, q)
 		entry := sortEntry{Query: id}
-		fl := fleet.Spec{GPUs: 1, Link: fleet.NVLink()}
 		for _, m := range []struct {
-			frac float64
-			out  *float64
-		}{{1, &entry.CPUSeconds}, {0, &entry.GPUSeconds}, {-1, &entry.HybridSeconds}} {
-			if *m.out, err = hybridSeconds(plan, fl, m.frac, opts); err != nil {
+			placement string
+			out       *float64
+		}{{queries.PlacementCPU, &entry.CPUSeconds}, {queries.PlacementGPU, &entry.GPUSeconds}, {queries.PlacementHybrid, &entry.HybridSeconds}} {
+			if *m.out, err = shapeSeconds(plan, placementShape(m.placement, fleet.NVLink())); err != nil {
 				return out, err
 			}
 		}
-		if entry.FleetSeconds, err = fleetSeconds(plan, fleet.Spec{GPUs: sortFleetGPUs, Link: fleet.NVLink()}, opts); err != nil {
+		fleetShape := queries.Shape{Engine: queries.EngineGPU, GPUs: sortFleetGPUs, Link: fleet.NVLink().Name, Partitions: hybridPartitions}
+		if entry.FleetSeconds, err = shapeSeconds(plan, fleetShape); err != nil {
 			return out, err
 		}
 		out.Queries = append(out.Queries, entry)

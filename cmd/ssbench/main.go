@@ -239,21 +239,16 @@ func runExplain(ds *ssb.Dataset, id, linkName string, gpuArms int) error {
 	}
 	bench.Banner(os.Stdout, fmt.Sprintf("EXPLAIN ANALYZE %s over %s (%d GPU arm(s))", q.ID, ic, gpuArms))
 	plan := queries.Compile(ds, q)
-	fl := fleet.Spec{GPUs: gpuArms, Link: ic}
-	opts := runOpts()
-	opts.Trace = true
-	for _, pl := range []struct {
-		name string
-		frac float64
-	}{{"cpu", 1}, {"gpu", 0}, {"hybrid", -1}} {
-		hr, err := execHybrid(plan, fl, pl.frac, opts)
+	arm := flagShape(queries.Shape{GPUs: gpuArms, Link: ic.Name})
+	for _, placement := range []string{queries.PlacementCPU, queries.PlacementGPU, queries.PlacementHybrid} {
+		hr, err := run(plan, arm.Place(placement), true)
 		if err != nil {
 			return err
 		}
 		tr := &trace.Trace{
 			Query:        q.ID,
-			Placement:    pl.name,
-			GPUs:         fl.GPUs,
+			Placement:    placement,
+			GPUs:         gpuArms,
 			Interconnect: ic.Name,
 			Sim:          hr.Result.Seconds,
 			Wall:         hr.Trace.Wall,
@@ -342,33 +337,23 @@ func runSQL(ds *ssb.Dataset, scale func(*queries.Result) float64, stmt string) e
 	if err != nil {
 		return err
 	}
-	fl := fleet.Spec{GPUs: max(*hgpus, 2), Link: ic}
+	gpuArms := max(*hgpus, 2)
 	ptb := &bench.Table{Title: "placement times (ms)", Columns: []string{"cpu", "gpu", "fleet", "hybrid"}}
 	var pvals []float64
-	for _, pl := range []string{"cpu", "gpu", "fleet", "hybrid"} {
-		var res *queries.Result
-		switch pl {
-		case "cpu":
-			res = exec(plan, queries.EngineCPU)
-		case "gpu":
-			res = exec(plan, queries.EngineGPU)
-		case "fleet":
-			fr, err := execFleet(plan, fl, runOpts())
-			if err != nil {
-				return err
-			}
-			res = fr.Result
-		case "hybrid":
-			hr, err := execHybrid(plan, fl, -1, runOpts())
-			if err != nil {
-				return err
-			}
-			res = hr.Result
+	for i, sh := range []queries.Shape{
+		{Engine: queries.EngineCPU},
+		{Engine: queries.EngineGPU},
+		{Engine: queries.EngineGPU, GPUs: gpuArms, Link: ic.Name},
+		{Placement: queries.PlacementHybrid, GPUs: gpuArms, Link: ic.Name},
+	} {
+		sr, err := run(plan, flagShape(sh), false)
+		if err != nil {
+			return err
 		}
-		if !res.Equal(results[0]) {
-			return fmt.Errorf("placement %s disagrees with the engines on the result rows", pl)
+		if !sr.Result.Equal(results[0]) {
+			return fmt.Errorf("placement %s disagrees with the engines on the result rows", ptb.Columns[i])
 		}
-		pvals = append(pvals, scale(res))
+		pvals = append(pvals, scale(sr.Result))
 	}
 	ptb.AddRow(q.ID, pvals...)
 	ptb.Fprint(os.Stdout)
@@ -453,7 +438,7 @@ func runFleetSweep(ds *ssb.Dataset, n int, linkName string) error {
 		plan := queries.Compile(ds, q)
 		var vals []float64
 		for _, k := range counts {
-			fr, err := execFleet(plan, fleet.Spec{GPUs: k, Link: ic}, runOpts())
+			fr, err := run(plan, flagShape(queries.Shape{Engine: queries.EngineGPU, GPUs: k, Link: ic.Name}), false)
 			if err != nil {
 				return err
 			}
@@ -496,12 +481,13 @@ func runHybrid(ds *ssb.Dataset, gpuArms int) error {
 		tb := &bench.Table{Title: "placement times (ms)"}
 		tb.Columns = []string{"cpu", "gpu", "hybrid"}
 		fl := fleet.Spec{GPUs: gpuArms, Link: ic}
+		arm := flagShape(queries.Shape{GPUs: gpuArms, Link: ic.Name})
 		verdicts := map[string]int{}
 		for _, q := range queries.All() {
 			plan := queries.Compile(ds, q)
 			var vals []float64
-			for _, frac := range []float64{1, 0, -1} {
-				hr, err := execHybrid(plan, fl, frac, runOpts())
+			for _, placement := range []string{queries.PlacementCPU, queries.PlacementGPU, queries.PlacementHybrid} {
+				hr, err := run(plan, arm.Place(placement), false)
 				if err != nil {
 					return err
 				}
@@ -541,7 +527,7 @@ func runMultiGPU(ds *ssb.Dataset) {
 	plan := queries.Compile(ds, q)
 	base := 0.0
 	for _, k := range []int{1, 2, 4, 8} {
-		fr, err := execFleet(plan, fleet.Spec{GPUs: k, Link: fleet.PCIe()}, queries.RunOptions{})
+		fr, err := run(plan, queries.Shape{Engine: queries.EngineGPU, GPUs: k, Link: fleet.PCIe().Name}, false)
 		if err != nil {
 			panic(err)
 		}
@@ -555,51 +541,41 @@ func runMultiGPU(ds *ssb.Dataset) {
 	fmt.Println()
 }
 
-// exec runs one compiled plan on one engine, honoring the -partitions and
-// -packed flags. With no pruning (the uniform layout) the partitioned
-// times are identical to the monolithic ones; with -cluster they can only
-// be cheaper; with -packed the rows stay identical while the simulated
-// seconds reflect the compression asymmetry. Callers compile once per
-// query so the hash-table builds and the plan's zone-map cache are shared
-// across engines.
-func exec(plan *queries.Plan, e queries.Engine) *queries.Result {
-	return execEngine(plan, e, runOpts())
+// run executes plan on the execution shape sh through Plan.Schedule, the
+// one shape-to-schedule switch the query service uses too. The shape
+// carries the morsel count and whether the scan reads the packed encoding;
+// trace asks for the span tree.
+func run(plan *queries.Plan, sh queries.Shape, trace bool) (*queries.ScheduledResult, error) {
+	opts := queries.RunOptions{Trace: trace}
+	if sh.Packed {
+		opts.Partition.Packed = packedFact
+	}
+	s, _, err := plan.Schedule(sh, opts)
+	if err != nil {
+		return nil, err
+	}
+	return plan.RunScheduled(s)
 }
 
-// execEngine runs plan on one engine with explicit options.
-func execEngine(plan *queries.Plan, e queries.Engine, opts queries.RunOptions) *queries.Result {
-	sr, err := plan.RunScheduled(plan.ScheduleEngine(e, opts))
+// flagShape is sh under the -partitions and -packed flags. With no pruning
+// (the uniform layout) the partitioned times are identical to the
+// monolithic ones; with -cluster they can only be cheaper; with -packed the
+// rows stay identical while the simulated seconds reflect the compression
+// asymmetry.
+func flagShape(sh queries.Shape) queries.Shape {
+	sh.Partitions, sh.Packed = *parts, packedFact != nil
+	return sh
+}
+
+// exec runs one compiled plan on one engine under the -partitions and
+// -packed flags. Callers compile once per query so the hash-table builds
+// and the plan's zone-map cache are shared across engines.
+func exec(plan *queries.Plan, e queries.Engine) *queries.Result {
+	sr, err := run(plan, flagShape(queries.Shape{Engine: e}), false)
 	if err != nil {
-		panic(err) // unreachable: ScheduleEngine covers every morsel exactly once
+		panic(err) // unreachable: an engine shape schedules every morsel exactly once
 	}
 	return sr.Result
-}
-
-// execFleet runs plan range-sharded across the GPU fleet fl.
-func execFleet(plan *queries.Plan, fl fleet.Spec, opts queries.RunOptions) (*queries.ScheduledResult, error) {
-	s, err := plan.ScheduleFleet(fl, opts)
-	if err != nil {
-		return nil, err
-	}
-	return plan.RunScheduled(s)
-}
-
-// execHybrid co-executes plan on the host CPU engine and fl's GPU arm (frac
-// 1 = pure CPU, 0 = pure GPU, negative = the throughput-balanced split).
-func execHybrid(plan *queries.Plan, fl fleet.Spec, frac float64, opts queries.RunOptions) (*queries.ScheduledResult, error) {
-	s, _, err := plan.ScheduleHybrid(fl, frac, opts)
-	if err != nil {
-		return nil, err
-	}
-	return plan.RunScheduled(s)
-}
-
-// runOpts carries the -partitions and -packed flags into a run.
-func runOpts() queries.RunOptions {
-	opts := queries.RunOptions{}
-	opts.Partition.Partitions = *parts
-	opts.Partition.Packed = packedFact
-	return opts
 }
 
 // runPackedReport summarizes the -packed encoding: per fact column, the
@@ -634,17 +610,18 @@ func runPackedReport(ds *ssb.Dataset) {
 			dev.Name, bench.MS(plain), bench.MS(pk), verdict)
 	}
 	plan := queries.Compile(ds, q)
-	coldOpts := queries.RunOptions{}
-	coldOpts.Partition.Packed = packedFact
-	cold := execEngine(plan, queries.EngineCoproc, coldOpts)
+	cold, err := run(plan, queries.Shape{Engine: queries.EngineCoproc, Packed: true}, false)
+	if err != nil {
+		panic(err)
+	}
 	plain := plan.Run(queries.EngineCoproc)
 	// q1.1 joins no dimensions, so its whole transfer is fact columns the
 	// residency cache can elide; queries with joins keep shipping their
 	// (small) replicated dimension tables even when fully resident.
 	fmt.Printf("  q1.1 coprocessor PCIe: %.2f MB plain -> %.2f MB packed -> 0 MB fully resident (planner: %.3f ms -> %.3f ms -> 0)\n",
-		float64(plain.TransferBytes)/1e6, float64(cold.TransferBytes)/1e6,
+		float64(plain.TransferBytes)/1e6, float64(cold.Result.TransferBytes)/1e6,
 		bench.MS(planner.TransferCost(plain.TransferBytes, 0)),
-		bench.MS(planner.TransferCost(cold.TransferBytes, 0)))
+		bench.MS(planner.TransferCost(cold.Result.TransferBytes, 0)))
 	fmt.Println()
 }
 

@@ -1,6 +1,8 @@
 package queries
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"crystal/internal/crystal"
@@ -325,36 +327,44 @@ func resultRows(q *Query, res *Result) []Row {
 	return rows
 }
 
-// orderVal extracts the value an OrderKey compares for one row.
+// orderVal extracts the value an OrderKey compares for one row: an
+// aggregate, or one payload slot of the packed group key (UnpackGroup's
+// slot, read in place).
 func orderVal(q *Query, k OrderKey, r Row) int64 {
 	if k.Item >= 0 {
 		return r.Vals[k.Item]
 	}
-	return int64(UnpackGroup(r.Key, len(q.GroupPayloads()))[k.Group])
-}
-
-// rowLess is the total order ORDER BY defines: the keys in sequence, then
-// the packed group key ascending as the final tie-break.
-func (q *Query) rowLess(a, b Row) bool {
-	for _, k := range q.OrderBy {
-		av, bv := orderVal(q, k, a), orderVal(q, k, b)
-		if av != bv {
-			if k.Desc {
-				return av > bv
-			}
-			return av < bv
+	slots := 0
+	for _, j := range q.Joins {
+		if j.Payload != "" {
+			slots++
 		}
 	}
-	return a.Key < b.Key
+	return r.Key >> ((slots - 1 - k.Group) * groupShift) & (1<<groupShift - 1)
 }
 
-// orderRowsOracle sorts rows with the comparator directly (the reference
-// ordering the real sort implementations are tested against).
-func orderRowsOracle(q *Query, rows []Row) []Row {
+// rowCmp is the total order ORDER BY defines: the keys in sequence, then
+// the packed group key ascending as the final tie-break.
+func (q *Query) rowCmp(a, b Row) int {
+	for _, k := range q.OrderBy {
+		if c := cmp.Compare(orderVal(q, k, a), orderVal(q, k, b)); c != 0 {
+			if k.Desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return cmp.Compare(a.Key, b.Key)
+}
+
+// orderRows sorts rows with the comparator that defines the order. It is
+// the one place rows are ordered: every placement's ORDER BY phase returns
+// its rows (executeSort) and prices its own algorithm from counts.
+func orderRows(q *Query, rows []Row) []Row {
 	// Always non-nil: a nil Ordered means "no ORDER BY", and an ordered
 	// query with zero result rows must still carry an (empty) ordering.
 	out := append(make([]Row, 0, len(rows)), rows...)
-	sort.Slice(out, func(i, j int) bool { return q.rowLess(out[i], out[j]) })
+	slices.SortFunc(out, q.rowCmp)
 	return out
 }
 

@@ -83,9 +83,7 @@ type BatchMember struct {
 	// reports — rows, Result.Seconds, Morsels, TransferBytes, ..., Executors,
 	// MergeBytes, MergeSeconds — deep-equal to it. A CPU-family member is
 	// priced from its seat in the shared pass (see RunBatchScheduled); a
-	// member that still executes carries its own run's telemetry with the
-	// rows of the shared scan, byte-identical by construction (tile-aligned
-	// chunks make the per-member statistics and aggregates exactly additive).
+	// member that still executes is its own run, rows included.
 	*ScheduledResult
 	// ShareSeconds is the member's share of the batch's simulated time:
 	// its solo seconds discounted by the fraction of its scan lines the
@@ -138,8 +136,8 @@ type BatchResult struct {
 //     the shared pass and RunScheduled prices, merges, finalizes and sorts
 //     it exactly as it does a solo scan. The batch scans once.
 //   - GPU, coprocessor, fleet and hybrid schedules execute on their own
-//     executors, which restrict the morsel set or meter per tile; their rows
-//     are then taken from the shared scan.
+//     executors, which restrict the morsel set or meter per tile; the shared
+//     pass only apportions their scan traffic.
 //
 // Either way a member's ScheduledResult deep-equals its solo RunScheduled —
 // Result.Seconds is exactly its solo seconds — while ShareSeconds carries
@@ -207,21 +205,10 @@ func RunBatchScheduled(plans []*Plan, opts RunOptions, scheduleOf func(*Plan) (s
 	var memberSpans []*trace.Span
 	for i, p := range plans {
 		q, s := p.Query, scheds[i]
-		seated := seatMember(&s, &scanSeat{res: raws[i], st: sts[i]})
+		seatMember(&s, &scanSeat{res: raws[i], st: sts[i]})
 		sr, err := p.RunScheduled(s)
 		if err != nil {
 			return nil, err
-		}
-		if !seated {
-			// The member executed on its own schedule: take its rows from the
-			// shared scan. ORDER BY re-runs on the schedule's hardware exactly
-			// as the solo run priced it (the sort seconds are already in sr).
-			raw := raws[i]
-			finalizeGroups(&q, p.agg, raw.accs, raw)
-			sr.Result.Groups, sr.Result.Aggs = raw.Groups, raw.Aggs
-			if len(q.OrderBy) > 0 {
-				sr.Result.Ordered = p.executeSort(s, resultRows(&q, raw)).rows
-			}
 		}
 
 		ratio := 1.0
@@ -304,20 +291,19 @@ func sameExtent(s sched.Schedule, m scanMember) error {
 // scan + price(stats). The caller has verified the extent (sameExtent) and
 // gives the seat up: RunScheduled adopts its accumulator vectors. Every other
 // shape — GPU and coprocessor engines, fleets, hybrid splits — is left to
-// execute and reports false.
-func seatMember(s *sched.Schedule, seat *scanSeat) bool {
+// execute.
+func seatMember(s *sched.Schedule, seat *scanSeat) {
 	if len(s.Assignments) != 1 || len(s.Assignments[0].Morsels) != s.Morsels {
-		return false
+		return
 	}
 	x, ok := s.Assignments[0].Executor.(engineExecutor)
 	if !ok || !cpuFamily(x.e) {
-		return false
+		return
 	}
 	x.seat = seat
 	a := s.Assignments[0]
 	a.Executor = x
 	s.Assignments = []sched.Assignment{a} // the builder's slice is not ours to edit
-	return true
 }
 
 // RunBatch is RunBatchScheduled with every member on the single engine e —

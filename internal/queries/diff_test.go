@@ -164,7 +164,7 @@ func TestDifferentialOrderedAgree(t *testing.T) {
 				frac, gpus, link.Name, q.ID, q.Describe())
 		}
 		// Top-N property: the limited result must be the prefix of the full
-		// ordering (rowLess is total, so the prefix is unique).
+		// ordering (rowCmp is total, so the prefix is unique).
 		if q.Limit > 0 {
 			full := q
 			full.Limit = 0

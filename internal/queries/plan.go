@@ -525,11 +525,8 @@ rows:
 	} else if len(q.GroupPayloads()) == 0 && len(groups) == 0 {
 		groups[0] = 0 // a global aggregate always yields one row
 	}
-	// The oracle orders with the plain sort.Slice comparator; engines order
-	// with the real heap/merge/radix implementations, so the differential
-	// harness compares independent orderings.
 	if len(q.OrderBy) > 0 {
-		res.Ordered = truncateRows(&q, orderRowsOracle(&q, resultRows(&q, res)))
+		res.Ordered = truncateRows(&q, orderRows(&q, resultRows(&q, res)))
 	}
 	return res
 }

@@ -82,6 +82,7 @@ func TestScheduleShapes(t *testing.T) {
 		{Shape{Engine: "gpu", GPUs: 2}, []sched.Kind{sched.KindGPU, sched.KindGPU}, 0},
 		{Shape{Placement: "gpu", GPUs: 2}, []sched.Kind{sched.KindCPU, sched.KindGPU, sched.KindGPU}, 0},
 		{Shape{Placement: "hybrid", GPUs: 2}, []sched.Kind{sched.KindCPU, sched.KindGPU, sched.KindGPU}, -1},
+		{Shape{GPUs: 2, Link: "nvlink", Partitions: 8}.Place(PlacementGPU), []sched.Kind{sched.KindCPU, sched.KindGPU, sched.KindGPU}, 0},
 	} {
 		sh, err := tc.in.Normalize(rows)
 		if err != nil {

@@ -49,127 +49,6 @@ func (o *sortOutcome) add(label string, sim float64, bytes int64) {
 	o.stages = append(o.stages, sortStage{label: label, sim: sim, bytes: bytes})
 }
 
-// mergeSortRows stable-sorts rows with a bottom-up merge sort — the CPU
-// engines' full ORDER BY algorithm. Returns the sorted rows and the number
-// of merge passes (what the pass-priced model charges).
-func mergeSortRows(q *Query, rows []Row) ([]Row, int) {
-	n := len(rows)
-	src := append([]Row(nil), rows...)
-	if n <= 1 {
-		return src, 0
-	}
-	dst := make([]Row, n)
-	passes := 0
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid, hi := lo+width, lo+2*width
-			if mid > n {
-				mid = n
-			}
-			if hi > n {
-				hi = n
-			}
-			i, j := lo, mid
-			for o := lo; o < hi; o++ {
-				if i < mid && (j >= hi || !q.rowLess(src[j], src[i])) {
-					dst[o] = src[i]
-					i++
-				} else {
-					dst[o] = src[j]
-					j++
-				}
-			}
-		}
-		src, dst = dst, src
-		passes++
-	}
-	return src, passes
-}
-
-// heapTopN keeps the first k rows of the total order with a bounded binary
-// heap whose root is the worst kept row — the CPU top-N algorithm. The
-// final pop-off emits the k rows in order.
-func heapTopN(q *Query, rows []Row, k int) []Row {
-	if k <= 0 || k >= len(rows) {
-		out, _ := mergeSortRows(q, rows)
-		return out
-	}
-	h := make([]Row, 0, k)
-	// after reports whether a sorts after b (the heap keeps its worst row,
-	// under the total order, at the root).
-	after := func(a, b Row) bool { return q.rowLess(b, a) }
-	down := func(i int) {
-		for {
-			l, r, top := 2*i+1, 2*i+2, i
-			if l < len(h) && after(h[l], h[top]) {
-				top = l
-			}
-			if r < len(h) && after(h[r], h[top]) {
-				top = r
-			}
-			if top == i {
-				return
-			}
-			h[i], h[top] = h[top], h[i]
-			i = top
-		}
-	}
-	for _, r := range rows {
-		if len(h) < k {
-			h = append(h, r)
-			for i := len(h) - 1; i > 0; {
-				parent := (i - 1) / 2
-				if !after(h[i], h[parent]) {
-					break
-				}
-				h[i], h[parent] = h[parent], h[i]
-				i = parent
-			}
-			continue
-		}
-		if q.rowLess(r, h[0]) {
-			h[0] = r
-			down(0)
-		}
-	}
-	out := make([]Row, len(h))
-	for i := len(h) - 1; i >= 0; i-- {
-		out[i] = h[0]
-		h[0] = h[len(h)-1]
-		h = h[:len(h)-1]
-		down(0)
-	}
-	return out
-}
-
-// mergeRuns k-way-merges sorted runs under the total order, stopping after
-// limit rows (0 = merge everything) — the host side of the fleet's
-// sorted-run merge.
-func mergeRuns(q *Query, runs [][]Row, limit int) []Row {
-	idx := make([]int, len(runs))
-	var out []Row
-	for {
-		best := -1
-		for r := range runs {
-			if idx[r] >= len(runs[r]) {
-				continue
-			}
-			if best < 0 || q.rowLess(runs[r][idx[r]], runs[best][idx[best]]) {
-				best = r
-			}
-		}
-		if best < 0 {
-			break
-		}
-		out = append(out, runs[best][idx[best]])
-		idx[best]++
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	return out
-}
-
 // encodeOrderKey maps an order value to an order-preserving uint64 (two's
 // complement flipped to unsigned order; descending keys are bit-inverted so
 // ascending radix passes yield descending output).
@@ -181,45 +60,21 @@ func encodeOrderKey(v int64, desc bool) uint64 {
 	return u
 }
 
-// radixSortRows stable-sorts rows by one ORDER BY key with an LSD radix
-// sort on the GPU clock. The key is rebased to (key - min), so the sort
-// runs only the passes the surviving bit width needs — the bits-moved win
-// of sort keys with small ranges (Section 5.5 logic applied to the sort
-// pipeline). Rows that all tie on the key come back as they are, with no
-// passes and no traffic.
-func radixSortRows(q *Query, k OrderKey, clk *device.Clock, rows []Row) []Row {
-	n := len(rows)
-	if n <= 1 {
-		return rows
+// orderKeyWidth is the bit width a radix sort of rows by k runs over: one
+// min/max scan of the encoded keys, rebased to key - min, so the sort runs
+// only the passes the surviving bits need — the bits-moved win of sort keys
+// with small ranges (Section 5.5 logic applied to the sort pipeline). Rows
+// that all tie on the key, or number fewer than two, need no passes.
+func orderKeyWidth(q *Query, k OrderKey, rows []Row) int {
+	if len(rows) <= 1 {
+		return 0
 	}
-	keys := make([]uint64, n)
-	idx := make([]int32, n)
-	min := ^uint64(0)
-	var max uint64
-	for i, r := range rows {
+	lo, hi := ^uint64(0), uint64(0)
+	for _, r := range rows {
 		u := encodeOrderKey(orderVal(q, k, r), k.Desc)
-		keys[i] = u
-		if u < min {
-			min = u
-		}
-		if u > max {
-			max = u
-		}
-		idx[i] = int32(i)
+		lo, hi = min(lo, u), max(hi, u)
 	}
-	width := bits.Len64(max - min)
-	if width == 0 {
-		return rows
-	}
-	for i := range keys {
-		keys[i] -= min
-	}
-	_, perm := gpu.LSBRadixSort64(clk, gpuConfig(n), keys, idx, width)
-	sorted := make([]Row, n)
-	for i, p := range perm {
-		sorted[i] = rows[p]
-	}
-	return sorted
+	return bits.Len64(hi - lo)
 }
 
 // cpuSortPass and heapPass are the priced passes of the CPU sort paths;
@@ -266,62 +121,62 @@ func TopNHeapCost(dev *device.Spec, n, rowBytes int64, k int) float64 {
 	return dev.PassTime(heapPass(n, rowBytes, k))
 }
 
-// RadixSortCost prices the GPU LSD radix sort of n rows with `keys` ORDER BY
-// keys, each estimated at keyBits significant bits after rebasing. It
-// constructs the same histogram/prefix/shuffle passes gpu.RadixPartition
-// charges for 64-bit keys with a row-index payload, so the planner's GPU
-// sort estimate and the executed kernel share one pricing model
-// (TestRadixSortCostIsTheExecutedSort pins the two bit for bit).
-func RadixSortCost(dev *device.Spec, n int64, keys, keyBits int) float64 {
-	if n <= 1 || keys <= 0 {
-		return 0
-	}
-	cfg := gpuConfig(int(n))
-	numBlocks := int64(cfg.NumBlocks())
-	var secs float64
+// radixKeySeconds adds to secs, pass by pass, the LSD radix sort of n rows
+// by one rebased key of keyBits bits: per stable pass of
+// gpu.RadixPassWidths, the histogram, prefix and shuffle passes
+// gpu.RadixPartition charges for 64-bit keys with a row-index payload, in
+// the order it charges them onto its clock.
+func radixKeySeconds(dev *device.Spec, n int64, keyBits int, secs float64) float64 {
+	numBlocks := int64(gpuConfig(int(n)).NumBlocks())
 	for _, r := range gpu.RadixPassWidths(keyBits) {
-		numPart := int64(1) << r
-		histBytes := numBlocks * numPart * 4
+		histBytes := numBlocks * (int64(1) << r) * 4
 		secs += dev.PassTime(&device.Pass{BytesRead: n * 8, BytesWritten: histBytes, Kernels: 1})
 		secs += dev.PassTime(&device.Pass{BytesRead: histBytes, BytesWritten: histBytes, Kernels: 1})
 		secs += dev.PassTime(&device.Pass{BytesRead: n * 12, BytesWritten: n * 12, Kernels: 1})
 	}
-	return secs * float64(keys)
+	return secs
 }
 
-// hostSort runs the CPU ORDER BY path on rows: the bounded heap when the
-// query has a LIMIT and the heap prices cheaper, the full merge sort
-// otherwise — the heap-vs-sort decision the planner's OrderCost mirrors.
-func hostSort(q *Query, rows []Row, o *sortOutcome) {
+// RadixSortCost prices the GPU LSD radix sort of n rows with `keys` ORDER BY
+// keys, each estimated at keyBits significant bits after rebasing — the
+// passes deviceSort charges, so the planner's GPU sort estimate and the
+// priced sort share one model (TestRadixSortCostIsTheExecutedSort pins it
+// bit for bit to gpu.LSBRadixSort64's clock).
+func RadixSortCost(dev *device.Spec, n int64, keys, keyBits int) float64 {
+	if n <= 1 || keys <= 0 {
+		return 0
+	}
+	return radixKeySeconds(dev, n, keyBits, 0) * float64(keys)
+}
+
+// hostSort prices the CPU ORDER BY path over n rows: the bounded heap when
+// the query has a LIMIT and the heap prices cheaper, otherwise the
+// ceil(log2 n) passes of a bottom-up merge sort — the heap-vs-sort decision
+// the planner's OrderCost mirrors.
+func hostSort(q *Query, n int64, o *sortOutcome) {
 	host := device.I76900()
-	n, rowBytes := int64(len(rows)), sortRowBytes(q)
+	rowBytes := sortRowBytes(q)
 	if q.Limit > 0 && int64(q.Limit) < n &&
 		TopNHeapCost(host, n, rowBytes, q.Limit) < MergeSortCost(host, n, rowBytes) {
-		o.rows = heapTopN(q, rows, q.Limit)
 		o.add("heap top-"+fmt.Sprint(q.Limit), host.PassTime(heapPass(n, rowBytes, q.Limit)), 0)
 		return
 	}
-	sorted, passes := mergeSortRows(q, rows)
-	o.rows = truncateRows(q, sorted)
 	t := host.PassTime(cpuSortPass(n, rowBytes))
-	for p := 0; p < passes; p++ {
+	for p := range bits.Len64(uint64(n - 1)) {
 		o.add(fmt.Sprintf("merge pass %d", p), t, 0)
 	}
 }
 
-// deviceSort runs the GPU radix path on one device clock, starting from
-// the base packed-key order: one stable LSD sort per ORDER BY key from least
-// to most significant, each recorded as one stage.
-func deviceSort(q *Query, dev *device.Spec, rows []Row, o *sortOutcome) []Row {
-	clk := device.NewClock(dev)
-	var last float64
+// deviceSort prices the GPU radix path over rows on one device: one stable
+// LSD sort per ORDER BY key, from least to most significant, on one running
+// clock; each key is one stage.
+func deviceSort(q *Query, dev *device.Spec, rows []Row, o *sortOutcome) {
+	var now, last float64
 	for ki := len(q.OrderBy) - 1; ki >= 0; ki-- {
-		rows = radixSortRows(q, q.OrderBy[ki], clk, rows)
-		now := clk.Seconds()
+		now = radixKeySeconds(dev, int64(len(rows)), orderKeyWidth(q, q.OrderBy[ki], rows), now)
 		o.add(fmt.Sprintf("radix key %d", ki), now-last, 0)
 		last = now
 	}
-	return rows
 }
 
 // sortDevice resolves the device spec a GPU-side sort runs on.
@@ -332,32 +187,33 @@ func sortDevice(x sched.Executor) *device.Spec {
 	return device.V100()
 }
 
-// executeSort runs the ORDER BY phase for a scheduled run on the placement
-// the schedule implies — the same hardware that ran the scan:
+// executeSort runs the ORDER BY phase for a scheduled run. The rows are
+// ordered once, on the host, with the comparator that defines the order
+// (orderRows); every placement returns those rows, because ORDER BY is a
+// total order. The phase is priced on the placement the schedule implies —
+// the same hardware that ran the scan — from counts alone:
 //
 //   - CPU-only schedules sort on the host (bounded heap for top-N when it
 //     prices cheaper, merge sort otherwise).
 //   - A single GPU executor radix-sorts on its device; the coprocessor
 //     additionally ships the output rows back over PCIe.
-//   - A multi-device fleet sorts each device's shard of the groups
-//     independently (makespan), ships each device's leading run across the
-//     link, and k-way-merges the sorted runs on the host — row- and
-//     order-identical to a single-device sort because ORDER BY is a total
-//     order.
+//   - A multi-device fleet sorts each device's contiguous shard of the base
+//     order independently (makespan), ships each device's leading run
+//     across the link, and k-way-merges the sorted runs on the host.
 //   - Hybrid (mixed-kind) schedules sort on the host, which already holds
 //     the merged groups.
 //
-// Every stage is priced in bytes moved like the scan kernels, and the
-// stages sum exactly to the phase's simulated seconds.
+// rows arrive in the base packed-key order (resultRows). Every stage is
+// priced in bytes moved like the scan kernels, and the stages sum exactly
+// to the phase's simulated seconds.
 func (p *Plan) executeSort(s sched.Schedule, rows []Row) *sortOutcome {
 	q := &p.Query
-	o := &sortOutcome{}
+	o := &sortOutcome{rows: truncateRows(q, orderRows(q, rows))}
 	if len(rows) <= 1 {
-		o.rows = truncateRows(q, rows)
 		return o
 	}
-	var gpuEx []sched.Executor
-	cpuish := false
+	var gpus []sched.Executor
+	cpuish, coproc := false, false
 	for i := range s.Assignments {
 		a := &s.Assignments[i]
 		if len(a.Morsels) == 0 {
@@ -365,71 +221,56 @@ func (p *Plan) executeSort(s sched.Schedule, rows []Row) *sortOutcome {
 		}
 		switch a.Executor.Kind() {
 		case sched.KindGPU:
-			gpuEx = append(gpuEx, a.Executor)
+			gpus = append(gpus, a.Executor)
+		case sched.KindCoproc:
+			cpuish, coproc = true, true
 		default:
 			cpuish = true
 		}
 	}
 	rowBytes := sortRowBytes(q)
 	switch {
-	case cpuish && len(gpuEx) == 0:
-		coproc := false
-		for i := range s.Assignments {
-			if len(s.Assignments[i].Morsels) > 0 && s.Assignments[i].Executor.Kind() == sched.KindCoproc {
-				coproc = true
-			}
-		}
-		if coproc {
-			// The coprocessor's groups live on the device: radix-sort there,
-			// then ship the (truncated) output rows back over PCIe.
-			dev := device.V100()
-			o.rows = truncateRows(q, deviceSort(q, dev, rows, o))
-			outBytes := int64(len(o.rows)) * rowBytes
-			o.add("ship rows", device.TransferTime(outBytes), outBytes)
-			return o
-		}
-		hostSort(q, rows, o)
-	case len(gpuEx) == 1 && !cpuish:
-		o.rows = truncateRows(q, deviceSort(q, sortDevice(gpuEx[0]), rows, o))
-	case len(gpuEx) > 1 && !cpuish:
-		// Fleet: contiguous shards of the base order, one radix sort per
-		// device (concurrent — the stage is the slowest device), sorted runs
-		// across the link, k-way merge on the host.
+	case coproc && len(gpus) == 0:
+		// The coprocessor's groups live on the device: radix-sort there,
+		// then ship the (truncated) output rows back over PCIe.
+		deviceSort(q, device.V100(), rows, o)
+		outBytes := int64(len(o.rows)) * rowBytes
+		o.add("ship rows", device.TransferTime(outBytes), outBytes)
+	case len(gpus) == 1 && !cpuish:
+		deviceSort(q, sortDevice(gpus[0]), rows, o)
+	case len(gpus) > 1 && !cpuish:
+		// Fleet: one radix sort per shard (concurrent — the stage is the
+		// slowest device), each shard's leading min(LIMIT, shard) rows across
+		// the link (the global top-k is within every shard's top-k), and a
+		// k-way merge of the runs on the host.
 		n := len(rows)
-		runs := make([][]Row, len(gpuEx))
 		var makespan float64
-		var shipBytes int64
 		var shipped int64
-		for d := range gpuEx {
-			lo, hi := d*n/len(gpuEx), (d+1)*n/len(gpuEx)
-			shard := rows[lo:hi]
+		for d := range gpus {
+			shard := rows[d*n/len(gpus) : (d+1)*n/len(gpus)]
 			sub := &sortOutcome{}
-			run := deviceSort(q, sortDevice(gpuEx[d]), shard, sub)
-			if sub.seconds > makespan {
-				makespan = sub.seconds
+			deviceSort(q, sortDevice(gpus[d]), shard, sub)
+			makespan = max(makespan, sub.seconds)
+			run := len(shard)
+			if q.Limit > 0 {
+				run = min(run, q.Limit)
 			}
-			if q.Limit > 0 && q.Limit < len(run) {
-				run = run[:q.Limit] // the global top-k is within every shard's top-k
-			}
-			runs[d] = run
-			shipped += int64(len(run))
-			shipBytes += int64(len(run)) * rowBytes
+			shipped += int64(run)
 		}
-		o.add(fmt.Sprintf("device sort x%d", len(gpuEx)), makespan, 0)
+		shipBytes := shipped * rowBytes
+		o.add(fmt.Sprintf("device sort x%d", len(gpus)), makespan, 0)
 		o.add("ship runs", s.Link.TransferTime(shipBytes), shipBytes)
-		merged := mergeRuns(q, runs, q.Limit)
-		host := device.I76900()
 		mergePass := &device.Pass{
 			Label:         "merge sorted runs",
 			BytesRead:     shipBytes,
-			BytesWritten:  int64(len(merged)) * rowBytes,
-			ComputeCycles: SortCmpCycles * float64(shipped) * float64(bits.Len(uint(len(gpuEx)))),
+			BytesWritten:  int64(len(o.rows)) * rowBytes,
+			ComputeCycles: SortCmpCycles * float64(shipped) * float64(bits.Len(uint(len(gpus)))),
 		}
-		o.add("merge runs", host.PassTime(mergePass), 0)
-		o.rows = merged
+		o.add("merge runs", device.I76900().PassTime(mergePass), 0)
 	default:
-		// Hybrid (or an all-idle schedule): the merged groups are host-side.
-		hostSort(q, rows, o)
+		// CPU-only and hybrid schedules (or an all-idle one): the merged
+		// groups are host-side.
+		hostSort(q, int64(len(rows)), o)
 	}
 	return o
 }

@@ -302,11 +302,6 @@ type Options struct {
 	// path allocates nothing for tracing (pinned by an allocs/op
 	// benchmark).
 	Trace bool
-	// TraceRecent and TraceSlowest bound the flight recorder: the ring of
-	// most recent traces (default 64) and the top-K slowest by wall clock
-	// (default 16).
-	TraceRecent  int
-	TraceSlowest int
 }
 
 func (o *Options) withDefaults() Options {
@@ -331,12 +326,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.DeviceCacheBytes == 0 {
 		out.DeviceCacheBytes = device.V100().MemoryBytes
-	}
-	if out.TraceRecent <= 0 {
-		out.TraceRecent = 64
-	}
-	if out.TraceSlowest <= 0 {
-		out.TraceSlowest = 16
 	}
 	return out
 }
@@ -481,6 +470,10 @@ type Service struct {
 	pending sync.WaitGroup
 }
 
+// traceRecent and traceSlowest bound a traced service's flight recorder:
+// the ring of most recent traces and the top-K slowest by wall clock.
+const traceRecent, traceSlowest = 64, 16
+
 // New starts a service over ds, identified by version, with opts.Workers
 // executor goroutines. Close releases them.
 func New(ds *ssb.Dataset, version string, opts Options) *Service {
@@ -493,7 +486,7 @@ func New(ds *ssb.Dataset, version string, opts Options) *Service {
 		s.devCache = newDeviceCache(s.opts.DeviceCacheBytes, 0)
 	}
 	if s.opts.Trace {
-		s.recorder = trace.NewRecorder(s.opts.TraceRecent, s.opts.TraceSlowest)
+		s.recorder = trace.NewRecorder(traceRecent, traceSlowest)
 	}
 	s.morsels = make(gate, s.opts.MorselHelpers)
 	s.flights = map[string]*flight{}
