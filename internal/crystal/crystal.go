@@ -112,36 +112,6 @@ func BlockLoadPacked(b *sim.Block, col *pack.Frames, items []int32) int {
 	return n
 }
 
-// BlockLoadSelPacked is BlockLoadSel over a bit-packed column: only tile
-// elements with a set bitmap entry are unpacked, and the traffic charged is
-// the distinct DRAM lines of the packed layout actually touched. Packed
-// lines hold 32/width times more values than plain ones, so selective loads
-// keep their min(4|L|/C, |L|sigma) shape with the packed |L|.
-func BlockLoadSelPacked(b *sim.Block, col *pack.Frames, bitmap []uint8, items []int32) int {
-	n := b.TileElems
-	if rem := col.Len() - b.Offset; n > rem {
-		n = rem
-	}
-	if n <= 0 {
-		return 0
-	}
-	lineBytes := b.LineSize()
-	lines := int64(0)
-	lastLine := int64(-1)
-	for i := 0; i < n; i++ {
-		if bitmap[i] == 0 {
-			continue
-		}
-		items[i] = col.Get(b.Offset + i)
-		if line := col.LineOf(b.Offset+i, lineBytes); line >= 0 && line != lastLine {
-			lines++
-			lastLine = line
-		}
-	}
-	b.Pass().BytesRead += lines * lineBytes
-	return n
-}
-
 // BlockStore copies n contiguous items from registers/shared memory to
 // global memory at out[dst:]. The write is coalesced (Table 1).
 func BlockStore[T Value](b *sim.Block, items []T, n int, out []T, dst int) {
@@ -150,16 +120,6 @@ func BlockStore[T Value](b *sim.Block, items []T, n int, out []T, dst int) {
 	}
 	copy(out[dst:dst+n], items[:n])
 	b.Pass().BytesWritten += int64(n) * bytesOf[T]()
-}
-
-// BlockStoreScattered writes n items to arbitrary per-item offsets; every
-// write costs a full DRAM line. It exists to express the independent-threads
-// baseline of Figure 4(a), not for use in tiled kernels.
-func BlockStoreScattered[T Value](b *sim.Block, items []T, n int, out []T, offsets []int32) {
-	for i := 0; i < n; i++ {
-		out[offsets[i]] = items[i]
-	}
-	b.Pass().RandomWrites += int64(n)
 }
 
 // BlockPred applies pred to the first n items and stores the result in
@@ -213,30 +173,6 @@ func BlockShuffle[T Value](b *sim.Block, items []T, bitmap []uint8, indices []in
 	return m
 }
 
-// BlockAggregateSum reduces the selected items of a tile to a single sum
-// using hierarchical shared-memory reduction (Table 1); free in the timing
-// model.
-func BlockAggregateSum[T Value](b *sim.Block, items []T, bitmap []uint8, n int) int64 {
-	var sum int64
-	for i := 0; i < n; i++ {
-		if bitmap == nil || bitmap[i] != 0 {
-			sum += int64(items[i])
-		}
-	}
-	return sum
-}
-
-// BlockAggregateSumF is BlockAggregateSum for floating-point tiles.
-func BlockAggregateSumF[T Value](b *sim.Block, items []T, bitmap []uint8, n int) float64 {
-	var sum float64
-	for i := 0; i < n; i++ {
-		if bitmap == nil || bitmap[i] != 0 {
-			sum += float64(items[i])
-		}
-	}
-	return sum
-}
-
 // BlockLookup probes the hash table for the selected keys of a tile
 // (Table 1). For each key with a set bitmap entry it writes the matching
 // payload into vals and keeps the bit; keys with no match have their bit
@@ -263,50 +199,4 @@ func BlockLookup(b *sim.Block, ht *HashTable, keys []int32, n int, bitmap []uint
 	}
 	b.Pass().AddProbes(device.ProbeSet{Count: probes, StructBytes: ht.Bytes(), Dependent: dependent})
 	return matched
-}
-
-// BlockAggregateMin reduces the selected items of a tile to their minimum
-// (Table 1's BlockAggregate covers the standard SQL aggregates). ok is
-// false when no item is selected.
-func BlockAggregateMin[T Value](b *sim.Block, items []T, bitmap []uint8, n int) (T, bool) {
-	var mn T
-	found := false
-	for i := 0; i < n; i++ {
-		if bitmap != nil && bitmap[i] == 0 {
-			continue
-		}
-		if !found || items[i] < mn {
-			mn = items[i]
-		}
-		found = true
-	}
-	return mn, found
-}
-
-// BlockAggregateMax reduces the selected items of a tile to their maximum;
-// ok is false when no item is selected.
-func BlockAggregateMax[T Value](b *sim.Block, items []T, bitmap []uint8, n int) (T, bool) {
-	var mx T
-	found := false
-	for i := 0; i < n; i++ {
-		if bitmap != nil && bitmap[i] == 0 {
-			continue
-		}
-		if !found || items[i] > mx {
-			mx = items[i]
-		}
-		found = true
-	}
-	return mx, found
-}
-
-// BlockAggregateCount counts the selected items of a tile.
-func BlockAggregateCount(b *sim.Block, bitmap []uint8, n int) int64 {
-	var c int64
-	for i := 0; i < n; i++ {
-		if bitmap == nil || bitmap[i] != 0 {
-			c++
-		}
-	}
-	return c
 }

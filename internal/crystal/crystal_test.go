@@ -207,44 +207,6 @@ func TestBlockLoadSelTrafficAndValues(t *testing.T) {
 	}
 }
 
-func TestBlockAggregateSum(t *testing.T) {
-	const n = 300
-	vals := make([]int32, n)
-	bitmap := make([]uint8, n)
-	var want int64
-	for i := range vals {
-		vals[i] = int32(i)
-		if i%3 == 0 {
-			bitmap[i] = 1
-			want += int64(i)
-		}
-	}
-	b := testBlock(t, n)
-	if got := BlockAggregateSum(b, vals, bitmap, n); got != want {
-		t.Errorf("masked sum = %d, want %d", got, want)
-	}
-	allWant := int64(n*(n-1)) / 2
-	if got := BlockAggregateSum(b, vals, nil, n); got != allWant {
-		t.Errorf("full sum = %d, want %d", got, allWant)
-	}
-	f := BlockAggregateSumF(b, []float32{1.5, 2.5}, nil, 2)
-	if f != 4.0 {
-		t.Errorf("float sum = %f", f)
-	}
-}
-
-func TestBlockStoreScattered(t *testing.T) {
-	b := testBlock(t, 4)
-	out := make([]int32, 8)
-	BlockStoreScattered(b, []int32{10, 20, 30}, 3, out, []int32{7, 0, 3})
-	if out[7] != 10 || out[0] != 20 || out[3] != 30 {
-		t.Errorf("scattered store wrong: %v", out)
-	}
-	if b.Pass().RandomWrites != 3 {
-		t.Errorf("RandomWrites = %d, want 3", b.Pass().RandomWrites)
-	}
-}
-
 func TestHashTableBasic(t *testing.T) {
 	ht := NewHashTable(100, 0.5, true)
 	if ht.Capacity() < 200 {
@@ -592,13 +554,13 @@ func TestAggTableBytesAreModelled(t *testing.T) {
 		if got := NewAggTable(n).Bytes(); got != want*16 {
 			t.Fatalf("NewAggTable(%d).Bytes() = %d, want %d", n, got, want*16)
 		}
-		if got := NewMultiAggTable(n, ops).Bytes(); got != want*(8+8*3) {
-			t.Fatalf("NewMultiAggTable(%d).Bytes() = %d, want %d", n, got, want*(8+8*3))
+		if got := NewMultiAggTable(n, ops).Bytes(); got != want*(8+8*3) || got != MultiAggTableBytes(n, len(ops)) {
+			t.Fatalf("NewMultiAggTable(%d).Bytes() = %d, want %d and MultiAggTableBytes", n, got, want*(8+8*3))
 		}
 	}
 	big := NewAggTable(1 << 20)
 	if len(big.t.keys) != aggInitialSlots {
-		t.Errorf("a table modelled at %d slots starts with %d physical ones, want %d", big.t.modelled, len(big.t.keys), aggInitialSlots)
+		t.Errorf("a table modelled at %d slots starts with %d physical ones, want %d", modelledSlots(1<<20), len(big.t.keys), aggInitialSlots)
 	}
 	if small := NewAggTable(3); len(small.t.keys) != 8 {
 		t.Errorf("a table modelled at 8 slots starts with %d physical ones", len(small.t.keys))
@@ -607,8 +569,7 @@ func TestAggTableBytesAreModelled(t *testing.T) {
 
 // TestAggTablesGrowUnderContention drives a one-slot and a three-slot table
 // far past their physical (and, in the first case, modelled) capacity from several
-// goroutines at once, half of them through the block-wide updater that holds
-// the read lock across a tile: the table grows instead of spinning on a full
+// goroutines at once: the table grows instead of spinning on a full
 // array, every accumulator is exact, Groups is exact, Each visits each key
 // once, and Bytes still reports the estimate.
 func TestAggTablesGrowUnderContention(t *testing.T) {
@@ -624,25 +585,11 @@ func TestAggTablesGrowUnderContention(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				const tile = 512
-				b := testBlockQuick(tile)
-				keys, deltas, rows := make([]int64, tile), make([][]int64, tile), make([][]int64, tile)
-				for lo := 0; lo < tc.keys; lo += tile {
-					n := min(tile, tc.keys-lo)
-					for i := 0; i < n; i++ {
-						// Every worker walks the key space from its own offset.
-						k := int64((lo + i + w*tc.keys/tc.workers) % tc.keys)
-						keys[i], deltas[i] = k, []int64{int64(w + 1)}
-						rows[i] = []int64{int64(w + 1), k*100 + int64(w), k*100 + int64(w)}
-						if w%2 == 1 {
-							sum.Update(k, deltas[i])
-							multi.Update(k, rows[i])
-						}
-					}
-					if w%2 == 0 {
-						BlockMultiAggUpdate(b, sum, keys, deltas, nil, n)
-						BlockMultiAggUpdate(b, multi, keys, rows, nil, n)
-					}
+				for i := 0; i < tc.keys; i++ {
+					// Every worker walks the key space from its own offset.
+					k := int64((i + w*tc.keys/tc.workers) % tc.keys)
+					sum.Update(k, []int64{int64(w + 1)})
+					multi.Update(k, []int64{int64(w + 1), k*100 + int64(w), k*100 + int64(w)})
 				}
 			}(w)
 		}
@@ -681,9 +628,6 @@ func TestAggTableReservedKeyPanics(t *testing.T) {
 	ops := []SlotOp{SlotAdd}
 	for name, update := range map[string]func(){
 		"MultiAggTable.Update": func() { NewMultiAggTable(4, ops).Update(aggEmpty, []int64{1}) },
-		"BlockMultiAggUpdate": func() {
-			BlockMultiAggUpdate(testBlockQuick(1), NewMultiAggTable(4, ops), []int64{aggEmpty}, [][]int64{{1}}, nil, 1)
-		},
 	} {
 		func() {
 			defer func() {
@@ -693,64 +637,5 @@ func TestAggTableReservedKeyPanics(t *testing.T) {
 			}()
 			update()
 		}()
-	}
-}
-
-func TestBlockAggUpdate(t *testing.T) {
-	const n = 256
-	gk := make([]int64, n)
-	dl := make([][]int64, n)
-	bm := make([]uint8, n)
-	for i := range gk {
-		gk[i] = int64(i % 4)
-		dl[i] = []int64{1}
-		if i%2 == 0 {
-			bm[i] = 1
-		}
-	}
-	at := NewMultiAggTable(8, []SlotOp{SlotAdd})
-	b := testBlock(t, n)
-	BlockMultiAggUpdate(b, at, gk, dl, bm, n)
-	total := int64(0)
-	at.Each(func(_ int64, acc []int64) { total += acc[0] })
-	if total != n/2 {
-		t.Errorf("agg total = %d, want %d", total, n/2)
-	}
-	if len(b.Pass().Probes) == 0 {
-		t.Error("agg update not metered")
-	}
-}
-
-func TestBlockAggregateMinMaxCount(t *testing.T) {
-	b := testBlock(t, 8)
-	items := []int32{5, -3, 9, 0, 7, -8, 2, 4}
-	bitmap := []uint8{1, 0, 1, 1, 0, 0, 1, 1}
-	mn, ok := BlockAggregateMin(b, items, bitmap, 8)
-	if !ok || mn != 0 {
-		t.Errorf("masked min = %d,%v", mn, ok)
-	}
-	mx, ok := BlockAggregateMax(b, items, bitmap, 8)
-	if !ok || mx != 9 {
-		t.Errorf("masked max = %d,%v", mx, ok)
-	}
-	if c := BlockAggregateCount(b, bitmap, 8); c != 5 {
-		t.Errorf("masked count = %d", c)
-	}
-	// Unmasked covers everything.
-	mn, _ = BlockAggregateMin(b, items, nil, 8)
-	mx, _ = BlockAggregateMax(b, items, nil, 8)
-	if mn != -8 || mx != 9 {
-		t.Errorf("full min/max = %d/%d", mn, mx)
-	}
-	if c := BlockAggregateCount(b, nil, 8); c != 8 {
-		t.Errorf("full count = %d", c)
-	}
-	// Nothing selected.
-	empty := make([]uint8, 8)
-	if _, ok := BlockAggregateMin(b, items, empty, 8); ok {
-		t.Error("empty min should report !ok")
-	}
-	if _, ok := BlockAggregateMax(b, items, empty, 8); ok {
-		t.Error("empty max should report !ok")
 	}
 }

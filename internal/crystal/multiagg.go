@@ -3,9 +3,6 @@ package crystal
 import (
 	"sync"
 	"sync/atomic"
-
-	"crystal/internal/device"
-	"crystal/internal/sim"
 )
 
 // SlotOp is the merge operator of one accumulator slot in a MultiAggTable.
@@ -59,10 +56,11 @@ func (op SlotOp) Merge(acc, v int64) int64 {
 //
 // The table has two sizes and they must not be confused. The modelled
 // footprint is a number: the open-addressing capacity the group estimate asks
-// for at 50% fill, fixed at construction. Bytes() reports it,
-// BlockMultiAggUpdate hands it to device.ProbeSet.StructBytes, and it
-// decides which cache level prices every probe — so it must not follow the
-// slices, or simulated seconds would move with the data. The physical
+// for at 50% fill, fixed at construction. Bytes() reports it (and
+// MultiAggTableBytes computes it without a table), a GPU pricing hands it to
+// device.ProbeSet.StructBytes, and it decides which cache level prices every
+// probe — so it must not follow the slices, or simulated seconds would move
+// with the data. The physical
 // footprint follows occupancy: keys/vals start at min(modelled, 256) slots
 // and double whenever a new group would take the table past half full, so
 // building, walking and collecting a table costs the host what the result
@@ -70,12 +68,12 @@ func (op SlotOp) Merge(acc, v int64) int64 {
 // its estimate grows the table instead of spinning on a full one.
 //
 // Updates run under the read half of mu (atomics order them against each
-// other); a rehash takes the write half. The block-wide updater takes the
-// read half once per tile, the standalone Update once per call.
+// other); a rehash takes the write half. Update takes the read half once
+// per call.
 type MultiAggTable struct {
-	ops      []SlotOp
-	slots    int
-	modelled int // slots of the modelled table; Bytes() is a function of it alone
+	ops   []SlotOp
+	slots int
+	bytes int64 // the modelled footprint, fixed at construction
 
 	mu   sync.RWMutex
 	keys []int64
@@ -94,9 +92,17 @@ const aggInitialSlots = 256
 // NewMultiAggTable creates a table modelled for up to n distinct groups with
 // the given accumulator slot operators (50% fill, capacity a power of two).
 func NewMultiAggTable(n int, ops []SlotOp) *MultiAggTable {
-	t := &MultiAggTable{ops: append([]SlotOp(nil), ops...), slots: len(ops), modelled: modelledSlots(n)}
-	t.alloc(min(t.modelled, aggInitialSlots))
+	t := &MultiAggTable{ops: append([]SlotOp(nil), ops...), slots: len(ops), bytes: MultiAggTableBytes(n, len(ops))}
+	t.alloc(min(modelledSlots(n), aggInitialSlots))
 	return t
+}
+
+// MultiAggTableBytes is the modelled footprint of a table for up to n
+// distinct groups of the given slot count: an 8-byte key plus 8 bytes per
+// slot for every slot of the capacity the estimate asks for. It is what a
+// table's probes are priced against, whether or not the table is built.
+func MultiAggTableBytes(n, slots int) int64 {
+	return int64(modelledSlots(n)) * int64(8+8*slots)
 }
 
 // modelledSlots is the capacity an estimate of n groups asks for: a power of
@@ -129,9 +135,9 @@ func (t *MultiAggTable) alloc(capacity int) {
 // Slots returns the number of accumulator slots per group.
 func (t *MultiAggTable) Slots() int { return t.slots }
 
-// Bytes returns the modelled table footprint: an 8-byte key plus 8 bytes per
-// slot for every slot of the capacity the estimate asked for.
-func (t *MultiAggTable) Bytes() int64 { return int64(t.modelled) * int64(8+8*t.slots) }
+// Bytes returns the modelled table footprint (MultiAggTableBytes of the
+// estimate the table was created for).
+func (t *MultiAggTable) Bytes() int64 { return t.bytes }
 
 // Groups returns the number of distinct groups accumulated.
 func (t *MultiAggTable) Groups() int { return int(atomic.LoadInt64(&t.n)) }
@@ -213,20 +219,15 @@ func (t *MultiAggTable) slotMerge(idx int, op SlotOp, v int64) {
 	}
 }
 
-// update is Update for a caller that holds the read half of mu. locate may
-// replace vals, so the index is taken before vals is read.
-func (t *MultiAggTable) update(key int64, deltas []int64) {
+// Update merges one row's slot deltas into the accumulators for group key.
+// locate may replace vals, so the index is taken before vals is read.
+func (t *MultiAggTable) Update(key int64, deltas []int64) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	base := t.locate(key)
 	for s, op := range t.ops {
 		t.slotMerge(base+s, op, deltas[s])
 	}
-}
-
-// Update merges one row's slot deltas into the accumulators for group key.
-func (t *MultiAggTable) Update(key int64, deltas []int64) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	t.update(key, deltas)
 }
 
 // Each calls fn for every (key, accumulator vector) pair in unspecified
@@ -240,23 +241,4 @@ func (t *MultiAggTable) Each(fn func(key int64, acc []int64)) {
 			fn(k, t.vals[i*t.slots:(i+1)*t.slots])
 		}
 	}
-}
-
-// BlockMultiAggUpdate accumulates the selected rows' slot-delta vectors of a
-// tile into the global table and meters the random probes. Atomic updates to
-// distinct cache-resident groups do not serialize on one address the way the
-// global output cursor does; they are priced as the probe traffic, against
-// the modelled footprint (8 + 8*slots bytes a slot) Bytes() reports.
-func BlockMultiAggUpdate(b *sim.Block, t *MultiAggTable, groupKeys []int64, deltas [][]int64, bitmap []uint8, n int) {
-	var probes int64
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for i := 0; i < n; i++ {
-		if bitmap != nil && bitmap[i] == 0 {
-			continue
-		}
-		t.update(groupKeys[i], deltas[i])
-		probes++
-	}
-	b.Pass().AddProbes(device.ProbeSet{Count: probes, StructBytes: t.Bytes()})
 }

@@ -37,47 +37,6 @@ func TestBlockLoadPackedValuesAndTraffic(t *testing.T) {
 	}
 }
 
-// TestBlockLoadSelPackedTraffic: the selective packed load charges only the
-// distinct packed lines touched, which for a sparse bitmap is far below the
-// full frame, and never exceeds it for a dense one.
-func TestBlockLoadSelPackedTraffic(t *testing.T) {
-	const n = 2048
-	vals := make([]int32, n)
-	rng := rand.New(rand.NewSource(10))
-	for i := range vals {
-		vals[i] = rng.Int31n(1 << 10)
-	}
-	col := pack.NewFrames(vals, n)
-
-	// Sparse: one element in 256.
-	b := testBlock(t, n)
-	bitmap := make([]uint8, n)
-	for i := 0; i < n; i += 256 {
-		bitmap[i] = 1
-	}
-	items := make([]int32, n)
-	BlockLoadSelPacked(b, col, bitmap, items)
-	sparse := b.Pass().BytesRead
-	for i := 0; i < n; i += 256 {
-		if items[i] != vals[i] {
-			t.Fatalf("selective decode wrong at %d", i)
-		}
-	}
-	if full := col.Bytes(); sparse >= full {
-		t.Errorf("sparse selective load read %d bytes, full frame is %d", sparse, full)
-	}
-
-	// Dense: every element — the line count caps at the frame's lines.
-	b2 := testBlock(t, n)
-	for i := range bitmap {
-		bitmap[i] = 1
-	}
-	BlockLoadSelPacked(b2, col, bitmap, items)
-	if dense, full := b2.Pass().BytesRead, col.Bytes(); dense > full+b2.LineSize() {
-		t.Errorf("dense selective load read %d bytes, frame is %d", dense, full)
-	}
-}
-
 // TestBlockLoadPackedConstantFrame: a width-0 frame decodes its constant
 // and charges nothing — the value is metadata, not storage.
 func TestBlockLoadPackedConstantFrame(t *testing.T) {
@@ -95,12 +54,5 @@ func TestBlockLoadPackedConstantFrame(t *testing.T) {
 	}
 	if b.Pass().BytesRead != 0 {
 		t.Errorf("constant frame charged %d bytes", b.Pass().BytesRead)
-	}
-	bitmap := make([]uint8, n)
-	bitmap[5] = 1
-	b2 := testBlock(t, n)
-	BlockLoadSelPacked(b2, col, bitmap, items)
-	if b2.Pass().BytesRead != 0 {
-		t.Errorf("selective constant frame charged %d bytes", b2.Pass().BytesRead)
 	}
 }

@@ -380,42 +380,3 @@ func TestSelectCorrectAcrossTileConfigs(t *testing.T) {
 		}
 	}
 }
-
-func TestSelectWhereMultiPredicate(t *testing.T) {
-	// Figure 7(b): SELECT y FROM R WHERE x > w AND y > v.
-	const n = 100_003
-	rng := rand.New(rand.NewSource(88))
-	x := make([]int32, n)
-	y := make([]int32, n)
-	for i := range x {
-		x[i], y[i] = int32(rng.Intn(1000)), int32(rng.Intn(1000))
-	}
-	clk := newClock()
-	got := SelectWhere(clk, sim.DefaultConfig(0), []Predicate{
-		{Col: x, Pred: func(v int32) bool { return v > 900 }},
-		{Col: y, Pred: func(v int32) bool { return v > 500 }},
-	}, y)
-	var want []int32
-	for i := range x {
-		if x[i] > 900 && y[i] > 500 {
-			want = append(want, y[i])
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d rows, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("row %d mismatch", i)
-		}
-	}
-	// The second column must read fewer bytes than the first (selective
-	// load after a 10% predicate).
-	p := clk.Passes()[0]
-	if p.BytesRead >= int64(3*4*n) {
-		t.Errorf("selective loads should save traffic: read %d of %d plain bytes", p.BytesRead, 3*4*n)
-	}
-	if len(SelectWhere(clk, sim.DefaultConfig(0), nil, y)) != 0 {
-		t.Error("no predicates should select nothing")
-	}
-}

@@ -39,8 +39,8 @@ func BuildHashTableBytes(clk *device.Clock, bytes int64, keyOf func(i int) int32
 // ProbeSum runs the probe-phase kernel of the Q4 join microbenchmark
 // (SELECT SUM(A.v + B.v) FROM A, B WHERE A.k = B.k, Section 4.3): tiles of
 // probe keys and payloads are loaded with BlockLoad, each thread probes the
-// hash table, local sums are reduced with BlockAggregate and a single
-// atomic per block updates the global sum.
+// hash table, local sums are reduced in the block and a single atomic per
+// block updates the global sum.
 func ProbeSum(clk *device.Clock, cfg sim.Config, probeKeys, probeVals []int32, ht *crystal.HashTable) int64 {
 	cfg.Elems = len(probeKeys)
 	var sum sim.Counter

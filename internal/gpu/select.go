@@ -123,58 +123,3 @@ func SelectIndependent(clk *device.Clock, in []int32, pred func(int32) bool) []i
 	clk.Charge(k3)
 	return out
 }
-
-// Predicate pairs one fact column with its predicate for multi-column
-// selections.
-type Predicate struct {
-	Col  []int32
-	Pred func(int32) bool
-}
-
-// SelectWhere runs the Figure 7(b) kernel: a selection with predicates on
-// several columns (SELECT y FROM R WHERE x > w AND y > v). The first
-// column is loaded in full with BlockLoad; every subsequent column is
-// loaded selectively with BlockLoadSel and its predicate folded in with
-// AndPred, so columns after the first only touch the cache lines that
-// still contain candidate rows. The projected column proj is returned for
-// the rows passing every predicate, in stable order.
-func SelectWhere(clk *device.Clock, cfg sim.Config, preds []Predicate, proj []int32) []int32 {
-	if len(preds) == 0 {
-		return nil
-	}
-	cfg.Elems = len(preds[0].Col)
-	blockOut := make([][]int32, cfg.NumBlocks())
-	var cursor sim.Counter
-
-	pass := sim.Run(clk.Spec(), cfg, func(b *sim.Block) {
-		ts := cfg.TileSize()
-		items := make([]int32, ts)
-		bitmap := make([]uint8, ts)
-		indices := make([]int32, ts)
-		shuffled := make([]int32, ts)
-
-		n := crystal.BlockLoad(b, preds[0].Col, items)
-		crystal.BlockPred(b, items, n, preds[0].Pred, bitmap)
-		for _, p := range preds[1:] {
-			crystal.BlockLoadSel(b, p.Col, bitmap, items)
-			crystal.BlockPredAnd(b, items, n, p.Pred, bitmap)
-		}
-		crystal.BlockLoadSel(b, proj, bitmap, items)
-		total := crystal.BlockScan(b, bitmap, n, indices)
-		if total == 0 {
-			return
-		}
-		b.AtomicAdd(&cursor, int64(total))
-		crystal.BlockShuffle(b, items, bitmap, indices, n, shuffled)
-		b.Pass().BytesWritten += int64(total) * 4
-		blockOut[b.ID] = append([]int32(nil), shuffled[:total]...)
-	})
-	pass.Label = "gpu select-where"
-	clk.Charge(pass)
-
-	var res []int32
-	for _, bo := range blockOut {
-		res = append(res, bo...)
-	}
-	return res
-}

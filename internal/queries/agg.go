@@ -194,25 +194,7 @@ func (st *aggState) eval(i int, vals []int32) int64 {
 	}
 }
 
-// rowDeltas fills out with one row's contribution vector (what a GPU block
-// hands to MultiAggTable.Update: min/max slots carry the row value itself,
-// add slots the delta).
-func (st *aggState) rowDeltas(vals []int32, out []int64) {
-	for i, s := range st.specs {
-		slot := st.slotOf[i]
-		switch s.Func {
-		case FuncCount:
-			out[slot] = 1
-		case FuncAvg:
-			out[slot] = st.eval(i, vals)
-			out[slot+1] = 1
-		default:
-			out[slot] = st.eval(i, vals)
-		}
-	}
-}
-
-// update merges one row directly into an accumulator vector (the CPU path).
+// update merges one row directly into an accumulator vector.
 func (st *aggState) update(acc []int64, vals []int32) {
 	for i, s := range st.specs {
 		slot := st.slotOf[i]

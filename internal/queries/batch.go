@@ -81,9 +81,10 @@ type BatchMember struct {
 	Query Query
 	// ScheduledResult is what a solo RunScheduled of the member's schedule
 	// reports — rows, Result.Seconds, Morsels, TransferBytes, ..., Executors,
-	// MergeBytes, MergeSeconds — deep-equal to it. A CPU-family member is
-	// priced from its seat in the shared pass (see RunBatchScheduled); a
-	// member that still executes is its own run, rows included.
+	// MergeBytes, MergeSeconds — deep-equal to it. A single-engine member
+	// is priced from its seat in the shared pass (see RunBatchScheduled); a
+	// fleet or hybrid member still executes and is its own run, rows
+	// included.
 	*ScheduledResult
 	// ShareSeconds is the member's share of the batch's simulated time:
 	// its solo seconds discounted by the fraction of its scan lines the
@@ -130,14 +131,14 @@ type BatchResult struct {
 // (BatchMember.ScanBytes, sum-exact). scheduleOf places each member, and the
 // placement decides what the pass is to it:
 //
-//   - A single-engine schedule on a CPU-family engine (CPU, Hyper, MonetDB,
-//     Omnisci — engines that are the scan plus arithmetic over its
-//     statistics) is seated: its executor is handed the member's slice of
-//     the shared pass and RunScheduled prices, merges, finalizes and sorts
-//     it exactly as it does a solo scan. The batch scans once.
-//   - GPU, coprocessor, fleet and hybrid schedules execute on their own
-//     executors, which restrict the morsel set or meter per tile; the shared
-//     pass only apportions their scan traffic.
+//   - A single-engine schedule on any of the six engines (each is the scan
+//     plus arithmetic over its statistics) is seated: its executor is handed
+//     the member's slice of the shared pass and RunScheduled prices, merges,
+//     finalizes and sorts it exactly as it does a solo scan. A batch of
+//     such members scans once.
+//   - Fleet and hybrid schedules execute on their own executors, each of
+//     which scans its share of the morsels; the shared pass only apportions
+//     their scan traffic.
 //
 // Either way a member's ScheduledResult deep-equals its solo RunScheduled —
 // Result.Seconds is exactly its solo seconds — while ShareSeconds carries
@@ -287,17 +288,17 @@ func sameExtent(s sched.Schedule, m scanMember) error {
 
 // seatMember hands a member's slice of the shared pass to its schedule when
 // the schedule is one the pass can stand in for: a single engineExecutor
-// assignment covering every morsel on a CPU-family engine, whose Execute is
-// scan + price(stats). The caller has verified the extent (sameExtent) and
-// gives the seat up: RunScheduled adopts its accumulator vectors. Every other
-// shape — GPU and coprocessor engines, fleets, hybrid splits — is left to
-// execute.
+// assignment covering every morsel, on any of the six engines, whose Execute
+// is scan + price(stats). The caller has verified the extent (sameExtent)
+// and gives the seat up: RunScheduled adopts its accumulator vectors. Fleets
+// and hybrid splits, whose executors each scan a share of the morsels, are
+// left to execute.
 func seatMember(s *sched.Schedule, seat *scanSeat) {
 	if len(s.Assignments) != 1 || len(s.Assignments[0].Morsels) != s.Morsels {
 		return
 	}
 	x, ok := s.Assignments[0].Executor.(engineExecutor)
-	if !ok || !cpuFamily(x.e) {
+	if !ok {
 		return
 	}
 	x.seat = seat

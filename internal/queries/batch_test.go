@@ -104,7 +104,7 @@ func TestScanFootprintCompatible(t *testing.T) {
 // encodings, fleet shapes and hybrid splits, ORDER BY/LIMIT included — while
 // the batch's shared traffic never exceeds the sum of the solo scans and the
 // per-member shares sum exactly back to the batch totals. Its two subtests
-// pin what pricing CPU-family members from their seat rests on: the priced
+// pin what pricing single-engine members from their seat rests on: the priced
 // member deep-equals the executed solo run over a fixed matrix, and the batch
 // really scans once.
 func TestDifferentialBatchAgree(t *testing.T) {
@@ -263,8 +263,8 @@ func pricedStatements(t *testing.T) []Query {
 	return append(qs, multi, top)
 }
 
-// pricedEqualsExecuted is the matrix behind "a CPU-family batch member is
-// priced from its seat": statements x the four CPU-family engines x {plain,
+// pricedEqualsExecuted is the matrix behind "a single-engine batch member
+// is priced from its seat": statements x the six engines x {plain,
 // packed} x {monolithic, 7 morsels, a clustered copy on which zone maps
 // prune}. The member's whole ScheduledResult — rows, Seconds bit for bit,
 // Morsels, Pruned, Packed, Ordered, Executors, merge pricing — deep-equals
@@ -294,7 +294,7 @@ func pricedEqualsExecuted(t *testing.T) {
 			if packed {
 				opts.Partition.Packed = lay.packed
 			}
-			for _, e := range []Engine{EngineCPU, EngineHyper, EngineMonet, EngineOmnisci} {
+			for _, e := range Engines() {
 				run := fmt.Sprintf("%s packed=%v %s", lay.name, packed, e)
 				br, err := RunBatch(plans, e, opts)
 				if err != nil {
@@ -351,16 +351,15 @@ func pricedEqualsExecuted(t *testing.T) {
 
 // refusingGate counts helper requests and grants none: sim.RunWithHelpers
 // stops asking at the first refusal, so it sees exactly one TryAcquire per
-// scanKernel pass and per GPU launch that has work for a helper.
+// scanKernel pass that has work for a helper.
 type refusingGate struct{ asked atomic.Int64 }
 
 func (g *refusingGate) TryAcquire() bool { g.asked.Add(1); return false }
 func (g *refusingGate) Release()         {}
 
-// batchScansOnce pins the point of seating: an eight-member CPU batch makes
-// one scanKernel pass and nothing else (it made nine before members were
-// priced from their seat), while an eight-member GPU batch still makes the
-// shared pass plus one launch per member.
+// batchScansOnce pins the point of seating: an eight-member batch on a
+// CPU-family or GPU-family engine makes one scanKernel pass and nothing else
+// (it made nine before members were priced from their seat).
 func batchScansOnce(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 || testDS.Lineorder.Rows() < 2*chunkRows {
 		t.Skip("needs a helper slot and a table of at least two chunks to observe passes")
@@ -372,21 +371,21 @@ func batchScansOnce(t *testing.T) {
 	for _, c := range []struct {
 		e    Engine
 		want int64
-	}{{EngineCPU, 1}, {EngineMonet, 1}, {EngineGPU, 9}} {
+	}{{EngineCPU, 1}, {EngineMonet, 1}, {EngineGPU, 1}, {EngineCoproc, 1}} {
 		gate := &refusingGate{}
 		opts := RunOptions{Partition: PartitionOptions{Partitions: 7, Limiter: gate}}
 		if _, err := RunBatch(plans, c.e, opts); err != nil {
 			t.Fatal(err)
 		}
 		if got := gate.asked.Load(); got != c.want {
-			t.Errorf("%s batch of %d: %d scan passes and launches, want %d", c.e, len(plans), got, c.want)
+			t.Errorf("%s batch of %d: %d scan passes, want %d", c.e, len(plans), got, c.want)
 		}
 	}
 }
 
 // TestBatchSingletonIdentity pins the degenerate batch: one member, whose
 // share is its entire solo run — bytes and seconds exactly, no discount —
-// whether the member executes (GPU) or is priced from its seat (CPU).
+// on the GPU and on the CPU engine, both priced from their seat.
 func TestBatchSingletonIdentity(t *testing.T) {
 	q, err := ByID("q2.1")
 	if err != nil {

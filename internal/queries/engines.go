@@ -48,7 +48,10 @@ const (
 	monetOpCycles = 4.0
 )
 
-// chargeBuilds prices the hash-table build phases on a CPU-like device.
+// chargeBuilds prices the hash-table build phases on the engine's device:
+// one pass per join, streaming the dimension columns and scattering the
+// inserts. On a GPU each pass is one kernel launch (a pass prices at least
+// one), so every engine charges its builds here.
 func chargeBuilds(clk *device.Clock, builds []buildInfo) {
 	for i := range builds {
 		b := &builds[i]
@@ -58,22 +61,12 @@ func chargeBuilds(clk *device.Clock, builds []buildInfo) {
 	}
 }
 
-// cpuFamily reports whether e is one of the four engines whose execution is
-// the scanKernel pass followed by pure arithmetic over its pipeStats: their
-// simulated seconds are price(e, stats), whoever ran the pass.
-func cpuFamily(e Engine) bool {
-	switch e {
-	case EngineCPU, EngineHyper, EngineMonet, EngineOmnisci:
-		return true
-	}
-	return false
-}
-
-// price returns the simulated seconds CPU-family engine e charges for the
-// compiled plan given the access statistics of its scan pass — the
-// paper's method: count what a pass touches, then price it on the device's
-// bandwidth. It is the one cost path of these engines: a solo run prices its
-// own scan, a shared-scan batch member its seat in the shared pass.
+// price returns the simulated seconds engine e charges for the compiled plan
+// given the access statistics of its scan pass — the paper's method: count
+// what a pass touches, then price it on the device's bandwidth. It is the
+// one cost path of every engine: a solo run prices its own scan, a
+// shared-scan batch member its seat in the shared pass. The coprocessor's
+// kernel is the Standalone GPU's (its transfer is coprocTransfer's).
 func (p *Plan) price(e Engine, st *pipeStats) float64 {
 	switch e {
 	case EngineCPU:
@@ -84,8 +77,10 @@ func (p *Plan) price(e Engine, st *pipeStats) float64 {
 		return p.priceMonet(st)
 	case EngineOmnisci:
 		return p.priceOmnisci(st)
+	case EngineGPU, EngineCoproc:
+		return p.priceGPU(device.V100(), st)
 	}
-	panic("queries: no scan pricing for engine " + string(e))
+	panic("queries: unknown engine " + string(e))
 }
 
 // priceCPU prices the compiled plan on the paper's "Standalone CPU": a
@@ -239,13 +234,7 @@ func (pl *Plan) priceMonet(st *pipeStats) float64 {
 func (pl *Plan) priceOmnisci(st *pipeStats) float64 {
 	q, builds := pl.Query, pl.builds
 	clk := device.NewClock(device.V100())
-	// Build phases are identical to the standalone GPU engine.
-	for i := range builds {
-		b := &builds[i]
-		pass := &device.Pass{Label: "build " + b.spec.Dim, BytesRead: b.bytesRead, Kernels: 1}
-		pass.AddProbes(device.ProbeSet{Count: b.inserted, StructBytes: b.ht.Bytes(), Writes: true})
-		clk.Charge(pass)
-	}
+	chargeBuilds(clk, builds) // identical to the standalone GPU engine's
 
 	// Packed runs shrink every operator's column scan and gather footprint;
 	// the unpack arithmetic is absorbed by the GPU's compute headroom, as in
@@ -288,68 +277,43 @@ func (pl *Plan) priceOmnisci(st *pipeStats) float64 {
 	return clk.Seconds()
 }
 
-// runCoprocessor executes the compiled plan with the tile-based GPU
-// kernels, but in the coprocessor architecture of Section 3.1: the
-// referenced fact columns must first cross PCIe. With perfect overlap of
-// transfer and execution the runtime is the maximum of the two, and since
-// PCIe bandwidth is far below the GPU's memory bandwidth, the transfer
-// dominates — which is why the coprocessor model cannot beat a decent CPU
-// implementation (Figure 3). Packed runs ship compressed bytes instead of
-// plain ones, and a Residency cache lets repeated queries skip the
-// transfer of device-resident packed columns entirely — the two levers
-// that make the coprocessor competitive.
-func (pl *Plan) runCoprocessor(ms *morselRun) *Result {
-	q := pl.Query
-	res := pl.runGPU(ms)
-	cols := q.ReferencedFactColumns()
-
+// coprocTransfer returns the PCIe bytes a coprocessor run ships, and the
+// referenced fact columns a residency cache served instead, given the
+// statistics of its scan pass over ms: the kernel is the Standalone GPU's,
+// but in the coprocessor architecture of Section 3.1 the referenced fact
+// columns must first cross PCIe. With perfect overlap of transfer and
+// execution the runtime is the maximum of the two, and since PCIe bandwidth
+// is far below the GPU's memory bandwidth, the transfer dominates — which is
+// why the coprocessor model cannot beat a decent CPU implementation (Figure
+// 3). Packed runs ship compressed bytes instead of plain ones, and a
+// Residency cache lets repeated queries skip the transfer of device-resident
+// packed columns entirely — the two levers that make the coprocessor
+// competitive.
+func (pl *Plan) coprocTransfer(ms *morselRun, st *pipeStats) (bytes int64, resident int) {
 	// Zone maps live on the host, so pruned morsels are never shipped: only
-	// surviving fact rows cross PCIe (plus the replicated dimensions).
-	// Packed runs ship the surviving frames' packed bytes instead; with a
+	// the surviving morsels' column bytes cross PCIe (the packed frames' on
+	// packed runs), plus the replicated dimensions the builds scan. With a
 	// residency cache, an admitted miss ships (and pins) the whole packed
-	// column so that a resident column is always fully resident, a hit
-	// ships nothing, and a refused admission (column larger than the
-	// device, cache gone stale) degrades to the ordinary cold transfer.
-	var bytes int64
-	resident := 0
-	for _, c := range cols {
-		if ms.packed == nil {
-			bytes += ms.scanned * 4
-			continue
-		}
-		fr := ms.packed.Col(c)
-		liveBytes := func() int64 {
-			var b int64
-			for _, m := range ms.live {
-				b += fr.BytesRange(m.Lo, m.Hi)
-			}
-			return b
-		}
-		if ms.residency != nil {
-			full := fr.Bytes()
-			switch hit, admitted := ms.residency.Acquire(c, full); {
-			case hit:
+	// column so that a resident column is always fully resident, a hit ships
+	// nothing, and a refused admission (column larger than the device, cache
+	// gone stale) degrades to the ordinary cold transfer.
+	for _, c := range pl.Query.ReferencedFactColumns() {
+		if ms.packed != nil && ms.residency != nil {
+			full := st.footBytes[c]
+			hit, admitted := ms.residency.Acquire(c, full)
+			if hit {
 				resident++
-			case admitted:
-				bytes += full
-			default:
-				bytes += liveBytes()
+				continue
 			}
-			continue
+			if admitted {
+				bytes += full
+				continue
+			}
 		}
-		bytes += liveBytes()
+		bytes += st.colScanBytes(c)
 	}
-	for _, j := range q.Joins {
-		d := DimTable(pl.ds, j.Dim)
-		bytes += int64(d.Rows()) * int64(1+len(j.Filters)+btoi(j.Payload != "")) * 4
+	for i := range pl.builds {
+		bytes += pl.builds[i].bytesRead
 	}
-	res.TransferBytes = bytes
-	res.ResidentCols = resident
-	transfer := device.TransferTime(bytes)
-	exec := res.Seconds
-	res.KernelSeconds = exec
-	if transfer > exec {
-		res.Seconds = transfer
-	}
-	return res
+	return bytes, resident
 }

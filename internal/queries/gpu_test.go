@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"crystal/internal/device"
 	"crystal/internal/fleet"
 	"crystal/internal/queries/queriestest"
 	"crystal/internal/ssb"
@@ -23,31 +24,28 @@ func drainScratch() {
 }
 
 // poisonScratch replaces the free list's contents with scratch whose every
-// buffer is sized generously (so no kernel grows one into fresh zeroed
-// memory) and filled with 0x7f garbage: a non-zero bitmap, huge items,
-// keys, delta vectors and accumulators, and row-delta slices of the wrong length.
+// buffer is sized generously (so no pass grows one into fresh zeroed memory)
+// and filled with 0x7f garbage: out-of-range selection indices, huge decoded
+// values, payloads, row values and accumulators, and aggregate input tiles
+// of a foreign tile.
 func poisonScratch() {
 	drainScratch()
+	garbage := make([]int32, ssb.MorselAlign)
+	for j := range garbage {
+		garbage[j] = 0x7f7f7f7f
+	}
 	for i := 0; i < cap(scratchFree); i++ {
 		s := new(tileScratch)
-		s.reserve(ssb.MorselAlign, 16, 8)
-		for j := range s.items {
-			s.items[j] = 0x7f7f7f7f
-			s.bitmap[j] = 0x7f
-			s.keys[j] = 0x7f7f7f7f7f7f7f7f
-			s.rowDeltas[j] = s.flat[:1]
-		}
+		s.reserve(ssb.MorselAlign, 8, 8, 8)
+		copy(s.sel, garbage)
+		copy(s.items, garbage)
 		for _, col := range s.cols {
-			for j := range col {
-				col[j] = 0x7f7f7f7f
-			}
+			copy(col, garbage)
 		}
-		for j := range s.vals {
-			s.vals[j] = 0x7f7f7f7f
+		for j := range s.aggs {
+			s.aggs[j] = garbage
 		}
-		for j := range s.flat {
-			s.flat[j] = 0x7f7f7f7f7f7f7f7f
-		}
+		copy(s.row, garbage)
 		for j := range s.acc {
 			s.acc[j] = 0x7f7f7f7f7f7f7f7f
 		}
@@ -55,13 +53,14 @@ func poisonScratch() {
 	}
 }
 
-// TestPoisonedScratchEqualsFresh pins the tileScratch invariant: a kernel
-// reads only slots it wrote in the same block, so a launch whose every block
+// TestPoisonedScratchEqualsFresh pins the tileScratch invariant: the scan
+// reads only entries it wrote in the same tile, so a pass whose every worker
 // starts from another tile's garbage returns the oracle's rows and the
-// simulated seconds of a launch on fresh scratch — the 13 catalog queries
-// plus a grouped multi-aggregate, a global multi-aggregate and a no-filter
-// statement, on a table whose last tile is partial, plain and packed, on one
-// GPU, a fleet of two and the hybrid placement.
+// simulated seconds of a pass on fresh scratch — the 13 catalog queries plus
+// a grouped multi-aggregate, a global multi-aggregate and a no-filter
+// statement, on a table whose last tile is partial, plain and packed, on all
+// six engines, a fleet of two and the hybrid placement, and as members of an
+// eight-member shared scan.
 func TestPoisonedScratchEqualsFresh(t *testing.T) {
 	defer drainScratch()
 	ds := ssb.GenerateRows(5*ssb.MorselAlign + 777)
@@ -81,16 +80,19 @@ func TestPoisonedScratchEqualsFresh(t *testing.T) {
 		Query{ID: "no-filter", Agg: AggSumProfit, Joins: []JoinSpec{{Dim: "date", FactFK: "orderdate", Payload: "year"}}},
 	)
 	fl := fleet.Spec{GPUs: 2, Link: fleet.Interconnects()[0]}
-	for _, q := range stmts {
+	plans := make([]*Plan, len(stmts))
+	wants := make([]*Result, len(stmts))
+	for i, q := range stmts {
 		if err := q.Validate(); err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
 		}
-		want := normalizeRef(q, Reference(ds, q))
-		plan := Compile(ds, q)
-		for _, pf := range []*ssb.PackedFact{nil, packed} {
-			opts := RunOptions{Partition: PartitionOptions{Partitions: 3, Packed: pf}}
+		plans[i], wants[i] = Compile(ds, q), normalizeRef(q, Reference(ds, q))
+	}
+	for _, pf := range []*ssb.PackedFact{nil, packed} {
+		opts := RunOptions{Partition: PartitionOptions{Partitions: 3, Packed: pf}}
+		for i, q := range stmts {
+			plan := plans[i]
 			runs := map[string]func() *Result{
-				"gpu": func() *Result { return runEngine(plan, EngineGPU, opts) },
 				"fleet": func() *Result {
 					sr, err := runFleet(plan, fl, opts)
 					if err != nil {
@@ -106,6 +108,9 @@ func TestPoisonedScratchEqualsFresh(t *testing.T) {
 					return sr.Result
 				},
 			}
+			for _, e := range Engines() {
+				runs[string(e)] = func() *Result { return runEngine(plan, e, opts) }
+			}
 			for name, run := range runs {
 				label := fmt.Sprintf("%s %s packed=%v", q.ID, name, pf != nil)
 				drainScratch()
@@ -113,16 +118,36 @@ func TestPoisonedScratchEqualsFresh(t *testing.T) {
 				poisonScratch()
 				got := run()
 				queriestest.SameRun(t, label+" (poisoned vs fresh)", got, fresh)
-				if !got.Equal(want) {
+				if !got.Equal(wants[i]) {
 					t.Errorf("%s: rows on poisoned scratch disagree with the reference", label)
 				}
+			}
+		}
+		// Eight members ride one pass: each member's tiles follow another
+		// member's in the same scratch.
+		batch := func() *BatchResult {
+			br, err := RunBatch(plans[len(plans)-8:], EngineCPU, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return br
+		}
+		drainScratch()
+		fresh := batch()
+		poisonScratch()
+		got := batch()
+		for i, m := range got.Members {
+			label := fmt.Sprintf("batch member %s packed=%v", m.Query.ID, pf != nil)
+			queriestest.SameRun(t, label+" (poisoned vs fresh)", m.Result, fresh.Members[i].Result)
+			if !m.Result.Equal(wants[len(plans)-8+i]) {
+				t.Errorf("%s: rows on poisoned scratch disagree with the reference", label)
 			}
 		}
 	}
 }
 
 // TestGPURunAllocationBudget is the tier-1 allocation gate of the GPU-family
-// path: once the free list is warm a run allocates per launch and per result
+// path: once the free list is warm a run allocates per scan pass and per result
 // group — not per tile, per row or per slot of the group estimate. Before
 // tile scratch was reused and the aggregation table sized by occupancy, q4.3
 // (estimate 2^20 groups) allocated 32 MB a run and q1.1 two slices a tile.
@@ -181,4 +206,22 @@ func TestCPURunAllocationBudget(t *testing.T) {
 			t.Errorf("%s: %.1f KB allocated a CPU run, budget %.0f KB", id, kb, maxKB)
 		}
 	}
+}
+
+// TestPriceGPURefusesOtherLines pins the guard on priceGPU: the scan counts
+// selective reads in 128 B lines, so a device with another DRAM line would
+// be priced wrong, and is refused instead.
+func TestPriceGPURefusesOtherLines(t *testing.T) {
+	q, err := ByID("q1.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Compile(diffDS, q)
+	_, st := p.scan(p.morselRun(RunOptions{}))
+	defer func() {
+		if recover() == nil {
+			t.Error("a GPU pricing on 64 B lines did not panic")
+		}
+	}()
+	p.priceGPU(device.I76900(), st)
 }

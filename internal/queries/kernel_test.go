@@ -2,11 +2,13 @@ package queries
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
 	"crystal/internal/fleet"
+	"crystal/internal/pack"
 	"crystal/internal/sched"
 	"crystal/internal/ssb"
 )
@@ -85,7 +87,7 @@ func rawGroups(r *Result) map[int64][]int64 {
 	return out
 }
 
-// BenchmarkScanKernel is the per-layer benchmark of the one row loop: a
+// BenchmarkScanKernel is the per-layer benchmark of the one probe pipeline: a
 // monolithic pass over 2^20 fact rows with one member (the solo engines'
 // path) and with eight (a full shared-scan batch), on a filter-only query
 // with no group (q1.1) and one-, three- and four-join grouped ones (q2.1 and
@@ -118,12 +120,12 @@ func BenchmarkScanKernel(b *testing.B) {
 }
 
 // BenchmarkRunGPU is the per-layer benchmark of the GPU-family path: the
-// tile kernel over 2^20 fact rows on one GPU and on a 4-GPU fleet (one launch
-// per device over its shard, then the host merge), for a filter-only query
-// and one-, three- and four-join grouped ones whose group estimates run from
-// 7,000 to the 2^20 cap. Allocations are the path's own — tile scratch comes
-// from the free list, aggregation tables are sized by occupancy — so B/op and
-// allocs/op should not move with the row count.
+// scan over 2^20 fact rows priced on one GPU and on a 4-GPU fleet (one scan
+// and one priced launch per device over its shard, then the host merge), for
+// a filter-only query and one-, three- and four-join grouped ones whose group
+// estimates run from 7,000 to the 2^20 cap. Allocations are the path's own —
+// tile scratch comes from the free list, accumulator tables follow the
+// groups held — so B/op and allocs/op should not move with the row count.
 func BenchmarkRunGPU(b *testing.B) {
 	const rows = 1 << 20
 	ds := ssb.GenerateRows(rows)
@@ -157,11 +159,11 @@ func BenchmarkRunGPU(b *testing.B) {
 
 // BenchmarkRunBatch is the per-layer benchmark of the batch entry: eight
 // scan-compatible range statements over 2^18 fact rows as one
-// RunBatchScheduled, on an engine whose members are priced from their seat
-// (CPU) and one whose members still execute (GPU). ns/op and allocs are the
-// batch's; batch/solo is its wall clock over that of the same eight members'
-// solo RunScheduled calls (base = solo), so a batch that scans once reads
-// below 1 and one that re-executes every member reads near 2.
+// RunBatchScheduled, on the CPU and the GPU engine, whose members are both
+// priced from their seat. ns/op and allocs are the batch's; batch/solo is
+// its wall clock over that of the same eight members' solo RunScheduled
+// calls (base = solo), so a batch that scans once reads below 1 and one
+// that re-executed every member would read near 2.
 func BenchmarkRunBatch(b *testing.B) {
 	const rows, members = 1 << 18, 8
 	ds := ssb.GenerateRows(rows)
@@ -195,5 +197,73 @@ func BenchmarkRunBatch(b *testing.B) {
 			}
 			b.ReportMetric(float64(batch)/float64(solo), "batch/solo")
 		})
+	}
+}
+
+// TestTileLinesMatchFrameLines pins the line masks every engine's traffic is
+// counted from against the storage layout itself: for plain tiles and packed
+// frames of every width (a constant frame occupies no line), full and
+// partial, a read of every row and sparse and dense selections count exactly
+// the distinct 64 B and 128 B lines pack.Frames.LineOf places the selected
+// rows on — a sparse selective read far below the full frame, a dense one
+// never above it.
+func TestTileLinesMatchFrameLines(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	distinct := func(sel []int32, line func(int) int64) int64 {
+		seen := map[int64]bool{}
+		for _, i := range sel {
+			if l := line(int(i)); l >= 0 {
+				seen[l] = true
+			}
+		}
+		return int64(len(seen))
+	}
+	for _, n := range []int{ssb.MorselAlign, 777} {
+		for width := 0; width <= 32; width++ {
+			vals := make([]int32, n)
+			for i := range vals {
+				vals[i] = int32(rng.Int63n(int64(1) << width))
+			}
+			fr := pack.NewFrames(vals, ssb.MorselAlign)
+			if got := fr.Frame(0).Width(); got != uint(width) && width > 0 {
+				continue // the draw missed the top bit: another width's case
+			}
+			w := fr.Frame(0).Width()
+			all := make([]int32, n)
+			for i := range all {
+				all[i] = int32(i)
+			}
+			sparse, dense := []int32{}, []int32{}
+			for i := range all {
+				if i%256 == 3 {
+					sparse = append(sparse, int32(i))
+				}
+				if i%3 != 0 {
+					dense = append(dense, int32(i))
+				}
+			}
+			for name, sel := range map[string][]int32{"all": all, "sparse": sparse, "dense": dense} {
+				m := selLines(sel, w)
+				if name == "all" && fullLines(n, w) != m {
+					t.Errorf("n=%d width %d: fullLines %x, a read of every row %x", n, w, fullLines(n, w), m)
+				}
+				want64 := distinct(sel, func(i int) int64 { return fr.LineOf(i, 64) })
+				want128 := distinct(sel, func(i int) int64 { return fr.LineOf(i, 128) })
+				if m.count() != want64 || m.pairs() != want128 {
+					t.Errorf("n=%d width %d %s: %d/%d lines of 64/128 B, the frame places them on %d/%d",
+						n, w, name, m.count(), m.pairs(), want64, want128)
+				}
+				if full := fr.Bytes(); m.pairs()*128 > full+128 || (name == "sparse" && w >= 8 && m.pairs()*128 >= full) {
+					t.Errorf("n=%d width %d %s: %d B of 128 B lines against a %d B frame", n, w, name, m.pairs()*128, full)
+				}
+			}
+			if w == 32 {
+				// Plain tiles are stored 32 bits a row: the same mask.
+				plain := distinct(sparse, func(i int) int64 { return int64(i >> 4) })
+				if selLines(sparse, 32).count() != plain {
+					t.Errorf("n=%d: plain sparse read counts %d lines, want %d", n, selLines(sparse, 32).count(), plain)
+				}
+			}
+		}
 	}
 }

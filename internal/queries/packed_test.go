@@ -102,6 +102,14 @@ func TestPackedCoprocessorTransfer(t *testing.T) {
 			refused.TransferBytes, refused.Seconds, packed.TransferBytes, packed.Seconds)
 	}
 
+	// An admitted miss ships (and pins) whole columns: unpruned, exactly the
+	// cold packed transfer.
+	admitted := runEngine(plan, EngineCoproc, RunOptions{Partition: PartitionOptions{Packed: testPacked, Residency: coldAdmit{}}})
+	if admitted.TransferBytes != packed.TransferBytes || admitted.Seconds != packed.Seconds {
+		t.Errorf("admitted miss shipped %d bytes (%.9fs), cacheless packed ships %d (%.9fs)",
+			admitted.TransferBytes, admitted.Seconds, packed.TransferBytes, packed.Seconds)
+	}
+
 	warm := runEngine(plan, EngineCoproc, RunOptions{Partition: PartitionOptions{Packed: testPacked, Residency: residentAll{}}})
 	if warm.ResidentCols == 0 {
 		t.Fatal("warm run reported no resident columns")

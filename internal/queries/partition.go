@@ -152,32 +152,6 @@ type morselRun struct {
 	residency Residency
 }
 
-// factReader resolves one fact column against the run's encoding: the plain
-// slice, or the packed frames the engines decode through.
-func (ms *morselRun) factReader(l *ssb.Lineorder, name string) colReader {
-	if ms.packed != nil {
-		return colReader{packed: ms.packed.Col(name)}
-	}
-	return colReader{plain: l.Col(name)}
-}
-
-func (ms *morselRun) prunedCount() int {
-	n := 0
-	for _, p := range ms.pruned {
-		if p {
-			n++
-		}
-	}
-	return n
-}
-
-// stamp records the partitioning and encoding outcome on a result.
-func (ms *morselRun) stamp(res *Result) {
-	res.Morsels = len(ms.morsels)
-	res.Pruned = ms.prunedCount()
-	res.Packed = ms.packed != nil
-}
-
 // morselRun resolves opts against the plan: the monolithic path uses a
 // single zoneless morsel (no Partition scan, no pruning), the partitioned
 // path fetches the plan's cached morsels and applies zone-map pruning to

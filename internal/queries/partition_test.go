@@ -187,14 +187,6 @@ func TestBtoi(t *testing.T) {
 	}
 }
 
-func BenchmarkBtoi(b *testing.B) {
-	s := 0
-	for i := 0; i < b.N; i++ {
-		s += btoi(i&1 == 0)
-	}
-	_ = s
-}
-
 // TestEngineWrappersMatchDispatch exercises the Dataset accessor and checks
 // a partitioned engine run returns the monolithic rows.
 func TestEngineWrappersMatchDispatch(t *testing.T) {

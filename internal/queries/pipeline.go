@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -10,23 +11,6 @@ import (
 	"crystal/internal/sim"
 	"crystal/internal/ssb"
 )
-
-// colReader reads one fact column from either the plain slice or the
-// bit-packed frames. Packed runs decode every value they touch through the
-// encoding, which is what makes packed results row-identical to plain ones
-// by construction rather than by coincidence.
-type colReader struct {
-	plain  []int32
-	packed *pack.Frames
-}
-
-// at returns the row-th value of the column.
-func (c colReader) at(row int) int32 {
-	if c.packed != nil {
-		return c.packed.Get(row)
-	}
-	return c.plain[row]
-}
 
 // dimFill sizes dimension hash tables like the paper's (Section 5.3:
 // "the size of the part hash table (with perfect hashing) is 2x4x1M =
@@ -118,11 +102,12 @@ type pipeStats struct {
 	colOrder []string
 	// lines64 counts, per fact column, the distinct 64 B lines containing at
 	// least one row alive when the column was read — the exact form of the
-	// min(4|L|/C, |L|sigma) term in the Section 5.3 model. Morsel and chunk
-	// boundaries are line-aligned (ssb.MorselAlign is a multiple of the line
-	// size), so per-chunk counts sum to the exact distinct-line total no
-	// matter how the scan is partitioned — which is what keeps simulated
-	// seconds identical across partition counts.
+	// min(4|L|/C, |L|sigma) term in the Section 5.3 model. Later reads of a
+	// column see a subset of the rows its first read saw, so the count is
+	// its first read's. Tile boundaries are line-aligned (ssb.MorselAlign is
+	// a multiple of the line size), so per-tile counts sum to the exact
+	// distinct-line total no matter how the scan is partitioned — which is
+	// what keeps simulated seconds identical across partition counts.
 	lines64 map[string]int64
 	// packed reports whether the scan read the bit-packed fact encoding.
 	// lines64 then counts lines of the packed layout (frames are
@@ -141,6 +126,18 @@ type pipeStats struct {
 	alive []int64
 	// out is the number of rows reaching the aggregate.
 	out int64
+	// lines128[s] counts, for read slot s of colOrder (s >= 1), the 128 B
+	// lines holding a row selected at that slot: what a GPU's selective tile
+	// load streams (BlockLoadSel's min(4|L|/C, |L|sigma) term), once per
+	// slot, so a column read twice is charged twice. The first slot loads
+	// whole tiles and is charged rows*4 (or its scanBytes when packed)
+	// instead, so lines128[0] stays 0.
+	lines128 []int64
+	// atomicTiles counts the tiles whose block-local accumulator of a
+	// global (no group-by) aggregate left the identity vector: the GPU
+	// issues one atomic per accumulator slot for each of them, and none for
+	// a tile whose contributions left every slot where it started.
+	atomicTiles int64
 }
 
 // colScanBytes returns the streaming bytes of one full-column operator scan
@@ -219,35 +216,80 @@ type scanMember struct {
 	ms *morselRun
 }
 
-// line returns the 64 B line of the column's storage that holds row. Packed
-// lines hold 32/width times more rows than plain ones; a width-0 frame
-// occupies no storage and reports -1 (reading it touches no line).
-func (c colReader) line(row int) int64 {
-	if c.packed != nil {
-		return c.packed.LineOf(row, 64)
+// tileLines is one read's 64 B line mask over one tile: bit l is set when
+// the read touched the tile's l-th 64 B line of the column's storage. A tile
+// of ssb.MorselAlign rows spans at most 128 of them (plain: 16 rows a line;
+// packed: 512/width rows a line, since a tile is exactly one frame), and
+// both encodings start every tile on a 256 B boundary, so a tile's lines
+// are its own and a 128 B line is an aligned pair of 64 B ones.
+type tileLines [2]uint64
+
+// fullLines is the mask of a read of every one of a tile's n rows, stored
+// width bits a row.
+func fullLines(n int, width uint) tileLines {
+	if n == 0 || width == 0 {
+		return tileLines{}
 	}
-	return int64(row >> 4)
+	l := uint(n-1)*width>>9 + 1
+	if l < 64 {
+		return tileLines{1<<l - 1}
+	}
+	return tileLines{^uint64(0), 1<<(l-64) - 1}
 }
 
-// lineTrack counts the distinct 64 B lines of one column that a monotone row
-// sequence touches: rows only ascend, so a line is new exactly when it
-// differs from the last one seen.
-type lineTrack struct{ last, n int64 }
-
-func (t *lineTrack) touch(l int64) {
-	if l >= 0 && t.last != l+1 {
-		t.last = l + 1
-		t.n++
+// selLines is the mask of a read of the selected rows.
+func selLines(sel []int32, width uint) tileLines {
+	var m tileLines
+	if width == 0 {
+		return m // a constant frame occupies no storage
 	}
+	for _, i := range sel {
+		l := uint(i) * width >> 9
+		m[l>>6] |= 1 << (l & 63)
+	}
+	return m
+}
+
+// count is the number of 64 B lines read.
+func (m tileLines) count() int64 {
+	return int64(bits.OnesCount64(m[0]) + bits.OnesCount64(m[1]))
+}
+
+// pairs is the number of 128 B lines read: aligned pairs with a bit set.
+func (m tileLines) pairs() int64 {
+	const even = 0x5555555555555555
+	return int64(bits.OnesCount64((m[0]|m[0]>>1)&even) + bits.OnesCount64((m[1]|m[1]>>1)&even))
 }
 
 // scanCol is one column-read slot of a member's pipeline (a filter input, a
-// probed foreign key or an aggregate input): the resolved reader plus the
-// column's index into the member's line trackers and into the pass-wide
-// union trackers. Resolving both at setup keeps the row loop on slices.
+// probed foreign key or an aggregate input): the column in the run's
+// encoding, its index into the member's line counts and into the pass-wide
+// union masks, and whether the slot is the column's first read in the
+// member's pipeline (the read its line count is taken from).
 type scanCol struct {
-	colReader
+	plain     []int32
+	packed    *pack.Frames
 	col, ucol int
+	first     bool
+}
+
+// read returns the n-row tile at lo indexed by tile row, valid at least at
+// the selected rows, and the bits a row of the column occupies: the plain
+// column's tile itself, or the tile's frame decoded into buf — whole when
+// every row is selected, otherwise only at the selected rows.
+func (c *scanCol) read(lo, n int, sel, buf []int32) ([]int32, uint) {
+	if c.packed == nil {
+		return c.plain[lo : lo+n], 32
+	}
+	f := c.packed.Frame(lo / ssb.MorselAlign)
+	if len(sel) == n {
+		f.UnpackRange(0, n, buf)
+	} else {
+		for _, i := range sel {
+			buf[i] = f.Get(int(i))
+		}
+	}
+	return buf, f.Width()
 }
 
 // colIndex returns name's position in *cols, appending it when absent. The
@@ -263,60 +305,247 @@ func colIndex(cols *[]string, name string) int {
 }
 
 // scanPipe is one member's resolved pipeline, shared read-only by the scan
-// workers.
+// workers. slots are its reads in colOrder: the nf fact filters, the nj
+// probed foreign keys, then the aggregate inputs.
 type scanPipe struct {
-	q                 *Query
-	builds            []buildInfo
-	ast               *aggState
-	filters, fks, agg []scanCol
-	cols              []string // the member's distinct fact columns; index = scanCol.col
-	pruned            []bool   // per canonical morsel
+	q        *Query
+	builds   []buildInfo
+	ast      *aggState
+	slots    []scanCol
+	nf, nj   int
+	payloads int      // joins that carry a group payload
+	cols     []string // the member's distinct fact columns; index = scanCol.col
+	pruned   []bool   // per canonical morsel
 }
 
 // scanAcc is one worker's private accumulator for one member.
 type scanAcc struct {
 	*scanPipe
-	lines         []lineTrack // per scanPipe.cols
+	lines         []int64 // per scanPipe.cols
+	lines128      []int64 // per slot
 	evals, probes []int64
 	alive         []int64
-	out           int64
+	out, atomics  int64
 	accs          *sched.AccTable
-	payloads      []int32
-	vals          []int32
 }
 
-// touch meters the read of column c at row for the member and, when the pass
-// has several members, folds the same line into the union trackers: a shared
-// scan streams a line once no matter how many members consume it.
-func (a *scanAcc) touch(c *scanCol, row int, union []lineTrack) {
-	l := c.line(row)
-	a.lines[c.col].touch(l)
-	if union != nil {
-		union[c.ucol].touch(l)
+// tileScratch is one worker's tile buffers — the registers and shared
+// memory of Section 3.3, which a GPU reuses for every tile and never
+// allocates. A worker takes one from scratchFree for its pass and puts it
+// back at the end, so a pass allocates no tile however many tiles it runs.
+//
+// A reused scratch holds another tile's values, possibly another query's.
+// The pipeline may therefore read an entry only if it wrote that entry
+// earlier in the same tile: sel[:n] is reset to every row at the start of a
+// tile and only compacted after; a packed read decodes into items or its
+// cols buffer at every selected row before anything reads them; a join
+// writes its payload tile at every row it keeps, and the aggregate reads
+// payloads and inputs only at rows every read kept; row is written before
+// each update reads it; acc is reset to the merge identities at every tile.
+// Nothing that outlives the pass may alias a scratch buffer.
+type tileScratch struct {
+	sel   []int32   // the tile rows alive at the current read
+	items []int32   // a packed filter input's or key's decoded rows
+	cols  [][]int32 // payload tiles, then the packed aggregate inputs' decoded rows
+	aggs  [][]int32 // the aggregate inputs' tiles
+	row   []int32   // one row's payloads, then its aggregate inputs
+	acc   []int64   // a global aggregate's tile-local accumulator
+}
+
+// reserve sizes the scratch for tiles of ts rows with the given number of
+// payload joins, aggregate inputs and accumulator slots; a buffer that is
+// already large enough is kept, contents and all.
+func (s *tileScratch) reserve(ts, payloads, aggs, slots int) {
+	if len(s.sel) < ts {
+		s.sel = make([]int32, ts)
+		s.items = make([]int32, ts)
+		s.cols = nil // its tiles are the old size
+	}
+	for len(s.cols) < payloads+aggs {
+		s.cols = append(s.cols, make([]int32, len(s.sel)))
+	}
+	if len(s.row) < payloads+aggs {
+		s.row = make([]int32, payloads+aggs)
+		s.aggs = make([][]int32, payloads+aggs)
+	}
+	if len(s.acc) < slots {
+		s.acc = make([]int64, slots)
 	}
 }
 
-// scanKernel is the one CPU-style row loop: it executes every member's probe
-// pipeline — fact filters in order, then the join probes, then the grouped
-// aggregate, short-circuiting per row exactly like the generated kernels —
-// inside one pass over the union of the members' surviving morsels. A solo
-// run is the pass with one member. Chunks are scanned in parallel (the
-// calling goroutine always works, helpers are bounded by the first member's
-// limiter); rows ascend in the outer loop and members evaluate in order
-// within a row, so:
+// scratchFree is the free list workers draw tile scratch from: a buffered
+// channel with non-blocking get and put, so it never holds more than its
+// capacity (64 scratches of ~0.1 MB: more workers than that in flight at
+// once means more goroutines than any host here runs, and the overflow is
+// simply allocated and dropped). It is deliberately not a sync.Pool: every
+// collection empties a pool, which makes a run's allocation a function of GC
+// timing — and the benchmark holds alloc_kb_per_req to a few percent.
+var scratchFree = make(chan *tileScratch, 64)
+
+func getScratch(ts, payloads, aggs, slots int) *tileScratch {
+	var s *tileScratch
+	select {
+	case s = <-scratchFree:
+	default:
+		s = new(tileScratch)
+	}
+	s.reserve(ts, payloads, aggs, slots)
+	return s
+}
+
+func putScratch(s *tileScratch) {
+	select {
+	case scratchFree <- s:
+	default:
+	}
+}
+
+// scanTile runs the member's pipeline over the n-row tile at lo, one read at
+// a time through the selection vector: the first read takes every row of the
+// tile, each later one only the rows still alive, so a read touches exactly
+// the lines a GPU's selective tile load streams and a CPU's short-circuiting
+// row-at-a-time pipeline touches. Each read's line mask is counted for the
+// member's 64 B lines (first reads of a column), its 128 B lines (every read
+// after the first) and, on a shared pass, folded into the union masks.
+func (a *scanAcc) scanTile(lo, n int, sc *tileScratch, union []tileLines) {
+	sel := sc.sel[:n]
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	payloads, aggs := sc.cols[:a.payloads], sc.aggs[:0]
+	for s := range a.slots {
+		c := &a.slots[s]
+		buf := sc.items
+		if s >= a.nf+a.nj {
+			buf = sc.cols[a.payloads+len(aggs)]
+		}
+		vals, width := c.read(lo, n, sel, buf)
+		var m tileLines
+		if s == 0 {
+			m = fullLines(n, width)
+		} else {
+			m = selLines(sel, width)
+			a.lines128[s] += m.pairs()
+		}
+		if c.first {
+			a.lines[c.col] += m.count()
+			if union != nil {
+				union[c.ucol][0] |= m[0]
+				union[c.ucol][1] |= m[1]
+			}
+		}
+		switch {
+		case s < a.nf:
+			a.evals[s] += int64(len(sel))
+			sel = filterSel(&a.q.FactFilters[s], vals, sel)
+			a.alive[s] += int64(len(sel))
+		case s < a.nf+a.nj:
+			ji := s - a.nf
+			var out []int32
+			if a.q.Joins[ji].Payload != "" {
+				out, payloads = payloads[0], payloads[1:]
+			}
+			a.probes[ji] += int64(len(sel))
+			sel = probeSel(a.builds[ji].ht, vals, sel, out)
+			a.alive[s] += int64(len(sel))
+		default:
+			aggs = append(aggs, vals)
+		}
+		if len(sel) == 0 {
+			return // nothing alive: later reads touch no line, probe nothing, aggregate nothing
+		}
+	}
+	a.aggregate(sel, sc.cols[:a.payloads], aggs, sc)
+}
+
+// filterSel compacts sel to the selected rows whose value passes f.
+func filterSel(f *Filter, vals, sel []int32) []int32 {
+	k := 0
+	for _, i := range sel {
+		if f.Match(vals[i]) {
+			sel[k] = i
+			k++
+		}
+	}
+	return sel[:k]
+}
+
+// probeSel probes ht with the selected rows' keys, compacting sel to the
+// rows that match and, when out is set, writing their payloads at their rows
+// of out.
+func probeSel(ht *crystal.HashTable, keys, sel, out []int32) []int32 {
+	k := 0
+	for _, i := range sel {
+		v, ok := ht.Get(keys[i])
+		if !ok {
+			continue
+		}
+		sel[k] = i
+		k++
+		if out != nil {
+			out[i] = v
+		}
+	}
+	return sel[:k]
+}
+
+// aggregate folds the rows alive after the last read into the member's
+// accumulators, from the payload tiles and the aggregate inputs' tiles. A
+// grouped statement updates its group's vector row by row; a global one
+// reduces the tile into a block-local accumulator first and merges it once —
+// and counts the tile for the GPU's atomics only when that accumulator left
+// the identity.
+func (a *scanAcc) aggregate(sel []int32, payloads, aggs [][]int32, sc *tileScratch) {
+	a.out += int64(len(sel))
+	pvals, vals := sc.row[:len(payloads)], sc.row[len(payloads):len(payloads)+len(aggs)]
+	if len(payloads) > 0 {
+		for _, i := range sel {
+			for pi, p := range payloads {
+				pvals[pi] = p[i]
+			}
+			for ai, t := range aggs {
+				vals[ai] = t[i]
+			}
+			a.ast.update(a.ast.at(a.accs, PackGroup(pvals)), vals)
+		}
+		return
+	}
+	local := sc.acc[:a.ast.slots()]
+	a.ast.reset(local)
+	for _, i := range sel {
+		for ai, t := range aggs {
+			vals[ai] = t[i]
+		}
+		a.ast.update(local, vals)
+	}
+	if !a.ast.untouched(local) {
+		a.atomics++
+		a.ast.merge(a.ast.at(a.accs, 0), local)
+	}
+}
+
+// scanKernel is the one probe pipeline: it executes every member's pipeline
+// — fact filters in order, then the join probes, then the grouped aggregate
+// — tile by tile (ssb.MorselAlign rows, the GPU tile and packed frame),
+// one read at a time through a selection vector, inside one pass over the
+// union of the members' surviving morsels. A solo run is the pass with one
+// member; every engine prices the statistics it meters (price, priceGPU).
+// Chunks of tiles are scanned in parallel (the calling goroutine always
+// works, helpers are bounded by the first member's limiter); members run in
+// order within a tile, so:
 //
 //   - each member's access statistics and partial aggregates depend only on
-//     its own pipeline and liveness mask, never on who else rides the pass
-//     (chunks are tile-aligned, so per-chunk distinct-line counts are exactly
+//     its own pipeline and its live tiles, never on who else rides the pass
+//     (tiles are line-aligned, so per-tile line counts are exactly
 //     additive), and
-//   - the union line trackers see a monotone row sequence per column, so
-//     consecutive-dedup counts exactly the distinct lines any member touched
-//     — the traffic a shared scan streams once.
+//   - a column's union mask over a tile is the OR of the members' first
+//     reads of it, so its count is exactly the distinct lines any member
+//     touched — the traffic a shared scan streams once.
 //
 // It returns, per member, the raw result (the unfinalized accumulator table
 // in Result.accs) and the access statistics, plus the per-column union 64 B
 // line counts. With one member the union is that member's own counts, so no
-// union tracker runs and the solo scan pays nothing for sharing.
+// union mask is kept and the solo scan pays nothing for sharing.
 func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64) {
 	n := len(members)
 	ds, morsels, lim := members[0].p.ds, members[0].ms.morsels, members[0].ms.lim
@@ -326,6 +555,7 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 	// ucols are the distinct fact columns across a shared pass (index =
 	// scanCol.ucol); a solo pass tracks no union and leaves them empty.
 	var ucols []string
+	maxPayloads, maxAggs, maxSlots := 0, 0, 0
 	for i, m := range members {
 		q, ms := &m.p.Query, m.ms
 		aggCols := m.p.agg.cols
@@ -339,6 +569,7 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 			evals:     make([]int64, nf),
 			probes:    make([]int64, nj),
 			alive:     make([]int64, nf+nj),
+			lines128:  make([]int64, nf+nj+len(aggCols)),
 		}
 		for fi := range q.FactFilters {
 			st.colOrder = append(st.colOrder, q.FactFilters[fi].Col)
@@ -348,16 +579,27 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 		}
 		st.colOrder = append(st.colOrder, aggCols...)
 		pipe := &pipes[i]
-		*pipe = scanPipe{q: q, builds: m.p.builds, ast: m.p.agg, pruned: ms.pruned}
+		*pipe = scanPipe{q: q, builds: m.p.builds, ast: m.p.agg, nf: nf, nj: nj,
+			payloads: len(q.GroupPayloads()), pruned: ms.pruned}
 		pipe.cols = make([]string, 0, len(st.colOrder))
-		slots := make([]scanCol, len(st.colOrder))
+		pipe.slots = make([]scanCol, len(st.colOrder))
 		for si, name := range st.colOrder {
-			slots[si] = scanCol{colReader: ms.factReader(&ds.Lineorder, name), col: colIndex(&pipe.cols, name)}
+			c := &pipe.slots[si]
+			known := len(pipe.cols)
+			c.col = colIndex(&pipe.cols, name)
+			c.first = len(pipe.cols) > known
+			if ms.packed != nil {
+				c.packed = ms.packed.Col(name)
+			} else {
+				c.plain = ds.Lineorder.Col(name)
+			}
 			if n > 1 {
-				slots[si].ucol = colIndex(&ucols, name)
+				c.ucol = colIndex(&ucols, name)
 			}
 		}
-		pipe.filters, pipe.fks, pipe.agg = slots[:nf], slots[nf:nf+nj], slots[nf+nj:]
+		maxPayloads = max(maxPayloads, pipe.payloads)
+		maxAggs = max(maxAggs, len(aggCols))
+		maxSlots = max(maxSlots, m.p.agg.slots())
 		if st.packed {
 			// Per-column packed extents: scan bytes over the surviving morsels
 			// (exactly additive — morsels cover whole frames) and the full
@@ -379,7 +621,7 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 	}
 
 	// Chunks cover the union of the members' surviving morsels; the morsel
-	// index lets the row loop seat only the members live on the chunk.
+	// index lets the tile loop seat only the members live on the chunk.
 	chunks := make([]scanChunk, 0, ds.Lineorder.Rows()/chunkRows+len(morsels))
 	for mi, m := range morsels {
 		live := false
@@ -405,23 +647,26 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 	var next int64
 	var mu sync.Mutex
 	worker := func() {
+		sc := getScratch(ssb.MorselAlign, maxPayloads, maxAggs, maxSlots)
+		defer putScratch(sc)
 		accs := make([]scanAcc, n)
 		for i := range pipes {
 			pipe := &pipes[i]
 			accs[i] = scanAcc{
 				scanPipe: pipe,
-				lines:    make([]lineTrack, len(pipe.cols)),
-				evals:    make([]int64, len(pipe.filters)),
-				probes:   make([]int64, len(pipe.fks)),
-				alive:    make([]int64, len(pipe.filters)+len(pipe.fks)),
+				lines:    make([]int64, len(pipe.cols)),
+				lines128: make([]int64, len(pipe.slots)),
+				evals:    make([]int64, pipe.nf),
+				probes:   make([]int64, pipe.nj),
+				alive:    make([]int64, pipe.nf+pipe.nj),
 				accs:     sched.NewAccTable(pipe.ast.slots(), 0),
-				payloads: make([]int32, 0, len(pipe.fks)),
-				vals:     make([]int32, len(pipe.agg)),
 			}
 		}
-		var union []lineTrack
+		var union []tileLines
+		var unionLines []int64
 		if n > 1 {
-			union = make([]lineTrack, len(ucols))
+			union = make([]tileLines, len(ucols))
+			unionLines = make([]int64, len(ucols))
 		}
 		seated := make([]*scanAcc, 0, n)
 		for {
@@ -436,37 +681,14 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 					seated = append(seated, &accs[i])
 				}
 			}
-			for row := c.lo; row < c.hi; row++ {
-			members:
+			for lo := c.lo; lo < c.hi; lo += ssb.MorselAlign {
+				rows := min(ssb.MorselAlign, c.hi-lo)
 				for _, a := range seated {
-					q := a.q
-					for fi := range a.filters {
-						a.evals[fi]++
-						a.touch(&a.filters[fi], row, union)
-						if !q.FactFilters[fi].Match(a.filters[fi].at(row)) {
-							continue members
-						}
-						a.alive[fi]++
-					}
-					a.payloads = a.payloads[:0]
-					for ji := range a.fks {
-						a.probes[ji]++
-						a.touch(&a.fks[ji], row, union)
-						v, ok := a.builds[ji].ht.Get(a.fks[ji].at(row))
-						if !ok {
-							continue members
-						}
-						a.alive[len(a.filters)+ji]++
-						if q.Joins[ji].Payload != "" {
-							a.payloads = append(a.payloads, v)
-						}
-					}
-					for ai := range a.agg {
-						a.touch(&a.agg[ai], row, union)
-						a.vals[ai] = a.agg[ai].at(row)
-					}
-					a.out++
-					a.ast.update(a.ast.at(a.accs, PackGroup(a.payloads)), a.vals)
+					a.scanTile(lo, rows, sc, union)
+				}
+				for u := range union {
+					unionLines[u] += union[u].count()
+					union[u] = tileLines{}
 				}
 			}
 		}
@@ -474,8 +696,11 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 		defer mu.Unlock()
 		for i := range accs {
 			a, st, res := &accs[i], stats[i], results[i]
-			for ci, t := range a.lines {
-				st.lines64[a.cols[ci]] += t.n
+			for ci, v := range a.lines {
+				st.lines64[a.cols[ci]] += v
+			}
+			for si, v := range a.lines128 {
+				st.lines128[si] += v
 			}
 			for fi, v := range a.evals {
 				st.evals[fi] += v
@@ -487,10 +712,11 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 				st.alive[k] += v
 			}
 			st.out += a.out
+			st.atomicTiles += a.atomics
 			res.accs = a.ast.mergeTable(res.accs, a.accs)
 		}
-		for ui, t := range union {
-			union64[ucols[ui]] += t.n
+		for u, v := range unionLines {
+			union64[ucols[u]] += v
 		}
 	}
 	if len(chunks) > 0 {

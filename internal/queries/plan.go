@@ -197,12 +197,6 @@ type Result struct {
 	Ordered []Row
 	// Seconds is the engine's simulated execution time.
 	Seconds float64
-	// KernelSeconds is the pure execution component of Seconds for runs
-	// whose transfer overlaps execution (the coprocessor): Seconds is
-	// max(KernelSeconds, transfer time). On-device engines leave it zero —
-	// their Seconds is all kernel. Like Morsels/Pruned it describes
-	// execution, not rows: Equal ignores it.
-	KernelSeconds float64
 	// Morsels is the number of fact-table partitions the run was split into
 	// (1 for a monolithic run); Pruned counts the morsels zone maps skipped.
 	// Both describe execution, not the rows, so Equal ignores them.

@@ -61,8 +61,8 @@ type ScheduledResult struct {
 }
 
 // restrict narrows the run to the given morsel indices: foreign morsels
-// are marked pruned (the engines' launches skip them without touching
-// memory), so the restricted run scans exactly the owned live morsels.
+// are marked pruned (the scan skips them, and a GPU pricing charges them
+// nothing), so the restricted run scans exactly the owned live morsels.
 // The full index set returns the receiver unchanged, which keeps
 // single-executor schedules byte-identical to unscheduled runs.
 func (ms *morselRun) restrict(idx []int) *morselRun {
@@ -99,9 +99,9 @@ type engineExecutor struct {
 	ms *morselRun
 	e  Engine
 	// seat, when set, is the plan's slice of a scan pass somebody else ran
-	// over exactly ms (RunBatchScheduled's shared pass): a CPU-family engine
-	// prices it instead of scanning again. Only seatMember sets it, after
-	// verifying the extent.
+	// over exactly ms (RunBatchScheduled's shared pass): the engine prices
+	// it instead of scanning again. Only seatMember sets it, after verifying
+	// the extent.
 	seat *scanSeat
 }
 
@@ -124,58 +124,38 @@ func (x engineExecutor) Kind() sched.Kind {
 
 func (x engineExecutor) Device() int { return -1 }
 
+// Execute is seat or scan, then price: every engine is a price over the
+// statistics of one scan pass. The coprocessor overlaps the GPU kernel with
+// its PCIe transfer, so its seconds are the slower of the two.
 func (x engineExecutor) Execute(a sched.Assignment) sched.Partial {
 	ms := x.ms.restrict(a.Morsels)
-	var res *Result
-	switch {
-	case x.e == EngineGPU:
-		res = x.p.runGPU(ms)
-	case x.e == EngineCoproc:
-		res = x.p.runCoprocessor(ms)
-	case cpuFamily(x.e):
-		var st *pipeStats
-		if x.seat != nil {
-			res, st = x.seat.res, x.seat.st
-		} else {
-			res, st = x.p.scan(ms)
-		}
-		res.Seconds = x.p.price(x.e, st)
-	default:
-		panic("queries: unknown engine " + string(x.e))
+	seat := x.seat
+	if seat == nil {
+		res, st := x.p.scan(ms)
+		seat = &scanSeat{res: res, st: st}
 	}
-	pruned := 0
+	part := sched.Partial{Accs: seat.res.accs, Rows: ms.scanned}
 	for _, mi := range a.Morsels {
 		if x.ms.pruned[mi] {
-			pruned++
+			part.Pruned++
 		}
 	}
-	// Split the overlapped clock for trace attribution: on-device engines
-	// are all kernel; the coprocessor recomputes its transfer term from the
-	// same bytes and bandwidth model, so max(kernel, ship) == Seconds
-	// exactly.
-	kernel, ship := res.Seconds, 0.0
+	part.KernelSeconds = x.p.price(x.e, seat.st)
+	part.Seconds = part.KernelSeconds
 	if x.e == EngineCoproc {
-		kernel = res.KernelSeconds
-		ship = device.TransferTime(res.TransferBytes)
+		part.ShipBytes, part.ResidentCols = x.p.coprocTransfer(ms, seat.st)
+		part.ShipSeconds = device.TransferTime(part.ShipBytes)
+		part.Seconds = max(part.KernelSeconds, part.ShipSeconds)
 	}
-	return sched.Partial{
-		Accs:          res.accs,
-		Seconds:       res.Seconds,
-		KernelSeconds: kernel,
-		ShipSeconds:   ship,
-		Rows:          ms.scanned,
-		Pruned:        pruned,
-		ShipBytes:     res.TransferBytes,
-		ResidentCols:  res.ResidentCols,
-	}
+	return part
 }
 
-// gpuDeviceExecutor runs the tile-based GPU kernel on one fleet device
-// over its assigned morsels: the launch skips every tile outside the
-// assignment (and its zone-pruned morsels), so the device charges exactly
-// its own traffic. Spilled morsels are host-resident: their referenced
-// columns cross the link, overlapped with execution, with an optional
-// per-device residency cache able to elide the shipment on packed runs.
+// gpuDeviceExecutor runs one fleet device over its assigned morsels: it
+// scans its shard and prices the pass on the device (priceGPU), so the
+// device charges exactly its own traffic plus its one launch. Spilled
+// morsels are host-resident: their referenced columns cross the link,
+// overlapped with execution, with an optional per-device residency cache
+// able to elide the shipment on packed runs.
 type gpuDeviceExecutor struct {
 	p    *Plan
 	ms   *morselRun
@@ -196,12 +176,6 @@ func (x *gpuDeviceExecutor) Execute(a sched.Assignment) sched.Partial {
 	for _, mi := range a.Spilled {
 		spilled[mi] = true
 	}
-	// The device's launch skips every tile outside its assignment (and its
-	// zone-pruned morsels), so its pass meters exactly the owned traffic.
-	prunedD := make([]bool, len(ms.morsels))
-	for i := range prunedD {
-		prunedD[i] = true
-	}
 	// Per referenced column, liveSpill is what this query's cold run ships
 	// (spilled morsels its zone maps did not prune) and fullSpill the
 	// device's whole spilled range — what an admitted residency miss ships
@@ -210,7 +184,6 @@ func (x *gpuDeviceExecutor) Execute(a sched.Assignment) sched.Partial {
 	// coprocessor's residency cache follows). fullSpill is only consulted
 	// through a residency cache, so cacheless runs skip it.
 	var part sched.Partial
-	var live []ssb.Morsel
 	liveSpill := map[string]int64{}
 	fullSpill := map[string]int64{}
 	for _, mi := range a.Morsels {
@@ -224,24 +197,15 @@ func (x *gpuDeviceExecutor) Execute(a sched.Assignment) sched.Partial {
 			part.Pruned++
 			continue // zone maps are host-side: pruned morsels neither scan nor ship
 		}
-		prunedD[mi] = false
-		live = append(live, m)
-		part.Rows += int64(m.Rows())
 		if spilled[mi] {
 			for _, c := range refCols {
 				liveSpill[c] += ssb.MorselColumnBytes(ms.packed, m, c)
 			}
 		}
 	}
-	msD := &morselRun{
-		morsels: ms.morsels,
-		pruned:  prunedD,
-		live:    live,
-		scanned: part.Rows,
-		lim:     ms.lim,
-		packed:  ms.packed,
-	}
-	resD := x.p.runGPUOn(x.dev, msD)
+	msD := ms.restrict(a.Morsels)
+	res, st := x.p.scan(msD)
+	part.Rows = msD.scanned
 
 	for _, c := range refCols {
 		if x.res == nil {
@@ -263,13 +227,10 @@ func (x *gpuDeviceExecutor) Execute(a sched.Assignment) sched.Partial {
 
 	// Spill shipment overlaps with execution, coprocessor style: the
 	// slower of the two bounds the device.
-	part.Accs = resD.accs
-	part.KernelSeconds = resD.Seconds
+	part.Accs = res.accs
+	part.KernelSeconds = x.p.priceGPU(x.dev, st)
 	part.ShipSeconds = x.link.TransferTime(part.ShipBytes)
-	part.Seconds = part.KernelSeconds
-	if part.ShipSeconds > part.Seconds {
-		part.Seconds = part.ShipSeconds
-	}
+	part.Seconds = max(part.KernelSeconds, part.ShipSeconds)
 	return part
 }
 

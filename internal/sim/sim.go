@@ -166,10 +166,7 @@ func Run(dev *device.Spec, cfg Config, kernel Kernel) *device.Pass {
 // its own, as it finishes: Pass.ComputeCycles is a float, and summing per
 // worker first would change the rounding of the total.
 func RunBounded(dev *device.Spec, cfg Config, kernel Kernel, gate Gate) *device.Pass {
-	l := &Launch{Cfg: cfg, dev: dev}
-	l.pass.Kernels = 1
-	l.pass.VectorEff = vectorEff(cfg.ItemsPerThread)
-	l.pass.OccupancyFactor = occupancyFactor(dev, cfg.Threads)
+	l := &Launch{Cfg: cfg, dev: dev, pass: LaunchPass(dev, cfg)}
 
 	numBlocks := cfg.NumBlocks()
 	if numBlocks == 0 {
@@ -206,6 +203,18 @@ func RunBounded(dev *device.Spec, cfg Config, kernel Kernel, gate Gate) *device.
 	// Add merges Kernels counts from blocks (zero) and keeps ours.
 	l.pass.Kernels = 1
 	return &l.pass
+}
+
+// LaunchPass is the traffic record of one launch of cfg on dev before any
+// block has run: one kernel, and the vectorization and occupancy factors the
+// tile configuration implies (Figure 9). A caller that prices a launch from
+// counted traffic instead of running its blocks adds that traffic to it.
+func LaunchPass(dev *device.Spec, cfg Config) device.Pass {
+	return device.Pass{
+		Kernels:         1,
+		VectorEff:       vectorEff(cfg.ItemsPerThread),
+		OccupancyFactor: occupancyFactor(dev, cfg.Threads),
+	}
 }
 
 // RunWithHelpers executes worker on the calling goroutine and on up to

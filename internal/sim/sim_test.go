@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -217,5 +218,28 @@ func TestLaunchDev(t *testing.T) {
 	l := &Launch{dev: device.V100()}
 	if l.Dev().Name != "Nvidia V100" {
 		t.Error("launch dev accessor")
+	}
+}
+
+// TestLaunchPassIsRunHeader pins the launch header priced launches start
+// from: one kernel and the configuration's vectorization and occupancy
+// factors, exactly what a launch over no elements returns and what every
+// launch carries once its blocks are merged.
+func TestLaunchPassIsRunHeader(t *testing.T) {
+	for _, cfg := range []Config{{Threads: 256, ItemsPerThread: 8}, {Threads: 1024, ItemsPerThread: 1}} {
+		dev := device.V100()
+		head := LaunchPass(dev, cfg)
+		if head.Kernels != 1 || head.VectorEff != vectorEff(cfg.ItemsPerThread) ||
+			head.OccupancyFactor != occupancyFactor(dev, cfg.Threads) {
+			t.Errorf("%+v: header %+v", cfg, head)
+		}
+		if empty := Run(dev, cfg, func(*Block) { t.Error("a launch over no elements ran a block") }); !reflect.DeepEqual(*empty, head) {
+			t.Errorf("%+v: empty launch %+v, header %+v", cfg, *empty, head)
+		}
+		cfg.Elems = 3 * cfg.TileSize()
+		full := Run(dev, cfg, func(b *Block) { b.Sync(); b.Pass().BytesRead += 4 })
+		if full.Kernels != 1 || full.VectorEff != head.VectorEff || full.OccupancyFactor != head.OccupancyFactor || full.BytesRead != 12 {
+			t.Errorf("%+v: merged launch %+v, header %+v", cfg, *full, head)
+		}
 	}
 }
