@@ -14,8 +14,8 @@ COVER_FLOOR_TRACE   ?= 90.0
 COVER_FLOOR_SERVE   ?= 97.0
 COVER_FLOOR_LOADGEN ?= 90.0
 COVER_FLOOR_PLANNER ?= 98.5
-COVER_FLOOR_CRYSTAL ?= 94.9
-COVER_FLOOR_SIM     ?= 97.3
+COVER_FLOOR_CRYSTAL ?= 94.6
+COVER_FLOOR_SIM     ?= 98.6
 
 # Allocation ceilings for benchmark-smoke, in KB per request at 3 s, seed 1:
 # about 1.25x what the commit that set them measures (scan_solo 51, queued_batch

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -241,5 +242,39 @@ func TestLaunchPassIsRunHeader(t *testing.T) {
 		if full.Kernels != 1 || full.VectorEff != head.VectorEff || full.OccupancyFactor != head.OccupancyFactor || full.BytesRead != 12 {
 			t.Errorf("%+v: merged launch %+v, header %+v", cfg, *full, head)
 		}
+	}
+}
+
+// grantOne is a Gate with one helper slot.
+type grantOne struct{ acquired, released atomic.Int64 }
+
+func (g *grantOne) TryAcquire() bool { return g.acquired.Add(1) == 1 }
+func (g *grantOne) Release()         { g.released.Add(1) }
+
+// TestRunWithHelpersHonoursTheGate pins RunWithHelpers' two invariants on
+// any host (GOMAXPROCS is raised for the test, so helpers can spawn): the
+// calling goroutine always works, a gate bounds the helpers — one slot, one
+// helper, released once — and no gate spawns up to GOMAXPROCS-1, never more
+// than the work has items for.
+func TestRunWithHelpersHonoursTheGate(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	run := func(work int, gate Gate) int64 {
+		var workers, next atomic.Int64
+		RunWithHelpers(work, gate, func() {
+			workers.Add(1)
+			for next.Add(1) <= int64(work) {
+			}
+		})
+		return workers.Load()
+	}
+	g := new(grantOne)
+	if w := run(8, g); w != 2 || g.released.Load() != 1 {
+		t.Errorf("one-slot gate: %d workers, %d releases, want 2 and 1", w, g.released.Load())
+	}
+	if w := run(8, nil); w != 4 {
+		t.Errorf("no gate at GOMAXPROCS 4: %d workers, want 4", w)
+	}
+	if w := run(2, nil); w != 2 {
+		t.Errorf("two items: %d workers, want 2", w)
 	}
 }
