@@ -250,9 +250,15 @@ func handleSQL(svc *serve.Service) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		stmt := r.URL.Query().Get("q")
 		if stmt == "" && r.Method == http.MethodPost {
-			body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+			// A statement longer than the bound is refused, never cut: a
+			// prefix of it may parse as a different statement.
+			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 			if err != nil {
-				httpError(w, http.StatusBadRequest, err)
+				status := http.StatusBadRequest
+				if tooLong := (*http.MaxBytesError)(nil); errors.As(err, &tooLong) {
+					status = http.StatusRequestEntityTooLarge
+				}
+				httpError(w, status, err)
 				return
 			}
 			stmt = string(body)

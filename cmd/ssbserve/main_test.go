@@ -348,6 +348,39 @@ func TestShapeErrorsHTTP(t *testing.T) {
 	}
 }
 
+// TestSQLBodyBound pins that a POSTed statement past the 1 MiB body bound
+// is refused with a 413, not cut to its first MiB and run. The body is 1 MiB
+// and one byte of valid SQL whose last byte turns "BETWEEN 1 AND 1" into
+// "BETWEEN 1 AND 10", so the cut prefix would parse and execute as another
+// statement. A statement of exactly 1 MiB still runs.
+func TestSQLBodyBound(t *testing.T) {
+	svc := serve.New(ssb.GenerateRows(1<<12), "bound", serve.Options{Workers: 1})
+	defer svc.Close()
+	srv := httptest.NewServer(newMux(svc))
+	defer srv.Close()
+
+	post := func(body string) (int, string) {
+		resp, err := http.Post(srv.URL+"/sql?engine=cpu", "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	const head = "SELECT SUM(revenue) FROM lineorder WHERE discount BETWEEN 1 AND "
+	exact := head + strings.Repeat(" ", 1<<20-len(head)-1) + "1"
+	if code, body := post(exact + "0"); code != http.StatusRequestEntityTooLarge || !strings.Contains(body, "too large") {
+		t.Errorf("POST of 1 MiB + 1 byte: status %d body %.200s, want 413", code, body)
+	}
+	if st := svc.Stats(); st.Errors != 0 || st.PlanMisses != 0 {
+		t.Errorf("stats: %d errors, %d plan misses; the refused body must never reach the service", st.Errors, st.PlanMisses)
+	}
+	if code, body := post(exact); len(exact) != 1<<20 || code != http.StatusOK {
+		t.Errorf("POST of %d bytes: status %d body %.200s, want 200", len(exact), code, body)
+	}
+}
+
 // TestErrorStatus pins the status of each failure class, the panicked
 // execution (serve.ErrIncomplete) included: that one is the server's fault,
 // a 500, never a 400.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	"crystal/internal/sched"
 	"crystal/internal/trace"
@@ -81,10 +82,9 @@ type BatchMember struct {
 	Query Query
 	// ScheduledResult is what a solo RunScheduled of the member's schedule
 	// reports — rows, Result.Seconds, Morsels, TransferBytes, ..., Executors,
-	// MergeBytes, MergeSeconds — deep-equal to it. A single-engine member
-	// is priced from its seat in the shared pass (see RunBatchScheduled); a
-	// fleet or hybrid member still executes and is its own run, rows
-	// included.
+	// MergeBytes, MergeSeconds — deep-equal to it: every executor of the
+	// member, on any placement, is priced from its seat in the shared pass
+	// (see RunBatchScheduled).
 	*ScheduledResult
 	// ShareSeconds is the member's share of the batch's simulated time:
 	// its solo seconds discounted by the fraction of its scan lines the
@@ -128,22 +128,16 @@ type BatchResult struct {
 // one scanKernel pass over the union of the members' live morsels (opts
 // resolves the pass's morsel map and fact encoding), so shared column lines
 // stream once and the saved traffic is split across members
-// (BatchMember.ScanBytes, sum-exact). scheduleOf places each member, and the
-// placement decides what the pass is to it:
+// (BatchMember.ScanBytes, sum-exact). scheduleOf places each member, and
+// every assignment of every member's schedule — a single engine, a fleet
+// device, a hybrid arm — is seated in that one pass: its executor prices its
+// seat, and RunScheduled's merge, finalize and sort run over the seats
+// exactly as over a solo pass. A batch scans once, whatever the placement.
 //
-//   - A single-engine schedule on any of the six engines (each is the scan
-//     plus arithmetic over its statistics) is seated: its executor is handed
-//     the member's slice of the shared pass and RunScheduled prices, merges,
-//     finalizes and sorts it exactly as it does a solo scan. A batch of
-//     such members scans once.
-//   - Fleet and hybrid schedules execute on their own executors, each of
-//     which scans its share of the morsels; the shared pass only apportions
-//     their scan traffic.
-//
-// Either way a member's ScheduledResult deep-equals its solo RunScheduled —
-// Result.Seconds is exactly its solo seconds — while ShareSeconds carries
-// the discounted split, summing exactly to BatchResult.Seconds; a batch of
-// one is identical to the solo run.
+// A member's ScheduledResult deep-equals its solo RunScheduled — Result.Seconds
+// is exactly its solo seconds — while ShareSeconds carries the discounted
+// split, summing exactly to BatchResult.Seconds; a batch of one is identical
+// to the solo run.
 //
 // Every member must be compiled against one dataset and scheduled over the
 // shared pass's extent: a schedule with a different morsel count, fact
@@ -158,66 +152,78 @@ func RunBatchScheduled(plans []*Plan, opts RunOptions, scheduleOf func(*Plan) (s
 	}
 	// Place and check every member before anything scans: a seat is only
 	// valid for the extent it was scanned over.
-	members := make([]scanMember, len(plans))
 	scheds := make([]sched.Schedule, len(plans))
 	for i, p := range plans {
 		if p.ds != plans[0].ds {
 			return nil, fmt.Errorf("queries: batch member %d compiled against a different dataset", i)
 		}
-		members[i] = scanMember{p: p, ms: p.morselRun(opts)}
 		s, err := scheduleOf(p)
 		if err != nil {
 			return nil, err
 		}
-		if err := sameExtent(s, members[i]); err != nil {
+		if err := sameExtent(s, scanMember{p: p, ms: p.morselRun(opts)}); err != nil {
 			return nil, fmt.Errorf("queries: batch member %d (%s) %w", i, p.Query.ID, err)
 		}
 		scheds[i] = s
 	}
-	morsels := len(members[0].ms.morsels)
 
-	raws, sts, union64 := scanKernel(members)
-
+	seats, union64, err := seatSchedules(scheds)
+	if err != nil {
+		return nil, err
+	}
 	out := &BatchResult{}
-	for _, v := range union64 {
-		out.SharedScanBytes += v * 64
+	mine := make([][]scanSeat, len(plans))
+	rows := make([]int64, len(plans))
+	soloLineBytes := make([]int64, len(plans))
+	for i, s := range scheds {
+		mine[i], seats = seats[:len(s.Assignments)], seats[len(s.Assignments):]
+		for _, seat := range mine[i] {
+			if seat.st == nil {
+				continue // idle
+			}
+			for _, v := range seat.st.lines64 {
+				soloLineBytes[i] += v * 64
+			}
+			rows[i] += seat.st.rows
+		}
+		out.SoloScanBytes += soloLineBytes[i]
 	}
 
 	// Per-column weights in member order, apportioned over the union count.
-	memberLineBytes := make([]int64, len(plans))
-	soloLineBytes := make([]int64, len(plans))
+	// A member's lines are its seats' sums, which equal its solo pass's
+	// exactly (tiles are line-aligned). A pass serving one schedule keeps no
+	// union: its seats' tiles are disjoint, so it streams the member's lines.
+	memberLineBytes := soloLineBytes
+	out.SharedScanBytes = out.SoloScanBytes
+	if union64 != nil {
+		memberLineBytes, out.SharedScanBytes = make([]int64, len(plans)), 0
+	}
 	for c, total := range union64 {
+		out.SharedScanBytes += total * 64
 		weights := make([]int64, len(plans))
 		for i := range plans {
-			weights[i] = sts[i].lines64[c]
+			for _, seat := range mine[i] {
+				if seat.st != nil {
+					weights[i] += seat.st.lines64[c]
+				}
+			}
 		}
 		share := apportion(total, weights)
 		for i := range plans {
 			memberLineBytes[i] += share[i] * 64
 		}
 	}
-	for i := range plans {
-		for _, v := range sts[i].lines64 {
-			soloLineBytes[i] += v * 64
-		}
-		out.SoloScanBytes += soloLineBytes[i]
-	}
 
 	var memberSpans []*trace.Span
 	for i, p := range plans {
-		q, s := p.Query, scheds[i]
-		seatMember(&s, &scanSeat{res: raws[i], st: sts[i]})
-		sr, err := p.RunScheduled(s)
-		if err != nil {
-			return nil, err
-		}
+		sr := p.runSeated(scheds[i], mine[i], time.Now())
 
 		ratio := 1.0
 		if soloLineBytes[i] > 0 {
 			ratio = float64(memberLineBytes[i]) / float64(soloLineBytes[i])
 		}
 		m := &BatchMember{
-			Query:           q,
+			Query:           p.Query,
 			ScheduledResult: sr,
 			ShareSeconds:    sr.Result.Seconds * ratio,
 			ScanBytes:       memberLineBytes[i],
@@ -226,11 +232,11 @@ func RunBatchScheduled(plans []*Plan, opts RunOptions, scheduleOf func(*Plan) (s
 		out.Seconds += m.ShareSeconds
 		if opts.Trace && sr.Trace != nil {
 			m.Trace = &trace.Span{
-				Name:     q.ID,
+				Name:     p.Query.ID,
 				Phase:    trace.PhaseBatchMember,
 				Sim:      m.ShareSeconds,
 				Bytes:    m.ScanBytes,
-				Rows:     sts[i].rows,
+				Rows:     rows[i],
 				Children: []*trace.Span{sr.Trace},
 			}
 			memberSpans = append(memberSpans, m.Trace)
@@ -242,7 +248,7 @@ func RunBatchScheduled(plans []*Plan, opts RunOptions, scheduleOf func(*Plan) (s
 			Phase:    trace.PhaseBatch,
 			Sim:      out.Seconds,
 			Bytes:    out.SharedScanBytes,
-			Morsels:  morsels,
+			Morsels:  scheds[0].Morsels,
 			Children: memberSpans,
 		}
 	}
@@ -254,8 +260,8 @@ func RunBatchScheduled(plans []*Plan, opts RunOptions, scheduleOf func(*Plan) (s
 // the per-morsel pruning mask and the plan itself. Solo seconds for one
 // extent must never be paired with scan traffic apportioned from another, and
 // a seat is only valid for the extent it was scanned over. Executors of other
-// packages (hand-built schedules) expose no extent; the schedule-level fields
-// are all that can be checked for them, and they are never seated.
+// packages (hand-built schedules) expose no extent and price no seat, so
+// they are refused too.
 func sameExtent(s sched.Schedule, m scanMember) error {
 	if s.Morsels != len(m.ms.morsels) {
 		return fmt.Errorf("is scheduled over %d morsels, the shared pass has %d", s.Morsels, len(m.ms.morsels))
@@ -264,17 +270,11 @@ func sameExtent(s sched.Schedule, m scanMember) error {
 		return fmt.Errorf("is scheduled with packed=%v, the shared pass scans packed=%v", s.Packed, m.ms.packed != nil)
 	}
 	for ai := range s.Assignments {
-		var p *Plan
-		var ms *morselRun
-		switch x := s.Assignments[ai].Executor.(type) {
-		case engineExecutor:
-			p, ms = x.p, x.ms
-		case *gpuDeviceExecutor:
-			p, ms = x.p, x.ms
-		default:
-			continue
+		x, ok := s.Assignments[ai].Executor.(seatPricer)
+		if !ok {
+			return fmt.Errorf("has executor %T, which prices no scan", s.Assignments[ai].Executor)
 		}
-		switch {
+		switch p, ms := x.extent(); {
 		case ms.packed != m.ms.packed:
 			return errors.New("is scheduled over a different packed encoding than the shared pass scans")
 		case !slices.Equal(ms.pruned, m.ms.pruned):
@@ -284,27 +284,6 @@ func sameExtent(s sched.Schedule, m scanMember) error {
 		}
 	}
 	return nil
-}
-
-// seatMember hands a member's slice of the shared pass to its schedule when
-// the schedule is one the pass can stand in for: a single engineExecutor
-// assignment covering every morsel, on any of the six engines, whose Execute
-// is scan + price(stats). The caller has verified the extent (sameExtent)
-// and gives the seat up: RunScheduled adopts its accumulator vectors. Fleets
-// and hybrid splits, whose executors each scan a share of the morsels, are
-// left to execute.
-func seatMember(s *sched.Schedule, seat *scanSeat) {
-	if len(s.Assignments) != 1 || len(s.Assignments[0].Morsels) != s.Morsels {
-		return
-	}
-	x, ok := s.Assignments[0].Executor.(engineExecutor)
-	if !ok {
-		return
-	}
-	x.seat = seat
-	a := s.Assignments[0]
-	a.Executor = x
-	s.Assignments = []sched.Assignment{a} // the builder's slice is not ours to edit
 }
 
 // RunBatch is RunBatchScheduled with every member on the single engine e —

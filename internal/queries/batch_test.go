@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -263,12 +264,44 @@ func pricedStatements(t *testing.T) []Query {
 	return append(qs, multi, top)
 }
 
-// pricedEqualsExecuted is the matrix behind "a single-engine batch member
-// is priced from its seat": statements x the six engines x {plain,
+// seatPlacement is one placement of the priced-equals-executed matrix:
+// floor is the partition count its schedule raises a smaller one to, which
+// the batch's options must carry.
+type seatPlacement struct {
+	name     string
+	floor    int
+	schedule func(p *Plan, opts RunOptions) (sched.Schedule, error)
+}
+
+// seatPlacements are the six engines, 2- and 4-GPU fleets over each
+// interconnect, and the default hybrid split (one GPU over PCIe, the
+// throughput-balanced fraction).
+func seatPlacements() []seatPlacement {
+	var out []seatPlacement
+	for _, e := range Engines() {
+		out = append(out, seatPlacement{string(e), 0, func(p *Plan, o RunOptions) (sched.Schedule, error) {
+			return p.ScheduleEngine(e, o), nil
+		}})
+	}
+	for _, gpus := range []int{2, 4} {
+		for _, link := range fleet.Interconnects() {
+			fl := fleet.Spec{GPUs: gpus, Link: link}
+			out = append(out, seatPlacement{fmt.Sprintf("fleet %dx%s", gpus, link.Name), gpus,
+				func(p *Plan, o RunOptions) (sched.Schedule, error) { return p.ScheduleFleet(fl, o) }})
+		}
+	}
+	return append(out, seatPlacement{"hybrid", 2, func(p *Plan, o RunOptions) (sched.Schedule, error) {
+		s, _, err := p.ScheduleHybrid(fleet.Spec{GPUs: 1}, -1, o)
+		return s, err
+	}})
+}
+
+// pricedEqualsExecuted is the matrix behind "a batch member is priced from
+// its seats": statements x every placement (seatPlacements) x {plain,
 // packed} x {monolithic, 7 morsels, a clustered copy on which zone maps
 // prune}. The member's whole ScheduledResult — rows, Seconds bit for bit,
 // Morsels, Pruned, Packed, Ordered, Executors, merge pricing — deep-equals
-// the solo RunScheduled that scanned for itself, and its trace verifies and
+// the solo RunScheduled of the same schedule, and its trace verifies and
 // holds one sort span exactly when the statement orders.
 func pricedEqualsExecuted(t *testing.T) {
 	stmts := pricedStatements(t)
@@ -290,13 +323,14 @@ func pricedEqualsExecuted(t *testing.T) {
 			plans[i] = Compile(lay.ds, q)
 		}
 		for _, packed := range []bool{false, true} {
-			opts := RunOptions{Partition: PartitionOptions{Partitions: lay.parts}, Trace: true}
-			if packed {
-				opts.Partition.Packed = lay.packed
-			}
-			for _, e := range Engines() {
-				run := fmt.Sprintf("%s packed=%v %s", lay.name, packed, e)
-				br, err := RunBatch(plans, e, opts)
+			for _, pl := range seatPlacements() {
+				opts := RunOptions{Partition: PartitionOptions{Partitions: max(lay.parts, pl.floor)}, Trace: true}
+				if packed {
+					opts.Partition.Packed = lay.packed
+				}
+				scheduleOf := func(p *Plan) (sched.Schedule, error) { return pl.schedule(p, opts) }
+				run := fmt.Sprintf("%s packed=%v %s", lay.name, packed, pl.name)
+				br, err := RunBatchScheduled(plans, opts, scheduleOf)
 				if err != nil {
 					t.Fatalf("%s: %v", run, err)
 				}
@@ -306,7 +340,11 @@ func pricedEqualsExecuted(t *testing.T) {
 				pruned := 0
 				for i, m := range br.Members {
 					label := run + " " + stmts[i].ID
-					solo, err := plans[i].RunScheduled(plans[i].ScheduleEngine(e, opts))
+					sc, err := scheduleOf(plans[i])
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					solo, err := plans[i].RunScheduled(sc)
 					if err != nil {
 						t.Fatalf("%s: solo failed: %v", label, err)
 					}
@@ -357,9 +395,10 @@ type refusingGate struct{ asked atomic.Int64 }
 func (g *refusingGate) TryAcquire() bool { g.asked.Add(1); return false }
 func (g *refusingGate) Release()         {}
 
-// batchScansOnce pins the point of seating: an eight-member batch on a
-// CPU-family or GPU-family engine makes one scanKernel pass and nothing else
-// (it made nine before members were priced from their seat).
+// batchScansOnce pins the point of seating: an eight-member batch on any
+// placement of seatPlacements — the six engines, 2- and 4-GPU fleets, the
+// default hybrid split — makes one scanKernel pass and nothing else: no
+// member, device or arm scans on its own.
 func batchScansOnce(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 || testDS.Lineorder.Rows() < 2*chunkRows {
 		t.Skip("needs a helper slot and a table of at least two chunks to observe passes")
@@ -368,17 +407,75 @@ func batchScansOnce(t *testing.T) {
 	for i, q := range All()[:8] {
 		plans[i] = Compile(testDS, q)
 	}
-	for _, c := range []struct {
-		e    Engine
-		want int64
-	}{{EngineCPU, 1}, {EngineMonet, 1}, {EngineGPU, 1}, {EngineCoproc, 1}} {
+	for _, pl := range seatPlacements() {
 		gate := &refusingGate{}
 		opts := RunOptions{Partition: PartitionOptions{Partitions: 7, Limiter: gate}}
-		if _, err := RunBatch(plans, c.e, opts); err != nil {
+		if _, err := RunBatchScheduled(plans, opts, func(p *Plan) (sched.Schedule, error) { return pl.schedule(p, opts) }); err != nil {
 			t.Fatal(err)
 		}
-		if got := gate.asked.Load(); got != c.want {
-			t.Errorf("%s batch of %d: %d scan passes, want %d", c.e, len(plans), got, c.want)
+		if got := gate.asked.Load(); got != 1 {
+			t.Errorf("%s batch of %d: %d scan passes, want 1", pl.name, len(plans), got)
+		}
+	}
+}
+
+// TestScheduleScansOnce pins that a solo run scans once whatever its shape:
+// a 4-GPU fleet run and a default hybrid run each make one scanKernel pass,
+// every device and arm priced from its seat in it. The table is cut fine
+// enough that every busy executor owns at least two scan chunks, so a pass
+// of an executor's own would ask for a helper too: scanning per executor
+// reads 4 and 2 passes here.
+func TestScheduleScansOnce(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs a helper slot to observe passes")
+	}
+	q, err := ByID("q2.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Compile(testDS, q)
+	for _, c := range []struct {
+		name      string
+		executors int
+		schedule  func(RunOptions) (sched.Schedule, error)
+	}{
+		{"fleet 4", 4, func(o RunOptions) (sched.Schedule, error) {
+			return p.ScheduleFleet(fleet.Spec{GPUs: 4, Link: fleet.NVLink()}, o)
+		}},
+		{"hybrid", 2, func(o RunOptions) (sched.Schedule, error) {
+			s, _, err := p.ScheduleHybrid(fleet.Spec{GPUs: 1}, -1, o)
+			return s, err
+		}},
+	} {
+		gate := &refusingGate{}
+		opts := RunOptions{Partition: PartitionOptions{Partitions: 64, Limiter: gate}}
+		s, err := c.schedule(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, busy := p.morselRun(opts), 0
+		for ai, a := range s.Assignments {
+			chunks := 0
+			for _, mi := range a.Morsels {
+				if !ms.pruned[mi] {
+					chunks += (ms.morsels[mi].Rows() + chunkRows - 1) / chunkRows
+				}
+			}
+			if len(a.Morsels) > 0 {
+				busy++
+			}
+			if chunks < 2 {
+				t.Fatalf("%s: assignment %d owns %d scan chunks; the case needs two each", c.name, ai, chunks)
+			}
+		}
+		if busy != c.executors {
+			t.Fatalf("%s: %d busy executors, want %d", c.name, busy, c.executors)
+		}
+		if _, err := p.RunScheduled(s); err != nil {
+			t.Fatal(err)
+		}
+		if got := gate.asked.Load(); got != 1 {
+			t.Errorf("%s: %d scan passes, want 1", c.name, got)
 		}
 	}
 }
@@ -455,9 +552,10 @@ func TestBatchSharedTrafficStrictlyLess(t *testing.T) {
 // built, and a member scheduled over another extent than the shared pass's —
 // a different morsel map (what a fleet schedule's silent partition raise
 // produces when the caller's options do not carry the raised count), the
-// other fact encoding, a different pruning mask or another plan. Each would
-// pair solo seconds for one extent with traffic apportioned from another, or
-// price a seat that was not scanned for the schedule; the error names the
+// other fact encoding, a different pruning mask or another plan — or on an
+// executor of another package. Each would pair solo seconds for one extent
+// with traffic apportioned from another, or price a seat that was not
+// scanned for the schedule (or that nothing can price); the error names the
 // member.
 func TestBatchRejects(t *testing.T) {
 	q, err := ByID("q1.1")
@@ -519,6 +617,8 @@ func TestBatchRejects(t *testing.T) {
 			}, "pruning mask"},
 		{"schedule of another plan", plain,
 			func(*Plan) sched.Schedule { return twin.ScheduleEngine(EngineCPU, plain) }, "different plan"},
+		{"schedule on a foreign executor", plain,
+			func(p *Plan) sched.Schedule { return foreignSchedule(p.ScheduleEngine(EngineCPU, plain)) }, "prices no scan"},
 	} {
 		_, err := RunBatchScheduled([]*Plan{twin, plan}, c.pass, func(p *Plan) (sched.Schedule, error) {
 			if p == twin {
@@ -531,5 +631,45 @@ func TestBatchRejects(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "member 1 (q1.1)") || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not name member 1 and %q", c.name, err, c.want)
 		}
+	}
+}
+
+// foreignExec is an executor of no engine of this package.
+type foreignExec struct{}
+
+func (foreignExec) Kind() sched.Kind { return sched.KindCPU }
+func (foreignExec) Device() int      { return -1 }
+
+// foreignSchedule is s with every executor replaced by a foreignExec.
+func foreignSchedule(s sched.Schedule) sched.Schedule {
+	s.Assignments = slices.Clone(s.Assignments)
+	for i := range s.Assignments {
+		s.Assignments[i].Executor = foreignExec{}
+	}
+	return s
+}
+
+// TestRunScheduledHandBuilt pins what a solo run makes of schedules built
+// outside the Schedule* builders: one holding an executor of another
+// package is refused with an error, not run — nothing can price its seat —
+// and one whose only assignment is idle scans nothing and yields the
+// empty result.
+func TestRunScheduledHandBuilt(t *testing.T) {
+	q, err := ByID("q2.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Compile(diffDS, q)
+	if _, err := p.RunScheduled(foreignSchedule(p.ScheduleEngine(EngineGPU, RunOptions{}))); err == nil || !strings.Contains(err.Error(), "prices no scan") {
+		t.Errorf("foreign executor: err %v, want a refusal", err)
+	}
+	idle := p.ScheduleEngine(EngineCPU, RunOptions{})
+	idle.Morsels, idle.Assignments[0].Morsels = 0, nil
+	sr, err := p.RunScheduled(idle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sr.Result.Rows()) != 0 || sr.Result.Seconds != 0 || len(sr.Executors) != 1 || sr.Executors[0].Rows != 0 {
+		t.Errorf("idle schedule: %d rows, %v s, executors %+v; want nothing run", len(sr.Result.Rows()), sr.Result.Seconds, sr.Executors)
 	}
 }

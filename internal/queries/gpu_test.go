@@ -217,7 +217,7 @@ func TestPriceGPURefusesOtherLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Compile(diffDS, q)
-	_, st := p.scan(p.morselRun(RunOptions{}))
+	st := passStats(p, RunOptions{})
 	defer func() {
 		if recover() == nil {
 			t.Error("a GPU pricing on 64 B lines did not panic")

@@ -44,14 +44,14 @@ func TestSoloIsBatchOfOne(t *testing.T) {
 				forward[i] = i
 				reverse[i] = len(plans) - 1 - i
 			}
-			shared, sharedStats, union64 := scanKernel(seat(forward))
-			flipped, flippedStats, flippedUnion64 := scanKernel(seat(reverse))
+			shared, sharedStats, union64 := scanKernel(seat(forward), true)
+			flipped, flippedStats, flippedUnion64 := scanKernel(seat(reverse), true)
 			if !reflect.DeepEqual(union64, flippedUnion64) {
 				t.Errorf("packed=%v parts=%d: member order changed the union line counts", packed, parts)
 			}
 			for i, q := range qs {
 				label := fmt.Sprintf("%s packed=%v parts=%d", q.ID, packed, parts)
-				solo, soloStats, solo64 := scanKernel(seat([]int{i}))
+				solo, soloStats, solo64 := scanKernel(seat([]int{i}), true)
 				if !reflect.DeepEqual(solo64, soloStats[0].lines64) {
 					t.Errorf("%s: one-member union counts differ from the member's own line counts", label)
 				}
@@ -77,6 +77,13 @@ func TestSoloIsBatchOfOne(t *testing.T) {
 			}
 		}
 	}
+}
+
+// passStats runs the plan alone through the scan kernel, over the extent
+// opts resolves, and returns the statistics of its pass.
+func passStats(p *Plan, opts RunOptions) *pipeStats {
+	_, sts, _ := scanKernel([]scanMember{{p: p, ms: p.morselRun(opts)}}, false)
+	return sts[0]
 }
 
 // rawGroups copies a raw result's accumulator table out by content: two equal
@@ -111,7 +118,7 @@ func BenchmarkScanKernel(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/members=%d", id, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					scanKernel(members)
+					scanKernel(members, n > 1)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*n), "ns/row")
 			})
@@ -121,7 +128,8 @@ func BenchmarkScanKernel(b *testing.B) {
 
 // BenchmarkRunGPU is the per-layer benchmark of the GPU-family path: the
 // scan over 2^20 fact rows priced on one GPU and on a 4-GPU fleet (one scan
-// and one priced launch per device over its shard, then the host merge), for
+// pass with a seat per device, one priced launch per device over its shard,
+// then the host merge), for
 // a filter-only query and one-, three- and four-join grouped ones whose group
 // estimates run from 7,000 to the 2^20 cap. Allocations are the path's own —
 // tile scratch comes from the free list, accumulator tables follow the
@@ -159,11 +167,11 @@ func BenchmarkRunGPU(b *testing.B) {
 
 // BenchmarkRunBatch is the per-layer benchmark of the batch entry: eight
 // scan-compatible range statements over 2^18 fact rows as one
-// RunBatchScheduled, on the CPU and the GPU engine, whose members are both
-// priced from their seat. ns/op and allocs are the batch's; batch/solo is
-// its wall clock over that of the same eight members' solo RunScheduled
-// calls (base = solo), so a batch that scans once reads below 1 and one
-// that re-executed every member would read near 2.
+// RunBatchScheduled, on the CPU and the GPU engine, a 4-GPU fleet and the
+// default hybrid split, every member priced from its seats. ns/op and allocs
+// are the batch's; batch/solo is its wall clock over that of the same eight
+// members' solo RunScheduled calls (base = solo), so a batch that scans once
+// reads below 1 and one that re-executed every member would read near 2.
 func BenchmarkRunBatch(b *testing.B) {
 	const rows, members = 1 << 18, 8
 	ds := ssb.GenerateRows(rows)
@@ -175,20 +183,39 @@ func BenchmarkRunBatch(b *testing.B) {
 			{Col: "quantity", Lo: 1, Hi: 10 + 5*lo},
 		}})
 	}
-	for _, e := range []Engine{EngineCPU, EngineGPU} {
-		b.Run(string(e), func(b *testing.B) {
+	fl := fleet.Spec{GPUs: 4, Link: fleet.NVLink()}
+	for _, c := range []struct {
+		name     string
+		opts     RunOptions
+		schedule func(p *Plan, o RunOptions) (sched.Schedule, error)
+	}{
+		{"cpu", RunOptions{}, func(p *Plan, o RunOptions) (sched.Schedule, error) { return p.ScheduleEngine(EngineCPU, o), nil }},
+		{"gpu", RunOptions{}, func(p *Plan, o RunOptions) (sched.Schedule, error) { return p.ScheduleEngine(EngineGPU, o), nil }},
+		{"fleet4", RunOptions{Partition: PartitionOptions{Partitions: fl.GPUs}},
+			func(p *Plan, o RunOptions) (sched.Schedule, error) { return p.ScheduleFleet(fl, o) }},
+		{"hybrid", RunOptions{Partition: PartitionOptions{Partitions: 16}}, func(p *Plan, o RunOptions) (sched.Schedule, error) {
+			s, _, err := p.ScheduleHybrid(fleet.Spec{GPUs: 1}, -1, o)
+			return s, err
+		}},
+	} {
+		scheduleOf := func(p *Plan) (sched.Schedule, error) { return c.schedule(p, c.opts) }
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var batch, solo time.Duration
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
-				if _, err := RunBatch(plans, e, RunOptions{}); err != nil {
+				if _, err := RunBatchScheduled(plans, c.opts, scheduleOf); err != nil {
 					b.Fatal(err)
 				}
 				batch += time.Since(t0)
 				b.StopTimer()
 				t0 = time.Now()
 				for _, p := range plans {
-					if _, err := p.RunScheduled(p.ScheduleEngine(e, RunOptions{})); err != nil {
+					s, err := scheduleOf(p)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := p.RunScheduled(s); err != nil {
 						b.Fatal(err)
 					}
 				}

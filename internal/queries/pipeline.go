@@ -318,7 +318,9 @@ type scanPipe struct {
 	pruned   []bool   // per canonical morsel
 }
 
-// scanAcc is one worker's private accumulator for one member.
+// scanAcc is one worker's private accumulator for one member, opened at the
+// first tile the worker seats the member on: a member the worker never scans
+// (another device's shard, another arm's morsels) costs it nothing.
 type scanAcc struct {
 	*scanPipe
 	lines         []int64 // per scanPipe.cols
@@ -327,6 +329,18 @@ type scanAcc struct {
 	alive         []int64
 	out, atomics  int64
 	accs          *sched.AccTable
+}
+
+func (a *scanAcc) open(pipe *scanPipe) {
+	*a = scanAcc{
+		scanPipe: pipe,
+		lines:    make([]int64, len(pipe.cols)),
+		lines128: make([]int64, len(pipe.slots)),
+		evals:    make([]int64, pipe.nf),
+		probes:   make([]int64, pipe.nj),
+		alive:    make([]int64, pipe.nf+pipe.nj),
+		accs:     sched.NewAccTable(pipe.ast.slots(), 0),
+	}
 }
 
 // tileScratch is one worker's tile buffers — the registers and shared
@@ -528,8 +542,10 @@ func (a *scanAcc) aggregate(sel []int32, payloads, aggs [][]int32, sc *tileScrat
 // — fact filters in order, then the join probes, then the grouped aggregate
 // — tile by tile (ssb.MorselAlign rows, the GPU tile and packed frame),
 // one read at a time through a selection vector, inside one pass over the
-// union of the members' surviving morsels. A solo run is the pass with one
-// member; every engine prices the statistics it meters (price, priceGPU).
+// union of the members' surviving morsels. Every executor's assignment is a
+// member (seatSchedules), so a solo engine run is the pass with one member
+// and a fleet's devices are one member each; every engine prices the
+// statistics it meters (price, priceGPU).
 // Chunks of tiles are scanned in parallel (the calling goroutine always
 // works, helpers are bounded by the first member's limiter); members run in
 // order within a tile, so:
@@ -543,17 +559,18 @@ func (a *scanAcc) aggregate(sel []int32, payloads, aggs [][]int32, sc *tileScrat
 //     touched — the traffic a shared scan streams once.
 //
 // It returns, per member, the raw result (the unfinalized accumulator table
-// in Result.accs) and the access statistics, plus the per-column union 64 B
-// line counts. With one member the union is that member's own counts, so no
-// union mask is kept and the solo scan pays nothing for sharing.
-func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64) {
+// in Result.accs) and the access statistics, plus — when union is set — the
+// per-column union 64 B line counts. Without union no mask is kept and the
+// union is nil, so a pass serving one schedule, however many executors it
+// has, pays nothing for sharing.
+func scanKernel(members []scanMember, union bool) ([]*Result, []*pipeStats, map[string]int64) {
 	n := len(members)
 	ds, morsels, lim := members[0].p.ds, members[0].ms.morsels, members[0].ms.lim
 	pipes := make([]scanPipe, n)
 	results := make([]*Result, n)
 	stats := make([]*pipeStats, n)
 	// ucols are the distinct fact columns across a shared pass (index =
-	// scanCol.ucol); a solo pass tracks no union and leaves them empty.
+	// scanCol.ucol); a pass without union leaves them empty.
 	var ucols []string
 	maxPayloads, maxAggs, maxSlots := 0, 0, 0
 	for i, m := range members {
@@ -593,7 +610,7 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 			} else {
 				c.plain = ds.Lineorder.Col(name)
 			}
-			if n > 1 {
+			if union {
 				c.ucol = colIndex(&ucols, name)
 			}
 		}
@@ -639,8 +656,8 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 		}
 	}
 
-	union64 := stats[0].lines64
-	if n > 1 {
+	var union64 map[string]int64
+	if union {
 		union64 = map[string]int64{}
 	}
 
@@ -650,22 +667,10 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 		sc := getScratch(ssb.MorselAlign, maxPayloads, maxAggs, maxSlots)
 		defer putScratch(sc)
 		accs := make([]scanAcc, n)
-		for i := range pipes {
-			pipe := &pipes[i]
-			accs[i] = scanAcc{
-				scanPipe: pipe,
-				lines:    make([]int64, len(pipe.cols)),
-				lines128: make([]int64, len(pipe.slots)),
-				evals:    make([]int64, pipe.nf),
-				probes:   make([]int64, pipe.nj),
-				alive:    make([]int64, pipe.nf+pipe.nj),
-				accs:     sched.NewAccTable(pipe.ast.slots(), 0),
-			}
-		}
-		var union []tileLines
+		var masks []tileLines
 		var unionLines []int64
-		if n > 1 {
-			union = make([]tileLines, len(ucols))
+		if union {
+			masks = make([]tileLines, len(ucols))
 			unionLines = make([]int64, len(ucols))
 		}
 		seated := make([]*scanAcc, 0, n)
@@ -676,19 +681,23 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 			}
 			c := chunks[ci]
 			seated = seated[:0]
-			for i := range accs {
-				if !accs[i].pruned[c.mi] {
-					seated = append(seated, &accs[i])
+			for i := range pipes {
+				if pipes[i].pruned[c.mi] {
+					continue
 				}
+				if accs[i].scanPipe == nil {
+					accs[i].open(&pipes[i])
+				}
+				seated = append(seated, &accs[i])
 			}
 			for lo := c.lo; lo < c.hi; lo += ssb.MorselAlign {
 				rows := min(ssb.MorselAlign, c.hi-lo)
 				for _, a := range seated {
-					a.scanTile(lo, rows, sc, union)
+					a.scanTile(lo, rows, sc, masks)
 				}
-				for u := range union {
-					unionLines[u] += union[u].count()
-					union[u] = tileLines{}
+				for u := range masks {
+					unionLines[u] += masks[u].count()
+					masks[u] = tileLines{}
 				}
 			}
 		}
@@ -696,6 +705,9 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 		defer mu.Unlock()
 		for i := range accs {
 			a, st, res := &accs[i], stats[i], results[i]
+			if a.scanPipe == nil {
+				continue // never seated here
+			}
 			for ci, v := range a.lines {
 				st.lines64[a.cols[ci]] += v
 			}
@@ -729,10 +741,4 @@ func scanKernel(members []scanMember) ([]*Result, []*pipeStats, map[string]int64
 		results[i].accs = pipes[i].ast.backfill(pipes[i].q, results[i].accs)
 	}
 	return results, stats, union64
-}
-
-// scan runs the plan alone through the scan kernel — a batch of one.
-func (p *Plan) scan(ms *morselRun) (*Result, *pipeStats) {
-	results, stats, _ := scanKernel([]scanMember{{p: p, ms: ms}})
-	return results[0], stats[0]
 }

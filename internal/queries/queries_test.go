@@ -211,7 +211,7 @@ func TestPipelineStatsSanity(t *testing.T) {
 	}
 
 	plan := Compile(testDS, q)
-	_, st := plan.scan(plan.morselRun(RunOptions{}))
+	st := passStats(plan, RunOptions{})
 	if st.rows != int64(testDS.Lineorder.Rows()) {
 		t.Error("stats rows wrong")
 	}
@@ -246,7 +246,7 @@ func TestQ1FlightSelectivities(t *testing.T) {
 	// SSB q1.1 keeps roughly 1/7 * 3/11 * 0.48 ~ 1.9% of the fact table.
 	q, _ := ByID("q1.1")
 	plan := Compile(testDS, q)
-	_, st := plan.scan(plan.morselRun(RunOptions{}))
+	st := passStats(plan, RunOptions{})
 	sel := float64(st.out) / float64(st.rows)
 	if sel < 0.012 || sel > 0.028 {
 		t.Errorf("q1.1 selectivity = %.4f, want ~0.019", sel)

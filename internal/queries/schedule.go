@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"fmt"
 	"time"
 
 	"crystal/internal/device"
@@ -91,25 +92,78 @@ func (ms *morselRun) restrict(idx []int) *morselRun {
 	return out
 }
 
-// engineExecutor runs one engine over its assigned morsels. It is the
-// executor behind the single-placement schedules (partitioned runs, the
-// coprocessor path) and the CPU arm of hybrid schedules.
+// scanSeat is one busy assignment's slice of a scanKernel pass: its raw
+// rows, the access statistics its executor prices, and the restricted
+// extent they were metered over.
+type scanSeat struct {
+	res *Result
+	st  *pipeStats
+	ms  *morselRun
+}
+
+// seatPricer is an executor of this package: it names the plan and the
+// extent its assignments are scanned over, and prices a seat of that scan
+// on its hardware. It never scans.
+type seatPricer interface {
+	sched.Executor
+	extent() (*Plan, *morselRun)
+	// price prices assignment a's seat: the kernel time, the interconnect
+	// shipment's time and bytes (overlapped with the kernel, so the
+	// executor's seconds are the max of the two times; zero when nothing
+	// ships), and the column shipments a residency cache elided.
+	price(a sched.Assignment, seat *scanSeat) (kernel, ship float64, shipBytes int64, resident int)
+}
+
+// seatSchedules validates the schedules and runs one scanKernel pass for all
+// of them: every busy assignment is a scan member of its own, its executor's
+// plan over the executor's extent restricted to the assignment's morsels, so
+// per-executor statistics come out of the pass with no metering of their
+// own. The seats come back in schedule, then assignment order, one per
+// assignment (zero for an idle one). Union line counts are kept only when
+// more than one schedule rides the pass; otherwise union64 is nil. A
+// schedule holding an executor of another package is refused: there is
+// nothing to price its seat.
+func seatSchedules(scheds []sched.Schedule) (seats []scanSeat, union64 map[string]int64, err error) {
+	var members []scanMember
+	for _, s := range scheds {
+		if err := s.Validate(); err != nil {
+			return nil, nil, err
+		}
+		for ai, a := range s.Assignments {
+			x, ok := a.Executor.(seatPricer)
+			if !ok {
+				return nil, nil, fmt.Errorf("queries: assignment %d has executor %T, which prices no scan", ai, a.Executor)
+			}
+			var seat scanSeat
+			if len(a.Morsels) > 0 { // idle: no launch, no seat
+				p, ms := x.extent()
+				seat.ms = ms.restrict(a.Morsels)
+				members = append(members, scanMember{p: p, ms: seat.ms})
+			}
+			seats = append(seats, seat)
+		}
+	}
+	if len(members) == 0 {
+		return seats, nil, nil
+	}
+	raws, sts, union64 := scanKernel(members, len(scheds) > 1)
+	i := 0
+	for j := range seats {
+		if seats[j].ms != nil { // busy, in member order
+			seats[j].res, seats[j].st = raws[i], sts[i]
+			i++
+		}
+	}
+	return seats, union64, nil
+}
+
+// engineExecutor prices one engine's seat. It is the executor behind the
+// single-placement schedules (partitioned runs, the coprocessor path) and
+// the CPU arm of hybrid schedules.
 type engineExecutor struct {
 	p  *Plan
 	ms *morselRun
 	e  Engine
-	// seat, when set, is the plan's slice of a scan pass somebody else ran
-	// over exactly ms (RunBatchScheduled's shared pass): the engine prices
-	// it instead of scanning again. Only seatMember sets it, after verifying
-	// the extent.
-	seat *scanSeat
-}
-
-// scanSeat is one member's outcome of a scanKernel pass: its raw rows and
-// the access statistics its engine prices.
-type scanSeat struct {
-	res *Result
-	st  *pipeStats
 }
 
 func (x engineExecutor) Kind() sched.Kind {
@@ -124,38 +178,24 @@ func (x engineExecutor) Kind() sched.Kind {
 
 func (x engineExecutor) Device() int { return -1 }
 
-// Execute is seat or scan, then price: every engine is a price over the
-// statistics of one scan pass. The coprocessor overlaps the GPU kernel with
-// its PCIe transfer, so its seconds are the slower of the two.
-func (x engineExecutor) Execute(a sched.Assignment) sched.Partial {
-	ms := x.ms.restrict(a.Morsels)
-	seat := x.seat
-	if seat == nil {
-		res, st := x.p.scan(ms)
-		seat = &scanSeat{res: res, st: st}
-	}
-	part := sched.Partial{Accs: seat.res.accs, Rows: ms.scanned}
-	for _, mi := range a.Morsels {
-		if x.ms.pruned[mi] {
-			part.Pruned++
-		}
-	}
-	part.KernelSeconds = x.p.price(x.e, seat.st)
-	part.Seconds = part.KernelSeconds
+func (x engineExecutor) extent() (*Plan, *morselRun) { return x.p, x.ms }
+
+// price prices the seat on the engine. The coprocessor overlaps the GPU
+// kernel with its PCIe transfer, so its seconds are the slower of the two.
+func (x engineExecutor) price(_ sched.Assignment, seat *scanSeat) (kernel, ship float64, shipBytes int64, resident int) {
+	kernel = x.p.price(x.e, seat.st)
 	if x.e == EngineCoproc {
-		part.ShipBytes, part.ResidentCols = x.p.coprocTransfer(ms, seat.st)
-		part.ShipSeconds = device.TransferTime(part.ShipBytes)
-		part.Seconds = max(part.KernelSeconds, part.ShipSeconds)
+		shipBytes, resident = x.p.coprocTransfer(seat.ms, seat.st)
+		ship = device.TransferTime(shipBytes)
 	}
-	return part
+	return kernel, ship, shipBytes, resident
 }
 
-// gpuDeviceExecutor runs one fleet device over its assigned morsels: it
-// scans its shard and prices the pass on the device (priceGPU), so the
-// device charges exactly its own traffic plus its one launch. Spilled
-// morsels are host-resident: their referenced columns cross the link,
-// overlapped with execution, with an optional per-device residency cache
-// able to elide the shipment on packed runs.
+// gpuDeviceExecutor prices one fleet device's seat, its shard's pass, on
+// the device (priceGPU), so the device charges exactly its own traffic plus
+// its one launch. Spilled morsels are host-resident: their referenced
+// columns cross the link, overlapped with execution, with an optional
+// per-device residency cache able to elide the shipment on packed runs.
 type gpuDeviceExecutor struct {
 	p    *Plan
 	ms   *morselRun
@@ -169,9 +209,10 @@ func (x *gpuDeviceExecutor) Kind() sched.Kind { return sched.KindGPU }
 
 func (x *gpuDeviceExecutor) Device() int { return x.idx }
 
-func (x *gpuDeviceExecutor) Execute(a sched.Assignment) sched.Partial {
-	ms := x.ms
-	refCols := x.p.Query.ReferencedFactColumns()
+func (x *gpuDeviceExecutor) extent() (*Plan, *morselRun) { return x.p, x.ms }
+
+func (x *gpuDeviceExecutor) price(a sched.Assignment, seat *scanSeat) (kernel, ship float64, shipBytes int64, resident int) {
+	ms, refCols := x.ms, x.p.Query.ReferencedFactColumns()
 	spilled := make(map[int]bool, len(a.Spilled))
 	for _, mi := range a.Spilled {
 		spilled[mi] = true
@@ -183,7 +224,6 @@ func (x *gpuDeviceExecutor) Execute(a sched.Assignment) sched.Partial {
 	// regardless of which query populated it (the same rule the
 	// coprocessor's residency cache follows). fullSpill is only consulted
 	// through a residency cache, so cacheless runs skip it.
-	var part sched.Partial
 	liveSpill := map[string]int64{}
 	fullSpill := map[string]int64{}
 	for _, mi := range a.Morsels {
@@ -194,7 +234,6 @@ func (x *gpuDeviceExecutor) Execute(a sched.Assignment) sched.Partial {
 			}
 		}
 		if ms.pruned[mi] {
-			part.Pruned++
 			continue // zone maps are host-side: pruned morsels neither scan nor ship
 		}
 		if spilled[mi] {
@@ -203,13 +242,10 @@ func (x *gpuDeviceExecutor) Execute(a sched.Assignment) sched.Partial {
 			}
 		}
 	}
-	msD := ms.restrict(a.Morsels)
-	res, st := x.p.scan(msD)
-	part.Rows = msD.scanned
 
 	for _, c := range refCols {
 		if x.res == nil {
-			part.ShipBytes += liveSpill[c]
+			shipBytes += liveSpill[c]
 			continue
 		}
 		if fullSpill[c] == 0 {
@@ -217,21 +253,16 @@ func (x *gpuDeviceExecutor) Execute(a sched.Assignment) sched.Partial {
 		}
 		switch hit, admitted := x.res.Acquire(c, fullSpill[c]); {
 		case hit:
-			part.ResidentCols++
+			resident++
 		case admitted:
-			part.ShipBytes += fullSpill[c] // populate the whole spilled range
+			shipBytes += fullSpill[c] // populate the whole spilled range
 		default:
-			part.ShipBytes += liveSpill[c] // ordinary cold transfer
+			shipBytes += liveSpill[c] // ordinary cold transfer
 		}
 	}
-
 	// Spill shipment overlaps with execution, coprocessor style: the
 	// slower of the two bounds the device.
-	part.Accs = res.accs
-	part.KernelSeconds = x.p.priceGPU(x.dev, st)
-	part.ShipSeconds = x.link.TransferTime(part.ShipBytes)
-	part.Seconds = max(part.KernelSeconds, part.ShipSeconds)
-	return part
+	return x.p.priceGPU(x.dev, seat.st), x.link.TransferTime(shipBytes), shipBytes, resident
 }
 
 // ScheduleEngine places every morsel on a single engine executor (the
@@ -268,10 +299,11 @@ func (p *Plan) ScheduleEngine(e Engine, opts RunOptions) sched.Schedule {
 
 // ScheduleFleet range-shards the morsels over the fleet's devices
 // (fleet.Assign, spill accounting against each device's MemoryBytes): each
-// device runs the tile-based GPU kernel over its own shard concurrently —
-// one launch per device, every foreign tile skipped, so a device charges
-// exactly its shard's traffic — and the partial aggregates merge on the
-// host across the interconnect. Partitions below fl.GPUs are raised to
+// device is priced as the tile-based GPU kernel over its own shard, run
+// concurrently — one launch per device, every foreign tile skipped, so a
+// device charges exactly its shard's traffic, which its seat in the run's
+// one scan pass meters — and the partial aggregates merge on the host
+// across the interconnect. Partitions below fl.GPUs are raised to
 // fl.GPUs so every device gets a shard where the morsel count allows one.
 //
 // Rows are identical to a single-device run at any shard count. Simulated
@@ -333,19 +365,30 @@ func (p *Plan) ScheduleFleet(fl fleet.Spec, opts RunOptions) (sched.Schedule, er
 	return s, nil
 }
 
-// RunScheduled is the single execution entry point: it runs each assignment on its executor, merges the partial aggregates
-// key-wise on the host (slot-wise accumulator merges, every operator
-// associative and commutative, so rows are identical to a monolithic run at
-// any split; the first partial's table is adopted, not copied), takes the
-// makespan over the concurrent executors, and prices the partial-aggregate
-// merge of the link-crossing assignments. A query with ORDER BY then runs
-// the sort phase on the placement's own hardware (executeSort) and appends
-// its priced seconds. Every placement goes through this method, so merge,
-// sort, stats and telemetry behave identically across them.
+// RunScheduled is the single execution entry point: it scans every busy
+// assignment in one pass (seatSchedules), has each executor price its seat,
+// merges the partial aggregates key-wise on the host (slot-wise accumulator
+// merges, every operator associative and commutative, so rows are identical
+// to a monolithic run at any split; the first partial's table is adopted,
+// not copied), takes the makespan over the concurrent executors, and prices
+// the partial-aggregate merge of the link-crossing assignments. A query with
+// ORDER BY then runs the sort phase on the placement's own hardware
+// (executeSort) and appends its priced seconds. Every placement goes through
+// this method, so scan, merge, sort, stats and telemetry behave identically
+// across them.
 func (p *Plan) RunScheduled(s sched.Schedule) (*ScheduledResult, error) {
-	if err := s.Validate(); err != nil {
+	start := time.Now()
+	seats, _, err := seatSchedules([]sched.Schedule{s})
+	if err != nil {
 		return nil, err
 	}
+	return p.runSeated(s, seats, start), nil
+}
+
+// runSeated is RunScheduled past the scan: it prices, merges and sorts the
+// schedule's seats. start is when the run began (read only when tracing),
+// so a solo run's span covers its pass.
+func (p *Plan) runSeated(s sched.Schedule, seats []scanSeat, start time.Time) *ScheduledResult {
 	q := p.Query
 	out := &ScheduledResult{}
 	merged := &Result{}
@@ -353,9 +396,7 @@ func (p *Plan) RunScheduled(s sched.Schedule) (*ScheduledResult, error) {
 	// Tracing is opt-in per schedule; the untraced path must not allocate a
 	// single span, so every trace touch below is nil-guarded.
 	var runSpan *trace.Span
-	var runStart time.Time
 	if s.Trace {
-		runStart = time.Now()
 		runSpan = &trace.Span{Phase: trace.PhaseRun, Children: []*trace.Span{
 			{Phase: trace.PhaseSchedule, Wall: s.BuildWall},
 		}}
@@ -379,35 +420,32 @@ func (p *Plan) RunScheduled(s sched.Schedule) (*ScheduledResult, error) {
 			if span != nil {
 				execStart = time.Now()
 			}
-			part := a.Executor.Execute(a)
-			er.Pruned = part.Pruned
-			er.Rows = part.Rows
-			er.Seconds = part.Seconds
-			er.ShipBytes = part.ShipBytes
-			er.ResidentCols = part.ResidentCols
-			er.Groups = part.GroupCount()
-			accs = p.agg.mergeTable(accs, part.Accs)
+			seat := &seats[i]
+			kernel, ship, shipBytes, resident := a.Executor.(seatPricer).price(a, seat)
+			er.Seconds, er.ShipBytes, er.ResidentCols = max(kernel, ship), shipBytes, resident
+			er.Pruned = len(a.Morsels) - len(seat.ms.live)
+			er.Rows = seat.ms.scanned
+			er.Groups = seat.res.accs.Len() // before the merge can adopt the table
+			accs = p.agg.mergeTable(accs, seat.res.accs)
 			if a.Merge {
-				out.MergeBytes += int64(part.GroupCount()) * aggRowBytes(&q)
+				out.MergeBytes += int64(er.Groups) * aggRowBytes(&q)
 			}
-			if part.Seconds > makespan {
-				makespan = part.Seconds
-			}
-			pruned += part.Pruned
-			merged.TransferBytes += part.ShipBytes
-			merged.ResidentCols += part.ResidentCols
+			makespan = max(makespan, er.Seconds)
+			pruned += er.Pruned
+			merged.TransferBytes += er.ShipBytes
+			merged.ResidentCols += er.ResidentCols
 			if span != nil {
 				span.Wall = time.Since(execStart)
-				span.Sim = part.Seconds
-				span.Bytes = part.ShipBytes
-				span.Rows = part.Rows
-				span.Pruned = part.Pruned
+				span.Sim = er.Seconds
+				span.Bytes = er.ShipBytes
+				span.Rows = er.Rows
+				span.Pruned = er.Pruned
 				span.Children = append(span.Children, &trace.Span{
-					Phase: trace.PhaseKernel, Sim: part.KernelSeconds,
+					Phase: trace.PhaseKernel, Sim: kernel,
 				})
-				if part.ShipBytes > 0 || part.ShipSeconds > 0 {
+				if er.ShipBytes > 0 || ship > 0 {
 					span.Children = append(span.Children, &trace.Span{
-						Phase: trace.PhaseTransfer, Sim: part.ShipSeconds, Bytes: part.ShipBytes,
+						Phase: trace.PhaseTransfer, Sim: ship, Bytes: er.ShipBytes,
 					})
 				}
 			}
@@ -453,8 +491,8 @@ func (p *Plan) RunScheduled(s sched.Schedule) (*ScheduledResult, error) {
 			})
 		}
 		runSpan.Sim = merged.Seconds
-		runSpan.Wall = time.Since(runStart)
+		runSpan.Wall = time.Since(start)
 		out.Trace = runSpan
 	}
-	return out, nil
+	return out
 }

@@ -1,11 +1,12 @@
 // Package sched defines the scheduler abstraction every execution path of
 // the repo runs through: a Schedule assigns zone-mapped morsel ranges to
 // abstract Executors — CPU engine workers, GPU fleet devices, or the
-// coprocessor path — and queries.Plan.RunScheduled runs the assignments and
+// coprocessor path — and queries.Plan.RunScheduled scans every busy
+// assignment in one pass, has each executor price its seat of that pass, and
 // merges their partial aggregates on the host. Partitioned, fleet,
 // coprocessor and hybrid CPU+GPU executions are all just schedules with
-// different assignment shapes, so there is exactly one merge, stats and
-// telemetry path.
+// different assignment shapes, so there is exactly one scan, merge, stats
+// and telemetry path.
 //
 // The contract between a schedule and its runner:
 //
@@ -21,9 +22,12 @@
 //     the far side of Link: the runner prices 16 bytes per group of
 //     host-bound merge traffic for it. Host executors leave Merge unset
 //     and merge for free.
-//   - Executors report simulated time, not wall clock: the runner's
-//     makespan is the slowest assignment, because assignments model
-//     devices (and engine workers) running concurrently.
+//   - An executor does not scan: the runner meters its assignment as one
+//     member of the shared pass (the executor's plan over exactly its
+//     morsels) and the executor prices that seat's statistics on its
+//     hardware. Executors report simulated time, not wall clock: the
+//     runner's makespan is the slowest assignment, because assignments
+//     model devices (and engine workers) running concurrently.
 //
 // The split helpers (CPUFraction, SplitHybrid) are the mechanism shared by
 // the hybrid executor (queries.Plan.ScheduleHybrid) and the hybrid cost
@@ -67,8 +71,8 @@ func Label(k Kind, device int) string {
 // AccTable is a flat accumulator table: group key -> a vector of 8-byte
 // accumulator slots, every vector a window of one backing slice. It is the
 // one carrier of raw aggregates between a kernel and the runner's merge —
-// a scan worker's private table, the collection of a device's global table,
-// a Partial's Accs. A table has one owner at a time: a producer hands it over
+// a scan worker's private table, one executor's seat of a pass, the merged
+// table. A table has one owner at a time: a producer hands it over
 // and the runner adopts the first one whole instead of copying it. A nil
 // table is an empty one to Len and Each.
 type AccTable struct {
@@ -118,62 +122,28 @@ func (t *AccTable) Len() int {
 	return len(t.idx)
 }
 
-// Partial is one executor's contribution to a scheduled run: its partial
-// aggregate table plus the telemetry the runner folds into the merged
-// result and the per-executor stats.
-type Partial struct {
-	// Accs is the executor's partial aggregate table, raw: one slot per
-	// aggregate slot of the statement (a single SUM is a list of one). Every
-	// slot's merge operator (add, min, max) is associative and commutative,
-	// so partials merge exactly in any order. The runner takes ownership.
-	Accs *AccTable
-	// Seconds is the executor's simulated time, spill shipment overlap
-	// included: max(KernelSeconds, ShipSeconds).
-	Seconds float64
-	// KernelSeconds is the pure execution component (scan, probe,
-	// aggregate) and ShipSeconds the interconnect shipment component of
-	// Seconds; the two overlap, so Seconds is their max, not their sum.
-	// Executors that move no bytes leave ShipSeconds zero.
-	KernelSeconds float64
-	ShipSeconds   float64
-	// Rows is the fact rows the executor actually scanned (zone-pruned
-	// morsels excluded); Pruned counts its assigned morsels that zone maps
-	// skipped.
-	Rows   int64
-	Pruned int
-	// ShipBytes is the interconnect traffic the executor's spilled morsels
-	// cost, and ResidentCols the column shipments a device residency cache
-	// elided.
-	ShipBytes    int64
-	ResidentCols int
-}
-
-// GroupCount returns the number of groups in the partial's aggregate table.
-func (p *Partial) GroupCount() int { return p.Accs.Len() }
-
-// Executor runs one assignment of morsel indices and reports its partial
-// aggregate. Implementations live with their engines (package queries);
-// they must be safe for concurrent use, like the plans they wrap.
+// Executor is the hardware one assignment of morsel indices is priced on.
+// Implementations live with their engines (package queries), which refuses
+// a schedule holding any other; they must be safe for concurrent use, like
+// the plans they wrap.
 type Executor interface {
 	// Kind classifies the executor for telemetry.
 	Kind() Kind
 	// Device is the fleet device index for GPU executors, -1 for host
 	// executors.
 	Device() int
-	// Execute runs the assignment and returns the executor's partial.
-	Execute(a Assignment) Partial
 }
 
 // Assignment binds one executor to the morsel indices it owns.
 type Assignment struct {
-	// Executor runs the assignment.
+	// Executor prices the assignment.
 	Executor Executor
 	// Morsels are the owned morsel indices (into the schedule's morsel
 	// list). An empty assignment is an idle executor: no launch, no time.
 	Morsels []int
 	// Spilled is the subset of Morsels that is host-resident: the
-	// executor ships the referenced columns of its unpruned spilled
-	// morsels over the schedule's link, overlapped with execution.
+	// executor prices shipping the referenced columns of its unpruned
+	// spilled morsels over the schedule's link, overlapped with execution.
 	Spilled []int
 	// Merge marks the partial aggregate as produced across the link: the
 	// runner charges 16 bytes per group of merge traffic for it.

@@ -8,13 +8,11 @@ import (
 	"crystal/internal/ssb"
 )
 
-// fakeExec satisfies Executor for schedule-shape tests; Validate never
-// calls Execute.
+// fakeExec satisfies Executor for schedule-shape tests.
 type fakeExec struct{ kind Kind }
 
-func (f fakeExec) Kind() Kind                 { return f.kind }
-func (f fakeExec) Device() int                { return -1 }
-func (f fakeExec) Execute(Assignment) Partial { return Partial{} }
+func (f fakeExec) Kind() Kind  { return f.kind }
+func (f fakeExec) Device() int { return -1 }
 
 func TestValidate(t *testing.T) {
 	ex := fakeExec{KindCPU}
@@ -223,20 +221,5 @@ func TestAccTable(t *testing.T) {
 	none.Each(func(int64, []int64) { t.Error("Each on a nil table called fn") })
 	if none.Len() != 0 {
 		t.Errorf("nil table Len() = %d, want 0", none.Len())
-	}
-}
-
-// TestGroupCount: a partial counts the groups of its one aggregate table,
-// and a partial that never executed (no table) holds none.
-func TestGroupCount(t *testing.T) {
-	tab := NewAccTable(2, 3)
-	for k := int64(1); k <= 3; k++ {
-		tab.At(k)
-	}
-	if got := (&Partial{Accs: tab}).GroupCount(); got != 3 {
-		t.Errorf("GroupCount() = %d, want 3", got)
-	}
-	if got := (&Partial{}).GroupCount(); got != 0 {
-		t.Errorf("empty GroupCount() = %d, want 0", got)
 	}
 }

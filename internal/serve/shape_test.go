@@ -97,11 +97,14 @@ func (g *countingGate) TryAcquire() bool { g.asked.Add(1); return false }
 func (g *countingGate) Release()         {}
 
 // TestServeBatchCPUPlacementSeated pins that placement=cpu batch members
-// are seated like engine=cpu members: priced from the one shared pass, not
+// are seated like engine=cpu members — and a 2-GPU fleet's and the default
+// hybrid split's members like them: priced from the one shared pass, not
 // executed again, with rows and simulated seconds equal to their solo
 // answers.
 func TestServeBatchCPUPlacementSeated(t *testing.T) {
-	ds := ssb.GenerateRows(1 << 16) // two scan chunks: a pass asks the limiter
+	// Eight scan chunks: a pass asks the limiter, and so would the pass of
+	// any one fleet device's shard or hybrid arm on its own.
+	ds := ssb.GenerateRows(1 << 18)
 	ids := []string{"q1.1", "q1.2", "q1.3"}
 	solo := New(ds, "v1", Options{Workers: 1})
 	defer solo.Close()
@@ -111,6 +114,10 @@ func TestServeBatchCPUPlacementSeated(t *testing.T) {
 	}{
 		{"engine=cpu", func(id string) Request { return Request{QueryID: id, Engine: queries.EngineCPU, Partitions: 4} }},
 		{"placement=cpu", func(id string) Request { return Request{QueryID: id, Placement: "cpu", Partitions: 4} }},
+		{"gpus=2 fleet", func(id string) Request {
+			return Request{QueryID: id, Engine: queries.EngineGPU, GPUs: 2, Interconnect: "nvlink", Partitions: 4}
+		}},
+		{"placement=hybrid", func(id string) Request { return Request{QueryID: id, Placement: "hybrid", Partitions: 64} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(ds, "v1", Options{Workers: 1, QueueDepth: 16, MaxBatch: 8})

@@ -113,11 +113,10 @@ func TestSingleFlightCoalesces(t *testing.T) {
 }
 
 // TestSingleFlightSurvivesLeaderPanic pins completeFlight's promise: a
-// leader that panics mid-execution still releases its parked follower with
-// an error reply instead of a hang, leaves no flight behind, and the next
-// identical request executes afresh and succeeds. The worker loop has no
-// recover, so the leader resolves (prepare) and executes on a goroutine of
-// the test's own.
+// leader that panics mid-execution on its worker answers ErrIncomplete,
+// still releases its parked follower with an error reply instead of a hang,
+// leaves no flight behind, and the next identical request executes afresh
+// and succeeds. The worker recovers the panic; the test recovers nothing.
 func TestSingleFlightSurvivesLeaderPanic(t *testing.T) {
 	ds := testData()
 	// Closed at the end, not deferred: after a failure the follower's worker
@@ -136,12 +135,10 @@ func TestSingleFlightSurvivesLeaderPanic(t *testing.T) {
 	s.flightHook = func() { joined <- struct{}{} }
 
 	req := Request{QueryID: "q2.1", Engine: queries.EngineCPU}
-	recovered := make(chan any, 1)
-	go func() {
-		defer func() { recovered <- recover() }()
-		_, j := s.prepare(req, time.Now()) // registers the flight it leads
-		s.execute(j, 0)
-	}()
+	leader, err := s.Submit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	<-parked
 	follower, err := s.Submit(context.Background(), req)
 	if err != nil {
@@ -153,16 +150,19 @@ func TestSingleFlightSurvivesLeaderPanic(t *testing.T) {
 		t.Fatal("follower never reached the flight wait")
 	}
 	close(release)
-	if r := <-recovered; r == nil {
-		t.Fatal("the leader did not panic")
-	}
-	select {
-	case resp := <-follower:
-		if resp.Err == nil || resp.Answer != nil {
-			t.Fatalf("follower of a panicked leader: err=%v answer %p, want an error and no answer", resp.Err, resp.Answer)
+	for _, c := range []struct {
+		name string
+		ch   <-chan Response
+	}{{"leader", leader}, {"follower", follower}} {
+		select {
+		case resp := <-c.ch:
+			if resp.Err == nil || resp.Answer != nil || (c.name == "leader" && !errors.Is(resp.Err, ErrIncomplete)) {
+				t.Fatalf("%s of a panicked execution: err=%v answer %p, want an error (ErrIncomplete for the leader) and no answer",
+					c.name, resp.Err, resp.Answer)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s hung after the leader panicked", c.name)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("follower hung after its leader panicked")
 	}
 	s.cacheMu.Lock()
 	left := len(s.flights)
