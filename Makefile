@@ -19,19 +19,19 @@ COVER_FLOOR_SIM     ?= 98.6
 
 # Allocation ceilings for benchmark-smoke, in KB per request at 3 s, seed 1:
 # about 1.25x what the commit that set them measures (scan_solo 51, queued_batch
-# 13.1, cache_hot 0.17, adhoc_cold 1 294). Allocation per request does not move
-# with the box, so a reading above the ceiling is a code change — per-tile or
-# per-estimate allocation creeping back into the GPU-family path, per-group
+# 13.1, cache_hot 0.17; adhoc_cold 133, given 1.35x). Allocation per request
+# does not move with the box, so a reading above the ceiling is a code change
+# — per-tile or per-estimate allocation creeping back into the GPU-family path, per-group
 # allocation into the accumulator tables, either into the shared scan, a cache
 # hit copying the rows of the answer it shares or passing through the queue
 # (a hit is answered on its caller: no job, channel or hand-off), or a cold
-# statement building more than one hash table per join (the tables are most of
-# adhoc_cold's figure: sized to the full dimension, part's alone is 1-2 MB).
+# statement allocating more than one row bitmap per filtered join (a bit a
+# dimension row: part's is 25 KB; a cold statement builds no hash table).
 # Lower them when the figures improve, never raise them to make a run pass.
 ALLOC_KB_MAX_SCAN_SOLO    ?= 64
 ALLOC_KB_MAX_QUEUED_BATCH ?= 16.5
 ALLOC_KB_MAX_CACHE_HOT    ?= 0.21
-ALLOC_KB_MAX_ADHOC_COLD   ?= 1620
+ALLOC_KB_MAX_ADHOC_COLD   ?= 180
 
 .PHONY: all build test lint fuzz cover docs bench-smoke serve-stress bench-baseline bench-check metrics-smoke load-smoke batch-smoke benchmark-smoke serve ci
 
@@ -60,12 +60,15 @@ test:
 # spill accounting), the 64-bit GPU radix sort (output is a stable
 # sorted permutation of the input on the masked key bits), and execution
 # shapes (Normalize never panics, is idempotent and refuses every unknown
-# or out-of-range input; a normalized shape's key decodes back to it).
+# or out-of-range input; a normalized shape's key decodes back to it), and
+# the word-at-a-time dimension filter (bitmap and count equal Filter.Match
+# row by row).
 fuzz:
 	$(GO) test ./internal/ssb -run='^$$' -fuzz=FuzzRead -fuzztime=20s
 	$(GO) test ./internal/sql -run='^$$' -fuzz=FuzzParse -fuzztime=20s
 	$(GO) test ./internal/queries -run='^$$' -fuzz=FuzzZoneMap -fuzztime=20s
 	$(GO) test ./internal/queries -run='^$$' -fuzz=FuzzShape -fuzztime=20s
+	$(GO) test ./internal/queries -run='^$$' -fuzz=FuzzDimFilter -fuzztime=20s
 	$(GO) test ./internal/pack -run='^$$' -fuzz=FuzzPackRoundTrip -fuzztime=20s
 	$(GO) test ./internal/fleet -run='^$$' -fuzz=FuzzShardAssignment -fuzztime=20s
 	$(GO) test ./internal/gpu -run='^$$' -fuzz=FuzzRadixSort -fuzztime=20s

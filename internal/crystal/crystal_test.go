@@ -260,9 +260,9 @@ func TestHashTableInsertPanicsOnSentinel(t *testing.T) {
 }
 
 // TestPutMatchesInsert: the single-writer Put lays a table out exactly as
-// sequential Inserts do, so both answer every Get alike — on dense keys (the
-// identity slot), yyyymmdd keys (multiplicative), duplicates (later copies
-// probe past the first) and random keys, with and without payloads.
+// sequential Inserts do, so both answer every Get alike — on dense keys,
+// yyyymmdd keys, duplicates (later copies probe past the first) and random
+// keys, with and without payloads.
 func TestPutMatchesInsert(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	dense := make([]int32, 3000)
@@ -284,76 +284,24 @@ func TestPutMatchesInsert(t *testing.T) {
 	for name, keys := range map[string][]int32{"dense": dense, "yyyymmdd": dates, "duplicate": dups, "random": random} {
 		lo, hi := slices.Min(keys), slices.Max(keys)
 		for _, payload := range []bool{false, true} {
-			for _, ctor := range []struct {
-				name string
-				new  func() *HashTable
-			}{
-				{"NewHashTable", func() *HashTable { return NewHashTable(len(keys), 0.99, payload) }},
-				{"NewHashTableRange", func() *HashTable { return NewHashTableRange(len(keys), 0.99, payload, lo, hi) }},
-			} {
-				label := fmt.Sprintf("%s keys, payload=%v, %s", name, payload, ctor.name)
-				ins, put := ctor.new(), ctor.new()
-				for i, k := range keys {
-					ins.Insert(k, int32(i))
-					put.Put(k, int32(i))
-				}
-				if !reflect.DeepEqual(ins, put) {
-					t.Errorf("%s: Put and Insert laid the table out differently", label)
-				}
-				for _, k := range append(slices.Clone(keys), lo-1, hi+1, 0, -5) {
-					vi, oki := ins.Get(k)
-					vp, okp := put.Get(k)
-					if vi != vp || oki != okp {
-						t.Fatalf("%s: Get(%d) = %d,%v after Insert, %d,%v after Put", label, k, vi, oki, vp, okp)
-					}
+			label := fmt.Sprintf("%s keys, payload=%v", name, payload)
+			ins, put := NewHashTable(len(keys), 0.99, payload), NewHashTable(len(keys), 0.99, payload)
+			for i, k := range keys {
+				ins.Insert(k, int32(i))
+				put.Put(k, int32(i))
+			}
+			if !reflect.DeepEqual(ins, put) {
+				t.Errorf("%s: Put and Insert laid the table out differently", label)
+			}
+			for _, k := range append(slices.Clone(keys), lo-1, hi+1, 0, -5) {
+				vi, oki := ins.Get(k)
+				vp, okp := put.Get(k)
+				if vi != vp || oki != okp {
+					t.Fatalf("%s: Get(%d) = %d,%v after Insert, %d,%v after Put", label, k, vi, oki, vp, okp)
 				}
 			}
 		}
 	}
-}
-
-// TestDenseSlots pins the one slot formula's two regimes. Customer, supplier
-// and part keys are dense 1..N, so at the dimension-build fill every key sits
-// at its home slot key-1 and resolves in one probe step; Capacity and Bytes
-// are NewHashTable's. Date keys (yyyymmdd) span more than the capacity, and
-// NewHashTable and NewHashTableBytes know no range, so those tables keep the
-// multiplicative slot sequence bit for bit.
-func TestDenseSlots(t *testing.T) {
-	const fill = 0.99
-	for _, d := range []ssb.Dim{ssb.GenCustomer(1), ssb.GenSupplier(1), ssb.GenPart(1)} {
-		if d.KeyLo != 1 || int(d.KeyHi) != d.Rows() {
-			t.Fatalf("%s: recorded key range [%d, %d], want [1, %d]", d.Name, d.KeyLo, d.KeyHi, d.Rows())
-		}
-		for _, payload := range []bool{false, true} {
-			ht := NewHashTableRange(d.Rows(), fill, payload, d.KeyLo, d.KeyHi)
-			ref := NewHashTable(d.Rows(), fill, payload)
-			if ht.Capacity() != ref.Capacity() || ht.Bytes() != ref.Bytes() {
-				t.Errorf("%s: dense table %d slots / %d B, NewHashTable %d / %d",
-					d.Name, ht.Capacity(), ht.Bytes(), ref.Capacity(), ref.Bytes())
-			}
-			for _, k := range d.Key {
-				ht.Put(k, k)
-			}
-			for _, k := range d.Key {
-				if s := ht.slot(k); s != uint32(k-1) || ht.keys[s] != k {
-					t.Fatalf("%s: key %d not at its home slot %d (slot %d holds %d)", d.Name, k, k-1, s, ht.keys[s])
-				}
-			}
-		}
-	}
-	multiplicativeSlots := func(h *HashTable, keys []int32) {
-		t.Helper()
-		for _, k := range keys {
-			if got, want := h.slot(k), (uint32(k)*2654435761)&uint32(h.Capacity()-1); got != want {
-				t.Fatalf("%v: slot(%d) = %d, multiplicative slot %d", h, k, got, want)
-			}
-		}
-	}
-	date := ssb.GenDate()
-	multiplicativeSlots(NewHashTableRange(date.Rows(), fill, true, date.KeyLo, date.KeyHi), date.Key)
-	multiplicativeSlots(NewHashTable(date.Rows(), fill, true), date.Key)
-	multiplicativeSlots(NewHashTableBytes(1<<20), date.Key)
-	multiplicativeSlots(NewHashTableBytes(1<<20), []int32{0, 1, 2, -7, 1 << 30})
 }
 
 func TestHashTableConcurrentBuild(t *testing.T) {

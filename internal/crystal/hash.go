@@ -22,20 +22,12 @@ type HashTable struct {
 	keys []int32
 	vals []int32
 	mask uint32
-	// base and mul are the constants of the one slot formula,
-	// (uint32(key-base) * mul) & mask, chosen once at construction: a key
-	// range that fits the capacity gets base = lo, mul = 1, so a dense key
-	// is its own slot (the paper's perfect hashing, Section 5.3); any other
-	// table gets base = 0 and the multiplicative constant.
-	base int32
-	mul  uint32
 	// hasPayload records whether the table stores payloads; key-only tables
 	// (existence filters) occupy half the bytes.
 	hasPayload bool
 }
 
-// multiplicative is the slot multiplier of a table whose keys are not known
-// to be dense (Knuth's 2^32 / golden ratio).
+// multiplicative is the slot multiplier (Knuth's 2^32 / golden ratio).
 const multiplicative = 2654435761
 
 // HashCapacity returns the slot count of a table for n keys at the given
@@ -66,21 +58,7 @@ func HashTableBytes(capacity int, hasPayload bool) int64 {
 // NewHashTable creates a table with capacity for n keys at the given fill
 // rate, hashing keys multiplicatively.
 func NewHashTable(n int, fill float64, hasPayload bool) *HashTable {
-	return newHashTable(HashCapacity(n, fill), hasPayload, 0, multiplicative)
-}
-
-// NewHashTableRange creates the same table as NewHashTable for keys the
-// caller knows lie in [lo, hi]. When that range fits the capacity the slot
-// is key - lo, so distinct keys never collide and every probe resolves in
-// one step; otherwise it falls back to the multiplicative slot. Capacity and
-// Bytes are NewHashTable's either way, so nothing modelled changes. A key
-// outside the range still hashes correctly; it only costs probe steps.
-func NewHashTableRange(n int, fill float64, hasPayload bool, lo, hi int32) *HashTable {
-	capacity := HashCapacity(n, fill)
-	if lo <= hi && int64(hi)-int64(lo) < int64(capacity) {
-		return newHashTable(capacity, hasPayload, lo, 1)
-	}
-	return newHashTable(capacity, hasPayload, 0, multiplicative)
+	return newHashTable(HashCapacity(n, fill), hasPayload)
 }
 
 // NewHashTableBytes creates a key+payload table whose footprint is exactly
@@ -91,15 +69,13 @@ func NewHashTableBytes(bytes int64) *HashTable {
 	for int64(capacity)*8 < bytes {
 		capacity <<= 1
 	}
-	return newHashTable(capacity, true, 0, multiplicative)
+	return newHashTable(capacity, true)
 }
 
-func newHashTable(capacity int, hasPayload bool, base int32, mul uint32) *HashTable {
+func newHashTable(capacity int, hasPayload bool) *HashTable {
 	ht := &HashTable{
 		keys:       make([]int32, capacity),
 		mask:       uint32(capacity - 1),
-		base:       base,
-		mul:        mul,
 		hasPayload: hasPayload,
 	}
 	if hasPayload {
@@ -119,7 +95,7 @@ func (h *HashTable) Capacity() int { return len(h.keys) }
 func (h *HashTable) Bytes() int64 { return HashTableBytes(len(h.keys), h.hasPayload) }
 
 func (h *HashTable) slot(key int32) uint32 {
-	return (uint32(key-h.base) * h.mul) & h.mask
+	return (uint32(key) * multiplicative) & h.mask
 }
 
 // Insert adds key with payload val. It is safe for concurrent use (the GPU

@@ -34,35 +34,19 @@ type JoinStats struct {
 	Selectivity float64
 }
 
-// Stats computes per-join statistics from the dataset: an exact pass over
-// each filtered dimension (dimensions are tiny), none for a join without
-// filters, which keeps every row. Each exported entry point computes them
-// once and hands them to every arm it prices.
+// Stats computes per-join statistics from the dataset: an exact count of
+// each dimension's rows passing the join's filters (queries.DimFilter, the
+// pass Compile's join bitmaps come from; it allocates nothing when only
+// counting). Each exported entry point computes them once and hands them to
+// every arm it prices.
 func Stats(ds *ssb.Dataset, q queries.Query) []JoinStats {
 	out := make([]JoinStats, len(q.Joins))
 	for i, j := range q.Joins {
 		d := queries.DimTable(ds, j.Dim)
 		n := d.Rows()
-		match := n
-		if len(j.Filters) > 0 {
-			filterCols := make([][]int32, len(j.Filters))
-			for fi := range j.Filters {
-				filterCols[fi] = d.Col(j.Filters[fi].Col)
-			}
-			match = 0
-		rows:
-			for r := 0; r < n; r++ {
-				for fi := range j.Filters {
-					if !j.Filters[fi].Match(filterCols[fi][r]) {
-						continue rows
-					}
-				}
-				match++
-			}
-		}
 		sel := 1.0
 		if n > 0 {
-			sel = float64(match) / float64(n)
+			sel = float64(queries.DimFilter(d, j.Filters, nil)) / float64(n)
 		}
 		// Hash tables are sized to the full dimension (Section 5.3 "perfect
 		// hashing" footprint), payload or not, by the executor's own rule.

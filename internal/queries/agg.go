@@ -100,10 +100,13 @@ type aggState struct {
 	colIdx [][]int
 	slotOf []int
 	ops    []crystal.SlotOp
+	// groups is len(q.GroupPayloads()), counted once so that the run path
+	// never builds that slice.
+	groups int
 }
 
 func newAggState(q *Query) *aggState {
-	st := &aggState{specs: q.AggList(), cols: q.AggColumns()}
+	st := &aggState{specs: q.AggList(), cols: q.AggColumns(), groups: len(q.GroupPayloads())}
 	for _, s := range st.specs {
 		st.slotOf = append(st.slotOf, len(st.ops))
 		var idx []int
@@ -170,8 +173,8 @@ func (st *aggState) mergeTable(to, from *sched.AccTable) *sched.AccTable {
 
 // backfill gives a statement with no group-by the one row it always yields:
 // an empty (or nil) table gains key 0 at the merge identities.
-func (st *aggState) backfill(q *Query, t *sched.AccTable) *sched.AccTable {
-	if len(q.GroupPayloads()) > 0 || t.Len() > 0 {
+func (st *aggState) backfill(t *sched.AccTable) *sched.AccTable {
+	if st.groups > 0 || t.Len() > 0 {
 		return t
 	}
 	if t == nil {
@@ -270,7 +273,7 @@ func (q *Query) AggRowBytes() int64 { return aggRowBytes(q) }
 // slab). This boundary is the only place the two spellings differ: a
 // statement spelled with Agg reports Aggs == nil.
 func finalizeGroups(q *Query, st *aggState, accs *sched.AccTable, res *Result) {
-	accs = st.backfill(q, accs)
+	accs = st.backfill(accs)
 	res.Groups = make(map[int64]int64, accs.Len())
 	if q.Aggs == nil {
 		// One SUM slot: the accumulator is the value.

@@ -56,7 +56,7 @@ func chargeBuilds(clk *device.Clock, builds []buildInfo) {
 	for i := range builds {
 		b := &builds[i]
 		pass := &device.Pass{Label: "build " + b.spec.Dim, BytesRead: b.bytesRead}
-		pass.AddProbes(device.ProbeSet{Count: b.inserted, StructBytes: b.ht.Bytes(), Writes: true})
+		pass.AddProbes(device.ProbeSet{Count: b.inserted, StructBytes: b.htBytes, Writes: true})
 		clk.Charge(pass)
 	}
 }
@@ -131,7 +131,7 @@ func cpuProbePass(st *pipeStats, builds []buildInfo, q Query, filterCyc, probeCy
 	for ji := range builds {
 		pass.AddProbes(device.ProbeSet{
 			Count:       st.probes[ji],
-			StructBytes: builds[ji].ht.Bytes(),
+			StructBytes: builds[ji].htBytes,
 			Dependent:   dependent,
 		})
 	}
@@ -204,7 +204,7 @@ func (pl *Plan) priceMonet(st *pipeStats) float64 {
 		// interpreter does not software-pipeline or prefetch them, so they
 		// hit the same latency wall as the pipelined engine's probes.
 		p.AddProbes(device.ProbeSet{Count: in, StructBytes: st.colFootprint(q.Joins[ji].FactFK), Dependent: true})
-		p.AddProbes(device.ProbeSet{Count: st.probes[ji], StructBytes: builds[ji].ht.Bytes(), Dependent: true})
+		p.AddProbes(device.ProbeSet{Count: st.probes[ji], StructBytes: builds[ji].htBytes, Dependent: true})
 		out := st.alive[stage]
 		p.BytesWritten = out * 8 // candidate list + payload column
 		p.ComputeCycles = (monetOpCycles + unpack) * float64(in)
@@ -213,7 +213,7 @@ func (pl *Plan) priceMonet(st *pipeStats) float64 {
 		stage++
 	}
 	agg := &device.Pass{Label: "monet aggregate"}
-	agg.BytesRead = in * int64(4+4*len(q.GroupPayloads()))
+	agg.BytesRead = in * int64(4+4*pl.agg.groups)
 	for _, c := range q.AggColumns() {
 		agg.AddProbes(device.ProbeSet{Count: in, StructBytes: st.colFootprint(c), Dependent: true})
 	}
@@ -259,7 +259,7 @@ func (pl *Plan) priceOmnisci(st *pipeStats) float64 {
 		p := &device.Pass{Label: "omnisci join " + q.Joins[ji].Dim, Kernels: 2}
 		p.BytesRead = in * 4
 		p.AddProbes(device.ProbeSet{Count: in, StructBytes: st.colFootprint(q.Joins[ji].FactFK)}) // gather FK
-		p.AddProbes(device.ProbeSet{Count: st.probes[ji], StructBytes: builds[ji].ht.Bytes()})
+		p.AddProbes(device.ProbeSet{Count: st.probes[ji], StructBytes: builds[ji].htBytes})
 		p.RandomWrites = out * 2 // row ids + payload, uncoalesced
 		p.AtomicOps = out
 		clk.Charge(p)
@@ -267,7 +267,7 @@ func (pl *Plan) priceOmnisci(st *pipeStats) float64 {
 		stage++
 	}
 	agg := &device.Pass{Label: "omnisci aggregate", Kernels: 1}
-	agg.BytesRead = in * int64(4+4*len(q.GroupPayloads()))
+	agg.BytesRead = in * int64(4+4*pl.agg.groups)
 	for _, c := range q.AggColumns() {
 		agg.AddProbes(device.ProbeSet{Count: in, StructBytes: st.colFootprint(c)})
 	}

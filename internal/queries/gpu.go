@@ -56,9 +56,9 @@ func (p *Plan) priceGPU(dev *device.Spec, st *pipeStats) float64 {
 		}
 	}
 	for ji := range p.builds {
-		pass.AddProbes(device.ProbeSet{Count: st.probes[ji], StructBytes: p.builds[ji].ht.Bytes()})
+		pass.AddProbes(device.ProbeSet{Count: st.probes[ji], StructBytes: p.builds[ji].htBytes})
 	}
-	if len(q.GroupPayloads()) > 0 {
+	if p.agg.groups > 0 {
 		pass.AddProbes(device.ProbeSet{Count: st.out, StructBytes: crystal.MultiAggTableBytes(aggEstimate(*q), p.agg.slots())})
 	}
 	pass.AtomicOps = st.atomicTiles * int64(p.agg.slots())

@@ -12,72 +12,85 @@ import (
 	"crystal/internal/ssb"
 )
 
-// dimFill sizes dimension hash tables like the paper's (Section 5.3:
-// "the size of the part hash table (with perfect hashing) is 2x4x1M =
-// 8MB"): capacity is the next power of two above the full dimension
-// cardinality, independent of how many rows survive the dimension filters.
+// dimFill sizes the modelled dimension hash tables like the paper's
+// (Section 5.3: "the size of the part hash table (with perfect hashing) is
+// 2x4x1M = 8MB"): capacity is the next power of two above the full
+// dimension cardinality, independent of how many rows survive the dimension
+// filters. Only the footprint exists; the host probes the key index.
 const dimFill = 0.99
 
-// buildInfo is one constructed join hash table plus the traffic its build
-// phase generated (charged differently per engine).
+// buildInfo is one join of a compiled plan. The host probes the dimension's
+// key index, shared by every statement over the generation: a key's row r
+// joins when r >= 0 and bit r of pass is set, and its payload is the
+// dimension's own column at r. The model charges the build and the probes
+// of a perfect-hash table of htBytes (JoinTableBytes) holding the inserted
+// rows, exactly as if the host had built one.
 type buildInfo struct {
-	spec     JoinSpec
-	ht       *crystal.HashTable
-	dimRows  int64
-	inserted int64
-	// bytesRead is the dimension column bytes the build scanned.
-	bytesRead int64
+	spec      JoinSpec
+	index     *ssb.KeyIndex
+	pass      []uint64 // the rows the filters keep, 64 a word; nil keeps every row
+	payload   []int32  // the group-by column; nil for a semijoin
+	htBytes   int64
+	inserted  int64
+	bytesRead int64 // the dimension column bytes the build scans
 }
 
-// buildTables constructs the join hash tables for a query: each table maps
-// the dimension key to the group-by payload (or is key-only for pure
-// semijoin filters), and only rows passing the dimension filters are
-// inserted — probing misses are how filtered dimensions drop fact rows.
-// Compile is the tables' one writer, so the build uses Put; the key range
-// the dataset recorded lays a dense key out at its own slot.
+// buildTables resolves a query's joins: each filtered join gets its row
+// bitmap from one DimFilter pass, an unfiltered one none. It panics on a
+// dimension whose keys repeat (ssb.Read refuses such data, so only a Dim
+// assembled by hand reaches it), as DimTable does on an unknown name.
 func buildTables(ds *ssb.Dataset, q Query) []buildInfo {
 	builds := make([]buildInfo, len(q.Joins))
 	for ji, j := range q.Joins {
 		d := DimTable(ds, j.Dim)
-		n := d.Rows()
-		ht := crystal.NewHashTableRange(n, dimFill, j.Payload != "", d.KeyLo, d.KeyHi)
-		filterCols := make([][]int32, len(j.Filters))
-		for fi := range j.Filters {
-			filterCols[fi] = d.Col(j.Filters[fi].Col)
+		index, err := d.Index()
+		if err != nil {
+			panic("queries: " + err.Error())
 		}
-		var payload []int32
+		n, b := d.Rows(), &builds[ji]
+		*b = buildInfo{spec: j, index: index, htBytes: JoinTableBytes(d, j), inserted: int64(n),
+			bytesRead: int64(n) * int64(1+len(j.Filters)+btoi(j.Payload != "")) * 4}
+		if len(j.Filters) > 0 {
+			b.pass = make([]uint64, (n+63)/64)
+			b.inserted = int64(DimFilter(d, j.Filters, b.pass))
+		}
 		if j.Payload != "" {
-			payload = d.Col(j.Payload)
-		}
-		inserted := int64(0)
-	rows:
-		for i := 0; i < n; i++ {
-			for fi := range j.Filters {
-				if !j.Filters[fi].Match(filterCols[fi][i]) {
-					continue rows
-				}
-			}
-			v := int32(0)
-			if payload != nil {
-				v = payload[i]
-			}
-			ht.Put(d.Key[i], v)
-			inserted++
-		}
-		builds[ji] = buildInfo{
-			spec:      j,
-			ht:        ht,
-			dimRows:   int64(n),
-			inserted:  inserted,
-			bytesRead: int64(n) * int64(1+len(j.Filters)+btoi(j.Payload != "")) * 4,
+			b.payload = d.Col(j.Payload)
 		}
 	}
 	return builds
 }
 
-// JoinTableBytes is the footprint of the hash table Compile builds for join
-// j over dimension d, payload or not: what a cost model prices the join's
-// probes against before any table exists.
+// DimFilter evaluates filters over d's rows 64 at a time: a word's mask
+// starts with every row and each filter column in turn ANDs its own in,
+// stopping once no row is left. It stores word w's mask at pass[w] when pass
+// is non-nil ((d.Rows()+63)/64 words) and returns the number of rows every
+// filter keeps — all of them with no filters. Compile's join bitmaps and the
+// planner's selectivities are this one pass; counting allocates nothing.
+func DimFilter(d *ssb.Dim, filters []Filter, pass []uint64) int {
+	var stack [4][]int32
+	cols := stack[:0]
+	for fi := range filters {
+		cols = append(cols, d.Col(filters[fi].Col))
+	}
+	n, count := d.Rows(), 0
+	for lo := 0; lo < n; lo += 64 {
+		hi := min(lo+64, n)
+		m := ^uint64(0) >> (64 - (hi - lo))
+		for fi := 0; fi < len(filters) && m != 0; fi++ {
+			m &= filters[fi].matchWord(cols[fi][lo:hi])
+		}
+		if pass != nil {
+			pass[lo/64] = m
+		}
+		count += bits.OnesCount64(m)
+	}
+	return count
+}
+
+// JoinTableBytes is the footprint of the perfect-hash table the model builds
+// for join j over dimension d, payload or not: what every engine charges the
+// join's build and probes against, and what a cost model prices them with.
 func JoinTableBytes(d *ssb.Dim, j JoinSpec) int64 {
 	return crystal.HashTableBytes(crystal.HashCapacity(d.Rows(), dimFill), j.Payload != "")
 }
@@ -177,8 +190,10 @@ func (st *pipeStats) decoded(q Query) int64 {
 // aggEstimate caps the aggregation-table sizing.
 func aggEstimate(q Query) int {
 	est := 1
-	for _, j := range q.GroupPayloads() {
+	for _, j := range q.Joins {
 		switch j.Payload {
+		case "":
+			continue
 		case "year":
 			est *= 7
 		case "nation":
@@ -460,7 +475,7 @@ func (a *scanAcc) scanTile(lo, n int, sc *tileScratch, union []tileLines) {
 				out, payloads = payloads[0], payloads[1:]
 			}
 			a.probes[ji] += int64(len(sel))
-			sel = probeSel(a.builds[ji].ht, vals, sel, out)
+			sel = probeSel(&a.builds[ji], vals, sel, out)
 			a.alive[s] += int64(len(sel))
 		default:
 			aggs = append(aggs, vals)
@@ -484,20 +499,20 @@ func filterSel(f *Filter, vals, sel []int32) []int32 {
 	return sel[:k]
 }
 
-// probeSel probes ht with the selected rows' keys, compacting sel to the
-// rows that match and, when out is set, writing their payloads at their rows
-// of out.
-func probeSel(ht *crystal.HashTable, keys, sel, out []int32) []int32 {
+// probeSel probes join b with the selected rows' keys, compacting sel to the
+// rows whose dimension row exists and passes the join's filters and, when
+// out is set, writing their payloads at their rows of out.
+func probeSel(b *buildInfo, keys, sel, out []int32) []int32 {
 	k := 0
 	for _, i := range sel {
-		v, ok := ht.Get(keys[i])
-		if !ok {
+		r := b.index.Row(keys[i])
+		if r < 0 || b.pass != nil && b.pass[r>>6]&(1<<(r&63)) == 0 {
 			continue
 		}
 		sel[k] = i
 		k++
 		if out != nil {
-			out[i] = v
+			out[i] = b.payload[r]
 		}
 	}
 	return sel[:k]
@@ -597,7 +612,7 @@ func scanKernel(members []scanMember, union bool) ([]*Result, []*pipeStats, map[
 		st.colOrder = append(st.colOrder, aggCols...)
 		pipe := &pipes[i]
 		*pipe = scanPipe{q: q, builds: m.p.builds, ast: m.p.agg, nf: nf, nj: nj,
-			payloads: len(q.GroupPayloads()), pruned: ms.pruned}
+			payloads: m.p.agg.groups, pruned: ms.pruned}
 		pipe.cols = make([]string, 0, len(st.colOrder))
 		pipe.slots = make([]scanCol, len(st.colOrder))
 		for si, name := range st.colOrder {
@@ -738,7 +753,7 @@ func scanKernel(members []scanMember, union bool) ([]*Result, []*pipeStats, map[
 	// Partials stay raw for the caller's merge to finalize; a global aggregate
 	// always yields one row, whether or not any row (or worker) reached it.
 	for i := range pipes {
-		results[i].accs = pipes[i].ast.backfill(pipes[i].q, results[i].accs)
+		results[i].accs = pipes[i].ast.backfill(results[i].accs)
 	}
 	return results, stats, union64
 }

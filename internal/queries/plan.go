@@ -41,10 +41,27 @@ func (f *Filter) Match(v int32) bool {
 	return f.Lo <= v && v <= f.Hi
 }
 
+// matchWord is Match over up to 64 values: bit i is set when vals[i]
+// passes. A range compares each value once, offset into [0, Hi-Lo].
+func (f *Filter) matchWord(vals []int32) uint64 {
+	var m uint64
+	if f.In != nil || f.Lo > f.Hi {
+		for i := len(vals) - 1; i >= 0; i-- {
+			m = m<<1 | uint64(btoi(f.Match(vals[i])))
+		}
+		return m
+	}
+	lo, width := f.Lo, uint32(f.Hi-f.Lo)
+	for i := len(vals) - 1; i >= 0; i-- {
+		m = m<<1 | uint64(btoi(uint32(vals[i]-lo) <= width))
+	}
+	return m
+}
+
 // JoinSpec is one dimension join in plan order: the fact foreign key probes
-// a hash table built over the dimension rows that satisfy Filters. Payload
-// names the dimension attribute carried out for grouping ("" for pure
-// semijoin filters).
+// the dimension rows that satisfy Filters (modelled as a hash table built
+// over them). Payload names the dimension attribute carried out for
+// grouping ("" for pure semijoin filters).
 type JoinSpec struct {
 	Dim     string
 	FactFK  string
@@ -516,7 +533,7 @@ rows:
 	res := &Result{Groups: groups}
 	if q.Aggs != nil {
 		finalizeGroups(&q, st, accs, res)
-	} else if len(q.GroupPayloads()) == 0 && len(groups) == 0 {
+	} else if st.groups == 0 && len(groups) == 0 {
 		groups[0] = 0 // a global aggregate always yields one row
 	}
 	if len(q.OrderBy) > 0 {

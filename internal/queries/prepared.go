@@ -3,31 +3,31 @@ package queries
 import "crystal/internal/ssb"
 
 // Plan is a compiled physical plan: one query bound to one dataset, with
-// the dimension join hash tables already built. Compiling is the expensive,
-// engine-independent part of execution (the build phase scans every
-// dimension and inserts the surviving rows), so a Plan is what a serving
+// each filtered join's row bitmap already computed over the dimension's
+// key index. Compiling is the engine-independent part of execution (one
+// filter pass over each filtered dimension), so a Plan is what a serving
 // layer caches and shares between requests.
 //
-// A Plan is safe for concurrent use: the hash tables are only probed after
-// compilation (probes are atomic loads), and every run keeps its mutable
-// state per call. Simulated times are unaffected by reuse — each run
-// re-charges the build traffic exactly as a cold execution would, so a cached
-// plan returns the same Result (rows and Seconds) as a freshly compiled one
-// while skipping the functional build work.
+// A Plan is safe for concurrent use: the bitmaps, the key indexes and the
+// payload columns are only read after compilation, and every run keeps its
+// mutable state per call. Simulated times are unaffected by reuse — each
+// run re-charges the build traffic of the modelled join hash tables exactly
+// as a cold execution would, so a cached plan returns the same Result (rows
+// and Seconds) as a freshly compiled one.
 type Plan struct {
 	// Query is the compiled query in plan order.
 	Query Query
 	ds    *ssb.Dataset
-	// builds are the constructed join hash tables plus the build-phase
-	// traffic each engine charges on its own device clock.
+	// builds are the resolved joins plus the build-phase traffic each
+	// engine charges on its own device clock.
 	builds []buildInfo
 	// agg is the accumulator layout of the query's aggregate list, read-only
 	// after Compile: the kernels, the merge and the finalizer share it.
 	agg *aggState
 }
 
-// Compile builds the join hash tables for q over ds and returns the
-// reusable plan.
+// Compile resolves q's joins over ds and returns the reusable plan. It
+// panics on a dimension whose key repeats (see buildTables).
 func Compile(ds *ssb.Dataset, q Query) *Plan {
 	return &Plan{Query: q, ds: ds, builds: buildTables(ds, q), agg: newAggState(&q)}
 }

@@ -3,6 +3,7 @@ package queries
 import (
 	"testing"
 
+	"crystal/internal/crystal"
 	"crystal/internal/ssb"
 )
 
@@ -192,20 +193,21 @@ func TestPipelineStatsSanity(t *testing.T) {
 	if len(builds) != 3 {
 		t.Fatalf("builds = %d", len(builds))
 	}
-	// Supplier join is filter-only (key-only table); part carries brand.
-	if builds[0].ht.Bytes() != int64(builds[0].ht.Capacity())*4 {
+	// Supplier join is filter-only (priced as a key-only table); part
+	// carries brand.
+	if builds[0].payload != nil || builds[0].htBytes != crystal.HashTableBytes(crystal.HashCapacity(testDS.Supplier.Rows(), dimFill), false) {
 		t.Error("supplier table should be key-only")
 	}
 	if builds[1].spec.Payload != "brand1" {
 		t.Error("part payload wrong")
 	}
 	// Roughly 1/5 of suppliers are AMERICA.
-	frac := float64(builds[0].inserted) / float64(builds[0].dimRows)
+	frac := float64(builds[0].inserted) / float64(testDS.Supplier.Rows())
 	if frac < 0.15 || frac > 0.25 {
 		t.Errorf("supplier filter selectivity = %.3f", frac)
 	}
 	// Part category filter: 1/25.
-	frac = float64(builds[1].inserted) / float64(builds[1].dimRows)
+	frac = float64(builds[1].inserted) / float64(testDS.Part.Rows())
 	if frac < 0.02 || frac > 0.06 {
 		t.Errorf("part filter selectivity = %.3f", frac)
 	}

@@ -1,9 +1,6 @@
 package ssb
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Lineorder is the fact table, stored columnar with 4-byte entries
 // (Section 5.2: "we store the data in columnar format with each column
@@ -29,22 +26,20 @@ type Dim struct {
 	Name  string
 	Key   []int32
 	Attrs map[string][]int32
-	// KeyLo and KeyHi are the least and greatest key (both 0 when the table
-	// is empty), recorded once where the table is generated or read, so that
-	// every join build can lay its hash table out for the key domain without
-	// scanning Key again.
-	KeyLo, KeyHi int32
+	// index is the key -> row index (see Index), recorded once where the
+	// table is generated or read; Key is read-only from then on.
+	index *KeyIndex
 }
 
 // Rows returns the dimension cardinality.
 func (d *Dim) Rows() int { return len(d.Key) }
 
-// recordKeyRange sets KeyLo and KeyHi from Key.
-func (d *Dim) recordKeyRange() {
-	d.KeyLo, d.KeyHi = 0, 0
-	if len(d.Key) > 0 {
-		d.KeyLo, d.KeyHi = slices.Min(d.Key), slices.Max(d.Key)
+// indexed records d's key index; generated keys never repeat.
+func indexed(d Dim) Dim {
+	if err := d.recordIndex(); err != nil {
+		panic(err)
 	}
+	return d
 }
 
 // Col returns the named attribute column, panicking on unknown names so
@@ -127,8 +122,7 @@ func GenDate() Dim {
 			}
 		}
 	}
-	d.recordKeyRange()
-	return d
+	return indexed(d)
 }
 
 // GenCustomer builds the customer dimension (30,000 x SF rows).
@@ -145,8 +139,7 @@ func GenCustomer(sf int) Dim {
 		d.Attrs["nation"][i] = CityNation(city)
 		d.Attrs["region"][i] = NationRegion(CityNation(city))
 	}
-	d.recordKeyRange()
-	return d
+	return indexed(d)
 }
 
 // GenSupplier builds the supplier dimension (2,000 x SF rows).
@@ -163,8 +156,7 @@ func GenSupplier(sf int) Dim {
 		d.Attrs["nation"][i] = CityNation(city)
 		d.Attrs["region"][i] = NationRegion(CityNation(city))
 	}
-	d.recordKeyRange()
-	return d
+	return indexed(d)
 }
 
 // GenPart builds the part dimension (200,000 x floor(1+log2 SF) rows).
@@ -181,8 +173,7 @@ func GenPart(sf int) Dim {
 		d.Attrs["category"][i] = brand / BrandsPerCat
 		d.Attrs["mfgr"][i] = brand / BrandsPerCat / 5
 	}
-	d.recordKeyRange()
-	return d
+	return indexed(d)
 }
 
 // GenLineorder builds the first rows rows (all of them when rows exceeds the

@@ -224,7 +224,9 @@ func Read(r io.Reader, maxBytes int64) (*Dataset, error) {
 				return nil, fmt.Errorf("dimension %q column %q has %d rows, want %d", name, cname, len(col), len(d.Key))
 			}
 		}
-		d.recordKeyRange()
+		if err := d.recordIndex(); err != nil {
+			return nil, err
+		}
 		*target = d
 	}
 	return ds, nil
