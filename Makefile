@@ -117,10 +117,12 @@ bench-smoke:
 
 # Serving concurrency under the race detector, ten rounds: single-flight
 # (leaders, followers, abandoned flights), batch formation, shedding,
-# overload, deadlines and a panicking execution — the paths where a caller,
-# a worker and a flight hand a request between goroutines.
+# overload, deadlines, a panicking execution and the packed coprocessor and
+# spilled-fleet shapes, which ride flights and batches like any other — the
+# paths where a caller, a worker and a flight hand a request between
+# goroutines.
 serve-stress:
-	$(GO) test -race -count=10 -run 'SingleFlight|Batch|Shed|Overload|Deadline|Panic' ./internal/serve
+	$(GO) test -race -count=10 -run 'SingleFlight|Batch|Shed|Overload|Deadline|Panic|Residency|Packed|FleetSpill' ./internal/serve
 
 # Benchmark gate: bench-baseline records the q1.x flight's simulated
 # seconds and scaling efficiency at 1/2/4/8 GPUs into BENCH_fleet.json,

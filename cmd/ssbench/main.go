@@ -616,7 +616,7 @@ func runPackedReport(ds *ssb.Dataset) {
 	}
 	plain := plan.Run(queries.EngineCoproc)
 	// q1.1 joins no dimensions, so its whole transfer is fact columns the
-	// residency cache can elide; queries with joins keep shipping their
+	// resident set can elide; queries with joins keep shipping their
 	// (small) replicated dimension tables even when fully resident.
 	fmt.Printf("  q1.1 coprocessor PCIe: %.2f MB plain -> %.2f MB packed -> 0 MB fully resident (planner: %.3f ms -> %.3f ms -> 0)\n",
 		float64(plain.TransferBytes)/1e6, float64(cold.Result.TransferBytes)/1e6,

@@ -20,9 +20,10 @@
 // Both also accept &packed=1 to scan the bit-packed fact encoding (built
 // once per dataset): rows are identical, simulated seconds reflect the
 // compression asymmetry, and coprocessor requests ship compressed bytes
-// over PCIe — or none at all for columns the device residency cache holds
-// (see resident_cols in the response and the device cache line in /stats).
-// -devicecache sizes that cache; -devicecache -1 disables it.
+// over PCIe — or none at all for the columns of the dataset's resident set,
+// the packed columns the device keeps in -devicecache bytes, most-queried
+// first (see resident_cols in the response and the device cache line in
+// /stats); -devicecache -1 keeps nothing resident.
 //
 // Both accept &gpus=N (&interconnect=pcie|nvlink) to run on the modeled
 // multi-GPU fleet: the fact scan is range-sharded across N V100s, the
@@ -95,7 +96,7 @@ var (
 	flagRows     = flag.Int("rows", 0, "generate exactly this many fact rows instead of -sf")
 	flagWorkers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	flagData     = flag.String("data", "", "load a dataset written by datagen instead of generating")
-	flagDevCache = flag.Int64("devicecache", 0, "device residency cache capacity in bytes for packed columns (0 = the V100's 32 GB, negative = disabled)")
+	flagDevCache = flag.Int64("devicecache", 0, "device memory in bytes that keeps each dataset's most-queried packed columns resident (0 = the V100's 32 GB, negative = none)")
 	flagFleetMem = flag.Int64("fleetmem", 0, "per-fleet-device memory capacity in bytes for &gpus=N requests (0 = the V100's 32 GB; small values make shards spill)")
 	flagTrace    = flag.Bool("trace", true, "trace every request into the flight recorder (GET /trace); latency histograms on /metrics work either way")
 	flagQueue    = flag.Int("queuedepth", 0, "pending-request queue depth (0 = 4x workers)")
@@ -210,7 +211,7 @@ type queryResponse struct {
 	// Packed reports whether the bit-packed fact encoding was scanned;
 	// TransferBytes is the PCIe traffic a coprocessor run shipped (or, for
 	// fleet runs, the spilled-shard interconnect traffic) and ResidentCols
-	// the column transfers residency caches elided.
+	// the column transfers the resident set elided.
 	Packed        bool  `json:"packed,omitempty"`
 	TransferBytes int64 `json:"transfer_bytes,omitempty"`
 	ResidentCols  int   `json:"resident_cols,omitempty"`
@@ -446,9 +447,9 @@ func handleStats(svc *serve.Service) http.HandlerFunc {
 					ex.Label, ex.Requests, ex.Morsels, ex.Rows, ex.SimSeconds*1e3, float64(ex.ShipBytes)/1e6)
 			}
 			if st.DeviceCacheCapBytes > 0 {
-				fmt.Fprintf(w, "device cache: %d columns, %.2f/%.2f GB pinned, %.0f%% hit rate, %d evictions\n\n",
+				fmt.Fprintf(w, "device cache: %d columns, %.2f/%.2f GB pinned, %.0f%% hit rate\n\n",
 					st.DeviceCacheCols, float64(st.DeviceCacheUsedBytes)/1e9,
-					float64(st.DeviceCacheCapBytes)/1e9, st.ResidencyHitRate*100, st.ResidentEvictions)
+					float64(st.DeviceCacheCapBytes)/1e9, st.ResidencyHitRate*100)
 			} else {
 				fmt.Fprintf(w, "device cache: disabled\n\n")
 			}

@@ -259,6 +259,22 @@ func TestHashTableInsertPanicsOnSentinel(t *testing.T) {
 	}
 }
 
+// TestHashTableGetMissesSentinel: a table never holds EmptyKey, so probing
+// for it misses — on an empty slot the sentinel would otherwise equal the
+// probe key and answer a hit.
+func TestHashTableGetMissesSentinel(t *testing.T) {
+	for _, payload := range []bool{false, true} {
+		h := NewHashTable(4, 0.5, payload)
+		h.Put(3, 7)
+		if v, ok := h.Get(EmptyKey); ok {
+			t.Errorf("payload=%v: Get(EmptyKey) = (%d, true) on a table holding only 3", payload, v)
+		}
+		if _, ok := h.Get(3); !ok {
+			t.Errorf("payload=%v: Get(3) missed", payload)
+		}
+	}
+}
+
 // TestPutMatchesInsert: the single-writer Put lays a table out exactly as
 // sequential Inserts do, so both answer every Get alike — on dense keys,
 // yyyymmdd keys, duplicates (later copies probe past the first) and random

@@ -137,7 +137,12 @@ func (h *HashTable) Put(key, val int32) {
 }
 
 // Get probes for key and returns its payload (zero for key-only tables).
+// EmptyKey is never held (Put and Insert refuse it), so it always misses:
+// probing for it would match the first empty slot.
 func (h *HashTable) Get(key int32) (int32, bool) {
+	if key == EmptyKey {
+		return 0, false
+	}
 	i := h.slot(key)
 	for {
 		k := atomic.LoadInt32(&h.keys[i])

@@ -143,9 +143,9 @@ type BatchResult struct {
 // shared pass's extent: a schedule with a different morsel count, fact
 // encoding, pruning mask or plan is rejected with an error naming the
 // member (fleet and hybrid schedules raise small partition counts, so the
-// caller passes opts with the count already raised). Residency caching is
-// not consulted for the shared pass; callers batch only shapes whose solo
-// seconds do not depend on residency state.
+// caller passes opts with the count already raised). The resident set is
+// a function of the encoding and opts.DeviceCacheBytes, so a member's
+// transfers price exactly as solo.
 func RunBatchScheduled(plans []*Plan, opts RunOptions, scheduleOf func(*Plan) (sched.Schedule, error)) (*BatchResult, error) {
 	if len(plans) == 0 {
 		return nil, errors.New("queries: empty batch")

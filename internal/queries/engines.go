@@ -1,6 +1,8 @@
 package queries
 
 import (
+	"slices"
+
 	"crystal/internal/device"
 	"crystal/internal/pack"
 )
@@ -278,42 +280,29 @@ func (pl *Plan) priceOmnisci(st *pipeStats) float64 {
 }
 
 // coprocTransfer returns the PCIe bytes a coprocessor run ships, and the
-// referenced fact columns a residency cache served instead, given the
-// statistics of its scan pass over ms: the kernel is the Standalone GPU's,
-// but in the coprocessor architecture of Section 3.1 the referenced fact
-// columns must first cross PCIe. With perfect overlap of transfer and
-// execution the runtime is the maximum of the two, and since PCIe bandwidth
-// is far below the GPU's memory bandwidth, the transfer dominates — which is
-// why the coprocessor model cannot beat a decent CPU implementation (Figure
-// 3). Packed runs ship compressed bytes instead of plain ones, and a
-// Residency cache lets repeated queries skip the transfer of device-resident
-// packed columns entirely — the two levers that make the coprocessor
-// competitive.
-func (pl *Plan) coprocTransfer(ms *morselRun, st *pipeStats) (bytes int64, resident int) {
+// referenced fact columns it found resident instead, given the statistics
+// of its scan pass: the kernel is the Standalone GPU's, but in the
+// coprocessor architecture of Section 3.1 the referenced fact columns must
+// first cross PCIe. With perfect overlap of transfer and execution the
+// runtime is the maximum of the two, and since PCIe bandwidth is far below
+// the GPU's memory bandwidth, the transfer dominates — which is why the
+// coprocessor model cannot beat a decent CPU implementation (Figure 3).
+// Packed runs ship compressed bytes instead of plain ones, and a column of
+// the resident set (ResidentColumns) ships nothing — the two levers that
+// make the coprocessor competitive.
+func (pl *Plan) coprocTransfer(st *pipeStats, resident []string) (bytes int64, cols int) {
 	// Zone maps live on the host, so pruned morsels are never shipped: only
 	// the surviving morsels' column bytes cross PCIe (the packed frames' on
-	// packed runs), plus the replicated dimensions the builds scan. With a
-	// residency cache, an admitted miss ships (and pins) the whole packed
-	// column so that a resident column is always fully resident, a hit ships
-	// nothing, and a refused admission (column larger than the device, cache
-	// gone stale) degrades to the ordinary cold transfer.
+	// packed runs), plus the replicated dimensions the builds scan.
 	for _, c := range pl.Query.ReferencedFactColumns() {
-		if ms.packed != nil && ms.residency != nil {
-			full := st.footBytes[c]
-			hit, admitted := ms.residency.Acquire(c, full)
-			if hit {
-				resident++
-				continue
-			}
-			if admitted {
-				bytes += full
-				continue
-			}
+		if slices.Contains(resident, c) {
+			cols++
+			continue
 		}
 		bytes += st.colScanBytes(c)
 	}
 	for i := range pl.builds {
 		bytes += pl.builds[i].bytesRead
 	}
-	return bytes, resident
+	return bytes, cols
 }

@@ -19,8 +19,8 @@ type FleetDevice struct {
 	Seconds float64 `json:"seconds"`
 	// SpillBytes is the interconnect traffic the device's spilled morsels
 	// cost this query (0 when the shard fits in device memory), and
-	// ResidentCols the spilled columns a residency cache served without
-	// shipping anything.
+	// ResidentCols the spilled columns of the resident set, which ship
+	// nothing.
 	SpillBytes   int64 `json:"spill_bytes"`
 	ResidentCols int   `json:"resident_cols"`
 	// Groups is the size of the device's partial aggregate table — the

@@ -215,8 +215,8 @@ func smallV100(memory int64) *device.Spec {
 // TestFleetSpill pins graceful degradation: shards that exceed device
 // memory keep their rows host-resident, ship their referenced columns over
 // the interconnect (packed runs ship packed bytes), and never change a
-// row. A fully-spilled fleet is strictly slower than a resident one; a
-// per-device residency cache elides the shipment entirely.
+// row. A fully-spilled fleet is strictly slower than a resident one; the
+// resident set elides the shipment of its columns.
 func TestFleetSpill(t *testing.T) {
 	q, err := ByID("q1.1")
 	if err != nil {
@@ -278,28 +278,38 @@ func TestFleetSpill(t *testing.T) {
 			packedSpill.Result.TransferBytes, spilled.Result.TransferBytes)
 	}
 
-	// Per-device residency caches elide the shipment; refusing caches
-	// degrade to exactly the cold transfer.
-	warm, err := runFleet(plan, fleet.Spec{GPUs: 2, Device: smallV100(0), Link: fleet.PCIe()},
-		RunOptions{Partition: PartitionOptions{Packed: testPacked}, Fleet: FleetOptions{Residency: []Residency{residentAll{}, residentAll{}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queriestest.SameRows(t, "warm spilled fleet", warm.Result, resident.Result)
-	if warm.Result.TransferBytes != 0 {
-		t.Errorf("warm fleet still shipped %d bytes", warm.Result.TransferBytes)
-	}
-	if warm.Result.ResidentCols == 0 {
-		t.Error("warm fleet reported no resident columns")
-	}
-	refused, err := runFleet(plan, fleet.Spec{GPUs: 2, Device: smallV100(0), Link: fleet.PCIe()},
-		RunOptions{Partition: PartitionOptions{Packed: testPacked}, Fleet: FleetOptions{Residency: []Residency{refuseAll{}, refuseAll{}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refused.Result.TransferBytes != packedSpill.Result.TransferBytes ||
-		refused.Result.Seconds != packedSpill.Result.Seconds {
-		t.Error("refused residency differs from cacheless packed spill")
+	// The resident set elides each device's spilled range of its columns:
+	// nothing resident is exactly the cold packed spill, a strict subset
+	// ships less, and the V100's capacity ships nothing.
+	refs := q.ReferencedFactColumns()
+	for _, c := range []struct {
+		name     string
+		capacity int64
+		resident int // per device
+	}{
+		{"nothing resident", 0, 0},
+		{"a strict subset", testPacked.Col(residencyOrder()[0]).Bytes(), 1},
+		{"the V100's capacity", device.V100().MemoryBytes, len(refs)},
+	} {
+		r, err := runFleet(plan, fleet.Spec{GPUs: 2, Device: smallV100(0), Link: fleet.PCIe()},
+			RunOptions{Partition: PartitionOptions{Packed: testPacked}, DeviceCacheBytes: c.capacity})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queriestest.SameRows(t, c.name+" spilled fleet", r.Result, resident.Result)
+		if r.Result.ResidentCols != 2*c.resident {
+			t.Errorf("%s: %d resident cols, want %d", c.name, r.Result.ResidentCols, 2*c.resident)
+		}
+		switch {
+		case c.resident == 0 && (r.Result.TransferBytes != packedSpill.Result.TransferBytes ||
+			r.Result.Seconds != packedSpill.Result.Seconds):
+			t.Errorf("%s differs from the packed spill without a capacity", c.name)
+		case c.resident == len(refs) && r.Result.TransferBytes != 0:
+			t.Errorf("%s: still shipped %d bytes", c.name, r.Result.TransferBytes)
+		case c.resident > 0 && r.Result.TransferBytes >= packedSpill.Result.TransferBytes:
+			t.Errorf("%s: shipped %d bytes, the cold packed spill %d", c.name,
+				r.Result.TransferBytes, packedSpill.Result.TransferBytes)
+		}
 	}
 }
 

@@ -26,7 +26,8 @@ import (
 // the interconnect (overlapped with execution) while the CPU arm scans
 // host memory for free. That shipment is exactly what makes hybrid lose
 // on PCIe and win on NVLink — planner.HybridCost prices it from this same
-// split, so the model and the executor can never disagree about shape.
+// split, so the model and the executor can never disagree about shape. The
+// arms consult no resident set (RunOptions.DeviceCacheBytes).
 //
 // Partitions below fl.GPUs+1 are raised to fl.GPUs+1 so every arm can get
 // morsels where the count allows.
@@ -48,7 +49,6 @@ func (p *Plan) ScheduleHybrid(fl fleet.Spec, frac float64, opts RunOptions) (sch
 	if opts.Partition.Partitions < fl.GPUs+1 {
 		opts.Partition.Partitions = fl.GPUs + 1
 	}
-	opts.Partition.Residency = nil // single-device coprocessor knob
 	ms := p.morselRun(opts)
 	split := sched.SplitHybrid(ms.morsels, ms.pruned, frac)
 
@@ -73,12 +73,8 @@ func (p *Plan) ScheduleHybrid(fl fleet.Spec, frac float64, opts RunOptions) (sch
 		for i, li := range shards[d].Morsels {
 			owned[i] = split.GPU[li]
 		}
-		var res Residency
-		if ms.packed != nil && d < len(opts.Fleet.Residency) {
-			res = opts.Fleet.Residency[d]
-		}
 		s.Assignments = append(s.Assignments, sched.Assignment{
-			Executor: &gpuDeviceExecutor{p: p, ms: ms, dev: fl.Device, link: fl.Link, idx: d, res: res},
+			Executor: &gpuDeviceExecutor{p: p, ms: ms, dev: fl.Device, link: fl.Link, idx: d},
 			Morsels:  owned,
 			Spilled:  owned,
 			Merge:    true,

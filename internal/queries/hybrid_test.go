@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"crystal/internal/device"
 	"crystal/internal/fleet"
 	"crystal/internal/queries/queriestest"
 	"crystal/internal/sched"
@@ -212,44 +213,43 @@ func TestHybridPrunedMorselsRideCPU(t *testing.T) {
 	}
 }
 
-// coldAdmit is a Residency stub that always misses but admits: the first
-// touch of a column ships and pins its whole spilled range.
-type coldAdmit struct{}
-
-func (coldAdmit) Acquire(string, int64) (bool, bool) { return false, true }
-
-// TestHybridResidency: packed hybrid runs thread the per-device residency
-// caches through to the GPU arms. An admitting cold cache ships each
-// spilled column's full range once; rows never change.
+// TestHybridResidency: hybrid arms consult no resident set, so a packed
+// hybrid run prices the same at every capacity, and a fleet whose shards
+// fit device memory spills nothing, so it has nothing to elide.
 func TestHybridResidency(t *testing.T) {
 	q, _ := ByID("q1.1")
 	plan := Compile(testDS, q)
 	opts := RunOptions{}
 	opts.Partition.Partitions = 16
 	opts.Partition.Packed = testPacked
-	opts.Fleet.Residency = []Residency{coldAdmit{}}
-	hr, err := runHybrid(plan, fleet.Spec{GPUs: 1, Link: fleet.PCIe()}, -1, opts)
+	cold, err := runHybrid(plan, fleet.Spec{GPUs: 1, Link: fleet.PCIe()}, -1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	queriestest.SameRows(t, "cold-admit hybrid", hr.Result, plan.Run(EngineGPU))
-	if hr.Result.TransferBytes <= 0 {
-		t.Error("admitted cold run shipped nothing")
+	queriestest.SameRows(t, "packed hybrid", cold.Result, plan.Run(EngineGPU))
+	if cold.Result.TransferBytes <= 0 {
+		t.Error("packed hybrid shipped nothing")
 	}
-	if hr.Result.ResidentCols != 0 {
-		t.Errorf("cold run reported %d resident columns", hr.Result.ResidentCols)
-	}
+	for _, capacity := range []int64{0, testPacked.Col(residencyOrder()[0]).Bytes(), device.V100().MemoryBytes} {
+		opts.DeviceCacheBytes = capacity
+		hr, err := runHybrid(plan, fleet.Spec{GPUs: 1, Link: fleet.PCIe()}, -1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queriestest.SameRun(t, "hybrid with a capacity", hr.Result, cold.Result)
+		if hr.Result.TransferBytes != cold.Result.TransferBytes || hr.Result.ResidentCols != 0 {
+			t.Errorf("capacity %d: hybrid shipped %d bytes with %d resident cols, want %d and none",
+				capacity, hr.Result.TransferBytes, hr.Result.ResidentCols, cold.Result.TransferBytes)
+		}
 
-	// A fleet whose shards fit device memory spills nothing: residency
-	// caches are never consulted and no interconnect bytes move.
-	fr, err := runFleet(plan, fleet.Spec{GPUs: 2, Link: fleet.PCIe()},
-		RunOptions{Partition: PartitionOptions{Packed: testPacked},
-			Fleet: FleetOptions{Residency: []Residency{coldAdmit{}, coldAdmit{}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr.Result.TransferBytes != 0 || fr.Result.ResidentCols != 0 {
-		t.Errorf("resident fleet touched residency state: %d bytes / %d cols",
-			fr.Result.TransferBytes, fr.Result.ResidentCols)
+		fr, err := runFleet(plan, fleet.Spec{GPUs: 2, Link: fleet.PCIe()},
+			RunOptions{Partition: PartitionOptions{Packed: testPacked}, DeviceCacheBytes: capacity})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.Result.TransferBytes != 0 || fr.Result.ResidentCols != 0 {
+			t.Errorf("capacity %d: resident fleet touched residency: %d bytes / %d cols",
+				capacity, fr.Result.TransferBytes, fr.Result.ResidentCols)
+		}
 	}
 }

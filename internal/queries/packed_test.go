@@ -1,9 +1,12 @@
 package queries
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
+	"crystal/internal/device"
 	"crystal/internal/queries/queriestest"
 	"crystal/internal/ssb"
 )
@@ -79,12 +82,13 @@ func TestPackedAsymmetry(t *testing.T) {
 
 // TestPackedCoprocessorTransfer is the acceptance demonstration for the
 // transfer side: on a transfer-bound query the coprocessor ships compressed
-// bytes, so packed execution is strictly faster than plain — and with every
-// referenced column device-resident the transfer disappears entirely,
-// faster still.
+// bytes, so packed execution is strictly faster than plain; with part of
+// the referenced columns resident it ships less, and with every one
+// resident (the V100's capacity) the transfer disappears entirely.
 func TestPackedCoprocessorTransfer(t *testing.T) {
 	q, _ := ByID("q1.1") // no joins: transfer is pure fact-column traffic
 	plan := Compile(testDS, q)
+	refs := q.ReferencedFactColumns()
 	plain := runEngine(plan, EngineCoproc, RunOptions{})
 	packed := runEngine(plan, EngineCoproc, RunOptions{Partition: PartitionOptions{Packed: testPacked}})
 	if packed.TransferBytes >= plain.TransferBytes {
@@ -93,48 +97,116 @@ func TestPackedCoprocessorTransfer(t *testing.T) {
 	if packed.Seconds >= plain.Seconds {
 		t.Errorf("packed coprocessor not faster: %.9f >= %.9f", packed.Seconds, plain.Seconds)
 	}
-
-	// A residency cache that refuses admission degrades to exactly the
-	// cold packed transfer — never worse than running without the cache.
-	refused := runEngine(plan, EngineCoproc, RunOptions{Partition: PartitionOptions{Packed: testPacked, Residency: refuseAll{}}})
-	if refused.TransferBytes != packed.TransferBytes || refused.Seconds != packed.Seconds {
-		t.Errorf("refused admission shipped %d bytes (%.9fs), cacheless packed ships %d (%.9fs)",
-			refused.TransferBytes, refused.Seconds, packed.TransferBytes, packed.Seconds)
+	// Residency is of packed columns: a plain run consults nothing.
+	if r := runEngine(plan, EngineCoproc, RunOptions{DeviceCacheBytes: device.V100().MemoryBytes}); r.TransferBytes != plain.TransferBytes || r.ResidentCols != 0 {
+		t.Errorf("a plain run consulted the resident set: %d bytes, %d resident cols", r.TransferBytes, r.ResidentCols)
 	}
 
-	// An admitted miss ships (and pins) whole columns: unpruned, exactly the
-	// cold packed transfer.
-	admitted := runEngine(plan, EngineCoproc, RunOptions{Partition: PartitionOptions{Packed: testPacked, Residency: coldAdmit{}}})
-	if admitted.TransferBytes != packed.TransferBytes || admitted.Seconds != packed.Seconds {
-		t.Errorf("admitted miss shipped %d bytes (%.9fs), cacheless packed ships %d (%.9fs)",
-			admitted.TransferBytes, admitted.Seconds, packed.TransferBytes, packed.Seconds)
-	}
-
-	warm := runEngine(plan, EngineCoproc, RunOptions{Partition: PartitionOptions{Packed: testPacked, Residency: residentAll{}}})
-	if warm.ResidentCols == 0 {
-		t.Fatal("warm run reported no resident columns")
-	}
-	if warm.TransferBytes != 0 {
-		t.Errorf("fully resident q1.1 still shipped %d bytes", warm.TransferBytes)
-	}
-	if warm.Seconds >= packed.Seconds {
-		t.Errorf("warm residency hit not faster than cold packed: %.9f >= %.9f", warm.Seconds, packed.Seconds)
-	}
-	if !warm.Equal(plain) {
-		t.Error("residency cache changed the rows")
+	// A strict subset: room for the first column of the walk, which q1.1
+	// reads, and not for the second.
+	subset := testPacked.Col(residencyOrder()[0]).Bytes()
+	for _, c := range []struct {
+		name     string
+		capacity int64
+		resident int
+	}{
+		{"nothing resident", 0, 0},
+		{"a strict subset", subset, 1},
+		{"the V100's capacity", device.V100().MemoryBytes, len(refs)},
+	} {
+		r := runEngine(plan, EngineCoproc, RunOptions{Partition: PartitionOptions{Packed: testPacked}, DeviceCacheBytes: c.capacity})
+		cols, _ := ResidentColumns(testPacked, c.capacity)
+		var want int64
+		for _, col := range refs {
+			if !slices.Contains(cols, col) {
+				want += testPacked.Col(col).Bytes() // q1.1 prunes nothing: whole columns ship
+			}
+		}
+		if r.ResidentCols != c.resident || r.TransferBytes != want {
+			t.Errorf("%s: %d resident cols, %d bytes shipped; want %d and %d",
+				c.name, r.ResidentCols, r.TransferBytes, c.resident, want)
+		}
+		if c.resident == 0 && (r.TransferBytes != packed.TransferBytes || r.Seconds != packed.Seconds) {
+			t.Errorf("%s: %d bytes (%.9fs), the packed run without a capacity ships %d (%.9fs)",
+				c.name, r.TransferBytes, r.Seconds, packed.TransferBytes, packed.Seconds)
+		}
+		if c.resident > 0 {
+			queriestest.Cheaper(t, c.name, r, packed)
+		}
+		queriestest.SameRows(t, c.name, r, plain)
 	}
 }
 
-// residentAll is a Residency stub with every column already on the device.
-type residentAll struct{}
+// TestResidentColumns pins the residency policy: a pure function of the
+// encoding and the capacity that walks the columns most-referenced first,
+// ties by name, keeps what fits, skips what does not and goes on, never
+// exceeds the capacity, and keeps nothing at a capacity of 0 or less.
+func TestResidentColumns(t *testing.T) {
+	refs := map[string]int{}
+	for _, q := range All() {
+		for _, c := range q.ReferencedFactColumns() {
+			refs[c]++
+		}
+	}
+	size := func(c string) int64 { return testPacked.Col(c).Bytes() }
 
-func (residentAll) Acquire(string, int64) (bool, bool) { return true, true }
+	all, total := ResidentColumns(testPacked, testPacked.Bytes())
+	if len(all) != len(ssb.FactColumns()) || total != testPacked.Bytes() {
+		t.Fatalf("the whole encoding's capacity kept %d of %d columns, %d of %d bytes",
+			len(all), len(ssb.FactColumns()), total, testPacked.Bytes())
+	}
+	for i := 1; i < len(all); i++ {
+		a, b := all[i-1], all[i]
+		if refs[a] < refs[b] || refs[a] == refs[b] && a > b {
+			t.Errorf("walk order: %s (%d refs) before %s (%d refs)", a, refs[a], b, refs[b])
+		}
+	}
+	if again, _ := ResidentColumns(testPacked, testPacked.Bytes()); !slices.Equal(again, all) {
+		t.Error("the same encoding and capacity gave two sets")
+	}
 
-// refuseAll is a Residency stub that never holds nor admits anything — the
-// degraded mode of a cache too small for the working set.
-type refuseAll struct{}
+	// Every capacity from nothing to everything, at and around each prefix
+	// of the walk: never over capacity, and the bytes are the columns' sum.
+	var caps []int64
+	var prefix int64
+	for _, c := range all {
+		prefix += size(c)
+		caps = append(caps, prefix-1, prefix, prefix+1)
+	}
+	caps = append(caps, -1, 0, 1, size(all[0])-1)
+	for _, capacity := range caps {
+		cols, bytes := ResidentColumns(testPacked, capacity)
+		var sum int64
+		for _, c := range cols {
+			sum += size(c)
+		}
+		switch {
+		case bytes != sum:
+			t.Errorf("capacity %d: reported %d bytes, the columns hold %d", capacity, bytes, sum)
+		case bytes > max(capacity, 0):
+			t.Errorf("capacity %d: %d bytes resident", capacity, bytes)
+		case capacity <= 0 && cols != nil:
+			t.Errorf("capacity %d kept %v", capacity, cols)
+		}
+		// Greedy: any column left out did not fit in what was left.
+		for _, c := range all {
+			if !slices.Contains(cols, c) && capacity > 0 && size(c) <= capacity-bytes {
+				t.Errorf("capacity %d: %s (%d bytes) left out with %d bytes free", capacity, c, size(c), capacity-bytes)
+			}
+		}
+	}
 
-func (refuseAll) Acquire(string, int64) (bool, bool) { return false, false }
+	// Skip, not stop: room for the first column and a later, smaller one
+	// but not for the second keeps the first and the later one.
+	small := slices.MinFunc(all[2:], func(a, b string) int { return cmp.Compare(size(a), size(b)) })
+	if size(small) >= size(all[1]) {
+		t.Fatalf("no column after %s is smaller than it; the skip case needs one", all[1])
+	}
+	cols, _ := ResidentColumns(testPacked, size(all[0])+size(small))
+	if !slices.Contains(cols, all[0]) || slices.Contains(cols, all[1]) || !slices.Contains(cols, small) {
+		t.Errorf("capacity for %s and %s kept %v", all[0], small, cols)
+	}
+}
 
 // TestPackedZonePruning checks the packed path composes with zone-map
 // pruning: on a clustered layout the packed partitioned run prunes morsels,

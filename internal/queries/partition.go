@@ -1,7 +1,11 @@
 package queries
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
+	"sync"
 
 	"crystal/internal/sim"
 	"crystal/internal/ssb"
@@ -14,21 +18,6 @@ import (
 // "unbounded up to GOMAXPROCS", which is the standalone (non-served)
 // behavior.
 type Limiter = sim.Gate
-
-// Residency models a device-memory cache of packed fact columns for the
-// coprocessor architecture: keeping hot compressed columns resident on the
-// GPU, instead of re-shipping them over PCIe per query, is what makes the
-// coprocessor competitive at scale. Acquire looks up the named fact column
-// (bytes of packed storage): hit means it is already device-resident and
-// the engine skips its PCIe transfer entirely; otherwise admitted reports
-// whether the cache accepted the column — if so, the engine ships it whole
-// (the transfer is what populates device memory), and if not (the column
-// exceeds the cache, or the cache has moved on), the engine falls back to
-// the ordinary cold transfer. Implementations must be safe for concurrent
-// use; internal/serve provides the capacity-bounded LRU.
-type Residency interface {
-	Acquire(col string, bytes int64) (hit, admitted bool)
-}
 
 // PartitionOptions configures the zone-mapped morsel scan every placement
 // runs on. The zero value means default: a monolithic single-scan run of
@@ -51,28 +40,11 @@ type PartitionOptions struct {
 	// coprocessor. The encoding must have been built from this plan's
 	// dataset (ssb.Dataset.Pack on the same fact layout).
 	Packed *ssb.PackedFact
-	// Residency, set together with Packed, lets the coprocessor skip PCIe
-	// transfers of device-resident packed columns. Ignored by the on-device
-	// engines, by plain runs, and by multi-executor schedules (which use
-	// FleetOptions.Residency instead).
-	Residency Residency
 }
 
 // FleetOptions configures the multi-device placements (fleet and hybrid
-// schedules). The zero value means default: no per-device residency
-// caching.
+// schedules). The zero value means default: the V100's memory.
 type FleetOptions struct {
-	// Residency, consulted on packed runs, provides one device-memory
-	// residency cache per fleet device (index = device). The semantics
-	// mirror the coprocessor's Residency: a hit elides the interconnect
-	// shipment of the device's spilled range of the column entirely, an
-	// admitted miss ships (and pins) that whole range — so a resident
-	// column is always fully resident, regardless of which query's zone
-	// maps pruned what — and a refused admission degrades to the ordinary
-	// cold transfer of the query's unpruned spilled morsels. nil entries
-	// (or a short slice) disable caching for the remaining devices.
-	// Ignored by single-device runs.
-	Residency []Residency
 	// MemoryBytes, when positive, replaces a fleet device's memory
 	// capacity in ScheduleFleet's shard placement (spill experiments).
 	MemoryBytes int64
@@ -85,11 +57,66 @@ type FleetOptions struct {
 type RunOptions struct {
 	Partition PartitionOptions
 	Fleet     FleetOptions
+	// DeviceCacheBytes is the device memory that keeps packed fact columns
+	// resident, and ResidentColumns of the packed encoding and this capacity
+	// is the resident set. On packed runs the coprocessor ships nothing for
+	// a resident referenced column, and a fleet device (ScheduleFleet)
+	// nothing for a resident column's spilled range; every other column
+	// ships its ordinary cold bytes. Hybrid arms and plain runs never
+	// consult it. 0 or less means nothing is resident.
+	DeviceCacheBytes int64
 	// Trace asks the run for a span tree (ScheduledResult.Trace et al.):
 	// per-assignment kernel/transfer/merge spans carrying simulated
 	// seconds, wall clock and bytes moved. Off by default; the untraced
 	// path allocates nothing for tracing.
 	Trace bool
+}
+
+// ResidentColumns is the residency policy: the packed fact columns a
+// device keeps resident in capacity bytes, and their total packed size. It
+// walks every fact column once, most referenced by the catalog (All)
+// first, ties by name, and keeps each whose whole packed size fits the
+// capacity still left; a column that does not fit is skipped and the walk
+// goes on. The set depends on the encoding and the capacity alone, never
+// on which requests ran before, so every run against one encoding prices
+// the same transfers. A capacity of 0 or less keeps nothing.
+func ResidentColumns(pf *ssb.PackedFact, capacity int64) (cols []string, bytes int64) {
+	if capacity <= 0 {
+		return nil, 0
+	}
+	for _, c := range residencyOrder() {
+		if b := pf.Col(c).Bytes(); b <= capacity-bytes {
+			cols = append(cols, c)
+			bytes += b
+		}
+	}
+	return cols, bytes
+}
+
+// residencyOrder is ResidentColumns' walk: every fact column, by how many
+// catalog queries reference it, most first, then by name.
+var residencyOrder = sync.OnceValue(func() []string {
+	refs := map[string]int{}
+	for _, q := range All() {
+		for _, c := range q.ReferencedFactColumns() {
+			refs[c]++
+		}
+	}
+	cols := slices.Clone(ssb.FactColumns())
+	slices.SortFunc(cols, func(a, b string) int {
+		return cmp.Or(cmp.Compare(refs[b], refs[a]), strings.Compare(a, b))
+	})
+	return cols
+})
+
+// residentIn is the resident set a run over ms consults: the policy's on a
+// packed run, nothing on a plain one.
+func residentIn(ms *morselRun, capacity int64) []string {
+	if ms.packed == nil {
+		return nil
+	}
+	cols, _ := ResidentColumns(ms.packed, capacity)
+	return cols
 }
 
 // MatchesZone reports whether the filter could match any value in the zone:
@@ -146,10 +173,8 @@ type morselRun struct {
 	live    []ssb.Morsel
 	scanned int64 // fact rows in surviving morsels
 	lim     Limiter
-	// packed is the fact encoding the scan reads (nil = plain columns);
-	// residency is the coprocessor's device-memory column cache.
-	packed    *ssb.PackedFact
-	residency Residency
+	// packed is the fact encoding the scan reads (nil = plain columns).
+	packed *ssb.PackedFact
 }
 
 // morselRun resolves opts against the plan: the monolithic path uses a
@@ -165,22 +190,20 @@ func (p *Plan) morselRun(opts RunOptions) *morselRun {
 	if po.Partitions < 1 {
 		all := []ssb.Morsel{{Lo: 0, Hi: p.ds.Lineorder.Rows()}}
 		return &morselRun{
-			morsels:   all,
-			pruned:    []bool{false},
-			live:      all,
-			scanned:   int64(p.ds.Lineorder.Rows()),
-			lim:       po.Limiter,
-			packed:    po.Packed,
-			residency: po.Residency,
+			morsels: all,
+			pruned:  []bool{false},
+			live:    all,
+			scanned: int64(p.ds.Lineorder.Rows()),
+			lim:     po.Limiter,
+			packed:  po.Packed,
 		}
 	}
 	morsels := p.Morsels(po.Partitions)
 	ms := &morselRun{
-		morsels:   morsels,
-		pruned:    PruneMorsels(morsels, p.Query.FactFilters),
-		lim:       po.Limiter,
-		packed:    po.Packed,
-		residency: po.Residency,
+		morsels: morsels,
+		pruned:  PruneMorsels(morsels, p.Query.FactFilters),
+		lim:     po.Limiter,
+		packed:  po.Packed,
 	}
 	ms.live = make([]ssb.Morsel, 0, len(morsels))
 	for i, m := range morsels {

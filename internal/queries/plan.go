@@ -128,7 +128,7 @@ type Query struct {
 
 // ReferencedFactColumns returns the distinct fact columns the query reads
 // (filter columns, probed foreign keys, aggregate inputs), sorted so that
-// transfer pricing and residency caches see a deterministic order. It is
+// transfer pricing sees a deterministic order. It is
 // the column working set a coprocessor or a fleet spill must move.
 func (q *Query) ReferencedFactColumns() []string {
 	seen := map[string]bool{}
@@ -222,7 +222,7 @@ type Result struct {
 	// Packed reports whether the run scanned the bit-packed fact encoding.
 	// TransferBytes is the PCIe traffic a coprocessor run actually shipped
 	// (0 for on-device engines) and ResidentCols the referenced fact
-	// columns a device-residency cache served without any transfer. Like
+	// columns of the resident set it shipped nothing for. Like
 	// Morsels/Pruned they describe execution, not rows: Equal ignores them.
 	Packed        bool
 	TransferBytes int64

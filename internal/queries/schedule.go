@@ -2,6 +2,7 @@ package queries
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"crystal/internal/device"
@@ -29,8 +30,7 @@ type ExecutorResult struct {
 	// included.
 	Seconds float64 `json:"seconds"`
 	// ShipBytes is the interconnect traffic the executor's host-resident
-	// morsels cost, and ResidentCols the shipments a residency cache
-	// elided.
+	// morsels cost, and ResidentCols the shipments residency elided.
 	ShipBytes    int64 `json:"ship_bytes"`
 	ResidentCols int   `json:"resident_cols"`
 	// Groups is the size of the executor's partial aggregate table.
@@ -44,7 +44,7 @@ type ScheduledResult struct {
 	// Result is the merged result: Seconds is the schedule makespan (the
 	// slowest executor plus the partial-aggregate merge), TransferBytes
 	// the total interconnect shipment and ResidentCols the shipments
-	// residency caches elided.
+	// residency elided.
 	Result *Result
 	// Executors has one entry per assignment, idle executors included.
 	Executors []ExecutorResult
@@ -75,11 +75,10 @@ func (ms *morselRun) restrict(idx []int) *morselRun {
 		prunedX[i] = true
 	}
 	out := &morselRun{
-		morsels:   ms.morsels,
-		pruned:    prunedX,
-		lim:       ms.lim,
-		packed:    ms.packed,
-		residency: ms.residency,
+		morsels: ms.morsels,
+		pruned:  prunedX,
+		lim:     ms.lim,
+		packed:  ms.packed,
 	}
 	for _, mi := range idx {
 		if ms.pruned[mi] {
@@ -110,7 +109,7 @@ type seatPricer interface {
 	// price prices assignment a's seat: the kernel time, the interconnect
 	// shipment's time and bytes (overlapped with the kernel, so the
 	// executor's seconds are the max of the two times; zero when nothing
-	// ships), and the column shipments a residency cache elided.
+	// ships), and the column shipments residency elided.
 	price(a sched.Assignment, seat *scanSeat) (kernel, ship float64, shipBytes int64, resident int)
 }
 
@@ -164,6 +163,9 @@ type engineExecutor struct {
 	p  *Plan
 	ms *morselRun
 	e  Engine
+	// cache is the device memory of the coprocessor's resident set
+	// (RunOptions.DeviceCacheBytes); other engines ignore it.
+	cache int64
 }
 
 func (x engineExecutor) Kind() sched.Kind {
@@ -185,7 +187,7 @@ func (x engineExecutor) extent() (*Plan, *morselRun) { return x.p, x.ms }
 func (x engineExecutor) price(_ sched.Assignment, seat *scanSeat) (kernel, ship float64, shipBytes int64, resident int) {
 	kernel = x.p.price(x.e, seat.st)
 	if x.e == EngineCoproc {
-		shipBytes, resident = x.p.coprocTransfer(seat.ms, seat.st)
+		shipBytes, resident = x.p.coprocTransfer(seat.st, residentIn(seat.ms, x.cache))
 		ship = device.TransferTime(shipBytes)
 	}
 	return kernel, ship, shipBytes, resident
@@ -194,15 +196,17 @@ func (x engineExecutor) price(_ sched.Assignment, seat *scanSeat) (kernel, ship 
 // gpuDeviceExecutor prices one fleet device's seat, its shard's pass, on
 // the device (priceGPU), so the device charges exactly its own traffic plus
 // its one launch. Spilled morsels are host-resident: their referenced
-// columns cross the link, overlapped with execution, with an optional
-// per-device residency cache able to elide the shipment on packed runs.
+// columns cross the link, overlapped with execution, except on packed runs
+// the columns of the resident set in cache bytes (ResidentColumns), whose
+// spilled range ships nothing. A device's spilled range of a column is
+// never larger than the whole column, so what it pins stays within cache.
 type gpuDeviceExecutor struct {
-	p    *Plan
-	ms   *morselRun
-	dev  *device.Spec
-	link fleet.Interconnect
-	idx  int
-	res  Residency
+	p     *Plan
+	ms    *morselRun
+	dev   *device.Spec
+	link  fleet.Interconnect
+	idx   int
+	cache int64
 }
 
 func (x *gpuDeviceExecutor) Kind() sched.Kind { return sched.KindGPU }
@@ -212,52 +216,18 @@ func (x *gpuDeviceExecutor) Device() int { return x.idx }
 func (x *gpuDeviceExecutor) extent() (*Plan, *morselRun) { return x.p, x.ms }
 
 func (x *gpuDeviceExecutor) price(a sched.Assignment, seat *scanSeat) (kernel, ship float64, shipBytes int64, resident int) {
-	ms, refCols := x.ms, x.p.Query.ReferencedFactColumns()
-	spilled := make(map[int]bool, len(a.Spilled))
-	for _, mi := range a.Spilled {
-		spilled[mi] = true
-	}
-	// Per referenced column, liveSpill is what this query's cold run ships
-	// (spilled morsels its zone maps did not prune) and fullSpill the
-	// device's whole spilled range — what an admitted residency miss ships
-	// and pins, so that a resident column is always fully resident
-	// regardless of which query populated it (the same rule the
-	// coprocessor's residency cache follows). fullSpill is only consulted
-	// through a residency cache, so cacheless runs skip it.
-	liveSpill := map[string]int64{}
-	fullSpill := map[string]int64{}
-	for _, mi := range a.Morsels {
-		m := ms.morsels[mi]
-		if spilled[mi] && x.res != nil {
-			for _, c := range refCols {
-				fullSpill[c] += ssb.MorselColumnBytes(ms.packed, m, c)
+	ms, res := x.ms, residentIn(x.ms, x.cache)
+	for _, c := range x.p.Query.ReferencedFactColumns() {
+		if slices.Contains(res, c) {
+			if len(a.Spilled) > 0 {
+				resident++
 			}
-		}
-		if ms.pruned[mi] {
-			continue // zone maps are host-side: pruned morsels neither scan nor ship
-		}
-		if spilled[mi] {
-			for _, c := range refCols {
-				liveSpill[c] += ssb.MorselColumnBytes(ms.packed, m, c)
-			}
-		}
-	}
-
-	for _, c := range refCols {
-		if x.res == nil {
-			shipBytes += liveSpill[c]
 			continue
 		}
-		if fullSpill[c] == 0 {
-			continue
-		}
-		switch hit, admitted := x.res.Acquire(c, fullSpill[c]); {
-		case hit:
-			resident++
-		case admitted:
-			shipBytes += fullSpill[c] // populate the whole spilled range
-		default:
-			shipBytes += liveSpill[c] // ordinary cold transfer
+		for _, mi := range a.Spilled {
+			if !ms.pruned[mi] { // zone maps are host-side: pruned morsels neither scan nor ship
+				shipBytes += ssb.MorselColumnBytes(ms.packed, ms.morsels[mi], c)
+			}
 		}
 	}
 	// Spill shipment overlaps with execution, coprocessor style: the
@@ -284,7 +254,7 @@ func (p *Plan) ScheduleEngine(e Engine, opts RunOptions) sched.Schedule {
 	}
 	s := sched.Schedule{
 		Assignments: []sched.Assignment{{
-			Executor: engineExecutor{p: p, ms: ms, e: e},
+			Executor: engineExecutor{p: p, ms: ms, e: e, cache: opts.DeviceCacheBytes},
 			Morsels:  all,
 		}},
 		Morsels: len(ms.morsels),
@@ -314,7 +284,8 @@ func (p *Plan) ScheduleEngine(e Engine, opts RunOptions) sched.Schedule {
 // degrade gracefully: the spilled morsels stay host-resident and their
 // referenced columns cross the interconnect, priced like a coprocessor
 // transfer (overlapped with execution, packed runs shipping packed bytes,
-// and opts.Fleet.Residency able to elide them entirely). A positive
+// and a column of the resident set in opts.DeviceCacheBytes shipping
+// nothing). A positive
 // opts.Fleet.MemoryBytes replaces each device's memory capacity.
 func (p *Plan) ScheduleFleet(fl fleet.Spec, opts RunOptions) (sched.Schedule, error) {
 	fl, err := fl.Normalized()
@@ -333,7 +304,6 @@ func (p *Plan) ScheduleFleet(fl fleet.Spec, opts RunOptions) (sched.Schedule, er
 	if opts.Partition.Partitions < fl.GPUs {
 		opts.Partition.Partitions = fl.GPUs
 	}
-	opts.Partition.Residency = nil // single-device coprocessor knob; fleet uses Fleet.Residency
 	ms := p.morselRun(opts)
 
 	// A shard's storage footprint is its full fact rows — every column,
@@ -347,12 +317,8 @@ func (p *Plan) ScheduleFleet(fl fleet.Spec, opts RunOptions) (sched.Schedule, er
 	s := sched.Schedule{Link: fl.Link, Morsels: len(ms.morsels), Packed: ms.packed != nil}
 	for d := range shards {
 		sh := &shards[d]
-		var res Residency
-		if ms.packed != nil && d < len(opts.Fleet.Residency) {
-			res = opts.Fleet.Residency[d]
-		}
 		s.Assignments = append(s.Assignments, sched.Assignment{
-			Executor: &gpuDeviceExecutor{p: p, ms: ms, dev: fl.Device, link: fl.Link, idx: d, res: res},
+			Executor: &gpuDeviceExecutor{p: p, ms: ms, dev: fl.Device, link: fl.Link, idx: d, cache: opts.DeviceCacheBytes},
 			Morsels:  sh.Morsels,
 			Spilled:  sh.Spilled,
 			Merge:    true,

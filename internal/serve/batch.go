@@ -17,12 +17,12 @@ import (
 // fact-column footprint overlapping the leader's bound query
 // (queries.Compatible). Deadline-expired jobs found during the scan are
 // dropped with ErrExpired. Returns nil when batching is disabled, the
-// leader is unbatchable, or no peer qualifies — the caller then executes
+// leader is a NoCache request (it leads no flight), or no peer qualifies — the caller then executes
 // solo. Every queued job is a miss its caller already resolved, and two
 // identical requests never both queue (the second follows the first's
 // flight), so a batch holds neither cached nor duplicate work.
 func (s *Service) formBatch(leader *job) []*job {
-	if s.opts.MaxBatch <= 1 || !leader.batchable || s.queue.len() == 0 {
+	if s.opts.MaxBatch <= 1 || leader.lead == nil || s.queue.len() == 0 {
 		return nil
 	}
 	now := time.Now()
@@ -30,7 +30,7 @@ func (s *Service) formBatch(leader *job) []*job {
 		switch {
 		case p.expired(now):
 			return drainDrop
-		case p.batchable && p.snap == leader.snap && p.shape == leader.shape && queries.Compatible(&leader.q, &p.q):
+		case p.lead != nil && p.snap == leader.snap && p.shape == leader.shape && queries.Compatible(&leader.q, &p.q):
 			return drainTake
 		}
 		return drainKeep
@@ -51,7 +51,7 @@ func (s *Service) formBatch(leader *job) []*job {
 
 // executeBatch runs the leader and its drained peers as one shared-scan
 // batch on the leader's worker goroutine. Each member is a job its caller
-// resolved and, when coalesceable, the leader of its own flight; the batch
+// resolved and, unless NoCache, the leader of its own flight; the batch
 // shares the plan cache, pays Options.ExecDelay once for the whole batch,
 // and completes every member exactly as a solo execution would (complete:
 // its answer stored under its solo result key, its flight released, its

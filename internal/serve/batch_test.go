@@ -388,28 +388,38 @@ func ids(jobs []*job) []string {
 }
 
 // TestServeBatchPlacements drives the batch path through the scheduler
-// placements: auto-routed, explicit hybrid, and device-resident fleet
-// shapes all batch, and every member's rows and simulated seconds match a
-// batching-disabled service's answer for the same request.
+// placements: auto-routed, explicit hybrid, device-resident fleet, packed
+// coprocessor and packed spilled-fleet shapes all batch, and every member's
+// rows and simulated seconds match a batching-disabled service's answer for
+// the same request bit for bit.
 func TestServeBatchPlacements(t *testing.T) {
 	ds := testData()
 	cases := []struct {
 		name string
 		req  func(id string) Request
+		opts Options
 	}{
 		{"auto placement", func(id string) Request {
 			return Request{QueryID: id, Placement: "auto", Interconnect: "nvlink"}
-		}},
+		}, Options{}},
 		{"hybrid placement", func(id string) Request {
 			return Request{QueryID: id, Placement: "hybrid", GPUs: 2, Partitions: 16}
-		}},
+		}, Options{}},
 		{"fleet", func(id string) Request {
 			return Request{QueryID: id, Engine: queries.EngineGPU, GPUs: 2, Interconnect: "nvlink"}
-		}},
+		}, Options{}},
+		{"packed coprocessor", func(id string) Request {
+			return Request{QueryID: id, Engine: queries.EngineCoproc, Packed: true}
+		}, Options{}},
+		{"packed spilled fleet", func(id string) Request {
+			return Request{QueryID: id, Engine: queries.EngineGPU, GPUs: 2, Packed: true}
+		}, Options{FleetDeviceMemoryBytes: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(ds, "v1", Options{Workers: 1, QueueDepth: 16, MaxBatch: 8})
+			opts := tc.opts
+			opts.Workers, opts.QueueDepth, opts.MaxBatch = 1, 16, 8
+			s := New(ds, "v1", opts)
 			defer s.Close()
 			started, release := blockExecutions(s)
 			ctx := context.Background()
@@ -429,7 +439,7 @@ func TestServeBatchPlacements(t *testing.T) {
 			if resp := <-blocker; resp.Err != nil {
 				t.Fatalf("blocker failed: %v", resp.Err)
 			}
-			solo := New(ds, "v1", Options{Workers: 1})
+			solo := New(ds, "v1", tc.opts)
 			defer solo.Close()
 			for i, ch := range chans {
 				resp := <-ch
@@ -446,8 +456,9 @@ func TestServeBatchPlacements(t *testing.T) {
 				if !resp.Result.Equal(ref.Result) {
 					t.Errorf("%s: batched rows differ from solo service", ids[i])
 				}
-				if resp.SimSeconds != ref.SimSeconds {
-					t.Errorf("%s: batched sim %.12f != solo %.12f", ids[i], resp.SimSeconds, ref.SimSeconds)
+				if resp.SimSeconds != ref.SimSeconds || resp.TransferBytes != ref.TransferBytes || resp.ResidentCols != ref.ResidentCols {
+					t.Errorf("%s: batched sim %.12f, %d bytes, %d resident cols != solo %.12f, %d, %d", ids[i],
+						resp.SimSeconds, resp.TransferBytes, resp.ResidentCols, ref.SimSeconds, ref.TransferBytes, ref.ResidentCols)
 				}
 				if resp.Placement != ref.Placement {
 					t.Errorf("%s: batched placement %q != solo %q", ids[i], resp.Placement, ref.Placement)
@@ -463,17 +474,14 @@ func TestServeBatchPlacements(t *testing.T) {
 
 // TestBatchKeyRejects pins which shapes the batch former refuses to touch:
 // standalone NoCache requests, malformed engine/placement/interconnect
-// parameters, non-GPU engines with fleet or placement fields, and the two
-// residency-dependent shapes whose solo pricing consults device-cache state
-// the shared scan never sees.
+// parameters and non-GPU engines with fleet or placement fields. Packed
+// coprocessor and packed spilled-fleet shapes batch like any other: their
+// resident set is the snapshot's, so a shared scan prices them as solo.
 func TestBatchKeyRejects(t *testing.T) {
-	// DeviceCacheBytes defaults on (sized to the V100), so "plain" must
-	// disable residency explicitly; "resident" adds the constrained-fleet
-	// shard region that makes packed fleet runs residency-dependent too.
-	plain := New(testData(), "v1", Options{Workers: 1, DeviceCacheBytes: -1})
+	plain := New(testData(), "v1", Options{Workers: 1})
 	defer plain.Close()
-	resident := New(testData(), "v1", Options{Workers: 1, FleetDeviceMemoryBytes: 1 << 20})
-	defer resident.Close()
+	spilled := New(testData(), "v1", Options{Workers: 1, FleetDeviceMemoryBytes: 1})
+	defer spilled.Close()
 
 	cases := []struct {
 		name string
@@ -492,10 +500,10 @@ func TestBatchKeyRejects(t *testing.T) {
 		{"fleet", plain, Request{QueryID: "q1.1", Engine: queries.EngineGPU, GPUs: 2}, true},
 		{"fleet on cpu engine", plain, Request{QueryID: "q1.1", Engine: queries.EngineCPU, GPUs: 2}, false},
 		{"fleet bad link", plain, Request{QueryID: "q1.1", Engine: queries.EngineGPU, GPUs: 2, Interconnect: "carrier-pigeon"}, false},
-		{"packed fleet without residency", plain, Request{QueryID: "q1.1", Engine: queries.EngineGPU, GPUs: 2, Packed: true}, true},
-		{"packed fleet with residency", resident, Request{QueryID: "q1.1", Engine: queries.EngineGPU, GPUs: 2, Packed: true}, false},
-		{"packed coproc without residency", plain, Request{QueryID: "q1.1", Engine: queries.EngineCoproc, Packed: true}, true},
-		{"packed coproc with residency", resident, Request{QueryID: "q1.1", Engine: queries.EngineCoproc, Packed: true}, false},
+		{"packed fleet", plain, Request{QueryID: "q1.1", Engine: queries.EngineGPU, GPUs: 2, Packed: true}, true},
+		{"packed spilled fleet", spilled, Request{QueryID: "q1.1", Engine: queries.EngineGPU, GPUs: 2, Packed: true}, true},
+		{"packed coproc", plain, Request{QueryID: "q1.1", Engine: queries.EngineCoproc, Packed: true}, true},
+		{"packed coproc nocache", plain, Request{QueryID: "q1.1", Engine: queries.EngineCoproc, Packed: true, NoCache: true}, false},
 	}
 	// A job's batch key is its normalized shape (and snapshot). A request
 	// whose shape fails to normalize is answered with its error on its
@@ -505,8 +513,8 @@ func TestBatchKeyRejects(t *testing.T) {
 		if j == nil {
 			return queries.Shape{}, false
 		}
-		s.unlead(j, ErrClosed) // nothing follows: release the flight prepare opened
-		return j.shape, j.batchable
+		s.unlead(j, ErrClosed)        // nothing follows: release the flight prepare opened
+		return j.shape, j.lead != nil // a NoCache job leads no flight and never batches
 	}
 	for _, tc := range cases {
 		if _, got := batchKey(tc.s, tc.req); got != tc.ok {

@@ -251,102 +251,87 @@ func TestFleetStatsSumToTotals(t *testing.T) {
 	}
 }
 
-// TestFleetSpillServedWarm exercises the spill + per-device residency path
-// end to end: with device memory constrained, a packed fleet request ships
-// its spilled columns cold, a repeat is served warm from the per-device
-// caches (and bypasses the result cache, like the coprocessor's residency
-// path), and a dataset swap drops back to cold.
+// TestFleetSpillServedWarm exercises the spill + residency path end to
+// end at every capacity: with device memory constrained, a packed fleet
+// request ships the spilled ranges of the columns outside the snapshot's
+// resident set — all of them with nothing resident, fewer with a strict
+// subset, none at the V100's capacity — and the first and the tenth
+// identical request after a dataset swap price bit-equal, the tenth from
+// the result cache.
 func TestFleetSpillServedWarm(t *testing.T) {
 	ds := testData()
-	s := New(ds, "v1", Options{Workers: 2, FleetDeviceMemoryBytes: 1})
-	defer s.Close()
 	ctx := context.Background()
+	q, _ := queries.ByID("q1.1")
+	refs := q.ReferencedFactColumns()
 	req := Request{QueryID: "q1.1", Engine: "gpu", GPUs: 2, Packed: true}
+	var prev int64
+	for i, c := range residencyCases(ds.Pack()) {
+		s := New(ds, "v1", Options{Workers: 2, FleetDeviceMemoryBytes: 1, DeviceCacheBytes: c.capacity})
+		before, err := s.Do(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetDataset("v2", testData())
+		var first, tenth Response
+		for n := 1; n <= 10; n++ {
+			if tenth, err = s.Do(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+			if n == 1 {
+				first = tenth
+			}
+		}
+		if first.ResultCached || !tenth.ResultCached {
+			t.Errorf("%s: first cached=%v, tenth cached=%v; want a miss, then a hit", c.name, first.ResultCached, tenth.ResultCached)
+		}
+		for _, r := range []Response{before, tenth} {
+			if r.SimSeconds != first.SimSeconds || r.TransferBytes != first.TransferBytes || r.ResidentCols != first.ResidentCols {
+				t.Errorf("%s: %.12fs / %d bytes / %d cols, the first after the swap %.12fs / %d / %d", c.name,
+					r.SimSeconds, r.TransferBytes, r.ResidentCols, first.SimSeconds, first.TransferBytes, first.ResidentCols)
+			}
+		}
+		switch {
+		case i == 0 && (first.TransferBytes == 0 || first.ResidentCols != 0):
+			t.Errorf("%s: %d bytes, %d resident cols; 1-byte devices must spill every column", c.name, first.TransferBytes, first.ResidentCols)
+		case i == 1 && (first.TransferBytes >= prev || first.ResidentCols != 2):
+			t.Errorf("%s: %d bytes (nothing resident ships %d), %d resident cols, want 2", c.name, first.TransferBytes, prev, first.ResidentCols)
+		case i == 2 && (first.TransferBytes != 0 || first.ResidentCols != 2*len(refs)):
+			t.Errorf("%s: %d bytes, %d resident cols; want none shipped, %d resident", c.name, first.TransferBytes, first.ResidentCols, 2*len(refs))
+		}
+		prev = first.TransferBytes
+		queriestest.SameRows(t, c.name, first.Result, before.Result)
 
-	cold, err := s.Do(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.TransferBytes == 0 {
-		t.Fatal("1-byte devices did not spill")
-	}
-	if cold.ResidentCols != 0 {
-		t.Errorf("cold run reported %d resident columns", cold.ResidentCols)
-	}
+		// Spill traffic and elisions land in the fleet counters, not in the
+		// coprocessor's PCIe line (that would double-report the bytes).
+		if st := s.Stats(); st.TransferBytes != 0 || st.ResidentCols != 0 {
+			t.Errorf("%s: fleet spill leaked into coprocessor counters: %d bytes / %d cols",
+				c.name, st.TransferBytes, st.ResidentCols)
+		} else if st.FleetSpillBytes != 11*first.TransferBytes || st.FleetResidentCols != 11*int64(first.ResidentCols) {
+			t.Errorf("%s: fleet counters %d bytes / %d cols elided, want 11 answers' worth", c.name,
+				st.FleetSpillBytes, st.FleetResidentCols)
+		}
 
-	warm, err := s.Do(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.ResultCached {
-		t.Error("residency-dependent fleet response served from the result cache")
-	}
-	if warm.TransferBytes != 0 {
-		t.Errorf("warm run still shipped %d bytes", warm.TransferBytes)
-	}
-	if warm.ResidentCols == 0 {
-		t.Error("warm run reported no resident columns")
-	}
-	// Spill traffic and elisions land in the fleet counters, not in the
-	// coprocessor's PCIe line (that would double-report the bytes).
-	if st := s.Stats(); st.TransferBytes != 0 || st.ResidentCols != 0 {
-		t.Errorf("fleet spill leaked into coprocessor counters: %d bytes / %d cols",
-			st.TransferBytes, st.ResidentCols)
-	} else if st.FleetSpillBytes == 0 || st.FleetResidentCols == 0 {
-		t.Errorf("fleet counters missed the spill: %d bytes / %d cols elided",
-			st.FleetSpillBytes, st.FleetResidentCols)
-	}
-	// A genuinely different shard map (1 GPU holds both morsels, so its
-	// spilled ranges differ from the 2-GPU shards) must not hit the first
-	// shape's pinned byte ranges: its first packed run ships cold. A
-	// request whose partition count merely clamps to the same effective
-	// shape would share — that dedup is pinned by TestFleetPartitionsClamped.
-	shaped, err := s.Do(ctx, Request{QueryID: "q1.1", Engine: "gpu", GPUs: 1, Packed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shaped.TransferBytes == 0 || shaped.ResidentCols != 0 {
-		t.Errorf("new fleet shape served another shape's residency: %d bytes / %d cols",
-			shaped.TransferBytes, shaped.ResidentCols)
-	}
-	queriestest.SameRows(t, "warm fleet vs cold", warm.Result, cold.Result)
-	// At this scale the spill shipment overlaps entirely with execution, so
-	// the win shows up as elided bytes; seconds must never get worse.
-	if warm.SimSeconds > cold.SimSeconds {
-		t.Errorf("warm fleet (%.12fs) slower than cold (%.12fs)", warm.SimSeconds, cold.SimSeconds)
-	}
-
-	// Plain fleet runs on the same constrained service still spill but are
-	// residency-independent and therefore cacheable.
-	plain, err := s.Do(ctx, Request{QueryID: "q1.1", Engine: "gpu", GPUs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.TransferBytes == 0 {
-		t.Error("plain constrained fleet did not spill")
-	}
-	again, err := s.Do(ctx, Request{QueryID: "q1.1", Engine: "gpu", GPUs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.ResultCached {
-		t.Error("plain spilled fleet response should cache")
-	}
-
-	// Swapping the dataset purges the per-device caches: cold again.
-	s.SetDataset("v2", testData())
-	swapped, err := s.Do(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if swapped.TransferBytes == 0 {
-		t.Error("post-swap fleet request served stale residency")
+		// Plain fleet runs on the same constrained service still spill, and
+		// cache like every other answer.
+		plain, err := s.Do(ctx, Request{QueryID: "q1.1", Engine: "gpu", GPUs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := s.Do(ctx, Request{QueryID: "q1.1", Engine: "gpu", GPUs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.TransferBytes == 0 || plain.ResidentCols != 0 || !again.ResultCached {
+			t.Errorf("%s: plain constrained fleet shipped %d bytes with %d resident cols, repeat cached=%v",
+				c.name, plain.TransferBytes, plain.ResidentCols, again.ResultCached)
+		}
+		s.Close()
 	}
 }
 
-// TestFleetPackedNoSpillCached: per-device residency caches enabled but
-// device memory large enough that nothing spills — the response touches no
-// residency state, so it is deterministic and caches normally.
+// TestFleetPackedNoSpillCached: device memory large enough that nothing
+// spills — the response ships nothing and counts no resident column, and
+// caches like any other.
 func TestFleetPackedNoSpillCached(t *testing.T) {
 	s := New(testData(), "v1", Options{Workers: 2, FleetDeviceMemoryBytes: 1 << 40})
 	defer s.Close()

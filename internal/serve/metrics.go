@@ -91,23 +91,21 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	e.Gauge("ssb_cached_results", "Responses resident in the result cache.",
 		[]trace.Sample{{Value: float64(st.CachedResults)}})
 
-	// The capacity is Options.DeviceCacheBytes: zero exactly when the
-	// residency cache is disabled.
+	// The capacity is Options.DeviceCacheBytes: zero exactly when
+	// residency is disabled.
 	if st.DeviceCacheCapBytes > 0 {
 		e.Gauge("ssb_device_cache_capacity_bytes",
 			"Simulated device memory dedicated to pinning packed columns.",
 			[]trace.Sample{{Value: float64(st.DeviceCacheCapBytes)}})
-		e.Gauge("ssb_device_cache_used_bytes", "Bytes of packed columns currently resident.",
+		e.Gauge("ssb_device_cache_used_bytes", "Bytes of packed columns the current snapshot keeps resident.",
 			[]trace.Sample{{Value: float64(st.DeviceCacheUsedBytes)}})
-		e.Gauge("ssb_device_cache_columns", "Packed columns currently resident.",
+		e.Gauge("ssb_device_cache_columns", "Packed columns the current snapshot keeps resident.",
 			[]trace.Sample{{Value: float64(st.DeviceCacheCols)}})
 		e.Counter("ssb_residency_hits_total",
 			"Column transfers elided because the column was device-resident.",
 			[]trace.Sample{{Value: float64(st.ResidentHits)}})
-		e.Counter("ssb_residency_misses_total", "Residency lookups that had to ship the column.",
+		e.Counter("ssb_residency_misses_total", "Column transfers shipped because the column was not resident.",
 			[]trace.Sample{{Value: float64(st.ResidentMisses)}})
-		e.Counter("ssb_residency_evictions_total", "Columns evicted from device residency.",
-			[]trace.Sample{{Value: float64(st.ResidentEvictions)}})
 	}
 	return e.Err()
 }

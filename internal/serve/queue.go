@@ -27,10 +27,9 @@ type job struct {
 	canon    string
 	key      string
 	bindWall time.Duration
-	// batchable is false for jobs that never share a scan.
-	batchable bool
-	// lead is the flight this job leads (nil when it may not coalesce);
-	// follow is the flight a follower waits on.
+	// lead is the flight this job leads (nil for a NoCache request, which
+	// neither coalesces nor batches); follow is the flight a follower waits
+	// on.
 	lead, follow *flight
 	// enqueued is when the caller put the job on the queue; the worker's
 	// pickup delta is the request's queue wait (and what the deadline

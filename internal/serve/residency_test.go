@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"slices"
 	"testing"
 
+	"crystal/internal/device"
 	"crystal/internal/queries"
 	"crystal/internal/ssb"
 )
@@ -57,155 +59,111 @@ func TestPackedResultCacheSeparation(t *testing.T) {
 	}
 }
 
-// TestResidencyWarmCoprocessor is the serving-side acceptance check: a
-// transfer-bound packed coprocessor request is strictly faster than plain,
-// and a warm residency-cache hit is strictly faster still — with the
-// savings visible in /stats.
+// residencyCases are the capacities the residency tests serve at: nothing
+// resident (a negative DeviceCacheBytes), room for the first column of the
+// policy's walk only — a strict subset — and the default, the V100's.
+func residencyCases(pf *ssb.PackedFact) []struct {
+	name     string
+	capacity int64
+} {
+	walk, _ := queries.ResidentColumns(pf, pf.Bytes())
+	return []struct {
+		name     string
+		capacity int64
+	}{
+		{"nothing resident", -1},
+		{"a strict subset", pf.Col(walk[0]).Bytes()},
+		{"the V100's capacity", 0},
+	}
+}
+
+// TestResidencyWarmCoprocessor is the serving-side acceptance check: at
+// every capacity, after a dataset swap the first and the tenth identical
+// packed coprocessor request price bit-equal and the tenth is a
+// result-cache hit; a transfer-bound packed request is strictly faster than
+// plain, and faster still the more of its columns are resident; and /stats
+// reports the snapshot's resident set once its encoding exists.
 func TestResidencyWarmCoprocessor(t *testing.T) {
-	s := New(residencyDS, "v1", Options{Workers: 1})
-	defer s.Close()
 	ctx := context.Background()
-	// NoCache keeps every run executing: residency-dependent coprocessor
-	// responses bypass the result cache anyway, but the plain baseline
-	// should also be a real execution.
-	plain, err := s.Do(ctx, Request{QueryID: "q1.1", Engine: queries.EngineCoproc, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := s.Do(ctx, Request{QueryID: "q1.1", Engine: queries.EngineCoproc, Packed: true, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := s.Do(ctx, Request{QueryID: "q1.1", Engine: queries.EngineCoproc, Packed: true, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.SimSeconds >= plain.SimSeconds {
-		t.Errorf("packed coprocessor not faster than plain: %.9f >= %.9f", cold.SimSeconds, plain.SimSeconds)
-	}
-	if warm.SimSeconds >= cold.SimSeconds {
-		t.Errorf("warm residency hit not faster than cold: %.9f >= %.9f", warm.SimSeconds, cold.SimSeconds)
-	}
-	if warm.ResidentCols == 0 || warm.TransferBytes != 0 {
-		t.Errorf("warm run: %d resident cols, %d transfer bytes; want all resident, none shipped",
-			warm.ResidentCols, warm.TransferBytes)
-	}
-	if !warm.Result.Equal(plain.Result) {
-		t.Error("residency caching changed the rows")
-	}
-	if warm.ResultCached || cold.ResultCached {
-		t.Error("residency-dependent responses must not be served from the result cache")
-	}
+	q, _ := queries.ByID("q1.1")
+	refs := q.ReferencedFactColumns()
+	pf := residencyDS.Pack()
+	req := Request{QueryID: "q1.1", Engine: queries.EngineCoproc, Packed: true}
+	var prev float64
+	for i, c := range residencyCases(pf) {
+		s := New(residencyDS, "v1", Options{Workers: 1, DeviceCacheBytes: c.capacity})
+		plain, err := s.Do(ctx, Request{QueryID: "q1.1", Engine: queries.EngineCoproc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Do(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		s.SetDataset("v2", residencyDS)
+		if st := s.Stats(); st.DeviceCacheCols != 0 || st.DeviceCacheUsedBytes != 0 {
+			t.Errorf("%s: stats report a resident set before the new snapshot packed", c.name)
+		}
+		var first, tenth Response
+		for n := 1; n <= 10; n++ {
+			resp, err := s.Do(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 1 {
+				first = resp
+			}
+			tenth = resp
+		}
+		s.Close()
 
-	st := s.Stats()
-	if st.ResidentHits == 0 {
-		t.Error("stats report no residency hits after a warm run")
-	}
-	if st.ResidentMisses == 0 {
-		t.Error("stats report no residency misses after a cold run")
-	}
-	if st.DeviceCacheCols == 0 || st.DeviceCacheUsedBytes == 0 {
-		t.Error("stats report an empty device cache after packed coprocessor runs")
-	}
-	if st.PackedRequests < 2 {
-		t.Errorf("stats counted %d packed requests, want >= 2", st.PackedRequests)
-	}
-}
+		capacity := max(c.capacity, 0)
+		if c.capacity == 0 {
+			capacity = device.V100().MemoryBytes
+		}
+		cols, used := queries.ResidentColumns(pf, capacity)
+		resident := 0
+		for _, col := range refs {
+			if slices.Contains(cols, col) {
+				resident++
+			}
+		}
+		if first.ResultCached || !tenth.ResultCached {
+			t.Errorf("%s: first cached=%v, tenth cached=%v; want a miss, then a hit", c.name, first.ResultCached, tenth.ResultCached)
+		}
+		if first.SimSeconds != tenth.SimSeconds || first.TransferBytes != tenth.TransferBytes {
+			t.Errorf("%s: first %.12fs / %d bytes, tenth %.12fs / %d bytes", c.name,
+				first.SimSeconds, first.TransferBytes, tenth.SimSeconds, tenth.TransferBytes)
+		}
+		if first.ResidentCols != resident || (resident == len(refs)) != (first.TransferBytes == 0) {
+			t.Errorf("%s: %d resident cols, %d bytes shipped; want %d of %d resident",
+				c.name, first.ResidentCols, first.TransferBytes, resident, len(refs))
+		}
+		if first.SimSeconds >= plain.SimSeconds {
+			t.Errorf("%s: packed coprocessor not faster than plain: %.9f >= %.9f", c.name, first.SimSeconds, plain.SimSeconds)
+		}
+		if i > 0 && first.SimSeconds >= prev {
+			t.Errorf("%s: %.12fs, not faster than the smaller capacity's %.12fs", c.name, first.SimSeconds, prev)
+		}
+		prev = first.SimSeconds
+		if !first.Result.Equal(plain.Result) {
+			t.Errorf("%s: residency changed the rows", c.name)
+		}
 
-// TestResidencyEviction: a device cache smaller than the working set must
-// evict instead of growing, and a column larger than the whole capacity is
-// never admitted.
-func TestResidencyEviction(t *testing.T) {
-	dc := newDeviceCache(1000, 0)
-	if hit, admitted := dc.acquire(0, "a", 600); hit || !admitted {
-		t.Fatalf("cold acquire: hit=%v admitted=%v, want miss+admit", hit, admitted)
+		// Two executed packed requests, one per snapshot; the hits replay.
+		st := s.Stats()
+		want := Stats{DeviceCacheCapBytes: capacity, DeviceCacheUsedBytes: used, DeviceCacheCols: len(cols),
+			ResidentHits: 2 * int64(resident), ResidentMisses: 2 * int64(len(refs)-resident)}
+		if c.capacity < 0 {
+			want = Stats{}
+		}
+		if st.DeviceCacheCapBytes != want.DeviceCacheCapBytes || st.DeviceCacheUsedBytes != want.DeviceCacheUsedBytes ||
+			st.DeviceCacheCols != want.DeviceCacheCols || st.ResidentHits != want.ResidentHits ||
+			st.ResidentMisses != want.ResidentMisses {
+			t.Errorf("%s: stats cap %d used %d cols %d hits %d misses %d; want %d %d %d %d %d", c.name,
+				st.DeviceCacheCapBytes, st.DeviceCacheUsedBytes, st.DeviceCacheCols, st.ResidentHits, st.ResidentMisses,
+				want.DeviceCacheCapBytes, want.DeviceCacheUsedBytes, want.DeviceCacheCols, want.ResidentHits, want.ResidentMisses)
+		}
 	}
-	if hit, _ := dc.acquire(0, "a", 600); !hit {
-		t.Fatal("second acquire of a missed")
-	}
-	dc.acquire(0, "b", 600) // must evict a
-	snap := dc.snapshot()
-	if snap.evictions != 1 || snap.used != 600 || snap.cols != 1 {
-		t.Errorf("after eviction: %+v", snap)
-	}
-	if hit, _ := dc.acquire(0, "a", 600); hit {
-		t.Error("evicted column still reported resident")
-	}
-	if hit, admitted := dc.acquire(0, "huge", 5000); hit || admitted {
-		t.Error("over-capacity column should be refused outright")
-	}
-	if got := dc.snapshot(); got.used > 1000 {
-		t.Errorf("cache overfilled: %d bytes", got.used)
-	}
-}
-
-// TestResidencyLRUOrder: touching a column refreshes its recency, so the
-// least recently used one is evicted first.
-func TestResidencyLRUOrder(t *testing.T) {
-	dc := newDeviceCache(1000, 0)
-	dc.acquire(0, "a", 400)
-	dc.acquire(0, "b", 400)
-	dc.acquire(0, "a", 400) // refresh a
-	dc.acquire(0, "c", 400) // evicts b, not a
-	if hit, _ := dc.acquire(0, "a", 400); !hit {
-		t.Error("recently used column was evicted")
-	}
-	if hit, _ := dc.acquire(0, "b", 400); hit {
-		t.Error("least recently used column was not evicted")
-	}
-}
-
-// TestResidencyStaleGenerationNotAdmitted: a request that snapshotted an
-// old generation while a dataset swap raced past it may miss, but must not
-// pin its dead column against the capacity of the purged cache — and a
-// purge for an older generation that lost the race must not regress the
-// cache's generation.
-func TestResidencyStaleGenerationNotAdmitted(t *testing.T) {
-	dc := newDeviceCache(1000, 1)
-	dc.acquire(1, "a", 400)
-	dc.purge(2) // SetDataset: purge and advance
-	if hit, admitted := dc.acquire(1, "a", 400); hit || admitted {
-		t.Error("stale-generation acquire should be refused after purge")
-	}
-	if snap := dc.snapshot(); snap.cols != 0 || snap.used != 0 {
-		t.Errorf("stale generation pinned dead bytes: %+v", snap)
-	}
-	if hit, admitted := dc.acquire(2, "a", 400); hit || !admitted {
-		t.Error("current generation should miss cold and be admitted")
-	}
-	if snap := dc.snapshot(); snap.cols != 1 || snap.used != 400 {
-		t.Errorf("current generation not admitted: %+v", snap)
-	}
-	// A racing purge for an older generation is a no-op: the generation is
-	// monotone and current entries survive.
-	dc.purge(1)
-	if hit, _ := dc.acquire(2, "a", 400); !hit {
-		t.Error("stale purge wiped current-generation residency")
-	}
-}
-
-// TestResidencyInvalidatedBySwap: SetDataset frees the device cache and the
-// packed encoding, so the first packed coprocessor request against the new
-// dataset pays a cold transfer again.
-func TestResidencyInvalidatedBySwap(t *testing.T) {
-	s := New(residencyDS, "v1", Options{Workers: 1})
-	defer s.Close()
-	ctx := context.Background()
-	req := Request{QueryID: "q1.1", Engine: queries.EngineCoproc, Packed: true, NoCache: true}
-	cold, _ := s.Do(ctx, req)
-	warm, _ := s.Do(ctx, req)
-	if warm.ResidentCols == 0 {
-		t.Fatal("second run should be warm")
-	}
-	s.SetDataset("v2", ssb.GenerateRows(100_000))
-	after, _ := s.Do(ctx, req)
-	if after.ResidentCols != 0 {
-		t.Error("dataset swap did not invalidate device residency")
-	}
-	if after.TransferBytes == 0 {
-		t.Error("post-swap run shipped nothing")
-	}
-	_ = cold
 }
 
 // TestResidencyDisabled: a negative DeviceCacheBytes turns residency off —

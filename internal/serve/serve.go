@@ -14,22 +14,22 @@
 //
 // The service also owns the compressed-execution machinery: Request.Packed
 // scans the dataset's bit-packed fact encoding (built lazily, once per
-// generation), and a capacity-bounded LRU of packed columns pinned in
-// simulated device memory (Options.DeviceCacheBytes, defaulting to the
-// V100's capacity) lets repeated coprocessor requests skip their PCIe
-// transfers entirely — the residency argument for making a GPU coprocessor
-// practical at scale.
+// generation). Packed coprocessor and packed fleet requests run with the
+// snapshot's resident set — the packed columns queries.ResidentColumns
+// keeps in Options.DeviceCacheBytes of simulated device memory (the V100's
+// capacity by default) — and ship nothing for them: the residency argument
+// for making a GPU coprocessor practical at scale. The set is a property of
+// the snapshot — a one-time load per dataset swap — not of request history.
 //
 // The simulated engine times are unaffected by serving: a cache-hit plan
 // re-charges its build traffic exactly as a cold run would, so a served
 // Result is row-for-row and second-for-second identical to a sequential
-// queries.Plan.RunScheduled. What serving changes is the wall clock — the
-// host executes the functional work once and fans requests out across cores
-// — which is the Stats split of simulated vs. wall-clock latency per engine.
-// The one deliberate exception is the packed coprocessor path with
-// residency caching: its seconds legitimately depend on device-cache state,
-// so those responses bypass the result cache instead of replaying a stale
-// transfer.
+// queries.Plan.RunScheduled with the same options. What serving changes is
+// the wall clock — the host executes the functional work once and fans
+// requests out across cores — which is the Stats split of simulated vs.
+// wall-clock latency per engine. Every answer is therefore replayable: only
+// Request.NoCache keeps a request out of the result cache, single-flight
+// and batching.
 package serve
 
 import (
@@ -89,8 +89,8 @@ type Request struct {
 	// Packed scans the bit-packed fact encoding (built lazily, once per
 	// dataset generation) instead of the plain columns. Rows are identical;
 	// simulated seconds reflect the Section 5.5 compression asymmetry, and
-	// coprocessor requests ship compressed bytes over PCIe — skipping the
-	// transfer entirely for columns the device residency cache holds.
+	// coprocessor requests ship compressed bytes over PCIe — nothing at all
+	// for the columns of the snapshot's resident set.
 	Packed bool
 	// GPUs routes the request to the modeled multi-GPU fleet: the fact
 	// table's zone-mapped morsels are range-sharded across that many
@@ -153,8 +153,8 @@ type Answer struct {
 	Morsels int
 	Pruned  int
 	// TransferBytes is the PCIe traffic a coprocessor request actually
-	// shipped, and ResidentCols the referenced fact columns the device
-	// residency cache served without any transfer.
+	// shipped, and ResidentCols the referenced fact columns of the resident
+	// set it shipped nothing for.
 	TransferBytes int64
 	ResidentCols  int
 	// GPUs and Interconnect echo the normalized fleet shape a fleet or
@@ -271,8 +271,7 @@ type Options struct {
 	// so a batch never holds cached work, and each member leads its own
 	// flight: an identical request arriving meanwhile follows it instead of
 	// joining the batch, and every member's answer is stored under its solo
-	// result key. Batches never consult residency caches; NoCache requests
-	// and residency-dependent shapes are never batched.
+	// result key. NoCache requests are never batched.
 	MaxBatch int
 	// MorselHelpers caps the extra goroutines all in-flight requests
 	// together may spawn for intra-query parallelism (morsel scans, GPU
@@ -280,20 +279,22 @@ type Options struct {
 	// so a partitioned query can never starve other requests; helpers only
 	// soak up cores the pool isn't using. Default: GOMAXPROCS.
 	MorselHelpers int
-	// DeviceCacheBytes caps the device-memory residency cache of packed
-	// columns the coprocessor engine consults. 0 sizes it to the GPU's
-	// memory (device.V100().MemoryBytes); negative disables residency
-	// caching (every packed coprocessor request pays its full transfer).
+	// DeviceCacheBytes is the device memory that keeps packed fact columns
+	// resident (queries.RunOptions.DeviceCacheBytes): each snapshot's
+	// resident set is queries.ResidentColumns of its packed encoding and
+	// this capacity. A packed coprocessor request ships nothing for a
+	// resident column, and a packed fleet device nothing for a resident
+	// column's spilled range. 0 sizes it to the GPU's memory
+	// (device.V100().MemoryBytes); negative keeps nothing resident (every
+	// packed coprocessor request pays its full transfer).
 	DeviceCacheBytes int64
 	// FleetDeviceMemoryBytes overrides the fleet devices' shard region
 	// (spill experiments; 0 keeps the V100's 32 GB): fleet.Assign bounds
 	// each device's resident shard bytes by it, and the overflow spills to
-	// the host. When set together with an enabled device cache, packed
-	// fleet requests additionally consult one residency cache per fleet
-	// device for their spilled columns; that cache models a separate
-	// pinned-column region sized by DeviceCacheBytes, not part of the
-	// shard region this knob constrains. Residency-dependent responses
-	// bypass the result cache, like the coprocessor's residency path.
+	// the host. A packed fleet request ships only the spilled ranges of
+	// columns outside the resident set; the resident set models a separate
+	// pinned-column region sized by DeviceCacheBytes, not part of the shard
+	// region this knob constrains.
 	FleetDeviceMemoryBytes int64
 	// Trace enables span-tree tracing: every executed request produces a
 	// trace.Trace (admit → bind → plan → run with per-assignment
@@ -375,24 +376,26 @@ type flight struct {
 // monotonic generation number and the packed fact encoding, built at most
 // once, on first use. It is immutable once published — SetDataset replaces
 // it whole — so a request that resolved against a snapshot executes against
-// that snapshot, packed encoding included, however many swaps land in
-// between. Cache keys embed gen, not the version label, so reusing a label
-// (rollback, redeploy) can never resurrect entries compiled against
-// different data.
+// that snapshot, packed encoding and resident set included, however many
+// swaps land in between. Cache keys embed gen, not the version label, so
+// reusing a label (rollback, redeploy) can never resurrect entries compiled
+// against different data.
 type snapshot struct {
 	ds       *ssb.Dataset
 	version  string
 	gen      uint64
 	packOnce sync.Once
-	packed   *ssb.PackedFact
+	// packed is published once packOnce has built it, so Stats can read
+	// the resident set without building the encoding.
+	packed atomic.Pointer[ssb.PackedFact]
 }
 
 // packedFact returns the generation's bit-packed fact encoding. The first
 // packed request of a generation pays the one-pass packing cost; concurrent
 // firsts wait on the Once.
 func (sn *snapshot) packedFact() *ssb.PackedFact {
-	sn.packOnce.Do(func() { sn.packed = sn.ds.Pack() })
-	return sn.packed
+	sn.packOnce.Do(func() { sn.packed.Store(sn.ds.Pack()) })
+	return sn.packed.Load()
 }
 
 // Service executes SSB query requests concurrently over one dataset.
@@ -417,7 +420,7 @@ type Service struct {
 	plans   *lru // "gen\x00canonical" -> *planEntry
 	results *lru // "gen\x00canonical\x00engine" -> *Answer
 	binds   *lru // "gen\x00sql text" -> *boundSQL
-	// flights are the in-progress executions coalesceable misses join,
+	// flights are the in-progress executions identical misses join,
 	// keyed like the result cache. Guarded by cacheMu — the same lock as
 	// the results LRU — so "check cache, join flight or become leader"
 	// is one atomic step and a (key, generation) can never execute twice.
@@ -434,18 +437,6 @@ type Service struct {
 	statsMu sync.Mutex
 	stats   Stats
 
-	// devCache is the simulated GPU's device-memory residency cache of
-	// packed columns (nil when disabled); the coprocessor engine consults
-	// it through queries.Residency.
-	devCache *deviceCache
-
-	// fleetMu guards fleetCaches, the per-fleet-device residency caches
-	// packed fleet requests consult for spilled columns (grown lazily to
-	// the largest fleet size seen; only populated when
-	// Options.FleetDeviceMemoryBytes constrains device memory).
-	fleetMu     sync.Mutex
-	fleetCaches []*deviceCache
-
 	// recorder is the bounded flight recorder of recent and slowest
 	// traces; nil unless Options.Trace is set, and the nil check is what
 	// keeps the untraced hot path allocation-free.
@@ -455,9 +446,8 @@ type Service struct {
 	// request (Options.MorselHelpers); tests may swap in a counting one.
 	morsels queries.Limiter
 
-	// queue holds the jobs that have to execute: flight leaders, NoCache
-	// requests and residency-dependent requests — never a hit or a
-	// follower, which their callers answer. In the default blocking mode,
+	// queue holds the jobs that have to execute: flight leaders and NoCache
+	// requests — never a hit or a follower, which their callers answer. In the default blocking mode,
 	// slots is a QueueDepth-sized semaphore: the caller acquires a slot
 	// (waiting under its context) before pushing and the popping worker
 	// releases it. Under Options.Shed, slots is nil and the depth check
@@ -482,9 +472,6 @@ func New(ds *ssb.Dataset, version string, opts Options) *Service {
 	s.plans = newLRU(s.opts.PlanCacheSize)
 	s.results = newLRU(s.opts.ResultCacheSize)
 	s.binds = newLRU(s.opts.BindCacheSize)
-	if s.opts.DeviceCacheBytes > 0 {
-		s.devCache = newDeviceCache(s.opts.DeviceCacheBytes, 0)
-	}
 	if s.opts.Trace {
 		s.recorder = trace.NewRecorder(traceRecent, traceSlowest)
 	}
@@ -545,7 +532,8 @@ func (s *Service) Version() string { return s.snap.Load().version }
 
 // SetDataset atomically swaps in a new dataset under a new version and
 // drops every cached plan and result: entries are keyed by generation, so
-// nothing compiled against the old data can ever be served again.
+// nothing compiled against the old data can ever be served again. The new
+// snapshot brings its own packed encoding and so its own resident set.
 //
 // The snapshot swap and the purge happen under one cacheMu critical
 // section — the same lock the lookup-or-lead section holds while it checks
@@ -565,35 +553,6 @@ func (s *Service) SetDataset(version string, ds *ssb.Dataset) {
 	s.results.purge()
 	s.binds.purge()
 	s.cacheMu.Unlock()
-	if s.devCache != nil {
-		s.devCache.purge(gen)
-	}
-	s.fleetMu.Lock()
-	for _, c := range s.fleetCaches {
-		c.purge(gen)
-	}
-	s.fleetMu.Unlock()
-}
-
-// fleetResidencies returns one generation-bound residency cache per fleet
-// device, growing the cache list to the requested fleet size. Each cache
-// is bounded by Options.DeviceCacheBytes — the same knob the coprocessor's
-// residency cache uses, here modeling the headroom a device dedicates to
-// pinning spilled packed columns. Entries are scoped to the fleet shape
-// (gpus × effective partitions): different shard maps spill different
-// byte ranges of a column, which must never satisfy each other's lookups.
-func (s *Service) fleetResidencies(gen uint64, gpus, partitions int) []queries.Residency {
-	scope := strconv.Itoa(gpus) + "x" + strconv.Itoa(partitions)
-	s.fleetMu.Lock()
-	for len(s.fleetCaches) < gpus {
-		s.fleetCaches = append(s.fleetCaches, newDeviceCache(s.opts.DeviceCacheBytes, s.snap.Load().gen))
-	}
-	out := make([]queries.Residency, gpus)
-	for i := range out {
-		out[i] = residency{cache: s.fleetCaches[i], gen: gen, scope: scope}
-	}
-	s.fleetMu.Unlock()
-	return out
 }
 
 // Close drains the worker pool. In-flight requests finish; subsequent
@@ -874,22 +833,6 @@ func (r Request) echo(sh queries.Shape) Request {
 	return r
 }
 
-// coprocResidency and fleetResidency report whether a normalized shape's
-// simulated seconds depend on device-cache state (cold vs warm transfer).
-// Such responses are not replayable: coprocessor residency requests bypass
-// the result cache and single-flight entirely, and packed fleet requests
-// with per-device caches enabled may still look up — only responses that
-// touched no residency state (nothing spilled, nothing resident) are ever
-// stored, and those are deterministic. Neither shape is ever batched.
-// Placement runs never consult residency caches.
-func (s *Service) coprocResidency(sh queries.Shape) bool {
-	return sh.Packed && sh.Engine == queries.EngineCoproc && s.devCache != nil
-}
-
-func (s *Service) fleetResidency(sh queries.Shape) bool {
-	return sh.Placement == "" && sh.GPUs > 0 && sh.Packed && s.devCache != nil && s.opts.FleetDeviceMemoryBytes > 0
-}
-
 // plan returns the compiled plan for q through the plan cache: a
 // once-guarded entry is installed on a miss so concurrent misses for the
 // same (generation, canonical query) compile a single plan. The install is
@@ -914,8 +857,8 @@ func (s *Service) plan(sn *snapshot, q queries.Query, canon string) (plan *queri
 }
 
 // route is how a job runs: its shape with "auto" resolved, and the run
-// options the service supplies — the packed fact, the residency hooks, the
-// morsel pool and the fleet-memory override. A solo execution schedules its
+// options the service supplies — the packed fact and its device-cache
+// capacity, the morsel pool and the fleet-memory override. A solo execution schedules its
 // plan on it, a shared-scan batch every member's (queries.Plan.Schedule).
 type route struct {
 	shape queries.Shape
@@ -936,12 +879,7 @@ func (s *Service) route(sn *snapshot, sh queries.Shape,
 	r.opts.Trace = s.recorder != nil
 	if sh.Packed {
 		r.opts.Partition.Packed = sn.packedFact()
-		switch {
-		case s.fleetResidency(sh):
-			r.opts.Fleet.Residency = s.fleetResidencies(sn.gen, sh.GPUs, sh.Partitions)
-		case s.coprocResidency(sh):
-			r.opts.Partition.Residency = residency{cache: s.devCache, gen: sn.gen}
-		}
+		r.opts.DeviceCacheBytes = max(s.opts.DeviceCacheBytes, 0)
 	}
 	if sh.Placement == PlacementAuto {
 		choice, err := auto(sh.Fleet(), r.opts.Partition.Packed)
@@ -991,8 +929,7 @@ func (r *route) report(sr *queries.ScheduledResult, cpuFrac float64) *Answer {
 // back as its job, carrying everything computed here so that nothing
 // downstream computes it again: a follower (follow set), which waits on an
 // identical request's flight and never queues, or a job that has to execute
-// — the leader of a new flight (lead set), or a request that may not
-// coalesce.
+// — the leader of a new flight (lead set), or a NoCache request.
 func (s *Service) prepare(req Request, start time.Time) (resp Response, j *job) {
 	// Snapshot → resolve → lookup-or-lead runs in a retry loop. A request
 	// that loaded a snapshot and stalled could reach the lookup after a
@@ -1009,7 +946,6 @@ func (s *Service) prepare(req Request, start time.Time) (resp Response, j *job) 
 			resp = Response{Request: req}
 			return s.failed(&resp, err), nil
 		}
-		coalesceable := !req.NoCache && !s.coprocResidency(sh)
 		resp = Response{Request: req.echo(sh), Version: sn.version}
 		// bindWall times query resolution for the trace's bind span; stamped
 		// unconditionally (two clock reads), consumed only when tracing.
@@ -1028,9 +964,9 @@ func (s *Service) prepare(req Request, start time.Time) (resp Response, j *job) 
 		key := string(sh.AppendKey(append(append(b, canon...), 0)))
 		var f *flight
 		following := false
-		if coalesceable {
+		if !req.NoCache {
 			// Cache lookup and single-flight formation are one critical
-			// section under cacheMu: a coalesceable request either hits the
+			// section under cacheMu: a request either hits the
 			// cache, joins the in-progress flight for its key, or registers
 			// itself as the leader — so for any (key, generation) at most one
 			// execution ever runs, no matter how the misses interleave with
@@ -1060,9 +996,6 @@ func (s *Service) prepare(req Request, start time.Time) (resp Response, j *job) 
 			return resp, j
 		}
 		j.lead = f
-		// NoCache requests and residency-dependent shapes (whose seconds
-		// depend on device-cache state a batch never consults) never batch.
-		j.batchable = !req.NoCache && !s.coprocResidency(sh) && !s.fleetResidency(sh)
 		j.done = make(chan Response, 1)
 		return resp, j
 	}
@@ -1127,12 +1060,9 @@ func (s *Service) complete(j *job, resp *Response) {
 	// time. Dead-generation entries merely age out of the LRU. The store
 	// and the flight's removal share one critical section, so no identical
 	// request can miss both the cache and the flight table while the answer
-	// it should share exists. Residency-dependent answers are never cached;
-	// see coprocResidency.
-	cacheable := resp.Err == nil && !s.coprocResidency(j.shape) &&
-		(!s.fleetResidency(j.shape) || (resp.TransferBytes == 0 && resp.ResidentCols == 0))
+	// it should share exists.
 	s.cacheMu.Lock()
-	if cacheable {
+	if resp.Err == nil {
 		s.results.put(j.key, resp.Answer)
 	}
 	if j.lead != nil {
@@ -1146,9 +1076,26 @@ func (s *Service) complete(j *job, resp *Response) {
 	if resp.Err != nil {
 		s.recordError()
 	} else {
-		s.recordStats(resp)
+		hits, misses := s.residencyLookups(j, resp)
+		s.statsMu.Lock()
+		s.stats.record(resp)
+		s.stats.ResidentHits += hits
+		s.stats.ResidentMisses += misses
+		s.statsMu.Unlock()
 	}
 	j.done <- *resp
+}
+
+// residencyLookups counts an executed packed coprocessor answer's
+// referenced fact columns against the resident set: the resident ones are
+// hits, the shipped ones misses. Other answers, and a service with
+// residency disabled, look nothing up.
+func (s *Service) residencyLookups(j *job, resp *Response) (hits, misses int64) {
+	if s.opts.DeviceCacheBytes <= 0 || !j.shape.Packed || j.shape.Engine != queries.EngineCoproc {
+		return 0, 0
+	}
+	hits = int64(resp.ResidentCols)
+	return hits, int64(len(j.q.ReferencedFactColumns())) - hits
 }
 
 // unlead completes the flight j leads, if any, for a job that never

@@ -277,11 +277,13 @@ func TestSingleFlightSurvivesDatasetSwap(t *testing.T) {
 // swaps datasets, and asserts the single-flight invariant wholesale:
 // every (result-cache key, generation) executed at most once, every
 // response's rows match the reference for the dataset version it reports,
-// and nothing errors. Run under -race in CI.
+// and nothing errors. The packed coprocessor and packed spilled-fleet
+// shapes (1-byte fleet devices spill every morsel) coalesce like the rest:
+// their resident set belongs to the snapshot. Run under -race in CI.
 func TestSingleFlightExactlyOnceUnderRace(t *testing.T) {
 	dsA := ssb.GenerateRows(1 << 12)
 	dsB := ssb.GenerateRows(1 << 11)
-	s := New(dsA, "A", Options{Workers: 8})
+	s := New(dsA, "A", Options{Workers: 8, FleetDeviceMemoryBytes: 1})
 	defer s.Close()
 
 	var mu sync.Mutex
@@ -297,6 +299,8 @@ func TestSingleFlightExactlyOnceUnderRace(t *testing.T) {
 		{QueryID: "q1.1", Engine: queries.EngineGPU},
 		{QueryID: "q2.1", Engine: queries.EngineGPU},
 		{QueryID: "q3.1", Engine: queries.EngineHyper},
+		{QueryID: "q1.2", Engine: queries.EngineCoproc, Packed: true},
+		{QueryID: "q4.1", Engine: queries.EngineGPU, GPUs: 2, Packed: true},
 	}
 	refs := map[string]map[string]*queries.Result{"A": {}, "B": {}}
 	for _, shape := range shapes {

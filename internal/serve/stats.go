@@ -157,7 +157,7 @@ type Stats struct {
 	// PackedRequests counts requests that scanned the bit-packed fact
 	// encoding; TransferBytes tallies the PCIe traffic their coprocessor
 	// runs actually shipped and ResidentCols the column transfers the
-	// device residency cache elided.
+	// resident set elided.
 	PackedRequests int64 `json:"packed_requests"`
 	TransferBytes  int64 `json:"transfer_bytes"`
 	ResidentCols   int64 `json:"resident_cols"`
@@ -192,15 +192,19 @@ type Stats struct {
 	HybridMergeBytes   int64                 `json:"hybrid_merge_bytes"`
 	HybridExecutors    []HybridExecutorStats `json:"hybrid_executors,omitempty"`
 
-	// Device residency cache: capacity and occupancy of the simulated GPU
-	// memory pinning packed columns, plus its hit/miss/eviction counters.
-	// All zero when the cache is disabled.
+	// Device residency: the capacity of the simulated GPU memory pinning
+	// packed columns (Options.DeviceCacheBytes) and the current snapshot's
+	// resident set in it (queries.ResidentColumns) — the one-time load a
+	// dataset swap implies, reported once the snapshot's packed encoding
+	// exists (reading Stats never builds it). Hits and misses count the
+	// referenced fact columns of executed packed coprocessor requests: a
+	// hit shipped nothing, a miss shipped its cold bytes. All zero when
+	// residency is disabled.
 	DeviceCacheCapBytes  int64   `json:"device_cache_cap_bytes"`
 	DeviceCacheUsedBytes int64   `json:"device_cache_used_bytes"`
 	DeviceCacheCols      int     `json:"device_cache_cols"`
 	ResidentHits         int64   `json:"resident_hits"`
 	ResidentMisses       int64   `json:"resident_misses"`
-	ResidentEvictions    int64   `json:"resident_evictions"`
 	ResidencyHitRate     float64 `json:"residency_hit_rate"`
 
 	PlanHits      int64   `json:"plan_hits"`
@@ -392,16 +396,14 @@ func (s *Service) Stats() Stats {
 	out.CachedResults = s.results.len()
 	s.cacheMu.Unlock()
 	out.Pending = s.queue.len()
-	if s.devCache != nil {
-		dc := s.devCache.snapshot()
-		out.DeviceCacheCapBytes = dc.capacity
-		out.DeviceCacheUsedBytes = dc.used
-		out.DeviceCacheCols = dc.cols
-		out.ResidentHits = dc.hits
-		out.ResidentMisses = dc.misses
-		out.ResidentEvictions = dc.evictions
-		out.ResidencyHitRate = rate(dc.hits, dc.misses)
+	if c := s.opts.DeviceCacheBytes; c > 0 {
+		out.DeviceCacheCapBytes = c
+		if pf := s.snap.Load().packed.Load(); pf != nil {
+			cols, used := queries.ResidentColumns(pf, c)
+			out.DeviceCacheCols, out.DeviceCacheUsedBytes = len(cols), used
+		}
 	}
+	out.ResidencyHitRate = rate(out.ResidentHits, out.ResidentMisses)
 
 	if out.Requests > 0 {
 		out.CoalesceRate = float64(out.Coalesced) / float64(out.Requests)

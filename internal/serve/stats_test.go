@@ -86,7 +86,7 @@ func TestStatsWireShape(t *testing.T) {
 		placement_requests hybrid_requests hybrid_morsels hybrid_pruned hybrid_rows
 		hybrid_ship_bytes hybrid_resident_cols hybrid_merge_bytes hybrid_executors
 		device_cache_cap_bytes device_cache_used_bytes device_cache_cols
-		resident_hits resident_misses resident_evictions residency_hit_rate
+		resident_hits resident_misses residency_hit_rate
 		plan_hits plan_misses plan_hit_rate cached_plans
 		result_hits result_misses result_hit_rate cached_results
 		engines latency`)

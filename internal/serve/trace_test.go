@@ -373,7 +373,6 @@ func testMetricsExposition(t *testing.T, traced bool) {
 		"ssb_device_cache_columns":                        float64(st.DeviceCacheCols),
 		"ssb_residency_hits_total":                        float64(st.ResidentHits),
 		"ssb_residency_misses_total":                      float64(st.ResidentMisses),
-		"ssb_residency_evictions_total":                   float64(st.ResidentEvictions),
 	} {
 		if got, ok := samples[name]; !ok || got != want {
 			t.Errorf("%s = %g (present %v), Stats says %g", name, got, ok, want)
