@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"context"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -163,6 +165,230 @@ func TestResidencyWarmCoprocessor(t *testing.T) {
 				st.DeviceCacheCapBytes, st.DeviceCacheUsedBytes, st.DeviceCacheCols, st.ResidentHits, st.ResidentMisses,
 				want.DeviceCacheCapBytes, want.DeviceCacheUsedBytes, want.DeviceCacheCols, want.ResidentHits, want.ResidentMisses)
 		}
+	}
+}
+
+// residentRefs counts the fact columns q reads that the residency policy
+// keeps resident for the encoding pf at capacity.
+func residentRefs(pf *ssb.PackedFact, capacity int64, q queries.Query) int {
+	cols, _ := queries.ResidentColumns(pf, capacity)
+	n := 0
+	for _, c := range q.ReferencedFactColumns() {
+		if slices.Contains(cols, c) {
+			n++
+		}
+	}
+	return n
+}
+
+// packedCoproc is a packed coprocessor request for q1.1 answered by a fresh
+// service on ds: the pricing a request gets with no history behind it.
+func packedCoproc(t *testing.T, ds *ssb.Dataset, capacity int64) Response {
+	t.Helper()
+	s := New(ds, "fresh", Options{Workers: 1, DeviceCacheBytes: capacity})
+	defer s.Close()
+	resp, err := s.Do(context.Background(), Request{QueryID: "q1.1", Engine: queries.EngineCoproc, Packed: true, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// samePricing reports whether two responses shipped, kept resident and
+// priced alike.
+func samePricing(a, b Response) bool {
+	return a.SimSeconds == b.SimSeconds && a.TransferBytes == b.TransferBytes && a.ResidentCols == b.ResidentCols
+}
+
+// TestResidencyEviction: a device smaller than the working set keeps a
+// strict subset resident and never holds more than its capacity, however
+// many queries run; a column larger than the whole capacity is never
+// resident.
+func TestResidencyEviction(t *testing.T) {
+	ctx := context.Background()
+	pf := residencyDS.Pack()
+	size := func(c string) int64 { return pf.Col(c).Bytes() }
+	walk, _ := queries.ResidentColumns(pf, pf.Bytes())
+	smallest := slices.MinFunc(walk, func(a, b string) int { return cmp.Compare(size(a), size(b)) })
+	for _, capacity := range []int64{size(walk[0]), size(smallest) - 1} {
+		cols, used := queries.ResidentColumns(pf, capacity)
+		if len(cols) >= len(walk) {
+			t.Fatalf("capacity %d keeps all %d columns; the working set must not fit", capacity, len(walk))
+		}
+		s := New(residencyDS, "v1", Options{Workers: 1, DeviceCacheBytes: capacity})
+		for _, q := range queries.All() {
+			resp, err := s.Do(ctx, Request{QueryID: q.ID, Engine: queries.EngineCoproc, Packed: true, NoCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := residentRefs(pf, capacity, q); resp.ResidentCols != want {
+				t.Errorf("capacity %d, %s: %d resident cols, want %d", capacity, q.ID, resp.ResidentCols, want)
+			}
+			st := s.Stats()
+			if st.DeviceCacheUsedBytes > capacity || st.DeviceCacheUsedBytes != used || st.DeviceCacheCols != len(cols) {
+				t.Errorf("capacity %d, after %s: %d cols, %d bytes resident; want %d cols, %d bytes",
+					capacity, q.ID, st.DeviceCacheCols, st.DeviceCacheUsedBytes, len(cols), used)
+			}
+		}
+		s.Close()
+		if capacity < size(smallest) && cols != nil {
+			t.Errorf("capacity %d below every column kept %v", capacity, cols)
+		}
+	}
+}
+
+// TestResidencyLRUOrder: request order decides nothing. Two services at a
+// capacity that holds a strict subset, one running the catalog forward and
+// one running it backward after touching q4.3 again and again, price every
+// query alike and report the same resident set.
+func TestResidencyLRUOrder(t *testing.T) {
+	ctx := context.Background()
+	pf := residencyDS.Pack()
+	walk, _ := queries.ResidentColumns(pf, pf.Bytes())
+	capacity := pf.Col(walk[0]).Bytes()
+	all := queries.All()
+	backward := slices.Clone(all)
+	slices.Reverse(backward)
+	last := all[len(all)-1]
+	backward = append([]queries.Query{last, last, last}, backward...)
+
+	run := func(order []queries.Query) (map[string]Response, Stats) {
+		s := New(residencyDS, "v1", Options{Workers: 1, DeviceCacheBytes: capacity})
+		defer s.Close()
+		out := map[string]Response{}
+		for _, q := range order {
+			resp, err := s.Do(ctx, Request{QueryID: q.ID, Engine: queries.EngineCoproc, Packed: true, NoCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prev, ok := out[q.ID]; ok && !samePricing(prev, resp) {
+				t.Errorf("%s: a repeat priced %.12fs / %d bytes, the first %.12fs / %d bytes",
+					q.ID, resp.SimSeconds, resp.TransferBytes, prev.SimSeconds, prev.TransferBytes)
+			}
+			out[q.ID] = resp
+		}
+		return out, s.Stats()
+	}
+	fwd, fst := run(all)
+	bwd, bst := run(backward)
+	for _, q := range all {
+		if f, b := fwd[q.ID], bwd[q.ID]; !samePricing(f, b) {
+			t.Errorf("%s: forward %.12fs / %d bytes / %d resident, backward %.12fs / %d bytes / %d resident", q.ID,
+				f.SimSeconds, f.TransferBytes, f.ResidentCols, b.SimSeconds, b.TransferBytes, b.ResidentCols)
+		}
+	}
+	if fst.DeviceCacheCols != bst.DeviceCacheCols || fst.DeviceCacheUsedBytes != bst.DeviceCacheUsedBytes {
+		t.Errorf("forward keeps %d cols / %d bytes, backward %d cols / %d bytes",
+			fst.DeviceCacheCols, fst.DeviceCacheUsedBytes, bst.DeviceCacheCols, bst.DeviceCacheUsedBytes)
+	}
+}
+
+// TestResidencyStaleGenerationNotAdmitted: requests racing a dataset swap
+// are each priced by the resident set of the snapshot they ran against,
+// never by the other's, and once the swap is done /stats reports the new
+// snapshot's set alone — nothing of the old one stays counted.
+func TestResidencyStaleGenerationNotAdmitted(t *testing.T) {
+	ctx := context.Background()
+	pf1 := residencyDS.Pack()
+	walk, _ := queries.ResidentColumns(pf1, pf1.Bytes())
+	capacity := pf1.Col(walk[0]).Bytes()
+	ds2 := ssb.GenerateRows(30_000)
+	pf2 := ds2.Pack()
+	want := map[string]Response{"v1": packedCoproc(t, residencyDS, capacity), "v2": packedCoproc(t, ds2, capacity)}
+	if want["v1"].ResidentCols == want["v2"].ResidentCols {
+		t.Fatalf("both datasets keep %d of q1.1's columns resident; the race cannot tell them apart", want["v1"].ResidentCols)
+	}
+
+	s := New(residencyDS, "v1", Options{Workers: 2, DeviceCacheBytes: capacity})
+	defer s.Close()
+	req := Request{QueryID: "q1.1", Engine: queries.EngineCoproc, Packed: true, NoCache: true}
+	started := make(chan struct{}, 2)
+	errs := make(chan error, 2)
+	for range 2 {
+		go func() {
+			var seen int
+			for n := 0; n < 500 && seen < 3; n++ {
+				resp, err := s.Do(ctx, req)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if n == 0 {
+					started <- struct{}{}
+				}
+				if w, ok := want[resp.Version]; !ok || !samePricing(resp, w) {
+					errs <- fmt.Errorf("%s: %.12fs / %d bytes / %d resident; want %.12fs / %d bytes / %d resident",
+						resp.Version, resp.SimSeconds, resp.TransferBytes, resp.ResidentCols,
+						w.SimSeconds, w.TransferBytes, w.ResidentCols)
+					return
+				}
+				if resp.Version == "v2" {
+					seen++
+				}
+			}
+			if seen < 3 {
+				errs <- fmt.Errorf("%d requests after the swap in 500", seen)
+				return
+			}
+			errs <- nil
+		}()
+	}
+	<-started
+	s.SetDataset("v2", ds2)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	cols, used := queries.ResidentColumns(pf2, capacity)
+	if st := s.Stats(); st.DeviceCacheCols != len(cols) || st.DeviceCacheUsedBytes != used {
+		t.Errorf("after the swap stats report %d cols / %d bytes; the new snapshot keeps %d / %d",
+			st.DeviceCacheCols, st.DeviceCacheUsedBytes, len(cols), used)
+	}
+}
+
+// TestResidencyInvalidatedBySwap: SetDataset carries no residency over.
+// The first packed coprocessor request against the new dataset misses the
+// result cache and is priced exactly as a fresh service on that dataset
+// prices it, by the new encoding's own resident set.
+func TestResidencyInvalidatedBySwap(t *testing.T) {
+	ctx := context.Background()
+	pf1 := residencyDS.Pack()
+	walk, _ := queries.ResidentColumns(pf1, pf1.Bytes())
+	capacity := pf1.Col(walk[0]).Bytes()
+	ds2 := ssb.GenerateRows(30_000)
+	q, _ := queries.ByID("q1.1")
+	fresh := packedCoproc(t, ds2, capacity)
+	if fresh.ResidentCols != residentRefs(ds2.Pack(), capacity, q) {
+		t.Fatalf("a fresh service keeps %d of q1.1's columns resident, the policy %d",
+			fresh.ResidentCols, residentRefs(ds2.Pack(), capacity, q))
+	}
+
+	s := New(residencyDS, "v1", Options{Workers: 1, DeviceCacheBytes: capacity})
+	defer s.Close()
+	req := Request{QueryID: "q1.1", Engine: queries.EngineCoproc, Packed: true}
+	var before Response
+	for range 3 {
+		resp, err := s.Do(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = resp
+	}
+	s.SetDataset("v2", ds2)
+	after, err := s.Do(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.ResultCached || after.Version != "v2" {
+		t.Errorf("first request after the swap: cached=%v, version %s", after.ResultCached, after.Version)
+	}
+	if !samePricing(after, fresh) {
+		t.Errorf("after the swap %.12fs / %d bytes / %d resident; a fresh service %.12fs / %d bytes / %d resident",
+			after.SimSeconds, after.TransferBytes, after.ResidentCols, fresh.SimSeconds, fresh.TransferBytes, fresh.ResidentCols)
+	}
+	if after.ResidentCols == before.ResidentCols {
+		t.Errorf("both datasets keep %d of q1.1's columns resident; the swap cannot show", after.ResidentCols)
 	}
 }
 
