@@ -60,15 +60,18 @@ test:
 # spill accounting), the 64-bit GPU radix sort (output is a stable
 # sorted permutation of the input on the masked key bits), and execution
 # shapes (Normalize never panics, is idempotent and refuses every unknown
-# or out-of-range input; a normalized shape's key decodes back to it), and
+# or out-of-range input; a normalized shape's key decodes back to it),
 # the word-at-a-time dimension filter (bitmap and count equal Filter.Match
-# row by row).
+# row by row), and the scan's predicated filter and probe compaction (the
+# rows kept, in order, and the payloads written equal Filter.Match and
+# KeyIndex.Row plus the join bitmap row by row).
 fuzz:
 	$(GO) test ./internal/ssb -run='^$$' -fuzz=FuzzRead -fuzztime=20s
 	$(GO) test ./internal/sql -run='^$$' -fuzz=FuzzParse -fuzztime=20s
 	$(GO) test ./internal/queries -run='^$$' -fuzz=FuzzZoneMap -fuzztime=20s
 	$(GO) test ./internal/queries -run='^$$' -fuzz=FuzzShape -fuzztime=20s
 	$(GO) test ./internal/queries -run='^$$' -fuzz=FuzzDimFilter -fuzztime=20s
+	$(GO) test ./internal/queries -run='^$$' -fuzz=FuzzScanSel -fuzztime=20s
 	$(GO) test ./internal/pack -run='^$$' -fuzz=FuzzPackRoundTrip -fuzztime=20s
 	$(GO) test ./internal/fleet -run='^$$' -fuzz=FuzzShardAssignment -fuzztime=20s
 	$(GO) test ./internal/gpu -run='^$$' -fuzz=FuzzRadixSort -fuzztime=20s

@@ -124,9 +124,13 @@ func ScanCostPacked(dev *device.Spec, pf *ssb.PackedFact, factRows int64, filter
 
 // TransferCost prices the coprocessor's PCIe shipment of a column working
 // set of which residentBytes are already pinned in device memory: the
-// resident portion costs nothing (the whole point of the residency cache),
-// the remainder crosses the link at PCIe bandwidth. residentBytes clamps to
-// totalBytes, so a fully resident working set is free.
+// resident portion costs nothing, the remainder crosses the link at PCIe
+// bandwidth. residentBytes clamps to totalBytes, so a fully resident working
+// set is free. What is resident is the snapshot's fixed set
+// (queries.ResidentColumns of its packed encoding and the device capacity),
+// not a cache that requests fill. ssbench -packed prints its "fully
+// resident" figure as that free case: a literal 0 beside TransferCost(bytes,
+// 0) for the plain and packed shipments, not the result of a run.
 func TransferCost(totalBytes, residentBytes int64) float64 {
 	if residentBytes > totalBytes {
 		residentBytes = totalBytes

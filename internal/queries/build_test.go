@@ -91,7 +91,7 @@ func probesAgree(t *testing.T, label string, b *buildInfo, ref *crystal.HashTabl
 	if b.spec.Payload != "" {
 		out = make([]int32, len(keys))
 	}
-	kept := probeSel(b, keys, sel, out)
+	kept := probeSel(b, keys, sel, out, make([]int32, len(keys)))
 	for i, k := range keys {
 		v, ok := ref.Get(k)
 		if got := len(kept) > 0 && kept[0] == int32(i); got != ok {

@@ -79,6 +79,46 @@ func TestSoloIsBatchOfOne(t *testing.T) {
 	}
 }
 
+// TestScanTileAllocatesNothing: with its scratch reserved, a tile scan
+// allocates nothing — filters, probes with and without payloads into
+// identity and range-table indexes, and the aggregate, on the plain
+// encoding and the packed one. Every tile buffer, a probe's dimension rows
+// included, comes from the worker's scratch.
+func TestScanTileAllocatesNothing(t *testing.T) {
+	for _, c := range []struct {
+		id     string
+		packed bool
+	}{{"q1.1", false}, {"q2.1", false}, {"q3.1", true}} {
+		q, err := ByID(c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Compile(testDS, q)
+		var opts RunOptions
+		if c.packed {
+			opts.Partition.Packed = testPacked
+		}
+		var pipe scanPipe
+		pipe.seat(scanMember{p: p, ms: p.morselRun(opts)}, nil)
+		var a scanAcc
+		a.open(&pipe)
+		sc := getScratch(ssb.MorselAlign, pipe.payloads, len(p.agg.cols), p.agg.slots())
+		rows := testDS.Lineorder.Rows()
+		scan := func() {
+			for lo := 0; lo < rows; lo += ssb.MorselAlign {
+				a.scanTile(lo, min(ssb.MorselAlign, rows-lo), sc, nil)
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, scan); allocs != 0 {
+			t.Errorf("%s packed=%v: %v allocations per scan of every tile", c.id, c.packed, allocs)
+		}
+		if a.out == 0 {
+			t.Errorf("%s packed=%v: no row reached the aggregate", c.id, c.packed)
+		}
+		putScratch(sc)
+	}
+}
+
 // passStats runs the plan alone through the scan kernel, over the extent
 // opts resolves, and returns the statistics of its pass.
 func passStats(p *Plan, opts RunOptions) *pipeStats {
@@ -97,25 +137,46 @@ func rawGroups(r *Result) map[int64][]int64 {
 // BenchmarkScanKernel is the per-layer benchmark of the one probe pipeline: a
 // monolithic pass over 2^20 fact rows with one member (the solo engines'
 // path) and with eight (a full shared-scan batch), on a filter-only query
-// with no group (q1.1) and one-, three- and four-join grouped ones (q2.1 and
-// q4.3 end in hundreds of groups, so the accumulator table's host cost shows
-// in B/op where it is paid). ns/row is per member-row, so a kernel that
-// shares a pass at no extra cost reports the same figure at both sizes.
+// with no group (q1.1, and q1.1-in with its discount range bound as the IN
+// list SQL binds onto a fact column) and one-, three- and four-join grouped
+// ones (q2.1 and q4.3 end in hundreds of groups, so the accumulator table's
+// host cost shows in B/op where it is paid; q2.1-packed reads the bit-packed
+// encoding, decoding each tile's frame). ns/row is per member-row, so a
+// kernel that shares a pass at no extra cost reports the same figure at both
+// sizes.
 func BenchmarkScanKernel(b *testing.B) {
 	const rows = 1 << 20
 	ds := ssb.GenerateRows(rows)
-	for _, id := range []string{"q1.1", "q2.1", "q3.1", "q4.3"} {
+	packed := ds.Pack()
+	byID := func(id string) Query {
 		q, err := ByID(id)
 		if err != nil {
 			b.Fatal(err)
 		}
-		plan := Compile(ds, q)
+		return q
+	}
+	in := byID("q1.1")
+	in.ID, in.FactFilters = "q1.1-in", append([]Filter(nil), in.FactFilters...)
+	in.FactFilters[1] = Filter{Col: "discount", In: []int32{1, 2, 3}}
+	for _, c := range []struct {
+		name string
+		q    Query
+		opts RunOptions
+	}{
+		{"q1.1", byID("q1.1"), RunOptions{}},
+		{"q1.1-in", in, RunOptions{}},
+		{"q2.1", byID("q2.1"), RunOptions{}},
+		{"q2.1-packed", byID("q2.1"), RunOptions{Partition: PartitionOptions{Packed: packed}}},
+		{"q3.1", byID("q3.1"), RunOptions{}},
+		{"q4.3", byID("q4.3"), RunOptions{}},
+	} {
+		plan := Compile(ds, c.q)
 		for _, n := range []int{1, 8} {
 			members := make([]scanMember, n)
 			for i := range members {
-				members[i] = scanMember{p: plan, ms: plan.morselRun(RunOptions{})}
+				members[i] = scanMember{p: plan, ms: plan.morselRun(c.opts)}
 			}
-			b.Run(fmt.Sprintf("%s/members=%d", id, n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/members=%d", c.name, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					scanKernel(members, n > 1)

@@ -333,6 +333,70 @@ type scanPipe struct {
 	pruned   []bool   // per canonical morsel
 }
 
+// seat resolves member m's pipeline into pipe — its read slots in colOrder,
+// over the fact encoding its run resolved — and returns the member's empty
+// statistics. With ucols set, each slot also gets its index into the
+// pass-wide union columns, appended there when new.
+func (pipe *scanPipe) seat(m scanMember, ucols *[]string) *pipeStats {
+	q, ms, ds := &m.p.Query, m.ms, m.p.ds
+	aggCols := m.p.agg.cols
+	nf, nj := len(q.FactFilters), len(q.Joins)
+	st := &pipeStats{
+		totalRows: int64(ds.Lineorder.Rows()),
+		rows:      ms.scanned,
+		colOrder:  make([]string, 0, nf+nj+len(aggCols)),
+		packed:    ms.packed != nil,
+		lines64:   map[string]int64{},
+		evals:     make([]int64, nf),
+		probes:    make([]int64, nj),
+		alive:     make([]int64, nf+nj),
+		lines128:  make([]int64, nf+nj+len(aggCols)),
+	}
+	for fi := range q.FactFilters {
+		st.colOrder = append(st.colOrder, q.FactFilters[fi].Col)
+	}
+	for ji := range q.Joins {
+		st.colOrder = append(st.colOrder, q.Joins[ji].FactFK)
+	}
+	st.colOrder = append(st.colOrder, aggCols...)
+	*pipe = scanPipe{q: q, builds: m.p.builds, ast: m.p.agg, nf: nf, nj: nj,
+		payloads: m.p.agg.groups, pruned: ms.pruned}
+	pipe.cols = make([]string, 0, len(st.colOrder))
+	pipe.slots = make([]scanCol, len(st.colOrder))
+	for si, name := range st.colOrder {
+		c := &pipe.slots[si]
+		known := len(pipe.cols)
+		c.col = colIndex(&pipe.cols, name)
+		c.first = len(pipe.cols) > known
+		if ms.packed != nil {
+			c.packed = ms.packed.Col(name)
+		} else {
+			c.plain = ds.Lineorder.Col(name)
+		}
+		if ucols != nil {
+			c.ucol = colIndex(ucols, name)
+		}
+	}
+	if st.packed {
+		// Per-column packed extents: scan bytes over the surviving morsels
+		// (exactly additive — morsels cover whole frames) and the full
+		// column footprint gathers address. Host-side metadata, no device
+		// time.
+		st.scanBytes = map[string]int64{}
+		st.footBytes = map[string]int64{}
+		for _, col := range pipe.cols {
+			fr := ms.packed.Col(col)
+			st.footBytes[col] = fr.Bytes()
+			var b int64
+			for _, lm := range ms.live {
+				b += fr.BytesRange(lm.Lo, lm.Hi)
+			}
+			st.scanBytes[col] = b
+		}
+	}
+	return st
+}
+
 // scanAcc is one worker's private accumulator for one member, opened at the
 // first tile the worker seats the member on: a member the worker never scans
 // (another device's shard, another arm's morsels) costs it nothing.
@@ -367,14 +431,18 @@ func (a *scanAcc) open(pipe *scanPipe) {
 // The pipeline may therefore read an entry only if it wrote that entry
 // earlier in the same tile: sel[:n] is reset to every row at the start of a
 // tile and only compacted after; a packed read decodes into items or its
-// cols buffer at every selected row before anything reads them; a join
-// writes its payload tile at every row it keeps, and the aggregate reads
-// payloads and inputs only at rows every read kept; row is written before
-// each update reads it; acc is reset to the merge identities at every tile.
+// cols buffer at every selected row before anything reads them; a probe
+// through Row (a range-table or map key index) writes rows[j] for every
+// selected row it visits, so rows[:k] holds the k kept rows' dimension rows
+// before its payload gather reads them; a probe writes its payload tile at
+// the rows it keeps and nowhere else, and the aggregate reads payloads and
+// inputs only at rows every read kept; row is written before each update
+// reads it; acc is reset to the merge identities at every tile.
 // Nothing that outlives the pass may alias a scratch buffer.
 type tileScratch struct {
 	sel   []int32   // the tile rows alive at the current read
 	items []int32   // a packed filter input's or key's decoded rows
+	rows  []int32   // a probe's dimension rows, one per kept row, in sel's order
 	cols  [][]int32 // payload tiles, then the packed aggregate inputs' decoded rows
 	aggs  [][]int32 // the aggregate inputs' tiles
 	row   []int32   // one row's payloads, then its aggregate inputs
@@ -388,6 +456,7 @@ func (s *tileScratch) reserve(ts, payloads, aggs, slots int) {
 	if len(s.sel) < ts {
 		s.sel = make([]int32, ts)
 		s.items = make([]int32, ts)
+		s.rows = make([]int32, ts)
 		s.cols = nil // its tiles are the old size
 	}
 	for len(s.cols) < payloads+aggs {
@@ -475,7 +544,7 @@ func (a *scanAcc) scanTile(lo, n int, sc *tileScratch, union []tileLines) {
 				out, payloads = payloads[0], payloads[1:]
 			}
 			a.probes[ji] += int64(len(sel))
-			sel = probeSel(&a.builds[ji], vals, sel, out)
+			sel = probeSel(&a.builds[ji], vals, sel, out, sc.rows)
 			a.alive[s] += int64(len(sel))
 		default:
 			aggs = append(aggs, vals)
@@ -487,35 +556,107 @@ func (a *scanAcc) scanTile(lo, n int, sc *tileScratch, union []tileLines) {
 	a.aggregate(sel, sc.cols[:a.payloads], aggs, sc)
 }
 
-// filterSel compacts sel to the selected rows whose value passes f.
+// filterSel compacts sel to the selected rows whose value passes f. The
+// compaction is predicated (the paper's Section 4.2, Figs. 12 and 15): every
+// row is written at k and k advances by the comparison's 0/1, so no branch
+// depends on the data. A range compares each value once, offset into
+// [0, Hi-Lo]; an IN list ORs its equalities.
 func filterSel(f *Filter, vals, sel []int32) []int32 {
 	k := 0
-	for _, i := range sel {
-		if f.Match(vals[i]) {
+	if f.In != nil {
+		for _, i := range sel {
+			v, hit := vals[i], 0
+			for _, x := range f.In {
+				hit |= btoi(v == x)
+			}
 			sel[k] = i
-			k++
+			k += hit
 		}
+		return sel[:k]
+	}
+	if f.Lo > f.Hi {
+		return sel[:0]
+	}
+	lo, width := f.Lo, uint32(f.Hi-f.Lo)
+	for _, i := range sel {
+		sel[k] = i
+		k += btoi(uint32(vals[i]-lo) <= width)
 	}
 	return sel[:k]
 }
 
 // probeSel probes join b with the selected rows' keys, compacting sel to the
 // rows whose dimension row exists and passes the join's filters and, when
-// out is set, writing their payloads at their rows of out.
-func probeSel(b *buildInfo, keys, sel, out []int32) []int32 {
-	k := 0
-	for _, i := range sel {
-		r := b.index.Row(keys[i])
-		if r < 0 || b.pass != nil && b.pass[r>>6]&(1<<(r&63)) == 0 {
-			continue
-		}
-		sel[k] = i
-		k++
+// out is set, writing their payloads at their rows of out (and nowhere
+// else). The compaction is predicated like filterSel's (probeIdentity,
+// probeIndex); the payload column is then read for the kept rows only.
+func probeSel(b *buildInfo, keys, sel, out, rows []int32) []int32 {
+	if b.pass != nil && len(b.pass) == 0 {
+		return sel[:0] // an empty dimension joins nothing
+	}
+	var k int
+	if lo, span, ok := b.index.Identity(); ok {
+		k = probeIdentity(lo, span, b.pass, keys, sel)
 		if out != nil {
-			out[i] = b.payload[r]
+			for _, i := range sel[:k] {
+				out[i] = b.payload[keys[i]-lo]
+			}
+		}
+	} else {
+		k = probeIndex(b.index, b.pass, keys, sel, rows)
+		if out != nil {
+			for j, i := range sel[:k] {
+				out[i] = b.payload[rows[j]]
+			}
 		}
 	}
 	return sel[:k]
+}
+
+// probeIdentity compacts sel over an identity key index, where key lo+u is
+// row u for u < span, and returns the number kept. A row is kept by
+// (u < span) AND its bit of pass, an absent key's u masked to row 0 so the
+// bitmap load stays in bounds; a nil pass keeps every present key.
+func probeIdentity(lo int32, span uint32, pass []uint64, keys, sel []int32) int {
+	k := 0
+	if pass == nil {
+		for _, i := range sel {
+			sel[k] = i
+			k += btoi(uint32(keys[i]-lo) < span)
+		}
+		return k
+	}
+	for _, i := range sel {
+		u := uint32(keys[i] - lo)
+		in := btoi(u < span)
+		r := u & uint32(-in)
+		sel[k] = i
+		k += in & int(pass[r>>6]>>(r&63)&1)
+	}
+	return k
+}
+
+// probeIndex compacts sel over any other key index through Row and returns
+// the number kept, writing each kept row's dimension row to rows (at least
+// len(sel) long). Row's -1 for an absent key is clamped to row 0 so the
+// bitmap load stays in bounds, and the row is kept by (r >= 0) AND its bit.
+func probeIndex(x *ssb.KeyIndex, pass []uint64, keys, sel, rows []int32) int {
+	k := 0
+	for _, i := range sel {
+		r := x.Row(keys[i])
+		c := r &^ (r >> 63)
+		sel[k], rows[k] = i, int32(c)
+		k += btoi(r >= 0) & passes(pass, c)
+	}
+	return k
+}
+
+// passes is 1 when bitmap pass keeps row r, and always for a nil bitmap.
+func passes(pass []uint64, r int) int {
+	if pass == nil {
+		return 1
+	}
+	return int(pass[r>>6] >> (r & 63) & 1)
 }
 
 // aggregate folds the rows alive after the last read into the member's
@@ -587,69 +728,16 @@ func scanKernel(members []scanMember, union bool) ([]*Result, []*pipeStats, map[
 	// ucols are the distinct fact columns across a shared pass (index =
 	// scanCol.ucol); a pass without union leaves them empty.
 	var ucols []string
+	var ucolsOf *[]string
+	if union {
+		ucolsOf = &ucols
+	}
 	maxPayloads, maxAggs, maxSlots := 0, 0, 0
 	for i, m := range members {
-		q, ms := &m.p.Query, m.ms
-		aggCols := m.p.agg.cols
-		nf, nj := len(q.FactFilters), len(q.Joins)
-		st := &pipeStats{
-			totalRows: int64(ds.Lineorder.Rows()),
-			rows:      ms.scanned,
-			colOrder:  make([]string, 0, nf+nj+len(aggCols)),
-			packed:    ms.packed != nil,
-			lines64:   map[string]int64{},
-			evals:     make([]int64, nf),
-			probes:    make([]int64, nj),
-			alive:     make([]int64, nf+nj),
-			lines128:  make([]int64, nf+nj+len(aggCols)),
-		}
-		for fi := range q.FactFilters {
-			st.colOrder = append(st.colOrder, q.FactFilters[fi].Col)
-		}
-		for ji := range q.Joins {
-			st.colOrder = append(st.colOrder, q.Joins[ji].FactFK)
-		}
-		st.colOrder = append(st.colOrder, aggCols...)
-		pipe := &pipes[i]
-		*pipe = scanPipe{q: q, builds: m.p.builds, ast: m.p.agg, nf: nf, nj: nj,
-			payloads: m.p.agg.groups, pruned: ms.pruned}
-		pipe.cols = make([]string, 0, len(st.colOrder))
-		pipe.slots = make([]scanCol, len(st.colOrder))
-		for si, name := range st.colOrder {
-			c := &pipe.slots[si]
-			known := len(pipe.cols)
-			c.col = colIndex(&pipe.cols, name)
-			c.first = len(pipe.cols) > known
-			if ms.packed != nil {
-				c.packed = ms.packed.Col(name)
-			} else {
-				c.plain = ds.Lineorder.Col(name)
-			}
-			if union {
-				c.ucol = colIndex(&ucols, name)
-			}
-		}
-		maxPayloads = max(maxPayloads, pipe.payloads)
-		maxAggs = max(maxAggs, len(aggCols))
+		results[i], stats[i] = &Result{}, pipes[i].seat(m, ucolsOf)
+		maxPayloads = max(maxPayloads, pipes[i].payloads)
+		maxAggs = max(maxAggs, len(m.p.agg.cols))
 		maxSlots = max(maxSlots, m.p.agg.slots())
-		if st.packed {
-			// Per-column packed extents: scan bytes over the surviving morsels
-			// (exactly additive — morsels cover whole frames) and the full
-			// column footprint gathers address. Host-side metadata, no device
-			// time.
-			st.scanBytes = map[string]int64{}
-			st.footBytes = map[string]int64{}
-			for _, col := range pipe.cols {
-				fr := ms.packed.Col(col)
-				st.footBytes[col] = fr.Bytes()
-				var b int64
-				for _, lm := range ms.live {
-					b += fr.BytesRange(lm.Lo, lm.Hi)
-				}
-				st.scanBytes[col] = b
-			}
-		}
-		results[i], stats[i] = &Result{}, st
 	}
 
 	// Chunks cover the union of the members' surviving morsels; the morsel

@@ -82,6 +82,14 @@ func (x *KeyIndex) Row(key int32) int {
 	return -1
 }
 
+// Identity reports whether key lo+u is row u for every u < span and no
+// other key has a row (customer, supplier and part keys): a probe of such
+// an index is a subtraction and one compare, which a caller may inline
+// into a loop that takes no branch on the keys.
+func (x *KeyIndex) Identity() (lo int32, span uint32, ok bool) {
+	return x.lo, x.span, x.rows == nil && x.other == nil
+}
+
 // sparseRow is Row for a key set kept in a map; it stays out of Row so that
 // the dense forms' probe inlines.
 func (x *KeyIndex) sparseRow(key int32) int {

@@ -12,7 +12,8 @@ import (
 // a constant, keys dense enough for a range table, any other key set —
 // answers every key with its row and every absent key, in and around the
 // range and at the int32 extremes, with -1, exactly as a map does. The
-// generated dimensions take the form their keys call for.
+// generated dimensions take the form their keys call for, and only the
+// identity form reports itself to Identity, spanning every key.
 func TestKeyIndexForms(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	identity := []int32{math.MaxInt32 - 1, math.MaxInt32, math.MinInt32, math.MinInt32 + 1}
@@ -51,6 +52,9 @@ func TestKeyIndexForms(t *testing.T) {
 		}
 		if form != c.form {
 			t.Errorf("%s: indexed as %s, want %s", c.name, form, c.form)
+		}
+		if lo, span, ok := x.Identity(); ok != (form == "identity") || ok && (lo != x.lo || int(span) != len(c.keys)) {
+			t.Errorf("%s: Identity() = %d, %d, %v as %s over %d keys", c.name, lo, span, ok, form, len(c.keys))
 		}
 		want := map[int32]int{}
 		probe := []int32{0, 1, -1, math.MinInt32, math.MaxInt32}
