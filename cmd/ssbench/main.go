@@ -5,6 +5,7 @@
 //	-fig16  Hyper, Standalone CPU, Omnisci, Standalone GPU (Figure 16)
 //	-case21 the Section 5.3 q2.1 case study (model vs measured)
 //	-cost   the Section 5.4 dollar-cost comparison (Table 3)
+//	-gpus N the multi-GPU fleet sweep over 1..N GPUs (-all runs it at 8)
 //	-sql    one ad-hoc SQL statement, compiled by internal/sql, on every engine
 //	-load   the seeded overload simulator against an in-process serving stack
 //	-all    everything (except -sql, -explain, -percentiles and -load)
@@ -33,8 +34,9 @@
 // -packed runs every scan over the bit-packed fact encoding (Section 5.5):
 // rows are identical, the GPU engines get cheaper in proportion to the
 // compression ratio while the CPU engines pay unpack arithmetic, the
-// coprocessor ships compressed bytes over PCIe, and a per-column
-// compression report is appended. Combine with -cluster to watch the sort
+// coprocessor ships compressed bytes over PCIe (and fewer once a V100's
+// memory of packed columns is resident), and a per-column compression
+// report is appended. Combine with -cluster to watch the sort
 // column's per-frame widths collapse.
 //
 // Queries execute functionally at the given scale factor (default 2; the
@@ -67,7 +69,6 @@ var (
 	fig16   = flag.Bool("fig16", false, "run Figure 16")
 	case21  = flag.Bool("case21", false, "run the Section 5.3 q2.1 case study")
 	cost    = flag.Bool("cost", false, "run the Section 5.4 cost comparison")
-	multi   = flag.Bool("multigpu", false, "run the Section 5.5 multi-GPU scaling extension")
 	plans   = flag.Bool("plans", false, "rank the q2.1 join orders with the cost-based planner (Section 5.3)")
 	all     = flag.Bool("all", false, "run everything")
 	dataset = flag.String("data", "", "load a dataset written by datagen instead of generating")
@@ -100,9 +101,12 @@ func main() {
 		}
 		return
 	}
-	if !(*fig3 || *fig16 || *case21 || *cost || *multi || *plans || *gpus > 0 || *hybrid ||
+	if !(*fig3 || *fig16 || *case21 || *cost || *plans || *gpus > 0 || *hybrid ||
 		*sqlStmt != "" || *explain != "" || *pcts) {
 		*all = true
+	}
+	if *all && *gpus == 0 {
+		*gpus = 8 // -all sweeps fleets of 1..8 GPUs
 	}
 	if *gpus > 0 {
 		// Fail fast on a bad -interconnect, before minutes of dataset
@@ -161,7 +165,7 @@ func main() {
 		fmt.Println()
 	}
 	if *all || *fig16 {
-		tb := runTable(ds, scale,
+		runTable(ds, scale,
 			"Figure 16: standalone engines, SSB extrapolated to SF 20 (ms)",
 			[]queries.Engine{queries.EngineHyper, queries.EngineCPU, queries.EngineOmnisci, queries.EngineGPU})
 		// Same execution flags as the table above, so the ratio annotates
@@ -175,16 +179,12 @@ func main() {
 		fmt.Printf("mean Standalone CPU / Standalone GPU ratio: %.1fx (paper: ~25x; bandwidth ratio 16.2x)\n", mean(ratios))
 		fmt.Println("paper: Standalone CPU ~1.17x faster than Hyper; Standalone GPU ~16x faster than Omnisci")
 		fmt.Println()
-		_ = tb
 	}
 	if *all || *case21 {
 		runCase21(ds, scale)
 	}
 	if *all || *cost {
 		runCost(ds)
-	}
-	if *all || *multi {
-		runMultiGPU(ds)
 	}
 	if *gpus > 0 {
 		if err := runFleetSweep(ds, *gpus, *link); err != nil {
@@ -516,31 +516,6 @@ func runHybrid(ds *ssb.Dataset, gpuArms int) error {
 	return nil
 }
 
-// runMultiGPU prints the Section 5.5 "Distributed+Hybrid" extension: q2.1
-// sharded across 1..8 V100s with replicated dimension tables.
-func runMultiGPU(ds *ssb.Dataset) {
-	bench.Banner(os.Stdout, "Section 5.5 extension: multi-GPU scaling (q2.1, fact table sharded)")
-	q, err := queries.ByID("q2.1")
-	if err != nil {
-		panic(err)
-	}
-	plan := queries.Compile(ds, q)
-	base := 0.0
-	for _, k := range []int{1, 2, 4, 8} {
-		fr, err := run(plan, queries.Shape{Engine: queries.EngineGPU, GPUs: k, Link: fleet.PCIe().Name}, false)
-		if err != nil {
-			panic(err)
-		}
-		res := fr.Result
-		if k == 1 {
-			base = res.Seconds
-		}
-		fmt.Printf("  %d GPU(s): %8.3f ms  (%.2fx)\n", k, res.Milliseconds(), base/res.Seconds)
-	}
-	fmt.Println("scaling is sub-linear: dimension builds are replicated on every device")
-	fmt.Println()
-}
-
 // run executes plan on the execution shape sh through Plan.Schedule, the
 // one shape-to-schedule switch the query service uses too. The shape
 // carries the morsel count and whether the scan reads the packed encoding;
@@ -610,22 +585,34 @@ func runPackedReport(ds *ssb.Dataset) {
 			dev.Name, bench.MS(plain), bench.MS(pk), verdict)
 	}
 	plan := queries.Compile(ds, q)
+	plain := plan.Run(queries.EngineCoproc)
 	cold, err := run(plan, queries.Shape{Engine: queries.EngineCoproc, Packed: true}, false)
 	if err != nil {
 		panic(err)
 	}
-	plain := plan.Run(queries.EngineCoproc)
+	// The third run keeps a V100's memory of packed columns resident.
 	// q1.1 joins no dimensions, so its whole transfer is fact columns the
 	// resident set can elide; queries with joins keep shipping their
 	// (small) replicated dimension tables even when fully resident.
-	fmt.Printf("  q1.1 coprocessor PCIe: %.2f MB plain -> %.2f MB packed -> 0 MB fully resident (planner: %.3f ms -> %.3f ms -> 0)\n",
-		float64(plain.TransferBytes)/1e6, float64(cold.Result.TransferBytes)/1e6,
-		bench.MS(planner.TransferCost(plain.TransferBytes, 0)),
-		bench.MS(planner.TransferCost(cold.Result.TransferBytes, 0)))
+	opts := queries.RunOptions{DeviceCacheBytes: device.V100().MemoryBytes}
+	opts.Partition.Packed = packedFact
+	s, _, err := plan.Schedule(queries.Shape{Engine: queries.EngineCoproc}, opts)
+	if err != nil {
+		panic(err)
+	}
+	resident, err := plan.RunScheduled(s)
+	if err != nil {
+		panic(err)
+	}
+	mb := func(b int64) float64 { return float64(b) / 1e6 }
+	ms := func(b int64) float64 { return bench.MS(device.TransferTime(b)) }
+	p, c, r := plain.TransferBytes, cold.Result.TransferBytes, resident.Result.TransferBytes
+	fmt.Printf("  q1.1 coprocessor PCIe: %.2f MB plain -> %.2f MB packed -> %.2f MB resident (%.3f ms -> %.3f ms -> %.3f ms)\n",
+		mb(p), mb(c), mb(r), ms(p), ms(c), ms(r))
 	fmt.Println()
 }
 
-func runTable(ds *ssb.Dataset, scale func(*queries.Result) float64, title string, engines []queries.Engine) *bench.Table {
+func runTable(ds *ssb.Dataset, scale func(*queries.Result) float64, title string, engines []queries.Engine) {
 	tb := &bench.Table{Title: title}
 	for _, e := range engines {
 		tb.Columns = append(tb.Columns, string(e))
@@ -639,7 +626,6 @@ func runTable(ds *ssb.Dataset, scale func(*queries.Result) float64, title string
 		tb.AddRow(q.ID, vals...)
 	}
 	tb.Fprint(os.Stdout)
-	return tb
 }
 
 // runPruneReport summarizes what zone maps buy at the requested partition

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -205,31 +204,6 @@ func GeoMean(vs []float64) float64 {
 }
 
 func pow(x, p float64) float64 { return math.Pow(x, p) }
-
-// SortTicks sorts a slice of (tick, value) columns by numeric tick where
-// possible, keeping series aligned; used by sweeps assembled from maps.
-func SortTicks(ticks []string, series map[string][]float64) {
-	idx := make([]int, len(ticks))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return ticks[idx[a]] < ticks[idx[b]] })
-	reorder := func(vs []float64) {
-		tmp := make([]float64, len(vs))
-		copy(tmp, vs)
-		for i, j := range idx {
-			vs[i] = tmp[j]
-		}
-	}
-	tmp := make([]string, len(ticks))
-	copy(tmp, ticks)
-	for i, j := range idx {
-		ticks[i] = tmp[j]
-	}
-	for _, vs := range series {
-		reorder(vs)
-	}
-}
 
 // HumanBytes renders a byte count the way the Figure 13 x-axis labels do.
 func HumanBytes(n int64) string {

@@ -97,15 +97,6 @@ func TestHumanBytes(t *testing.T) {
 	}
 }
 
-func TestSortTicks(t *testing.T) {
-	ticks := []string{"c", "a", "b"}
-	series := map[string][]float64{"s": {3, 1, 2}}
-	SortTicks(ticks, series)
-	if ticks[0] != "a" || series["s"][0] != 1 || series["s"][2] != 3 {
-		t.Errorf("sort ticks wrong: %v %v", ticks, series["s"])
-	}
-}
-
 func TestBanner(t *testing.T) {
 	var buf bytes.Buffer
 	Banner(&buf, "Hello")

@@ -18,7 +18,6 @@ package crystal
 
 import (
 	"crystal/internal/device"
-	"crystal/internal/pack"
 	"crystal/internal/sim"
 )
 
@@ -91,27 +90,6 @@ func BlockLoadSel[T Value](b *sim.Block, col []T, bitmap []uint8, items []T) int
 	return n
 }
 
-// BlockLoadPacked is BlockLoad over a bit-packed column (the Section 5.5
-// compression extension): the block reads its tile's packed frames from
-// global memory — width/32 of the plain traffic — and unpacks into the
-// register array. Unpacking is register arithmetic the GPU's compute
-// headroom absorbs (the asymmetry the paper predicts), so only the packed
-// bytes are charged. The frame size equals the tile size in this repo, so a
-// tile's traffic is exactly its frame's footprint and per-block charges
-// merge exactly for any grid.
-func BlockLoadPacked(b *sim.Block, col *pack.Frames, items []int32) int {
-	n := b.TileElems
-	if rem := col.Len() - b.Offset; n > rem {
-		n = rem
-	}
-	if n <= 0 {
-		return 0
-	}
-	col.UnpackRange(b.Offset, b.Offset+n, items)
-	b.Pass().BytesRead += col.BytesRange(b.Offset, b.Offset+n)
-	return n
-}
-
 // BlockStore copies n contiguous items from registers/shared memory to
 // global memory at out[dst:]. The write is coalesced (Table 1).
 func BlockStore[T Value](b *sim.Block, items []T, n int, out []T, dst int) {
@@ -130,16 +108,6 @@ func BlockPred[T Value](b *sim.Block, items []T, n int, pred func(T) bool, bitma
 		if pred(items[i]) {
 			bitmap[i] = 1
 		} else {
-			bitmap[i] = 0
-		}
-	}
-}
-
-// BlockPredAnd ands pred into an existing bitmap (the AndPred combinator of
-// Figure 7(b)). Items with a zero bitmap entry are not evaluated.
-func BlockPredAnd[T Value](b *sim.Block, items []T, n int, pred func(T) bool, bitmap []uint8) {
-	for i := 0; i < n; i++ {
-		if bitmap[i] != 0 && !pred(items[i]) {
 			bitmap[i] = 0
 		}
 	}

@@ -61,7 +61,7 @@ func TestBlockLoadPartialTile(t *testing.T) {
 	if got := BlockLoad(b, col, items); got != 100 {
 		t.Fatalf("partial tile load = %d, want 100", got)
 	}
-	if b.FullTile() {
+	if b.TileElems == b.Threads*b.ItemsPerThread {
 		t.Error("tile of 100/128 should not report full")
 	}
 }
@@ -105,28 +105,6 @@ func TestBlockPredAndScanShuffle(t *testing.T) {
 				t.Fatalf("shuffle order broken at %d", j)
 			}
 			j++
-		}
-	}
-}
-
-func TestBlockPredAnd(t *testing.T) {
-	const n = 256
-	a := make([]int32, n)
-	c := make([]int32, n)
-	for i := range a {
-		a[i], c[i] = int32(i), int32(n-i)
-	}
-	b := testBlock(t, n)
-	bitmap := make([]uint8, n)
-	BlockPred(b, a, n, func(v int32) bool { return v >= 64 }, bitmap)
-	BlockPredAnd(b, c, n, func(v int32) bool { return v >= 64 }, bitmap)
-	for i := 0; i < n; i++ {
-		want := uint8(0)
-		if a[i] >= 64 && c[i] >= 64 {
-			want = 1
-		}
-		if bitmap[i] != want {
-			t.Fatalf("combined predicate wrong at %d", i)
 		}
 	}
 }

@@ -291,9 +291,6 @@ func (c *Clock) Charge(p *Pass) float64 {
 	return t
 }
 
-// AddSeconds adds raw simulated time (e.g. PCIe transfer).
-func (c *Clock) AddSeconds(t float64) { c.seconds += t }
-
 // Seconds returns total simulated time.
 func (c *Clock) Seconds() float64 { return c.seconds }
 

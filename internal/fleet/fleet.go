@@ -12,10 +12,11 @@
 // memory) plus the cross-device merge of the partial aggregates.
 //
 // Assign is the shard scheduler's mechanism: it produces the shard map and
-// the per-device spill accounting the cost model (planner.FleetCost) and
-// the executor (queries.Plan.ScheduleFleet) both consume, so the scheduler's
-// prices and the engine's simulated seconds can never disagree about
-// placement.
+// the per-device spill accounting the fleet executor
+// (queries.Plan.ScheduleFleet) consumes. The hybrid executor and the
+// placement cost model (planner.HybridCost) call it with capacity 0 for the
+// same shard map, so the model and the engine can never disagree about
+// which device scans which morsels.
 package fleet
 
 import (

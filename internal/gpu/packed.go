@@ -11,8 +11,8 @@ import (
 // tile's share of the packed words — width/32 of the plain traffic — and
 // unpacks in registers. The V100's compute-to-bandwidth ratio keeps the
 // kernel bandwidth bound, so the traffic saving translates directly into
-// runtime. The full-query engines scan packed frames the same way through
-// crystal.BlockLoadPacked (queries.RunOptions.Packed); this operator is
+// runtime. The full-query engines decode packed frames a tile at a time in
+// their scan kernel (queries.RunOptions.Partition.Packed); this operator is
 // the isolated kernel-level form (BenchmarkAblation_PackedScan).
 func SelectPacked(clk *device.Clock, cfg sim.Config, col *pack.Column, pred func(int32) bool) []int32 {
 	cfg.Elems = col.Len()

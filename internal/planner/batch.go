@@ -49,9 +49,9 @@ func BatchCost(fl fleet.Spec, ds *ssb.Dataset, qs []queries.Query, morsels []ssb
 	return BatchEstimate{
 		Members:       len(qs),
 		GPUs:          fl.GPUs,
-		CPUSeconds:    m.price(1, 0).Seconds,
-		GPUSeconds:    m.price(0, 0).Seconds,
-		HybridSeconds: m.price(frac, 0).Seconds,
+		CPUSeconds:    m.price(1).Seconds,
+		GPUSeconds:    m.price(0).Seconds,
+		HybridSeconds: m.price(frac).Seconds,
 		CPUFrac:       frac,
 	}, nil
 }

@@ -102,4 +102,7 @@ func TestChooseBatchPlacementRouting(t *testing.T) {
 	if _, _, err := ChooseBatchPlacement(fleet.Spec{GPUs: 1, Link: fleet.PCIe()}, hybridDS, nil, morsels, nil); err == nil {
 		t.Error("empty batch priced without error")
 	}
+	if _, _, err := ChooseBatchPlacement(fleet.Spec{GPUs: fleet.MaxGPUs + 1}, hybridDS, qs, morsels, nil); err == nil {
+		t.Error("oversized fleet accepted")
+	}
 }

@@ -14,7 +14,7 @@ import (
 	"crystal/internal/queries"
 )
 
-// goldenPath holds every field of HybridCost, FleetCost and BatchCost over
+// goldenPath holds every field of HybridCost and BatchCost over
 // goldenStatements × {pcie, nvlink} × {plain, packed} × {1, 7, 16} morsels,
 // floats as IEEE-754 bits. It was recorded before the planner computed join
 // statistics once per call, and any change that leaves the model alone must
@@ -80,13 +80,7 @@ func goldenLines(t *testing.T) []string {
 					if err != nil {
 						t.Fatal(err)
 					}
-					fe, err := FleetCost(fl, ds, q, morsels, packed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					lines = append(lines,
-						fmt.Sprintf("%s %s hybrid%s", cfg, q.ID, goldenFields(he)),
-						fmt.Sprintf("%s %s fleet%s", cfg, q.ID, goldenFields(fe)))
+					lines = append(lines, fmt.Sprintf("%s %s hybrid%s", cfg, q.ID, goldenFields(he)))
 				}
 				for lo := 0; lo < len(qs); lo += 4 {
 					batch := qs[lo:min(lo+4, len(qs))]

@@ -13,7 +13,11 @@ import (
 // the scheduler's side of the bargain queries.Plan.ScheduleHybrid executes:
 // both derive the CPU/GPU division from sched.CPUFraction and
 // sched.SplitHybrid and the GPU shard map from fleet.Assign, so the model
-// can never price a placement the executor would not produce.
+// can never price a placement the executor would not produce. Every
+// placement it prices is host-resident: the data lives in host memory and
+// GPU arms ship it per query. A device-resident fleet is not priced; where
+// the working set fits device memory it dominates all of these, so routing
+// among them is the placement surface of a host that owns the data.
 type HybridEstimate struct {
 	// GPUs is the fleet size of the GPU arm and CPUFrac the live-row
 	// fraction the split routes to the host CPU engine.
@@ -43,33 +47,25 @@ type HybridEstimate struct {
 	// live morsel ships). Hybrid must beat both to be chosen.
 	PureCPUSeconds float64
 	PureGPUSeconds float64
-	// FleetSeconds prices the device-resident fleet placement (FleetCost)
-	// for reference: when the working set fits device memory a resident
-	// fleet dominates every host-resident placement, which is why
-	// ChoosePlacement routes only among the latter — the placement
-	// surface of a host that owns the data.
-	FleetSeconds float64
 }
 
 // HybridCost prices one query's hybrid CPU+GPU co-execution over fl at
 // the throughput-balanced default split (sched.CPUFraction), against the
-// pure-CPU, pure-GPU and device-resident fleet placements. The hybrid and
-// pure-GPU placements model host-resident data — their GPU arms ship every
-// referenced column over fl.Link per query — which is what decides the
-// interconnect crossover: on PCIe the shipment drowns the GPU's bandwidth
-// advantage and pure CPU wins (the paper's Section 6 verdict), while on an
-// NVLink-class link the hybrid's combined throughput beats both pure
-// placements.
+// pure-CPU and pure-GPU placements. The hybrid and pure-GPU placements model
+// host-resident data — their GPU arms ship every referenced column over
+// fl.Link per query — which is what decides the interconnect crossover: on
+// PCIe the shipment drowns the GPU's bandwidth advantage and pure CPU wins
+// (the paper's Section 6 verdict), while on an NVLink-class link the
+// hybrid's combined throughput beats both pure placements.
 func HybridCost(fl fleet.Spec, ds *ssb.Dataset, q queries.Query, morsels []ssb.Morsel, packed *ssb.PackedFact) (HybridEstimate, error) {
 	fl, err := fl.Normalized()
 	if err != nil {
 		return HybridEstimate{}, err
 	}
 	m := newMembers(fl, ds, []queries.Query{q}, morsels, packed)
-	est := m.price(sched.CPUFraction(device.I76900(), fl.Device, fl.GPUs), 0)
-	est.PureCPUSeconds = m.price(1, 0).Seconds
-	est.PureGPUSeconds = m.price(0, 0).Seconds
-	est.FleetSeconds = m.price(0, fl.Device.MemoryBytes).Seconds
+	est := m.price(sched.CPUFraction(device.I76900(), fl.Device, fl.GPUs))
+	est.PureCPUSeconds = m.price(1).Seconds
+	est.PureGPUSeconds = m.price(0).Seconds
 	return est, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"crystal/internal/device"
 	"crystal/internal/fleet"
 	"crystal/internal/queries"
 	"crystal/internal/ssb"
@@ -96,17 +95,6 @@ func TestHybridCrossover(t *testing.T) {
 					t.Errorf("%s: planner chose %q, want cpu", label, choice)
 				}
 			}
-			// The device-resident fleet is priced for reference and must be
-			// positive; at this scale the working set fits device memory, so
-			// it dominates every host-resident placement — the reason
-			// ChoosePlacement routes only among the latter.
-			if est.FleetSeconds <= 0 {
-				t.Errorf("%s: no fleet reference price", label)
-			}
-			if est.FleetSeconds >= est.Seconds {
-				t.Errorf("%s: resident fleet (%.9gs) should dominate host-resident hybrid (%.9gs)",
-					label, est.FleetSeconds, est.Seconds)
-			}
 		}
 	}
 }
@@ -146,23 +134,44 @@ func TestHybridCostShape(t *testing.T) {
 	if got, want := est.Seconds, slowest+est.MergeSeconds; got != want {
 		t.Errorf("estimate %.15g != slowest arm + merge %.15g", got, want)
 	}
-	// The executor and the model must agree on the hybrid ship volume byte
-	// for byte: both derive the split and shard map from the same sched
-	// helpers.
-	eachShipRun(nil, func(label string, plan *queries.Plan, fl fleet.Spec, opts queries.RunOptions, morsels []ssb.Morsel) {
-		est, err := HybridCost(fl, ds, plan.Query, morsels, opts.Partition.Packed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hr, err := runHybrid(plan, fl, -1, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hr.Result.TransferBytes != est.ShipBytes {
-			t.Errorf("%s: executor shipped %d bytes, model prices %d — split or shard map diverged",
-				label, hr.Result.TransferBytes, est.ShipBytes)
-		}
-	})
+	// The executor and the model must agree on the ship volume byte for
+	// byte, on the hybrid and the pure-GPU placements: both derive the split
+	// and shard map from the same sched helpers. On the layout clustered by
+	// orderdate the date filters prune morsels, and the pure-GPU arms own
+	// them without shipping them.
+	pruning := 0
+	for _, d := range []*ssb.Dataset{ds, ds.ClusterBy("orderdate")} {
+		eachShipRun(d, func(label string, plan *queries.Plan, fl fleet.Spec, opts queries.RunOptions, morsels []ssb.Morsel) {
+			est, err := HybridCost(fl, d, plan.Query, morsels, opts.Partition.Packed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nfl, err := fl.Normalized()
+			if err != nil {
+				t.Fatal(err)
+			}
+			gpu := newMembers(nfl, d, []queries.Query{plan.Query}, morsels, opts.Partition.Packed).price(0)
+			for _, run := range []struct {
+				frac float64
+				ship int64
+			}{{-1, est.ShipBytes}, {0, gpu.ShipBytes}} {
+				r, err := runHybrid(plan, fl, run.frac, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Result.TransferBytes != run.ship {
+					t.Errorf("%s frac %v: executor shipped %d bytes, model prices %d — split or shard map diverged",
+						label, run.frac, r.Result.TransferBytes, run.ship)
+				}
+			}
+			if PruneEstimate(morsels, plan.Query).Pruned > 0 {
+				pruning++
+			}
+		})
+	}
+	if pruning == 0 {
+		t.Error("no run prunes a morsel")
+	}
 
 	if _, err := HybridCost(fleet.Spec{GPUs: fleet.MaxGPUs + 1}, hybridDS, q, morsels, nil); err == nil {
 		t.Error("oversized fleet accepted")
@@ -201,36 +210,27 @@ func BenchmarkChoosePlacement(b *testing.B) {
 	}
 }
 
-// eachShipRun calls check for every catalog query on ds × {3, 7, 16}
-// morsels × plain/packed × both links, on a 2-GPU fleet of dev (nil: the
-// default device): the runs whose shipped bytes the model must price
-// exactly as the executor meters them.
-func eachShipRun(dev *device.Spec, check func(label string, plan *queries.Plan, fl fleet.Spec, opts queries.RunOptions, morsels []ssb.Morsel)) {
-	pf := ds.Pack()
+// eachShipRun calls check for every catalog query on d × {3, 7, 16}
+// morsels × plain/packed × both links, on a 2-GPU fleet: the runs whose
+// shipped bytes the model must price exactly as the executor meters them.
+func eachShipRun(d *ssb.Dataset, check func(label string, plan *queries.Plan, fl fleet.Spec, opts queries.RunOptions, morsels []ssb.Morsel)) {
+	pf := d.Pack()
 	for _, q := range queries.All() {
-		plan := queries.Compile(ds, q)
+		plan := queries.Compile(d, q)
 		for _, parts := range []int{3, 7, 16} {
 			for _, packed := range []*ssb.PackedFact{nil, pf} {
 				for _, link := range fleet.Interconnects() {
 					opts := queries.RunOptions{Partition: queries.PartitionOptions{Partitions: parts, Packed: packed}}
 					label := fmt.Sprintf("%s %d morsels packed=%t %s", q.ID, parts, packed != nil, link.Name)
-					check(label, plan, fleet.Spec{GPUs: 2, Device: dev, Link: link}, opts, ds.Partition(parts))
+					check(label, plan, fleet.Spec{GPUs: 2, Link: link}, opts, d.Partition(parts))
 				}
 			}
 		}
 	}
 }
 
-// runFleet and runHybrid execute a plan on the placement the cost model
-// priced: build the schedule, call RunScheduled.
-func runFleet(p *queries.Plan, fl fleet.Spec, opts queries.RunOptions) (*queries.ScheduledResult, error) {
-	s, err := p.ScheduleFleet(fl, opts)
-	if err != nil {
-		return nil, err
-	}
-	return p.RunScheduled(s)
-}
-
+// runHybrid executes a plan on the hybrid placement the cost model priced:
+// build the schedule, call RunScheduled.
 func runHybrid(p *queries.Plan, fl fleet.Spec, frac float64, opts queries.RunOptions) (*queries.ScheduledResult, error) {
 	s, _, err := p.ScheduleHybrid(fl, frac, opts)
 	if err != nil {

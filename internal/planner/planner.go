@@ -19,7 +19,6 @@ import (
 	"sort"
 
 	"crystal/internal/device"
-	"crystal/internal/fleet"
 	"crystal/internal/pack"
 	"crystal/internal/queries"
 	"crystal/internal/ssb"
@@ -122,71 +121,6 @@ func ScanCostPacked(dev *device.Spec, pf *ssb.PackedFact, factRows int64, filter
 	return dev.PassTime(pass)
 }
 
-// TransferCost prices the coprocessor's PCIe shipment of a column working
-// set of which residentBytes are already pinned in device memory: the
-// resident portion costs nothing, the remainder crosses the link at PCIe
-// bandwidth. residentBytes clamps to totalBytes, so a fully resident working
-// set is free. What is resident is the snapshot's fixed set
-// (queries.ResidentColumns of its packed encoding and the device capacity),
-// not a cache that requests fill. ssbench -packed prints its "fully
-// resident" figure as that free case: a literal 0 beside TransferCost(bytes,
-// 0) for the plain and packed shipments, not the result of a run.
-func TransferCost(totalBytes, residentBytes int64) float64 {
-	if residentBytes > totalBytes {
-		residentBytes = totalBytes
-	}
-	return device.TransferTime(totalBytes - residentBytes)
-}
-
-// FleetEstimate is the cost model's price of one query on a multi-GPU
-// fleet: the per-device execution estimates (the makespan is their max),
-// the spilled-shard interconnect traffic, and the cross-device
-// partial-aggregate merge. It is the scheduler's side of the bargain
-// queries.Plan.ScheduleFleet executes: both consume the same fleet.Assign shard map,
-// so the model and the engine can never disagree about placement.
-type FleetEstimate struct {
-	// GPUs is the fleet size the estimate prices.
-	GPUs int
-	// Seconds is the fleet estimate: max per-device seconds plus the merge
-	// and the on-device ORDER BY.
-	Seconds float64
-	// DeviceSeconds is each device's estimated time (shard scan and probe
-	// pipeline, overlapped with its spill shipment).
-	DeviceSeconds []float64
-	// SpillBytes is the total referenced-column traffic of shards exceeding
-	// device memory; it is priced per device, overlapped with execution,
-	// inside DeviceSeconds.
-	SpillBytes int64
-	// MergeBytes is the partial-aggregate traffic (16 bytes per estimated
-	// group per active device) and MergeSeconds its interconnect time.
-	MergeBytes   int64
-	MergeSeconds float64
-}
-
-// FleetCost prices one query across a fleet of devices holding the given
-// morsels: range-shard the morsels (fleet.Assign, the same scheduler the
-// executor uses), price each device's shard — zone-pruned morsels charge
-// nothing, spilled morsels additionally cross the interconnect like a
-// coprocessor transfer — and add the partial-aggregate merge, sized by the
-// query's group estimate. packed, when non-nil, prices the run over the
-// bit-packed encoding: shards place (and spill) by their packed storage
-// and the scan term pays ScanCostPacked, exactly as the fleet schedule
-// executes it — passing the executor's encoding keeps the model and the
-// engine agreeing about placement on packed runs too. The returned
-// estimate follows the same bandwidth model the engines meter, so its
-// scaling shape (near-linear on scan-bound queries, merge-bound on
-// high-cardinality group-bys, interconnect-bound once shards spill)
-// matches the fleet schedule's simulated seconds.
-func FleetCost(fl fleet.Spec, ds *ssb.Dataset, q queries.Query, morsels []ssb.Morsel, packed *ssb.PackedFact) (FleetEstimate, error) {
-	fl, err := fl.Normalized()
-	if err != nil {
-		return FleetEstimate{}, err
-	}
-	est := newMembers(fl, ds, []queries.Query{q}, morsels, packed).price(0, fl.Device.MemoryBytes)
-	return FleetEstimate{GPUs: fl.GPUs, Seconds: est.Seconds, DeviceSeconds: est.DeviceSeconds,
-		SpillBytes: est.ShipBytes, MergeBytes: est.MergeBytes, MergeSeconds: est.MergeSeconds}, nil
-}
-
 // Plan is one costed join order.
 type Plan struct {
 	Order   []queries.JoinSpec
@@ -284,25 +218,12 @@ func choose(dev *device.Spec, factRows int64, ds *ssb.Dataset, q queries.Query) 
 	return plans
 }
 
-// Optimize returns a copy of the query with its joins reordered to the
-// cheapest plan for the device. Group-by payload order follows join order,
-// so the caller must decode result keys against the optimized query.
-func Optimize(dev *device.Spec, ds *ssb.Dataset, q queries.Query) queries.Query {
-	plans := Choose(dev, ds, q)
-	if len(plans) == 0 || len(plans[0].Order) == 0 {
-		return q
-	}
-	out := q
-	out.Joins = plans[0].Order
-	return out
-}
-
 // OptimizeGrouped returns a copy of the query with its joins reordered to
 // the cheapest plan that keeps the payload-carrying joins in their original
-// relative order. Packed group keys follow join order, so unlike Optimize
-// the result rows — keys included — are identical to the input query's;
-// this is the variant the SQL frontend uses, where the GROUP BY clause has
-// already fixed the payload order. The identity order always qualifies, so
+// relative order. Packed group keys follow join order, so the result rows —
+// keys included — are identical to the input query's; this is the variant
+// the SQL frontend uses, where the GROUP BY clause has already fixed the
+// payload order. The identity order always qualifies, so
 // a plan is always found.
 func OptimizeGrouped(dev *device.Spec, ds *ssb.Dataset, q queries.Query) queries.Query {
 	want := payloadDims(q.Joins)

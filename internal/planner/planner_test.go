@@ -5,7 +5,6 @@ import (
 
 	"crystal/internal/crystal"
 	"crystal/internal/device"
-	"crystal/internal/fleet"
 	"crystal/internal/queries"
 	"crystal/internal/ssb"
 )
@@ -37,26 +36,6 @@ func TestScanCostPackedAsymmetry(t *testing.T) {
 	// Fewer scanned rows (zone pruning) can only get cheaper.
 	if half := ScanCostPacked(device.V100(), pf, rows/2, cols); half >= gpuPacked {
 		t.Errorf("pruned packed scan not cheaper: %.9f >= %.9f", half, gpuPacked)
-	}
-}
-
-// TestTransferCost pins the resident-vs-cold pricing: residency only ever
-// shrinks the PCIe term, a fully resident working set is free, and
-// residentBytes clamps so the cost never goes negative.
-func TestTransferCost(t *testing.T) {
-	cold := TransferCost(1<<30, 0)
-	if cold != device.TransferTime(1<<30) {
-		t.Errorf("cold transfer = %.9f, want raw PCIe time", cold)
-	}
-	warm := TransferCost(1<<30, 1<<29)
-	if warm >= cold || warm <= 0 {
-		t.Errorf("half-resident transfer = %.9f, cold %.9f", warm, cold)
-	}
-	if TransferCost(1<<30, 1<<30) != 0 {
-		t.Error("fully resident transfer should be free")
-	}
-	if got := TransferCost(100, 200); got != 0 {
-		t.Errorf("over-resident transfer = %.9f, want clamped 0", got)
 	}
 }
 
@@ -141,27 +120,17 @@ func TestBestPlanPutsSelectiveJoinsEarly(t *testing.T) {
 }
 
 func TestOptimizePreservesResults(t *testing.T) {
-	// Optimizing may permute group-key order, so compare decoded group
-	// multisets: the total and the number of groups must be identical.
+	// The optimizer may reorder joins but keeps the payload joins' order,
+	// so the executed rows, group keys included, are unchanged.
 	q, _ := queries.ByID("q2.1")
-	opt := Optimize(device.V100(), ds, q)
+	opt := OptimizeGrouped(device.V100(), ds, q)
 	if err := opt.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	a := queries.Compile(ds, q).Run(queries.EngineGPU)
 	b := queries.Compile(ds, opt).Run(queries.EngineGPU)
-	if len(a.Groups) != len(b.Groups) {
-		t.Fatalf("optimized plan changed group count: %d vs %d", len(a.Groups), len(b.Groups))
-	}
-	var ta, tb int64
-	for _, v := range a.Groups {
-		ta += v
-	}
-	for _, v := range b.Groups {
-		tb += v
-	}
-	if ta != tb {
-		t.Fatalf("optimized plan changed aggregate total: %d vs %d", ta, tb)
+	if !a.Equal(b) {
+		t.Fatal("optimized plan changed the result rows")
 	}
 }
 
@@ -170,7 +139,7 @@ func TestOptimizedPlanNotSlower(t *testing.T) {
 	// worse than the hand-written order (they share the cost model).
 	for _, id := range []string{"q2.1", "q3.1", "q4.1", "q4.3"} {
 		q, _ := queries.ByID(id)
-		opt := Optimize(device.I76900(), ds, q)
+		opt := OptimizeGrouped(device.I76900(), ds, q)
 		hand := queries.Compile(ds, q).Run(queries.EngineCPU).Seconds
 		chosen := queries.Compile(ds, opt).Run(queries.EngineCPU).Seconds
 		if chosen > hand*1.02 {
@@ -185,7 +154,7 @@ func TestNoJoinQuery(t *testing.T) {
 	if len(plans) != 1 || len(plans[0].Order) != 0 {
 		t.Fatalf("no-join query should have one empty plan, got %d", len(plans))
 	}
-	opt := Optimize(device.V100(), ds, q)
+	opt := OptimizeGrouped(device.V100(), ds, q)
 	if len(opt.Joins) != 0 {
 		t.Error("optimize changed a no-join query")
 	}
@@ -276,156 +245,5 @@ func TestPruneEstimateAndPartitionedCost(t *testing.T) {
 	part := ChoosePartitioned(device.V100(), clustered, q11, morsels)[0].Seconds
 	if part >= mono {
 		t.Errorf("pruned plan cost %.9f not below monolithic %.9f", part, mono)
-	}
-}
-
-// TestFleetCostScaling pins the fleet model's shape: more devices price
-// cheaper on a scan-bound query (near-linear until overheads dominate),
-// and the estimate carries per-device entries for the whole fleet.
-func TestFleetCostScaling(t *testing.T) {
-	q, err := queries.ByID("q1.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	morsels := ds.Partition(32)
-	prev := 0.0
-	for _, gpus := range []int{1, 2, 4, 8} {
-		est, err := FleetCost(fleet.Spec{GPUs: gpus, Link: fleet.NVLink()}, ds, q, morsels, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(est.DeviceSeconds) != gpus {
-			t.Fatalf("%d GPUs: %d device estimates", gpus, len(est.DeviceSeconds))
-		}
-		if est.Seconds <= 0 {
-			t.Fatalf("%d GPUs: non-positive estimate", gpus)
-		}
-		if prev != 0 && est.Seconds >= prev {
-			t.Errorf("%d GPUs (%.9fs) not cheaper than fewer (%.9fs)", gpus, est.Seconds, prev)
-		}
-		prev = est.Seconds
-	}
-	if _, err := FleetCost(fleet.Spec{GPUs: 0}, ds, q, morsels, nil); err == nil {
-		t.Error("0-GPU fleet accepted")
-	}
-}
-
-// TestFleetCostMergeAndSpill pins the two interconnect terms: the merge
-// grows with group cardinality and prices higher on the slower link, and
-// shards that exceed device memory add spill traffic that degrades (but
-// never corrupts) the estimate.
-func TestFleetCostMergeAndSpill(t *testing.T) {
-	grouped, err := queries.ByID("q2.2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan, err := queries.ByID("q1.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	morsels := ds.Partition(32)
-
-	nv, err := FleetCost(fleet.Spec{GPUs: 4, Link: fleet.NVLink()}, ds, grouped, morsels, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcie, err := FleetCost(fleet.Spec{GPUs: 4, Link: fleet.PCIe()}, ds, grouped, morsels, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nv.MergeBytes != pcie.MergeBytes {
-		t.Errorf("link changed merge bytes: %d vs %d", nv.MergeBytes, pcie.MergeBytes)
-	}
-	if pcie.MergeSeconds <= nv.MergeSeconds {
-		t.Errorf("PCIe merge (%.12fs) not pricier than NVLink (%.12fs)", pcie.MergeSeconds, nv.MergeSeconds)
-	}
-	scanEst, err := FleetCost(fleet.Spec{GPUs: 4, Link: fleet.NVLink()}, ds, scan, morsels, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scanEst.MergeBytes >= nv.MergeBytes {
-		t.Errorf("global aggregate merge (%d bytes) should be below the grouped merge (%d)",
-			scanEst.MergeBytes, nv.MergeBytes)
-	}
-
-	// Zero-memory devices spill everything; the estimate degrades but stays
-	// finite and keeps per-device entries.
-	tinyDev := device.V100()
-	tinyDev.MemoryBytes = 0
-	spilled, err := FleetCost(fleet.Spec{GPUs: 4, Device: tinyDev, Link: fleet.PCIe()}, ds, scan, morsels, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spilled.SpillBytes == 0 {
-		t.Fatal("zero-memory fleet reported no spill")
-	}
-	fits, err := FleetCost(fleet.Spec{GPUs: 4, Link: fleet.PCIe()}, ds, scan, morsels, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fits.SpillBytes != 0 {
-		t.Fatal("32 GB fleet spilled at test scale")
-	}
-	if spilled.Seconds <= fits.Seconds {
-		t.Errorf("spilled estimate (%.9fs) not above resident estimate (%.9fs)", spilled.Seconds, fits.Seconds)
-	}
-}
-
-// TestFleetCostPackedPlacement pins the scheduler/executor agreement on
-// packed runs: with device memory sized between the packed and the plain
-// shard footprint, the plain estimate spills more than the packed one, and
-// every run's estimated spill is the bytes the fleet schedule ships.
-func TestFleetCostPackedPlacement(t *testing.T) {
-	q, err := queries.ByID("q1.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf := ds.Pack()
-	morsels := ds.Partition(16)
-
-	// Plain shard bytes per device at 2 GPUs ~ rows/2 * 36; packed is
-	// smaller by the compression ratio. Pick a capacity in between.
-	plainShard := int64(ds.Lineorder.Rows()) / 2 * 36
-	dev := device.V100()
-	dev.MemoryBytes = plainShard / 2
-	fl := fleet.Spec{GPUs: 2, Device: dev, Link: fleet.PCIe()}
-
-	plain, err := FleetCost(fl, ds, q, morsels, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed, err := FleetCost(fl, ds, q, morsels, pf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.SpillBytes == 0 {
-		t.Fatal("plain estimate should spill at half-shard capacity")
-	}
-	if packed.SpillBytes >= plain.SpillBytes {
-		t.Errorf("packed estimate spills %d bytes, plain %d — packing should shrink or clear the spill",
-			packed.SpillBytes, plain.SpillBytes)
-	}
-
-	// The executor must spill exactly the bytes the model prices, on this
-	// device, across the catalog, morsel counts, encodings and links.
-	spills := 0
-	eachShipRun(dev, func(label string, plan *queries.Plan, fl fleet.Spec, opts queries.RunOptions, morsels []ssb.Morsel) {
-		est, err := FleetCost(fl, ds, plan.Query, morsels, opts.Partition.Packed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fr, err := runFleet(plan, fl, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fr.Result.TransferBytes != est.SpillBytes {
-			t.Errorf("%s: engine spilled %d bytes, model prices %d", label, fr.Result.TransferBytes, est.SpillBytes)
-		}
-		if est.SpillBytes > 0 {
-			spills++
-		}
-	})
-	if spills == 0 {
-		t.Error("no run spills at half-shard capacity")
 	}
 }

@@ -65,23 +65,20 @@ func newMembers(fl fleet.Spec, ds *ssb.Dataset, qs []queries.Query, morsels []ss
 }
 
 // price prices the batch on one placement, in HybridEstimate's shape with
-// the reference fields left zero. frac is the live-row share
-// sched.SplitHybrid routes to the host CPU engine and capacity each GPU's
-// resident bytes in fleet.Assign, so one call prices any placement:
+// the pure-placement fields left zero. frac is the live-row share
+// sched.SplitHybrid routes to the host CPU engine, so one call prices any
+// host-resident placement:
 //
 //   - frac 1: pure CPU, the host engine scans everything;
-//   - frac 0, capacity 0: pure GPU, every live morsel ships per query;
-//   - 0 < frac < 1, capacity 0: the hybrid schedule;
-//   - frac 0, capacity Device.MemoryBytes: the device-resident fleet, where
-//     only morsels overflowing device memory ship.
+//   - frac 0: pure GPU, every live morsel ships per query;
+//   - 0 < frac < 1: the hybrid schedule.
 //
-// These are the shapes queries.Plan.ScheduleHybrid and ScheduleFleet build
-// from the same primitives, so the model never prices a placement the
-// executor would not produce. Each GPU overlaps its shipment with execution,
-// every active GPU adds its partial aggregates to the merge, and each
-// member's ORDER BY runs host-side when there is a CPU arm, on the devices
-// otherwise.
-func (m *members) price(frac float64, capacity int64) HybridEstimate {
+// These are the shapes queries.Plan.ScheduleHybrid builds from the same
+// primitives, so the model never prices a placement the executor would not
+// produce. Each GPU overlaps its shipment with execution, every active GPU
+// adds its partial aggregates to the merge, and each member's ORDER BY runs
+// host-side when there is a CPU arm, on the devices otherwise.
+func (m *members) price(frac float64) HybridEstimate {
 	est := HybridEstimate{GPUs: m.fl.GPUs, CPUFrac: frac}
 	cpuIdx, gpuIdx, gpuMorsels := m.all, m.all, m.morsels
 	switch {
@@ -108,20 +105,17 @@ func (m *members) price(frac float64, capacity int64) HybridEstimate {
 	if frac < 1 {
 		est.DeviceSeconds = make([]float64, 0, m.fl.GPUs)
 		bytes := func(ms ssb.Morsel) int64 { return ssb.MorselStorageBytes(m.packed, ms) }
-		for _, sh := range fleet.Assign(gpuMorsels, m.fl.GPUs, capacity, bytes) {
+		for _, sh := range fleet.Assign(gpuMorsels, m.fl.GPUs, 0, bytes) {
 			if len(sh.Morsels) == 0 {
 				est.DeviceSeconds = append(est.DeviceSeconds, 0)
 				continue
 			}
-			// fleet.Assign spills a shard's tail: once one morsel overflows,
-			// the rest of the shard follows it.
-			firstSpill := len(sh.Morsels) - len(sh.Spilled)
 			var ship int64
 			for k, li := range sh.Morsels {
 				mi := gpuIdx[li]
 				sh.Morsels[k] = mi
-				if k < firstSpill || m.prunedAll[mi] {
-					continue // resident, or neither scanned nor shipped
+				if m.prunedAll[mi] {
+					continue // neither scanned nor shipped
 				}
 				for _, c := range m.refCols {
 					ship += ssb.MorselColumnBytes(m.packed, m.morsels[mi], c)

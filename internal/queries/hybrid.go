@@ -25,9 +25,10 @@ import (
 // host-resident, so every GPU-routed morsel's referenced columns cross
 // the interconnect (overlapped with execution) while the CPU arm scans
 // host memory for free. That shipment is exactly what makes hybrid lose
-// on PCIe and win on NVLink — planner.HybridCost prices it from this same
-// split, so the model and the executor can never disagree about shape. The
-// arms consult no resident set (RunOptions.DeviceCacheBytes).
+// on PCIe and win on NVLink — planner.HybridCost prices it, and the pure
+// placements beside it, from this same split, so the model and the executor
+// can never disagree about shape. The arms consult no resident set
+// (RunOptions.DeviceCacheBytes).
 //
 // Partitions below fl.GPUs+1 are raised to fl.GPUs+1 so every arm can get
 // morsels where the count allows.

@@ -71,16 +71,3 @@ func TestMultiGPUValidation(t *testing.T) {
 		t.Error("over-sharded result differs")
 	}
 }
-
-func TestSliceFactView(t *testing.T) {
-	sub := testDS.SliceFact(10, 20)
-	if sub.Lineorder.Rows() != 10 {
-		t.Fatalf("slice rows = %d", sub.Lineorder.Rows())
-	}
-	if sub.Lineorder.Revenue[0] != testDS.Lineorder.Revenue[10] {
-		t.Error("slice misaligned")
-	}
-	if sub.Part.Rows() != testDS.Part.Rows() {
-		t.Error("dimensions should be shared")
-	}
-}

@@ -308,9 +308,7 @@ func (p *Plan) ScheduleFleet(fl fleet.Spec, opts RunOptions) (sched.Schedule, er
 
 	// A shard's storage footprint is its full fact rows — every column,
 	// because the device must serve any query against its shard — in
-	// whichever encoding this run scans. The footprint function is shared
-	// with planner.FleetCost, so the model can never place shards
-	// differently than this executor does.
+	// whichever encoding this run scans (ssb.MorselStorageBytes).
 	shardBytes := func(m ssb.Morsel) int64 { return ssb.MorselStorageBytes(ms.packed, m) }
 	shards := fleet.Assign(ms.morsels, fl.GPUs, fl.Device.MemoryBytes, shardBytes)
 

@@ -30,10 +30,10 @@
 //     model devices (and engine workers) running concurrently.
 //
 // The split helpers (CPUFraction, SplitHybrid) are the mechanism shared by
-// the hybrid executor (queries.Plan.ScheduleHybrid) and the hybrid cost
-// model (planner.HybridCost): both sides derive the CPU/GPU division from the
-// same code, so the model can never price a placement the executor would
-// not produce.
+// the hybrid executor (queries.Plan.ScheduleHybrid) and the placement cost
+// model (planner.HybridCost and BatchCost): both sides derive the CPU/GPU
+// division from the same code, so the model can never price a placement the
+// executor would not produce.
 package sched
 
 import (

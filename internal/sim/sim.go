@@ -88,10 +88,6 @@ type Block struct {
 	pass   device.Pass // per-block meter, merged into the launch at the end
 }
 
-// FullTile reports whether the block's tile is complete; BlockLoad uses
-// vector instructions only for full tiles (Section 3.3).
-func (b *Block) FullTile() bool { return b.TileElems == b.Threads*b.ItemsPerThread }
-
 // Pass returns the block's traffic meter for primitives to charge.
 func (b *Block) Pass() *device.Pass { return &b.pass }
 
@@ -112,10 +108,6 @@ func (b *Block) AtomicAdd(c *Counter, delta int64) int64 {
 	return atomic.AddInt64(&c.v, delta) - delta
 }
 
-// Sync models __syncthreads(); in the sequential block emulation it is a
-// no-op but is kept so kernels read like their CUDA counterparts.
-func (b *Block) Sync() {}
-
 // Gate bounds helper parallelism for a launch or a morsel scan. TryAcquire
 // reports whether one extra worker may start (without blocking); every
 // successful acquire must be paired with a Release. A nil Gate means
@@ -135,9 +127,6 @@ type Launch struct {
 	pass device.Pass
 	mu   sync.Mutex
 }
-
-// Dev returns the device the launch runs on.
-func (l *Launch) Dev() *device.Spec { return l.dev }
 
 // Kernel is the per-block entry point.
 type Kernel func(b *Block)

@@ -63,7 +63,7 @@ func TestPartialFinalTile(t *testing.T) {
 	cfg := Config{Threads: 128, ItemsPerThread: 4, Elems: 1000}
 	var partial, full int32
 	Run(device.V100(), cfg, func(b *Block) {
-		if b.FullTile() {
+		if b.TileElems == b.Threads*b.ItemsPerThread {
 			atomic.AddInt32(&full, 1)
 		} else {
 			atomic.AddInt32(&partial, 1)
@@ -82,7 +82,6 @@ func TestAtomicAddSemanticsAndMetering(t *testing.T) {
 	cfg := Config{Threads: 32, ItemsPerThread: 1, Elems: 32 * 100}
 	pass := Run(device.V100(), cfg, func(b *Block) {
 		b.AtomicAdd(&ctr, 2)
-		b.Sync()
 	})
 	if ctr.Value() != 200 {
 		t.Errorf("counter = %d, want 200", ctr.Value())
@@ -215,13 +214,6 @@ func TestLineSize(t *testing.T) {
 	}
 }
 
-func TestLaunchDev(t *testing.T) {
-	l := &Launch{dev: device.V100()}
-	if l.Dev().Name != "Nvidia V100" {
-		t.Error("launch dev accessor")
-	}
-}
-
 // TestLaunchPassIsRunHeader pins the launch header priced launches start
 // from: one kernel and the configuration's vectorization and occupancy
 // factors, exactly what a launch over no elements returns and what every
@@ -238,7 +230,7 @@ func TestLaunchPassIsRunHeader(t *testing.T) {
 			t.Errorf("%+v: empty launch %+v, header %+v", cfg, *empty, head)
 		}
 		cfg.Elems = 3 * cfg.TileSize()
-		full := Run(dev, cfg, func(b *Block) { b.Sync(); b.Pass().BytesRead += 4 })
+		full := Run(dev, cfg, func(b *Block) { b.Pass().BytesRead += 4 })
 		if full.Kernels != 1 || full.VectorEff != head.VectorEff || full.OccupancyFactor != head.OccupancyFactor || full.BytesRead != 12 {
 			t.Errorf("%+v: merged launch %+v, header %+v", cfg, *full, head)
 		}

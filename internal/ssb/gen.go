@@ -245,24 +245,3 @@ func GenerateRows(factRows int) *Dataset {
 	ds.Lineorder = GenLineorder(1, factRows, &ds.Date, ds.Customer.Rows(), ds.Supplier.Rows(), ds.Part.Rows())
 	return ds
 }
-
-// SliceFact returns a shallow view of the dataset whose fact table is rows
-// [lo, hi); dimensions are shared. Used by the multi-GPU engine to shard
-// the fact table across devices.
-func (ds *Dataset) SliceFact(lo, hi int) *Dataset {
-	l := &ds.Lineorder
-	out := *ds
-	out.zones = new(factZones) // a new extent: the parent's zones do not describe it
-	out.Lineorder = Lineorder{
-		OrderDate:  l.OrderDate[lo:hi],
-		CustKey:    l.CustKey[lo:hi],
-		PartKey:    l.PartKey[lo:hi],
-		SuppKey:    l.SuppKey[lo:hi],
-		Quantity:   l.Quantity[lo:hi],
-		Discount:   l.Discount[lo:hi],
-		ExtPrice:   l.ExtPrice[lo:hi],
-		Revenue:    l.Revenue[lo:hi],
-		SupplyCost: l.SupplyCost[lo:hi],
-	}
-	return &out
-}

@@ -16,9 +16,9 @@ import (
 // row-identical to plain runs.
 //
 // A PackedFact is immutable after Pack and safe for concurrent use. It is
-// built for one fact-table layout: re-pack after ClusterBy or SliceFact
-// (Pack will refuse a mismatched row count at run time via the engines'
-// checks, not here).
+// built for one fact-table layout: re-pack after ClusterBy (Pack will
+// refuse a mismatched row count at run time via the engines' checks, not
+// here).
 type PackedFact struct {
 	rows int
 	cols map[string]*pack.Frames
@@ -91,9 +91,8 @@ func MorselColumnBytes(pf *PackedFact, m Morsel, col string) int64 {
 
 // MorselStorageBytes returns the morsel's storage footprint across every
 // fact column in the encoding the run scans. It is the byte function fleet
-// shard placement uses; the executor (queries.Plan.ScheduleFleet) and the
-// cost model (planner.FleetCost) both price placement through it, which is
-// what keeps them agreeing about which morsels fit a device and which spill.
+// shard placement uses (queries.Plan.ScheduleFleet): it decides which
+// morsels fit a device and which spill.
 func MorselStorageBytes(pf *PackedFact, m Morsel) int64 {
 	var b int64
 	for _, col := range FactColumns() {

@@ -99,9 +99,9 @@ func EffectivePartitions(rows, n int) int {
 // nine fact columns are scanned once per fact table — not once per plan and
 // partition count.
 //
-// A Dataset holds it by pointer so that the by-value copies SliceFact and
-// ClusterBy take can be given a fresh one: zones describe a layout, and a
-// copied pointer would serve another layout's.
+// A Dataset holds it by pointer so that the by-value copy ClusterBy takes
+// can be given a fresh one: zones describe a layout, and a copied pointer
+// would serve another layout's.
 type factZones struct {
 	mu    sync.Mutex
 	tiles []Zone // tile-major: tile t, column c of FactColumns at t*len(FactColumns())+c
@@ -114,10 +114,10 @@ type factZones struct {
 // aligned chunks simply yields fewer (never empty) morsels. n < 1 is
 // treated as 1.
 //
-// On a dataset from Generate, GenerateRows, Read, SliceFact or ClusterBy the
-// result is memoised by effective count and shared between callers: treat the
-// slice, its morsels and their Zones maps as read-only, and do not write to a
-// fact column once the table has been partitioned. A zero-value Dataset has
+// On a dataset from Generate, GenerateRows, Read or ClusterBy the result is
+// memoised by effective count and shared between callers: treat the slice,
+// its morsels and their Zones maps as read-only, and do not write to a fact
+// column once the table has been partitioned. A zero-value Dataset has
 // no cache and computes its zones directly.
 func (ds *Dataset) Partition(n int) []Morsel {
 	rows := ds.Lineorder.Rows()

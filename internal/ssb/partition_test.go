@@ -115,7 +115,6 @@ func TestPartitionFromTiles(t *testing.T) {
 	layouts := map[string]*Dataset{
 		"generated": gen,
 		"clustered": gen.ClusterBy("orderdate"),
-		"sliced":    gen.SliceFact(MorselAlign, 4*MorselAlign+5),
 		"uncached":  {Lineorder: gen.Lineorder},
 	}
 	for name, ds := range layouts {
