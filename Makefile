@@ -114,7 +114,8 @@ lint:
 # per-layer scan-kernel, batch-entry and dimension-build benchmarks in
 # internal/queries, the placement-choice benchmark in internal/planner, the
 # radix sort and partition benchmarks in internal/gpu and internal/cpu, and
-# the result-cache hit benchmark in internal/serve.
+# the result-cache hit benchmarks (one caller, and GOMAXPROCS callers at
+# once) in internal/serve.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/queries ./internal/planner ./internal/gpu ./internal/cpu ./internal/serve
 
@@ -123,9 +124,10 @@ bench-smoke:
 # overload, deadlines, a panicking execution and the packed coprocessor and
 # spilled-fleet shapes, which ride flights and batches like any other — the
 # paths where a caller, a worker and a flight hand a request between
-# goroutines.
+# goroutines — and the stats tally, whose stripes concurrent callers record
+# into and Stats sums.
 serve-stress:
-	$(GO) test -race -count=10 -run 'SingleFlight|Batch|Shed|Overload|Deadline|Panic|Residency|Packed|FleetSpill' ./internal/serve
+	$(GO) test -race -count=10 -run 'SingleFlight|Batch|Shed|Overload|Deadline|Panic|Residency|Packed|FleetSpill|Stats' ./internal/serve
 
 # Benchmark gate: bench-baseline records the q1.x flight's simulated
 # seconds and scaling efficiency at 1/2/4/8 GPUs into BENCH_fleet.json,

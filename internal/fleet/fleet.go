@@ -155,29 +155,42 @@ type Shard struct {
 // Resident reports how many owned morsels are pinned in device memory.
 func (sh *Shard) Resident() int { return len(sh.Morsels) - len(sh.Spilled) }
 
-// Assign range-shards morsels across gpus devices, balanced by morsel
-// count (morsels are themselves balanced to within one alignment quantum),
-// then applies spill accounting per device: morsels accumulate into device
-// memory in order until capacity is exhausted, and the remainder of the
-// shard spills to the host. Every morsel lands on exactly one device, no
-// device holds more resident bytes than capacity, and a non-positive
-// capacity spills everything — the graceful-degradation floor.
-//
-// bytes prices one morsel's storage footprint (plain columns or the packed
-// encoding); it must be non-negative.
-func Assign(morsels []ssb.Morsel, gpus int, capacity int64, bytes func(ssb.Morsel) int64) []Shard {
+// Split range-shards morsels across gpus devices, balanced by morsel count
+// (morsels are themselves balanced to within one alignment quantum): device
+// d owns the contiguous range [d*n/gpus, (d+1)*n/gpus) of the n morsels.
+// Every morsel lands on exactly one device. It fills each shard's Device,
+// Morsels and Rows and does no spill accounting: host-resident data, whose
+// every owned morsel crosses the link per query, needs none.
+func Split(morsels []ssb.Morsel, gpus int) []Shard {
 	if gpus < 1 {
 		gpus = 1
 	}
 	shards := make([]Shard, gpus)
 	n := len(morsels)
-	for d := 0; d < gpus; d++ {
+	for d := range shards {
 		sh := &shards[d]
 		sh.Device = d
-		lo, hi := d*n/gpus, (d+1)*n/gpus
-		for mi := lo; mi < hi; mi++ {
+		for mi := d * n / gpus; mi < (d+1)*n/gpus; mi++ {
 			sh.Morsels = append(sh.Morsels, mi)
 			sh.Rows += int64(morsels[mi].Rows())
+		}
+	}
+	return shards
+}
+
+// Assign is Split plus spill accounting per device: each shard's morsels
+// accumulate into device memory in order until capacity is exhausted, and
+// the remainder of the shard spills to the host. No device holds more
+// resident bytes than capacity, and a non-positive capacity spills
+// everything — the graceful-degradation floor.
+//
+// bytes prices one morsel's storage footprint (plain columns or the packed
+// encoding); it must be non-negative.
+func Assign(morsels []ssb.Morsel, gpus int, capacity int64, bytes func(ssb.Morsel) int64) []Shard {
+	shards := Split(morsels, gpus)
+	for d := range shards {
+		sh := &shards[d]
+		for _, mi := range sh.Morsels {
 			b := bytes(morsels[mi])
 			if len(sh.Spilled) == 0 && sh.ResidentBytes+b <= capacity {
 				sh.ResidentBytes += b

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -123,6 +124,13 @@ func TestAssignPartition(t *testing.T) {
 		}
 		if next != len(morsels) {
 			t.Fatalf("%d gpus: only %d/%d morsels assigned", gpus, next, len(morsels))
+		}
+		// Split is the same range split, without the spill accounting.
+		for d, sp := range Split(morsels, gpus) {
+			if sh := shards[d]; sp.Device != sh.Device || sp.Rows != sh.Rows || !slices.Equal(sp.Morsels, sh.Morsels) ||
+				sp.Spilled != nil || sp.SpillBytes != 0 || sp.ResidentBytes != 0 {
+				t.Fatalf("%d gpus: Split shard %d = %+v, Assign's range is %+v", gpus, d, sp, sh)
+			}
 		}
 		if gpus <= len(morsels) {
 			for _, sh := range shards {

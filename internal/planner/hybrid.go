@@ -12,7 +12,7 @@ import (
 // co-execution, alongside the pure placements it competes against. It is
 // the scheduler's side of the bargain queries.Plan.ScheduleHybrid executes:
 // both derive the CPU/GPU division from sched.CPUFraction and
-// sched.SplitHybrid and the GPU shard map from fleet.Assign, so the model
+// sched.SplitHybrid and the GPU shard map from fleet.Split, so the model
 // can never price a placement the executor would not produce. Every
 // placement it prices is host-resident: the data lives in host memory and
 // GPU arms ship it per query. A device-resident fleet is not priced; where

@@ -104,8 +104,7 @@ func (m *members) price(frac float64) HybridEstimate {
 	}
 	if frac < 1 {
 		est.DeviceSeconds = make([]float64, 0, m.fl.GPUs)
-		bytes := func(ms ssb.Morsel) int64 { return ssb.MorselStorageBytes(m.packed, ms) }
-		for _, sh := range fleet.Assign(gpuMorsels, m.fl.GPUs, 0, bytes) {
+		for _, sh := range fleet.Split(gpuMorsels, m.fl.GPUs) {
 			if len(sh.Morsels) == 0 {
 				est.DeviceSeconds = append(est.DeviceSeconds, 0)
 				continue

@@ -60,15 +60,14 @@ func (p *Plan) ScheduleHybrid(fl fleet.Spec, frac float64, opts RunOptions) (sch
 		// Host arm: no spill, and its partial merges for free.
 	})
 
-	// The GPU arm range-shards its sub-list with the same scheduler the
-	// fleet uses, capacity 0: data is host-resident, so every owned morsel
-	// is spilled and its referenced columns cross the link per query.
+	// The GPU arm range-shards its sub-list with the split the fleet
+	// uses: data is host-resident, so every owned morsel is spilled and its
+	// referenced columns cross the link per query.
 	gpuMorsels := make([]ssb.Morsel, len(split.GPU))
 	for i, mi := range split.GPU {
 		gpuMorsels[i] = ms.morsels[mi]
 	}
-	shardBytes := func(m ssb.Morsel) int64 { return ssb.MorselStorageBytes(ms.packed, m) }
-	shards := fleet.Assign(gpuMorsels, fl.GPUs, 0, shardBytes)
+	shards := fleet.Split(gpuMorsels, fl.GPUs)
 	for d := range shards {
 		owned := make([]int, len(shards[d].Morsels))
 		for i, li := range shards[d].Morsels {

@@ -509,7 +509,7 @@ func TestBatchKeyRejects(t *testing.T) {
 	// whose shape fails to normalize is answered with its error on its
 	// caller and never queues.
 	batchKey := func(s *Service, req Request) (queries.Shape, bool) {
-		_, j := s.prepare(req, time.Now())
+		j := s.prepare(new(Response), req, time.Now())
 		if j == nil {
 			return queries.Shape{}, false
 		}

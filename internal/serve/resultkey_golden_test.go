@@ -35,7 +35,8 @@ var (
 // goldenKey is the result key prepare computes for req, or its error.
 func goldenKey(s *Service, req Request) string {
 	req.NoCache = true // a request that leads no flight leaves nothing to release
-	resp, j := s.prepare(req, time.Now())
+	var resp Response
+	j := s.prepare(&resp, req, time.Now())
 	if j == nil {
 		return "error: " + resp.Err.Error()
 	}

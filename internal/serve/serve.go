@@ -359,9 +359,9 @@ type planEntry struct {
 // flight is one in-progress execution that identical concurrent misses
 // wait on. Its leader closes done after publishing either its answer (which
 // followers share, like a cache hit) or err. Registration and completion
-// both happen under cacheMu together with the result-cache lookup, so for
-// any (key, generation) exactly one of three states is ever observable:
-// cached, in flight, or absent.
+// both happen under cacheMu's write lock together with a result-cache
+// lookup, so for any (key, generation) exactly one of three states is ever
+// observable: cached, in flight, or absent.
 type flight struct {
 	done   chan struct{}
 	answer *Answer
@@ -409,21 +409,24 @@ type Service struct {
 	// cacheMu; readers load it without a lock.
 	snap atomic.Pointer[snapshot]
 
-	// cacheMu guards the LRUs (lookups reorder the recency list, so even
-	// reads are writes). Plan and result keys use the query's canonical
-	// form (queries.Query.Canonical), not its ID, so two SQL spellings of
-	// one statement — whitespace, comments, filter order — share entries,
-	// as does a named query whose catalog plan coincides with the bound
-	// form. Distinct canonical forms never collide, which keeps served
-	// simulated seconds deterministic.
-	cacheMu sync.Mutex
+	// cacheMu guards the LRUs and flights. A bind or result lookup takes
+	// the read lock — an LRU keeps recency in per-entry atomic stamps, so
+	// a read changes no shared structure — and anything that inserts,
+	// evicts or purges takes the write lock. Plan and result keys use the
+	// query's canonical form (queries.Query.Canonical), not its ID, so two
+	// SQL spellings of one statement — whitespace, comments, filter order —
+	// share entries, as does a named query whose catalog plan coincides
+	// with the bound form. Distinct canonical forms never collide, which
+	// keeps served simulated seconds deterministic.
+	cacheMu sync.RWMutex
 	plans   *lru // "gen\x00canonical" -> *planEntry
 	results *lru // "gen\x00canonical\x00engine" -> *Answer
 	binds   *lru // "gen\x00sql text" -> *boundSQL
 	// flights are the in-progress executions identical misses join,
-	// keyed like the result cache. Guarded by cacheMu — the same lock as
-	// the results LRU — so "check cache, join flight or become leader"
-	// is one atomic step and a (key, generation) can never execute twice.
+	// keyed like the result cache. Guarded by cacheMu's write lock, under
+	// which a miss re-checks the snapshot and the results LRU, so "check
+	// cache, join flight or become leader" is one atomic step and a (key,
+	// generation) can never execute twice.
 	flights map[string]*flight
 
 	// execHook, when set (tests only, before any traffic), observes every
@@ -433,9 +436,8 @@ type Service struct {
 	execHook   func(resultKey string)
 	flightHook func()
 
-	// stats is the running tally; Stats() copies it under statsMu.
-	statsMu sync.Mutex
-	stats   Stats
+	// tally is the running stats tally, striped by core; Stats() sums it.
+	tally tally
 
 	// recorder is the bounded flight recorder of recent and slowest
 	// traces; nil unless Options.Trace is set, and the nil check is what
@@ -582,7 +584,8 @@ func (s *Service) Close() {
 // (see Options.Shed for the priority-eviction carve-out).
 func (s *Service) Submit(ctx context.Context, req Request) (<-chan Response, error) {
 	start := time.Now()
-	resp, j, err := s.admit(ctx, req, start)
+	var resp Response
+	j, err := s.admit(ctx, &resp, req, start)
 	switch {
 	case err != nil:
 		return nil, err
@@ -597,7 +600,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (<-chan Response, err
 	// The goroutine ends when the flight does: every leader completes its
 	// flight, executed (deferred, so a panic too) or abandoned.
 	go func() {
-		resp, _ := s.await(ctx, context.Background(), req, start, resp, j)
+		_ = s.await(ctx, context.Background(), req, start, &resp, j) // resp carries the error
 		done <- resp
 	}()
 	return done, nil
@@ -620,11 +623,13 @@ func (s *Service) Do(ctx context.Context, req Request) (Response, error) {
 		}
 	}
 	start := time.Now()
-	resp, j, err := s.admit(ctx, req, start)
+	var resp Response
+	j, err := s.admit(ctx, &resp, req, start)
 	if err != nil {
 		return Response{}, err
 	}
-	return s.await(ctx, ctx, req, start, resp, j)
+	err = s.await(ctx, ctx, req, start, &resp, j)
+	return resp, err
 }
 
 // RunAll dispatches the batch across the worker pool and returns the
@@ -650,16 +655,17 @@ func (s *Service) RunAll(ctx context.Context, reqs []Request) ([]Response, error
 	return out, nil
 }
 
-// admit runs req's front half on the caller (prepare) and queues its job
-// when the job has to execute. It returns resp settled and a nil job for a
-// hit or a bind error, a follower's job (not queued), or a queued job whose
-// done channel receives the reply. err is the submission's own failure:
-// ErrClosed, a cancelled context, or ErrOverloaded.
-func (s *Service) admit(ctx context.Context, req Request, start time.Time) (Response, *job, error) {
+// admit runs req's front half on the caller (prepare), filling resp, and
+// queues its job when the job has to execute. It returns a nil job for a
+// hit or a bind error, with resp settled, a follower's job (not queued), or
+// a queued job whose done channel receives the reply. err is the
+// submission's own failure: ErrClosed, a cancelled context, or
+// ErrOverloaded; resp is then meaningless.
+func (s *Service) admit(ctx context.Context, resp *Response, req Request, start time.Time) (*job, error) {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		return Response{}, nil, ErrClosed
+		return nil, ErrClosed
 	}
 	// Registering under the read lock orders this submission before any
 	// Close: the worker pool stays up until the enqueue below lands.
@@ -667,11 +673,11 @@ func (s *Service) admit(ctx context.Context, req Request, start time.Time) (Resp
 	s.mu.RUnlock()
 	defer s.pending.Done()
 	if err := ctx.Err(); err != nil {
-		return Response{}, nil, err
+		return nil, err
 	}
-	resp, j := s.prepare(req, start)
+	j := s.prepare(resp, req, start)
 	if j == nil || j.follow != nil {
-		return resp, j, nil
+		return j, nil
 	}
 	if s.slots == nil {
 		// Shed mode: admission is decided now, under the queue lock.
@@ -690,37 +696,39 @@ func (s *Service) admit(ctx context.Context, req Request, start time.Time) (Resp
 		if !pushed {
 			s.recordShed()
 			s.unlead(j, ErrOverloaded)
-			return Response{}, nil, ErrOverloaded
+			return nil, ErrOverloaded
 		}
-		return resp, j, nil
+		return j, nil
 	}
 	select {
 	case s.slots <- struct{}{}:
 		j.enqueued = time.Now()
 		s.queue.push(j)
-		return resp, j, nil
+		return j, nil
 	case <-ctx.Done():
 		s.unlead(j, ctx.Err())
-		return Response{}, nil, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
-// await finishes a request its caller could not answer at once. A queued
-// job's reply arrives on its done channel. A follower waits for its flight
-// and shares the leader's answer — or its error, when the leader executed
-// and failed; when the leader never executed, the follower runs its own
-// lookup-or-lead (admit) and goes round again. wait bounds every wait: Do
-// passes its own context, Submit's goroutine waits unbounded. A wait or a
-// re-admission that fails is answered with its error.
-func (s *Service) await(ctx, wait context.Context, req Request, start time.Time, resp Response, j *job) (Response, error) {
+// await finishes, in resp, a request its caller could not answer at once;
+// a nil job means admit already settled resp. A queued job's reply arrives
+// on its done channel. A follower waits for its flight and shares the
+// leader's answer — or its error, when the leader executed and failed; when
+// the leader never executed, the follower runs its own lookup-or-lead
+// (admit) and goes round again. wait bounds every wait: Do passes its own
+// context, Submit's goroutine waits unbounded. A wait or a re-admission
+// that fails is answered with its error. It returns resp.Err.
+func (s *Service) await(ctx, wait context.Context, req Request, start time.Time, resp *Response, j *job) error {
 	var err error
 	for j != nil {
 		if j.follow == nil {
 			select {
-			case resp = <-j.done:
-				return resp, resp.Err
+			case *resp = <-j.done:
+				return resp.Err
 			case <-wait.Done():
-				return Response{Request: req, Err: wait.Err()}, wait.Err()
+				*resp = Response{Request: req, Err: wait.Err()}
+				return resp.Err
 			}
 		}
 		f := j.follow
@@ -730,21 +738,24 @@ func (s *Service) await(ctx, wait context.Context, req Request, start time.Time,
 		select {
 		case <-f.done:
 		case <-wait.Done():
-			return Response{Request: req, Err: wait.Err()}, wait.Err()
+			*resp = Response{Request: req, Err: wait.Err()}
+			return resp.Err
 		}
 		switch {
 		case f.abandoned:
-			if resp, j, err = s.admit(ctx, req, start); err != nil {
-				return Response{Request: req, Err: err}, err
+			if j, err = s.admit(ctx, resp, req, start); err != nil {
+				*resp = Response{Request: req, Err: err}
+				return err
 			}
 		case f.answer == nil:
-			return s.failed(&resp, f.err), f.err
+			s.failed(resp, f.err)
+			return f.err
 		default:
-			s.replay(&resp, f.answer, start, j.bindWall, true)
-			return resp, nil
+			s.replay(resp, f.answer, start, j.bindWall, true)
+			return nil
 		}
 	}
-	return resp, resp.Err
+	return resp.Err
 }
 
 // boundSQL is a bind-cache entry: the statement compiled, validated and
@@ -778,32 +789,27 @@ func namedQuery(id string) (*boundSQL, error) {
 }
 
 // resolve turns a request into the query to execute plus its canonical
-// cache key. Named queries come from the catalog; SQL statements go
-// through the frontend and the cost-based planner (payload-order
-// preserving, priced on the GPU device the paper centers on), memoized in
-// the bind cache so repeated texts skip both.
-func (s *Service) resolve(sn *snapshot, req Request) (queries.Query, string, error) {
+// cache key, shared and read-only. Named queries come from the catalog;
+// SQL statements go through the frontend and the cost-based planner
+// (payload-order preserving, priced on the GPU device the paper centers
+// on), memoized in the bind cache so repeated texts skip both.
+func (s *Service) resolve(sn *snapshot, req Request) (*boundSQL, error) {
 	switch {
 	case req.QueryID != "" && req.SQL != "":
-		return queries.Query{}, "", fmt.Errorf("serve: request sets both QueryID %q and SQL; pick one", req.QueryID)
+		return nil, fmt.Errorf("serve: request sets both QueryID %q and SQL; pick one", req.QueryID)
 	case req.QueryID != "":
-		b, err := namedQuery(req.QueryID)
-		if err != nil {
-			return queries.Query{}, "", err
-		}
-		return b.q, b.canon, nil
+		return namedQuery(req.QueryID)
 	case req.SQL != "":
 		bindKey := cacheKey(strconv.FormatUint(sn.gen, 10), "sql", req.SQL)
-		s.cacheMu.Lock()
+		s.cacheMu.RLock()
 		v, ok := s.binds.get(bindKey)
-		s.cacheMu.Unlock()
+		s.cacheMu.RUnlock()
 		if ok {
-			b := v.(*boundSQL)
-			return b.q, b.canon, nil
+			return v.(*boundSQL), nil
 		}
 		q, err := sqlfe.Compile(req.SQL)
 		if err != nil {
-			return queries.Query{}, "", err
+			return nil, err
 		}
 		q = planner.OptimizeGrouped(device.V100(), sn.ds, q)
 		b := &boundSQL{q: q, canon: q.Canonical()}
@@ -812,9 +818,9 @@ func (s *Service) resolve(sn *snapshot, req Request) (queries.Query, string, err
 			s.binds.put(bindKey, b)
 		}
 		s.cacheMu.Unlock()
-		return b.q, b.canon, nil
+		return b, nil
 	default:
-		return queries.Query{}, "", errors.New("serve: request names no query (set QueryID or SQL)")
+		return nil, errors.New("serve: request names no query (set QueryID or SQL)")
 	}
 }
 
@@ -825,12 +831,11 @@ func (r Request) shape() queries.Shape {
 		Link: r.Interconnect, Partitions: r.Partitions, Packed: r.Packed}
 }
 
-// echo is r as its response reports it: the shape fields replaced by the
-// normalized shape it was keyed and run on.
-func (r Request) echo(sh queries.Shape) Request {
+// echo makes r the request as its response reports it: the shape fields
+// replaced by the normalized shape it was keyed and run on.
+func (r *Request) echo(sh queries.Shape) {
 	r.Engine, r.Placement, r.GPUs = sh.Engine, sh.Placement, sh.GPUs
 	r.Interconnect, r.Partitions, r.Packed = sh.Link, sh.Partitions, sh.Packed
-	return r
 }
 
 // plan returns the compiled plan for q through the plan cache: a
@@ -923,14 +928,15 @@ func (r *route) report(sr *queries.ScheduledResult, cpuFrac float64) *Answer {
 }
 
 // prepare is a request's front half, run on its caller: snapshot →
-// normalize its shape → resolve → result key → lookup-or-follow-or-lead. A
-// request the caller can answer — a shape or bind error, or a result-cache
-// hit — comes back settled in resp with a nil job. Any other request comes
-// back as its job, carrying everything computed here so that nothing
-// downstream computes it again: a follower (follow set), which waits on an
-// identical request's flight and never queues, or a job that has to execute
-// — the leader of a new flight (lead set), or a NoCache request.
-func (s *Service) prepare(req Request, start time.Time) (resp Response, j *job) {
+// normalize its shape → resolve → result key → lookup-or-follow-or-lead,
+// filling resp as it goes. A request the caller can answer — a shape or
+// bind error, or a result-cache hit — comes back settled in resp with a nil
+// job. Any other request comes back as its job, carrying everything
+// computed here so that nothing downstream computes it again: a follower
+// (follow set), which waits on an identical request's flight and never
+// queues, or a job that has to execute — the leader of a new flight (lead
+// set), or a NoCache request.
+func (s *Service) prepare(resp *Response, req Request, start time.Time) *job {
 	// Snapshot → resolve → lookup-or-lead runs in a retry loop. A request
 	// that loaded a snapshot and stalled could reach the lookup after a
 	// swap purged its key's stored answer — and would then execute that
@@ -943,61 +949,76 @@ func (s *Service) prepare(req Request, start time.Time) (resp Response, j *job) 
 		sn := s.snap.Load()
 		sh, err := req.shape().Normalize(sn.ds.Lineorder.Rows())
 		if err != nil {
-			resp = Response{Request: req}
-			return s.failed(&resp, err), nil
+			*resp = Response{Request: req}
+			s.failed(resp, err)
+			return nil
 		}
-		resp = Response{Request: req.echo(sh), Version: sn.version}
+		*resp = Response{Request: req, Version: sn.version}
+		resp.Request.echo(sh)
 		// bindWall times query resolution for the trace's bind span; stamped
 		// unconditionally (two clock reads), consumed only when tracing.
 		bindStart := time.Now()
-		q, canon, err := s.resolve(sn, req)
+		bq, err := s.resolve(sn, req)
 		bindWall := time.Since(bindStart)
 		if err != nil {
-			return s.failed(&resp, err), nil
+			s.failed(resp, err)
+			return nil
 		}
-		resp.Query = q
+		resp.Query = bq.q
 		// The result-cache and single-flight key: generation, canonical
 		// query and shape, built in one allocation when it fits the buffer
 		// (every catalog query and generated statement does).
 		var kb [384]byte
 		b := append(strconv.AppendUint(kb[:0], sn.gen, 10), 0)
-		key := string(sh.AppendKey(append(append(b, canon...), 0)))
+		key := string(sh.AppendKey(append(append(b, bq.canon...), 0)))
 		var f *flight
 		following := false
 		if !req.NoCache {
-			// Cache lookup and single-flight formation are one critical
-			// section under cacheMu: a request either hits the
-			// cache, joins the in-progress flight for its key, or registers
-			// itself as the leader — so for any (key, generation) at most one
+			// A hit takes only the read lock. A miss takes the write lock
+			// and looks again — the snapshot, the result cache, then the
+			// flights — so that cache lookup and single-flight formation
+			// are one critical section: a request either hits the cache,
+			// joins the in-progress flight for its key, or registers itself
+			// as the leader, and for any (key, generation) at most one
 			// execution ever runs, no matter how the misses interleave with
 			// the leader's fill.
-			s.cacheMu.Lock()
+			s.cacheMu.RLock()
 			if s.snap.Load() != sn {
-				s.cacheMu.Unlock()
+				s.cacheMu.RUnlock()
 				continue
 			}
-			if v, ok := s.results.get(key); ok {
+			v, hit := s.results.get(key)
+			s.cacheMu.RUnlock()
+			if !hit {
+				s.cacheMu.Lock()
+				if s.snap.Load() != sn {
+					s.cacheMu.Unlock()
+					continue
+				}
+				if v, hit = s.results.get(key); !hit {
+					if f, following = s.flights[key]; !following {
+						f = &flight{done: make(chan struct{})}
+						s.flights[key] = f
+					}
+				}
 				s.cacheMu.Unlock()
+			}
+			if hit {
 				// Equivalent queries (named vs SQL, or two SQL spellings)
 				// share the entry under their canonical form; resp.Query
 				// names this request's own.
-				s.replay(&resp, v.(*Answer), start, bindWall, false)
-				return resp, nil
+				s.replay(resp, v.(*Answer), start, bindWall, false)
+				return nil
 			}
-			if f, following = s.flights[key]; !following {
-				f = &flight{done: make(chan struct{})}
-				s.flights[key] = f
-			}
-			s.cacheMu.Unlock()
 		}
-		j = &job{req: resp.Request, shape: sh, snap: sn, q: q, canon: canon, key: key, bindWall: bindWall}
+		j := &job{req: resp.Request, shape: sh, snap: sn, q: bq.q, canon: bq.canon, key: key, bindWall: bindWall}
 		if following {
 			j.follow = f
-			return resp, j
+			return j
 		}
 		j.lead = f
 		j.done = make(chan Response, 1)
-		return resp, j
+		return j
 	}
 }
 
@@ -1077,11 +1098,7 @@ func (s *Service) complete(j *job, resp *Response) {
 		s.recordError()
 	} else {
 		hits, misses := s.residencyLookups(j, resp)
-		s.statsMu.Lock()
-		s.stats.record(resp)
-		s.stats.ResidentHits += hits
-		s.stats.ResidentMisses += misses
-		s.statsMu.Unlock()
+		s.tally.record(resp, hits, misses)
 	}
 	j.done <- *resp
 }
@@ -1187,47 +1204,34 @@ func (s *Service) finishTrace(resp *Response, bindWall, planWall time.Duration, 
 	resp.Trace = tr
 }
 
-func (s *Service) recordStats(resp *Response) {
-	s.statsMu.Lock()
-	s.stats.record(resp)
-	s.statsMu.Unlock()
-}
+func (s *Service) recordStats(resp *Response) { s.tally.record(resp, 0, 0) }
 
 // failed completes resp with err and counts the error.
-func (s *Service) failed(resp *Response, err error) Response {
+func (s *Service) failed(resp *Response, err error) {
 	resp.Err = err
 	s.recordError()
-	return *resp
 }
 
 func (s *Service) recordError() {
-	s.statsMu.Lock()
-	s.stats.Errors++
-	s.stats.Requests++
-	s.statsMu.Unlock()
+	s.tally.with(func(st *Stats) {
+		st.Errors++
+		st.Requests++
+	})
 }
 
-func (s *Service) recordShed() {
-	s.statsMu.Lock()
-	s.stats.Shed++
-	s.statsMu.Unlock()
-}
+func (s *Service) recordShed() { s.tally.with(func(st *Stats) { st.Shed++ }) }
 
-func (s *Service) recordExpired() {
-	s.statsMu.Lock()
-	s.stats.Expired++
-	s.statsMu.Unlock()
-}
+func (s *Service) recordExpired() { s.tally.with(func(st *Stats) { st.Expired++ }) }
 
 // recordBatch tallies one shared-scan batch execution; the batch's size is
 // visible as the per-response batchedRequests delta, and the byte pair
 // carries the shared-vs-solo scan traffic the batch deduplicated.
 func (s *Service) recordBatch(sharedBytes, soloBytes int64) {
-	s.statsMu.Lock()
-	s.stats.Batches++
-	s.stats.BatchSharedScanBytes += sharedBytes
-	s.stats.BatchSoloScanBytes += soloBytes
-	s.statsMu.Unlock()
+	s.tally.with(func(st *Stats) {
+		st.Batches++
+		st.BatchSharedScanBytes += sharedBytes
+		st.BatchSoloScanBytes += soloBytes
+	})
 }
 
 // cacheKey joins key parts with NUL, which cannot appear in query ids,

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -532,6 +535,41 @@ func BenchmarkServeHit(b *testing.B) {
 	}
 }
 
+// BenchmarkServeHitParallel is BenchmarkServeHit with GOMAXPROCS callers
+// at once, each cycling through a named id, a SQL text and a respelling of
+// that text (a bind-cache entry of its own, the same result entry): what a
+// hit costs when callers on several cores share the caches and the stats
+// tally.
+func BenchmarkServeHitParallel(b *testing.B) {
+	s := New(testData(), "v1", Options{Workers: 1})
+	defer s.Close()
+	ctx := context.Background()
+	q21, err := queries.ByID("q2.1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs := []Request{
+		{QueryID: "q2.1", Engine: queries.EngineCPU},
+		{SQL: q21.Describe(), Engine: queries.EngineCPU},
+		{SQL: "-- respelled\n" + q21.Describe(), Engine: queries.EngineCPU},
+	}
+	for _, req := range reqs {
+		if _, err := s.Do(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if resp, err := s.Do(ctx, reqs[i%len(reqs)]); err != nil || !resp.ResultCached {
+				b.Errorf("err=%v cached=%v, want a hit", err, resp.ResultCached)
+				return
+			}
+		}
+	})
+}
+
 func TestParseEngine(t *testing.T) {
 	cases := map[string]queries.Engine{
 		"gpu":            queries.EngineGPU,
@@ -608,6 +646,38 @@ func TestLRU(t *testing.T) {
 	c.purge()
 	if c.len() != 0 {
 		t.Errorf("len after purge = %d, want 0", c.len())
+	}
+}
+
+// TestLRUEvictsLeastRecentlyUsed checks the eviction order against a
+// recency list over a seeded mix of gets and puts, so a get that only
+// stamps its entry must still count as the most recent use at the next
+// eviction.
+func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
+	const capacity, keys = 5, 12
+	c := newLRU(capacity)
+	var recent []string // most recent last
+	use := func(k string) {
+		recent = slices.DeleteFunc(recent, func(r string) bool { return r == k })
+		recent = append(recent, k)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for op := 0; op < 5000; op++ {
+		k := strconv.Itoa(rng.Intn(keys))
+		if rng.Intn(2) == 0 {
+			c.put(k, op)
+			use(k)
+			if len(recent) > capacity {
+				recent = recent[1:]
+			}
+		} else if _, ok := c.get(k); ok != slices.Contains(recent, k) {
+			t.Fatalf("op %d: get(%s) hit=%v, the recency list holds %v", op, k, ok, recent)
+		} else if ok {
+			use(k)
+		}
+		if c.len() != len(recent) {
+			t.Fatalf("op %d: len %d, the recency list holds %v", op, c.len(), recent)
+		}
 	}
 }
 

@@ -177,7 +177,7 @@ func TestServeBatchCPUPlacementSeated(t *testing.T) {
 func TestWorkerSurvivesPanic(t *testing.T) {
 	ctx := context.Background()
 	key := func(s *Service, req Request) string {
-		_, j := s.prepare(Request{QueryID: req.QueryID, Engine: req.Engine, NoCache: true}, time.Now())
+		j := s.prepare(new(Response), Request{QueryID: req.QueryID, Engine: req.Engine, NoCache: true}, time.Now())
 		return j.key
 	}
 

@@ -2,11 +2,11 @@ package serve
 
 import (
 	"cmp"
-	"maps"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"crystal/internal/bench"
 	"crystal/internal/queries"
@@ -102,10 +102,12 @@ type LatencyStats struct {
 }
 
 // Stats is the service's stats tally and its point-in-time snapshot in
-// one type. The service records into its own Stats under statsMu; the
-// Stats method copies it and fills the derived fields (rates, means,
-// percentiles and gauges), and both GET /stats and the /metrics
-// exposition render that copy.
+// one type. The service records into a striped tally: each stripe is a
+// Stats under its own mutex, and a caller records into the stripe its core
+// holds, so two callers never wait on one lock to count a hit. The Stats
+// method adds the stripes into one Stats and fills the derived fields
+// (rates, means, percentiles and gauges), and both GET /stats and the
+// /metrics exposition render that sum.
 type Stats struct {
 	Version  string `json:"version"`
 	Workers  int    `json:"workers"`
@@ -225,10 +227,17 @@ type Stats struct {
 	Latency []LatencyStats `json:"latency,omitempty"`
 }
 
-// record adds one served response to the tally; the caller holds statsMu.
-// Rows are kept in output order as they are inserted, so Stats sorts
-// nothing, and a response whose rows already exist allocates nothing.
-func (st *Stats) record(resp *Response) {
+// record adds one served response, and the residency lookups of an
+// executed one, to the tally; the caller holds the stripe's lock. It
+// records nothing and reports false when a row the response counts under
+// is missing (tally.record inserts it, see addRows): a response whose rows
+// exist allocates nothing.
+func (st *Stats) record(resp *Response, residentHits, residentMisses int64) bool {
+	e := st.engine(resp.Request.Engine, false)
+	l := st.latency(EngineAlias(resp.Request.Engine), placementLabel(resp), false)
+	if e == nil || l == nil || !st.routeRows(resp, false) {
+		return false
+	}
 	st.Requests++
 	if resp.Request.SQL != "" {
 		st.AdhocRequests++
@@ -256,14 +265,12 @@ func (st *Stats) record(resp *Response) {
 		// Placement-routed traffic: the GPUs echo names the GPU arm's
 		// fleet size, not classic fleet dispatch, so it is tallied here
 		// and never under the fleet counters below.
-		if st.PlacementRequests == nil {
-			st.PlacementRequests = map[string]int64{}
-		}
 		st.PlacementRequests[resp.Placement]++
 		st.HybridRequests++
 		st.HybridMergeBytes += resp.MergeBytes
-		for _, er := range resp.Executors {
-			h := st.hybridExecutor(er)
+		for i := range resp.Executors {
+			er := &resp.Executors[i]
+			h := st.hybridExecutor(er, false)
 			h.Requests++
 			h.Morsels += int64(er.Morsels)
 			h.Pruned += int64(er.Pruned)
@@ -280,10 +287,8 @@ func (st *Stats) record(resp *Response) {
 	} else if resp.GPUs > 0 {
 		st.FleetRequests++
 		st.FleetMergeBytes += resp.MergeBytes
-		for len(st.FleetDevices) < len(resp.Devices) {
-			st.FleetDevices = append(st.FleetDevices, FleetDeviceStats{Device: len(st.FleetDevices)})
-		}
-		for _, fd := range resp.Devices {
+		for i := range resp.Devices {
+			fd := &resp.Devices[i]
 			d := &st.FleetDevices[fd.Device]
 			d.Requests++
 			d.Morsels += int64(fd.Morsels)
@@ -315,86 +320,325 @@ func (st *Stats) record(resp *Response) {
 	} else {
 		st.ResultMisses++
 	}
-	e := st.engine(resp.Request.Engine)
+	st.ResidentHits += residentHits
+	st.ResidentMisses += residentMisses
 	e.Requests++
 	e.simSeconds += resp.SimSeconds
 	e.wallSeconds += resp.Wall.Seconds()
 
-	l := st.latency(EngineAlias(resp.Request.Engine), placementLabel(resp))
 	l.Requests++
 	l.wall.Observe(resp.Wall.Seconds())
 	l.queue.Observe(resp.QueueWait.Seconds())
 	l.sim.Observe(resp.SimSeconds)
+	return true
 }
 
-// hybridExecutor returns er's row, inserting it by device, then kind, when
-// first seen. Only then is its label ("cpu", "gpu0", ...) built.
-func (st *Stats) hybridExecutor(er queries.ExecutorResult) *HybridExecutorStats {
-	return row(&st.HybridExecutors, func(h *HybridExecutorStats) int {
-		return cmp.Or(cmp.Compare(h.Device, er.Device), strings.Compare(h.Kind, string(er.Kind)))
-	}, func() HybridExecutorStats {
-		label := string(er.Kind)
-		if er.Device >= 0 {
-			label += strconv.Itoa(er.Device)
+// addRows inserts every row resp counts under that st lacks, each with
+// zero counters.
+func (st *Stats) addRows(resp *Response) {
+	st.engine(resp.Request.Engine, true)
+	st.latency(EngineAlias(resp.Request.Engine), placementLabel(resp), true)
+	st.routeRows(resp, true)
+}
+
+// routeRows reports whether st holds the rows a placement-routed or fleet
+// response counts under, inserting the missing ones when add is set.
+func (st *Stats) routeRows(resp *Response, add bool) bool {
+	switch {
+	case resp.Placement != "":
+		if _, ok := st.PlacementRequests[resp.Placement]; !ok {
+			if !add {
+				return false
+			}
+			if st.PlacementRequests == nil {
+				st.PlacementRequests = map[string]int64{}
+			}
+			st.PlacementRequests[resp.Placement] = 0
 		}
-		return HybridExecutorStats{Label: label, Kind: string(er.Kind), Device: er.Device}
-	})
-}
-
-// engine returns e's row, inserting it in queries.Engines order when
-// first seen.
-func (st *Stats) engine(e queries.Engine) *EngineStats {
-	rank := slices.Index(queries.Engines(), e)
-	return row(&st.Engines, func(r *EngineStats) int {
-		if r.Engine == e {
-			return 0
+		for i := range resp.Executors {
+			if st.hybridExecutor(&resp.Executors[i], add) == nil {
+				return false
+			}
 		}
-		return cmp.Compare(slices.Index(queries.Engines(), r.Engine), rank)
-	}, func() EngineStats { return EngineStats{Engine: e, Alias: EngineAlias(e)} })
-}
-
-// latency returns the (engine, placement) cell, inserting it by engine,
-// then placement, when first seen.
-func (st *Stats) latency(engine, placement string) *LatencyStats {
-	return row(&st.Latency, func(l *LatencyStats) int {
-		return cmp.Or(strings.Compare(l.Engine, engine), strings.Compare(l.Placement, placement))
-	}, func() LatencyStats { return LatencyStats{Engine: engine, Placement: placement} })
-}
-
-// row returns the row of rows, kept sorted by order, that order reports
-// equal (0), first inserting newRow() where order places it if there is
-// none. order compares a row against the sought key. The binary search
-// reads rows in place: a LatencyStats row carries three histograms, too
-// large to copy per probe.
-func row[E any](rows *[]E, order func(*E) int, newRow func() E) *E {
-	i := sort.Search(len(*rows), func(i int) bool { return order(&(*rows)[i]) >= 0 })
-	if i == len(*rows) || order(&(*rows)[i]) != 0 {
-		*rows = slices.Insert(*rows, i, newRow())
+	case resp.GPUs > 0:
+		if !add {
+			return len(st.FleetDevices) >= len(resp.Devices)
+		}
+		for len(st.FleetDevices) < len(resp.Devices) {
+			st.FleetDevices = append(st.FleetDevices, FleetDeviceStats{Device: len(st.FleetDevices)})
+		}
 	}
+	return true
+}
+
+// hybridExecutor returns er's row, or nil when there is none; add inserts
+// it by device, then kind. Only then is its label ("cpu", "gpu0", ...)
+// built.
+func (st *Stats) hybridExecutor(er *queries.ExecutorResult, add bool) *HybridExecutorStats {
+	kind := string(er.Kind)
+	for i := range st.HybridExecutors {
+		if h := &st.HybridExecutors[i]; h.Device == er.Device && h.Kind == kind {
+			return h
+		}
+	}
+	if !add {
+		return nil
+	}
+	label := kind
+	if er.Device >= 0 {
+		label += strconv.Itoa(er.Device)
+	}
+	return insertRow(&st.HybridExecutors, func(h *HybridExecutorStats) bool {
+		return cmp.Or(cmp.Compare(h.Device, er.Device), strings.Compare(h.Kind, kind)) > 0
+	}, HybridExecutorStats{Label: label, Kind: kind, Device: er.Device})
+}
+
+// engine returns e's row, or nil when there is none; add inserts it in
+// queries.Engines order.
+func (st *Stats) engine(e queries.Engine, add bool) *EngineStats {
+	for i := range st.Engines {
+		if r := &st.Engines[i]; r.Engine == e {
+			return r
+		}
+	}
+	if !add {
+		return nil
+	}
+	rank := slices.Index(queries.Engines(), e)
+	return insertRow(&st.Engines, func(r *EngineStats) bool {
+		return slices.Index(queries.Engines(), r.Engine) > rank
+	}, EngineStats{Engine: e, Alias: EngineAlias(e)})
+}
+
+// latency returns the (engine, placement) cell, or nil when there is none;
+// add inserts it by engine, then placement.
+func (st *Stats) latency(engine, placement string, add bool) *LatencyStats {
+	for i := range st.Latency {
+		if l := &st.Latency[i]; l.Engine == engine && l.Placement == placement {
+			return l
+		}
+	}
+	if !add {
+		return nil
+	}
+	return insertRow(&st.Latency, func(l *LatencyStats) bool {
+		return cmp.Or(strings.Compare(l.Engine, engine), strings.Compare(l.Placement, placement)) > 0
+	}, LatencyStats{Engine: engine, Placement: placement})
+}
+
+// insertRow inserts r into rows, which are kept in output order, before
+// the first row that after reports as ordered after it, and returns it.
+// Rows are few — engines, (engine, placement) cells, executors — so
+// lookups scan them, and Stats sorts nothing.
+func insertRow[E any](rows *[]E, after func(*E) bool, r E) *E {
+	i := 0
+	for i < len(*rows) && !after(&(*rows)[i]) {
+		i++
+	}
+	*rows = slices.Insert(*rows, i, r)
 	return &(*rows)[i]
 }
 
-// Stats returns a snapshot of the service counters. The tally is copied
-// under one statsMu acquisition, so multi-field aggregates (counts and
-// their sums, rows and their totals) agree in the copy; only the derived
-// fields — rates, means, percentiles, and the dataset version, cache
-// occupancies and queue depth read on their own — are filled afterwards.
-func (s *Service) Stats() Stats {
-	s.statsMu.Lock()
-	out := s.stats
-	out.FleetDevices = slices.Clone(s.stats.FleetDevices)
-	out.PlacementRequests = maps.Clone(s.stats.PlacementRequests)
-	out.HybridExecutors = slices.Clone(s.stats.HybridExecutors)
-	out.Engines = slices.Clone(s.stats.Engines)
-	out.Latency = slices.Clone(s.stats.Latency)
-	s.statsMu.Unlock()
+// add adds o's tally into st: every counter, running sum and histogram,
+// and every row matched by position, since every stripe holds the same
+// rows in the same order (tally). A row's key fields are copied, so adding
+// the first stripe into a zero Stats builds the rows.
+func (st *Stats) add(o *Stats) {
+	st.Requests += o.Requests
+	st.NamedRequests += o.NamedRequests
+	st.AdhocRequests += o.AdhocRequests
+	st.Errors += o.Errors
+	st.Shed += o.Shed
+	st.Expired += o.Expired
+	st.Coalesced += o.Coalesced
+	st.Batches += o.Batches
+	st.BatchedRequests += o.BatchedRequests
+	st.BatchSharedScanBytes += o.BatchSharedScanBytes
+	st.BatchSoloScanBytes += o.BatchSoloScanBytes
+	st.PartitionedRequests += o.PartitionedRequests
+	st.Morsels += o.Morsels
+	st.PrunedMorsels += o.PrunedMorsels
+	st.PackedRequests += o.PackedRequests
+	st.TransferBytes += o.TransferBytes
+	st.ResidentCols += o.ResidentCols
+	st.FleetRequests += o.FleetRequests
+	st.FleetMorsels += o.FleetMorsels
+	st.FleetPruned += o.FleetPruned
+	st.FleetRows += o.FleetRows
+	st.FleetSpillBytes += o.FleetSpillBytes
+	st.FleetResidentCols += o.FleetResidentCols
+	st.FleetMergeBytes += o.FleetMergeBytes
+	st.FleetDevices = sumRows(st.FleetDevices, o.FleetDevices, func(d, o *FleetDeviceStats) {
+		d.Device = o.Device
+		d.Requests += o.Requests
+		d.Morsels += o.Morsels
+		d.Pruned += o.Pruned
+		d.Rows += o.Rows
+		d.SpillBytes += o.SpillBytes
+		d.ResidentCols += o.ResidentCols
+		d.SimSeconds += o.SimSeconds
+	})
+	for p, n := range o.PlacementRequests {
+		if st.PlacementRequests == nil {
+			st.PlacementRequests = make(map[string]int64, len(o.PlacementRequests))
+		}
+		st.PlacementRequests[p] += n
+	}
+	st.HybridRequests += o.HybridRequests
+	st.HybridMorsels += o.HybridMorsels
+	st.HybridPruned += o.HybridPruned
+	st.HybridRows += o.HybridRows
+	st.HybridShipBytes += o.HybridShipBytes
+	st.HybridResidentCols += o.HybridResidentCols
+	st.HybridMergeBytes += o.HybridMergeBytes
+	st.HybridExecutors = sumRows(st.HybridExecutors, o.HybridExecutors, func(h, o *HybridExecutorStats) {
+		h.Label, h.Kind, h.Device = o.Label, o.Kind, o.Device
+		h.Requests += o.Requests
+		h.Morsels += o.Morsels
+		h.Pruned += o.Pruned
+		h.Rows += o.Rows
+		h.ShipBytes += o.ShipBytes
+		h.ResidentCols += o.ResidentCols
+		h.SimSeconds += o.SimSeconds
+	})
+	st.ResidentHits += o.ResidentHits
+	st.ResidentMisses += o.ResidentMisses
+	st.PlanHits += o.PlanHits
+	st.PlanMisses += o.PlanMisses
+	st.ResultHits += o.ResultHits
+	st.ResultMisses += o.ResultMisses
+	st.Engines = sumRows(st.Engines, o.Engines, func(e, o *EngineStats) {
+		e.Engine, e.Alias = o.Engine, o.Alias
+		e.Requests += o.Requests
+		e.simSeconds += o.simSeconds
+		e.wallSeconds += o.wallSeconds
+	})
+	st.Latency = sumRows(st.Latency, o.Latency, func(l, o *LatencyStats) {
+		l.Engine, l.Placement = o.Engine, o.Placement
+		l.Requests += o.Requests
+		l.wall.Merge(&o.wall)
+		l.queue.Merge(&o.queue)
+		l.sim.Merge(&o.sim)
+	})
+}
 
+// sumRows adds src's rows into dst's by position, first sizing an empty
+// dst to src.
+func sumRows[E any](dst, src []E, add func(dst, src *E)) []E {
+	if len(src) == 0 {
+		return dst
+	}
+	if dst == nil {
+		dst = make([]E, len(src))
+	}
+	for i := range src {
+		add(&dst[i], &src[i])
+	}
+	return dst
+}
+
+// statsStripes is the number of stripes the tally records into. Stripes
+// are dealt to Ps, so on a host with more cores than stripes some Ps share
+// one, which costs only their waits on its lock.
+const statsStripes = 16
+
+// statsStripe is one stripe of the tally. The padding keeps the mutex
+// and counters of neighbouring stripes off one cache line.
+type statsStripe struct {
+	mu sync.Mutex
+	st Stats
+	_  [64]byte
+}
+
+// tally is the service's striped stats tally. Every record lands whole in
+// one stripe, under that stripe's lock, so every invariant the tally keeps
+// (counts and their sums, rows and their totals) is a sum over records and
+// holds in the sum of the stripes that Stats returns.
+type tally struct {
+	stripes [statsStripes]statsStripe
+	// free hands a caller a stripe. sync.Pool keeps one per P, so a caller
+	// keeps the stripe its core used last. An empty pool (a P's first
+	// record, a stripe the GC or the race detector dropped) deals the next
+	// stripe round robin.
+	free sync.Pool
+	next atomic.Uint32
+	// rowsMu orders row creation against other row creation and against
+	// the merge. Every stripe holds the same rows in the same order: the
+	// first response to count under a row inserts it into every stripe,
+	// so recording a known row into any stripe allocates nothing, and the
+	// merge adds the stripes row by row.
+	rowsMu sync.Mutex
+}
+
+// with runs fn on one stripe's Stats under that stripe's lock.
+func (t *tally) with(fn func(st *Stats)) {
+	sp := t.stripe()
+	sp.mu.Lock()
+	fn(&sp.st)
+	sp.mu.Unlock()
+	t.free.Put(sp)
+}
+
+func (t *tally) stripe() *statsStripe {
+	if sp, ok := t.free.Get().(*statsStripe); ok {
+		return sp
+	}
+	return &t.stripes[t.next.Add(1)%statsStripes]
+}
+
+// record tallies one served response (Stats.record) into one stripe. The
+// response that is first to count under a row inserts that row into every
+// stripe, then records, all under rowsMu, so the merge never sees a row
+// before its first record.
+func (t *tally) record(resp *Response, residentHits, residentMisses int64) {
+	sp := t.stripe()
+	sp.mu.Lock()
+	ok := sp.st.record(resp, residentHits, residentMisses)
+	sp.mu.Unlock()
+	if !ok {
+		t.rowsMu.Lock()
+		for i := range t.stripes {
+			o := &t.stripes[i]
+			o.mu.Lock()
+			o.st.addRows(resp)
+			o.mu.Unlock()
+		}
+		sp.mu.Lock()
+		sp.st.record(resp, residentHits, residentMisses)
+		sp.mu.Unlock()
+		t.rowsMu.Unlock()
+	}
+	t.free.Put(sp)
+}
+
+// merge returns the sum of the stripes. Each stripe is read under its own
+// lock, so each record is in the sum whole or not at all.
+func (t *tally) merge() Stats {
+	var out Stats
+	t.rowsMu.Lock()
+	for i := range t.stripes {
+		sp := &t.stripes[i]
+		sp.mu.Lock()
+		out.add(&sp.st)
+		sp.mu.Unlock()
+	}
+	t.rowsMu.Unlock()
+	return out
+}
+
+// Stats returns a snapshot of the service counters: the sum of the tally's
+// stripes, in which multi-field aggregates (counts and their sums, rows and
+// their totals) agree, since each record lands whole in one stripe. The
+// dataset version, cache occupancies, queue depth and resident set are read
+// on their own, and derive fills the rates, means and percentiles.
+func (s *Service) Stats() Stats {
+	out := s.tally.merge()
 	out.Workers = s.opts.Workers
 	out.Version = s.Version()
-	s.cacheMu.Lock()
+	s.cacheMu.RLock()
 	out.CachedPlans = s.plans.len()
 	out.CachedResults = s.results.len()
-	s.cacheMu.Unlock()
+	s.cacheMu.RUnlock()
 	out.Pending = s.queue.len()
 	if c := s.opts.DeviceCacheBytes; c > 0 {
 		out.DeviceCacheCapBytes = c
@@ -403,22 +647,28 @@ func (s *Service) Stats() Stats {
 			out.DeviceCacheCols, out.DeviceCacheUsedBytes = len(cols), used
 		}
 	}
-	out.ResidencyHitRate = rate(out.ResidentHits, out.ResidentMisses)
+	out.derive()
+	return out
+}
 
-	if out.Requests > 0 {
-		out.CoalesceRate = float64(out.Coalesced) / float64(out.Requests)
-		out.BatchRate = float64(out.BatchedRequests) / float64(out.Requests)
+// derive fills the fields computed from the tally: rates, per-engine means
+// and per-cell percentiles.
+func (st *Stats) derive() {
+	st.ResidencyHitRate = rate(st.ResidentHits, st.ResidentMisses)
+	if st.Requests > 0 {
+		st.CoalesceRate = float64(st.Coalesced) / float64(st.Requests)
+		st.BatchRate = float64(st.BatchedRequests) / float64(st.Requests)
 	}
-	out.PruneRate = rate(out.PrunedMorsels, out.Morsels-out.PrunedMorsels)
-	out.PlanHitRate = rate(out.PlanHits, out.PlanMisses)
-	out.ResultHitRate = rate(out.ResultHits, out.ResultMisses)
-	for i := range out.Engines {
-		e := &out.Engines[i]
+	st.PruneRate = rate(st.PrunedMorsels, st.Morsels-st.PrunedMorsels)
+	st.PlanHitRate = rate(st.PlanHits, st.PlanMisses)
+	st.ResultHitRate = rate(st.ResultHits, st.ResultMisses)
+	for i := range st.Engines {
+		e := &st.Engines[i]
 		e.SimMS = e.simSeconds / float64(e.Requests) * 1e3
 		e.WallMS = e.wallSeconds / float64(e.Requests) * 1e3
 	}
-	for i := range out.Latency {
-		l := &out.Latency[i]
+	for i := range st.Latency {
+		l := &st.Latency[i]
 		l.WallP50MS = l.wall.Quantile(0.50) * 1e3
 		l.WallP95MS = l.wall.Quantile(0.95) * 1e3
 		l.WallP99MS = l.wall.Quantile(0.99) * 1e3
@@ -429,7 +679,6 @@ func (s *Service) Stats() Stats {
 		l.SimP95MS = l.sim.Quantile(0.95) * 1e3
 		l.SimP99MS = l.sim.Quantile(0.99) * 1e3
 	}
-	return out
 }
 
 // Table renders the per-engine latency split with the repo's reporting

@@ -2,8 +2,12 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -108,4 +112,115 @@ func TestStatsWireShape(t *testing.T) {
 			checkKeys(row.key, r, row.want)
 		}
 	}
+}
+
+// TestStatsMergeMatchesOneTally: the mixed-traffic responses, and every
+// other kind of record, made from several goroutines at once into whatever
+// stripes their cores hold, sum in Stats() to the tally one goroutine makes
+// of the same records. Every field, exported or not, is compared by
+// reflection, so a Stats field the merge leaves out fails here. Floating
+// sums are compared to a relative 1e-9: the stripes add them in another
+// order.
+func TestStatsMergeMatchesOneTally(t *testing.T) {
+	_, resps := servedMixedTraffic(t, false)
+	s := New(testData(), "v1", Options{Workers: 1})
+	t.Cleanup(s.Close)
+	const goroutines, rounds = 4, 8
+	var want Stats
+	for range goroutines * rounds {
+		for i := range resps {
+			want.addRows(&resps[i])
+			want.record(&resps[i], int64(i), 1)
+		}
+		want.Errors++
+		want.Requests++
+		want.Shed++
+		want.Expired++
+		want.Batches++
+		want.BatchSharedScanBytes += 3
+		want.BatchSoloScanBytes += 5
+	}
+	var wg sync.WaitGroup
+	for range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				for i := range resps {
+					s.tally.record(&resps[i], int64(i), 1)
+				}
+				s.recordError()
+				s.recordShed()
+				s.recordExpired()
+				s.recordBatch(3, 5)
+			}
+		}()
+	}
+	wg.Wait()
+	got := s.Stats()
+	// The fields Stats reads from the service, not from the tally.
+	want.Version, want.Workers, want.Pending = got.Version, got.Workers, got.Pending
+	want.CachedPlans, want.CachedResults = got.CachedPlans, got.CachedResults
+	want.DeviceCacheCapBytes, want.DeviceCacheUsedBytes, want.DeviceCacheCols =
+		got.DeviceCacheCapBytes, got.DeviceCacheUsedBytes, got.DeviceCacheCols
+	want.derive()
+	for _, d := range statsDiff("Stats", reflect.ValueOf(got), reflect.ValueOf(want)) {
+		t.Error(d)
+	}
+}
+
+// statsDiff lists where got and want differ, walking every field,
+// exported or not; floats match to a relative 1e-9.
+func statsDiff(path string, got, want reflect.Value) []string {
+	differ := func() []string { return []string{fmt.Sprintf("%s: got %v, want %v", path, got, want)} }
+	switch got.Kind() {
+	case reflect.Struct:
+		var out []string
+		for i := 0; i < got.NumField(); i++ {
+			out = append(out, statsDiff(path+"."+got.Type().Field(i).Name, got.Field(i), want.Field(i))...)
+		}
+		return out
+	case reflect.Slice, reflect.Array:
+		if got.Len() != want.Len() || got.Kind() == reflect.Slice && got.IsNil() != want.IsNil() {
+			return differ()
+		}
+		var out []string
+		for i := 0; i < got.Len(); i++ {
+			out = append(out, statsDiff(fmt.Sprintf("%s[%d]", path, i), got.Index(i), want.Index(i))...)
+		}
+		return out
+	case reflect.Map:
+		if got.Len() != want.Len() || got.IsNil() != want.IsNil() {
+			return differ()
+		}
+		var out []string
+		for _, k := range got.MapKeys() {
+			w := want.MapIndex(k)
+			if !w.IsValid() {
+				return differ()
+			}
+			out = append(out, statsDiff(fmt.Sprintf("%s[%v]", path, k), got.MapIndex(k), w)...)
+		}
+		return out
+	case reflect.Float64:
+		g, w := got.Float(), want.Float()
+		if math.Abs(g-w) > 1e-9*math.Max(math.Abs(g), math.Abs(w)) {
+			return differ()
+		}
+	case reflect.Int, reflect.Int64:
+		if got.Int() != want.Int() {
+			return differ()
+		}
+	case reflect.Uint64:
+		if got.Uint() != want.Uint() {
+			return differ()
+		}
+	case reflect.String:
+		if got.String() != want.String() {
+			return differ()
+		}
+	default:
+		return []string{fmt.Sprintf("%s: statsDiff cannot compare a %s", path, got.Kind())}
+	}
+	return nil
 }

@@ -20,6 +20,31 @@ var bucketBounds = func() [NumBuckets]float64 {
 	return b
 }()
 
+// boundFrac and boundExp are the first bound's binary mantissa and
+// exponent (math.Frexp). Doubling is exact, so bound i is exactly
+// boundFrac × 2^(boundExp+i).
+var boundFrac, boundExp = math.Frexp(bucketBounds[0])
+
+// bucket returns the index of v's bucket: that of the first bound v does
+// not exceed, or NumBuckets for the +Inf bucket. It reads the index off v's
+// binary exponent instead of scanning the bounds: v in (bound i-1, bound i]
+// has exponent boundExp+i, or boundExp+i-1 with a mantissa above boundFrac.
+// Zero, negative values and NaN land in the first bucket.
+func bucket(v float64) int {
+	switch {
+	case !(v > bucketBounds[0]):
+		return 0
+	case v > bucketBounds[NumBuckets-1]:
+		return NumBuckets
+	}
+	f, e := math.Frexp(v)
+	i := e - boundExp
+	if f > boundFrac {
+		i++
+	}
+	return i
+}
+
 // BucketBounds returns the shared upper bounds in seconds, smallest
 // first. The slice is a copy; callers may keep it.
 func BucketBounds() []float64 {
@@ -31,7 +56,8 @@ func BucketBounds() []float64 {
 // Histogram is a fixed-bound log-bucketed latency histogram. Observe and
 // Quantile are alloc-free; the zero value is ready to use. Histogram is
 // not synchronized — callers that share one across goroutines hold their
-// own lock (serve keeps its histograms under the stats mutex).
+// own lock (serve keeps each histogram in one stripe of its stats tally,
+// under that stripe's mutex, and merges the stripes' copies to read them).
 type Histogram struct {
 	counts [NumBuckets + 1]uint64 // counts[NumBuckets] is the +Inf bucket
 	count  uint64
@@ -45,13 +71,7 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.count++
 	h.sum += v
-	for i, bound := range bucketBounds {
-		if v <= bound {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[NumBuckets]++
+	h.counts[bucket(v)]++
 }
 
 // Count returns the number of observations.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -39,6 +40,36 @@ func TestHistogramObserve(t *testing.T) {
 	c := h.Counts()
 	if c[0] != 3 || c[2] != 1 || c[NumBuckets] != 1 {
 		t.Errorf("counts = %v", c)
+	}
+}
+
+// TestHistogramBucketMatchesScan: Observe picks exactly the bucket a
+// linear scan of the bounds picks (after clamping negatives and NaN to 0),
+// at every bound, one ulp either side of it, and at the edge values.
+func TestHistogramBucketMatchesScan(t *testing.T) {
+	scan := func(v float64) int {
+		if v < 0 || math.IsNaN(v) {
+			v = 0
+		}
+		for i, bound := range BucketBounds() {
+			if v <= bound {
+				return i
+			}
+		}
+		return NumBuckets
+	}
+	vals := []float64{0, math.Copysign(0, -1), -1e-9, -5, math.Inf(-1), math.NaN(), math.Inf(1),
+		math.SmallestNonzeroFloat64, math.MaxFloat64, 1e3, 1e9}
+	for _, b := range BucketBounds() {
+		vals = append(vals, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)), 1.5*b)
+	}
+	for _, v := range vals {
+		var h Histogram
+		h.Observe(v)
+		got := slices.Index(h.Counts(), 1)
+		if want := scan(v); got != want {
+			t.Errorf("Observe(%v) counted in bucket %d, the linear scan picks %d", v, got, want)
+		}
 	}
 }
 
